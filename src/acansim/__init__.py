@@ -21,12 +21,10 @@ from .model import (
     SynapseTreeConfig,
     active_count,
     bypass_resistance,
-    divider_gain,
     effective_pc_capacitance,
     effective_tree_capacitance,
     lc_series_resistance,
     membrane_peak_active_divider,
-    membrane_peak_closed_form,
     predicted_optimal_frequency,
     reset_resistance,
     resonant_frequency,
@@ -52,12 +50,10 @@ from .engine import (
 from .neuron import (
     Decision,
     NeuronRun,
-    PhaseSchedule,
     dlcc_decide,
     dlcc_offset,
     input_sweeps,
     make_schedule,
-    reference_neuron,
     run_neuron,
 )
 from .baseline import (
@@ -87,16 +83,16 @@ __all__ = [
     "__version__",
     "CircuitConfig", "Corner", "DelayModel", "DlccConfig", "Environment",
     "NeuronSpec", "PowerClockConfig", "SimConfig", "SynapseTreeConfig",
-    "active_count", "bypass_resistance", "divider_gain",
+    "active_count", "bypass_resistance",
     "effective_pc_capacitance", "effective_tree_capacitance", "lc_series_resistance",
-    "membrane_peak_active_divider", "membrane_peak_closed_form",
+    "membrane_peak_active_divider",
     "predicted_optimal_frequency", "reset_resistance", "resonant_frequency",
     "series_capacitance", "sweep_lock_frequency", "synapse_energy_analytic",
     "tg_resistance", "topup_energy_analytic", "tune_inductor",
     "CycleStats", "DecayFit", "EnergyLedger", "FitError", "SimulationError",
     "SwitchState", "Trace", "energy_residual", "fit_decay", "simulate",
-    "Decision", "NeuronRun", "PhaseSchedule", "dlcc_decide", "dlcc_offset",
-    "input_sweeps", "make_schedule", "reference_neuron", "run_neuron",
+    "Decision", "NeuronRun", "dlcc_decide", "dlcc_offset",
+    "input_sweeps", "make_schedule", "run_neuron",
     "BaselineConfig", "baseline_oracle_spec",
     "baseline_transition_energy_analytic", "run_baseline",
     "CornerTable", "FrequencyOpt", "SavingsReport", "ScalingTable", "Surface",

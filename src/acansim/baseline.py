@@ -6,9 +6,12 @@ level.  The membrane node keeps the same divider, parasitics and reset
 switch as the adiabatic design, which makes per-component comparisons
 meaningful.
 
-Runs reuse the shared per-cycle stats and ledger types; the drive-resistor
-loss is booked in the tree-resistor slot and the clock-generator slot
-stays zero (there is no power clock here).
+The design is a phase-system builder plus a cycle schedule on the
+engine's kernel: the same step maps, propagation and element-driven
+accounting as the adiabatic design.  The drive-resistor loss is booked
+in the tree-resistor slot and the clock-generator slot stays zero (there
+is no power clock here); the rail energy comes from the exact endpoint
+charges rather than a quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +22,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import CycleStats, EnergyLedger, propagate, _trapz
+from .engine import (
+    BranchGroup,
+    CycleStats,
+    EnergyLedger,
+    Loss,
+    PhaseSystem,
+    Store,
+    book_reconfig,
+    book_segment,
+    propagate,
+    reset_terms,
+    segment_sample,
+    step_maps,
+)
 from .model import (
     CircuitConfig,
     DlccConfig,
@@ -100,8 +116,8 @@ def baseline_oracle_spec(cfg: BaselineConfig, v_os: float = 0.0) -> NeuronSpec:
     )
 
 
-def _groups_for(tree: SynapseTreeConfig, prev_code: Code, code: Code) -> list[tuple[int, int, float, int]]:
-    """Branches lumped by (previous level, new level, weight value)."""
+def _levels(tree: SynapseTreeConfig, prev_code: Code, code: Code) -> list[tuple[int, int, float, int]]:
+    """Branches lumped by (previous level, new level, weight value), with counts."""
     keys: dict[tuple[int, int, float], int] = {}
     for c, p, n in zip(tree.c_s, prev_code, code):
         k = (p, n, c)
@@ -109,12 +125,64 @@ def _groups_for(tree: SynapseTreeConfig, prev_code: Code, code: Code) -> list[tu
     return [(p, n, c, cnt) for (p, n, c), cnt in sorted(keys.items())]
 
 
-def _maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    eye = np.eye(a.shape[0])
-    lhs = eye - 0.5 * dt * a
-    e = np.linalg.solve(lhs, eye + 0.5 * dt * a)
-    f = np.linalg.solve(lhs, dt * b)
-    return e, f
+def build_baseline_system(
+    cfg: BaselineConfig, levels: Sequence[tuple[int, int, float, int]], reset_on: bool
+) -> PhaseSystem:
+    """Phase system of one cycle over [V_t per group..., V_m].
+
+    Each level group is one driver leg of r_drv/count in series with its
+    lumped weight capacitor, its driver held at the new level's rail.
+    """
+    tree = cfg.tree
+    c_mb = tree.c_d + tree.c_par
+    g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0
+    groups = tuple(BranchGroup(c_value=c, count=cnt, r=cfg.r_drv / cnt, c=cnt * c)
+                   for _, _, c, cnt in levels)
+    u = [n * cfg.v_dd for _, n, _, _ in levels]
+
+    dim = len(groups) + 1
+    a = np.zeros((dim, dim))
+    b = np.zeros(dim)
+    im = dim - 1
+    a[im, im] = -g_reset / c_mb
+    b[im] = g_reset * tree.v_ref / c_mb
+    for j, g in enumerate(groups):
+        a[im, j] -= (1.0 / g.r) / c_mb
+        b[im] += (u[j] / g.r) / c_mb
+    for j, g in enumerate(groups):
+        a[j, :] = a[im, :]
+        b[j] = b[im]
+        a[j, j] -= 1.0 / (g.r * g.c)
+        b[j] += u[j] / (g.r * g.c)
+
+    stores = (Store(c_mb, im), *(Store(g.c, j, im) for j, g in enumerate(groups)))
+    losses = [Loss("r_tg", 1.0 / g.r, j, u=-u[j]) for j, g in enumerate(groups)]
+    sources = []
+    if g_reset > 0.0:
+        loss, source = reset_terms(g_reset, tree.v_ref, im)
+        losses.append(loss)
+        sources.append(source)
+    return PhaseSystem(a=a, b=b, groups=groups, stores=stores,
+                       losses=tuple(losses), sources=tuple(sources))
+
+
+def _cycle_plan(system: PhaseSystem, t_cycle: float, spc: int) -> list[tuple[float, float, int]]:
+    """(start, end, steps) sub-grids in cycle fractions: dense over the
+    switching transient, coarse after.
+
+    The slowest settling mode comes straight from the system matrix, so
+    the dense window tracks the actual transient at any tree size.  With
+    the reset open the membrane-charge mode sits at exactly zero rate; it
+    never settles and must not widen the dense window.
+    """
+    rates = np.linalg.eigvals(system.a).real
+    taus = [1.0 / -r for r in rates if r < 0.0 and -r * t_cycle >= 1.0]
+    t_fine = 60.0 * max(taus) if taus else t_cycle
+    if t_fine >= 0.5 * t_cycle:
+        return [(0.0, 1.0, spc)]
+    n_fine = (3 * spc) // 4
+    split = t_fine / t_cycle
+    return [(0.0, split, n_fine), (split, 1.0, spc - n_fine)]
 
 
 def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronRun:
@@ -131,145 +199,49 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
         raise ValueError("run_baseline: need at least one code")
 
     t_cycle = 1.0 / cfg.f_clock
-    spc = cfg.steps_per_cycle
-    c_mb = tree.c_d + tree.c_par
-    g_reset_val = 1.0 / reset_resistance(tree, cfg.env)
     e_toggle = 0.5 * tree.c_inv * cfg.v_dd ** 2
 
-    prev_code: Code = tuple(0 for _ in range(tree.n))
-    v_m = tree.v_ref
-
-    led = {name: np.zeros(n_cycles) for name in
-           ("source_dc", "source_ref", "r_tg", "r_reset", "drive", "reconfig")}
+    ledger = EnergyLedger.zeros(n_cycles)
+    ledger.soma[:] = cfg.dlcc.e_decision
     stats: list[CycleStats] = []
-    e_stored_first = math.nan
-
-    def stored(groups, values, vm) -> float:
-        e = 0.5 * c_mb * vm ** 2
-        for (p, n, cval, cnt), vt in zip(groups, values):
-            e += 0.5 * cnt * cval * (vt - vm) ** 2
-        return e
-
-    prev_groups: list[tuple[int, int, float, int]] = []
-    prev_values: list[float] = []
+    prev_code: Code = tuple(0 for _ in range(tree.n))
+    prev_sys: PhaseSystem | None = None
+    x = np.array([tree.v_ref])
 
     for k, code in enumerate(codes):
-        groups = _groups_for(tree, prev_code, code)
-        reset_on = not any(code)
-        g_reset = g_reset_val if reset_on else 0.0
+        levels = _levels(tree, prev_code, code)
+        sys = build_baseline_system(cfg, levels, reset_on=not any(code))
 
         # plates start the cycle at the rail they were driven to last cycle
-        values = [p * cfg.v_dd for (p, n, cval, cnt) in groups]
-        e_after = stored(groups, values, v_m)
-        e_before = stored(prev_groups, prev_values, v_m) if k > 0 else e_after
-        if k == 0:
-            e_stored_first = e_after
-        led["reconfig"][k] = e_after - e_before
+        x0 = np.array([*(p * cfg.v_dd for p, _, _, _ in levels), x[-1]])
+        book_reconfig(ledger, k, prev_sys, x, sys, x0)
+        ledger.drive[k] += e_toggle * sum(p != n for p, n in zip(prev_code, code))
 
-        led["drive"][k] = e_toggle * sum(1 for p, n in zip(prev_code, code) if p != n)
-
-        # phase system over [V_t per group..., V_m]
-        n_g = len(groups)
-        dim = n_g + 1
-        a = np.zeros((dim, dim))
-        b = np.zeros(dim)
-        im = dim - 1
-        a[im, im] = -g_reset / c_mb
-        b[im] = g_reset * tree.v_ref / c_mb
-        r_g = []
-        u_g = []
-        for j, (p, n, cval, cnt) in enumerate(groups):
-            r = cfg.r_drv / cnt
-            u = n * cfg.v_dd
-            r_g.append(r)
-            u_g.append(u)
-            a[im, j] -= (1.0 / r) / c_mb
-            b[im] += (u / r) / c_mb
-        for j, (p, n, cval, cnt) in enumerate(groups):
-            cg = cnt * cval
-            a[j, :] = a[im, :]
-            b[j] = b[im]
-            a[j, j] -= 1.0 / (r_g[j] * cg)
-            b[j] += u_g[j] / (r_g[j] * cg)
-
-        x0 = np.array([*values, v_m])
-
-        # two sub-grids: dense over the switching transient, coarse after.
-        # The slowest settling mode comes straight from the system matrix,
-        # so the dense window tracks the actual transient at any tree size.
-        # With the reset open the membrane-charge mode sits at exactly zero
-        # rate; it never settles and must not widen the dense window.
-        rates = np.linalg.eigvals(a).real
-        taus = [1.0 / -r for r in rates if r < 0.0 and -r * t_cycle >= 1.0]
-        t_fine = 60.0 * max(taus) if taus else t_cycle
-        if t_fine >= 0.5 * t_cycle:
-            plan = [(t_cycle, spc)]
-        else:
-            n_fine = (3 * spc) // 4
-            plan = [(t_fine, n_fine), (t_cycle - t_fine, spc - n_fine)]
-
-        e_drv = 0.0
-        e_reset = 0.0
-        e_src_ref = 0.0
         v_m_sample = math.nan
         v_m_peak = -math.inf
-        t_pos = 0.0
         x = x0
-        for dur, n_steps in plan:
-            dt = dur / n_steps
-            e_map, f_map = _maps(a, b, dt)
-            xs = propagate(e_map, f_map, x, n_steps)
-            col_vm = xs[:, im]
-            v_m_peak = max(v_m_peak, float(col_vm.max()))
-            for j in range(n_g):
-                dv = u_g[j] - xs[:, j]
-                e_drv += (1.0 / r_g[j]) * _trapz(dv ** 2, dt)
-            if g_reset > 0.0:
-                dvm = col_vm - tree.v_ref
-                e_reset += g_reset * _trapz(dvm ** 2, dt)
-                e_src_ref += g_reset * tree.v_ref * _trapz(-dvm, dt)
-            t_half = 0.5 * t_cycle
-            if t_pos <= t_half <= t_pos + dur:
-                idx = min(max(int(round((t_half - t_pos) / dt)), 0), n_steps)
-                v_m_sample = float(xs[idx, im])
-            t_pos += dur
+        for start, end, n_steps in _cycle_plan(sys, t_cycle, cfg.steps_per_cycle):
+            dt = (end - start) * t_cycle / n_steps
+            xs = propagate(*step_maps(sys.a, sys.b, dt), x, n_steps)
+            book_segment(ledger, k, sys, xs, dt)
+            v_m_peak = max(v_m_peak, float(xs[:, -1].max()))
+            sample = segment_sample(xs[:, -1], start, end, 0.5, t_cycle, dt)
+            if sample is not None:
+                v_m_sample = sample
             x = xs[-1]
 
         # exact supply charge from endpoint states: the rail only feeds
         # branches whose driver sits high this cycle
-        e_supply = 0.0
-        for j, (p, n, cval, cnt) in enumerate(groups):
+        for j, (g, (_, n, _, _)) in enumerate(zip(sys.groups, levels)):
             if n == 1:
-                cg = cnt * cval
-                q = cg * ((x[j] - x[im]) - (x0[j] - x0[im]))
-                e_supply += cfg.v_dd * q
+                ledger.source_dc[k] += cfg.v_dd * (g.c * ((x[j] - x[-1]) - (x0[j] - x0[-1])))
 
-        led["source_dc"][k] = e_supply
-        led["source_ref"][k] = e_src_ref
-        led["r_tg"][k] = e_drv
-        led["r_reset"][k] = e_reset
-
-        v_m = float(x[im])
-        prev_values = [float(v) for v in x[:im]]
-        prev_groups = groups
+        prev_sys = sys
         prev_code = code
-        stats.append(CycleStats(
-            cycle=k, v_pk=cfg.v_dd, v_x=0.0,
-            v_m_peak=v_m_peak, v_m_sample=v_m_sample,
-            e_source=e_supply, e_r_pc=0.0, e_r_lc=0.0, e_r_tg=e_drv,
-            e_r_reset=e_reset, e_drive=led["drive"][k],
-            e_reconfig=led["reconfig"][k],
-        ))
+        stats.append(CycleStats(cycle=k, v_pk=cfg.v_dd, v_x=0.0,
+                                v_m_peak=v_m_peak, v_m_sample=v_m_sample))
 
-    ledger = EnergyLedger(
-        source_dc=led["source_dc"], source_ref=led["source_ref"],
-        r_pc=np.zeros(n_cycles), r_lc=np.zeros(n_cycles),
-        r_tg=led["r_tg"], r_reset=led["r_reset"],
-        drive=led["drive"], reconfig=led["reconfig"],
-        soma=np.full(n_cycles, cfg.dlcc.e_decision),
-        e_stored_first=e_stored_first,
-        e_stored_last=stored(prev_groups, prev_values, v_m),
-    )
+    ledger.e_stored_last = prev_sys.stored_energy(x)
 
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     decisions = [dlcc_decide(s.v_m_sample, cfg.dlcc) for s in stats]
@@ -278,6 +250,6 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
 
     return NeuronRun(
         codes=codes, decisions=decisions, oracle_bits=oracle,
-        stats=stats, ledger=ledger, ledger_full=ledger,
+        stats=stats, ledger_full=ledger, warm_up=0,
         trace=None, v_pk_reference=cfg.v_dd,
     )

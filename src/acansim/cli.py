@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from . import bench
-from .baseline import BaselineConfig, run_baseline
 from .engine import SimulationError
 from .model import (
     CircuitConfig,

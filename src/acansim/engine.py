@@ -7,17 +7,19 @@ propagated with a doubling scheme (log2(n) small matrix products instead
 of n Python-level steps), which keeps multi-thousand-cycle protocol runs
 cheap without changing the arithmetic of the method.
 
-The energy ledger integrates source power and every resistor's i^2 R by
-trapezoidal quadrature on the step grid, books the stored-energy jumps
-caused by switch reconfiguration (node capacitances change when gates
-open or close), and exposes the conservation residual as an audit.
+A phase system carries its elements as data (storage, loss and source
+terms), so one function books every design's ledger: source power and
+every resistor's loss by trapezoidal quadrature on the step grid.  The
+stored-energy jumps caused by switch reconfiguration (node capacitances
+change when gates open or close) are booked as well, and the
+conservation residual is exposed as an audit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -56,57 +58,83 @@ CyclePlan = Sequence[Segment]
 
 @dataclass(frozen=True)
 class BranchGroup:
-    """Enabled synapse branches sharing one weight value, lumped into a
-    single series RC leg from the clock node to the membrane."""
+    """Branches sharing one weight value, lumped into a single series RC
+    leg onto the membrane."""
 
     c_value: float   # weight capacitance of one branch
     count: int
-    r: float         # lumped resistance, r_tg / count
+    r: float         # lumped resistance, per-branch resistance / count
     c: float         # lumped capacitance, count * c_value
+
+
+class Store(NamedTuple):
+    """Storage element holding 1/2 k (x_i - x_j)^2; j None is ground."""
+
+    k: float
+    i: int
+    j: int | None = None
+
+
+class Loss(NamedTuple):
+    """Dissipative element g (x_i - x_j + u)^2, billed to ledger ``account``."""
+
+    account: str
+    g: float
+    i: int
+    j: int | None = None
+    u: float = 0.0
+
+
+class Source(NamedTuple):
+    """Source delivering power p (x_i + u), billed to ledger ``account``."""
+
+    account: str
+    p: float
+    i: int
+    u: float = 0.0
 
 
 @dataclass
 class PhaseSystem:
-    """Constant-coefficient system dx/dt = A x + b for one switch phase.
-
-    State layout: [I_L, V_PC, V_s per group..., V_m].  With no enabled
-    synapses the top-plate rows degenerate and the builder returns the
-    documented reduced 3-state system [I_L, V_PC, V_m].
+    """Constant-coefficient system dx/dt = A x + b for one switch phase,
+    with its elements as data: the storage terms give the stored energy of
+    a state, the loss and source terms give a segment's energy accounts
+    (``book_segment``).  ``groups`` are the lumped branch legs, in the order
+    of their top-plate states.
     """
 
     a: np.ndarray
     b: np.ndarray
-    sw: SwitchState
     groups: tuple[BranchGroup, ...]
-    active_set: frozenset[int]
-    c_pc: float
-    c_m: float
-    g_pc: float
-    g_reset: float
-    l_pc: float
-    r_lc: float
-    v_dc: float
-    v_ref: float
+    stores: tuple[Store, ...]
+    losses: tuple[Loss, ...]
+    sources: tuple[Source, ...]
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def i_vm(self) -> int:
-        return self.dim - 1
-
-    def stored_energy(self, i_l: float, v_pc: float, v_s: Sequence[float], v_m: float) -> float:
-        e = 0.5 * self.l_pc * i_l ** 2
-        e += 0.5 * self.c_pc * v_pc ** 2
-        e += 0.5 * self.c_m * v_m ** 2
-        for g, vs in zip(self.groups, v_s):
-            e += 0.5 * g.c * (vs - v_m) ** 2
+    def stored_energy(self, x: np.ndarray) -> float:
+        v = x.tolist()
+        e = 0.0
+        for k, i, j in self.stores:
+            d = v[i] if j is None else v[i] - v[j]
+            e += 0.5 * k * d ** 2
         return e
 
 
+def reset_terms(g_reset: float, v_ref: float, i: int) -> tuple[Loss, Source]:
+    """Reset switch tying state i to V_REF: its conduction loss and the
+    power the V_REF source delivers through it."""
+    return (Loss("r_reset", g_reset, i, u=-v_ref),
+            Source("source_ref", -g_reset * v_ref, i, -v_ref))
+
+
 def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
-    """Assemble (A, b) for one switch phase.
+    """Assemble (A, b) and the elements for one switch phase.
+
+    State layout: [I_L, V_PC, V_s per group..., V_m]; with no enabled
+    synapse this is the reduced 3-state system [I_L, V_PC, V_m].
 
     Topology: the DC source feeds the inductor into the clock node, which
     carries the tank capacitor and the plate/shunt parasitics of every
@@ -138,7 +166,7 @@ def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
     r_lc = lc_series_resistance(cfg)
 
     n_g = len(groups)
-    dim = 3 + n_g  # reduced 3-state system when no synapse is enabled
+    dim = 3 + n_g
     a = np.zeros((dim, dim))
     b = np.zeros(dim)
     im = dim - 1
@@ -170,26 +198,30 @@ def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
         a[2 + j, 1] += 1.0 / (g.r * g.c)
         a[2 + j, 2 + j] -= 1.0 / (g.r * g.c)
 
-    return PhaseSystem(
-        a=a, b=b, sw=sw, groups=groups, active_set=frozenset(active),
-        c_pc=c_pc, c_m=c_m, g_pc=g_pc, g_reset=g_reset,
-        l_pc=pc.l_pc, r_lc=r_lc, v_dc=pc.v_dc, v_ref=tree.v_ref,
-    )
+    stores = (Store(pc.l_pc, 0), Store(c_pc, 1), Store(c_m, im),
+              *(Store(g.c, 2 + j, im) for j, g in enumerate(groups)))
+    losses = [Loss("r_tg", 1.0 / g.r, 1, 2 + j) for j, g in enumerate(groups)]
+    sources = [Source("source_dc", pc.v_dc, 0)]
+    if r_lc > 0.0:
+        losses.append(Loss("r_lc", r_lc, 0))   # series coil: R_lc I_L^2
+    if g_pc > 0.0:
+        losses.append(Loss("r_pc", g_pc, 1))
+    if g_reset > 0.0:
+        loss, source = reset_terms(g_reset, tree.v_ref, im)
+        losses.append(loss)
+        sources.append(source)
+    return PhaseSystem(a=a, b=b, groups=groups, stores=stores,
+                       losses=tuple(losses), sources=tuple(sources))
 
 
-def step_maps(system: PhaseSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map (E, f) of one implicit trapezoidal step of size dt."""
-    eye = np.eye(system.dim)
-    lhs = eye - 0.5 * dt * system.a
-    e = np.linalg.solve(lhs, eye + 0.5 * dt * system.a)
-    f = np.linalg.solve(lhs, dt * system.b)
+def step_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Affine map (E, f) of one implicit trapezoidal step of size dt:
+    (I - dt/2 A) x' = (I + dt/2 A) x + dt b."""
+    eye = np.eye(a.shape[0])
+    lhs = eye - 0.5 * dt * a
+    e = np.linalg.solve(lhs, eye + 0.5 * dt * a)
+    f = np.linalg.solve(lhs, dt * b)
     return e, f
-
-
-def advance(x: np.ndarray, system: PhaseSystem, dt: float) -> np.ndarray:
-    """One implicit trapezoidal step: solve (I - dt/2 A) x' = (I + dt/2 A) x + dt b."""
-    e, f = step_maps(system, dt)
-    return e @ np.asarray(x, dtype=float) + f
 
 
 def propagate(e: np.ndarray, f: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
@@ -222,27 +254,30 @@ def _trapz(y: np.ndarray, dt: float) -> float:
     return float(dt * (0.5 * (y[0] + y[-1]) + y[1:-1].sum()))
 
 
+def segment_sample(col: np.ndarray, start: float, end: float, frac: float,
+                   t_cycle: float, dt: float) -> float | None:
+    """Value of a segment's state column at the in-cycle fraction ``frac``
+    (nearest step), or None when the instant lies outside [start, end).
+    An instant at the very end of the cycle belongs to its last segment."""
+    if not (start <= frac < end or (math.isclose(end, 1.0) and math.isclose(frac, 1.0))):
+        return None
+    idx = min(max(int(round((frac - start) * t_cycle / dt)), 0), col.size - 1)
+    return float(col[idx])
+
+
 @dataclass
 class CycleStats:
-    """Per-cycle observables and energy slices."""
+    """Per-cycle observables; the energies of a cycle are in the ledger."""
 
     cycle: int
     v_pk: float          # clock-node peak
     v_x: float           # clock-node value immediately before bypass turn-on
     v_m_peak: float      # membrane peak
     v_m_sample: float    # membrane at the decision sampling instant
-    e_source: float      # DC feed energy delivered this cycle
-    e_r_pc: float        # bypass switch dissipation (top-up loss)
-    e_r_lc: float        # resonator coil loss
-    e_r_tg: float        # transmission-gate conduction loss
-    e_r_reset: float     # reset switch loss
-    e_drive: float       # gate-driver charging overhead
-    e_reconfig: float    # stored-energy step from switch reconfiguration
 
-    @property
-    def e_tree(self) -> float:
-        """Synaptic-subsystem energy per cycle, clock generator included."""
-        return self.e_r_pc + self.e_r_lc + self.e_r_tg + self.e_r_reset + self.e_drive
+
+_ACCOUNTS = ("source_dc", "source_ref", "r_pc", "r_lc", "r_tg", "r_reset",
+             "drive", "reconfig", "soma")
 
 
 @dataclass
@@ -251,24 +286,28 @@ class EnergyLedger:
 
     source_dc: np.ndarray
     source_ref: np.ndarray
-    r_pc: np.ndarray
-    r_lc: np.ndarray
-    r_tg: np.ndarray
+    r_pc: np.ndarray       # bypass switch dissipation (top-up loss)
+    r_lc: np.ndarray       # resonator coil loss
+    r_tg: np.ndarray       # synapse branch resistors (gates or drivers)
     r_reset: np.ndarray
-    drive: np.ndarray
-    reconfig: np.ndarray
+    drive: np.ndarray      # gate-driver charging overhead
+    reconfig: np.ndarray   # stored-energy step from switch reconfiguration
     soma: np.ndarray
     e_stored_first: float
     e_stored_last: float
 
+    @classmethod
+    def zeros(cls, n_cycles: int) -> "EnergyLedger":
+        return cls(**{name: np.zeros(n_cycles) for name in _ACCOUNTS},
+                   e_stored_first=math.nan, e_stored_last=math.nan)
+
+    def since(self, k: int) -> "EnergyLedger":
+        """View of the accounts from cycle k on; stored-energy ends kept."""
+        return replace(self, **{name: getattr(self, name)[k:] for name in _ACCOUNTS})
+
     @property
     def n_cycles(self) -> int:
         return self.source_dc.size
-
-    @property
-    def e_pcg(self) -> np.ndarray:
-        """Clock-generator (bypass) loss per cycle; alias of r_pc."""
-        return self.r_pc
 
     @property
     def s_e(self) -> np.ndarray:
@@ -287,6 +326,32 @@ class EnergyLedger:
     @property
     def source_total(self) -> float:
         return float(self.source_dc.sum() + self.source_ref.sum())
+
+
+def book_segment(ledger: EnergyLedger, k: int, system: PhaseSystem,
+                 xs: np.ndarray, dt: float) -> None:
+    """Add one propagated segment's source and loss integrals to cycle k:
+    a trapezoid sum over the segment's states per element."""
+    for account, p, i, u in system.sources:
+        y = xs[:, i] + u if u else xs[:, i]
+        getattr(ledger, account)[k] += p * _trapz(y, dt)
+    for account, g, i, j, u in system.losses:
+        d = xs[:, i] if j is None else xs[:, i] - xs[:, j]
+        if u:
+            d = d + u
+        getattr(ledger, account)[k] += g * _trapz(d ** 2, dt)
+
+
+def book_reconfig(ledger: EnergyLedger, k: int, prev_sys: PhaseSystem | None,
+                  x: np.ndarray, system: PhaseSystem, x0: np.ndarray) -> None:
+    """Book the stored-energy step of switching from state x of prev_sys
+    to the re-assembled state x0 of system in cycle k.  The first phase of
+    a run (prev_sys None) sets the stored energy the run starts from."""
+    e_after = system.stored_energy(x0)
+    if prev_sys is None:
+        ledger.e_stored_first = e_after
+    else:
+        ledger.reconfig[k] += e_after - prev_sys.stored_energy(x)
 
 
 def energy_residual(ledger: EnergyLedger) -> float:
@@ -320,30 +385,6 @@ class Trace:
             fh.write("t,I_L,V_PC,V_s,V_m\n")
             for row in zip(self.t, self.i_l, self.v_pc, self.v_s, self.v_m):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def cycle_stats(trace: Trace, k: int) -> CycleStats:
-    """Stats for cycle k.  Uses the full-resolution stats recorded during
-    the run when present; otherwise recomputes peaks from the samples."""
-    if trace.cycles:
-        if not 0 <= k < len(trace.cycles):
-            raise IndexError(f"cycle {k} out of range [0, {len(trace.cycles)})")
-        return trace.cycles[k]
-    bounds = trace.cycle_boundaries
-    if not 0 <= k < bounds.size:
-        raise IndexError(f"cycle {k} out of range [0, {bounds.size})")
-    lo = int(bounds[k])
-    hi = int(bounds[k + 1]) if k + 1 < bounds.size else trace.t.size
-    sl = slice(lo, hi)
-    return CycleStats(
-        cycle=k,
-        v_pk=float(trace.v_pc[sl].max()),
-        v_x=float(trace.v_pc[lo]),
-        v_m_peak=float(trace.v_m[sl].max()),
-        v_m_sample=float("nan"),
-        e_source=0.0, e_r_pc=0.0, e_r_lc=0.0, e_r_tg=0.0, e_r_reset=0.0,
-        e_drive=0.0, e_reconfig=0.0,
-    )
 
 
 def _allocate_steps(plan: CyclePlan, spc: int) -> list[int]:
@@ -438,28 +479,18 @@ def simulate(
         key = (sw, dt)
         m = map_cache.get(key)
         if m is None:
-            m = step_maps(sys, dt)
+            m = step_maps(sys.a, sys.b, dt)
             map_cache[key] = m
         return m
 
-    # persistent state between segments
-    i_l = 0.0
-    v_pc = 0.0
-    v_m = cfg.tree.v_ref
-    group_v: list[float] = []
-    prev_active: frozenset[int] | None = None
+    # persistent state between segments: [I_L, V_PC, V_s per group..., V_m]
+    x = np.array([0.0, 0.0, cfg.tree.v_ref])
+    prev_sw = SwitchState(bypass_on=False, reset_on=False, synapse_on=(False,) * cfg.tree.n)
     prev_sys: PhaseSystem | None = None
-    prev_syn: tuple[bool, ...] = tuple(False for _ in cfg.tree.c_s)
     v_s_hold = 0.0   # last known top-plate aggregate, for the trace
 
-    # accounting
-    led = {
-        name: np.zeros(n_cycles)
-        for name in ("source_dc", "source_ref", "r_pc", "r_lc", "r_tg", "r_reset", "drive", "reconfig")
-    }
+    ledger = EnergyLedger.zeros(n_cycles)
     stats: list[CycleStats] = []
-    e_stored_first = math.nan
-    e_stored_last = math.nan
 
     samples_t: list[np.ndarray] = []
     samples_x: list[np.ndarray] = []   # columns i_l, v_pc, v_s_agg, v_m
@@ -476,7 +507,6 @@ def simulate(
         v_x = math.nan
         v_m_peak = -math.inf
         v_m_sample = math.nan
-        acc = {name: 0.0 for name in ("source_dc", "source_ref", "r_pc", "r_lc", "r_tg", "r_reset", "drive", "reconfig")}
         boundaries.append(n_samples)
 
         for (start, end, sw), n_steps in zip(plan, counts):
@@ -484,67 +514,38 @@ def simulate(
             dt = (end - start) * t_pc / n_steps
 
             # bypass turn-on boundary: record the pre-switch clock voltage
-            if sw.bypass_on and (prev_sys is None or not prev_sys.sw.bypass_on) and math.isnan(v_x):
-                v_x = v_pc
+            if sw.bypass_on and not prev_sw.bypass_on and math.isnan(v_x):
+                v_x = float(x[1])
 
             # gate-driver overhead: half a full charge per toggled control line
-            toggles = sum(1 for a, b2 in zip(prev_syn, sw.synapse_on) if a != b2)
-            acc["drive"] += toggles * e_toggle
-            prev_syn = sw.synapse_on
+            toggles = sum(a != b for a, b in zip(prev_sw.synapse_on, sw.synapse_on))
+            ledger.drive[k] += toggles * e_toggle
 
             # reassemble the state vector; top plates of a freshly enabled
             # branch set join at the current clock voltage (they were parked
             # at the trough when last disconnected)
-            if sys.active_set == prev_active:
-                new_group_v = list(group_v)
-            else:
-                new_group_v = [v_pc for _ in sys.groups]
+            x0 = x
+            if sw.synapse_on != prev_sw.synapse_on:
+                x0 = np.array([x[0], x[1], *[x[1]] * len(sys.groups), x[-1]])
 
-            # stored-energy step caused by the reconfiguration
-            if prev_sys is None:
-                e_before = sys.stored_energy(i_l, v_pc, new_group_v, v_m)
-                e_stored_first = e_before
-            else:
-                e_before = prev_sys.stored_energy(i_l, v_pc, group_v, v_m)
-            e_after = sys.stored_energy(i_l, v_pc, new_group_v, v_m)
-            acc["reconfig"] += e_after - e_before
-            group_v = new_group_v
+            book_reconfig(ledger, k, prev_sys, x, sys, x0)
 
-            x0 = np.array([i_l, v_pc, *group_v, v_m])
-            e_map, f_map = maps_for(sw, sys, dt)
-            xs = propagate(e_map, f_map, x0, n_steps)
-
-            col_il = xs[:, 0]
+            xs = propagate(*maps_for(sw, sys, dt), x0, n_steps)
             col_vpc = xs[:, 1]
             col_vm = xs[:, -1]
 
             seg_vmax = float(np.abs(col_vpc).max())
-            if seg_vmax >= v_limit:
+            if not seg_vmax < v_limit:   # NaN trips it too
                 raise SimulationError(
                     f"clock node diverged in cycle {k}: |V_PC| reached {seg_vmax:.3g} V"
                 )
 
-            acc["source_dc"] += sys.v_dc * _trapz(col_il, dt)
-            if sys.r_lc > 0.0:
-                acc["r_lc"] += sys.r_lc * _trapz(col_il ** 2, dt)
-            if sys.g_pc > 0.0:
-                acc["r_pc"] += sys.g_pc * _trapz(col_vpc ** 2, dt)
-            if sys.g_reset > 0.0:
-                dvm = col_vm - sys.v_ref
-                acc["r_reset"] += sys.g_reset * _trapz(dvm ** 2, dt)
-                acc["source_ref"] += sys.g_reset * sys.v_ref * _trapz(-dvm, dt)
-            for j, g in enumerate(sys.groups):
-                dv = col_vpc - xs[:, 2 + j]
-                acc["r_tg"] += (1.0 / g.r) * _trapz(dv ** 2, dt)
-
+            book_segment(ledger, k, sys, xs, dt)
             v_pk = max(v_pk, float(col_vpc.max()))
             v_m_peak = max(v_m_peak, float(col_vm.max()))
-
-            # decision sample, if the sampling instant falls in this segment
-            if start <= sample_frac < end or (math.isclose(end, 1.0) and math.isclose(sample_frac, 1.0)):
-                idx = int(round((sample_frac - start) * t_pc / dt))
-                idx = min(max(idx, 0), n_steps)
-                v_m_sample = float(col_vm[idx])
+            sample = segment_sample(col_vm, start, end, sample_frac, t_pc, dt)
+            if sample is not None:
+                v_m_sample = sample
 
             if keep_samples:
                 # sample on the global step counter so cycle boundaries stay
@@ -563,27 +564,17 @@ def simulate(
                     samples_x.append(np.column_stack([rows[:, 0], rows[:, 1], agg, rows[:, -1]]))
                     n_samples += sel.size
 
-            # carry final state
-            i_l = float(xs[-1, 0])
-            v_pc = float(xs[-1, 1])
-            v_m = float(xs[-1, -1])
-            group_v = [float(v) for v in xs[-1, 2:-1]]
-            prev_active = sys.active_set
+            x = xs[-1]
+            prev_sw = sw
             prev_sys = sys
             global_step += n_steps
 
         if math.isnan(v_x):
             v_x = 0.0
-        for name in acc:
-            led[name][k] = acc[name]
-        stats.append(CycleStats(
-            cycle=k, v_pk=v_pk, v_x=v_x, v_m_peak=v_m_peak, v_m_sample=v_m_sample,
-            e_source=acc["source_dc"], e_r_pc=acc["r_pc"], e_r_lc=acc["r_lc"],
-            e_r_tg=acc["r_tg"], e_r_reset=acc["r_reset"], e_drive=acc["drive"],
-            e_reconfig=acc["reconfig"],
-        ))
+        stats.append(CycleStats(cycle=k, v_pk=v_pk, v_x=v_x, v_m_peak=v_m_peak,
+                                v_m_sample=v_m_sample))
 
-    e_stored_last = prev_sys.stored_energy(i_l, v_pc, group_v, v_m)
+    ledger.e_stored_last = prev_sys.stored_energy(x)
 
     if keep_samples and samples_t:
         t_all = np.concatenate(samples_t)
@@ -600,13 +591,6 @@ def simulate(
         v_m=x_all[:, 3],
         cycle_boundaries=np.array(boundaries, dtype=int),
         cycles=stats,
-    )
-    ledger = EnergyLedger(
-        source_dc=led["source_dc"], source_ref=led["source_ref"],
-        r_pc=led["r_pc"], r_lc=led["r_lc"], r_tg=led["r_tg"], r_reset=led["r_reset"],
-        drive=led["drive"], reconfig=led["reconfig"],
-        soma=np.zeros(n_cycles),
-        e_stored_first=e_stored_first, e_stored_last=e_stored_last,
     )
     return trace, ledger
 

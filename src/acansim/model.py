@@ -357,22 +357,6 @@ def sweep_lock_frequency(cfg: CircuitConfig, codes: Sequence[Sequence[int]]) -> 
     return cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
 
 
-def divider_gain(tree: SynapseTreeConfig, code: Sequence[int]) -> float:
-    """Membrane swing per volt of clock swing for a given input code,
-    using the full-tree divider denominator."""
-    _require(len(code) == tree.n, f"code: length must be {tree.n}, got {len(code)}")
-    num = sum(c for c, x in zip(tree.c_s, code) if x)
-    den = sum(tree.c_s) + tree.c_d + tree.c_par
-    return num / den
-
-
-def membrane_peak_closed_form(
-    tree: SynapseTreeConfig, code: Sequence[int], v_pk: float
-) -> float:
-    """Predicted membrane peak for a code given the clock peak v_pk."""
-    return tree.v_ref + v_pk * divider_gain(tree, code)
-
-
 def membrane_peak_active_divider(
     tree: SynapseTreeConfig, code: Sequence[int], v_pk: float
 ) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,9 +114,8 @@ def dlcc_decide(v_m: float, dlcc: DlccConfig) -> Decision:
     return Decision(outp=outp, outn=1 - outp, delay=delay, v_m_sampled=v_m, v_os=v_os)
 
 
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Switch timing for one clock cycle.
+def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[engine.Segment, ...]:
+    """Switch timing for one clock cycle of one input code.
 
     The bypass window opens at the cycle start (the clock trough); the
     input gates hold the code for the whole cycle.  Reset closes for the
@@ -124,15 +123,6 @@ class PhaseSchedule:
     the code is all zero.  The membrane is sampled mid-cycle, at the
     clock crest.
     """
-
-    code: Code
-    cycle: int
-    segments: tuple[engine.Segment, ...]
-    sample_frac: float = 0.5
-
-
-def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> PhaseSchedule:
-    """Build the cycle schedule for one input code."""
     code = tuple(int(bool(x)) for x in code)
     if len(code) != cfg.tree.n:
         raise ValueError(f"code has {len(code)} bits, tree has {cfg.tree.n} synapses")
@@ -141,16 +131,15 @@ def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> Ph
         raise ValueError("schedule needs duty < 0.5 so the sample lands in the evaluation segment")
 
     all_zero = not any(code)
-    forced = cfg.sim.recal_every > 0 and cycle % cfg.sim.recal_every == 0
+    forced = cycle % cfg.sim.recal_every == 0
     bits = tuple(bool(x) for x in code)
 
     # gates follow the input register for the whole cycle; toggles (and the
     # driver overhead) happen only when the code actually changes
-    segments = (
+    return (
         (0.0, duty, engine.SwitchState(bypass_on=True, reset_on=all_zero or forced, synapse_on=bits)),
         (duty, 1.0, engine.SwitchState(bypass_on=False, reset_on=all_zero, synapse_on=bits)),
     )
-    return PhaseSchedule(code=code, cycle=cycle, segments=segments)
 
 
 def input_sweeps(n_bits: int, n_scrambles: int = 4, seed: int = 0) -> list[list[Code]]:
@@ -170,12 +159,6 @@ def input_sweeps(n_bits: int, n_scrambles: int = 4, seed: int = 0) -> list[list[
     return sweeps
 
 
-def reference_neuron(spec: NeuronSpec, code: Sequence[int]) -> int:
-    """Threshold-unit oracle: fires iff the weighted input sum exceeds the
-    threshold (strict; a tie does not fire)."""
-    return spec.fires(code)
-
-
 @dataclass
 class NeuronRun:
     """Outcome of a multi-cycle neuron run."""
@@ -184,10 +167,15 @@ class NeuronRun:
     decisions: list[Decision]
     oracle_bits: list[int]
     stats: list[engine.CycleStats]
-    ledger: engine.EnergyLedger          # sliced to the reported cycles
     ledger_full: engine.EnergyLedger     # includes warm-up; use for audits
+    warm_up: int                         # leading ledger cycles not reported
     trace: engine.Trace | None
     v_pk_reference: float
+
+    @property
+    def ledger(self) -> engine.EnergyLedger:
+        """Ledger view of the reported cycles."""
+        return self.ledger_full.since(self.warm_up)
 
     @property
     def output_bits(self) -> str:
@@ -198,34 +186,27 @@ class NeuronRun:
         return "".join(str(b) for b in self.oracle_bits)
 
     @property
-    def tree_energy(self) -> np.ndarray:
-        """Per-cycle synaptic-subsystem energy for the reported cycles."""
-        return np.array([s.e_tree for s in self.stats])
-
-    @property
     def mean_tree_energy(self) -> float:
         """Mean tree energy over cycles with a non-zero input code."""
-        vals = [s.e_tree for s, c in zip(self.stats, self.codes) if any(c)]
+        vals = [e for e, c in zip(self.ledger.s_e, self.codes) if any(c)]
         if not vals:
             return 0.0
         return float(np.mean(vals))
-
-    @property
-    def worst_tree_energy(self) -> float:
-        return float(max(s.e_tree for s in self.stats))
 
     @property
     def soma_energy(self) -> float:
         return float(sum(self.ledger.soma))
 
     def to_csv(self, path: str) -> None:
+        led = self.ledger
+        s_e = led.s_e
         with open(path, "w") as fh:
             fh.write("cycle,code,V_m_peak,OutP,delay_ns,E_tree_pJ,E_soma_pJ\n")
             for i, (code, dec, st) in enumerate(zip(self.codes, self.decisions, self.stats)):
                 bits = "".join(str(b) for b in code)
                 fh.write(
                     f"{i},{bits},{st.v_m_peak!r},{dec.outp},"
-                    f"{dec.delay * 1e9!r},{st.e_tree * 1e12!r},{self.ledger.soma[i] * 1e12!r}\n"
+                    f"{dec.delay * 1e9!r},{float(s_e[i]) * 1e12!r},{led.soma[i] * 1e12!r}\n"
                 )
 
 
@@ -246,30 +227,21 @@ def run_neuron(
     zero = tuple(0 for _ in range(cfg.tree.n))
     all_codes = [zero] * warm + codes
 
-    plans = [make_schedule(cfg, c, cycle=k).segments for k, c in enumerate(all_codes)]
+    plans = [make_schedule(cfg, c, cycle=k) for k, c in enumerate(all_codes)]
     trace, ledger = engine.simulate(cfg, plans, keep_samples=keep_trace)
-
-    stats = trace.cycles[warm:]
     ledger.soma[:] = cfg.dlcc.e_decision
 
+    stats = trace.cycles[warm:]
     decisions = [dlcc_decide(s.v_m_sample, cfg.dlcc) for s in stats]
 
     v_pk_ref = float(np.median([s.v_pk for s in stats]))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)
-    oracle = [reference_neuron(spec, c) for c in codes]
+    oracle = [spec.fires(c) for c in codes]
 
-    # report only the requested cycles; keep ledger slices aligned
-    led = engine.EnergyLedger(
-        source_dc=ledger.source_dc[warm:], source_ref=ledger.source_ref[warm:],
-        r_pc=ledger.r_pc[warm:], r_lc=ledger.r_lc[warm:], r_tg=ledger.r_tg[warm:],
-        r_reset=ledger.r_reset[warm:], drive=ledger.drive[warm:],
-        reconfig=ledger.reconfig[warm:], soma=ledger.soma[warm:],
-        e_stored_first=ledger.e_stored_first, e_stored_last=ledger.e_stored_last,
-    )
     return NeuronRun(
         codes=codes, decisions=decisions, oracle_bits=oracle,
-        stats=stats, ledger=led, ledger_full=ledger,
+        stats=stats, ledger_full=ledger, warm_up=warm,
         trace=trace if keep_trace else None,
         v_pk_reference=v_pk_ref,
     )

@@ -136,6 +136,17 @@ def test_run_refuses_giant_full_sweep(tmp_path, capsys):
     assert "--codes" in capsys.readouterr().err
 
 
+def test_run_with_infinite_inductor_is_an_error_exit(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pc": {"L_PC": "1e999H"}}))
+    rc = dispatch(["run", "--config", str(path), "--codes", "1100",
+                   "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_config_is_an_error_exit(tmp_path, capsys):
     rc = dispatch(["run", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x")])

@@ -15,12 +15,10 @@ from acansim import (
     SynapseTreeConfig,
     active_count,
     bypass_resistance,
-    divider_gain,
     effective_pc_capacitance,
     effective_tree_capacitance,
     lc_series_resistance,
     membrane_peak_active_divider,
-    membrane_peak_closed_form,
     predicted_optimal_frequency,
     reset_resistance,
     resonant_frequency,
@@ -172,21 +170,6 @@ def test_sweep_lock_frequency_constant_stream():
         sweep_lock_frequency(cfg, [])
     with pytest.raises(ValueError):
         sweep_lock_frequency(cfg, [(1, 0)])
-
-
-def test_divider_gain_values():
-    tree = SynapseTreeConfig()
-    assert divider_gain(tree, (1, 0, 0, 0)) == pytest.approx(1.0 / 8.5, rel=1e-12)
-    assert divider_gain(tree, (1, 1, 1, 1)) == pytest.approx(4.0 / 8.5, rel=1e-12)
-    assert divider_gain(tree, (0, 0, 0, 0)) == 0.0
-    with pytest.raises(ValueError):
-        divider_gain(tree, (1, 0))
-
-
-def test_membrane_peak_closed_form():
-    tree = SynapseTreeConfig()
-    v = membrane_peak_closed_form(tree, (1, 0, 0, 0), 1.8)
-    assert v == pytest.approx(0.7 + 1.8 / 8.5, rel=1e-12)
 
 
 def test_membrane_peak_active_divider():
