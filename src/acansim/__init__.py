@@ -22,9 +22,7 @@ from .model import (
     active_count,
     bypass_resistance,
     effective_pc_capacitance,
-    effective_tree_capacitance,
     lc_series_resistance,
-    membrane_peak_active_divider,
     predicted_optimal_frequency,
     reset_resistance,
     resonant_frequency,
@@ -84,8 +82,7 @@ __all__ = [
     "CircuitConfig", "Corner", "DelayModel", "DlccConfig", "Environment",
     "NeuronSpec", "PowerClockConfig", "SimConfig", "SynapseTreeConfig",
     "active_count", "bypass_resistance",
-    "effective_pc_capacitance", "effective_tree_capacitance", "lc_series_resistance",
-    "membrane_peak_active_divider",
+    "effective_pc_capacitance", "lc_series_resistance",
     "predicted_optimal_frequency", "reset_resistance", "resonant_frequency",
     "series_capacitance", "sweep_lock_frequency", "synapse_energy_analytic",
     "tg_resistance", "topup_energy_analytic", "tune_inductor",

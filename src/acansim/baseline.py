@@ -10,8 +10,8 @@ The design is a phase-system builder plus a cycle schedule on the
 engine's kernel: the same step maps, propagation and element-driven
 accounting as the adiabatic design.  The drive-resistor loss is booked
 in the tree-resistor slot and the clock-generator slot stays zero (there
-is no power clock here); the rail energy comes from the exact endpoint
-charges rather than a quadrature.
+is no power clock here); the rail energy is a source term on every leg
+whose driver sits high.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .engine import (
     EnergyLedger,
     Loss,
     PhaseSystem,
+    Source,
     Store,
     book_reconfig,
     book_segment,
@@ -42,7 +43,9 @@ from .model import (
     Environment,
     NeuronSpec,
     SynapseTreeConfig,
+    check_ranges,
     reset_resistance,
+    within,
 )
 from .neuron import Code, NeuronRun, dlcc_decide, dlcc_offset
 
@@ -54,20 +57,13 @@ class BaselineConfig:
     tree: SynapseTreeConfig = field(default_factory=SynapseTreeConfig)
     dlcc: DlccConfig = field(default_factory=DlccConfig)
     env: Environment = field(default_factory=Environment)
-    r_drv: float = 1e3        # inverter drive resistance, Ohm
-    v_dd: float = 1.8         # inverter rail, V
-    f_clock: float = 1e6      # input code rate, Hz
-    steps_per_cycle: int = 4096
+    r_drv: float = within("(0, inf)", 1e3)     # inverter drive resistance, Ohm
+    v_dd: float = within("(0, inf)", 1.8)      # inverter rail, V
+    f_clock: float = within("(0, inf)", 1e6)   # input code rate, Hz
+    steps_per_cycle: int = within("[256, inf)", 4096)
 
     def __post_init__(self) -> None:
-        if self.r_drv <= 0:
-            raise ValueError(f"baseline.r_drv: must be > 0, got {self.r_drv}")
-        if self.v_dd <= 0:
-            raise ValueError(f"baseline.v_dd: must be > 0, got {self.v_dd}")
-        if self.f_clock <= 0:
-            raise ValueError(f"baseline.f_clock: must be > 0, got {self.f_clock}")
-        if self.steps_per_cycle < 256:
-            raise ValueError("baseline.steps_per_cycle: must be >= 256")
+        check_ranges(self, "baseline")
 
     @classmethod
     def from_circuit(cls, cfg: CircuitConfig, r_drv: float = 1e3) -> "BaselineConfig":
@@ -131,7 +127,8 @@ def build_baseline_system(
     """Phase system of one cycle over [V_t per group..., V_m].
 
     Each level group is one driver leg of r_drv/count in series with its
-    lumped weight capacitor, its driver held at the new level's rail.
+    lumped weight capacitor, its driver held at the new level's rail.  A
+    driver held high draws the rail energy v_dd times its leg current.
     """
     tree = cfg.tree
     c_mb = tree.c_d + tree.c_par
@@ -157,7 +154,8 @@ def build_baseline_system(
 
     stores = (Store(c_mb, im), *(Store(g.c, j, im) for j, g in enumerate(groups)))
     losses = [Loss("r_tg", 1.0 / g.r, j, u=-u[j]) for j, g in enumerate(groups)]
-    sources = []
+    sources = [Source("source_dc", -u[j] / g.r, j, -u[j])
+               for j, g in enumerate(groups) if u[j] > 0.0]
     if g_reset > 0.0:
         loss, source = reset_terms(g_reset, tree.v_ref, im)
         losses.append(loss)
@@ -225,16 +223,10 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
             xs = propagate(*step_maps(sys.a, sys.b, dt), x, n_steps)
             book_segment(ledger, k, sys, xs, dt)
             v_m_peak = max(v_m_peak, float(xs[:, -1].max()))
-            sample = segment_sample(xs[:, -1], start, end, 0.5, t_cycle, dt)
+            sample = segment_sample(xs[:, -1], start, end, t_cycle, dt)
             if sample is not None:
                 v_m_sample = sample
             x = xs[-1]
-
-        # exact supply charge from endpoint states: the rail only feeds
-        # branches whose driver sits high this cycle
-        for j, (g, (_, n, _, _)) in enumerate(zip(sys.groups, levels)):
-            if n == 1:
-                ledger.source_dc[k] += cfg.v_dd * (g.c * ((x[j] - x[-1]) - (x0[j] - x0[-1])))
 
         prev_sys = sys
         prev_code = code

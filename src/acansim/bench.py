@@ -22,36 +22,37 @@ from .model import (
     CircuitConfig,
     Corner,
     Environment,
+    check_ranges,
     predicted_optimal_frequency,
     sweep_lock_frequency,
     tune_inductor,
+    within,
 )
 from .neuron import Code, input_sweeps, run_neuron
 
 _LOAD_CASES = ("all-0", "all-1", "sweep")
+
+# Drive frequency of the width/duty and corner studies, as a fraction of
+# the unloaded resonance: slightly below it, where a code stream locks.
+_F_BELOW_RESONANCE = 0.977
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Protocol knobs shared by the parametric studies."""
 
-    cycles: int = 600       # simulated cycles per grid point
-    skip: int = 200         # startup cycles dropped before windowing
-    window: int = 20        # sliding-window length, cycles
-    repeats: int = 8        # sweep repetitions per input order
+    cycles: int = within("[1, inf)", 600)    # simulated cycles per grid point
+    skip: int = within("[0, inf)", 200)      # startup cycles dropped before windowing
+    window: int = within("[1, inf)", 20)     # sliding-window length, cycles
+    repeats: int = within("[1, inf)", 8)     # sweep repetitions per input order
     seed: int = 0           # scramble seed for input orders
     load_case: str = "all-0"
 
     def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise ValueError(f"spec.cycles: must be >= 1, got {self.cycles}")
-        if self.skip < 0 or self.window < 1:
-            raise ValueError("spec.skip/window: need skip >= 0 and window >= 1")
+        check_ranges(self, "spec")
         if self.skip + self.window > self.cycles:
             raise ValueError(
                 f"spec: skip + window must be <= cycles, got {self.skip}+{self.window} > {self.cycles}")
-        if self.repeats < 1:
-            raise ValueError(f"spec.repeats: must be >= 1, got {self.repeats}")
         if self.load_case not in _LOAD_CASES:
             raise ValueError(f"spec.load_case: must be one of {_LOAD_CASES}, got {self.load_case!r}")
 
@@ -213,7 +214,6 @@ def sweep_width_duty(
     d_grid: Sequence[float],
     spec: SweepSpec | None = None,
     jobs: int = 1,
-    f_factor: float = 0.977,
 ) -> Surface:
     """Worst sweep-average tree energy over (bypass width, duty).
 
@@ -225,7 +225,7 @@ def sweep_width_duty(
         raise ValueError("sweep_width_duty: grids must be non-empty")
     spec = spec or SweepSpec()
     base = tune_inductor(cfg)
-    base = replace(base, pc=replace(base.pc, f_nominal=base.pc.f_nominal * f_factor))
+    base = replace(base, pc=replace(base.pc, f_nominal=base.pc.f_nominal * _F_BELOW_RESONANCE))
     orders = input_sweeps(base.tree.n, seed=spec.seed)
     items = []
     for w in w_grid:
@@ -254,12 +254,11 @@ def optimize_frequency(
     alpha: float,
     spec: SweepSpec | None = None,
     tune: bool = True,
-    rel_tol: float = 1e-3,
 ) -> FrequencyOpt:
     """Minimum of worst-window tree energy over drive frequency at fixed loading.
 
     Evaluates a 13-point coarse grid spanning +/-60% of the predicted
-    optimum, then refines by golden section to `rel_tol` relative width.
+    optimum, then refines by golden section to 1e-3 relative width.
     A landscape that is not unimodal on the coarse grid short-circuits to
     the grid minimum with the flag cleared.
 
@@ -313,7 +312,7 @@ def optimize_frequency(
     d = a + _INVPHI * (b - a)
     e_c, e_d = obj(c), obj(d)
     best_f, best_e = (grid[k], e_grid[k])
-    while (b - a) > rel_tol * 0.5 * (a + b):
+    while (b - a) > 1e-3 * 0.5 * (a + b):
         if e_c < e_d:
             b, d, e_d = d, c, e_c
             c = b - _INVPHI * (b - a)
@@ -458,7 +457,6 @@ def corner_study(
     temps: Sequence[float] = (0.0, 25.0, 50.0, 75.0, 100.0),
     spec: SweepSpec | None = None,
     jobs: int = 1,
-    f_factor: float = 0.977,
 ) -> CornerTable:
     """Energy and functionality across process corners and temperatures,
     driven slightly below the unloaded resonance."""
@@ -467,7 +465,7 @@ def corner_study(
         raise ValueError("corner_study: grids must be non-empty")
     spec = spec or SweepSpec()
     base = tune_inductor(cfg)
-    f_op = base.pc.f_nominal * f_factor
+    f_op = base.pc.f_nominal * _F_BELOW_RESONANCE
     base = replace(base, pc=replace(
         base.pc, f_nominal=f_op, duty_d=base.pc.t_on * f_op))
     orders = input_sweeps(base.tree.n, seed=spec.seed)
@@ -526,8 +524,6 @@ def compare_designs(
     cfg: CircuitConfig,
     mode: str = "sweep",
     spec: SweepSpec | None = None,
-    r_drv: float = 1e3,
-    alphas: tuple[float, float] = (0.0, 1.0),
 ) -> SavingsReport:
     """Energy comparison of the two designs on matched trees.
 
@@ -549,7 +545,7 @@ def compare_designs(
         run_cfg = replace(tuned, pc=replace(
             tuned.pc, f_nominal=f_op, duty_d=tuned.pc.t_on * f_op))
         run_a = run_neuron(run_cfg, codes)
-        run_b = run_baseline(BaselineConfig.from_circuit(cfg, r_drv=r_drv), codes)
+        run_b = run_baseline(BaselineConfig.from_circuit(cfg), codes)
         la, lb = run_a.ledger, run_b.ledger
         adia = {
             "tree": float(la.s_e.mean()),
@@ -576,11 +572,11 @@ def compare_designs(
 
     n = cfg.tree.n
     rows = []
-    for alpha in alphas:
+    for alpha in (0.0, 1.0):
         opt = optimize_frequency(cfg, alpha, spec=spec)
         code = _const_codes(n, alpha, 1)[0]
         zero = tuple(0 for _ in range(n))
-        b_cfg = BaselineConfig.from_circuit(cfg, r_drv=r_drv)
+        b_cfg = BaselineConfig.from_circuit(cfg)
         run_b = run_baseline(b_cfg, [code, zero] * max(spec.repeats, 2))
         rows.append({
             "alpha": alpha,

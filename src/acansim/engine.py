@@ -254,14 +254,19 @@ def _trapz(y: np.ndarray, dt: float) -> float:
     return float(dt * (0.5 * (y[0] + y[-1]) + y[1:-1].sum()))
 
 
-def segment_sample(col: np.ndarray, start: float, end: float, frac: float,
+# In-cycle instant, as a fraction of the cycle, at which both designs
+# sample the membrane for the decision: mid-cycle, at the clock crest.
+SAMPLE_FRAC = 0.5
+
+
+def segment_sample(col: np.ndarray, start: float, end: float,
                    t_cycle: float, dt: float) -> float | None:
-    """Value of a segment's state column at the in-cycle fraction ``frac``
-    (nearest step), or None when the instant lies outside [start, end).
-    An instant at the very end of the cycle belongs to its last segment."""
-    if not (start <= frac < end or (math.isclose(end, 1.0) and math.isclose(frac, 1.0))):
+    """Value of a segment's state column at the decision instant
+    ``SAMPLE_FRAC`` (nearest step), or None when the instant lies outside
+    [start, end)."""
+    if not start <= SAMPLE_FRAC < end:
         return None
-    idx = min(max(int(round((frac - start) * t_cycle / dt)), 0), col.size - 1)
+    idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / dt)), 0), col.size - 1)
     return float(col[idx])
 
 
@@ -439,7 +444,6 @@ def _validate_plan(plan: CyclePlan) -> None:
 def simulate(
     cfg: CircuitConfig,
     cycles: Sequence[CyclePlan],
-    sample_frac: float = 0.5,
     keep_samples: bool = True,
 ) -> tuple[Trace, EnergyLedger]:
     """Run the switched linear transient over the given cycle plans.
@@ -450,8 +454,8 @@ def simulate(
     carries a numerical-blowup guard far above any legitimate swing.
 
     Returns the sampled trace (with per-cycle stats attached) and the
-    energy ledger.  ``sample_frac`` sets the in-cycle position at which
-    the membrane is sampled for the decision stage.
+    energy ledger.  The membrane is sampled for the decision stage at
+    ``SAMPLE_FRAC`` of each cycle.
     """
     n_cycles = len(cycles)
     if n_cycles == 0:
@@ -543,7 +547,7 @@ def simulate(
             book_segment(ledger, k, sys, xs, dt)
             v_pk = max(v_pk, float(col_vpc.max()))
             v_m_peak = max(v_m_peak, float(col_vm.max()))
-            sample = segment_sample(col_vm, start, end, sample_frac, t_pc, dt)
+            sample = segment_sample(col_vm, start, end, t_pc, dt)
             if sample is not None:
                 v_m_sample = sample
 

@@ -2,8 +2,10 @@
 
 This module holds the configuration dataclasses shared by the transient
 engine and the benchmarking layer, plus the small closed-form operations
-(resonance, effective capacitances, divider gains, analytic energy
-estimates) that serve as independent cross-checks on the simulator.
+(resonance, effective capacitances, analytic energy estimates) that serve
+as independent cross-checks on the simulator.  Each numeric config field
+declares its admissible interval beside its default (``within``), and
+every config checks them all when built (``check_ranges``).
 
 Conventions: every quantity is in base SI units (F, H, V, s, Ohm, m).
 """
@@ -11,7 +13,7 @@ Conventions: every quantity is in base SI units (F, H, V, s, Ohm, m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -54,20 +56,41 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def within(interval: str, default):
+    """Dataclass field whose value must lie in ``interval``, written in
+    interval notation: "(0, inf)", "[0, inf)", "(0, 0.5]", "[-40, 150]"."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def require_within(name: str, value, interval: str) -> None:
+    """Raise ValueError unless value lies in the interval.  NaN lies in no
+    interval, and an infinite end belongs to it only under a bracket."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    inside = ((lo <= value if interval[0] == "[" else lo < value)
+              and (value <= hi if interval[-1] == "]" else value < hi))
+    if not inside:
+        raise ValueError(f"{name}: must lie in {interval}, got {value}")
+
+
+def check_ranges(cfg, section: str) -> None:
+    """Check every field of config dataclass ``cfg`` that declares an
+    interval (``within``); errors name the field as section.field."""
+    for f in fields(cfg):
+        if "interval" in f.metadata:
+            require_within(f"{section}.{f.name}", getattr(cfg, f.name), f.metadata["interval"])
+
+
 @dataclass(frozen=True)
 class Environment:
     """Operating point: process corner and die temperature."""
 
     corner: Corner = Corner.TT
-    temperature_c: float = 25.0
+    temperature_c: float = within("[-40, 150]", 25.0)
 
     def __post_init__(self) -> None:
         if not isinstance(self.corner, Corner):
             object.__setattr__(self, "corner", Corner(str(self.corner)))
-        _require(
-            -40.0 <= self.temperature_c <= 150.0,
-            f"env.temperature_c: must lie in [-40, 150], got {self.temperature_c}",
-        )
+        check_ranges(self, "env")
 
 
 def _thermal_factor(temperature_c: float) -> float:
@@ -79,25 +102,17 @@ class PowerClockConfig:
     """Resonant single-phase power clock: DC feed, inductor, tank capacitor,
     and the nMOS bypass switch that tops the oscillation up once per cycle."""
 
-    l_pc: float = 1e-3        # feed inductor, H
-    c_e: float = 25e-12       # explicit tank capacitor at the clock node, F
-    v_dc: float = 0.9         # DC feed voltage, V (half the logic supply)
-    w_n: float = 30e-6        # bypass switch width, m
-    duty_d: float = 0.05      # bypass on-time as a fraction of the cycle
-    f_nominal: float = 1e6    # design/operating clock frequency, Hz
-    q_lc: float = 630.0       # resonator quality factor; sets the LC series loss
+    l_pc: float = within("(0, inf)", 1e-3)        # feed inductor, H
+    c_e: float = within("(0, inf)", 25e-12)       # explicit tank capacitor at the clock node, F
+    v_dc: float = within("(0, inf)", 0.9)         # DC feed voltage, V (half the logic supply)
+    w_n: float = within("(0, inf)", 30e-6)        # bypass switch width, m
+    duty_d: float = within("(0, 0.5]", 0.05)      # bypass on-time as a fraction of the cycle
+    f_nominal: float = within("(0, inf)", 1e6)    # design/operating clock frequency, Hz
+    # resonator quality factor; sets the LC series loss (inf: lossless loop)
+    q_lc: float = within("(0, inf]", 630.0)
 
     def __post_init__(self) -> None:
-        _require(self.l_pc > 0, f"pc.l_pc: inductance must be > 0, got {self.l_pc}")
-        _require(self.c_e > 0, f"pc.c_e: capacitance must be > 0, got {self.c_e}")
-        _require(self.v_dc > 0, f"pc.v_dc: voltage must be > 0, got {self.v_dc}")
-        _require(self.w_n > 0, f"pc.w_n: width must be > 0, got {self.w_n}")
-        _require(
-            0.0 < self.duty_d <= 0.5,
-            f"pc.duty_d: duty must lie in (0, 0.5], got {self.duty_d}",
-        )
-        _require(self.f_nominal > 0, f"pc.f_nominal: must be > 0, got {self.f_nominal}")
-        _require(self.q_lc > 0, f"pc.q_lc: quality factor must be > 0, got {self.q_lc}")
+        check_ranges(self, "pc")
 
     @property
     def t_pc(self) -> float:
@@ -122,31 +137,26 @@ class SynapseTreeConfig:
 
     c_s: tuple[float, ...] = (1e-12, 1e-12, 1e-12, 1e-12)
     c_d: float | None = None      # divider capacitor; defaults to sum(c_s)
-    c_par: float = 0.5e-12        # membrane wiring parasitic, F
-    r_tg_nominal: float = 5e3     # transmission-gate on-resistance at TT/25C
-    c_inv: float = 2e-15          # gate-driver input capacitance per synapse
-    c_sh: float = 1.5e-15         # shunt across an open gate, clock side
-    c_pl_on: float = 3e-15        # clock-node plate parasitic, gate on
-    c_pl_off: float = 2e-15      # clock-node plate parasitic, gate off
-    c_pr: float = 3e-15           # membrane-side gate parasitic, gate on
-    v_ref: float = 0.7            # membrane resting voltage, V
-    r_reset: float = 1e3          # reset switch on-resistance, Ohm
+    c_par: float = within("[0, inf)", 0.5e-12)        # membrane wiring parasitic, F
+    r_tg_nominal: float = within("(0, inf)", 5e3)     # transmission-gate on-resistance at TT/25C
+    c_inv: float = within("[0, inf)", 2e-15)          # gate-driver input capacitance per synapse
+    c_sh: float = within("[0, inf)", 1.5e-15)         # shunt across an open gate, clock side
+    c_pl_on: float = within("[0, inf)", 3e-15)        # clock-node plate parasitic, gate on
+    c_pl_off: float = within("[0, inf)", 2e-15)       # clock-node plate parasitic, gate off
+    c_pr: float = within("[0, inf)", 3e-15)           # membrane-side gate parasitic, gate on
+    v_ref: float = within("[0, inf)", 0.7)            # membrane resting voltage, V
+    r_reset: float = within("(0, inf)", 1e3)          # reset switch on-resistance, Ohm
 
     def __post_init__(self) -> None:
         _require(len(self.c_s) >= 1, "tree.c_s: need at least one synapse")
         if not isinstance(self.c_s, tuple):
             object.__setattr__(self, "c_s", tuple(float(c) for c in self.c_s))
         for i, c in enumerate(self.c_s):
-            _require(c > 0, f"tree.c_s[{i}]: capacitance must be > 0, got {c}")
+            require_within(f"tree.c_s[{i}]", c, "(0, inf)")
         if self.c_d is None:
             object.__setattr__(self, "c_d", float(sum(self.c_s)))
-        _require(self.c_d > 0, f"tree.c_d: capacitance must be > 0, got {self.c_d}")
-        _require(self.c_par >= 0, f"tree.c_par: must be >= 0, got {self.c_par}")
-        for name in ("c_inv", "c_sh", "c_pl_on", "c_pl_off", "c_pr"):
-            _require(getattr(self, name) >= 0, f"tree.{name}: must be >= 0")
-        _require(self.r_tg_nominal > 0, "tree.r_tg_nominal: must be > 0")
-        _require(self.r_reset > 0, "tree.r_reset: must be > 0")
-        _require(self.v_ref >= 0, f"tree.v_ref: must be >= 0, got {self.v_ref}")
+        require_within("tree.c_d", self.c_d, "(0, inf)")
+        check_ranges(self, "tree")
 
     @property
     def n(self) -> int:
@@ -168,15 +178,13 @@ class DelayModel:
         (1e3, 10e3, 51e-9),
         (1e3, 1e3, 87e-9),
     )
-    metastability_slope: float = 5e-9   # seconds per natural-log unit
-    min_overdrive: float = 1e-3         # V, clamp on |V_m - threshold|
-    reference_overdrive: float = 0.1    # V, overdrive at which anchors hold
+    metastability_slope: float = within("[0, inf)", 5e-9)   # seconds per natural-log unit
+    min_overdrive: float = within("(0, inf)", 1e-3)         # V, clamp on |V_m - threshold|
+    reference_overdrive: float = within("(0, inf)", 0.1)    # V, overdrive at which anchors hold
 
     def __post_init__(self) -> None:
         _require(len(self.anchors) >= 1, "delay.anchors: need at least one anchor")
-        _require(self.metastability_slope >= 0, "delay.metastability_slope: must be >= 0")
-        _require(self.min_overdrive > 0, "delay.min_overdrive: must be > 0")
-        _require(self.reference_overdrive > 0, "delay.reference_overdrive: must be > 0")
+        check_ranges(self, "delay")
 
     def base_delay(self, m_l: float, m_r: float) -> float:
         """Nearest-anchor base delay for a resistance pair."""
@@ -188,37 +196,28 @@ class DelayModel:
 class DlccConfig:
     """Behavioral comparator (dynamic latch with resistive offset trim)."""
 
-    m_l: float = 10e3           # left trim resistance, Ohm
-    m_r: float = 10e3           # right trim resistance, Ohm
-    v_th: float = 1.1           # nominal decision threshold, V
-    v_dd: float = 1.8           # logic supply, V
-    e_decision: float = 4.49e-12  # fixed energy per clocked decision, J
+    m_l: float = within("(0, inf)", 10e3)           # left trim resistance, Ohm
+    m_r: float = within("(0, inf)", 10e3)           # right trim resistance, Ohm
+    v_th: float = within("(-inf, inf)", 1.1)        # nominal decision threshold, V
+    v_dd: float = within("(0, inf)", 1.8)           # logic supply, V
+    e_decision: float = within("[0, inf)", 4.49e-12)  # fixed energy per clocked decision, J
     delay: DelayModel = field(default_factory=DelayModel)
 
     def __post_init__(self) -> None:
-        _require(self.m_l > 0, f"dlcc.m_l: must be > 0, got {self.m_l}")
-        _require(self.m_r > 0, f"dlcc.m_r: must be > 0, got {self.m_r}")
-        _require(self.v_dd > 0, f"dlcc.v_dd: must be > 0, got {self.v_dd}")
-        _require(self.e_decision >= 0, "dlcc.e_decision: must be >= 0")
+        check_ranges(self, "dlcc")
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Integration and run-protocol controls."""
 
-    steps_per_cycle: int = 4096
-    startup_discard_cycles: int = 8
-    recal_every: int = 16        # force a membrane reset every Nth cycle
-    trace_stride: int = 8        # record every Nth integration step
+    steps_per_cycle: int = within("[256, inf)", 4096)
+    startup_discard_cycles: int = within("[0, inf)", 8)
+    recal_every: int = within("[1, inf)", 16)     # force a membrane reset every Nth cycle
+    trace_stride: int = within("[1, inf)", 8)     # record every Nth integration step
 
     def __post_init__(self) -> None:
-        _require(
-            self.steps_per_cycle >= 256,
-            f"sim.steps_per_cycle: must be >= 256, got {self.steps_per_cycle}",
-        )
-        _require(self.startup_discard_cycles >= 0, "sim.startup_discard_cycles: must be >= 0")
-        _require(self.recal_every >= 1, "sim.recal_every: must be >= 1")
-        _require(self.trace_stride >= 1, "sim.trace_stride: must be >= 1")
+        check_ranges(self, "sim")
         _require(
             self.steps_per_cycle % self.trace_stride == 0,
             "sim.trace_stride: must divide steps_per_cycle",
@@ -238,8 +237,8 @@ class CircuitConfig:
 
     def __post_init__(self) -> None:
         _require(
-            0.0 <= self.tree.v_ref <= self.dlcc.v_dd,
-            f"tree.v_ref: must lie in [0, v_dd], got {self.tree.v_ref}",
+            self.tree.v_ref <= self.dlcc.v_dd,
+            f"tree.v_ref: must not exceed dlcc.v_dd = {self.dlcc.v_dd}, got {self.tree.v_ref}",
         )
 
 
@@ -266,22 +265,16 @@ def active_count(tree: SynapseTreeConfig, alpha: float) -> int:
     return int(round(alpha * tree.n))
 
 
-def effective_pc_capacitance(
-    tree: SynapseTreeConfig,
-    pc: PowerClockConfig,
-    alpha: float,
-    all_off: bool | None = None,
-) -> float:
+def effective_pc_capacitance(tree: SynapseTreeConfig, pc: PowerClockConfig, alpha: float) -> float:
     """Capacitance seen by the clock inductor at loading fraction alpha.
 
-    With every gate open the tree contributes only plate and shunt
-    parasitics.  Each enabled gate swaps its off-parasitics for the on
-    ones and hangs its weight capacitor, in series with the membrane-side
-    capacitance, off the clock node.  ``all_off`` forces the open-gate
-    formula regardless of alpha.
+    With every gate open (alpha 0) the tree contributes only plate and
+    shunt parasitics.  Each enabled gate swaps its off-parasitics for the
+    on ones and hangs its weight capacitor, in series with the
+    membrane-side capacitance, off the clock node.
     """
     n = tree.n
-    n_on = 0 if all_off else active_count(tree, alpha)
+    n_on = active_count(tree, alpha)
     c = pc.c_e
     c += (n - n_on) * (tree.c_pl_off + tree.c_sh)
     c += n_on * (tree.c_pl_on + tree.c_pr)
@@ -289,16 +282,6 @@ def effective_pc_capacitance(
         c_active = sum(tree.c_s[:n_on])
         c += series_capacitance(c_active, tree.c_d)
     return c
-
-
-def effective_tree_capacitance(tree: SynapseTreeConfig, n_on: int) -> float:
-    """Load presented by the tree behind the gates: membrane-side parasitics
-    of the enabled gates plus the weight/divider series combination."""
-    _require(0 <= n_on <= tree.n, f"n_on: must lie in [0, {tree.n}], got {n_on}")
-    if n_on == 0:
-        return 0.0
-    c_active = sum(tree.c_s[:n_on])
-    return n_on * tree.c_pr + series_capacitance(c_active, tree.c_d)
 
 
 def lc_series_resistance(cfg: CircuitConfig) -> float:
@@ -311,7 +294,7 @@ def lc_series_resistance(cfg: CircuitConfig) -> float:
     """
     if math.isinf(cfg.pc.q_lc):
         return 0.0
-    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0, all_off=True)
+    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
     return math.sqrt(cfg.pc.l_pc / c0) / cfg.pc.q_lc
 
 
@@ -322,7 +305,7 @@ def predicted_optimal_frequency(cfg: CircuitConfig, alpha: float) -> float:
     f_nominal; loading then drags the optimum down by the square root of
     the capacitance ratio.
     """
-    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0, all_off=True)
+    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
     ca = effective_pc_capacitance(cfg.tree, cfg.pc, alpha)
     return cfg.pc.f_nominal * math.sqrt(c0 / ca)
 
@@ -332,7 +315,7 @@ def tune_inductor(cfg: CircuitConfig, f_target: float | None = None, alpha: floa
     loading (default: all-off resonance at f_nominal)."""
     f = cfg.pc.f_nominal if f_target is None else f_target
     _require(f > 0, f"f_target: must be > 0, got {f}")
-    c = effective_pc_capacitance(cfg.tree, cfg.pc, alpha, all_off=(alpha == 0.0))
+    c = effective_pc_capacitance(cfg.tree, cfg.pc, alpha)
     l = 1.0 / ((2.0 * math.pi * f) ** 2 * c)
     return replace(cfg, pc=replace(cfg.pc, l_pc=l))
 
@@ -348,29 +331,13 @@ def sweep_lock_frequency(cfg: CircuitConfig, codes: Sequence[Sequence[int]]) -> 
     """
     _require(len(codes) > 0, "codes: need at least one code")
     n = cfg.tree.n
-    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0, all_off=True)
+    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
     total = 0.0
     for code in codes:
         _require(len(code) == n, f"codes: every code must have length {n}")
         n_on = sum(1 for b in code if b)
         total += effective_pc_capacitance(cfg.tree, cfg.pc, n_on / n)
     return cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
-
-
-def membrane_peak_active_divider(
-    tree: SynapseTreeConfig, code: Sequence[int], v_pk: float
-) -> float:
-    """Membrane peak using only the enabled weight capacitors in the
-    divider denominator, i.e. treating open gates as disconnected.  This
-    is what the transient network actually settles to and what the
-    decision oracle is built on."""
-    _require(len(code) == tree.n, f"code: length must be {tree.n}, got {len(code)}")
-    active = [c for c, x in zip(tree.c_s, code) if x]
-    if not active:
-        return tree.v_ref
-    c_on = sum(active)
-    den = c_on + tree.c_d + tree.c_par + len(active) * tree.c_pr
-    return tree.v_ref + v_pk * c_on / den
 
 
 def synapse_energy_analytic(

@@ -127,8 +127,9 @@ def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tu
     if len(code) != cfg.tree.n:
         raise ValueError(f"code has {len(code)} bits, tree has {cfg.tree.n} synapses")
     duty = cfg.pc.duty_d
-    if duty >= 0.5:
-        raise ValueError("schedule needs duty < 0.5 so the sample lands in the evaluation segment")
+    if duty >= engine.SAMPLE_FRAC:
+        raise ValueError(f"schedule needs duty < {engine.SAMPLE_FRAC} so the sample lands "
+                         "in the evaluation segment")
 
     all_zero = not any(code)
     forced = cycle % cfg.sim.recal_every == 0
@@ -206,7 +207,7 @@ class NeuronRun:
                 bits = "".join(str(b) for b in code)
                 fh.write(
                     f"{i},{bits},{st.v_m_peak!r},{dec.outp},"
-                    f"{dec.delay * 1e9!r},{float(s_e[i]) * 1e12!r},{led.soma[i] * 1e12!r}\n"
+                    f"{dec.delay * 1e9!r},{float(s_e[i]) * 1e12!r},{float(led.soma[i]) * 1e12!r}\n"
                 )
 
 

@@ -310,6 +310,9 @@ def test_book_segment_matches_per_column_formulas_baseline():
     _assert_accounts(ledger, {
         "r_tg": sum((cnt / bcfg.r_drv) * trapz((n_ * bcfg.v_dd - xs[:, j]) ** 2)
                     for j, (_, n_, _, cnt) in enumerate(levels)),
+        # the rail feeds only the legs whose driver sits high
+        "source_dc": sum(bcfg.v_dd * (cnt / bcfg.r_drv) * trapz(bcfg.v_dd - xs[:, j])
+                         for j, (_, n_, _, cnt) in enumerate(levels) if n_ == 1),
         "r_reset": g_reset * trapz(dvm ** 2),
         "source_ref": g_reset * v_ref * trapz(-dvm),
     })

@@ -16,9 +16,7 @@ from acansim import (
     active_count,
     bypass_resistance,
     effective_pc_capacitance,
-    effective_tree_capacitance,
     lc_series_resistance,
-    membrane_peak_active_divider,
     predicted_optimal_frequency,
     reset_resistance,
     resonant_frequency,
@@ -69,7 +67,7 @@ def test_active_count_rounds_to_nearest():
 def test_effective_pc_capacitance_all_off():
     cfg = CircuitConfig()
     # tank plus four open gates: 25 pF + 4 * (2 fF + 1.5 fF)
-    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0, all_off=True)
+    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
     assert c0 == pytest.approx(25.014e-12, rel=1e-12)
 
 
@@ -90,18 +88,9 @@ def test_effective_pc_capacitance_half_loaded():
     assert effective_pc_capacitance(cfg.tree, cfg.pc, 0.5) == pytest.approx(expect, rel=1e-12)
 
 
-def test_effective_tree_capacitance():
-    tree = SynapseTreeConfig()
-    assert effective_tree_capacitance(tree, 0) == 0.0
-    expect = 4 * 3e-15 + (4e-12 * 4e-12) / 8e-12
-    assert effective_tree_capacitance(tree, 4) == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ValueError):
-        effective_tree_capacitance(tree, 5)
-
-
 def test_tune_inductor_hits_nominal_resonance():
     cfg = tune_inductor(CircuitConfig())
-    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0, all_off=True)
+    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
     assert resonant_frequency(cfg.pc.l_pc, c0) == pytest.approx(1e6, rel=1e-12)
     assert cfg.pc.l_pc == pytest.approx(1.0126447553603759e-3, rel=1e-9)
 
@@ -170,14 +159,6 @@ def test_sweep_lock_frequency_constant_stream():
         sweep_lock_frequency(cfg, [])
     with pytest.raises(ValueError):
         sweep_lock_frequency(cfg, [(1, 0)])
-
-
-def test_membrane_peak_active_divider():
-    tree = SynapseTreeConfig()
-    # open gates disconnected: denominator is 1 pF + 4 pF + 0.5 pF + one c_pr
-    expect = 0.7 + 1.8 * 1e-12 / (1e-12 + 4e-12 + 0.5e-12 + 3e-15)
-    assert membrane_peak_active_divider(tree, (1, 0, 0, 0), 1.8) == pytest.approx(expect, rel=1e-12)
-    assert membrane_peak_active_divider(tree, (0, 0, 0, 0), 1.8) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_neuron_spec_from_circuit():

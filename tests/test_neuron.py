@@ -19,6 +19,7 @@ from acansim import (
     run_neuron,
     tune_inductor,
 )
+from acansim import engine
 
 _GRID = [1e3, 3.25e3, 5.5e3, 7.75e3, 10e3]
 _OFFSET_MV = [
@@ -220,12 +221,22 @@ def test_run_neuron_csv_schema(tmp_path):
     assert lines[0] == "cycle,code,V_m_peak,OutP,delay_ns,E_tree_pJ,E_soma_pJ"
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "1100"
+    for line in lines[1:]:
+        for text in line.split(",")[2:]:
+            float(text)   # every column after the code is a plain number
 
 
-def test_run_neuron_rejects_non_finite_inductor():
-    # an infinite inductor makes the coil terms NaN; the divergence guard
-    # must trip on NaN instead of returning an all-NaN ledger
+def test_run_neuron_rejects_non_finite_inductor(monkeypatch):
+    # an infinite inductor is refused when the config is built
     cfg = CircuitConfig()
-    cfg = replace(cfg, pc=replace(cfg.pc, l_pc=math.inf))
-    with np.errstate(all="ignore"), pytest.raises(SimulationError):
+    with pytest.raises(ValueError, match=r"^pc\.l_pc: "):
+        replace(cfg.pc, l_pc=math.inf)
+
+    # states that turn NaN anyway must trip the divergence guard instead
+    # of returning an all-NaN ledger
+    def nan_propagate(e, f, x0, n):
+        return np.full((n + 1, x0.size), math.nan)
+
+    monkeypatch.setattr(engine, "propagate", nan_propagate)
+    with pytest.raises(SimulationError, match="diverged"):
         run_neuron(cfg, [(1, 1, 0, 0)] * 3)
