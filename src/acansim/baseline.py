@@ -7,8 +7,9 @@ switch as the adiabatic design, which makes per-component comparisons
 meaningful.
 
 The design is a phase-system builder plus a cycle schedule on the
-engine's kernel: the same step maps, propagation and element-driven
-accounting as the adiabatic design.  The drive-resistor loss is booked
+engine's per-cycle kernel (``run_cycle``): the same propagation,
+divergence guard, element-driven accounting and decision sample as the
+adiabatic design.  The drive-resistor loss is booked
 in the tree-resistor slot and the clock-generator slot stays zero (there
 is no power clock here); the rail energy is a source term on every leg
 whose driver sits high.
@@ -16,7 +17,6 @@ whose driver sits high.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,15 +27,13 @@ from .engine import (
     CycleStats,
     EnergyLedger,
     Loss,
+    Phase,
     PhaseSystem,
     Source,
     Store,
     book_reconfig,
-    book_segment,
-    propagate,
     reset_terms,
-    segment_sample,
-    step_maps,
+    run_cycle,
 )
 from .model import (
     CircuitConfig,
@@ -47,7 +45,7 @@ from .model import (
     reset_resistance,
     within,
 )
-from .neuron import Code, NeuronRun, dlcc_decide, dlcc_offset
+from .neuron import Code, NeuronRun, decided_run, dlcc_offset
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,9 @@ def build_baseline_system(
                        losses=tuple(losses), sources=tuple(sources))
 
 
-def _cycle_plan(system: PhaseSystem, t_cycle: float, spc: int) -> list[tuple[float, float, int]]:
-    """(start, end, steps) sub-grids in cycle fractions: dense over the
-    switching transient, coarse after.
+def _cycle_plan(system: PhaseSystem, t_cycle: float, spc: int) -> list[Phase]:
+    """Phases of one cycle in cycle fractions: dense over the switching
+    transient, coarse after.
 
     The slowest settling mode comes straight from the system matrix, so
     the dense window tracks the actual transient at any tree size.  With
@@ -177,10 +175,10 @@ def _cycle_plan(system: PhaseSystem, t_cycle: float, spc: int) -> list[tuple[flo
     taus = [1.0 / -r for r in rates if r < 0.0 and -r * t_cycle >= 1.0]
     t_fine = 60.0 * max(taus) if taus else t_cycle
     if t_fine >= 0.5 * t_cycle:
-        return [(0.0, 1.0, spc)]
+        return [Phase(0.0, 1.0, spc, system)]
     n_fine = (3 * spc) // 4
     split = t_fine / t_cycle
-    return [(0.0, split, n_fine), (split, 1.0, spc - n_fine)]
+    return [Phase(0.0, split, n_fine, system), Phase(split, 1.0, spc - n_fine, system)]
 
 
 def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronRun:
@@ -198,50 +196,35 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
 
     t_cycle = 1.0 / cfg.f_clock
     e_toggle = 0.5 * tree.c_inv * cfg.v_dd ** 2
+    v_limit = 50.0 * cfg.v_dd   # numerical-blowup guard, as in the adiabatic design
 
     ledger = EnergyLedger.zeros(n_cycles)
-    ledger.soma[:] = cfg.dlcc.e_decision
     stats: list[CycleStats] = []
+    plans: dict[tuple, list[Phase]] = {}
     prev_code: Code = tuple(0 for _ in range(tree.n))
     prev_sys: PhaseSystem | None = None
     x = np.array([tree.v_ref])
 
     for k, code in enumerate(codes):
         levels = _levels(tree, prev_code, code)
-        sys = build_baseline_system(cfg, levels, reset_on=not any(code))
+        key = (tuple(levels), not any(code))
+        phases = plans.get(key)
+        if phases is None:
+            sys = build_baseline_system(cfg, levels, reset_on=key[1])
+            phases = plans[key] = _cycle_plan(sys, t_cycle, cfg.steps_per_cycle)
+        sys = phases[0].system
 
         # plates start the cycle at the rail they were driven to last cycle
         x0 = np.array([*(p * cfg.v_dd for p, _, _, _ in levels), x[-1]])
         book_reconfig(ledger, k, prev_sys, x, sys, x0)
         ledger.drive[k] += e_toggle * sum(p != n for p, n in zip(prev_code, code))
 
-        v_m_sample = math.nan
-        v_m_peak = -math.inf
-        x = x0
-        for start, end, n_steps in _cycle_plan(sys, t_cycle, cfg.steps_per_cycle):
-            dt = (end - start) * t_cycle / n_steps
-            xs = propagate(*step_maps(sys.a, sys.b, dt), x, n_steps)
-            book_segment(ledger, k, sys, xs, dt)
-            v_m_peak = max(v_m_peak, float(xs[:, -1].max()))
-            sample = segment_sample(xs[:, -1], start, end, t_cycle, dt)
-            if sample is not None:
-                v_m_sample = sample
-            x = xs[-1]
-
+        trajectories, v_m_peak, v_m_sample = run_cycle(ledger, k, phases, x0, t_cycle, v_limit)
+        x = trajectories[-1][-1]
         prev_sys = sys
         prev_code = code
-        stats.append(CycleStats(cycle=k, v_pk=cfg.v_dd, v_x=0.0,
-                                v_m_peak=v_m_peak, v_m_sample=v_m_sample))
+        stats.append(CycleStats(cycle=k, v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
 
     ledger.e_stored_last = prev_sys.stored_energy(x)
-
-    v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
-    decisions = [dlcc_decide(s.v_m_sample, cfg.dlcc) for s in stats]
-    spec = baseline_oracle_spec(cfg, v_os=v_os)
-    oracle = [spec.fires(c) for c in codes]
-
-    return NeuronRun(
-        codes=codes, decisions=decisions, oracle_bits=oracle,
-        stats=stats, ledger_full=ledger, warm_up=0,
-        trace=None, v_pk_reference=cfg.v_dd,
-    )
+    spec = baseline_oracle_spec(cfg, v_os=dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r))
+    return decided_run(codes, stats, ledger, 0, cfg.dlcc, spec, cfg.v_dd, None)

@@ -49,12 +49,12 @@ class SweepSpec:
     load_case: str = "all-0"
 
     def __post_init__(self) -> None:
-        check_ranges(self, "spec")
+        check_ranges(self, "bench")
         if self.skip + self.window > self.cycles:
             raise ValueError(
-                f"spec: skip + window must be <= cycles, got {self.skip}+{self.window} > {self.cycles}")
+                f"bench: skip + window must be <= cycles, got {self.skip}+{self.window} > {self.cycles}")
         if self.load_case not in _LOAD_CASES:
-            raise ValueError(f"spec.load_case: must be one of {_LOAD_CASES}, got {self.load_case!r}")
+            raise ValueError(f"bench.load_case: must be one of {_LOAD_CASES}, got {self.load_case!r}")
 
 
 def worst_window_mean(series: Sequence[float], skip: int, window: int) -> float:
@@ -278,7 +278,7 @@ def optimize_frequency(
 
     def obj(f: float) -> float:
         duty = t_on * float(f)
-        if not 0.0 < duty <= 0.5:
+        if not 0.0 < duty < 0.5:
             return math.inf
         pt = replace(cfg, pc=replace(cfg.pc, f_nominal=float(f), duty_d=duty))
         try:

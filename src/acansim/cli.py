@@ -200,7 +200,7 @@ def _bench_section(doc: dict, seed: int | None) -> tuple[bench.SweepSpec, dict]:
     try:
         return bench.SweepSpec(**kw), grids
     except ValueError as exc:
-        raise ConfigError(f"bench: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def _write_json(path: Path, obj) -> None:

@@ -109,10 +109,19 @@ class PhaseSystem:
     stores: tuple[Store, ...]
     losses: tuple[Loss, ...]
     sources: tuple[Source, ...]
+    _maps: dict[float, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    def maps(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Step maps of this system for step size dt, built once per dt."""
+        m = self._maps.get(dt)
+        if m is None:
+            m = self._maps[dt] = step_maps(self.a, self.b, dt)
+        return m
 
     def stored_energy(self, x: np.ndarray) -> float:
         v = x.tolist()
@@ -259,24 +268,12 @@ def _trapz(y: np.ndarray, dt: float) -> float:
 SAMPLE_FRAC = 0.5
 
 
-def segment_sample(col: np.ndarray, start: float, end: float,
-                   t_cycle: float, dt: float) -> float | None:
-    """Value of a segment's state column at the decision instant
-    ``SAMPLE_FRAC`` (nearest step), or None when the instant lies outside
-    [start, end)."""
-    if not start <= SAMPLE_FRAC < end:
-        return None
-    idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / dt)), 0), col.size - 1)
-    return float(col[idx])
-
-
 @dataclass
 class CycleStats:
     """Per-cycle observables; the energies of a cycle are in the ledger."""
 
     cycle: int
     v_pk: float          # clock-node peak
-    v_x: float           # clock-node value immediately before bypass turn-on
     v_m_peak: float      # membrane peak
     v_m_sample: float    # membrane at the decision sampling instant
 
@@ -441,6 +438,62 @@ def _validate_plan(plan: CyclePlan) -> None:
         raise ValueError(f"cycle plan covers [0, {pos}), expected [0, 1)")
 
 
+class Phase(NamedTuple):
+    """One uniform sub-grid of a cycle: ``n_steps`` steps of ``system``
+    over [start, end) in cycle fractions."""
+
+    start: float
+    end: float
+    n_steps: int
+    system: PhaseSystem
+
+
+def run_cycle(ledger: EnergyLedger, k: int, phases: Sequence[Phase], x0: np.ndarray,
+              t_cycle: float, v_limit: float) -> tuple[list[np.ndarray], float, float]:
+    """Integrate cycle k of both designs over its phases from state x0 and
+    book every phase into the ledger.
+
+    Every state must stay below v_limit in magnitude, a numerical-blowup
+    guard.  Returns the phase trajectories, the membrane (last state) peak
+    and the membrane at the decision instant ``SAMPLE_FRAC`` (nearest step).
+    """
+    trajectories = []
+    v_m_peak = -math.inf
+    v_m_sample = math.nan
+    x = x0
+    for start, end, n_steps, system in phases:
+        dt = (end - start) * t_cycle / n_steps
+        xs = propagate(*system.maps(dt), x, n_steps)
+        peak = float(np.abs(xs).max())
+        if not peak < v_limit:   # NaN trips it too
+            raise SimulationError(
+                f"state diverged in cycle {k}: |x| reached {peak:.3g}, limit {v_limit:.3g}")
+        book_segment(ledger, k, system, xs, dt)
+        v_m = xs[:, -1]
+        v_m_peak = max(v_m_peak, float(v_m.max()))
+        if start <= SAMPLE_FRAC < end:
+            idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / dt)), 0), n_steps)
+            v_m_sample = float(v_m[idx])
+        trajectories.append(xs)
+        x = xs[-1]
+    return trajectories, v_m_peak, v_m_sample
+
+
+def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
+                 systems: dict[SwitchState, PhaseSystem]) -> list[Phase]:
+    """Phases of one cycle plan; phase systems are shared through
+    ``systems`` across the plans of a run."""
+    _validate_plan(plan)
+    if len({sw.synapse_on for _, _, sw in plan}) > 1:
+        raise ValueError("cycle plan switches gates mid-cycle; gates change only at a cycle start")
+    phases = []
+    for (start, end, sw), n_steps in zip(plan, _allocate_steps(plan, cfg.sim.steps_per_cycle)):
+        if sw not in systems:
+            systems[sw] = build_phase_system(cfg, sw)
+        phases.append(Phase(start, end, n_steps, systems[sw]))
+    return phases
+
+
 def simulate(
     cfg: CircuitConfig,
     cycles: Sequence[CyclePlan],
@@ -450,8 +503,9 @@ def simulate(
 
     Initial conditions: V_PC = 0, I_L = 0, V_s = 0, V_m = V_REF.  Segment
     boundaries are honored exactly (each segment is integrated with its own
-    uniform sub-grid, so no switching time is displaced).  The clock node
-    carries a numerical-blowup guard far above any legitimate swing.
+    uniform sub-grid, so no switching time is displaced).  The gates of a
+    plan hold for its whole cycle.  The states carry a numerical-blowup
+    guard far above any legitimate swing.
 
     Returns the sampled trace (with per-cycle stats attached) and the
     energy ledger.  The membrane is sampled for the decision stage at
@@ -460,7 +514,6 @@ def simulate(
     n_cycles = len(cycles)
     if n_cycles == 0:
         raise ValueError("simulate: need at least one cycle plan")
-    spc = cfg.sim.steps_per_cycle
     stride = cfg.sim.trace_stride
     t_pc = cfg.pc.t_pc
     v_dd = cfg.dlcc.v_dd
@@ -469,27 +522,12 @@ def simulate(
     v_limit = 50.0 * v_dd
     e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
 
-    sys_cache: dict[SwitchState, PhaseSystem] = {}
-    map_cache: dict[tuple[SwitchState, float], tuple[np.ndarray, np.ndarray]] = {}
+    systems: dict[SwitchState, PhaseSystem] = {}
+    plan_phases: dict[tuple[Segment, ...], list[Phase]] = {}
 
-    def system_for(sw: SwitchState) -> PhaseSystem:
-        sys = sys_cache.get(sw)
-        if sys is None:
-            sys = build_phase_system(cfg, sw)
-            sys_cache[sw] = sys
-        return sys
-
-    def maps_for(sw: SwitchState, sys: PhaseSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        key = (sw, dt)
-        m = map_cache.get(key)
-        if m is None:
-            m = step_maps(sys.a, sys.b, dt)
-            map_cache[key] = m
-        return m
-
-    # persistent state between segments: [I_L, V_PC, V_s per group..., V_m]
+    # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
     x = np.array([0.0, 0.0, cfg.tree.v_ref])
-    prev_sw = SwitchState(bypass_on=False, reset_on=False, synapse_on=(False,) * cfg.tree.n)
+    prev_on = (False,) * cfg.tree.n
     prev_sys: PhaseSystem | None = None
     v_s_hold = 0.0   # last known top-plate aggregate, for the trace
 
@@ -503,63 +541,42 @@ def simulate(
     global_step = 0
 
     for k, plan in enumerate(cycles):
-        _validate_plan(plan)
-        counts = _allocate_steps(plan, spc)
-        t0 = k * t_pc
+        plan = tuple(plan)
+        phases = plan_phases.get(plan)
+        if phases is None:
+            phases = plan_phases[plan] = _plan_phases(cfg, plan, systems)
+        sys = phases[0].system
+        on = plan[0][2].synapse_on
 
-        v_pk = -math.inf
-        v_x = math.nan
-        v_m_peak = -math.inf
-        v_m_sample = math.nan
+        # gate-driver overhead: half a full charge per toggled control line
+        toggles = sum(a != b for a, b in zip(prev_on, on))
+        ledger.drive[k] += toggles * e_toggle
+
+        # reassemble the state vector; top plates of a freshly enabled
+        # branch set join at the current clock voltage (they were parked
+        # at the trough when last disconnected)
+        x0 = x
+        if on != prev_on:
+            x0 = np.array([x[0], x[1], *[x[1]] * len(sys.groups), x[-1]])
+        book_reconfig(ledger, k, prev_sys, x, sys, x0)
+
+        trajectories, v_m_peak, v_m_sample = run_cycle(ledger, k, phases, x0, t_pc, v_limit)
+        v_pk = max(float(xs[:, 1].max()) for xs in trajectories)
+        stats.append(CycleStats(cycle=k, v_pk=v_pk, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
         boundaries.append(n_samples)
 
-        for (start, end, sw), n_steps in zip(plan, counts):
-            sys = system_for(sw)
-            dt = (end - start) * t_pc / n_steps
-
-            # bypass turn-on boundary: record the pre-switch clock voltage
-            if sw.bypass_on and not prev_sw.bypass_on and math.isnan(v_x):
-                v_x = float(x[1])
-
-            # gate-driver overhead: half a full charge per toggled control line
-            toggles = sum(a != b for a, b in zip(prev_sw.synapse_on, sw.synapse_on))
-            ledger.drive[k] += toggles * e_toggle
-
-            # reassemble the state vector; top plates of a freshly enabled
-            # branch set join at the current clock voltage (they were parked
-            # at the trough when last disconnected)
-            x0 = x
-            if sw.synapse_on != prev_sw.synapse_on:
-                x0 = np.array([x[0], x[1], *[x[1]] * len(sys.groups), x[-1]])
-
-            book_reconfig(ledger, k, prev_sys, x, sys, x0)
-
-            xs = propagate(*maps_for(sw, sys, dt), x0, n_steps)
-            col_vpc = xs[:, 1]
-            col_vm = xs[:, -1]
-
-            seg_vmax = float(np.abs(col_vpc).max())
-            if not seg_vmax < v_limit:   # NaN trips it too
-                raise SimulationError(
-                    f"clock node diverged in cycle {k}: |V_PC| reached {seg_vmax:.3g} V"
-                )
-
-            book_segment(ledger, k, sys, xs, dt)
-            v_pk = max(v_pk, float(col_vpc.max()))
-            v_m_peak = max(v_m_peak, float(col_vm.max()))
-            sample = segment_sample(col_vm, start, end, t_pc, dt)
-            if sample is not None:
-                v_m_sample = sample
-
-            if keep_samples:
+        if keep_samples:
+            t0 = k * t_pc
+            w = np.array([g.c for g in sys.groups])   # the gates hold all cycle
+            for (start, end, n_steps, _), xs in zip(phases, trajectories):
                 # sample on the global step counter so cycle boundaries stay
                 # stride-aligned even though segment sub-grids differ
+                dt = (end - start) * t_pc / n_steps
                 offs = (-global_step) % stride
                 sel = np.arange(offs, n_steps, stride)
                 if sel.size:
                     rows = xs[sel]
                     if sys.groups:
-                        w = np.array([g.c for g in sys.groups])
                         agg = (rows[:, 2:-1] @ w) / w.sum()
                         v_s_hold = float(agg[-1])
                     else:
@@ -567,16 +584,11 @@ def simulate(
                     samples_t.append(t0 + start * t_pc + dt * sel)
                     samples_x.append(np.column_stack([rows[:, 0], rows[:, 1], agg, rows[:, -1]]))
                     n_samples += sel.size
+                global_step += n_steps
 
-            x = xs[-1]
-            prev_sw = sw
-            prev_sys = sys
-            global_step += n_steps
-
-        if math.isnan(v_x):
-            v_x = 0.0
-        stats.append(CycleStats(cycle=k, v_pk=v_pk, v_x=v_x, v_m_peak=v_m_peak,
-                                v_m_sample=v_m_sample))
+        x = trajectories[-1][-1]
+        prev_on = on
+        prev_sys = phases[-1].system
 
     ledger.e_stored_last = prev_sys.stored_energy(x)
 

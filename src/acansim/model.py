@@ -106,7 +106,9 @@ class PowerClockConfig:
     c_e: float = within("(0, inf)", 25e-12)       # explicit tank capacitor at the clock node, F
     v_dc: float = within("(0, inf)", 0.9)         # DC feed voltage, V (half the logic supply)
     w_n: float = within("(0, inf)", 30e-6)        # bypass switch width, m
-    duty_d: float = within("(0, 0.5]", 0.05)      # bypass on-time as a fraction of the cycle
+    # bypass on-time as a fraction of the cycle; it ends before the
+    # mid-cycle decision sample
+    duty_d: float = within("(0, 0.5)", 0.05)
     f_nominal: float = within("(0, inf)", 1e6)    # design/operating clock frequency, Hz
     # resonator quality factor; sets the LC series loss (inf: lossless loop)
     q_lc: float = within("(0, inf]", 630.0)

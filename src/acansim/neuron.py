@@ -86,10 +86,7 @@ class Decision:
     """One clocked comparator decision."""
 
     outp: int
-    outn: int
     delay: float        # seconds
-    v_m_sampled: float
-    v_os: float
 
     @property
     def fired(self) -> bool:
@@ -111,7 +108,7 @@ def dlcc_decide(v_m: float, dlcc: DlccConfig) -> Decision:
     overdrive = max(abs(v_m - threshold), dm.min_overdrive)
     base = dm.base_delay(dlcc.m_l, dlcc.m_r)
     delay = base + dm.metastability_slope * max(0.0, math.log(dm.reference_overdrive / overdrive))
-    return Decision(outp=outp, outn=1 - outp, delay=delay, v_m_sampled=v_m, v_os=v_os)
+    return Decision(outp=outp, delay=delay)
 
 
 def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[engine.Segment, ...]:
@@ -127,9 +124,6 @@ def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tu
     if len(code) != cfg.tree.n:
         raise ValueError(f"code has {len(code)} bits, tree has {cfg.tree.n} synapses")
     duty = cfg.pc.duty_d
-    if duty >= engine.SAMPLE_FRAC:
-        raise ValueError(f"schedule needs duty < {engine.SAMPLE_FRAC} so the sample lands "
-                         "in the evaluation segment")
 
     all_zero = not any(code)
     forced = cycle % cfg.sim.recal_every == 0
@@ -211,6 +205,22 @@ class NeuronRun:
                 )
 
 
+def decided_run(codes: list[Code], stats: list[engine.CycleStats], ledger: engine.EnergyLedger,
+                warm_up: int, dlcc: DlccConfig, oracle: NeuronSpec, v_pk_ref: float,
+                trace: engine.Trace | None) -> NeuronRun:
+    """Finish a run of either design: book the soma energy, decide every
+    reported cycle from its membrane sample and score the codes with the
+    threshold-unit oracle."""
+    ledger.soma[:] = dlcc.e_decision
+    return NeuronRun(
+        codes=codes,
+        decisions=[dlcc_decide(s.v_m_sample, dlcc) for s in stats],
+        oracle_bits=[oracle.fires(c) for c in codes],
+        stats=stats, ledger_full=ledger, warm_up=warm_up,
+        trace=trace, v_pk_reference=v_pk_ref,
+    )
+
+
 def run_neuron(
     cfg: CircuitConfig,
     codes: Sequence[Sequence[int]],
@@ -230,19 +240,8 @@ def run_neuron(
 
     plans = [make_schedule(cfg, c, cycle=k) for k, c in enumerate(all_codes)]
     trace, ledger = engine.simulate(cfg, plans, keep_samples=keep_trace)
-    ledger.soma[:] = cfg.dlcc.e_decision
-
     stats = trace.cycles[warm:]
-    decisions = [dlcc_decide(s.v_m_sample, cfg.dlcc) for s in stats]
-
     v_pk_ref = float(np.median([s.v_pk for s in stats]))
-    v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
-    spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)
-    oracle = [spec.fires(c) for c in codes]
-
-    return NeuronRun(
-        codes=codes, decisions=decisions, oracle_bits=oracle,
-        stats=stats, ledger_full=ledger, warm_up=warm,
-        trace=trace if keep_trace else None,
-        v_pk_reference=v_pk_ref,
-    )
+    spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r))
+    return decided_run(codes, stats, ledger, warm, cfg.dlcc, spec, v_pk_ref,
+                       trace if keep_trace else None)

@@ -8,6 +8,7 @@ import pytest
 from acansim import (
     BaselineConfig,
     CircuitConfig,
+    SimulationError,
     SynapseTreeConfig,
     baseline_oracle_spec,
     baseline_transition_energy_analytic,
@@ -116,6 +117,14 @@ def test_run_baseline_idle_codes_stay_quiet():
     assert float(run.ledger.s_e.sum()) == pytest.approx(0.0, abs=1e-20)
     for st in run.stats:
         assert st.v_m_sample == pytest.approx(0.7, abs=1e-6)
+
+
+def test_run_baseline_divergence_is_an_error():
+    # a vanishing drive resistance makes the trapezoidal steps ring far past
+    # the rails; the guard must stop the run instead of returning its ledger
+    cfg = BaselineConfig(r_drv=1e-15)
+    with pytest.raises(SimulationError, match="diverged"):
+        run_baseline(cfg, [(1, 1, 0, 0), (0, 1, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0)])
 
 
 def test_run_baseline_validation():

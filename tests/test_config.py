@@ -31,7 +31,7 @@ _SECTIONS = {
     DlccConfig: "dlcc",
     SimConfig: "sim",
     BaselineConfig: "baseline",
-    SweepSpec: "spec",
+    SweepSpec: "bench",
 }
 # numeric fields whose rules are structural and stay hand-written
 _UNRANGED = {"seed", "c_s", "c_d", "anchors"}
@@ -106,8 +106,8 @@ def test_finite_values_inside_the_range_are_accepted(data):
     assert getattr(cls(**{name: value}), name) == value
 
 
-# (JSON config text, field the error must name); the last four spell one
-# non-finite value each way JSON and the SI parser allow
+# (JSON config text, field the error must name); four spell one non-finite
+# value each way JSON and the SI parser allow, the last is a bench field
 _BAD_DOCS = [
     ('{"dlcc": {"V_TH": NaN}}', "dlcc.v_th"),
     ('{"pc": {"C_E": "1e999pF"}}', "pc.c_e"),
@@ -120,6 +120,7 @@ _BAD_DOCS = [
     ('{"pc": {"V_dc": Infinity}}', "pc.v_dc"),
     ('{"pc": {"V_dc": -Infinity}}', "pc.v_dc"),
     ('{"pc": {"V_dc": "1e999V"}}', "pc.v_dc"),
+    ('{"bench": {"cycles": 0}}', "bench.cycles"),
 ]
 
 

@@ -148,7 +148,8 @@ def test_simulate_baseline_waveform_shape():
     assert len(trace.cycles) == 6
     for st in trace.cycles:
         assert 1.6 < st.v_pk < 2.1
-        assert abs(st.v_x) < 0.2
+    # the bypass closes at the cycle start, near the clock trough
+    assert np.abs(trace.v_pc[trace.cycle_boundaries]).max() < 0.2
     assert ledger.n_cycles == 6
 
 
@@ -194,6 +195,9 @@ def test_simulate_rejects_bad_plans():
         simulate(cfg, [((0.0, 0.4, off), (0.5, 1.0, off))])  # gap
     with pytest.raises(ValueError):
         simulate(cfg, [((0.0, 0.4, off),)])  # does not cover the cycle
+    on = SwitchState(False, False, (True,) + (False,) * 3)
+    with pytest.raises(ValueError, match="mid-cycle"):
+        simulate(cfg, [((0.0, 0.4, off), (0.4, 1.0, on))])
 
 
 def test_trace_csv_schema(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from acansim import (
+    BaselineConfig,
     CircuitConfig,
     DlccConfig,
     dlcc_decide,
@@ -16,6 +17,7 @@ from acansim import (
     SimulationError,
     make_schedule,
     predicted_optimal_frequency,
+    run_baseline,
     run_neuron,
     tune_inductor,
 )
@@ -88,9 +90,8 @@ def test_dlcc_decide_strict_threshold():
     threshold = 1.1 - 0.3e-3
     assert dlcc_decide(threshold + 1e-6, dlcc).fired
     assert not dlcc_decide(threshold - 1e-6, dlcc).fired
-    tie = dlcc_decide(threshold, dlcc)
-    assert tie.outp == 0 and tie.outn == 1
-    assert tie.v_os == pytest.approx(0.3e-3, abs=1e-12)
+    assert not dlcc_decide(threshold, dlcc).fired
+    assert dlcc_offset(dlcc.m_l, dlcc.m_r) == pytest.approx(0.3e-3, abs=1e-12)
 
 
 def test_dlcc_decide_delay_anchors():
@@ -145,9 +146,9 @@ def test_make_schedule_validation():
     cfg = CircuitConfig()
     with pytest.raises(ValueError):
         make_schedule(cfg, (1, 0), cycle=0)
-    wide = replace(cfg, pc=replace(cfg.pc, duty_d=0.5))
-    with pytest.raises(ValueError):
-        make_schedule(wide, (1, 0, 0, 0), cycle=0)
+    # a bypass window reaching the mid-cycle sample is refused with the config
+    with pytest.raises(ValueError, match=r"^pc\.duty_d: "):
+        replace(cfg.pc, duty_d=0.5)
 
 
 def test_input_sweeps_cover_the_code_set():
@@ -240,3 +241,45 @@ def test_run_neuron_rejects_non_finite_inductor(monkeypatch):
     monkeypatch.setattr(engine, "propagate", nan_propagate)
     with pytest.raises(SimulationError, match="diverged"):
         run_neuron(cfg, [(1, 1, 0, 0)] * 3)
+    with pytest.raises(SimulationError, match="diverged"):
+        run_baseline(BaselineConfig.from_circuit(cfg), [(1, 1, 0, 0)] * 3)
+
+
+def _count_step_maps(monkeypatch):
+    calls = []
+    step_maps = engine.step_maps
+
+    def counted(a, b, dt):
+        calls.append(dt)
+        return step_maps(a, b, dt)
+
+    monkeypatch.setattr(engine, "step_maps", counted)
+    return calls
+
+
+def test_run_neuron_builds_each_step_map_once(monkeypatch):
+    cfg = tune_inductor(CircuitConfig())
+    codes = input_sweeps(4, n_scrambles=0, seed=0)[0] * 2
+    zero = (0,) * cfg.tree.n
+    all_codes = [zero] * cfg.sim.startup_discard_cycles + codes
+    pairs = set()
+    for k, c in enumerate(all_codes):
+        plan = make_schedule(cfg, c, cycle=k)
+        counts = engine._allocate_steps(plan, cfg.sim.steps_per_cycle)
+        pairs |= {(sw, (end - start) * cfg.pc.t_pc / n) for (start, end, sw), n in zip(plan, counts)}
+    calls = _count_step_maps(monkeypatch)
+    run_neuron(cfg, codes)
+    assert len(calls) == len(pairs)
+
+
+def test_run_baseline_builds_each_step_map_once(monkeypatch):
+    cfg = BaselineConfig.from_circuit(CircuitConfig())
+    codes = input_sweeps(4, n_scrambles=0, seed=0)[0]
+    calls = _count_step_maps(monkeypatch)
+    run_baseline(cfg, codes * 2)
+    n_two = len(calls)
+    assert n_two > 0
+    calls.clear()
+    # a third pass repeats the level transitions of the second one
+    run_baseline(cfg, codes * 3)
+    assert len(calls) == n_two
