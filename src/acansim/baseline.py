@@ -226,5 +226,6 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
         stats.append(CycleStats(cycle=k, v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
 
     ledger.e_stored_last = prev_sys.stored_energy(x)
-    spec = baseline_oracle_spec(cfg, v_os=dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r))
-    return decided_run(codes, stats, ledger, 0, cfg.dlcc, spec, cfg.v_dd, None)
+    v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
+    spec = baseline_oracle_spec(cfg, v_os=v_os)
+    return decided_run(codes, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .baseline import BaselineConfig, run_baseline
-from .engine import SimulationError
+from .engine import SimulationError, write_csv
 from .model import (
     CircuitConfig,
     Corner,
@@ -160,12 +160,9 @@ class Surface:
         return v / 1e-6 if self.x_name == "W_um" else v
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{self.x_name},{self.y_name},energy_J\n")
-            for i, xv in enumerate(self.x):
-                for j, yv in enumerate(self.y):
-                    fh.write(f"{repr(float(self._x_csv(xv)))},{repr(float(yv))},"
-                             f"{repr(float(self.energy[i, j]))}\n")
+        write_csv(path, (self.x_name, self.y_name, "energy_J"),
+                  ((self._x_csv(xv), yv, e) for xv, row in zip(self.x, self.energy)
+                   for yv, e in zip(self.y, row)))
 
     def as_dict(self) -> dict:
         ax, ay, ae = self.argmin
@@ -183,11 +180,11 @@ def sweep_freq_duty(
     cfg: CircuitConfig,
     f_grid: Sequence[float],
     d_grid: Sequence[float],
-    load_case: str = "all-0",
     spec: SweepSpec | None = None,
     jobs: int = 1,
 ) -> Surface:
-    """Worst-window tree energy over (drive frequency, duty).
+    """Worst-window tree energy over (drive frequency, duty), under the
+    load case ``spec.load_case``.
 
     The inductor is tuned once so the unloaded resonance sits at the
     config's nominal frequency; the grid then sweeps the drive frequency
@@ -195,7 +192,7 @@ def sweep_freq_duty(
     """
     if not f_grid or not d_grid:
         raise ValueError("sweep_freq_duty: grids must be non-empty")
-    spec = replace(spec or SweepSpec(), load_case=load_case)
+    spec = spec or SweepSpec()
     base = tune_inductor(cfg)
     items = []
     for f in f_grid:
@@ -370,11 +367,9 @@ class ScalingTable:
                         f"{lo.f_opt} -> {hi.f_opt}")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("C_E_pF,alpha,f_opt_Hz,S_E_pJ,N_E_pJ\n")
-            for r in self.rows:
-                fh.write(f"{repr(r.c_e * 1e12)},{repr(r.alpha)},{repr(r.f_opt)},"
-                         f"{repr(r.s_e * 1e12)},{repr(r.n_e * 1e12)}\n")
+        write_csv(path, ("C_E_pF", "alpha", "f_opt_Hz", "S_E_pJ", "N_E_pJ"),
+                  ((r.c_e * 1e12, r.alpha, r.f_opt, r.s_e * 1e12, r.n_e * 1e12)
+                   for r in self.rows))
 
     def as_dict(self) -> dict:
         return {
@@ -438,11 +433,9 @@ class CornerTable:
         return {t: (max(v) - min(v)) / float(np.mean(v)) for t, v in sorted(by_t.items())}
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("corner,temp_C,E_tree_J,E_soma_J,outputs_ok\n")
-            for r in self.rows:
-                fh.write(f"{r.corner},{repr(r.temperature_c)},{repr(r.e_tree)},"
-                         f"{repr(r.e_soma)},{int(r.outputs_ok)}\n")
+        write_csv(path, ("corner", "temp_C", "E_tree_J", "E_soma_J", "outputs_ok"),
+                  ((r.corner, r.temperature_c, r.e_tree, r.e_soma, int(r.outputs_ok))
+                   for r in self.rows))
 
     def as_dict(self) -> dict:
         return {"rows": [{

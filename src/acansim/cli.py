@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -253,15 +254,17 @@ def _parse_codes(text: str, n: int) -> list[tuple[int, ...]]:
     return codes
 
 
-def _cmd_run(args, cfg: CircuitConfig, spec: bench.SweepSpec, grids: dict, doc: dict) -> int:
+def _cmd_run(args, cfg: CircuitConfig, spec: bench.SweepSpec, grids: dict):
     n = cfg.tree.n
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats: must be >= 1, got {args.repeats}")
     if args.codes:
         codes = _parse_codes(args.codes, n)
     else:
         if n > 10:
             raise ConfigError(f"run: {n}-synapse full sweep is too large; pass --codes")
-        codes = [c for c in input_sweeps(n, n_scrambles=0, seed=spec.seed)[0]]
-    codes = codes * max(args.repeats, 1)
+        codes = input_sweeps(n, n_scrambles=0, seed=spec.seed)[0]
+    codes = codes * args.repeats
     run = run_neuron(cfg, codes, keep_trace=args.trace)
     summary = {
         "cycles": len(codes),
@@ -273,85 +276,67 @@ def _cmd_run(args, cfg: CircuitConfig, spec: bench.SweepSpec, grids: dict, doc: 
         "soma_energy_J": float(run.ledger.n_e.mean()),
         "v_pk_V": run.v_pk_reference,
     }
-    summary.update(_meta(args, doc, spec.seed))
-    files: dict[str, object] = {"neuron_run.csv": run, "summary.json": summary}
-    if args.trace and run.trace is not None:
+    files: dict[str, object] = {"neuron_run.csv": run}
+    if args.trace:
         files["trace.csv"] = run.trace
-    emit_outputs(args.out, files, _meta(args, doc, spec.seed))
-    return 0
+    return files, summary
 
 
-def _cmd_sweep_freq(args, cfg, spec, grids, doc) -> int:
+def _cmd_sweep_freq(args, cfg, spec, grids):
     f_nom = cfg.pc.f_nominal
-    f_grid = grids.get("f_grid") or tuple(f_nom * r for r in np.linspace(0.90, 1.10, 11))
-    d_grid = grids.get("d_grid") or (0.01, 0.02, 0.05, 0.10)
-    load = args.load or spec.load_case
-    surface = bench.sweep_freq_duty(cfg, f_grid, d_grid, load_case=load,
-                                    spec=spec, jobs=args.jobs)
-    summary = surface.as_dict() | _meta(args, doc, spec.seed) | {"load_case": load}
-    emit_outputs(args.out, {"surface_freq_duty.csv": surface, "summary.json": summary},
-                 _meta(args, doc, spec.seed))
-    return 0
+    f_grid = grids.get("f_grid", tuple(f_nom * r for r in np.linspace(0.90, 1.10, 11)))
+    d_grid = grids.get("d_grid", (0.01, 0.02, 0.05, 0.10))
+    if args.load:
+        spec = replace(spec, load_case=args.load)
+    surface = bench.sweep_freq_duty(cfg, f_grid, d_grid, spec=spec, jobs=args.jobs)
+    return ({"surface_freq_duty.csv": surface},
+            surface.as_dict() | {"load_case": spec.load_case})
 
 
-def _cmd_sweep_width(args, cfg, spec, grids, doc) -> int:
-    w_grid = grids.get("w_grid") or tuple(np.linspace(10e-6, 100e-6, 10))
-    d_grid = grids.get("d_grid") or tuple(x / 100 for x in range(1, 11))
+def _cmd_sweep_width(args, cfg, spec, grids):
+    w_grid = grids.get("w_grid", tuple(np.linspace(10e-6, 100e-6, 10)))
+    d_grid = grids.get("d_grid", tuple(x / 100 for x in range(1, 11)))
     surface = bench.sweep_width_duty(cfg, w_grid, d_grid, spec=spec, jobs=args.jobs)
-    summary = surface.as_dict() | _meta(args, doc, spec.seed)
-    emit_outputs(args.out, {"surface_width_duty.csv": surface, "summary.json": summary},
-                 _meta(args, doc, spec.seed))
-    return 0
+    return {"surface_width_duty.csv": surface}, surface.as_dict()
 
 
-def _cmd_sweep_scaling(args, cfg, spec, grids, doc) -> int:
-    n = args.n or grids.get("n_synapses") or 512
-    c_e_grid = grids.get("c_e_grid") or (25e-12, 100e-12, 1000e-12)
-    alpha_grid = grids.get("alpha_grid") or (0.0, 0.5, 1.0)
+def _cmd_sweep_scaling(args, cfg, spec, grids):
+    n = args.n if args.n is not None else grids.get("n_synapses", 512)
+    c_e_grid = grids.get("c_e_grid", (25e-12, 100e-12, 1000e-12))
+    alpha_grid = grids.get("alpha_grid", (0.0, 0.5, 1.0))
     table = bench.scaling_study(cfg, n, c_e_grid, alpha_grid, spec=spec, jobs=args.jobs)
-    summary = table.as_dict() | _meta(args, doc, spec.seed)
-    emit_outputs(args.out, {"scaling.csv": table, "summary.json": summary},
-                 _meta(args, doc, spec.seed))
-    return 0
+    return {"scaling.csv": table}, table.as_dict()
 
 
-def _cmd_optimize_freq(args, cfg, spec, grids, doc) -> int:
+def _cmd_optimize_freq(args, cfg, spec, grids):
     opt = bench.optimize_frequency(cfg, args.alpha, spec=spec)
-    summary = {
+    return {}, {
         "alpha": args.alpha,
         "f_opt_Hz": opt.frequency,
         "energy_J": opt.energy,
         "unimodal": opt.unimodal,
         "predicted_Hz": predicted_optimal_frequency(bench.tune_inductor(cfg), args.alpha),
     }
-    summary.update(_meta(args, doc, spec.seed))
-    emit_outputs(args.out, {"summary.json": summary}, _meta(args, doc, spec.seed))
-    return 0
 
 
-def _cmd_corners(args, cfg, spec, grids, doc) -> int:
+def _cmd_corners(args, cfg, spec, grids):
     table = bench.corner_study(cfg, spec=spec, jobs=args.jobs)
     outputs = {r.outputs for r in table.rows}
-    summary = table.as_dict() | _meta(args, doc, spec.seed)
+    summary = table.as_dict()
     summary["spread_by_temperature"] = {
         str(t): s for t, s in table.spread_by_temperature().items()}
     summary["functionality_consistent"] = (
         len(outputs) == 1 and all(r.outputs_ok for r in table.rows))
-    emit_outputs(args.out, {"corners.csv": table, "summary.json": summary},
-                 _meta(args, doc, spec.seed))
-    return 0
+    return {"corners.csv": table}, summary
 
 
-def _cmd_compare(args, cfg, spec, grids, doc) -> int:
+def _cmd_compare(args, cfg, spec, grids):
     if args.mode == "loading":
-        n = args.n or grids.get("n_synapses") or cfg.tree.n
+        n = args.n if args.n is not None else grids.get("n_synapses", cfg.tree.n)
         c_e = cfg.pc.c_e if args.c_e is None else parse_quantity(args.c_e, "--c-e")
         cfg = bench.scaled_tree(cfg, n, c_e)
-    report = bench.compare_designs(cfg, mode=args.mode, spec=spec)
-    summary = report.as_dict() | _meta(args, doc, spec.seed)
-    emit_outputs(args.out, {"savings.json": report.as_dict(), "summary.json": summary},
-                 _meta(args, doc, spec.seed))
-    return 0
+    report = bench.compare_designs(cfg, mode=args.mode, spec=spec).as_dict()
+    return {"savings.json": report}, report
 
 
 _COMMANDS = {
@@ -423,8 +408,11 @@ def dispatch(argv: list[str]) -> int:
         spec, grids = _bench_section(doc, args.seed)
         if args.jobs is None:
             args.jobs = int(os.environ.get("ACAN_JOBS", "1"))
-        return _COMMANDS[args.cmd](args, cfg, spec, grids, doc)
-    except (ConfigError, SimulationError, ValueError) as exc:
+        files, summary = _COMMANDS[args.cmd](args, cfg, spec, grids)
+        meta = _meta(args, doc, spec.seed)
+        emit_outputs(args.out, files | {"summary.json": summary | meta}, meta)
+        return 0
+    except (ConfigError, SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

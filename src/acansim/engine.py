@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -364,6 +364,17 @@ def energy_residual(ledger: EnergyLedger) -> float:
     return ledger.source_total - ledger.dissipated_total - delta_stored + float(ledger.reconfig.sum())
 
 
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV data file: the header, then one line per row.  Float
+    cells, numpy scalars included, are written as ``repr(float(v))`` so
+    they read back exactly; any other cell as ``str(v)``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row]) + "\n")
+
+
 @dataclass
 class Trace:
     """Sampled run history plus per-cycle stats.
@@ -383,10 +394,8 @@ class Trace:
     cycles: list[CycleStats] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,I_L,V_PC,V_s,V_m\n")
-            for row in zip(self.t, self.i_l, self.v_pc, self.v_s, self.v_m):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, ("t", "I_L", "V_PC", "V_s", "V_m"),
+                  zip(self.t, self.i_l, self.v_pc, self.v_s, self.v_m))
 
 
 def _allocate_steps(plan: CyclePlan, spc: int) -> list[int]:
@@ -538,7 +547,6 @@ def simulate(
     samples_x: list[np.ndarray] = []   # columns i_l, v_pc, v_s_agg, v_m
     boundaries: list[int] = []
     n_samples = 0
-    global_step = 0
 
     for k, plan in enumerate(cycles):
         plan = tuple(plan)
@@ -548,15 +556,13 @@ def simulate(
         sys = phases[0].system
         on = plan[0][2].synapse_on
 
-        # gate-driver overhead: half a full charge per toggled control line
-        toggles = sum(a != b for a, b in zip(prev_on, on))
-        ledger.drive[k] += toggles * e_toggle
-
         # reassemble the state vector; top plates of a freshly enabled
         # branch set join at the current clock voltage (they were parked
         # at the trough when last disconnected)
         x0 = x
         if on != prev_on:
+            # gate-driver overhead: half a full charge per toggled control line
+            ledger.drive[k] += sum(a != b for a, b in zip(prev_on, on)) * e_toggle
             x0 = np.array([x[0], x[1], *[x[1]] * len(sys.groups), x[-1]])
         book_reconfig(ledger, k, prev_sys, x, sys, x0)
 
@@ -566,25 +572,21 @@ def simulate(
         boundaries.append(n_samples)
 
         if keep_samples:
-            t0 = k * t_pc
-            w = np.array([g.c for g in sys.groups])   # the gates hold all cycle
-            for (start, end, n_steps, _), xs in zip(phases, trajectories):
-                # sample on the global step counter so cycle boundaries stay
-                # stride-aligned even though segment sub-grids differ
-                dt = (end - start) * t_pc / n_steps
-                offs = (-global_step) % stride
-                sel = np.arange(offs, n_steps, stride)
-                if sel.size:
-                    rows = xs[sel]
-                    if sys.groups:
-                        agg = (rows[:, 2:-1] @ w) / w.sum()
-                        v_s_hold = float(agg[-1])
-                    else:
-                        agg = np.full(sel.size, v_s_hold)
-                    samples_t.append(t0 + start * t_pc + dt * sel)
-                    samples_x.append(np.column_stack([rows[:, 0], rows[:, 1], agg, rows[:, -1]]))
-                    n_samples += sel.size
-                global_step += n_steps
+            # a cycle has steps_per_cycle steps, which the stride divides:
+            # its samples are its first step and every stride-th one after;
+            # copies, so no view keeps the cycle's full step arrays alive
+            rows = np.vstack([xs[:-1] for xs in trajectories])[::stride]
+            if sys.groups:   # the gates hold all cycle
+                w = np.array([g.c for g in sys.groups])
+                agg = (rows[:, 2:-1] @ w) / w.sum()
+                v_s_hold = float(agg[-1])
+            else:
+                agg = np.full(len(rows), v_s_hold)
+            samples_t.append(np.concatenate([
+                k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
+                for start, end, n_steps, _ in phases])[::stride].copy())
+            samples_x.append(np.column_stack([rows[:, 0], rows[:, 1], agg, rows[:, -1]]))
+            n_samples += len(rows)
 
         x = trajectories[-1][-1]
         prev_on = on
@@ -592,7 +594,7 @@ def simulate(
 
     ledger.e_stored_last = prev_sys.stored_energy(x)
 
-    if keep_samples and samples_t:
+    if keep_samples:
         t_all = np.concatenate(samples_t)
         x_all = np.vstack(samples_x)
     else:

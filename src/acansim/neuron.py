@@ -93,14 +93,14 @@ class Decision:
         return self.outp == 1
 
 
-def dlcc_decide(v_m: float, dlcc: DlccConfig) -> Decision:
-    """Strict-threshold decision: fires iff V_m exceeds v_th - v_os.
+def dlcc_decide(v_m: float, dlcc: DlccConfig, v_os: float) -> Decision:
+    """Strict-threshold decision: fires iff V_m exceeds v_th - v_os, with
+    v_os the trim pair's offset (``dlcc_offset``).
 
     A tie does not fire.  The delay is the measured anchor for the trim
     pair plus a metastability term that grows as the overdrive shrinks
     below the anchor's reference overdrive.
     """
-    v_os = dlcc_offset(dlcc.m_l, dlcc.m_r)
     threshold = dlcc.v_th - v_os
     outp = 1 if v_m > threshold else 0
 
@@ -120,14 +120,13 @@ def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tu
     the code is all zero.  The membrane is sampled mid-cycle, at the
     clock crest.
     """
-    code = tuple(int(bool(x)) for x in code)
-    if len(code) != cfg.tree.n:
-        raise ValueError(f"code has {len(code)} bits, tree has {cfg.tree.n} synapses")
+    bits = tuple(bool(x) for x in code)
+    if len(bits) != cfg.tree.n:
+        raise ValueError(f"code has {len(bits)} bits, tree has {cfg.tree.n} synapses")
     duty = cfg.pc.duty_d
 
-    all_zero = not any(code)
+    all_zero = not any(bits)
     forced = cycle % cfg.sim.recal_every == 0
-    bits = tuple(bool(x) for x in code)
 
     # gates follow the input register for the whole cycle; toggles (and the
     # driver overhead) happen only when the code actually changes
@@ -194,27 +193,25 @@ class NeuronRun:
 
     def to_csv(self, path: str) -> None:
         led = self.ledger
-        s_e = led.s_e
-        with open(path, "w") as fh:
-            fh.write("cycle,code,V_m_peak,OutP,delay_ns,E_tree_pJ,E_soma_pJ\n")
-            for i, (code, dec, st) in enumerate(zip(self.codes, self.decisions, self.stats)):
-                bits = "".join(str(b) for b in code)
-                fh.write(
-                    f"{i},{bits},{st.v_m_peak!r},{dec.outp},"
-                    f"{dec.delay * 1e9!r},{float(s_e[i]) * 1e12!r},{float(led.soma[i]) * 1e12!r}\n"
-                )
+        engine.write_csv(
+            path, ("cycle", "code", "V_m_peak", "OutP", "delay_ns", "E_tree_pJ", "E_soma_pJ"),
+            ((i, "".join(map(str, code)), st.v_m_peak, dec.outp, dec.delay * 1e9,
+              s_e * 1e12, soma * 1e12)
+             for i, (code, dec, st, s_e, soma)
+             in enumerate(zip(self.codes, self.decisions, self.stats, led.s_e, led.soma))))
 
 
 def decided_run(codes: list[Code], stats: list[engine.CycleStats], ledger: engine.EnergyLedger,
-                warm_up: int, dlcc: DlccConfig, oracle: NeuronSpec, v_pk_ref: float,
-                trace: engine.Trace | None) -> NeuronRun:
+                warm_up: int, dlcc: DlccConfig, v_os: float, oracle: NeuronSpec,
+                v_pk_ref: float, trace: engine.Trace | None) -> NeuronRun:
     """Finish a run of either design: book the soma energy, decide every
     reported cycle from its membrane sample and score the codes with the
-    threshold-unit oracle."""
+    threshold-unit oracle.  v_os is the comparator offset the oracle was
+    built with."""
     ledger.soma[:] = dlcc.e_decision
     return NeuronRun(
         codes=codes,
-        decisions=[dlcc_decide(s.v_m_sample, dlcc) for s in stats],
+        decisions=[dlcc_decide(s.v_m_sample, dlcc, v_os) for s in stats],
         oracle_bits=[oracle.fires(c) for c in codes],
         stats=stats, ledger_full=ledger, warm_up=warm_up,
         trace=trace, v_pk_reference=v_pk_ref,
@@ -242,6 +239,7 @@ def run_neuron(
     trace, ledger = engine.simulate(cfg, plans, keep_samples=keep_trace)
     stats = trace.cycles[warm:]
     v_pk_ref = float(np.median([s.v_pk for s in stats]))
-    spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r))
-    return decided_run(codes, stats, ledger, warm, cfg.dlcc, spec, v_pk_ref,
+    v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
+    spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)
+    return decided_run(codes, stats, ledger, warm, cfg.dlcc, v_os, spec, v_pk_ref,
                        trace if keep_trace else None)

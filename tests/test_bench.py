@@ -1,6 +1,7 @@
 """Benchmark harness: window statistics, frequency search, parametric studies."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,9 +111,24 @@ def test_sweep_freq_duty_minimum_at_resonance():
 def test_sweep_freq_duty_loaded_case_shifts_minimum():
     surface = sweep_freq_duty(
         CircuitConfig(), [0.92e6, 0.962e6, 1.0e6], [0.05],
-        load_case="all-1", spec=_FAST)
+        spec=replace(_FAST, load_case="all-1"))
     f_min, _, _ = surface.argmin
     assert f_min == pytest.approx(0.962e6)
+
+
+def test_sweep_freq_duty_takes_the_load_case_from_the_spec():
+    def energy(load_case):
+        spec = replace(_FAST, load_case=load_case)
+        return float(sweep_freq_duty(CircuitConfig(), [1e6], [0.05], spec=spec).energy[0, 0])
+    # a loaded tree draws far more than an idle one at the same point
+    assert energy("all-1") > 10.0 * energy("all-0")
+
+
+def test_sweep_freq_duty_process_pool_matches_serial():
+    args = (CircuitConfig(), [0.96e6, 1.0e6], [0.05])
+    serial = sweep_freq_duty(*args, spec=_FAST, jobs=1)
+    pooled = sweep_freq_duty(*args, spec=_FAST, jobs=2)
+    assert np.array_equal(pooled.energy, serial.energy)
 
 
 def test_sweep_width_duty_surface(tmp_path):
@@ -152,6 +168,9 @@ def test_scaling_study_small_tree(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "C_E_pF,alpha,f_opt_Hz,S_E_pJ,N_E_pJ"
     assert len(lines) == 3
+    for line in lines[1:]:
+        for text in line.split(","):
+            float(text)   # every cell is a plain number, f_opt_Hz included
 
 
 def test_scaling_study_validates_grids():

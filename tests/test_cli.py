@@ -121,10 +121,25 @@ def test_run_artifacts_are_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_run_rejects_bad_codes(tmp_path, capsys):
-    rc = dispatch(["run", "--codes", "110", "--out", str(tmp_path / "x")])
+def _error_exit(argv, capsys) -> str:
+    rc = dispatch(argv)
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    return err
+
+
+def test_run_rejects_bad_codes(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    _error_exit(["run", "--codes", "110", "--out", out], capsys)
+    for repeats in ("0", "-1"):
+        err = _error_exit(["run", "--codes", "1100", "--repeats", repeats, "--out", out], capsys)
+        assert "--repeats" in err
+    # an output directory that cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _error_exit(["run", "--codes", "1100", "--out", str(blocker)], capsys)
 
 
 def test_run_refuses_giant_full_sweep(tmp_path, capsys):
@@ -173,7 +188,7 @@ def test_optimize_freq_subcommand(tmp_path):
     assert summary["alpha"] == 0.0
 
 
-def test_bench_section_feeds_sweeps(tmp_path):
+def test_bench_section_feeds_sweeps(tmp_path, capsys):
     doc = {"bench": {"cycles": 48, "skip": 8, "window": 20,
                      "f_grid": ["0.96MHz", "1MHz"], "d_grid": [0.05]}}
     path = tmp_path / "cfg.json"
@@ -187,3 +202,11 @@ def test_bench_section_feeds_sweeps(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["load_case"] == "all-0"
     assert summary["argmin"]["f_Hz"] == pytest.approx(1e6)
+    # a zero synapse count, from the section or from --n, is refused
+    # rather than replaced by a default
+    doc["bench"] |= {"n_synapses": 0, "c_e_grid": ["25pF"], "alpha_grid": [0.0]}
+    path.write_text(json.dumps(doc))
+    for argv in (["sweep-scaling"], ["sweep-scaling", "--n", "0"],
+                 ["compare", "--mode", "loading"], ["compare", "--mode", "loading", "--n", "0"]):
+        err = _error_exit(argv + ["--config", str(path), "--out", str(tmp_path / "n0")], capsys)
+        assert "n: must be >= 1" in err

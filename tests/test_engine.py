@@ -30,6 +30,7 @@ from acansim.engine import (
     build_phase_system,
     propagate,
     step_maps,
+    write_csv,
 )
 from acansim.neuron import input_sweeps, make_schedule
 
@@ -209,6 +210,12 @@ def test_trace_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,I_L,V_PC,V_s,V_m"
     assert len(lines) == trace.t.size + 1
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), ("a", "b", "c", "d"), [(np.float64(0.1), 1e-12 / 3, 7, "0110")])
+    assert path.read_text() == f"a,b,c,d\n0.1,{1e-12 / 3!r},7,0110\n"
 
 
 def test_lossless_ring_fit_recovers_resonance():

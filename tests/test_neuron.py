@@ -85,35 +85,39 @@ def test_dlcc_offset_balanced_diagonal_is_small():
         assert abs(dlcc_offset(ml, ml)) < 1e-3
 
 
+def _decide(v_m, dlcc):
+    return dlcc_decide(v_m, dlcc, dlcc_offset(dlcc.m_l, dlcc.m_r))
+
+
 def test_dlcc_decide_strict_threshold():
     dlcc = DlccConfig()  # 10k/10k trim: offset 0.3 mV
     threshold = 1.1 - 0.3e-3
-    assert dlcc_decide(threshold + 1e-6, dlcc).fired
-    assert not dlcc_decide(threshold - 1e-6, dlcc).fired
-    assert not dlcc_decide(threshold, dlcc).fired
+    assert _decide(threshold + 1e-6, dlcc).fired
+    assert not _decide(threshold - 1e-6, dlcc).fired
+    assert not _decide(threshold, dlcc).fired
     assert dlcc_offset(dlcc.m_l, dlcc.m_r) == pytest.approx(0.3e-3, abs=1e-12)
 
 
 def test_dlcc_decide_delay_anchors():
-    d = dlcc_decide(1.1 - 0.3e-3 + 0.1, DlccConfig())      # reference overdrive
+    d = _decide(1.1 - 0.3e-3 + 0.1, DlccConfig())      # reference overdrive
     assert d.delay == pytest.approx(147e-9, rel=1e-9)
     fast = DlccConfig(m_l=1e3, m_r=10e3)
     v_th_fast = 1.1 - 261.2e-3
-    d = dlcc_decide(v_th_fast + 0.1, fast)
+    d = _decide(v_th_fast + 0.1, fast)
     assert d.delay == pytest.approx(51e-9, rel=1e-9)
     sym = DlccConfig(m_l=1e3, m_r=1e3)
-    d = dlcc_decide(1.1 - 0.2e-3 + 0.1, sym)
+    d = _decide(1.1 - 0.2e-3 + 0.1, sym)
     assert d.delay == pytest.approx(87e-9, rel=1e-9)
 
 
 def test_dlcc_decide_metastability_growth():
     dlcc = DlccConfig()
     threshold = 1.1 - 0.3e-3
-    slow = dlcc_decide(threshold + 1e-3, dlcc)
+    slow = _decide(threshold + 1e-3, dlcc)
     expect = 147e-9 + 5e-9 * math.log(0.1 / 1e-3)
     assert slow.delay == pytest.approx(expect, rel=1e-9)
     # overdrive below the clamp saturates the delay
-    slower = dlcc_decide(threshold + 1e-5, dlcc)
+    slower = _decide(threshold + 1e-5, dlcc)
     assert slower.delay == pytest.approx(expect, rel=1e-9)
 
 
