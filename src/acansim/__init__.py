@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .model import (
     CircuitConfig,
     Corner,
-    DelayModel,
     DlccConfig,
     Environment,
     NeuronSpec,
@@ -79,7 +78,7 @@ from .bench import (
 
 __all__ = [
     "__version__",
-    "CircuitConfig", "Corner", "DelayModel", "DlccConfig", "Environment",
+    "CircuitConfig", "Corner", "DlccConfig", "Environment",
     "NeuronSpec", "PowerClockConfig", "SimConfig", "SynapseTreeConfig",
     "active_count", "bypass_resistance",
     "effective_pc_capacitance", "lc_series_resistance",

@@ -64,11 +64,11 @@ class BaselineConfig:
         check_ranges(self, "baseline")
 
     @classmethod
-    def from_circuit(cls, cfg: CircuitConfig, r_drv: float = 1e3) -> "BaselineConfig":
+    def from_circuit(cls, cfg: CircuitConfig) -> "BaselineConfig":
         """Matched baseline: same tree, decision stage and code rate."""
         return cls(
             tree=cfg.tree, dlcc=cfg.dlcc, env=cfg.env,
-            r_drv=r_drv, v_dd=cfg.dlcc.v_dd, f_clock=cfg.pc.f_nominal,
+            v_dd=cfg.dlcc.v_dd, f_clock=cfg.pc.f_nominal,
             steps_per_cycle=cfg.sim.steps_per_cycle,
         )
 
@@ -131,7 +131,7 @@ def build_baseline_system(
     tree = cfg.tree
     c_mb = tree.c_d + tree.c_par
     g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0
-    groups = tuple(BranchGroup(c_value=c, count=cnt, r=cfg.r_drv / cnt, c=cnt * c)
+    groups = tuple(BranchGroup(r=cfg.r_drv / cnt, c=cnt * c)
                    for _, _, c, cnt in levels)
     u = [n * cfg.v_dd for _, n, _, _ in levels]
 
@@ -223,7 +223,7 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
         x = trajectories[-1][-1]
         prev_sys = sys
         prev_code = code
-        stats.append(CycleStats(cycle=k, v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
+        stats.append(CycleStats(v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
 
     ledger.e_stored_last = prev_sys.stored_energy(x)
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)

@@ -22,6 +22,8 @@ from .model import (
     CircuitConfig,
     Corner,
     Environment,
+    SynapseTreeConfig,
+    active_count,
     check_ranges,
     predicted_optimal_frequency,
     sweep_lock_frequency,
@@ -72,12 +74,9 @@ def worst_window_mean(series: Sequence[float], skip: int, window: int) -> float:
     return best
 
 
-def _const_codes(n: int, alpha: float, cycles: int) -> list[Code]:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha: must lie in [0, 1], got {alpha}")
-    n_on = int(round(alpha * n))
-    code = tuple(1 if i < n_on else 0 for i in range(n))
-    return [code] * cycles
+def _const_codes(tree: SynapseTreeConfig, alpha: float, cycles: int) -> list[Code]:
+    n_on = active_count(tree, alpha)
+    return [tuple(1 if i < n_on else 0 for i in range(tree.n))] * cycles
 
 
 def _fill_codes(orders: list[list[Code]], cycles: int) -> list[Code]:
@@ -87,12 +86,11 @@ def _fill_codes(orders: list[list[Code]], cycles: int) -> list[Code]:
 
 
 def _load_codes(cfg: CircuitConfig, spec: SweepSpec) -> list[Code]:
-    n = cfg.tree.n
     if spec.load_case == "all-0":
-        return _const_codes(n, 0.0, spec.cycles)
+        return _const_codes(cfg.tree, 0.0, spec.cycles)
     if spec.load_case == "all-1":
-        return _const_codes(n, 1.0, spec.cycles)
-    return _fill_codes(input_sweeps(n, seed=spec.seed), spec.cycles)
+        return _const_codes(cfg.tree, 1.0, spec.cycles)
+    return _fill_codes(input_sweeps(cfg.tree.n, seed=spec.seed), spec.cycles)
 
 
 def _energy_point(args) -> float:
@@ -121,7 +119,7 @@ def _corner_point(args):
     k0 = len(codes) - block
     return (
         float(run.ledger.s_e[k0:].mean()),
-        float(run.ledger.n_e[k0:].mean()),
+        float(run.ledger.soma[k0:].mean()),
         run.output_bits[k0:],
         run.output_bits[k0:] == run.oracle_string[k0:],
     )
@@ -250,9 +248,10 @@ def optimize_frequency(
     cfg: CircuitConfig,
     alpha: float,
     spec: SweepSpec | None = None,
-    tune: bool = True,
 ) -> FrequencyOpt:
-    """Minimum of worst-window tree energy over drive frequency at fixed loading.
+    """Minimum of worst-window tree energy over drive frequency at fixed
+    loading, with the inductor tuned to put the all-off resonance at the
+    config's nominal frequency.
 
     Evaluates a 13-point coarse grid spanning +/-60% of the predicted
     optimum, then refines by golden section to 1e-3 relative width.
@@ -265,12 +264,9 @@ def optimize_frequency(
     the window at low frequencies and overdrive the tank, burying the
     loading effect under top-up loss.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha: must be in [0, 1], got {alpha}")
     spec = spec or SweepSpec()
-    if tune:
-        cfg = tune_inductor(cfg)
-    codes = _const_codes(cfg.tree.n, alpha, spec.cycles)
+    cfg = tune_inductor(cfg)
+    codes = _const_codes(cfg.tree, alpha, spec.cycles)
     t_on = cfg.pc.t_on
 
     def obj(f: float) -> float:
@@ -302,7 +298,7 @@ def optimize_frequency(
     signs = [s for s in signs if s != 0]
     descents = sum(1 for a, b in zip(signs, signs[1:]) if a > 0 and b < 0)
     if descents > 0 or k in (0, len(grid) - 1):
-        return FrequencyOpt(grid[k], e_grid[k], False)
+        return FrequencyOpt(float(grid[k]), float(e_grid[k]), False)
 
     a, b = grid[k - 1], grid[k + 1]
     c = b - _INVPHI * (b - a)
@@ -383,8 +379,7 @@ class ScalingTable:
 
 def _scaling_row(args) -> ScalingRow:
     cfg, n, c_e, alpha, spec = args
-    cfg_row = tune_inductor(scaled_tree(cfg, n, c_e))
-    opt = optimize_frequency(cfg_row, alpha, spec=spec, tune=False)
+    opt = optimize_frequency(scaled_tree(cfg, n, c_e), alpha, spec=spec)
     return ScalingRow(c_e=c_e, alpha=alpha, f_opt=opt.frequency,
                       s_e=opt.energy, n_e=cfg.dlcc.e_decision, unimodal=opt.unimodal)
 
@@ -563,12 +558,11 @@ def compare_designs(
     if mode != "loading":
         raise ValueError(f"mode: must be 'sweep' or 'loading', got {mode!r}")
 
-    n = cfg.tree.n
     rows = []
     for alpha in (0.0, 1.0):
         opt = optimize_frequency(cfg, alpha, spec=spec)
-        code = _const_codes(n, alpha, 1)[0]
-        zero = tuple(0 for _ in range(n))
+        code = _const_codes(cfg.tree, alpha, 1)[0]
+        zero = (0,) * cfg.tree.n
         b_cfg = BaselineConfig.from_circuit(cfg)
         run_b = run_baseline(b_cfg, [code, zero] * max(spec.repeats, 2))
         rows.append({

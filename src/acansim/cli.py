@@ -273,7 +273,7 @@ def _cmd_run(args, cfg: CircuitConfig, spec: bench.SweepSpec, grids: dict):
         "oracle_match": run.output_bits == run.oracle_string,
         "mean_tree_energy_J": float(run.ledger.s_e.mean()),
         "worst_tree_energy_J": float(run.ledger.s_e.max()),
-        "soma_energy_J": float(run.ledger.n_e.mean()),
+        "soma_energy_J": float(run.ledger.soma.mean()),
         "v_pk_V": run.v_pk_reference,
     }
     files: dict[str, object] = {"neuron_run.csv": run}

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import (
     CircuitConfig,
@@ -61,10 +60,8 @@ class BranchGroup:
     """Branches sharing one weight value, lumped into a single series RC
     leg onto the membrane."""
 
-    c_value: float   # weight capacitance of one branch
-    count: int
     r: float         # lumped resistance, per-branch resistance / count
-    c: float         # lumped capacitance, count * c_value
+    c: float         # lumped capacitance, count * per-branch capacitance
 
 
 class Store(NamedTuple):
@@ -165,7 +162,7 @@ def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
     groups = []
     for c_val in sorted({tree.c_s[i] for i in active}):
         count = sum(1 for i in active if tree.c_s[i] == c_val)
-        groups.append(BranchGroup(c_value=c_val, count=count, r=r_tg / count, c=count * c_val))
+        groups.append(BranchGroup(r=r_tg / count, c=count * c_val))
     groups = tuple(groups)
 
     c_pc = pc.c_e + n_off * (tree.c_pl_off + tree.c_sh) + n_on * tree.c_pl_on
@@ -272,7 +269,6 @@ SAMPLE_FRAC = 0.5
 class CycleStats:
     """Per-cycle observables; the energies of a cycle are in the ledger."""
 
-    cycle: int
     v_pk: float          # clock-node peak
     v_m_peak: float      # membrane peak
     v_m_sample: float    # membrane at the decision sampling instant
@@ -315,11 +311,6 @@ class EnergyLedger:
     def s_e(self) -> np.ndarray:
         """Synaptic-subsystem energy per cycle, clock generator included."""
         return self.r_pc + self.r_lc + self.r_tg + self.r_reset + self.drive
-
-    @property
-    def n_e(self) -> np.ndarray:
-        """Soma (decision) energy per cycle."""
-        return self.soma
 
     @property
     def dissipated_total(self) -> float:
@@ -390,7 +381,6 @@ class Trace:
     v_pc: np.ndarray
     v_s: np.ndarray
     v_m: np.ndarray
-    cycle_boundaries: np.ndarray   # sample index of each cycle start
     cycles: list[CycleStats] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
@@ -545,8 +535,6 @@ def simulate(
 
     samples_t: list[np.ndarray] = []
     samples_x: list[np.ndarray] = []   # columns i_l, v_pc, v_s_agg, v_m
-    boundaries: list[int] = []
-    n_samples = 0
 
     for k, plan in enumerate(cycles):
         plan = tuple(plan)
@@ -568,8 +556,7 @@ def simulate(
 
         trajectories, v_m_peak, v_m_sample = run_cycle(ledger, k, phases, x0, t_pc, v_limit)
         v_pk = max(float(xs[:, 1].max()) for xs in trajectories)
-        stats.append(CycleStats(cycle=k, v_pk=v_pk, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
-        boundaries.append(n_samples)
+        stats.append(CycleStats(v_pk=v_pk, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
 
         if keep_samples:
             # a cycle has steps_per_cycle steps, which the stride divides:
@@ -586,7 +573,6 @@ def simulate(
                 k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
                 for start, end, n_steps, _ in phases])[::stride].copy())
             samples_x.append(np.column_stack([rows[:, 0], rows[:, 1], agg, rows[:, -1]]))
-            n_samples += len(rows)
 
         x = trajectories[-1][-1]
         prev_on = on
@@ -607,7 +593,6 @@ def simulate(
         v_pc=x_all[:, 1],
         v_s=x_all[:, 2],
         v_m=x_all[:, 3],
-        cycle_boundaries=np.array(boundaries, dtype=int),
         cycles=stats,
     )
     return trace, ledger
@@ -635,6 +620,8 @@ def fit_decay(t: np.ndarray, v: np.ndarray) -> DecayFit:
     Needs at least three visible oscillation periods; raises FitError for
     segments that do not look oscillatory.
     """
+    from scipy.optimize import least_squares   # deferred: most of acansim's import time
+
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     if t.size != v.size or t.size < 16:

@@ -167,34 +167,6 @@ class SynapseTreeConfig:
 
 
 @dataclass(frozen=True)
-class DelayModel:
-    """Decision-delay model for the comparator.
-
-    Anchors are measured (M_L, M_R, delay) triples taken at the reference
-    overdrive; below that overdrive the delay grows logarithmically with a
-    metastability slope, and the overdrive is clamped at min_overdrive.
-    """
-
-    anchors: tuple[tuple[float, float, float], ...] = (
-        (10e3, 10e3, 147e-9),
-        (1e3, 10e3, 51e-9),
-        (1e3, 1e3, 87e-9),
-    )
-    metastability_slope: float = within("[0, inf)", 5e-9)   # seconds per natural-log unit
-    min_overdrive: float = within("(0, inf)", 1e-3)         # V, clamp on |V_m - threshold|
-    reference_overdrive: float = within("(0, inf)", 0.1)    # V, overdrive at which anchors hold
-
-    def __post_init__(self) -> None:
-        _require(len(self.anchors) >= 1, "delay.anchors: need at least one anchor")
-        check_ranges(self, "delay")
-
-    def base_delay(self, m_l: float, m_r: float) -> float:
-        """Nearest-anchor base delay for a resistance pair."""
-        best = min(self.anchors, key=lambda a: (a[0] - m_l) ** 2 + (a[1] - m_r) ** 2)
-        return best[2]
-
-
-@dataclass(frozen=True)
 class DlccConfig:
     """Behavioral comparator (dynamic latch with resistive offset trim)."""
 
@@ -203,7 +175,6 @@ class DlccConfig:
     v_th: float = within("(-inf, inf)", 1.1)        # nominal decision threshold, V
     v_dd: float = within("(0, inf)", 1.8)           # logic supply, V
     e_decision: float = within("[0, inf)", 4.49e-12)  # fixed energy per clocked decision, J
-    delay: DelayModel = field(default_factory=DelayModel)
 
     def __post_init__(self) -> None:
         check_ranges(self, "dlcc")
@@ -312,13 +283,10 @@ def predicted_optimal_frequency(cfg: CircuitConfig, alpha: float) -> float:
     return cfg.pc.f_nominal * math.sqrt(c0 / ca)
 
 
-def tune_inductor(cfg: CircuitConfig, f_target: float | None = None, alpha: float = 0.0) -> CircuitConfig:
-    """Return a config whose inductor resonates at f_target for the given
-    loading (default: all-off resonance at f_nominal)."""
-    f = cfg.pc.f_nominal if f_target is None else f_target
-    _require(f > 0, f"f_target: must be > 0, got {f}")
-    c = effective_pc_capacitance(cfg.tree, cfg.pc, alpha)
-    l = 1.0 / ((2.0 * math.pi * f) ** 2 * c)
+def tune_inductor(cfg: CircuitConfig) -> CircuitConfig:
+    """Return a config whose inductor puts the all-off resonance at f_nominal."""
+    c = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
+    l = 1.0 / ((2.0 * math.pi * cfg.pc.f_nominal) ** 2 * c)
     return replace(cfg, pc=replace(cfg.pc, l_pc=l))
 
 
@@ -360,10 +328,10 @@ def topup_energy_analytic(c_pc: float, v_x: float, t_on: float, r_pc: float) -> 
     return 0.5 * c_pc * v_x ** 2 * (1.0 - math.exp(-2.0 * t_on / (r_pc * c_pc)))
 
 
-def bypass_resistance(w_n: float, env: Environment, k_n: float = K_N_OHM_UM) -> float:
+def bypass_resistance(w_n: float, env: Environment) -> float:
     """On-resistance of the bypass nMOS at the given width and environment."""
     _require(w_n > 0, f"w_n: must be > 0, got {w_n}")
-    r = k_n / (w_n * 1e6)  # k_n is Ohm*um, w_n is m
+    r = K_N_OHM_UM / (w_n * 1e6)  # K_N_OHM_UM is Ohm*um, w_n is m
     return r * _NMOS_MULT[env.corner] * _thermal_factor(env.temperature_c)
 
 

@@ -35,6 +35,19 @@ _OFFSET_V = np.array([
     [-674.8, -397.6, -190.6, -77.2, 0.3],
 ]) * 1e-3
 
+# Measured decision delay (M_L, M_R, delay in s) at the reference
+# overdrive; below it the delay grows by the metastability slope per
+# natural-log unit of overdrive, which is clamped at the minimum.
+_DELAY_ANCHORS = ((10e3, 10e3, 147e-9), (1e3, 10e3, 51e-9), (1e3, 1e3, 87e-9))
+_METASTABILITY_SLOPE = 5e-9     # s per natural-log unit
+_MIN_OVERDRIVE = 1e-3           # V, clamp on |V_m - threshold|
+_REFERENCE_OVERDRIVE = 0.1      # V, overdrive at which the anchors hold
+
+
+def base_delay(m_l: float, m_r: float) -> float:
+    """Measured delay of the anchor nearest to a trim-resistance pair."""
+    return min(_DELAY_ANCHORS, key=lambda a: (a[0] - m_l) ** 2 + (a[1] - m_r) ** 2)[2]
+
 
 def dlcc_offset(m_l: float, m_r: float) -> float:
     """Comparator offset voltage for a trim-resistance pair.
@@ -104,10 +117,9 @@ def dlcc_decide(v_m: float, dlcc: DlccConfig, v_os: float) -> Decision:
     threshold = dlcc.v_th - v_os
     outp = 1 if v_m > threshold else 0
 
-    dm = dlcc.delay
-    overdrive = max(abs(v_m - threshold), dm.min_overdrive)
-    base = dm.base_delay(dlcc.m_l, dlcc.m_r)
-    delay = base + dm.metastability_slope * max(0.0, math.log(dm.reference_overdrive / overdrive))
+    overdrive = max(abs(v_m - threshold), _MIN_OVERDRIVE)
+    base = base_delay(dlcc.m_l, dlcc.m_r)
+    delay = base + _METASTABILITY_SLOPE * max(0.0, math.log(_REFERENCE_OVERDRIVE / overdrive))
     return Decision(outp=outp, delay=delay)
 
 

@@ -20,11 +20,11 @@ from acansim.neuron import input_sweeps
 
 def test_baseline_config_from_circuit():
     cfg = CircuitConfig()
-    b = BaselineConfig.from_circuit(cfg, r_drv=2e3)
+    b = BaselineConfig.from_circuit(cfg)
     assert b.tree is cfg.tree
     assert b.v_dd == cfg.dlcc.v_dd
     assert b.f_clock == cfg.pc.f_nominal
-    assert b.r_drv == 2e3
+    assert b.r_drv == 1e3
     with pytest.raises(ValueError):
         BaselineConfig(r_drv=0.0)
     with pytest.raises(ValueError):

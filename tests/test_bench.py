@@ -87,6 +87,15 @@ def test_optimize_frequency_loading_drags_the_optimum_down():
     assert o1.energy > o0.energy
 
 
+def test_optimize_frequency_returns_floats_off_the_golden_section_path():
+    # a short stream at full loading is not unimodal on the coarse grid,
+    # so the search returns a coarse grid point
+    opt = optimize_frequency(CircuitConfig(), 1.0, spec=_FAST)
+    assert opt.unimodal is False
+    assert type(opt.frequency) is float
+    assert type(opt.energy) is float
+
+
 def test_scaled_tree_shapes():
     cfg = scaled_tree(CircuitConfig(), 16, c_e=100e-12)
     assert cfg.tree.n == 16

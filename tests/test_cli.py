@@ -188,6 +188,17 @@ def test_optimize_freq_subcommand(tmp_path):
     assert summary["alpha"] == 0.0
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "nan", "-0.5"])
+def test_optimize_freq_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    out = tmp_path / "out"
+    rc = dispatch(["optimize-freq", f"--alpha={alpha}", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha: must lie in [0, 1], got ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bench_section_feeds_sweeps(tmp_path, capsys):
     doc = {"bench": {"cycles": 48, "skip": 8, "window": 20,
                      "f_grid": ["0.96MHz", "1MHz"], "d_grid": [0.05]}}

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from acansim import (
     BaselineConfig,
-    DelayModel,
     DlccConfig,
     Environment,
     PowerClockConfig,
@@ -27,14 +26,13 @@ _SECTIONS = {
     Environment: "env",
     PowerClockConfig: "pc",
     SynapseTreeConfig: "tree",
-    DelayModel: "delay",
     DlccConfig: "dlcc",
     SimConfig: "sim",
     BaselineConfig: "baseline",
     SweepSpec: "bench",
 }
 # numeric fields whose rules are structural and stay hand-written
-_UNRANGED = {"seed", "c_s", "c_d", "anchors"}
+_UNRANGED = {"seed", "c_s", "c_d"}
 
 
 def _ranged():

@@ -7,7 +7,6 @@ import pytest
 from acansim import (
     CircuitConfig,
     Corner,
-    DelayModel,
     Environment,
     NeuronSpec,
     PowerClockConfig,
@@ -93,12 +92,6 @@ def test_tune_inductor_hits_nominal_resonance():
     c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
     assert resonant_frequency(cfg.pc.l_pc, c0) == pytest.approx(1e6, rel=1e-12)
     assert cfg.pc.l_pc == pytest.approx(1.0126447553603759e-3, rel=1e-9)
-
-
-def test_tune_inductor_loaded_target():
-    cfg = tune_inductor(CircuitConfig(), f_target=0.5e6, alpha=1.0)
-    c1 = effective_pc_capacitance(cfg.tree, cfg.pc, 1.0)
-    assert resonant_frequency(cfg.pc.l_pc, c1) == pytest.approx(0.5e6, rel=1e-12)
 
 
 def test_lc_series_resistance_constant_q():
@@ -276,9 +269,3 @@ def test_circuit_config_rejects_rest_above_supply():
         CircuitConfig(tree=tree)
     assert replace(SynapseTreeConfig(), v_ref=0.9).v_ref == 0.9
 
-
-def test_delay_model_nearest_anchor():
-    dm = DelayModel()
-    assert dm.base_delay(10e3, 10e3) == pytest.approx(147e-9)
-    assert dm.base_delay(1e3, 1e3) == pytest.approx(87e-9)
-    assert dm.base_delay(2e3, 9e3) == pytest.approx(51e-9)
