@@ -7,8 +7,8 @@ switch as the adiabatic design, which makes per-component comparisons
 meaningful.
 
 The design is a phase-system builder plus a cycle schedule on the
-engine's per-cycle kernel (``run_cycle``): the same propagation,
-divergence guard, element-driven accounting and decision sample as the
+engine's kernel (``run_cycles``): the same phase operators, divergence
+guard, element-driven accounting, peak search and decision sample as the
 adiabatic design.  The drive-resistor loss is booked
 in the tree-resistor slot and the clock-generator slot stays zero (there
 is no power clock here); the rail energy is a source term on every leg
@@ -31,9 +31,8 @@ from .engine import (
     PhaseSystem,
     Source,
     Store,
-    book_reconfig,
     reset_terms,
-    run_cycle,
+    run_cycles,
 )
 from .model import (
     CircuitConfig,
@@ -181,6 +180,17 @@ def _cycle_plan(system: PhaseSystem, t_cycle: float, spc: int) -> list[Phase]:
     return [Phase(0.0, split, n_fine, system), Phase(split, 1.0, spc - n_fine, system)]
 
 
+def _plate_entry(levels: Sequence[tuple[int, int, float, int]], dim_from: int,
+                 v_dd: float) -> np.ndarray:
+    """Augmented entry map of a cycle: each plate starts at the rail its
+    driver held last cycle; the membrane carries over."""
+    entry = np.zeros((len(levels) + 2, dim_from + 1))
+    entry[:len(levels), dim_from] = [p * v_dd for p, _, _, _ in levels]
+    entry[len(levels), dim_from - 1] = 1.0
+    entry[-1, dim_from] = 1.0
+    return entry
+
+
 def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronRun:
     """Level-driven transient: one code per cycle, switching only the bits
     that change between consecutive codes.  The membrane resets to V_REF
@@ -199,11 +209,10 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
     v_limit = 50.0 * cfg.v_dd   # numerical-blowup guard, as in the adiabatic design
 
     ledger = EnergyLedger.zeros(n_cycles)
-    stats: list[CycleStats] = []
     plans: dict[tuple, list[Phase]] = {}
+    steps: list[tuple[np.ndarray, list[Phase]]] = []
     prev_code: Code = tuple(0 for _ in range(tree.n))
-    prev_sys: PhaseSystem | None = None
-    x = np.array([tree.v_ref])
+    dim = 1   # the run starts from the membrane alone, at V_REF
 
     for k, code in enumerate(codes):
         levels = _levels(tree, prev_code, code)
@@ -212,20 +221,14 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
         if phases is None:
             sys = build_baseline_system(cfg, levels, reset_on=key[1])
             phases = plans[key] = _cycle_plan(sys, t_cycle, cfg.steps_per_cycle)
-        sys = phases[0].system
-
-        # plates start the cycle at the rail they were driven to last cycle
-        x0 = np.array([*(p * cfg.v_dd for p, _, _, _ in levels), x[-1]])
-        book_reconfig(ledger, k, prev_sys, x, sys, x0)
+        steps.append((_plate_entry(levels, dim, cfg.v_dd), phases))
         ledger.drive[k] += e_toggle * sum(p != n for p, n in zip(prev_code, code))
-
-        trajectories, v_m_peak, v_m_sample = run_cycle(ledger, k, phases, x0, t_cycle, v_limit)
-        x = trajectories[-1][-1]
-        prev_sys = sys
+        dim = len(levels) + 1
         prev_code = code
-        stats.append(CycleStats(v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
 
-    ledger.e_stored_last = prev_sys.stored_energy(x)
+    peaks, samples, _ = run_cycles(ledger, steps, np.array([tree.v_ref]), t_cycle, v_limit, (-1,))
+    stats = [CycleStats(v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample)
+             for v_m_peak, v_m_sample in zip(peaks[:, 0].tolist(), samples.tolist())]
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = baseline_oracle_spec(cfg, v_os=v_os)
     return decided_run(codes, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)

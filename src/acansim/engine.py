@@ -2,14 +2,22 @@
 
 Within one switch phase the circuit is linear time invariant, so a cycle
 is integrated as a handful of constant (A, b) systems advanced with the
-implicit trapezoidal rule.  The step map is affine; whole segments are
-propagated with a doubling scheme (log2(n) small matrix products instead
-of n Python-level steps), which keeps multi-thousand-cycle protocol runs
-cheap without changing the arithmetic of the method.
+implicit trapezoidal rule.  The step map is affine, so every state of a
+phase is affine in the phase's start state, and every quantity a run
+keeps is a closed form in it: a *phase operator*, built once per distinct
+(phase system, step size, step count), holds those forms.
 
 A phase system carries its elements as data (storage, loss and source
-terms), so one function books every design's ledger: source power and
-every resistor's loss by trapezoidal quadrature on the step grid.  The
+terms), from which the operator compiles each ledger account: a source
+account is linear in the start state, a loss account a sum of squares
+(trapezoidal quadrature on the step grid, summed in closed form by
+doubling).  A run takes two passes (``run_cycles``).  Pass 1 carries each
+cycle's start state through the phases' end maps, with a divergence guard
+that bounds every state of a phase at once and visits the states only when
+the bound reaches the limit.  Pass 2 evaluates, per phase and for all
+cycles that ran it together, the accounts, the exact per-cycle peaks
+(block-start values plus per-block deviation bounds pick the few blocks
+to search step by step), the decision sample and the trace samples.  The
 stored-energy jumps caused by switch reconfiguration (node capacitances
 change when gates open or close) are booked as well, and the
 conservation residual is exposed as an audit.
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -91,13 +100,14 @@ class Source(NamedTuple):
     u: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseSystem:
     """Constant-coefficient system dx/dt = A x + b for one switch phase,
     with its elements as data: the storage terms give the stored energy of
-    a state, the loss and source terms give a segment's energy accounts
-    (``book_segment``).  ``groups`` are the lumped branch legs, in the order
-    of their top-plate states.
+    a state, the loss and source terms give a phase's energy accounts
+    (``PhaseOperator``).  ``groups`` are the lumped branch legs, in the
+    order of their top-plate states.  Systems compare and hash by identity,
+    so a run's phases can key its operators.
     """
 
     a: np.ndarray
@@ -120,12 +130,12 @@ class PhaseSystem:
             m = self._maps[dt] = step_maps(self.a, self.b, dt)
         return m
 
-    def stored_energy(self, x: np.ndarray) -> float:
-        v = x.tolist()
+    def stored_energy(self, x: np.ndarray) -> np.ndarray:
+        """Stored energy of a state, or of each row of a stack of states."""
         e = 0.0
         for k, i, j in self.stores:
-            d = v[i] if j is None else v[i] - v[j]
-            e += 0.5 * k * d ** 2
+            d = x[..., i] if j is None else x[..., i] - x[..., j]
+            e = e + 0.5 * k * d ** 2
         return e
 
 
@@ -230,34 +240,187 @@ def step_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
     return e, f
 
 
-def propagate(e: np.ndarray, f: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """All n+1 states of the affine recurrence x_{k+1} = E x_k + f.
+# Steps per block of a phase operator: step k = bB + m of a phase is
+# G^m G^(bB) z, from a table of B powers and one power per block.
+_BLOCK = 32
+# Cycles per pass-2 chunk of the peak search and the sampled states.
+_CHUNK = 16
 
-    Uses map doubling: the s-step map is squared repeatedly and applied to
-    the already-known prefix, so the whole segment costs O(log n) small
-    matrix products.
-    """
-    dim = x0.size
-    xs = np.empty((n + 1, dim))
-    xs[0] = x0
+
+def _powers(base: np.ndarray, count: int) -> np.ndarray:
+    """base^0 .. base^(count-1), stacked: one batched product per doubling."""
+    out = np.empty((count, *base.shape))
+    out[0] = np.eye(base.shape[0])
     s = 1
-    e_s = e
-    f_s = f
-    while s < n + 1:
-        take = min(s, n + 1 - s)
-        xs[s:s + take] = xs[:take] @ e_s.T + f_s
+    while s < count:
+        take = min(s, count - s)
+        out[s:s + take] = out[:take] @ base
         s += take
-        if s < n + 1:
-            f_s = e_s @ f_s + f_s
-            e_s = e_s @ e_s
-    return xs
+        if s < count:
+            base = base @ base
+    return out
 
 
-def _trapz(y: np.ndarray, dt: float) -> float:
-    """Trapezoidal quadrature on a uniformly spaced sample column."""
-    if y.size < 2:
-        return 0.0
-    return float(dt * (0.5 * (y[0] + y[-1]) + y[1:-1].sum()))
+def _stein_sums(g: np.ndarray, forms: np.ndarray, rows: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k<n} (G^k)^T Q G^k for every form Q and sum_{k<n} s G^k for
+    every row s, by doubling over the bits of n: O(log n) products and no
+    n-sized arrays (the trapezoid analogue of Van Loan's block-exponential
+    integrals, in the manner of squared Smith iteration)."""
+    w = np.zeros_like(forms)
+    s = np.zeros_like(rows)
+    p = np.eye(g.shape[0])   # G^(terms summed so far)
+    for bit in bin(n)[2:]:
+        w = w + p.T @ w @ p
+        s = s + s @ p
+        p = p @ p
+        if bit == "1":   # one more step in front
+            w = forms + g.T @ w @ g
+            s = rows + s @ g
+            p = p @ g
+    return w, s
+
+
+class PhaseOperator:
+    """Closed form of ``n`` trapezoidal steps of size ``dt`` of one phase
+    system.
+
+    Every state of the phase is affine in its start state.  In augmented
+    coordinates shifted to a reference start state x_ref, z = [x0 - x_ref; 1]
+    and step k is x_k = x_ref + (G^k z)[:d], with G the shifted augmented
+    step map.  Every source account of the phase is then linear in z and
+    every loss account a quadratic form, a sum of squares of a factor.  G^k
+    is evaluated as G^m G^(bB) for k = bB + m, from the block table G^m
+    (m < B) and the block-start powers G^(bB); the n states are never
+    stored.
+
+    The operator also holds the end map, the divergence guard's bound and,
+    for the ``peak_rows``, per-block bounds on how far a row moves within
+    a block, which make the peak search exact without visiting every step.
+    """
+
+    def __init__(self, system: PhaseSystem, dt: float, n: int, x_ref: np.ndarray,
+                 peak_rows: tuple[int, ...], v_limit: float) -> None:
+        d = system.dim
+        e, f = system.maps(dt)
+        g = np.zeros((d + 1, d + 1))
+        g[:d, :d] = e
+        # one step's drift from x_ref; E - I is exact where E is near I, so
+        # the drift carries no rounding of |x_ref| into every step
+        g[:d, d] = (e - np.eye(d)) @ x_ref + f
+        g[d, d] = 1.0
+        self.system, self.dt, self.n, self.dim = system, dt, n, d
+        self.peak_rows = tuple(r % d for r in peak_rows)
+        self.v_limit = v_limit
+        self.ref = np.append(x_ref, 0.0)   # z = [x; 1] - ref
+        self._g = g
+        self.table = _powers(g, _BLOCK)
+        self.blocks = _powers(self.table[_BLOCK // 2] @ self.table[_BLOCK // 2], n // _BLOCK + 1)
+        # [x_end; 1] = end @ z
+        self.end = self.table[n % _BLOCK] @ self.blocks[-1]
+        self.end[:d, d] += x_ref
+        # |x_k - x_ref| <= guard @ |z| for every step k <= n
+        self._guard = np.abs(self.table[:, :d]).max(0) @ np.abs(self.blocks).max(0)
+        self._room = v_limit - np.abs(x_ref)
+
+    def guard(self, z: np.ndarray, k: int) -> None:
+        """Divergence guard of the phase from shifted start z in cycle k:
+        the bound first, every state only when the bound reaches the limit
+        (or is NaN)."""
+        if (self._guard @ np.abs(z) < self._room).all():
+            return
+        peak = float(np.abs(self.states(z[None], np.arange(self.n + 1))).max())
+        if not peak < self.v_limit:   # NaN trips it too
+            raise SimulationError(
+                f"state diverged in cycle {k}: |x| reached {peak:.3g}, limit {self.v_limit:.3g}")
+
+    def row(self, r: int, k: int) -> np.ndarray:
+        """Row r of G^k: state r at step k is row(r, k) @ z + x_ref[r]."""
+        return self.table[k % _BLOCK, r] @ self.blocks[k // _BLOCK]
+
+    def states(self, zs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """States at the given steps from each shifted start state in zs,
+        shape (len(zs), len(steps), d)."""
+        blk, m = np.divmod(steps, _BLOCK)
+        at_blocks = zs @ np.swapaxes(self.blocks, 1, 2)   # (blocks, starts, d + 1)
+        xs = at_blocks[blk] @ np.swapaxes(self.table[m, :self.dim], 1, 2)
+        return np.swapaxes(xs, 0, 1) + self.ref[:self.dim]
+
+    def peak(self, zs: np.ndarray, i: int) -> np.ndarray:
+        """Maximum of state ``peak_rows[i]`` over every step of the phase, for
+        each shifted start state in zs.
+
+        The block-start values give a lower bound on the maximum; only the
+        blocks whose start value plus deviation bound reaches it are
+        evaluated step by step."""
+        r = self.peak_rows[i]
+        coarse = zs @ self.blocks[:, r].T
+        best = coarse.max(1)
+        ci, bi = np.nonzero(coarse + np.abs(zs) @ self._deviation[i].T >= best[:, None])
+        vals = (self.blocks[bi] @ zs[ci, :, None])[:, :, 0] @ self.table[:, r].T
+        vals[bi == self.blocks.shape[0] - 1, self.n % _BLOCK + 1:] = -np.inf   # past the end
+        top = np.maximum.reduceat(vals.max(1), np.searchsorted(ci, np.arange(len(zs))))
+        return np.maximum(best, top) + self.ref[r]
+
+    @cached_property
+    def _deviation(self) -> list[np.ndarray]:
+        """Per peak row, (blocks, d + 1): max over the block's steps m of
+        |(G^m - I)[r] G^(bB)|, so the row moves at most that @ |z| from its
+        block-start value."""
+        n_blocks, d1 = self.blocks.shape[:2]
+        by_column = self.blocks.transpose(1, 0, 2).reshape(d1, -1)   # [G^(bB) for b] side by side
+        out = []
+        for r in self.peak_rows:
+            step = self.table[:, r].copy()
+            step[:, r] -= 1.0
+            dev = np.abs(step @ by_column)                # (B, blocks * (d + 1))
+            dev[self.n % _BLOCK + 1:, -d1:] = 0.0         # past the end, in the last block
+            out.append(dev.max(0).reshape(n_blocks, d1))
+        return out
+
+    @cached_property
+    def _accounts(self) -> tuple[list[tuple[str, np.ndarray]], list[tuple[str, np.ndarray]]]:
+        """Loss accounts as factors F (loss = |F z|^2) and source accounts
+        as rows s (energy = s @ z), each a trapezoid sum over the phase."""
+        d, g, x = self.dim, self._g, self.ref
+        losses = list(dict.fromkeys(t.account for t in self.system.losses))
+        forms = np.zeros((len(losses), d + 1, d + 1))
+        for account, gain, i, j, u in self.system.losses:
+            c = np.zeros(d + 1)
+            c[i] = 1.0
+            c[d] = x[i] + u
+            if j is not None:
+                c[j] = -1.0
+                c[d] = x[i] - x[j] + u
+            forms[losses.index(account)] += gain * np.outer(c, c)
+        sources = list(dict.fromkeys(t.account for t in self.system.sources))
+        rows = np.zeros((len(sources), d + 1))
+        for account, p, i, u in self.system.sources:
+            rows[sources.index(account), i] += p
+            rows[sources.index(account), d] += p * (x[i] + u)
+        # trapezoid rule: step k contributes the mean of its two end points
+        w, s = _stein_sums(g, 0.5 * (forms + g.T @ forms @ g), 0.5 * (rows + rows @ g), self.n)
+        # sum-of-squares factors, so every loss is non-negative: eigenvectors
+        # of each form's correlation matrix (diagonal scaled to one, which
+        # keeps the eigensolver's error relative to each coordinate's own
+        # scale); correlations past +-1 and negative diagonals are round-off
+        # of a zero and are clipped
+        scale = np.sqrt(np.clip(np.einsum("aii->ai", w), 0.0, None))
+        outer = scale[:, :, None] * scale[:, None, :]
+        corr = np.clip(np.divide(w, outer, out=np.zeros_like(w), where=outer > 0.0), -1.0, 1.0)
+        lam, vec = np.linalg.eigh(corr)
+        factors = (np.sqrt(self.dt * np.clip(lam, 0.0, None))[:, :, None]
+                   * np.swapaxes(vec, 1, 2) * scale[:, None, :])
+        return list(zip(losses, factors)), list(zip(sources, self.dt * s))
+
+    def book(self, ledger: EnergyLedger, ks: np.ndarray, zs: np.ndarray) -> None:
+        """Add the phase's accounts from shifted start states zs to cycles ks
+        (each cycle at most once)."""
+        losses, sources = self._accounts
+        for account, f in losses:
+            getattr(ledger, account)[ks] += np.square(zs @ f.T).sum(1)
+        for account, s in sources:
+            getattr(ledger, account)[ks] += zs @ s
 
 
 # In-cycle instant, as a fraction of the cycle, at which both designs
@@ -319,32 +482,6 @@ class EnergyLedger:
     @property
     def source_total(self) -> float:
         return float(self.source_dc.sum() + self.source_ref.sum())
-
-
-def book_segment(ledger: EnergyLedger, k: int, system: PhaseSystem,
-                 xs: np.ndarray, dt: float) -> None:
-    """Add one propagated segment's source and loss integrals to cycle k:
-    a trapezoid sum over the segment's states per element."""
-    for account, p, i, u in system.sources:
-        y = xs[:, i] + u if u else xs[:, i]
-        getattr(ledger, account)[k] += p * _trapz(y, dt)
-    for account, g, i, j, u in system.losses:
-        d = xs[:, i] if j is None else xs[:, i] - xs[:, j]
-        if u:
-            d = d + u
-        getattr(ledger, account)[k] += g * _trapz(d ** 2, dt)
-
-
-def book_reconfig(ledger: EnergyLedger, k: int, prev_sys: PhaseSystem | None,
-                  x: np.ndarray, system: PhaseSystem, x0: np.ndarray) -> None:
-    """Book the stored-energy step of switching from state x of prev_sys
-    to the re-assembled state x0 of system in cycle k.  The first phase of
-    a run (prev_sys None) sets the stored energy the run starts from."""
-    e_after = system.stored_energy(x0)
-    if prev_sys is None:
-        ledger.e_stored_first = e_after
-    else:
-        ledger.reconfig[k] += e_after - prev_sys.stored_energy(x)
 
 
 def energy_residual(ledger: EnergyLedger) -> float:
@@ -447,50 +584,143 @@ class Phase(NamedTuple):
     system: PhaseSystem
 
 
-def run_cycle(ledger: EnergyLedger, k: int, phases: Sequence[Phase], x0: np.ndarray,
-              t_cycle: float, v_limit: float) -> tuple[list[np.ndarray], float, float]:
-    """Integrate cycle k of both designs over its phases from state x0 and
-    book every phase into the ledger.
+def run_cycles(
+    ledger: EnergyLedger,
+    cycles: Sequence[tuple[np.ndarray | None, Sequence[Phase]]],
+    x0: np.ndarray,
+    t_cycle: float,
+    v_limit: float,
+    peak_rows: tuple[int, ...],
+    stride: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
+    """Run both designs' cycles from state x0 and book them into the ledger.
 
-    Every state must stay below v_limit in magnitude, a numerical-blowup
-    guard.  Returns the phase trajectories, the membrane (last state) peak
-    and the membrane at the decision instant ``SAMPLE_FRAC`` (nearest step).
+    Each cycle is ``(entry, phases)``: ``entry`` maps the previous cycle's
+    end state ``[x; 1]`` to this cycle's augmented start state (None keeps
+    the state), then the phases run in order.  One ``PhaseOperator`` is
+    built per distinct (system, dt, n_steps), at its first start state.
+
+    Pass 1 carries each cycle's start state through the end maps of its
+    phases, checking every phase with the divergence guard (|x| < v_limit
+    for every state; a NaN trips it too).  Pass 2 then works per phase
+    slot on the stacked start states of every cycle that ran it: the
+    ledger accounts, the stored-energy jumps, the per-cycle maxima of the
+    states ``peak_rows``, the membrane (last state) at ``SAMPLE_FRAC`` (nearest
+    step) and, with a ``stride``, the states at every stride-th step of
+    the concatenated cycle.
+
+    All phases of a cycle share its state layout.  Returns the maxima
+    (cycles x peak rows), the decision samples and the per-cycle sampled
+    states (None without a stride).
     """
-    trajectories = []
-    v_m_peak = -math.inf
-    v_m_sample = math.nan
-    x = x0
-    for start, end, n_steps, system in phases:
-        dt = (end - start) * t_cycle / n_steps
-        xs = propagate(*system.maps(dt), x, n_steps)
-        peak = float(np.abs(xs).max())
-        if not peak < v_limit:   # NaN trips it too
-            raise SimulationError(
-                f"state diverged in cycle {k}: |x| reached {peak:.3g}, limit {v_limit:.3g}")
-        book_segment(ledger, k, system, xs, dt)
-        v_m = xs[:, -1]
-        v_m_peak = max(v_m_peak, float(v_m.max()))
+    ops: dict[tuple[PhaseSystem, float, int], PhaseOperator] = {}
+    # per (phase, step offset in its cycle): operator, cycles, shifted starts
+    slots: dict[tuple[Phase, int], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
+    carried: list[np.ndarray] = []   # each cycle's incoming state, then the run's end
+    starts: list[np.ndarray] = []    # each cycle's start state after its entry map
+
+    z = np.append(x0, 1.0)
+    for k, (entry, phases) in enumerate(cycles):
+        carried.append(z)
+        if entry is not None:
+            z = entry @ z
+        starts.append(z)
+        offset = 0
+        for phase in phases:
+            slot = slots.get((phase, offset))
+            if slot is None:
+                start, end, n_steps, system = phase
+                key = (system, (end - start) * t_cycle / n_steps, n_steps)
+                op = ops.get(key)
+                if op is None:
+                    op = ops[key] = PhaseOperator(*key, z[:-1], peak_rows, v_limit)
+                slot = slots[phase, offset] = (op, [], [])
+            op, ks, zs = slot
+            zp = z - op.ref
+            op.guard(zp, k)
+            ks.append(k)
+            zs.append(zp)
+            z = op.end @ zp
+            offset += phase.n_steps
+    carried.append(z)
+
+    n_cycles = len(cycles)
+    peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
+    samples = np.full(n_cycles, np.nan)
+    states: list[np.ndarray] = []
+    if stride:
+        states = [np.empty((-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim))
+                  for _, phases in cycles]
+    for ((start, end, n_steps, _), offset), (op, ks, zs) in slots.items():
+        ks, zs = np.array(ks), np.array(zs)
+        op.book(ledger, ks, zs)
         if start <= SAMPLE_FRAC < end:
-            idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / dt)), 0), n_steps)
-            v_m_sample = float(v_m[idx])
-        trajectories.append(xs)
-        x = xs[-1]
-    return trajectories, v_m_peak, v_m_sample
+            idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / op.dt)), 0), n_steps)
+            samples[ks] = zs @ op.row(op.dim - 1, idx) + op.ref[op.dim - 1]
+        if stride:   # the phase's steps on the cycle's sampling grid
+            first = -offset % stride
+            sampled = np.arange(first, n_steps, stride)
+            rows_at = slice((offset + first) // stride, (offset + first) // stride + sampled.size)
+        # chunks bound the per-block temporaries of the peak search
+        for c in range(0, ks.size, _CHUNK):
+            kc, zc = ks[c:c + _CHUNK], zs[c:c + _CHUNK]
+            for i in range(len(peak_rows)):
+                peaks[kc, i] = np.maximum(peaks[kc, i], op.peak(zc, i))
+            if stride:
+                for k, xs in zip(kc.tolist(), op.states(zc, sampled)):
+                    states[k][rows_at] = xs
+
+    # stored-energy jumps where one cycle hands its end state to the next
+    e_start = _stored_energies(starts, [phases[0].system for _, phases in cycles])
+    e_end = _stored_energies(carried[1:], [phases[-1].system for _, phases in cycles])
+    ledger.reconfig[1:] += e_start[1:] - e_end[:-1]
+    ledger.e_stored_first = float(e_start[0])
+    ledger.e_stored_last = float(e_end[-1])
+
+    return peaks, samples, states if stride else None
+
+
+def _stored_energies(states: list[np.ndarray], systems: list[PhaseSystem]) -> np.ndarray:
+    """Stored energy of each augmented state under its system, one
+    vectorised evaluation per distinct system."""
+    by_system: dict[PhaseSystem, list[int]] = {}
+    for k, system in enumerate(systems):
+        by_system.setdefault(system, []).append(k)
+    out = np.empty(len(states))
+    for system, ks in by_system.items():
+        out[ks] = system.stored_energy(np.array([states[k] for k in ks]))
+    return out
 
 
 def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
-                 systems: dict[SwitchState, PhaseSystem]) -> list[Phase]:
-    """Phases of one cycle plan; phase systems are shared through
-    ``systems`` across the plans of a run."""
+                 systems: dict[tuple, PhaseSystem]) -> tuple[Phase, ...]:
+    """Phases of one cycle plan.  Phase systems are shared through
+    ``systems`` across the plans of a run, keyed by their content: the
+    bypass and reset switches and the multiset of enabled weights."""
     _validate_plan(plan)
     if len({sw.synapse_on for _, _, sw in plan}) > 1:
         raise ValueError("cycle plan switches gates mid-cycle; gates change only at a cycle start")
+    weights = tuple(sorted(c for c, on in zip(cfg.tree.c_s, plan[0][2].synapse_on, strict=True)
+                           if on))
     phases = []
     for (start, end, sw), n_steps in zip(plan, _allocate_steps(plan, cfg.sim.steps_per_cycle)):
-        if sw not in systems:
-            systems[sw] = build_phase_system(cfg, sw)
-        phases.append(Phase(start, end, n_steps, systems[sw]))
-    return phases
+        key = (sw.bypass_on, sw.reset_on, weights)
+        if key not in systems:
+            systems[key] = build_phase_system(cfg, sw)
+        phases.append(Phase(start, end, n_steps, systems[key]))
+    return tuple(phases)
+
+
+def _rejoin(dim_from: int, dim_to: int) -> np.ndarray:
+    """Augmented entry map of a gate change: the top plates of the newly
+    enabled branch set join at the clock voltage (they were parked at the
+    trough when last disconnected); I_L, V_PC and V_m carry over."""
+    entry = np.zeros((dim_to + 1, dim_from + 1))
+    entry[0, 0] = 1.0
+    entry[1:dim_to - 1, 1] = 1.0
+    entry[dim_to - 1, dim_from - 1] = 1.0
+    entry[dim_to, dim_from] = 1.0
+    return entry
 
 
 def simulate(
@@ -521,80 +751,60 @@ def simulate(
     v_limit = 50.0 * v_dd
     e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
 
-    systems: dict[SwitchState, PhaseSystem] = {}
-    plan_phases: dict[tuple[Segment, ...], list[Phase]] = {}
+    systems: dict[tuple, PhaseSystem] = {}
+    plan_phases: dict[tuple[Segment, ...], tuple[Phase, ...]] = {}
+    ledger = EnergyLedger.zeros(n_cycles)
+    steps: list[tuple[np.ndarray | None, tuple[Phase, ...]]] = []
 
     # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
-    x = np.array([0.0, 0.0, cfg.tree.v_ref])
+    x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
     prev_on = (False,) * cfg.tree.n
-    prev_sys: PhaseSystem | None = None
-    v_s_hold = 0.0   # last known top-plate aggregate, for the trace
-
-    ledger = EnergyLedger.zeros(n_cycles)
-    stats: list[CycleStats] = []
-
-    samples_t: list[np.ndarray] = []
-    samples_x: list[np.ndarray] = []   # columns i_l, v_pc, v_s_agg, v_m
-
+    dim = x0.size
     for k, plan in enumerate(cycles):
         plan = tuple(plan)
         phases = plan_phases.get(plan)
         if phases is None:
             phases = plan_phases[plan] = _plan_phases(cfg, plan, systems)
-        sys = phases[0].system
         on = plan[0][2].synapse_on
-
-        # reassemble the state vector; top plates of a freshly enabled
-        # branch set join at the current clock voltage (they were parked
-        # at the trough when last disconnected)
-        x0 = x
+        entry = None
         if on != prev_on:
             # gate-driver overhead: half a full charge per toggled control line
             ledger.drive[k] += sum(a != b for a, b in zip(prev_on, on)) * e_toggle
-            x0 = np.array([x[0], x[1], *[x[1]] * len(sys.groups), x[-1]])
-        book_reconfig(ledger, k, prev_sys, x, sys, x0)
-
-        trajectories, v_m_peak, v_m_sample = run_cycle(ledger, k, phases, x0, t_pc, v_limit)
-        v_pk = max(float(xs[:, 1].max()) for xs in trajectories)
-        stats.append(CycleStats(v_pk=v_pk, v_m_peak=v_m_peak, v_m_sample=v_m_sample))
-
-        if keep_samples:
-            # a cycle has steps_per_cycle steps, which the stride divides:
-            # its samples are its first step and every stride-th one after;
-            # copies, so no view keeps the cycle's full step arrays alive
-            rows = np.vstack([xs[:-1] for xs in trajectories])[::stride]
-            if sys.groups:   # the gates hold all cycle
-                w = np.array([g.c for g in sys.groups])
-                agg = (rows[:, 2:-1] @ w) / w.sum()
-                v_s_hold = float(agg[-1])
-            else:
-                agg = np.full(len(rows), v_s_hold)
-            samples_t.append(np.concatenate([
-                k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
-                for start, end, n_steps, _ in phases])[::stride].copy())
-            samples_x.append(np.column_stack([rows[:, 0], rows[:, 1], agg, rows[:, -1]]))
-
-        x = trajectories[-1][-1]
+            entry = _rejoin(dim, phases[0].system.dim)
+        steps.append((entry, phases))
         prev_on = on
-        prev_sys = phases[-1].system
+        dim = phases[-1].system.dim
 
-    ledger.e_stored_last = prev_sys.stored_energy(x)
+    peaks, samples, states = run_cycles(ledger, steps, x0, t_pc, v_limit, (1, -1),
+                                        stride if keep_samples else None)
+    stats = [CycleStats(v_pk=v_pk, v_m_peak=v_m_peak, v_m_sample=v_m_sample)
+             for (v_pk, v_m_peak), v_m_sample in zip(peaks.tolist(), samples.tolist())]
 
-    if keep_samples:
-        t_all = np.concatenate(samples_t)
-        x_all = np.vstack(samples_x)
-    else:
-        t_all = np.empty(0)
-        x_all = np.empty((0, 4))
-
-    trace = Trace(
-        t=t_all,
-        i_l=x_all[:, 0],
-        v_pc=x_all[:, 1],
-        v_s=x_all[:, 2],
-        v_m=x_all[:, 3],
-        cycles=stats,
-    )
+    # a cycle has steps_per_cycle steps, which the stride divides: its
+    # samples are its first step and every stride-th one after
+    states = states or []
+    n_rows = sum(len(rows) for rows in states)
+    t_all = np.empty(n_rows)
+    x_all = np.empty((n_rows, 4))   # columns i_l, v_pc, v_s_agg, v_m
+    v_s_hold = 0.0   # last known top-plate aggregate
+    at = 0
+    for k, ((_, phases), rows) in enumerate(zip(steps, states)):
+        states[k] = None   # each cycle's states are held once, here or in x_all
+        groups = phases[0].system.groups
+        if groups:   # the gates hold all cycle
+            w = np.array([g.c for g in groups])
+            agg = (rows[:, 2:-1] @ w) / w.sum()
+            v_s_hold = float(agg[-1])
+        else:
+            agg = v_s_hold
+        t_all[at:at + len(rows)] = np.concatenate([
+            k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
+            for start, end, n_steps, _ in phases])[::stride]
+        x = x_all[at:at + len(rows)]
+        x[:, 0], x[:, 1], x[:, 2], x[:, 3] = rows[:, 0], rows[:, 1], agg, rows[:, -1]
+        at += len(rows)
+    trace = Trace(t=t_all, i_l=x_all[:, 0], v_pc=x_all[:, 1], v_s=x_all[:, 2], v_m=x_all[:, 3],
+                  cycles=stats)
     return trace, ledger
 
 

@@ -1,0 +1,135 @@
+"""Per-step reference for ``engine.run_cycles``, for tests only.
+
+It propagates every state of every phase (map doubling over the steps of
+a segment) and books each account by ``np.trapezoid`` over the states, as
+the engine did before its closed-form phase operators.  The parity tests
+run both designs through this kernel and through the engine's and
+compare the results.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from acansim import baseline, engine
+from acansim.engine import SAMPLE_FRAC, SimulationError
+
+ACCOUNTS = ("source_dc", "source_ref", "r_pc", "r_lc", "r_tg", "r_reset",
+            "drive", "reconfig", "soma")
+
+
+def propagate(e: np.ndarray, f: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
+    """All n+1 states of the affine recurrence x_{k+1} = E x_k + f.
+
+    Uses map doubling: the s-step map is squared repeatedly and applied to
+    the already-known prefix, so the whole segment costs O(log n) small
+    matrix products.
+    """
+    xs = np.empty((n + 1, x0.size))
+    xs[0] = x0
+    s = 1
+    e_s = e
+    f_s = f
+    while s < n + 1:
+        take = min(s, n + 1 - s)
+        xs[s:s + take] = xs[:take] @ e_s.T + f_s
+        s += take
+        if s < n + 1:
+            f_s = e_s @ f_s + f_s
+            e_s = e_s @ e_s
+    return xs
+
+
+def book_segment(ledger, k, system, xs, dt):
+    """Add one propagated segment's source and loss integrals to cycle k."""
+    for account, p, i, u in system.sources:
+        getattr(ledger, account)[k] += p * np.trapezoid(xs[:, i] + u, dx=dt)
+    for account, g, i, j, u in system.losses:
+        d = xs[:, i] if j is None else xs[:, i] - xs[:, j]
+        getattr(ledger, account)[k] += g * np.trapezoid((d + u) ** 2, dx=dt)
+
+
+def run_cycles(ledger, cycles, x0, t_cycle, v_limit, peak_rows, stride=None):
+    """Same contract as ``engine.run_cycles``, one propagated segment per
+    phase and cycle."""
+    n_cycles = len(cycles)
+    peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
+    samples = np.full(n_cycles, np.nan)
+    states = [] if stride else None
+    x = x0
+    prev = None
+    for k, (entry, phases) in enumerate(cycles):
+        start_x = x if entry is None else (entry @ np.append(x, 1.0))[:-1]
+        e_start = phases[0].system.stored_energy(start_x)
+        if prev is None:
+            ledger.e_stored_first = float(e_start)
+        else:
+            ledger.reconfig[k] += e_start - prev.stored_energy(x)
+        x = start_x
+        trajectories = []
+        for start, end, n_steps, system in phases:
+            dt = (end - start) * t_cycle / n_steps
+            xs = propagate(*system.maps(dt), x, n_steps)
+            peak = float(np.abs(xs).max())
+            if not peak < v_limit:
+                raise SimulationError(
+                    f"state diverged in cycle {k}: |x| reached {peak:.3g}, limit {v_limit:.3g}")
+            book_segment(ledger, k, system, xs, dt)
+            peaks[k] = np.maximum(peaks[k], xs[:, list(peak_rows)].max(0))
+            if start <= SAMPLE_FRAC < end:
+                idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / dt)), 0), n_steps)
+                samples[k] = xs[idx, -1]
+            trajectories.append(xs)
+            x = xs[-1]
+        if stride:
+            states.append(np.vstack([xs[:-1] for xs in trajectories])[::stride])
+        prev = phases[-1].system
+    ledger.e_stored_last = float(prev.stored_energy(x))
+    return peaks, samples, states
+
+
+@contextmanager
+def reference_kernel():
+    """Run both designs through ``run_cycles`` above inside the block."""
+    saved = engine.run_cycles, baseline.run_cycles
+    engine.run_cycles = baseline.run_cycles = run_cycles
+    try:
+        yield
+    finally:
+        engine.run_cycles, baseline.run_cycles = saved
+
+
+def assert_same_run(run, ref):
+    """A run of the engine's kernel against the same run of the reference.
+
+    Accounts agree within 1e-9 of the run's mean dissipation per cycle.
+    Idle baseline codes dissipate next to nothing, and their membrane sits
+    ~1e-15 V off V_REF (round-off in the step map's fixed point), which
+    the V_REF source term books to first order (~1e-25 J per cycle), so a
+    floor of 1e-11 of the stored energy is added; it stays ten orders below
+    the accounts of any switching cycle.  Stored-energy ends, peaks,
+    samples and trace samples agree within 1e-10 relative, decisions and
+    oracle bits exactly.
+    """
+    led, want = run.ledger_full, ref.ledger_full
+    stored = max(abs(want.e_stored_first), abs(want.e_stored_last))
+    tol = 1e-9 * want.dissipated_total / want.n_cycles + 1e-11 * stored
+    for name in ACCOUNTS:
+        np.testing.assert_allclose(getattr(led, name), getattr(want, name), rtol=0.0, atol=tol,
+                                   err_msg=name)
+    assert led.e_stored_first == pytest.approx(want.e_stored_first, rel=1e-10)
+    assert led.e_stored_last == pytest.approx(want.e_stored_last, rel=1e-10)
+    for field in ("v_pk", "v_m_peak", "v_m_sample"):
+        got = [getattr(s, field) for s in run.stats]
+        np.testing.assert_allclose(got, [getattr(s, field) for s in ref.stats], rtol=1e-10,
+                                   err_msg=field)
+    assert run.output_bits == ref.output_bits
+    assert run.oracle_bits == ref.oracle_bits
+    assert (run.trace is None) == (ref.trace is None)
+    if run.trace is not None:
+        np.testing.assert_array_equal(run.trace.t, ref.trace.t)
+        for field in ("i_l", "v_pc", "v_s", "v_m"):
+            col = getattr(ref.trace, field)
+            np.testing.assert_allclose(getattr(run.trace, field), col, rtol=1e-10,
+                                       atol=1e-10 * np.abs(col).max(), err_msg=field)

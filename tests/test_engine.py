@@ -15,6 +15,7 @@ from acansim import (
     CircuitConfig,
     EnergyLedger,
     FitError,
+    SimulationError,
     SwitchState,
     SynapseTreeConfig,
     bypass_resistance,
@@ -22,21 +23,23 @@ from acansim import (
     fit_decay,
     lc_series_resistance,
     reset_resistance,
+    run_baseline,
+    run_neuron,
     simulate,
     sweep_lock_frequency,
     tune_inductor,
 )
 from acansim.baseline import build_baseline_system
 from acansim.engine import (
+    PhaseOperator,
     Source,
     Store,
-    book_segment,
     build_phase_system,
-    propagate,
     step_maps,
     write_csv,
 )
 from acansim.neuron import input_sweeps, make_schedule
+from reference_kernel import assert_same_run, propagate, reference_kernel
 
 
 def _operating_point(cfg, f):
@@ -287,6 +290,14 @@ def _assert_accounts(ledger, ref):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
 
 
+def _book_phase(sys, dt, n, x0):
+    # the phase operator's accounts from start state x0, its reference state
+    op = PhaseOperator(sys, dt, n, x0, (-1,), math.inf)
+    ledger = EnergyLedger.zeros(1)
+    op.book(ledger, np.array([0]), (np.append(x0, 1.0) - op.ref)[None])
+    return ledger
+
+
 def test_book_segment_matches_per_column_formulas_adiabatic():
     # bypass and reset closed, two weight groups enabled, one open gate
     tree = SynapseTreeConfig(c_s=(1e-12, 1e-12, 2e-12, 2e-12))
@@ -296,8 +307,7 @@ def test_book_segment_matches_per_column_formulas_adiabatic():
     x0 = np.array([2e-4, 0.6, 0.4, 0.3, 0.9])
     n, dt = 512, 0.05 * cfg.pc.t_pc / 512
     xs = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
-    ledger = EnergyLedger.zeros(1)
-    book_segment(ledger, 0, sys, xs, dt)
+    ledger = _book_phase(sys, dt, n, x0)
 
     def trapz(y):
         return float(np.trapezoid(y, dx=dt))
@@ -328,8 +338,7 @@ def test_book_segment_matches_per_column_formulas_baseline():
     x0 = np.array([0.0, 1.8, 0.0, 1.8, 0.9])
     n, dt = 1024, 1e-6 / 1024
     xs = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
-    ledger = EnergyLedger.zeros(1)
-    book_segment(ledger, 0, sys, xs, dt)
+    ledger = _book_phase(sys, dt, n, x0)
 
     def trapz(y):
         return float(np.trapezoid(y, dx=dt))
@@ -346,3 +355,61 @@ def test_book_segment_matches_per_column_formulas_baseline():
         "r_reset": g_reset * trapz(dvm ** 2),
         "source_ref": g_reset * v_ref * trapz(-dvm),
     })
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_closed_form_kernel_matches_reference_kernel(order):
+    # each input order of the 4-synapse tree, two passes, through both
+    # designs and both kernels; the adiabatic run keeps its trace
+    cfg = tune_inductor(CircuitConfig())
+    codes = input_sweeps(4, seed=0)[order]
+    op = _operating_point(cfg, sweep_lock_frequency(cfg, codes))
+    base = BaselineConfig.from_circuit(cfg)
+    runs = [run_neuron(op, codes * 2, keep_trace=True), run_baseline(base, codes * 2)]
+    with reference_kernel():
+        refs = [run_neuron(op, codes * 2, keep_trace=True), run_baseline(base, codes * 2)]
+    for run, ref in zip(runs, refs):
+        assert_same_run(run, ref)
+
+
+def _clock_phase():
+    # the main phase of a cycle with two gates on; 3583 steps leave a
+    # partial last block
+    cfg = tune_inductor(CircuitConfig())
+    sys = build_phase_system(cfg, SwitchState(False, False, (True, True, False, False)))
+    n = 3583
+    return sys, n, 0.95 * cfg.pc.t_pc / n
+
+
+def test_phase_operator_states_and_peaks_match_propagation():
+    sys, n, dt = _clock_phase()
+    rng = np.random.default_rng(3)
+    x_ref = np.array([1e-4, 0.3, 0.3, 0.8])
+    op = PhaseOperator(sys, dt, n, x_ref, (1, -1), math.inf)
+    x0s = x_ref + rng.normal(scale=[2e-4, 0.5, 0.5, 0.2], size=(6, 4))
+    zs = np.column_stack([x0s, np.ones(6)]) - op.ref
+    every = op.states(zs, np.arange(n + 1))
+    for x0, xs, z in zip(x0s, every, zs):
+        want = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
+        # within 1e-13 of each state's own scale (I_L keeps its own); a
+        # drift rounded at |x_ref| in every step would miss this by 20x
+        scale = np.abs(want).max(0)
+        assert np.all(np.abs(xs - want) <= 1e-13 * scale)
+        assert np.all(np.abs((op.end @ z)[:-1] - want[-1]) <= 1e-13 * scale)
+        assert op.row(3, 1791) @ z + x_ref[3] == pytest.approx(want[1791, 3], rel=1e-12)
+    # the peak search returns the maximum over every step, not a strided one
+    for i, r in enumerate((1, -1)):
+        np.testing.assert_allclose(op.peak(zs, i), every[:, :, r].max(1), rtol=1e-12)
+
+
+def test_phase_operator_guard_visits_states_only_past_its_bound():
+    sys, n, dt = _clock_phase()
+    x0 = np.array([1e-4, 0.3, 0.3, 0.8])
+    z = np.append(x0, 1.0) - np.append(x0, 0.0)
+    peak = np.abs(propagate(*step_maps(sys.a, sys.b, dt), x0, n)).max()
+    bound = PhaseOperator(sys, dt, n, x0, (1,), math.inf)._guard @ np.abs(z) + np.abs(x0)
+    assert bound.max() > peak
+    # a limit between the peak and the bound passes on the exact states
+    PhaseOperator(sys, dt, n, x0, (1,), 0.5 * (peak + bound.max())).guard(z, 3)
+    with pytest.raises(SimulationError, match=rf"cycle 3: \|x\| reached {peak:.3g}, limit"):
+        PhaseOperator(sys, dt, n, x0, (1,), 0.9 * peak).guard(z, 3)

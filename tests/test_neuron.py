@@ -246,14 +246,44 @@ def test_run_neuron_rejects_non_finite_inductor(monkeypatch):
 
     # states that turn NaN anyway must trip the divergence guard instead
     # of returning an all-NaN ledger
-    def nan_propagate(e, f, x0, n):
-        return np.full((n + 1, x0.size), math.nan)
+    def nan_maps(a, b, dt):
+        return np.full_like(a, math.nan), np.full_like(b, math.nan)
 
-    monkeypatch.setattr(engine, "propagate", nan_propagate)
+    monkeypatch.setattr(engine, "step_maps", nan_maps)
     with pytest.raises(SimulationError, match="diverged"):
         run_neuron(cfg, [(1, 1, 0, 0)] * 3)
     with pytest.raises(SimulationError, match="diverged"):
         run_baseline(BaselineConfig.from_circuit(cfg), [(1, 1, 0, 0)] * 3)
+
+
+def _growing_step_maps(monkeypatch):
+    # every step grows the state by 6e-4, about 10x per cycle: the run
+    # crosses the guard a few cycles in, with finite states throughout
+    step_maps = engine.step_maps
+
+    def grown(a, b, dt):
+        e, f = step_maps(a, b, dt)
+        return 1.0006 * e, f
+
+    monkeypatch.setattr(engine, "step_maps", grown)
+
+
+@pytest.mark.parametrize("design, message", [
+    # the cycle and |x| that per-step propagation of the same maps reports
+    ("adiabatic", "state diverged in cycle 2: |x| reached 262, limit 90"),
+    ("baseline", "state diverged in cycle 1: |x| reached 95.7, limit 90"),
+])
+def test_divergence_names_its_cycle_and_peak(monkeypatch, design, message):
+    cfg = tune_inductor(CircuitConfig())
+    _growing_step_maps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no overflow or invalid-value warning escapes
+        with pytest.raises(SimulationError) as err:
+            if design == "adiabatic":
+                run_neuron(cfg, [(1, 1, 0, 0)] * 6)
+            else:
+                run_baseline(BaselineConfig.from_circuit(cfg), [(1, 1, 0, 0)] * 6)
+    assert str(err.value) == message
 
 
 def _count_step_maps(monkeypatch):
@@ -269,6 +299,8 @@ def _count_step_maps(monkeypatch):
 
 
 def test_run_neuron_builds_each_step_map_once(monkeypatch):
+    # phases lump by content: the switch positions and the multiset of
+    # enabled weights, so equal-weight codes share their step maps
     cfg = tune_inductor(CircuitConfig())
     codes = input_sweeps(4, n_scrambles=0, seed=0)[0] * 2
     zero = (0,) * cfg.tree.n
@@ -277,7 +309,9 @@ def test_run_neuron_builds_each_step_map_once(monkeypatch):
     for k, c in enumerate(all_codes):
         plan = make_schedule(cfg, c, cycle=k)
         counts = engine._allocate_steps(plan, cfg.sim.steps_per_cycle)
-        pairs |= {(sw, (end - start) * cfg.pc.t_pc / n) for (start, end, sw), n in zip(plan, counts)}
+        weights = tuple(sorted(w for w, on in zip(cfg.tree.c_s, c) if on))
+        pairs |= {((sw.bypass_on, sw.reset_on, weights), (end - start) * cfg.pc.t_pc / n)
+                  for (start, end, sw), n in zip(plan, counts)}
     calls = _count_step_maps(monkeypatch)
     run_neuron(cfg, codes)
     assert len(calls) == len(pairs)

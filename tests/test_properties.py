@@ -1,5 +1,7 @@
-"""Property tests over short random code streams on the 4-synapse tree:
-both designs return finite, passive ledgers that conserve energy."""
+"""Property tests over short random code streams: on the 4-synapse tree
+both designs return finite, passive ledgers that conserve energy, and on
+random small trees the closed-form kernel matches the per-step reference
+kernel."""
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 from acansim import (
     BaselineConfig,
     CircuitConfig,
+    SynapseTreeConfig,
     energy_residual,
     run_baseline,
     run_neuron,
     tune_inductor,
 )
+from reference_kernel import assert_same_run, reference_kernel
 
 CFG = tune_inductor(CircuitConfig())
 BASE = BaselineConfig.from_circuit(CFG)
@@ -62,3 +66,25 @@ def test_run_baseline_ledger_finite_and_passive(codes):
 @given(codes=streams)
 def test_run_baseline_conserves_energy(codes):
     _check_conservation(run_baseline(BASE, codes).ledger_full)
+
+
+@st.composite
+def trees_and_streams(draw):
+    # weights of 1 or 2 pF, so equal weights lump into shared phases
+    weights = draw(st.lists(st.sampled_from((1e-12, 2e-12)), min_size=2, max_size=5))
+    codes = draw(st.lists(st.tuples(*[st.integers(0, 1)] * len(weights)),
+                          min_size=1, max_size=12))
+    return tuple(weights), codes
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=trees_and_streams())
+def test_closed_form_kernel_matches_reference_on_random_trees(case):
+    weights, codes = case
+    cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=weights)))
+    base = BaselineConfig.from_circuit(cfg)
+    runs = [run_neuron(cfg, codes, keep_trace=True), run_baseline(base, codes)]
+    with reference_kernel():
+        refs = [run_neuron(cfg, codes, keep_trace=True), run_baseline(base, codes)]
+    for run, ref in zip(runs, refs):
+        assert_same_run(run, ref)
