@@ -44,7 +44,7 @@ from .model import (
     reset_resistance,
     within,
 )
-from .neuron import Code, NeuronRun, decided_run, dlcc_offset
+from .neuron import Code, NeuronRun, _code_table, decided_run, dlcc_offset
 
 
 @dataclass(frozen=True)
@@ -194,15 +194,17 @@ def _plate_entry(levels: Sequence[tuple[int, int, float, int]], dim_from: int,
 def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronRun:
     """Level-driven transient: one code per cycle, switching only the bits
     that change between consecutive codes.  The membrane resets to V_REF
-    on all-zero codes, as in the adiabatic design."""
+    on all-zero codes, as in the adiabatic design.
+
+    Code bits are normalised to 0/1; an empty stream or a code whose length
+    is not the tree's synapse count raises ValueError.  Repeated codes
+    share their work: one level grouping and drive-toggle count per
+    distinct (previous code, code) pair and one oracle bit per distinct
+    code.
+    """
     tree = cfg.tree
-    codes = [tuple(int(bool(x)) for x in c) for c in codes]
-    for c in codes:
-        if len(c) != tree.n:
-            raise ValueError(f"codes must have {tree.n} bits")
-    n_cycles = len(codes)
-    if n_cycles == 0:
-        raise ValueError("run_baseline: need at least one code")
+    table, index = _code_table(codes, tree.n)
+    n_cycles = len(index)
 
     t_cycle = 1.0 / cfg.f_clock
     e_toggle = 0.5 * tree.c_inv * cfg.v_dd ** 2
@@ -210,25 +212,33 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
 
     ledger = EnergyLedger.zeros(n_cycles)
     plans: dict[tuple, list[Phase]] = {}
+    # (previous index, index) -> (levels, phases, drive toggles)
+    transitions: dict[tuple[int, int], tuple[list, list[Phase], int]] = {}
     steps: list[tuple[np.ndarray, list[Phase]]] = []
-    prev_code: Code = tuple(0 for _ in range(tree.n))
-    dim = 1   # the run starts from the membrane alone, at V_REF
+    prev = 0   # the run starts from the all-zero code, table entry 0
+    dim = 1    # and from the membrane alone, at V_REF
 
-    for k, code in enumerate(codes):
-        levels = _levels(tree, prev_code, code)
-        key = (tuple(levels), not any(code))
-        phases = plans.get(key)
-        if phases is None:
-            sys = build_baseline_system(cfg, levels, reset_on=key[1])
-            phases = plans[key] = _cycle_plan(sys, t_cycle, cfg.steps_per_cycle)
+    for k, i in enumerate(index):
+        step = transitions.get((prev, i))
+        if step is None:
+            prev_code, code = table[prev], table[i]
+            levels = _levels(tree, prev_code, code)
+            key = (tuple(levels), not any(code))
+            phases = plans.get(key)
+            if phases is None:
+                sys = build_baseline_system(cfg, levels, reset_on=key[1])
+                phases = plans[key] = _cycle_plan(sys, t_cycle, cfg.steps_per_cycle)
+            toggles = sum(p != n for p, n in zip(prev_code, code))
+            step = transitions[prev, i] = (levels, phases, toggles)
+        levels, phases, toggles = step
         steps.append((_plate_entry(levels, dim, cfg.v_dd), phases))
-        ledger.drive[k] += e_toggle * sum(p != n for p, n in zip(prev_code, code))
+        ledger.drive[k] += e_toggle * toggles
         dim = len(levels) + 1
-        prev_code = code
+        prev = i
 
     peaks, samples, _ = run_cycles(ledger, steps, np.array([tree.v_ref]), t_cycle, v_limit, (-1,))
     stats = [CycleStats(v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample)
              for v_m_peak, v_m_sample in zip(peaks[:, 0].tolist(), samples.tolist())]
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = baseline_oracle_spec(cfg, v_os=v_os)
-    return decided_run(codes, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)
+    return decided_run(table, index, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)

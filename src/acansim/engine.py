@@ -753,26 +753,37 @@ def simulate(
 
     systems: dict[tuple, PhaseSystem] = {}
     plan_phases: dict[tuple[Segment, ...], tuple[Phase, ...]] = {}
+    # plan object id -> (plan, phases); holding the plan keeps its id unique
+    by_id: dict[int, tuple[tuple[Segment, ...], tuple[Phase, ...]]] = {}
     ledger = EnergyLedger.zeros(n_cycles)
     steps: list[tuple[np.ndarray | None, tuple[Phase, ...]]] = []
 
     # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
     x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
     prev_on = (False,) * cfg.tree.n
+    prev_plan = None
     dim = x0.size
     for k, plan in enumerate(cycles):
         plan = tuple(plan)
-        phases = plan_phases.get(plan)
-        if phases is None:
-            phases = plan_phases[plan] = _plan_phases(cfg, plan, systems)
-        on = plan[0][2].synapse_on
+        hit = by_id.get(id(plan))
+        if hit is None:
+            # equal plans built as separate objects share their phases by content
+            phases = plan_phases.get(plan)
+            if phases is None:
+                phases = plan_phases[plan] = _plan_phases(cfg, plan, systems)
+            by_id[id(plan)] = (plan, phases)
+        else:
+            phases = hit[1]
         entry = None
-        if on != prev_on:
-            # gate-driver overhead: half a full charge per toggled control line
-            ledger.drive[k] += sum(a != b for a, b in zip(prev_on, on)) * e_toggle
-            entry = _rejoin(dim, phases[0].system.dim)
+        if plan is not prev_plan:   # the same plan object holds the same gates
+            on = plan[0][2].synapse_on
+            if on != prev_on:
+                # gate-driver overhead: half a full charge per toggled control line
+                ledger.drive[k] += sum(a != b for a, b in zip(prev_on, on)) * e_toggle
+                entry = _rejoin(dim, phases[0].system.dim)
+            prev_on = on
+            prev_plan = plan
         steps.append((entry, phases))
-        prev_on = on
         dim = phases[-1].system.dim
 
     peaks, samples, states = run_cycles(ledger, steps, x0, t_pc, v_limit, (1, -1),

@@ -213,18 +213,51 @@ class NeuronRun:
              in enumerate(zip(self.codes, self.decisions, self.stats, led.s_e, led.soma))))
 
 
-def decided_run(codes: list[Code], stats: list[engine.CycleStats], ledger: engine.EnergyLedger,
-                warm_up: int, dlcc: DlccConfig, v_os: float, oracle: NeuronSpec,
-                v_pk_ref: float, trace: engine.Trace | None) -> NeuronRun:
+def _code_table(codes: Sequence[Sequence[int]], n: int) -> tuple[list[Code], list[int]]:
+    """Distinct normalised codes of a stream and each cycle's index into them.
+
+    Bits are normalised to 0/1.  The table starts with the all-zero code
+    (index 0, whether or not the stream holds it); each later entry is the
+    first cycle's copy of a new normalised code.  A code is normalised and
+    its length checked only the first time its raw bits appear, so a
+    stream that repeats a few codes costs O(n) per distinct code.  Raises
+    ValueError on an empty stream or a code that is not n bits long.
+    """
+    zero: Code = (0,) * n
+    table: list[Code] = [zero]
+    by_code: dict[Code, int] = {zero: 0}
+    by_raw: dict[tuple, int] = {}
+    index: list[int] = []
+    for raw in codes:
+        key = tuple(raw)
+        i = by_raw.get(key)
+        if i is None:
+            code = tuple(int(bool(x)) for x in key)
+            if len(code) != n:
+                raise ValueError(f"code {len(index)} has {len(code)} bits, tree has {n} synapses")
+            i = by_raw[key] = by_code.setdefault(code, len(table))
+            if i == len(table):
+                table.append(code)
+        index.append(i)
+    if not index:
+        raise ValueError("code stream is empty: need at least one code")
+    return table, index
+
+
+def decided_run(table: list[Code], index: list[int], stats: list[engine.CycleStats],
+                ledger: engine.EnergyLedger, warm_up: int, dlcc: DlccConfig, v_os: float,
+                oracle: NeuronSpec, v_pk_ref: float, trace: engine.Trace | None) -> NeuronRun:
     """Finish a run of either design: book the soma energy, decide every
     reported cycle from its membrane sample and score the codes with the
-    threshold-unit oracle.  v_os is the comparator offset the oracle was
-    built with."""
+    threshold-unit oracle, once per distinct reported code.  The reported
+    codes come as ``_code_table``'s table and per-cycle index; v_os is the
+    comparator offset the oracle was built with."""
     ledger.soma[:] = dlcc.e_decision
+    fired = {i: oracle.fires(table[i]) for i in dict.fromkeys(index)}
     return NeuronRun(
-        codes=codes,
+        codes=[table[i] for i in index],
         decisions=[dlcc_decide(s.v_m_sample, dlcc, v_os) for s in stats],
-        oracle_bits=[oracle.fires(c) for c in codes],
+        oracle_bits=[fired[i] for i in index],
         stats=stats, ledger_full=ledger, warm_up=warm_up,
         trace=trace, v_pk_reference=v_pk_ref,
     )
@@ -237,21 +270,31 @@ def run_neuron(
 ) -> NeuronRun:
     """Simulate one code per cycle and decide each cycle at the clock crest.
 
+    Code bits are normalised to 0/1 (``_code_table``); an empty stream or a
+    code whose length is not the tree's synapse count raises ValueError.
     Warm-up cycles (all-zero input, count from the sim config) are
     prepended so reported cycles see the settled oscillation; they are
     dropped from the returned rows.  Digital outputs are checked against
     the threshold-unit oracle built from the run's own clock peak.
+    Repeated codes share their work: one schedule per distinct (code,
+    recalibration flag) and one oracle bit per distinct code.
     """
-    codes = [tuple(int(bool(x)) for x in c) for c in codes]
+    table, index = _code_table(codes, cfg.tree.n)
     warm = cfg.sim.startup_discard_cycles
-    zero = tuple(0 for _ in range(cfg.tree.n))
-    all_codes = [zero] * warm + codes
+    recal = cfg.sim.recal_every
 
-    plans = [make_schedule(cfg, c, cycle=k) for k, c in enumerate(all_codes)]
+    schedules: dict[tuple[int, bool], tuple[engine.Segment, ...]] = {}
+    plans = []
+    for k, i in enumerate([0] * warm + index):
+        key = (i, k % recal == 0)
+        plan = schedules.get(key)
+        if plan is None:
+            plan = schedules[key] = make_schedule(cfg, table[i], cycle=k)
+        plans.append(plan)
     trace, ledger = engine.simulate(cfg, plans, keep_samples=keep_trace)
     stats = trace.cycles[warm:]
     v_pk_ref = float(np.median([s.v_pk for s in stats]))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)
-    return decided_run(codes, stats, ledger, warm, cfg.dlcc, v_os, spec, v_pk_ref,
+    return decided_run(table, index, stats, ledger, warm, cfg.dlcc, v_os, spec, v_pk_ref,
                        trace if keep_trace else None)

@@ -133,6 +133,9 @@ def test_run_baseline_validation():
         run_baseline(cfg, [])
     with pytest.raises(ValueError):
         run_baseline(cfg, [(1, 0)])
+    # a ragged stream names the first code of the wrong length
+    with pytest.raises(ValueError, match=r"^code 1 has 3 bits, tree has 4 synapses$"):
+        run_baseline(cfg, [(1, 0, 0, 1), (1, 0, 0), (1, 0, 0, 1, 1)])
 
 
 def test_run_baseline_passivity():

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from acansim import (
     BaselineConfig,
     CircuitConfig,
     DlccConfig,
+    NeuronSpec,
     dlcc_decide,
     dlcc_offset,
     input_sweeps,
@@ -19,9 +20,12 @@ from acansim import (
     predicted_optimal_frequency,
     run_baseline,
     run_neuron,
+    scaled_tree,
     tune_inductor,
 )
+from acansim import baseline as baseline_mod
 from acansim import engine
+from acansim import neuron as neuron_mod
 from acansim.neuron import base_delay
 
 _GRID = [1e3, 3.25e3, 5.5e3, 7.75e3, 10e3]
@@ -328,3 +332,80 @@ def test_run_baseline_builds_each_step_map_once(monkeypatch):
     # a third pass repeats the level transitions of the second one
     run_baseline(cfg, codes * 3)
     assert len(calls) == n_two
+
+
+def _run(design, cfg, codes):
+    if design == "adiabatic":
+        return run_neuron(cfg, codes)
+    return run_baseline(BaselineConfig.from_circuit(cfg), codes)
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+@pytest.mark.parametrize("codes, message", [
+    ([], "code stream is empty: need at least one code"),
+    ([(1, 0, 0)], "code 0 has 3 bits, tree has 4 synapses"),
+    ([(1, 0, 0, 0), (1, 0, 0, 0), [1, 0, 0, 0, 1]], "code 2 has 5 bits, tree has 4 synapses"),
+])
+def test_empty_and_malformed_streams_fail_by_name(design, codes, message):
+    cfg = tune_inductor(CircuitConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no empty-slice warning before the error
+        with pytest.raises(ValueError) as err:
+            _run(design, cfg, codes)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+def test_input_forms_give_the_canonical_stream(design):
+    cfg = tune_inductor(CircuitConfig())
+    canonical = [(1, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 1, 0, 1), (0, 1, 1, 1)]
+    rows = np.array([[0, 0, 0, 0], [0, 3, 1, -1]])
+    # two raw keys per normalised code: (2, 0, 0, 0) beside (1, 0, 0, 0)
+    raw = [(2, 0, 0, 0), [1, 0, 0, 0], (True, True, False, True), rows[0], [1, 1, 0, 7], rows[1]]
+    want, got = _run(design, cfg, canonical), _run(design, cfg, raw)
+    assert got.codes == want.codes
+    assert got.output_bits == want.output_bits
+    assert got.oracle_bits == want.oracle_bits
+    assert got.stats == want.stats
+    assert got.v_pk_reference == want.v_pk_reference
+    for f in fields(engine.EnergyLedger):
+        assert np.array_equal(getattr(got.ledger_full, f.name), getattr(want.ledger_full, f.name)), f.name
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_repeated_codes_share_their_per_code_work(monkeypatch):
+    # one 512-synapse stream of three distinct codes over 36 cycles: the
+    # O(n) work runs once per distinct key, not once per cycle
+    cfg = tune_inductor(scaled_tree(CircuitConfig(), 512))
+    n = cfg.tree.n
+    a = (1,) * 256 + (0,) * 256
+    b = (0, 1) * 256
+    zero = (0,) * n
+    codes = [a] * 12 + [b] * 12 + [zero] * 4 + [a] * 8
+    schedules = _count_calls(monkeypatch, neuron_mod, "make_schedule")
+    fires = _count_calls(monkeypatch, NeuronSpec, "fires")
+    run_neuron(cfg, codes)
+    warm = cfg.sim.startup_discard_cycles
+    keys = {(c, k % cfg.sim.recal_every == 0) for k, c in enumerate([zero] * warm + codes)}
+    assert len(keys) == 5
+    assert len(schedules) == len(keys)
+    assert len(fires) == len(set(codes)) == 3
+
+    fires.clear()
+    levels = _count_calls(monkeypatch, baseline_mod, "_levels")
+    run_baseline(BaselineConfig.from_circuit(cfg), codes)
+    pairs = set(zip([zero] + codes, codes))
+    assert len(pairs) == 6
+    assert len(levels) == len(pairs)
+    assert len(fires) == 3
