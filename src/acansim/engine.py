@@ -752,9 +752,9 @@ def simulate(
     e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
 
     systems: dict[tuple, PhaseSystem] = {}
-    plan_phases: dict[tuple[Segment, ...], tuple[Phase, ...]] = {}
-    # plan object id -> (plan, phases); holding the plan keeps its id unique
-    by_id: dict[int, tuple[tuple[Segment, ...], tuple[Phase, ...]]] = {}
+    # plan object id -> (plan, phases); holding the plan keeps its id unique.
+    # Equal plans built as separate objects share phase systems by content.
+    plan_phases: dict[int, tuple[tuple[Segment, ...], tuple[Phase, ...]]] = {}
     ledger = EnergyLedger.zeros(n_cycles)
     steps: list[tuple[np.ndarray | None, tuple[Phase, ...]]] = []
 
@@ -765,15 +765,10 @@ def simulate(
     dim = x0.size
     for k, plan in enumerate(cycles):
         plan = tuple(plan)
-        hit = by_id.get(id(plan))
+        hit = plan_phases.get(id(plan))
         if hit is None:
-            # equal plans built as separate objects share their phases by content
-            phases = plan_phases.get(plan)
-            if phases is None:
-                phases = plan_phases[plan] = _plan_phases(cfg, plan, systems)
-            by_id[id(plan)] = (plan, phases)
-        else:
-            phases = hit[1]
+            hit = plan_phases[id(plan)] = (plan, _plan_phases(cfg, plan, systems))
+        phases = hit[1]
         entry = None
         if plan is not prev_plan:   # the same plan object holds the same gates
             on = plan[0][2].synapse_on

@@ -219,8 +219,8 @@ def _code_table(codes: Sequence[Sequence[int]], n: int) -> tuple[list[Code], lis
     Bits are normalised to 0/1.  The table starts with the all-zero code
     (index 0, whether or not the stream holds it); each later entry is the
     first cycle's copy of a new normalised code.  A code is normalised and
-    its length checked only the first time its raw bits appear, so a
-    stream that repeats a few codes costs O(n) per distinct code.  Raises
+    its length checked only the first time its raw bits appear; every
+    cycle still pays one C-level copy and hash of its raw tuple.  Raises
     ValueError on an empty stream or a code that is not n bits long.
     """
     zero: Code = (0,) * n
