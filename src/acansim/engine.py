@@ -14,13 +14,17 @@ account is linear in the start state, a loss account a sum of squares
 doubling).  A run takes two passes (``run_cycles``).  Pass 1 carries each
 cycle's start state through the phases' end maps, with a divergence guard
 that bounds every state of a phase at once and visits the states only when
-the bound reaches the limit.  Pass 2 evaluates, per phase and for all
-cycles that ran it together, the accounts, the exact per-cycle peaks
-(block-start values plus per-block deviation bounds pick the few blocks
-to search step by step), the decision sample and the trace samples.  The
-stored-energy jumps caused by switch reconfiguration (node capacitances
-change when gates open or close) are booked as well, and the
-conservation residual is exposed as an audit.
+the bound reaches the limit.  It splits the cycles into runs of repeated
+cycles (same phases, state kept): a run's first cycle goes phase by
+phase, the rest as one batch whose starts come from powers of the cycle
+map and whose guard is one product per phase.  Pass 2 evaluates, per
+phase and for all cycles that ran it together, the accounts, the exact
+per-cycle peaks (block-start values plus per-block deviation bounds pick
+the few blocks to search step by step, in chunks of bounded cycles x
+blocks), the decision sample and the trace samples.  The stored-energy
+jumps caused by switch reconfiguration (node capacitances change when
+gates open or close) are booked as well, and the conservation residual
+is exposed as an audit.
 """
 
 from __future__ import annotations
@@ -243,8 +247,9 @@ def step_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
 # Steps per block of a phase operator: step k = bB + m of a phase is
 # G^m G^(bB) z, from a table of B powers and one power per block.
 _BLOCK = 32
-# Cycles per pass-2 chunk of the peak search and the sampled states.
-_CHUNK = 16
+# Cycles x blocks per pass-2 chunk of the peak search and the sampled
+# states: bounds their per-block temporaries, whatever a slot's length.
+_CHUNK_BLOCKS = 8192
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -319,16 +324,24 @@ class PhaseOperator:
         # [x_end; 1] = end @ z
         self.end = self.table[n % _BLOCK] @ self.blocks[-1]
         self.end[:d, d] += x_ref
-        # |x_k - x_ref| <= guard @ |z| for every step k <= n
-        self._guard = np.abs(self.table[:, :d]).max(0) @ np.abs(self.blocks).max(0)
-        self._room = v_limit - np.abs(x_ref)
+        # |x_k - x_ref| <= bound @ |z| for every step k <= n; scaled by the
+        # room each state has to the limit and maximised over the states,
+        # a start passes when guard @ |z| < 1 (NaN fails, as does every
+        # start if x_ref is at the limit)
+        bound = np.abs(self.table[:, :d]).max(0) @ np.abs(self.blocks).max(0)
+        room = v_limit - np.abs(x_ref)
+        self._guard = (bound / room[:, None]).max(0) if (room > 0).all() else np.full(d + 1, np.nan)
 
-    def guard(self, z: np.ndarray, k: int) -> None:
-        """Divergence guard of the phase from shifted start z in cycle k:
-        the bound first, every state only when the bound reaches the limit
-        (or is NaN)."""
-        if (self._guard @ np.abs(z) < self._room).all():
-            return
+    def guard(self, zs: np.ndarray) -> np.ndarray:
+        """Divergence guard of the phase over a stack of shifted start
+        states, one product for the stack: True for each row whose bound
+        keeps every state of the phase under the limit.  Only the other
+        rows (a NaN bound among them) need ``check``."""
+        return np.abs(zs) @ self._guard < 1.0
+
+    def check(self, z: np.ndarray, k: int) -> None:
+        """Exact divergence check of the phase from shifted start z in cycle
+        k: every state against the limit."""
         peak = float(np.abs(self.states(z[None], np.arange(self.n + 1))).max())
         if not peak < self.v_limit:   # NaN trips it too
             raise SimulationError(
@@ -602,29 +615,51 @@ def run_cycles(
 
     Pass 1 carries each cycle's start state through the end maps of its
     phases, checking every phase with the divergence guard (|x| < v_limit
-    for every state; a NaN trips it too).  Pass 2 then works per phase
-    slot on the stacked start states of every cycle that ran it: the
-    ledger accounts, the stored-energy jumps, the per-cycle maxima of the
-    states ``peak_rows``, the membrane (last state) at ``SAMPLE_FRAC`` (nearest
-    step) and, with a ``stride``, the states at every stride-th step of
-    the concatenated cycle.
+    for every state; a NaN trips it too).  It goes run by run: a run is a
+    cycle and the cycles after it with no entry map and the same phases
+    object.  The run's first cycle goes phase by phase; the others go as
+    one batch (``_run_batch``), guarded by one product per phase.  Pass 2
+    then works per phase slot on the stacked start states of every cycle
+    that ran it: the ledger accounts, the stored-energy jumps, the
+    per-cycle maxima of the states ``peak_rows`` (in even chunks of at
+    most about ``_CHUNK_BLOCKS`` cycles x blocks), the membrane (last
+    state) at ``SAMPLE_FRAC`` (nearest step) and, with a ``stride``, the
+    states at every stride-th step of the concatenated cycle.
 
     All phases of a cycle share its state layout.  Returns the maxima
     (cycles x peak rows), the decision samples and the per-cycle sampled
     states (None without a stride).
     """
+    n_cycles = len(cycles)
+    # runs of repeated cycles: [first cycle, length]; a run's later cycles
+    # keep the state (no entry map) and run the same phases object
+    runs: list[list[int]] = []
+    last = None
+    for k, (entry, phases) in enumerate(cycles):
+        if entry is None and phases is last:
+            runs[-1][1] += 1
+        else:
+            runs.append([k, 1])
+            last = phases
+    width = 1 + max(x0.size, *(cycles[k][1][0].system.dim for k, _ in runs))
+
     ops: dict[tuple[PhaseSystem, float, int], PhaseOperator] = {}
-    # per (phase, step offset in its cycle): operator, cycles, shifted starts
+    # per (phase, step offset in its cycle): operator, cycles, stacks of shifted starts
     slots: dict[tuple[Phase, int], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
-    carried: list[np.ndarray] = []   # each cycle's incoming state, then the run's end
-    starts: list[np.ndarray] = []    # each cycle's start state after its entry map
+    # each cycle's incoming state (then the run's end) and its start state
+    # after its entry map, augmented and zero-padded to one width
+    carried = np.zeros((n_cycles + 1, width))
+    starts = np.zeros((n_cycles, width))
 
     z = np.append(x0, 1.0)
-    for k, (entry, phases) in enumerate(cycles):
-        carried.append(z)
+    for k, r in runs:
+        entry, phases = cycles[k]
+        carried[k, :z.size] = z
         if entry is not None:
             z = entry @ z
-        starts.append(z)
+        starts[k, :z.size] = z
+        # the run's first cycle: operators built at its start state, if new
+        run_slots = []
         offset = 0
         for phase in phases:
             slot = slots.get((phase, offset))
@@ -637,14 +672,17 @@ def run_cycles(
                 slot = slots[phase, offset] = (op, [], [])
             op, ks, zs = slot
             zp = z - op.ref
-            op.guard(zp, k)
+            if not op.guard(zp[None])[0]:
+                op.check(zp, k)
             ks.append(k)
-            zs.append(zp)
+            zs.append(zp[None])
             z = op.end @ zp
             offset += phase.n_steps
-    carried.append(z)
+            run_slots.append(slot)
+        if r > 1:
+            z = _run_batch(run_slots, z, k + 1, r - 1, carried, starts)
+    carried[n_cycles, :z.size] = z
 
-    n_cycles = len(cycles)
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
     states: list[np.ndarray] = []
@@ -652,7 +690,7 @@ def run_cycles(
         states = [np.empty((-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim))
                   for _, phases in cycles]
     for ((start, end, n_steps, _), offset), (op, ks, zs) in slots.items():
-        ks, zs = np.array(ks), np.array(zs)
+        ks, zs = np.array(ks), np.concatenate(zs)
         op.book(ledger, ks, zs)
         if start <= SAMPLE_FRAC < end:
             idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / op.dt)), 0), n_steps)
@@ -661,9 +699,11 @@ def run_cycles(
             first = -offset % stride
             sampled = np.arange(first, n_steps, stride)
             rows_at = slice((offset + first) // stride, (offset + first) // stride + sampled.size)
-        # chunks bound the per-block temporaries of the peak search
-        for c in range(0, ks.size, _CHUNK):
-            kc, zc = ks[c:c + _CHUNK], zs[c:c + _CHUNK]
+        # even chunks: a slot splits the same way whatever its tail
+        n_chunks = -(-ks.size * op.blocks.shape[0] // _CHUNK_BLOCKS)
+        edges = [c * ks.size // n_chunks for c in range(n_chunks + 1)]
+        for a, b in zip(edges, edges[1:]):
+            kc, zc = ks[a:b], zs[a:b]
             for i in range(len(peak_rows)):
                 peaks[kc, i] = np.maximum(peaks[kc, i], op.peak(zc, i))
             if stride:
@@ -671,8 +711,8 @@ def run_cycles(
                     states[k][rows_at] = xs
 
     # stored-energy jumps where one cycle hands its end state to the next
-    e_start = _stored_energies(starts, [phases[0].system for _, phases in cycles])
-    e_end = _stored_energies(carried[1:], [phases[-1].system for _, phases in cycles])
+    e_start = _stored_energies(starts, cycles, runs, 0)
+    e_end = _stored_energies(carried[1:], cycles, runs, -1)
     ledger.reconfig[1:] += e_start[1:] - e_end[:-1]
     ledger.e_stored_first = float(e_start[0])
     ledger.e_stored_last = float(e_end[-1])
@@ -680,15 +720,66 @@ def run_cycles(
     return peaks, samples, states if stride else None
 
 
-def _stored_energies(states: list[np.ndarray], systems: list[PhaseSystem]) -> np.ndarray:
-    """Stored energy of each augmented state under its system, one
-    vectorised evaluation per distinct system."""
+def _run_batch(run_slots: list[tuple[PhaseOperator, list[int], list[np.ndarray]]],
+               z: np.ndarray, k0: int, m: int, carried: np.ndarray,
+               starts: np.ndarray) -> np.ndarray:
+    """Pass 1 for cycles k0 .. k0 + m - 1 of a run at once, from state z:
+    records their states in ``carried`` and ``starts`` and their shifted
+    starts in the run's phase slots, and returns the last one's end state.
+
+    Each phase's shift folds into its end map and those compose into the
+    cycle map C, so the starts follow by doubling (one product by C^s per
+    doubling) and each phase's shifted starts by one stacked product.  Each
+    stack gets one guard reduction; only the (cycle, phase) pairs whose
+    bound fails are checked exactly, in cycle-then-phase order, so a
+    divergence names the cycle and peak the per-cycle loop would.  Past a
+    true divergence later starts may overflow, so the batched products
+    run without numpy warnings and the check raises first.
+    """
+    d1 = z.size
+    c = np.eye(d1)
+    for op, _, _ in run_slots:
+        fold = op.end.copy()
+        fold[:, -1] -= op.end @ op.ref
+        c = fold @ c
+    zs = np.empty((m, d1))   # the batch's start states
+    zs[0] = z
+    shifted, flagged = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 1
+        while s < m:
+            take = min(s, m - s)
+            zs[s:s + take] = zs[:take] @ c.T
+            s += take
+            if s < m:
+                c = c @ c
+        z = zs
+        for j, (op, _, _) in enumerate(run_slots):
+            zp = z - op.ref
+            shifted.append(zp)
+            flagged.extend((i, j) for i in np.flatnonzero(~op.guard(zp)).tolist())
+            z = zp @ op.end.T
+    ks = range(k0, k0 + m)
+    for i, j in sorted(flagged):
+        run_slots[j][0].check(shifted[j][i], ks[i])
+    carried[k0:k0 + m, :d1] = starts[k0:k0 + m, :d1] = zs
+    for (_, slot_ks, slot_zs), zp in zip(run_slots, shifted):
+        slot_ks.extend(ks)
+        slot_zs.append(zp)
+    return z[-1]
+
+
+def _stored_energies(states: np.ndarray, cycles: Sequence[tuple[np.ndarray | None, Sequence[Phase]]],
+                     runs: list[list[int]], which: int) -> np.ndarray:
+    """Stored energy of each cycle's (padded) augmented state under the
+    system of its phase ``which``, one vectorised evaluation per distinct
+    system."""
     by_system: dict[PhaseSystem, list[int]] = {}
-    for k, system in enumerate(systems):
-        by_system.setdefault(system, []).append(k)
+    for k, r in runs:
+        by_system.setdefault(cycles[k][1][which].system, []).extend(range(k, k + r))
     out = np.empty(len(states))
     for system, ks in by_system.items():
-        out[ks] = system.stored_energy(np.array([states[k] for k in ks]))
+        out[ks] = system.stored_energy(states[ks])
     return out
 
 

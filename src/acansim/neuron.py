@@ -8,7 +8,6 @@ a logarithmic metastability term at small overdrive.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -114,13 +113,17 @@ def dlcc_decide(v_m: float, dlcc: DlccConfig, v_os: float) -> Decision:
     pair plus a metastability term that grows as the overdrive shrinks
     below the anchor's reference overdrive.
     """
-    threshold = dlcc.v_th - v_os
-    outp = 1 if v_m > threshold else 0
+    return _decide(np.array([v_m]), dlcc, v_os)[0]
 
-    overdrive = max(abs(v_m - threshold), _MIN_OVERDRIVE)
-    base = base_delay(dlcc.m_l, dlcc.m_r)
-    delay = base + _METASTABILITY_SLOPE * max(0.0, math.log(_REFERENCE_OVERDRIVE / overdrive))
-    return Decision(outp=outp, delay=delay)
+
+def _decide(v_m: np.ndarray, dlcc: DlccConfig, v_os: float) -> list[Decision]:
+    """``dlcc_decide`` of every sample in v_m at once."""
+    threshold = dlcc.v_th - v_os
+    overdrive = np.maximum(np.abs(v_m - threshold), _MIN_OVERDRIVE)
+    delay = base_delay(dlcc.m_l, dlcc.m_r) + _METASTABILITY_SLOPE * np.maximum(
+        0.0, np.log(_REFERENCE_OVERDRIVE / overdrive))
+    return [Decision(outp=o, delay=d)
+            for o, d in zip((v_m > threshold).astype(int).tolist(), delay.tolist())]
 
 
 def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[engine.Segment, ...]:
@@ -256,7 +259,7 @@ def decided_run(table: list[Code], index: list[int], stats: list[engine.CycleSta
     fired = {i: oracle.fires(table[i]) for i in dict.fromkeys(index)}
     return NeuronRun(
         codes=[table[i] for i in index],
-        decisions=[dlcc_decide(s.v_m_sample, dlcc, v_os) for s in stats],
+        decisions=_decide(np.array([s.v_m_sample for s in stats]), dlcc, v_os),
         oracle_bits=[fired[i] for i in index],
         stats=stats, ledger_full=ledger, warm_up=warm_up,
         trace=trace, v_pk_reference=v_pk_ref,

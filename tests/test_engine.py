@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from acansim import (
     sweep_lock_frequency,
     tune_inductor,
 )
+from acansim import engine
 from acansim.baseline import build_baseline_system
 from acansim.engine import (
     PhaseOperator,
@@ -372,6 +374,86 @@ def test_closed_form_kernel_matches_reference_kernel(order):
         assert_same_run(run, ref)
 
 
+# a run-length stream: long runs of one code, the idle code among them
+RUN_LENGTH_STREAM = [(1, 1, 0, 1)] * 200 + [(0, 0, 0, 0)] * 40 + [(1, 0, 1, 0)] * 60
+
+
+@pytest.mark.parametrize("recal_every", [1, 16, 10_000])
+def test_batched_runs_match_reference_kernel(recal_every):
+    # repeated cycles run through pass 1 as batches: none when every cycle
+    # recalibrates, up to 15 cycles at 16, one batch per code at 10 000.
+    # The baseline has an entry map every cycle, so it never batches.
+    cfg = tune_inductor(CircuitConfig())
+    cfg = replace(cfg, sim=replace(cfg.sim, recal_every=recal_every))
+    run = run_neuron(cfg, RUN_LENGTH_STREAM, keep_trace=True)
+    with reference_kernel():
+        ref = run_neuron(cfg, RUN_LENGTH_STREAM, keep_trace=True)
+    assert_same_run(run, ref)
+
+
+def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
+    # slots of odd lengths, each more than one chunk, the idle code among them
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 1, 0, 1)] * 101 + [(0, 0, 0, 0)] * 77 + [(1, 0, 1, 0)] * 23
+    # and a membrane that holds exactly (gates and reset open), so every
+    # block of its peak search is a candidate
+    flat = build_phase_system(cfg, SwitchState(False, False, (False,) * 4))
+    flat_cycles = [(None, (engine.Phase(0.0, 1.0, 4096, flat),))] * 151
+
+    def observe(chunk_blocks):
+        monkeypatch.setattr(engine, "_CHUNK_BLOCKS", chunk_blocks)
+        run = run_neuron(cfg, codes, keep_trace=True)
+        trace = run.trace
+        peaks, samples, states = engine.run_cycles(
+            EnergyLedger.zeros(len(flat_cycles)), flat_cycles,
+            np.array([0.0, 0.0, cfg.tree.v_ref]), cfg.pc.t_pc, math.inf, (1, -1), 8)
+        return (np.array([[s.v_pk, s.v_m_peak, s.v_m_sample] for s in run.stats]),
+                np.column_stack([trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m]),
+                peaks, samples, np.concatenate(states))
+
+    # under the bound the main phases of the first two codes take two
+    # chunks each and the flat phase three
+    bounded = observe(engine._CHUNK_BLOCKS)
+    whole = observe(10 ** 9)
+    assert np.all(whole[2][:, 1] == cfg.tree.v_ref)
+    for a, b in zip(bounded, whole):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
+    # 608 cycles of one code (8 idle warm-up cycles, a recalibration every
+    # 16): pass 1 guards each run's first cycle and each batch once per
+    # phase, where one guard per cycle and phase made 1216 calls, and
+    # pass 2 searches peaks in chunks bounded by cycles x blocks, where
+    # 16-cycle chunks made 158 calls
+    cfg = tune_inductor(CircuitConfig())
+    guards, peaks = [], []
+    guard, peak = PhaseOperator.guard, PhaseOperator.peak
+
+    def counted_guard(self, zs, *args):
+        guards.append(len(np.atleast_2d(zs)))
+        return guard(self, zs, *args)
+
+    def counted_peak(self, zs, i):
+        peaks.append(len(zs) * self.blocks.shape[0])
+        return peak(self, zs, i)
+
+    monkeypatch.setattr(PhaseOperator, "guard", counted_guard)
+    monkeypatch.setattr(PhaseOperator, "peak", counted_peak)
+    run_neuron(cfg, [(1, 1, 0, 1)] * 600)
+
+    warm, recal = cfg.sim.startup_discard_cycles, cfg.sim.recal_every
+    # a run: cycles of one schedule object (code and recalibration flag)
+    plans = [(k < warm, k % recal == 0) for k in range(warm + 600)]
+    lengths = [len(list(g)) for _, g in groupby(plans)]
+    batches = sum(n > 1 for n in lengths)
+    assert len(guards) <= 2 * (len(lengths) + batches) < 1216 // 4
+    assert sum(guards) == 2 * len(plans)
+    # even chunks overshoot the bound by less than one cycle's blocks
+    assert all(m < engine._CHUNK_BLOCKS + 128 for m in peaks)
+    assert len(peaks) < 158 // 4
+
+
 def _clock_phase():
     # the main phase of a cycle with two gates on; 3583 steps leave a
     # partial last block
@@ -407,9 +489,14 @@ def test_phase_operator_guard_visits_states_only_past_its_bound():
     x0 = np.array([1e-4, 0.3, 0.3, 0.8])
     z = np.append(x0, 1.0) - np.append(x0, 0.0)
     peak = np.abs(propagate(*step_maps(sys.a, sys.b, dt), x0, n)).max()
-    bound = PhaseOperator(sys, dt, n, x0, (1,), math.inf)._guard @ np.abs(z) + np.abs(x0)
-    assert bound.max() > peak
-    # a limit between the peak and the bound passes on the exact states
-    PhaseOperator(sys, dt, n, x0, (1,), 0.5 * (peak + bound.max())).guard(z, 3)
+    # far below the limit the bound passes the start without a visit
+    assert PhaseOperator(sys, dt, n, x0, (1,), 10.0 * peak).guard(z[None]).tolist() == [True]
+    # a limit just above the peak trips the bound of every start in the
+    # stack, and the start passes on the exact states
+    op = PhaseOperator(sys, dt, n, x0, (1,), 1.001 * peak)
+    assert op.guard(np.stack([z, z])).tolist() == [False, False]
+    op.check(z, 3)
+    op = PhaseOperator(sys, dt, n, x0, (1,), 0.9 * peak)
+    assert op.guard(z[None]).tolist() == [False]
     with pytest.raises(SimulationError, match=rf"cycle 3: \|x\| reached {peak:.3g}, limit"):
-        PhaseOperator(sys, dt, n, x0, (1,), 0.9 * peak).guard(z, 3)
+        op.check(z, 3)

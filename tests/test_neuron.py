@@ -27,6 +27,7 @@ from acansim import baseline as baseline_mod
 from acansim import engine
 from acansim import neuron as neuron_mod
 from acansim.neuron import base_delay
+from reference_kernel import assert_same_run, reference_kernel
 
 _GRID = [1e3, 3.25e3, 5.5e3, 7.75e3, 10e3]
 _OFFSET_MV = [
@@ -288,6 +289,47 @@ def test_divergence_names_its_cycle_and_peak(monkeypatch, design, message):
             else:
                 run_baseline(BaselineConfig.from_circuit(cfg), [(1, 1, 0, 0)] * 6)
     assert str(err.value) == message
+
+
+def test_divergence_inside_an_overflowing_batch(monkeypatch):
+    # one code for 600 cycles with no warm-up and no recalibration after
+    # cycle 0: cycles 2..599 run as one batch, whose starts come from
+    # powers of the cycle map up to C^512; at ~10x growth per cycle the
+    # later ones overflow float64, beyond the divergence the batch must name
+    cfg = tune_inductor(CircuitConfig())
+    cfg = replace(cfg, sim=replace(cfg.sim, startup_discard_cycles=0, recal_every=10_000))
+    codes = [(1, 1, 0, 0)] * 600
+    _growing_step_maps(monkeypatch)
+    with reference_kernel(), pytest.raises(SimulationError) as want:
+        run_neuron(cfg, codes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no overflow or invalid-value warning escapes
+        with pytest.raises(SimulationError) as err:
+            run_neuron(cfg, codes)
+    assert str(err.value) == str(want.value)
+    assert str(err.value).startswith("state diverged in cycle 2: ")
+
+
+def test_false_alarm_inside_a_batch_matches_reference(monkeypatch):
+    # a guard whose bound always trips: every (cycle, phase) pair, batched
+    # ones included, is checked on its exact states, all of them stay under
+    # the limit, and the run is the reference kernel's
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 1, 0, 1)] * 30 + [(0, 0, 0, 0)] * 6
+    init = engine.PhaseOperator.__init__
+
+    def alarmed(self, *args):
+        init(self, *args)
+        self._guard = self._guard + 1.0   # |z| ends in the affine 1: guard @ |z| >= 1
+
+    monkeypatch.setattr(engine.PhaseOperator, "__init__", alarmed)
+    checks = _count_calls(monkeypatch, engine.PhaseOperator, "check")
+    run = run_neuron(cfg, codes, keep_trace=True)
+    n_cycles = cfg.sim.startup_discard_cycles + len(codes)
+    assert sorted(k for _, _, k in checks) == sorted(2 * list(range(n_cycles)))
+    with reference_kernel():
+        ref = run_neuron(cfg, codes, keep_trace=True)
+    assert_same_run(run, ref)
 
 
 def _count_step_maps(monkeypatch):

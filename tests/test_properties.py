@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from acansim import (
     BaselineConfig,
     CircuitConfig,
+    SimConfig,
     SynapseTreeConfig,
     energy_residual,
     run_baseline,
@@ -70,18 +71,22 @@ def test_run_baseline_conserves_energy(codes):
 
 @st.composite
 def trees_and_streams(draw):
-    # weights of 1 or 2 pF, so equal weights lump into shared phases
+    # weights of 1 or 2 pF, so equal weights lump into shared phases; a
+    # run-length stream, each code repeated 1 to 40 times, so repeated
+    # cycles run as batches between recalibrations
     weights = draw(st.lists(st.sampled_from((1e-12, 2e-12)), min_size=2, max_size=5))
-    codes = draw(st.lists(st.tuples(*[st.integers(0, 1)] * len(weights)),
-                          min_size=1, max_size=12))
-    return tuple(weights), codes
+    runs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * len(weights)),
+                                   st.integers(1, 40)), min_size=1, max_size=12))
+    recal_every = draw(st.sampled_from((1, 2, 5, 16, 10_000)))
+    return tuple(weights), [code for code, count in runs for _ in range(count)], recal_every
 
 
 @settings(max_examples=25, deadline=None)
 @given(case=trees_and_streams())
 def test_closed_form_kernel_matches_reference_on_random_trees(case):
-    weights, codes = case
-    cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=weights)))
+    weights, codes, recal_every = case
+    cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=weights),
+                                      sim=SimConfig(recal_every=recal_every)))
     base = BaselineConfig.from_circuit(cfg)
     runs = [run_neuron(cfg, codes, keep_trace=True), run_baseline(base, codes)]
     with reference_kernel():
