@@ -161,16 +161,16 @@ def build_baseline_system(
                        losses=tuple(losses), sources=tuple(sources))
 
 
-def _cycle_plan(system: PhaseSystem, t_cycle: float, spc: int) -> list[Phase]:
+def _cycle_plan(system: PhaseSystem, rates: np.ndarray, t_cycle: float, spc: int) -> list[Phase]:
     """Phases of one cycle in cycle fractions: dense over the switching
     transient, coarse after.
 
-    The slowest settling mode comes straight from the system matrix, so
-    the dense window tracks the actual transient at any tree size.  With
-    the reset open the membrane-charge mode sits at exactly zero rate; it
-    never settles and must not widen the dense window.
+    The slowest settling mode comes straight from the system matrix (the
+    real parts of its eigenvalues, ``rates``), so the dense window tracks
+    the actual transient at any tree size.  With the reset open the
+    membrane-charge mode sits at exactly zero rate; it never settles and
+    must not widen the dense window.
     """
-    rates = np.linalg.eigvals(system.a).real
     taus = [1.0 / -r for r in rates if r < 0.0 and -r * t_cycle >= 1.0]
     t_fine = 60.0 * max(taus) if taus else t_cycle
     if t_fine >= 0.5 * t_cycle:
@@ -211,10 +211,10 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
     v_limit = 50.0 * cfg.v_dd   # numerical-blowup guard, as in the adiabatic design
 
     ledger = EnergyLedger.zeros(n_cycles)
-    plans: dict[tuple, list[Phase]] = {}
-    # (previous index, index) -> (levels, phases, drive toggles)
-    transitions: dict[tuple[int, int], tuple[list, list[Phase], int]] = {}
-    steps: list[tuple[np.ndarray, list[Phase]]] = []
+    systems: dict[tuple, PhaseSystem] = {}
+    # (previous index, index) -> (levels, phase system, drive toggles)
+    transitions: dict[tuple[int, int], tuple[list, PhaseSystem, int]] = {}
+    steps: list[tuple[np.ndarray, PhaseSystem]] = []
     prev = 0   # the run starts from the all-zero code, table entry 0
     dim = 1    # and from the membrane alone, at V_REF
 
@@ -224,19 +224,26 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
             prev_code, code = table[prev], table[i]
             levels = _levels(tree, prev_code, code)
             key = (tuple(levels), not any(code))
-            phases = plans.get(key)
-            if phases is None:
-                sys = build_baseline_system(cfg, levels, reset_on=key[1])
-                phases = plans[key] = _cycle_plan(sys, t_cycle, cfg.steps_per_cycle)
+            if key not in systems:
+                systems[key] = build_baseline_system(cfg, levels, reset_on=key[1])
             toggles = sum(p != n for p, n in zip(prev_code, code))
-            step = transitions[prev, i] = (levels, phases, toggles)
-        levels, phases, toggles = step
-        steps.append((_plate_entry(levels, dim, cfg.v_dd), phases))
+            step = transitions[prev, i] = (levels, systems[key], toggles)
+        levels, system, toggles = step
+        steps.append((_plate_entry(levels, dim, cfg.v_dd), system))
         ledger.drive[k] += e_toggle * toggles
         dim = len(levels) + 1
         prev = i
 
-    peaks, samples, _ = run_cycles(ledger, steps, np.array([tree.v_ref]), t_cycle, v_limit, (-1,))
+    # each system's phases, from one stacked eigenvalue call per dimension
+    plans: dict[PhaseSystem, list[Phase]] = {}
+    for d in dict.fromkeys(system.dim for system in systems.values()):
+        group = [system for system in systems.values() if system.dim == d]
+        rates = np.linalg.eigvals(np.stack([system.a for system in group])).real
+        plans.update((system, _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle))
+                     for system, r in zip(group, rates))
+    cycles = [(entry, plans[system]) for entry, system in steps]
+
+    peaks, samples, _ = run_cycles(ledger, cycles, np.array([tree.v_ref]), t_cycle, v_limit, (-1,))
     stats = [CycleStats(v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample)
              for v_m_peak, v_m_sample in zip(peaks[:, 0].tolist(), samples.tolist())]
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)

@@ -4,11 +4,11 @@ Within one switch phase the circuit is linear time invariant, so a cycle
 is integrated as a handful of constant (A, b) systems advanced with the
 implicit trapezoidal rule.  The step map is affine, so every state of a
 phase is affine in the phase's start state, and every quantity a run
-keeps is a closed form in it: a *phase operator*, built once per distinct
+keeps is a closed form in it: a *phase operator*, one per distinct
 (phase system, step size, step count), holds those forms.
 
 A phase system carries its elements as data (storage, loss and source
-terms), from which the operator compiles each ledger account: a source
+terms), from which a run compiles its operators' accounts, stacked: a source
 account is linear in the start state, a loss account a sum of squares
 (trapezoidal quadrature on the step grid, summed in closed form by
 doubling).  A run takes two passes (``run_cycles``).  Pass 1 carries each
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -126,13 +125,6 @@ class PhaseSystem:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-    def maps(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Step maps of this system for step size dt, built once per dt."""
-        m = self._maps.get(dt)
-        if m is None:
-            m = self._maps[dt] = step_maps(self.a, self.b, dt)
-        return m
 
     def stored_energy(self, x: np.ndarray) -> np.ndarray:
         """Stored energy of a state, or of each row of a stack of states."""
@@ -234,14 +226,28 @@ def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
                        losses=tuple(losses), sources=tuple(sources))
 
 
-def step_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def step_maps(a: np.ndarray, b: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Affine map (E, f) of one implicit trapezoidal step of size dt:
-    (I - dt/2 A) x' = (I + dt/2 A) x + dt b."""
-    eye = np.eye(a.shape[0])
-    lhs = eye - 0.5 * dt * a
-    e = np.linalg.solve(lhs, eye + 0.5 * dt * a)
-    f = np.linalg.solve(lhs, dt * b)
+    (I - dt/2 A) x' = (I + dt/2 A) x + dt b.  Broadcasts over a stack of
+    systems, a (P, d, d) and b (P, d), with one dt each."""
+    dt = np.asarray(dt)
+    eye = np.eye(a.shape[-1])
+    lhs = eye - 0.5 * dt[..., None, None] * a
+    e = np.linalg.solve(lhs, eye + 0.5 * dt[..., None, None] * a)
+    f = np.linalg.solve(lhs, (dt[..., None] * b)[..., None])[..., 0]
     return e, f
+
+
+def _build_maps(pairs: Iterable[tuple[PhaseSystem, float]]) -> None:
+    """Step maps of the (system, dt) pairs that their system lacks, one
+    stacked ``step_maps`` call per state dimension."""
+    todo = [(system, dt) for system, dt in dict.fromkeys(pairs) if dt not in system._maps]
+    for dim in dict.fromkeys(system.dim for system, _ in todo):
+        group = [(system, dt) for system, dt in todo if system.dim == dim]
+        e, f = step_maps(np.stack([s.a for s, _ in group]), np.stack([s.b for s, _ in group]),
+                         np.array([dt for _, dt in group]))
+        for (system, dt), *maps in zip(group, e, f):
+            system._maps[dt] = tuple(maps)
 
 
 # Steps per block of a phase operator: step k = bB + m of a phase is
@@ -250,6 +256,8 @@ _BLOCK = 32
 # Cycles x blocks per pass-2 chunk of the peak search and the sampled
 # states: bounds their per-block temporaries, whatever a slot's length.
 _CHUNK_BLOCKS = 8192
+# Entries of a chunk's deviation-bound product: small enough to stay in cache.
+_DEVIATION_CHUNK = 32768
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -266,24 +274,24 @@ def _powers(base: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _stein_sums(g: np.ndarray, forms: np.ndarray, rows: np.ndarray,
-                n: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{k<n} (G^k)^T Q G^k for every form Q and sum_{k<n} s G^k for
-    every row s, by doubling over the bits of n: O(log n) products and no
-    n-sized arrays (the trapezoid analogue of Van Loan's block-exponential
-    integrals, in the manner of squared Smith iteration)."""
+def _stein_sums(g: np.ndarray, forms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """sum_{k<n} (G^k)^T Q G^k for a stack of maps G, forms Q and step
+    counts n, by doubling over the bits of the largest n: O(log n) stacked
+    products and no n-sized arrays (the trapezoid analogue of Van Loan's
+    block-exponential integrals, in the manner of squared Smith iteration).
+    A zero bit of n steps by I and adds no form: sum and power stay exact."""
+    on = (ns[None, :] >> np.arange(int(ns.max()).bit_length())[::-1, None]) & 1 == 1
+    eye = np.eye(g.shape[-1])
+    steps = np.where(on[:, :, None, None], g, eye)        # per bit: G, or I where it is zero
+    fronts = np.where(on[:, :, None, None], forms, 0.0)   # per bit: the form one more step adds
     w = np.zeros_like(forms)
-    s = np.zeros_like(rows)
-    p = np.eye(g.shape[0])   # G^(terms summed so far)
-    for bit in bin(n)[2:]:
-        w = w + p.T @ w @ p
-        s = s + s @ p
+    p = np.broadcast_to(eye, g.shape)   # G^(terms summed so far)
+    for step, front in zip(steps, fronts):
+        w = w + np.swapaxes(p, 1, 2) @ w @ p
         p = p @ p
-        if bit == "1":   # one more step in front
-            w = forms + g.T @ w @ g
-            s = rows + s @ g
-            p = p @ g
-    return w, s
+        w = front + np.swapaxes(step, 1, 2) @ w @ step
+        p = p @ step
+    return w
 
 
 class PhaseOperator:
@@ -299,15 +307,16 @@ class PhaseOperator:
     (m < B) and the block-start powers G^(bB); the n states are never
     stored.
 
-    The operator also holds the end map, the divergence guard's bound and,
-    for the ``peak_rows``, per-block bounds on how far a row moves within
-    a block, which make the peak search exact without visiting every step.
+    It also holds the end map and the divergence guard's bound, and
+    ``compile_operators`` adds the accounts and, per peak row, bounds on how
+    far it moves within each block, which make the peak search exact.
     """
 
     def __init__(self, system: PhaseSystem, dt: float, n: int, x_ref: np.ndarray,
                  peak_rows: tuple[int, ...], v_limit: float) -> None:
         d = system.dim
-        e, f = system.maps(dt)
+        _build_maps([(system, dt)])   # a no-op in a run, which built them all
+        e, f = system._maps[dt]
         g = np.zeros((d + 1, d + 1))
         g[:d, :d] = e
         # one step's drift from x_ref; E - I is exact where E is near I, so
@@ -369,71 +378,110 @@ class PhaseOperator:
         r = self.peak_rows[i]
         coarse = zs @ self.blocks[:, r].T
         best = coarse.max(1)
-        ci, bi = np.nonzero(coarse + np.abs(zs) @ self._deviation[i].T >= best[:, None])
+        ci, bi = np.nonzero(coarse + np.abs(zs) @ self.deviation[i].T >= best[:, None])
         vals = (self.blocks[bi] @ zs[ci, :, None])[:, :, 0] @ self.table[:, r].T
         vals[bi == self.blocks.shape[0] - 1, self.n % _BLOCK + 1:] = -np.inf   # past the end
         top = np.maximum.reduceat(vals.max(1), np.searchsorted(ci, np.arange(len(zs))))
         return np.maximum(best, top) + self.ref[r]
 
-    @cached_property
-    def _deviation(self) -> list[np.ndarray]:
-        """Per peak row, (blocks, d + 1): max over the block's steps m of
-        |(G^m - I)[r] G^(bB)|, so the row moves at most that @ |z| from its
-        block-start value."""
-        n_blocks, d1 = self.blocks.shape[:2]
-        by_column = self.blocks.transpose(1, 0, 2).reshape(d1, -1)   # [G^(bB) for b] side by side
-        out = []
-        for r in self.peak_rows:
-            step = self.table[:, r].copy()
-            step[:, r] -= 1.0
-            dev = np.abs(step @ by_column)                # (B, blocks * (d + 1))
-            dev[self.n % _BLOCK + 1:, -d1:] = 0.0         # past the end, in the last block
-            out.append(dev.max(0).reshape(n_blocks, d1))
-        return out
-
-    @cached_property
-    def _accounts(self) -> tuple[list[tuple[str, np.ndarray]], list[tuple[str, np.ndarray]]]:
-        """Loss accounts as factors F (loss = |F z|^2) and source accounts
-        as rows s (energy = s @ z), each a trapezoid sum over the phase."""
-        d, g, x = self.dim, self._g, self.ref
-        losses = list(dict.fromkeys(t.account for t in self.system.losses))
-        forms = np.zeros((len(losses), d + 1, d + 1))
-        for account, gain, i, j, u in self.system.losses:
-            c = np.zeros(d + 1)
-            c[i] = 1.0
-            c[d] = x[i] + u
-            if j is not None:
-                c[j] = -1.0
-                c[d] = x[i] - x[j] + u
-            forms[losses.index(account)] += gain * np.outer(c, c)
-        sources = list(dict.fromkeys(t.account for t in self.system.sources))
-        rows = np.zeros((len(sources), d + 1))
-        for account, p, i, u in self.system.sources:
-            rows[sources.index(account), i] += p
-            rows[sources.index(account), d] += p * (x[i] + u)
-        # trapezoid rule: step k contributes the mean of its two end points
-        w, s = _stein_sums(g, 0.5 * (forms + g.T @ forms @ g), 0.5 * (rows + rows @ g), self.n)
-        # sum-of-squares factors, so every loss is non-negative: eigenvectors
-        # of each form's correlation matrix (diagonal scaled to one, which
-        # keeps the eigensolver's error relative to each coordinate's own
-        # scale); correlations past +-1 and negative diagonals are round-off
-        # of a zero and are clipped
-        scale = np.sqrt(np.clip(np.einsum("aii->ai", w), 0.0, None))
-        outer = scale[:, :, None] * scale[:, None, :]
-        corr = np.clip(np.divide(w, outer, out=np.zeros_like(w), where=outer > 0.0), -1.0, 1.0)
-        lam, vec = np.linalg.eigh(corr)
-        factors = (np.sqrt(self.dt * np.clip(lam, 0.0, None))[:, :, None]
-                   * np.swapaxes(vec, 1, 2) * scale[:, None, :])
-        return list(zip(losses, factors)), list(zip(sources, self.dt * s))
-
     def book(self, ledger: EnergyLedger, ks: np.ndarray, zs: np.ndarray) -> None:
         """Add the phase's accounts from shifted start states zs to cycles ks
         (each cycle at most once)."""
-        losses, sources = self._accounts
-        for account, f in losses:
-            getattr(ledger, account)[ks] += np.square(zs @ f.T).sum(1)
-        for account, s in sources:
-            getattr(ledger, account)[ks] += zs @ s
+        for account, a, loss in self.accounts:
+            getattr(ledger, account)[ks] += np.square(zs @ a.T).sum(1) if loss else zs @ a
+
+
+def compile_operators(ops: Iterable[PhaseOperator]) -> None:
+    """Compile the accounts and peak deviation bounds of phase operators,
+    stacked per state dimension (and peak-row count, which a run's share):
+    one Stein doubling and one ``eigh`` call for the accounts, deviation
+    bounds in chunks of bounded size.  A lone operator is a batch of one."""
+    groups: dict[tuple[int, int], list[PhaseOperator]] = {}
+    for op in ops:
+        groups.setdefault((op.dim, len(op.peak_rows)), []).append(op)
+    for (d, n_rows), group in groups.items():
+        _compile_accounts(group)
+        group.sort(key=lambda op: -op.n)   # a chunk pads its blocks to its first one's
+        per = max(1, _DEVIATION_CHUNK // (n_rows * _BLOCK * group[0].blocks.shape[0] * (d + 1)))
+        for at in range(0, len(group), per):
+            _compile_deviation(group[at:at + per])
+
+
+def _compile_accounts(group: list[PhaseOperator]) -> None:
+    """Each operator's accounts, (account, array, is a loss), each a
+    trapezoid sum over the phase: a loss as factors F (loss = |F z|^2), a
+    source as a row s (energy = s @ z); for operators of one dimension."""
+    d = group[0].dim
+    # one form per (account, operator), the losses first; per term its form,
+    # indices and operator, and its gain (or power) and offset
+    accounts, at, val = [], [], []
+    for losses in (True, False):
+        for o, op in enumerate(group):
+            terms = op.system.losses if losses else op.system.sources
+            names = list(dict.fromkeys(t.account for t in terms))
+            at += [(len(accounts) + names.index(t.account), t.i,
+                    t.j if losses and t.j is not None else d, o) for t in terms]
+            val += [(t[1], t.u) for t in terms]
+            accounts += [(name, o) for name in names]
+        if losses:
+            n_loss = len(accounts)
+    form, i, j, o = np.array(at, dtype=int).reshape(-1, 4).T
+    k, u = np.array(val).reshape(-1, 2).T
+    x = np.stack([op.ref for op in group])
+    # a term's c, with c @ z = x_i - x_j + u (j = d, the affine entry, for a
+    # term to ground: its -1 is overwritten); a loss term's form is g c^T c,
+    # a source term's p e^T c for e the affine unit row: G keeps the affine
+    # entry, so that form sums to e^T S, S the sum of the source's row
+    eye = np.eye(d + 1)
+    c = eye[i] - eye[j]
+    c[:, d] = x[o, i] - x[o, j] + u
+    left = np.where((form < n_loss)[:, None], c, eye[d])
+    forms = np.zeros((len(accounts), d + 1, d + 1))
+    np.add.at(forms, form, k[:, None, None] * (left[:, :, None] * c[:, None, :]))
+
+    # trapezoid rule: step k contributes the mean of its two end points
+    owner = np.array([o for _, o in accounts], dtype=int)
+    g = np.stack([op._g for op in group])[owner]
+    w = _stein_sums(g, 0.5 * (forms + np.swapaxes(g, 1, 2) @ forms @ g),
+                    np.array([op.n for op in group])[owner])
+    dt = np.array([op.dt for op in group])[owner]
+    rows = dt[n_loss:, None] * w[n_loss:, d]
+    # sum-of-squares factors, so every loss is non-negative: eigenvectors
+    # of each form's correlation matrix (diagonal scaled to one, which
+    # keeps the eigensolver's error relative to each coordinate's own
+    # scale); correlations past +-1 and negative diagonals are round-off
+    # of a zero and are clipped
+    w = w[:n_loss]
+    scale = np.sqrt(np.clip(np.einsum("aii->ai", w), 0.0, None))
+    outer = scale[:, :, None] * scale[:, None, :]
+    corr = np.clip(np.divide(w, outer, out=np.zeros_like(w), where=outer > 0.0), -1.0, 1.0)
+    lam, vec = np.linalg.eigh(corr)
+    factors = (np.sqrt(dt[:n_loss, None] * np.clip(lam, 0.0, None))[:, :, None]
+               * np.swapaxes(vec, 1, 2) * scale[:, None, :])
+    for op in group:
+        op.accounts = []
+    for f, ((name, o), a) in enumerate(zip(accounts, [*factors, *rows])):
+        group[o].accounts.append((name, a, f < n_loss))
+
+
+def _compile_deviation(group: list[PhaseOperator]) -> None:
+    """Per peak row, (blocks, d + 1): max over the block's steps m of
+    |(G^m - I)[r] G^(bB)|, so the row moves at most that @ |z| from its
+    block-start value; block powers padded with zeros to the first's count."""
+    n_ops, n_rows, d1 = len(group), len(group[0].peak_rows), group[0].dim + 1
+    n_blocks = [op.blocks.shape[0] for op in group]
+    by_column = np.zeros((n_ops, d1, max(n_blocks) * d1))   # [G^(bB) for b] side by side
+    for o, op in enumerate(group):
+        by_column[o, :, :n_blocks[o] * d1] = op.blocks.transpose(1, 0, 2).reshape(d1, -1)
+    ops, rows = np.arange(n_ops)[:, None], np.array([op.peak_rows for op in group])
+    step = np.stack([op.table for op in group])[ops, :, rows]         # (ops, rows, B, d + 1)
+    step[ops, np.arange(n_rows), :, rows] -= 1.0
+    dev = (step.reshape(n_ops, -1, d1) @ by_column).reshape(n_ops, n_rows, _BLOCK, -1)
+    for o, op in enumerate(group):   # past the end, in the last block
+        dev[o, :, op.n % _BLOCK + 1:, (n_blocks[o] - 1) * d1:n_blocks[o] * d1] = 0.0
+    dev = np.maximum(dev.max(2), -dev.min(2)).reshape(n_ops, n_rows, -1, d1)
+    for o, op in enumerate(group):
+        op.deviation = list(dev[o, :, :n_blocks[o]])
 
 
 # In-cycle instant, as a fraction of the cycle, at which both designs
@@ -610,8 +658,10 @@ def run_cycles(
 
     Each cycle is ``(entry, phases)``: ``entry`` maps the previous cycle's
     end state ``[x; 1]`` to this cycle's augmented start state (None keeps
-    the state), then the phases run in order.  One ``PhaseOperator`` is
-    built per distinct (system, dt, n_steps), at its first start state.
+    the state), then the phases run in order.  The step maps are built
+    first, stacked.  One ``PhaseOperator`` is built per distinct (system,
+    dt, n_steps), at its first start state, and compiled with the others
+    at the start of pass 2 (``compile_operators``).
 
     Pass 1 carries each cycle's start state through the end maps of its
     phases, checking every phase with the divergence guard (|x| < v_limit
@@ -642,6 +692,8 @@ def run_cycles(
             runs.append([k, 1])
             last = phases
     width = 1 + max(x0.size, *(cycles[k][1][0].system.dim for k, _ in runs))
+    _build_maps((system, (end - start) * t_cycle / n_steps)
+                for k, _ in runs for start, end, n_steps, system in cycles[k][1])
 
     ops: dict[tuple[PhaseSystem, float, int], PhaseOperator] = {}
     # per (phase, step offset in its cycle): operator, cycles, stacks of shifted starts
@@ -683,6 +735,7 @@ def run_cycles(
             z = _run_batch(run_slots, z, k + 1, r - 1, carried, starts)
     carried[n_cycles, :z.size] = z
 
+    compile_operators(ops.values())
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
     states: list[np.ndarray] = []

@@ -70,7 +70,7 @@ def run_cycles(ledger, cycles, x0, t_cycle, v_limit, peak_rows, stride=None):
         trajectories = []
         for start, end, n_steps, system in phases:
             dt = (end - start) * t_cycle / n_steps
-            xs = propagate(*system.maps(dt), x, n_steps)
+            xs = propagate(*engine.step_maps(system.a, system.b, dt), x, n_steps)
             peak = float(np.abs(xs).max())
             if not peak < v_limit:
                 raise SimulationError(
@@ -103,7 +103,7 @@ def reference_kernel():
 def assert_same_run(run, ref):
     """A run of the engine's kernel against the same run of the reference.
 
-    Accounts agree within 1e-9 of the run's mean dissipation per cycle.
+    Each cycle's accounts agree within 1e-9 of that cycle's dissipation.
     Idle baseline codes dissipate next to nothing, and their membrane sits
     ~1e-15 V off V_REF (round-off in the step map's fixed point), which
     the V_REF source term books to first order (~1e-25 J per cycle), so a
@@ -114,10 +114,11 @@ def assert_same_run(run, ref):
     """
     led, want = run.ledger_full, ref.ledger_full
     stored = max(abs(want.e_stored_first), abs(want.e_stored_last))
-    tol = 1e-9 * want.dissipated_total / want.n_cycles + 1e-11 * stored
+    tol = 1e-9 * (want.r_pc + want.r_lc + want.r_tg + want.r_reset) + 1e-11 * stored
     for name in ACCOUNTS:
-        np.testing.assert_allclose(getattr(led, name), getattr(want, name), rtol=0.0, atol=tol,
-                                   err_msg=name)
+        err = np.abs(getattr(led, name) - getattr(want, name))
+        worst = int(np.argmax(err - tol))
+        assert np.all(err <= tol), f"{name}: cycle {worst} off by {err[worst]:.3g}, tol {tol[worst]:.3g}"
     assert led.e_stored_first == pytest.approx(want.e_stored_first, rel=1e-10)
     assert led.e_stored_last == pytest.approx(want.e_stored_last, rel=1e-10)
     for field in ("v_pk", "v_m_peak", "v_m_sample"):

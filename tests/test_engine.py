@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from acansim.engine import (
     Source,
     Store,
     build_phase_system,
+    compile_operators,
     step_maps,
     write_csv,
 )
@@ -295,6 +297,7 @@ def _assert_accounts(ledger, ref):
 def _book_phase(sys, dt, n, x0):
     # the phase operator's accounts from start state x0, its reference state
     op = PhaseOperator(sys, dt, n, x0, (-1,), math.inf)
+    compile_operators([op])
     ledger = EnergyLedger.zeros(1)
     op.book(ledger, np.array([0]), (np.append(x0, 1.0) - op.ref)[None])
     return ledger
@@ -378,17 +381,24 @@ def test_closed_form_kernel_matches_reference_kernel(order):
 RUN_LENGTH_STREAM = [(1, 1, 0, 1)] * 200 + [(0, 0, 0, 0)] * 40 + [(1, 0, 1, 0)] * 60
 
 
-@pytest.mark.parametrize("recal_every", [1, 16, 10_000])
-def test_batched_runs_match_reference_kernel(recal_every):
+@pytest.mark.parametrize("design, recal_every", [
+    ("adiabatic", 1), ("adiabatic", 16), ("adiabatic", 10_000), ("baseline", None),
+], ids=["1", "16", "10000", "baseline"])
+def test_batched_runs_match_reference_kernel(design, recal_every):
     # repeated cycles run through pass 1 as batches: none when every cycle
     # recalibrates, up to 15 cycles at 16, one batch per code at 10 000.
-    # The baseline has an entry map every cycle, so it never batches.
+    # The baseline has an entry map every cycle, so it never batches, but
+    # its runs have the most operators to compile
     cfg = tune_inductor(CircuitConfig())
-    cfg = replace(cfg, sim=replace(cfg.sim, recal_every=recal_every))
-    run = run_neuron(cfg, RUN_LENGTH_STREAM, keep_trace=True)
+    if design == "adiabatic":
+        cfg = replace(cfg, sim=replace(cfg.sim, recal_every=recal_every))
+        run = partial(run_neuron, cfg, RUN_LENGTH_STREAM, keep_trace=True)
+    else:
+        run = partial(run_baseline, BaselineConfig.from_circuit(cfg), RUN_LENGTH_STREAM)
+    got = run()
     with reference_kernel():
-        ref = run_neuron(cfg, RUN_LENGTH_STREAM, keep_trace=True)
-    assert_same_run(run, ref)
+        ref = run()
+    assert_same_run(got, ref)
 
 
 def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
@@ -454,6 +464,45 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     assert len(peaks) < 158 // 4
 
 
+def test_sweep_run_compiles_operators_per_dimension(monkeypatch):
+    # the 16-code ascending sweep, 4 passes: a run builds its step maps in
+    # one stacked call per state dimension and compiles its operators in
+    # one call, with one Stein doubling per dimension, where one build per
+    # operator made 11 step_maps calls and 11 doublings (adiabatic) and 22
+    # and 22 (baseline)
+    cfg = tune_inductor(CircuitConfig())
+    codes = input_sweeps(4, n_scrambles=0, seed=0)[0] * 4
+    calls = []   # (function, state dimension or number of dimensions)
+    compile_operators, stein_sums, step_maps = (
+        engine.compile_operators, engine._stein_sums, engine.step_maps)
+
+    def counted_compile(ops):
+        ops = list(ops)
+        calls.append(("compile", len({op.dim for op in ops})))
+        return compile_operators(ops)
+
+    def counted_stein(g, *args):
+        calls.append(("stein", g.shape[-1] - 1))
+        return stein_sums(g, *args)
+
+    def counted_maps(a, *args):
+        calls.append(("maps", a.shape[-1]))
+        return step_maps(a, *args)
+
+    monkeypatch.setattr(engine, "compile_operators", counted_compile)
+    monkeypatch.setattr(engine, "_stein_sums", counted_stein)
+    monkeypatch.setattr(engine, "step_maps", counted_maps)
+    for run in (partial(run_neuron, cfg, codes),
+                partial(run_baseline, BaselineConfig.from_circuit(cfg), codes)):
+        calls.clear()
+        run()
+        n_dims = [n for f, n in calls if f == "compile"]
+        assert len(n_dims) == 1 and n_dims[0] > 1
+        for name in ("stein", "maps"):
+            dims = [d for f, d in calls if f == name]
+            assert len(dims) == len(set(dims)) == n_dims[0]
+
+
 def _clock_phase():
     # the main phase of a cycle with two gates on; 3583 steps leave a
     # partial last block
@@ -468,6 +517,7 @@ def test_phase_operator_states_and_peaks_match_propagation():
     rng = np.random.default_rng(3)
     x_ref = np.array([1e-4, 0.3, 0.3, 0.8])
     op = PhaseOperator(sys, dt, n, x_ref, (1, -1), math.inf)
+    compile_operators([op])
     x0s = x_ref + rng.normal(scale=[2e-4, 0.5, 0.5, 0.2], size=(6, 4))
     zs = np.column_stack([x0s, np.ones(6)]) - op.ref
     every = op.states(zs, np.arange(n + 1))
@@ -482,6 +532,51 @@ def test_phase_operator_states_and_peaks_match_propagation():
     # the peak search returns the maximum over every step, not a strided one
     for i, r in enumerate((1, -1)):
         np.testing.assert_allclose(op.peak(zs, i), every[:, :, r].max(1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [engine._DEVIATION_CHUNK, 10 ** 9])
+def test_stacked_compile_matches_lone_compiles(monkeypatch, chunk):
+    # operators of three dimensions whose step counts have bit lengths
+    # from 1 to 13, compiled in one batch and each alone: a lone operator
+    # is a batch of one, so the batch must leave each one's accounts,
+    # deviation bounds and peaks as they are; unbounded chunks pad every
+    # operator of a dimension to the longest one's blocks
+    monkeypatch.setattr(engine, "_DEVIATION_CHUNK", chunk)
+    cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 1e-12, 2e-12, 2e-12))))
+    gates = [(False,) * 4, (True, True, False, False), (True, False, True, False)]
+    systems = [build_phase_system(cfg, SwitchState(bypass, reset, on))
+               for bypass, reset, on in [(True, False, gates[0]), (False, True, gates[0]),
+                                         (False, False, gates[1]), (True, True, gates[1]),
+                                         (False, False, gates[2])]]
+    assert sorted({sys.dim for sys in systems}) == [3, 4, 5]
+    rng = np.random.default_rng(7)
+    args = []
+    for k, n in enumerate((1, 2, 31, 32, 33, 1024, 3072, 3584, 4096)):
+        sys = systems[k % len(systems)]
+        x_ref = np.array([1e-4, 0.3, *[0.3] * (sys.dim - 3), 0.8]) + rng.normal(scale=0.05, size=sys.dim)
+        args.append((sys, 0.9 * cfg.pc.t_pc / n, n, x_ref, (1, -1), math.inf))
+    batch = [PhaseOperator(*a) for a in args]
+    compile_operators(batch)
+    for a, op in zip(args, batch):
+        alone = PhaseOperator(*a)
+        compile_operators([alone])
+        zs = np.column_stack([rng.normal(scale=0.1, size=(5, op.dim)), np.ones(5)])   # [x0 - x_ref; 1]
+        got, want = EnergyLedger.zeros(5), EnergyLedger.zeros(5)
+        op.book(got, np.arange(5), zs)
+        alone.book(want, np.arange(5), zs)
+        for (name, f, loss), (name_alone, f_alone, _) in zip(op.accounts, alone.accounts):
+            assert name == name_alone
+            if loss:
+                loss_got, loss_want = getattr(got, name), getattr(want, name)
+                assert np.all(loss_got >= 0.0), name
+                np.testing.assert_allclose(loss_got, loss_want, rtol=1e-13, atol=0.0, err_msg=name)
+            else:
+                np.testing.assert_allclose(f, f_alone, rtol=0.0, atol=1e-13 * np.abs(f_alone).max(),
+                                           err_msg=name)
+        assert len(op.accounts) == len(alone.accounts)
+        for i in range(2):
+            np.testing.assert_array_equal(op.deviation[i], alone.deviation[i])
+            np.testing.assert_array_equal(op.peak(zs, i), alone.peak(zs, i))
 
 
 def test_phase_operator_guard_visits_states_only_past_its_bound():

@@ -333,15 +333,24 @@ def test_false_alarm_inside_a_batch_matches_reference(monkeypatch):
 
 
 def _count_step_maps(monkeypatch):
+    # per step_maps call: the state dimension and the number of maps built
+    # (the entries of its stack)
     calls = []
     step_maps = engine.step_maps
 
     def counted(a, b, dt):
-        calls.append(dt)
+        calls.append((a.shape[-1], np.size(dt)))
         return step_maps(a, b, dt)
 
     monkeypatch.setattr(engine, "step_maps", counted)
     return calls
+
+
+def _maps_built(calls):
+    # a run builds its maps in one stacked call per state dimension
+    dims = [dim for dim, _ in calls]
+    assert len(dims) == len(set(dims))
+    return sum(n for _, n in calls)
 
 
 def test_run_neuron_builds_each_step_map_once(monkeypatch):
@@ -360,7 +369,7 @@ def test_run_neuron_builds_each_step_map_once(monkeypatch):
                   for (start, end, sw), n in zip(plan, counts)}
     calls = _count_step_maps(monkeypatch)
     run_neuron(cfg, codes)
-    assert len(calls) == len(pairs)
+    assert _maps_built(calls) == len(pairs)
 
 
 def test_run_baseline_builds_each_step_map_once(monkeypatch):
@@ -368,12 +377,12 @@ def test_run_baseline_builds_each_step_map_once(monkeypatch):
     codes = input_sweeps(4, n_scrambles=0, seed=0)[0]
     calls = _count_step_maps(monkeypatch)
     run_baseline(cfg, codes * 2)
-    n_two = len(calls)
+    n_two = _maps_built(calls)
     assert n_two > 0
     calls.clear()
     # a third pass repeats the level transitions of the second one
     run_baseline(cfg, codes * 3)
-    assert len(calls) == n_two
+    assert _maps_built(calls) == n_two
 
 
 def _run(design, cfg, codes):
