@@ -47,7 +47,7 @@ class SweepSpec:
     skip: int = within("[0, inf)", 200)      # startup cycles dropped before windowing
     window: int = within("[1, inf)", 20)     # sliding-window length, cycles
     repeats: int = within("[1, inf)", 8)     # sweep repetitions per input order
-    seed: int = 0           # scramble seed for input orders
+    seed: int = within("[0, inf)", 0)        # scramble seed for input orders
     load_case: str = "all-0"
 
     def __post_init__(self) -> None:

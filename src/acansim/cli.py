@@ -407,7 +407,12 @@ def dispatch(argv: list[str]) -> int:
         cfg = _build_circuit(doc)
         spec, grids = _bench_section(doc, args.seed)
         if args.jobs is None:
-            args.jobs = int(os.environ.get("ACAN_JOBS", "1"))
+            jobs = os.environ.get("ACAN_JOBS", "1")
+            args.jobs = int(jobs) if jobs.strip().isdecimal() else 0
+            if args.jobs < 1:
+                raise ConfigError(f"ACAN_JOBS: expected an integer >= 1, got {jobs!r}")
+        elif args.jobs < 1:
+            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         files, summary = _COMMANDS[args.cmd](args, cfg, spec, grids)
         meta = _meta(args, doc, spec.seed)
         emit_outputs(args.out, files | {"summary.json": summary | meta}, meta)

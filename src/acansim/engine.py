@@ -4,27 +4,24 @@ Within one switch phase the circuit is linear time invariant, so a cycle
 is integrated as a handful of constant (A, b) systems advanced with the
 implicit trapezoidal rule.  The step map is affine, so every state of a
 phase is affine in the phase's start state, and every quantity a run
-keeps is a closed form in it: a *phase operator*, one per distinct
-(phase system, step size, step count), holds those forms.
+keeps is a closed form in it: a *phase operator* holds those forms.
 
-A phase system carries its elements as data (storage, loss and source
-terms), from which a run compiles its operators' accounts, stacked: a source
-account is linear in the start state, a loss account a sum of squares
-(trapezoidal quadrature on the step grid, summed in closed form by
-doubling).  A run takes two passes (``run_cycles``).  Pass 1 carries each
-cycle's start state through the phases' end maps, with a divergence guard
-that bounds every state of a phase at once and visits the states only when
-the bound reaches the limit.  It splits the cycles into runs of repeated
-cycles (same phases, state kept): a run's first cycle goes phase by
-phase, the rest as one batch whose starts come from powers of the cycle
-map and whose guard is one product per phase.  Pass 2 evaluates, per
-phase and for all cycles that ran it together, the accounts, the exact
-per-cycle peaks (block-start values plus per-block deviation bounds pick
-the few blocks to search step by step, in chunks of bounded cycles x
-blocks), the decision sample and the trace samples.  The stored-energy
-jumps caused by switch reconfiguration (node capacitances change when
-gates open or close) are booked as well, and the conservation residual
-is exposed as an audit.
+A run (``run_cycles``) builds the step maps of its distinct (phase
+system, step size) pairs, stacked, and takes two passes over phase slots
+(a phase at its place in a cycle), each of which owns one operator.
+Pass 1 carries each cycle's start state through the phases' end maps
+under a divergence guard that bounds every state of a phase at once, and
+records the state in each slot it passes: repeated cycles go as one
+batch, from powers of the cycle map.  Pass 2 compiles the operators'
+accounts from their systems' storage, loss and source terms, stacked (a
+source account is linear in the start state, a loss account a sum of
+squares: trapezoidal quadrature on the step grid, summed in closed form
+by doubling).  Then, per slot and for all the cycles that ran it, it
+books the accounts and the stored energy at the cycles' ends and finds
+the exact peaks, the decision sample and the trace samples.  The
+stored-energy jumps caused by switch reconfiguration (node capacitances
+change when gates open or close) are booked as well, and the
+conservation residual is exposed as an audit.
 """
 
 from __future__ import annotations
@@ -119,8 +116,6 @@ class PhaseSystem:
     stores: tuple[Store, ...]
     losses: tuple[Loss, ...]
     sources: tuple[Source, ...]
-    _maps: dict[float, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -238,16 +233,18 @@ def step_maps(a: np.ndarray, b: np.ndarray, dt: float | np.ndarray) -> tuple[np.
     return e, f
 
 
-def _build_maps(pairs: Iterable[tuple[PhaseSystem, float]]) -> None:
-    """Step maps of the (system, dt) pairs that their system lacks, one
-    stacked ``step_maps`` call per state dimension."""
-    todo = [(system, dt) for system, dt in dict.fromkeys(pairs) if dt not in system._maps]
-    for dim in dict.fromkeys(system.dim for system, _ in todo):
-        group = [(system, dt) for system, dt in todo if system.dim == dim]
+def _build_maps(pairs: Iterable[tuple[PhaseSystem, float]]) -> dict[tuple[PhaseSystem, float],
+                                                                    tuple[np.ndarray, np.ndarray]]:
+    """Step maps of the distinct (system, dt) pairs, one stacked
+    ``step_maps`` call per state dimension."""
+    pairs = list(dict.fromkeys(pairs))
+    maps = {}
+    for dim in dict.fromkeys(system.dim for system, _ in pairs):
+        group = [(system, dt) for system, dt in pairs if system.dim == dim]
         e, f = step_maps(np.stack([s.a for s, _ in group]), np.stack([s.b for s, _ in group]),
                          np.array([dt for _, dt in group]))
-        for (system, dt), *maps in zip(group, e, f):
-            system._maps[dt] = tuple(maps)
+        maps.update(zip(group, zip(e, f)))
+    return maps
 
 
 # Steps per block of a phase operator: step k = bB + m of a phase is
@@ -256,8 +253,6 @@ _BLOCK = 32
 # Cycles x blocks per pass-2 chunk of the peak search and the sampled
 # states: bounds their per-block temporaries, whatever a slot's length.
 _CHUNK_BLOCKS = 8192
-# Entries of a chunk's deviation-bound product: small enough to stay in cache.
-_DEVIATION_CHUNK = 32768
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -307,16 +302,17 @@ class PhaseOperator:
     (m < B) and the block-start powers G^(bB); the n states are never
     stored.
 
-    It also holds the end map and the divergence guard's bound, and
-    ``compile_operators`` adds the accounts and, per peak row, bounds on how
-    far it moves within each block, which make the peak search exact.
+    It is built from the step map ``maps`` = (E, f) of size dt and holds
+    the end map, the divergence guard's bound and, per peak row, bounds on
+    how far the row moves within each block, which make the peak search
+    exact.  Only its accounts come later, from ``compile_operators``.
     """
 
-    def __init__(self, system: PhaseSystem, dt: float, n: int, x_ref: np.ndarray,
+    def __init__(self, system: PhaseSystem, dt: float, n: int,
+                 maps: tuple[np.ndarray, np.ndarray], x_ref: np.ndarray,
                  peak_rows: tuple[int, ...], v_limit: float) -> None:
         d = system.dim
-        _build_maps([(system, dt)])   # a no-op in a run, which built them all
-        e, f = system._maps[dt]
+        e, f = maps
         g = np.zeros((d + 1, d + 1))
         g[:d, :d] = e
         # one step's drift from x_ref; E - I is exact where E is near I, so
@@ -340,6 +336,16 @@ class PhaseOperator:
         bound = np.abs(self.table[:, :d]).max(0) @ np.abs(self.blocks).max(0)
         room = v_limit - np.abs(x_ref)
         self._guard = (bound / room[:, None]).max(0) if (room > 0).all() else np.full(d + 1, np.nan)
+        # per peak row, (blocks, d + 1): max over the block's steps m of
+        # |(G^m - I)[r] G^(bB)|, so the row moves at most that @ |z| from
+        # its block-start value (steps past the end of the last block left out)
+        rows = np.array(self.peak_rows)
+        step = self.table[:, rows]                       # (B, rows, d + 1)
+        step[:, np.arange(rows.size), rows] -= 1.0
+        by_column = self.blocks.transpose(1, 0, 2).reshape(d + 1, -1)   # [G^(bB) for b] side by side
+        dev = (step.reshape(-1, d + 1) @ by_column).reshape(_BLOCK, rows.size, -1, d + 1)
+        dev[n % _BLOCK + 1:, :, -1] = 0.0
+        self.deviation = np.maximum(dev.max(0), -dev.min(0))
 
     def guard(self, zs: np.ndarray) -> np.ndarray:
         """Divergence guard of the phase over a stack of shifted start
@@ -392,19 +398,14 @@ class PhaseOperator:
 
 
 def compile_operators(ops: Iterable[PhaseOperator]) -> None:
-    """Compile the accounts and peak deviation bounds of phase operators,
-    stacked per state dimension (and peak-row count, which a run's share):
-    one Stein doubling and one ``eigh`` call for the accounts, deviation
-    bounds in chunks of bounded size.  A lone operator is a batch of one."""
-    groups: dict[tuple[int, int], list[PhaseOperator]] = {}
+    """Compile the accounts of phase operators, stacked per state
+    dimension: one Stein doubling and one ``eigh`` call per dimension.  A
+    lone operator is a batch of one."""
+    groups: dict[int, list[PhaseOperator]] = {}
     for op in ops:
-        groups.setdefault((op.dim, len(op.peak_rows)), []).append(op)
-    for (d, n_rows), group in groups.items():
+        groups.setdefault(op.dim, []).append(op)
+    for group in groups.values():
         _compile_accounts(group)
-        group.sort(key=lambda op: -op.n)   # a chunk pads its blocks to its first one's
-        per = max(1, _DEVIATION_CHUNK // (n_rows * _BLOCK * group[0].blocks.shape[0] * (d + 1)))
-        for at in range(0, len(group), per):
-            _compile_deviation(group[at:at + per])
 
 
 def _compile_accounts(group: list[PhaseOperator]) -> None:
@@ -462,26 +463,6 @@ def _compile_accounts(group: list[PhaseOperator]) -> None:
         op.accounts = []
     for f, ((name, o), a) in enumerate(zip(accounts, [*factors, *rows])):
         group[o].accounts.append((name, a, f < n_loss))
-
-
-def _compile_deviation(group: list[PhaseOperator]) -> None:
-    """Per peak row, (blocks, d + 1): max over the block's steps m of
-    |(G^m - I)[r] G^(bB)|, so the row moves at most that @ |z| from its
-    block-start value; block powers padded with zeros to the first's count."""
-    n_ops, n_rows, d1 = len(group), len(group[0].peak_rows), group[0].dim + 1
-    n_blocks = [op.blocks.shape[0] for op in group]
-    by_column = np.zeros((n_ops, d1, max(n_blocks) * d1))   # [G^(bB) for b] side by side
-    for o, op in enumerate(group):
-        by_column[o, :, :n_blocks[o] * d1] = op.blocks.transpose(1, 0, 2).reshape(d1, -1)
-    ops, rows = np.arange(n_ops)[:, None], np.array([op.peak_rows for op in group])
-    step = np.stack([op.table for op in group])[ops, :, rows]         # (ops, rows, B, d + 1)
-    step[ops, np.arange(n_rows), :, rows] -= 1.0
-    dev = (step.reshape(n_ops, -1, d1) @ by_column).reshape(n_ops, n_rows, _BLOCK, -1)
-    for o, op in enumerate(group):   # past the end, in the last block
-        dev[o, :, op.n % _BLOCK + 1:, (n_blocks[o] - 1) * d1:n_blocks[o] * d1] = 0.0
-    dev = np.maximum(dev.max(2), -dev.min(2)).reshape(n_ops, n_rows, -1, d1)
-    for o, op in enumerate(group):
-        op.deviation = list(dev[o, :, :n_blocks[o]])
 
 
 # In-cycle instant, as a fraction of the cycle, at which both designs
@@ -658,23 +639,28 @@ def run_cycles(
 
     Each cycle is ``(entry, phases)``: ``entry`` maps the previous cycle's
     end state ``[x; 1]`` to this cycle's augmented start state (None keeps
-    the state), then the phases run in order.  The step maps are built
-    first, stacked.  One ``PhaseOperator`` is built per distinct (system,
-    dt, n_steps), at its first start state, and compiled with the others
-    at the start of pass 2 (``compile_operators``).
+    the state), then the phases run in order.  The step maps of the run's
+    distinct (system, dt) pairs are built first, one stacked call per state
+    dimension.  Each slot, a phase at its step offset in its cycle (and
+    whether it ends the cycle), owns one ``PhaseOperator``, built at the
+    slot's first start state and compiled with the others at the start of
+    pass 2 (``compile_operators``).
 
     Pass 1 carries each cycle's start state through the end maps of its
     phases, checking every phase with the divergence guard (|x| < v_limit
-    for every state; a NaN trips it too).  It goes run by run: a run is a
-    cycle and the cycles after it with no entry map and the same phases
-    object.  The run's first cycle goes phase by phase; the others go as
-    one batch (``_run_batch``), guarded by one product per phase.  Pass 2
-    then works per phase slot on the stacked start states of every cycle
-    that ran it: the ledger accounts, the stored-energy jumps, the
-    per-cycle maxima of the states ``peak_rows`` (in even chunks of at
-    most about ``_CHUNK_BLOCKS`` cycles x blocks), the membrane (last
-    state) at ``SAMPLE_FRAC`` (nearest step) and, with a ``stride``, the
-    states at every stride-th step of the concatenated cycle.
+    for every state; a NaN trips it too), and records each phase's shifted
+    start in its slot, the one record of the pass.  It goes run by run: a
+    run is a cycle and the cycles after it with no entry map and the same
+    phases object.  The run's first cycle goes phase by phase; the others
+    go as one batch (``_run_batch``), guarded by one product per phase.
+    Pass 2 then works per slot on the stacked start states of every cycle
+    that ran it: the ledger accounts, the stored energy at the cycles'
+    start (first slots) and end (last slots), whose jumps from one cycle
+    to the next are booked as ``reconfig``, the per-cycle maxima of the
+    states ``peak_rows`` (in even chunks of at most about ``_CHUNK_BLOCKS``
+    cycles x blocks), the membrane (last state) at ``SAMPLE_FRAC`` (nearest
+    step) and, with a ``stride``, the states at every stride-th step of the
+    concatenated cycle.
 
     All phases of a cycle share its state layout.  Returns the maxima
     (cycles x peak rows), the decision samples and the per-cycle sampled
@@ -691,37 +677,28 @@ def run_cycles(
         else:
             runs.append([k, 1])
             last = phases
-    width = 1 + max(x0.size, *(cycles[k][1][0].system.dim for k, _ in runs))
-    _build_maps((system, (end - start) * t_cycle / n_steps)
-                for k, _ in runs for start, end, n_steps, system in cycles[k][1])
+    maps = _build_maps((system, (end - start) * t_cycle / n_steps)
+                       for k, _ in runs for start, end, n_steps, system in cycles[k][1])
 
-    ops: dict[tuple[PhaseSystem, float, int], PhaseOperator] = {}
-    # per (phase, step offset in its cycle): operator, cycles, stacks of shifted starts
-    slots: dict[tuple[Phase, int], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
-    # each cycle's incoming state (then the run's end) and its start state
-    # after its entry map, augmented and zero-padded to one width
-    carried = np.zeros((n_cycles + 1, width))
-    starts = np.zeros((n_cycles, width))
-
+    # per (phase, step offset in its cycle, ends the cycle): operator,
+    # cycles, stacks of shifted starts
+    slots: dict[tuple[Phase, int, bool], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
     z = np.append(x0, 1.0)
     for k, r in runs:
         entry, phases = cycles[k]
-        carried[k, :z.size] = z
         if entry is not None:
             z = entry @ z
-        starts[k, :z.size] = z
         # the run's first cycle: operators built at its start state, if new
         run_slots = []
         offset = 0
-        for phase in phases:
-            slot = slots.get((phase, offset))
+        for j, phase in enumerate(phases):
+            key = (phase, offset, j == len(phases) - 1)
+            slot = slots.get(key)
             if slot is None:
                 start, end, n_steps, system = phase
-                key = (system, (end - start) * t_cycle / n_steps, n_steps)
-                op = ops.get(key)
-                if op is None:
-                    op = ops[key] = PhaseOperator(*key, z[:-1], peak_rows, v_limit)
-                slot = slots[phase, offset] = (op, [], [])
+                dt = (end - start) * t_cycle / n_steps
+                op = PhaseOperator(system, dt, n_steps, maps[system, dt], z[:-1], peak_rows, v_limit)
+                slot = slots[key] = (op, [], [])
             op, ks, zs = slot
             zp = z - op.ref
             if not op.guard(zp[None])[0]:
@@ -732,19 +709,23 @@ def run_cycles(
             offset += phase.n_steps
             run_slots.append(slot)
         if r > 1:
-            z = _run_batch(run_slots, z, k + 1, r - 1, carried, starts)
-    carried[n_cycles, :z.size] = z
+            z = _run_batch(run_slots, z, k + 1, r - 1)
 
-    compile_operators(ops.values())
+    compile_operators(op for op, _, _ in slots.values())
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
+    e_start, e_end = np.empty(n_cycles), np.empty(n_cycles)
     states: list[np.ndarray] = []
     if stride:
         states = [np.empty((-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim))
                   for _, phases in cycles]
-    for ((start, end, n_steps, _), offset), (op, ks, zs) in slots.items():
+    for ((start, end, n_steps, system), offset, ends), (op, ks, zs) in slots.items():
         ks, zs = np.array(ks), np.concatenate(zs)
         op.book(ledger, ks, zs)
+        if offset == 0:
+            e_start[ks] = system.stored_energy(zs + op.ref)
+        if ends:
+            e_end[ks] = system.stored_energy(zs @ op.end.T)
         if start <= SAMPLE_FRAC < end:
             idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / op.dt)), 0), n_steps)
             samples[ks] = zs @ op.row(op.dim - 1, idx) + op.ref[op.dim - 1]
@@ -763,9 +744,6 @@ def run_cycles(
                 for k, xs in zip(kc.tolist(), op.states(zc, sampled)):
                     states[k][rows_at] = xs
 
-    # stored-energy jumps where one cycle hands its end state to the next
-    e_start = _stored_energies(starts, cycles, runs, 0)
-    e_end = _stored_energies(carried[1:], cycles, runs, -1)
     ledger.reconfig[1:] += e_start[1:] - e_end[:-1]
     ledger.e_stored_first = float(e_start[0])
     ledger.e_stored_last = float(e_end[-1])
@@ -774,11 +752,10 @@ def run_cycles(
 
 
 def _run_batch(run_slots: list[tuple[PhaseOperator, list[int], list[np.ndarray]]],
-               z: np.ndarray, k0: int, m: int, carried: np.ndarray,
-               starts: np.ndarray) -> np.ndarray:
+               z: np.ndarray, k0: int, m: int) -> np.ndarray:
     """Pass 1 for cycles k0 .. k0 + m - 1 of a run at once, from state z:
-    records their states in ``carried`` and ``starts`` and their shifted
-    starts in the run's phase slots, and returns the last one's end state.
+    records their shifted starts in the run's phase slots and returns the
+    last one's end state.
 
     Each phase's shift folds into its end map and those compose into the
     cycle map C, so the starts follow by doubling (one product by C^s per
@@ -815,25 +792,10 @@ def _run_batch(run_slots: list[tuple[PhaseOperator, list[int], list[np.ndarray]]
     ks = range(k0, k0 + m)
     for i, j in sorted(flagged):
         run_slots[j][0].check(shifted[j][i], ks[i])
-    carried[k0:k0 + m, :d1] = starts[k0:k0 + m, :d1] = zs
     for (_, slot_ks, slot_zs), zp in zip(run_slots, shifted):
         slot_ks.extend(ks)
         slot_zs.append(zp)
     return z[-1]
-
-
-def _stored_energies(states: np.ndarray, cycles: Sequence[tuple[np.ndarray | None, Sequence[Phase]]],
-                     runs: list[list[int]], which: int) -> np.ndarray:
-    """Stored energy of each cycle's (padded) augmented state under the
-    system of its phase ``which``, one vectorised evaluation per distinct
-    system."""
-    by_system: dict[PhaseSystem, list[int]] = {}
-    for k, r in runs:
-        by_system.setdefault(cycles[k][1][which].system, []).extend(range(k, k + r))
-    out = np.empty(len(states))
-    for system, ks in by_system.items():
-        out[ks] = system.stored_energy(states[ks])
-    return out
 
 
 def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,

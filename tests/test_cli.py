@@ -142,6 +142,31 @@ def test_run_rejects_bad_codes(tmp_path, capsys):
     _error_exit(["run", "--codes", "1100", "--out", str(blocker)], capsys)
 
 
+def test_negative_seed_is_refused_by_name(tmp_path, capsys):
+    out = tmp_path / "x"
+    err = _error_exit(["run", "--seed", "-1", "--codes", "1100", "--out", str(out)], capsys)
+    assert err == "error: bench.seed: must lie in [0, inf), got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env, jobs, message", [
+    ("x", None, "ACAN_JOBS: expected an integer >= 1, got 'x'"),
+    ("0", None, "ACAN_JOBS: expected an integer >= 1, got '0'"),
+    ("-2", None, "ACAN_JOBS: expected an integer >= 1, got '-2'"),
+    ("2", "0", "--jobs: must be >= 1, got 0"),
+    (None, "-5", "--jobs: must be >= 1, got -5"),
+])
+def test_bad_job_counts_are_refused_by_name(tmp_path, capsys, monkeypatch, env, jobs, message):
+    if env is None:
+        monkeypatch.delenv("ACAN_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("ACAN_JOBS", env)
+    out = tmp_path / "x"
+    argv = ["run", "--codes", "1100", "--out", str(out)] + ([f"--jobs={jobs}"] if jobs else [])
+    assert _error_exit(argv, capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_refuses_giant_full_sweep(tmp_path, capsys):
     doc = {"tree": {"C_s": ["1pF"] * 11}}
     path = tmp_path / "cfg.json"

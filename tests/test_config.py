@@ -32,7 +32,7 @@ _SECTIONS = {
     SweepSpec: "bench",
 }
 # numeric fields whose rules are structural and stay hand-written
-_UNRANGED = {"seed", "c_s", "c_d"}
+_UNRANGED = {"c_s", "c_d"}
 
 
 def _ranged():

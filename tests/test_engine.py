@@ -199,6 +199,24 @@ def test_simulate_conservation_audit():
     assert abs(energy_residual(ledger)) <= 1e-3 * ledger.dissipated_total
 
 
+def test_plans_ending_short_of_one_book_first_and_last_phases():
+    # plans may end up to 1e-12 short of the cycle end: the first and last
+    # phases of a cycle are marked by position, not by fractions 0 and 1.
+    # Repeated codes share a plan object, so batched cycles are covered too
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 1, 0, 0)] * 3 + [(0, 1, 1, 1), (0, 0, 0, 0)] * 2 + [(1, 0, 1, 0)] * 5
+    ledgers = []
+    for end in (1.0, 1.0 - 1e-13):
+        plans = {c: tuple((s, end if e == 1.0 else e, sw) for s, e, sw in make_schedule(cfg, c, 1))
+                 for c in set(codes)}
+        ledgers.append(simulate(cfg, [plans[c] for c in codes], keep_samples=False)[1])
+    exact, short = ledgers
+    dissipated = exact.dissipated_total
+    assert short.e_stored_last == pytest.approx(exact.e_stored_last, rel=1e-7)
+    assert np.all(np.abs(short.reconfig - exact.reconfig) <= 1e-9 * dissipated)
+    assert abs(energy_residual(short) - energy_residual(exact)) <= 1e-9 * dissipated
+
+
 def test_simulate_rejects_bad_plans():
     cfg = CircuitConfig()
     off = SwitchState(False, False, (False,) * 4)
@@ -296,7 +314,7 @@ def _assert_accounts(ledger, ref):
 
 def _book_phase(sys, dt, n, x0):
     # the phase operator's accounts from start state x0, its reference state
-    op = PhaseOperator(sys, dt, n, x0, (-1,), math.inf)
+    op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x0, (-1,), math.inf)
     compile_operators([op])
     ledger = EnergyLedger.zeros(1)
     op.book(ledger, np.array([0]), (np.append(x0, 1.0) - op.ref)[None])
@@ -516,7 +534,7 @@ def test_phase_operator_states_and_peaks_match_propagation():
     sys, n, dt = _clock_phase()
     rng = np.random.default_rng(3)
     x_ref = np.array([1e-4, 0.3, 0.3, 0.8])
-    op = PhaseOperator(sys, dt, n, x_ref, (1, -1), math.inf)
+    op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
     compile_operators([op])
     x0s = x_ref + rng.normal(scale=[2e-4, 0.5, 0.5, 0.2], size=(6, 4))
     zs = np.column_stack([x0s, np.ones(6)]) - op.ref
@@ -534,14 +552,11 @@ def test_phase_operator_states_and_peaks_match_propagation():
         np.testing.assert_allclose(op.peak(zs, i), every[:, :, r].max(1), rtol=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [engine._DEVIATION_CHUNK, 10 ** 9])
-def test_stacked_compile_matches_lone_compiles(monkeypatch, chunk):
+def test_stacked_compile_matches_lone_compiles():
     # operators of three dimensions whose step counts have bit lengths
     # from 1 to 13, compiled in one batch and each alone: a lone operator
     # is a batch of one, so the batch must leave each one's accounts,
-    # deviation bounds and peaks as they are; unbounded chunks pad every
-    # operator of a dimension to the longest one's blocks
-    monkeypatch.setattr(engine, "_DEVIATION_CHUNK", chunk)
+    # deviation bounds and peaks as they are
     cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 1e-12, 2e-12, 2e-12))))
     gates = [(False,) * 4, (True, True, False, False), (True, False, True, False)]
     systems = [build_phase_system(cfg, SwitchState(bypass, reset, on))
@@ -554,7 +569,8 @@ def test_stacked_compile_matches_lone_compiles(monkeypatch, chunk):
     for k, n in enumerate((1, 2, 31, 32, 33, 1024, 3072, 3584, 4096)):
         sys = systems[k % len(systems)]
         x_ref = np.array([1e-4, 0.3, *[0.3] * (sys.dim - 3), 0.8]) + rng.normal(scale=0.05, size=sys.dim)
-        args.append((sys, 0.9 * cfg.pc.t_pc / n, n, x_ref, (1, -1), math.inf))
+        dt = 0.9 * cfg.pc.t_pc / n
+        args.append((sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf))
     batch = [PhaseOperator(*a) for a in args]
     compile_operators(batch)
     for a, op in zip(args, batch):
@@ -583,15 +599,16 @@ def test_phase_operator_guard_visits_states_only_past_its_bound():
     sys, n, dt = _clock_phase()
     x0 = np.array([1e-4, 0.3, 0.3, 0.8])
     z = np.append(x0, 1.0) - np.append(x0, 0.0)
-    peak = np.abs(propagate(*step_maps(sys.a, sys.b, dt), x0, n)).max()
+    maps = step_maps(sys.a, sys.b, dt)
+    peak = np.abs(propagate(*maps, x0, n)).max()
     # far below the limit the bound passes the start without a visit
-    assert PhaseOperator(sys, dt, n, x0, (1,), 10.0 * peak).guard(z[None]).tolist() == [True]
+    assert PhaseOperator(sys, dt, n, maps, x0, (1,), 10.0 * peak).guard(z[None]).tolist() == [True]
     # a limit just above the peak trips the bound of every start in the
     # stack, and the start passes on the exact states
-    op = PhaseOperator(sys, dt, n, x0, (1,), 1.001 * peak)
+    op = PhaseOperator(sys, dt, n, maps, x0, (1,), 1.001 * peak)
     assert op.guard(np.stack([z, z])).tolist() == [False, False]
     op.check(z, 3)
-    op = PhaseOperator(sys, dt, n, x0, (1,), 0.9 * peak)
+    op = PhaseOperator(sys, dt, n, maps, x0, (1,), 0.9 * peak)
     assert op.guard(z[None]).tolist() == [False]
     with pytest.raises(SimulationError, match=rf"cycle 3: \|x\| reached {peak:.3g}, limit"):
         op.check(z, 3)
