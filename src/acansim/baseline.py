@@ -183,11 +183,13 @@ def _cycle_plan(system: PhaseSystem, rates: np.ndarray, t_cycle: float, spc: int
 def _plate_entry(levels: Sequence[tuple[int, int, float, int]], dim_from: int,
                  v_dd: float) -> np.ndarray:
     """Augmented entry map of a cycle: each plate starts at the rail its
-    driver held last cycle; the membrane carries over."""
+    driver held last cycle; the membrane carries over.  Read-only: a run
+    keeps one per (transition, dim_from), so equal entries are one object."""
     entry = np.zeros((len(levels) + 2, dim_from + 1))
     entry[:len(levels), dim_from] = [p * v_dd for p, _, _, _ in levels]
     entry[len(levels), dim_from - 1] = 1.0
     entry[-1, dim_from] = 1.0
+    entry.flags.writeable = False
     return entry
 
 
@@ -214,6 +216,7 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
     systems: dict[tuple, PhaseSystem] = {}
     # (previous index, index) -> (levels, phase system, drive toggles)
     transitions: dict[tuple[int, int], tuple[list, PhaseSystem, int]] = {}
+    entries: dict[tuple[int, int, int], np.ndarray] = {}   # per (previous index, index, dim)
     steps: list[tuple[np.ndarray, PhaseSystem]] = []
     prev = 0   # the run starts from the all-zero code, table entry 0
     dim = 1    # and from the membrane alone, at V_REF
@@ -229,7 +232,9 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
             toggles = sum(p != n for p, n in zip(prev_code, code))
             step = transitions[prev, i] = (levels, systems[key], toggles)
         levels, system, toggles = step
-        steps.append((_plate_entry(levels, dim, cfg.v_dd), system))
+        if (prev, i, dim) not in entries:
+            entries[prev, i, dim] = _plate_entry(levels, dim, cfg.v_dd)
+        steps.append((entries[prev, i, dim], system))
         ledger.drive[k] += e_toggle * toggles
         dim = len(levels) + 1
         prev = i

@@ -60,18 +60,19 @@ class SweepSpec:
 
 
 def worst_window_mean(series: Sequence[float], skip: int, window: int) -> float:
-    """Maximum sliding-window mean after dropping the first `skip` entries."""
-    vals = [float(v) for v in series]
+    """Maximum sliding-window mean after dropping the first `skip` entries;
+    all windows at once, each summed left to right from 0 as ``sum`` does."""
+    vals = np.asarray(series, dtype=float)
     if skip < 0 or window < 1:
         raise ValueError("worst_window_mean: need skip >= 0 and window >= 1")
-    if len(vals) < skip + window:
+    if vals.size < skip + window:
         raise ValueError(
-            f"worst_window_mean: series of {len(vals)} too short for skip={skip}, window={window}")
+            f"worst_window_mean: series of {vals.size} too short for skip={skip}, window={window}")
     tail = vals[skip:]
-    best = -math.inf
-    for i in range(len(tail) - window + 1):
-        best = max(best, sum(tail[i:i + window]) / window)
-    return best
+    acc = 0.0 + tail[:tail.size - window + 1]
+    for j in range(1, window):
+        acc = acc + tail[j:j + acc.size]
+    return float(np.fmax.reduce(acc / window, initial=-math.inf))   # NaN windows lose, as in max()
 
 
 def _const_codes(tree: SynapseTreeConfig, alpha: float, cycles: int) -> list[Code]:

@@ -11,21 +11,22 @@ system, step size) pairs, stacked, and takes two passes over phase slots
 (a phase at its place in a cycle), each of which owns one operator.
 Pass 1 carries each cycle's start state through the phases' end maps
 under a divergence guard that bounds every state of a phase at once, and
-records the state in each slot it passes: repeated cycles go as one
-batch, from powers of the cycle map.  Pass 2 compiles the operators'
-accounts from their systems' storage, loss and source terms, stacked (a
-source account is linear in the start state, a loss account a sum of
-squares: trapezoidal quadrature on the step grid, summed in closed form
-by doubling).  Then, per slot and for all the cycles that ran it, it
-books the accounts and the stored energy at the cycles' ends and finds
-the exact peaks, the decision sample and the trace samples.  The
-stored-energy jumps caused by switch reconfiguration (node capacitances
-change when gates open or close) are booked as well, and the
-conservation residual is exposed as an audit.
+records the state in each slot it passes: a repeated block of cycles
+goes as one batch, from powers of its period map.  Pass 2 compiles the
+operators' accounts from their systems' storage, loss and source terms,
+stacked (a source account is linear in the start state, a loss account a
+sum of squares: trapezoidal quadrature on the step grid, summed in
+closed form by doubling).  Then, per slot and for all the cycles that
+ran it, it books the accounts and the stored energy at the cycles' ends
+and finds the exact peaks (chord-bounded), the decision sample and the
+trace samples.  The stored-energy jumps caused by switch reconfiguration
+(node capacitances change when gates open or close) are booked as well,
+and the conservation residual is exposed as an audit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Sequence
@@ -253,6 +254,7 @@ _BLOCK = 32
 # Cycles x blocks per pass-2 chunk of the peak search and the sampled
 # states: bounds their per-block temporaries, whatever a slot's length.
 _CHUNK_BLOCKS = 8192
+_CHORD = np.arange(_BLOCK + 1)[:, None, None] / _BLOCK   # m / B at the steps m <= B of a block
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -304,8 +306,8 @@ class PhaseOperator:
 
     It is built from the step map ``maps`` = (E, f) of size dt and holds
     the end map, the divergence guard's bound and, per peak row, bounds on
-    how far the row moves within each block, which make the peak search
-    exact.  Only its accounts come later, from ``compile_operators``.
+    how far the row rises above each block's chord (second order in B),
+    which make the peak search exact.  Only its accounts come later.
     """
 
     def __init__(self, system: PhaseSystem, dt: float, n: int,
@@ -324,26 +326,30 @@ class PhaseOperator:
         self.v_limit = v_limit
         self.ref = np.append(x_ref, 0.0)   # z = [x; 1] - ref
         self._g = g
-        self.table = _powers(g, _BLOCK)
-        self.blocks = _powers(self.table[_BLOCK // 2] @ self.table[_BLOCK // 2], n // _BLOCK + 1)
+        powers = _powers(g, _BLOCK + 1)
+        self.table = powers[:_BLOCK]
+        # block starts G^(bB) for b <= n // B, and the last block's chord end
+        self.blocks = _powers(powers[_BLOCK], n // _BLOCK + 2)
         # [x_end; 1] = end @ z
-        self.end = self.table[n % _BLOCK] @ self.blocks[-1]
+        self.end = self.table[n % _BLOCK] @ self.blocks[n // _BLOCK]
         self.end[:d, d] += x_ref
         # |x_k - x_ref| <= bound @ |z| for every step k <= n; scaled by the
         # room each state has to the limit and maximised over the states,
         # a start passes when guard @ |z| < 1 (NaN fails, as does every
         # start if x_ref is at the limit)
-        bound = np.abs(self.table[:, :d]).max(0) @ np.abs(self.blocks).max(0)
+        bound = np.abs(self.table[:, :d]).max(0) @ np.abs(self.blocks[:-1]).max(0)
         room = v_limit - np.abs(x_ref)
         self._guard = (bound / room[:, None]).max(0) if (room > 0).all() else np.full(d + 1, np.nan)
         # per peak row, (blocks, d + 1): max over the block's steps m of
-        # |(G^m - I)[r] G^(bB)|, so the row moves at most that @ |z| from
-        # its block-start value (steps past the end of the last block left out)
+        # |D_m G^(bB)|, D_m = (G^m - I - m/B (G^B - I))[r], so the row rises
+        # at most that @ |z| above the chord between its block's two end
+        # values (steps past the end of the last block left out)
         rows = np.array(self.peak_rows)
-        step = self.table[:, rows]                       # (B, rows, d + 1)
+        step = powers[:, rows]                           # (B + 1, rows, d + 1)
         step[:, np.arange(rows.size), rows] -= 1.0
-        by_column = self.blocks.transpose(1, 0, 2).reshape(d + 1, -1)   # [G^(bB) for b] side by side
-        dev = (step.reshape(-1, d + 1) @ by_column).reshape(_BLOCK, rows.size, -1, d + 1)
+        step -= _CHORD * step[_BLOCK]
+        by_column = self.blocks[:-1].transpose(1, 0, 2).reshape(d + 1, -1)   # [G^(bB) for b] side by side
+        dev = (step[:_BLOCK].reshape(-1, d + 1) @ by_column).reshape(_BLOCK, rows.size, -1, d + 1)
         dev[n % _BLOCK + 1:, :, -1] = 0.0
         self.deviation = np.maximum(dev.max(0), -dev.min(0))
 
@@ -370,7 +376,7 @@ class PhaseOperator:
         """States at the given steps from each shifted start state in zs,
         shape (len(zs), len(steps), d)."""
         blk, m = np.divmod(steps, _BLOCK)
-        at_blocks = zs @ np.swapaxes(self.blocks, 1, 2)   # (blocks, starts, d + 1)
+        at_blocks = zs @ np.swapaxes(self.blocks[:-1], 1, 2)   # (blocks, starts, d + 1)
         xs = at_blocks[blk] @ np.swapaxes(self.table[m, :self.dim], 1, 2)
         return np.swapaxes(xs, 0, 1) + self.ref[:self.dim]
 
@@ -379,14 +385,15 @@ class PhaseOperator:
         each shifted start state in zs.
 
         The block-start values give a lower bound on the maximum; only the
-        blocks whose start value plus deviation bound reaches it are
-        evaluated step by step."""
+        blocks whose higher end value plus deviation bound above their
+        chord reaches it are evaluated step by step."""
         r = self.peak_rows[i]
         coarse = zs @ self.blocks[:, r].T
-        best = coarse.max(1)
-        ci, bi = np.nonzero(coarse + np.abs(zs) @ self.deviation[i].T >= best[:, None])
+        best = coarse[:, :-1].max(1)   # real block starts only
+        ends = np.maximum(coarse[:, :-1], coarse[:, 1:])
+        ci, bi = np.nonzero(ends + np.abs(zs) @ self.deviation[i].T >= best[:, None])
         vals = (self.blocks[bi] @ zs[ci, :, None])[:, :, 0] @ self.table[:, r].T
-        vals[bi == self.blocks.shape[0] - 1, self.n % _BLOCK + 1:] = -np.inf   # past the end
+        vals[bi == self.blocks.shape[0] - 2, self.n % _BLOCK + 1:] = -np.inf   # past the end
         top = np.maximum.reduceat(vals.max(1), np.searchsorted(ci, np.arange(len(zs))))
         return np.maximum(best, top) + self.ref[r]
 
@@ -649,10 +656,10 @@ def run_cycles(
     Pass 1 carries each cycle's start state through the end maps of its
     phases, checking every phase with the divergence guard (|x| < v_limit
     for every state; a NaN trips it too), and records each phase's shifted
-    start in its slot, the one record of the pass.  It goes run by run: a
-    run is a cycle and the cycles after it with no entry map and the same
-    phases object.  The run's first cycle goes phase by phase; the others
-    go as one batch (``_run_batch``), guarded by one product per phase.
+    start in its slot, the one record of the pass.  It goes in the order
+    of ``_periods``: a cycle in no repeated block goes phase by phase; a
+    block's first period goes the same way, the rest as one batch
+    (``_run_batch``), guarded by one product per phase of the period.
     Pass 2 then works per slot on the stacked start states of every cycle
     that ran it: the ledger accounts, the stored energy at the cycles'
     start (first slots) and end (last slots), whose jumps from one cycle
@@ -667,35 +674,33 @@ def run_cycles(
     states (None without a stride).
     """
     n_cycles = len(cycles)
-    # runs of repeated cycles: [first cycle, length]; a run's later cycles
-    # keep the state (no entry map) and run the same phases object
-    runs: list[list[int]] = []
-    last = None
-    for k, (entry, phases) in enumerate(cycles):
-        if entry is None and phases is last:
-            runs[-1][1] += 1
-        else:
-            runs.append([k, 1])
-            last = phases
-    maps = _build_maps((system, (end - start) * t_cycle / n_steps)
-                       for k, _ in runs for start, end, n_steps, system in cycles[k][1])
+    order = _periods(cycles)
+    # per phases object (each first runs in a lone cycle), its slot keys:
+    # (phase, step offset in its cycle, ends the cycle)
+    keys: dict[int, list[tuple[Phase, int, bool]]] = {}
+    for phases in (cycles[k][1] for k, p, _ in order if not p):
+        if id(phases) not in keys:
+            keys[id(phases)] = [(phase, sum(q.n_steps for q in phases[:j]), j == len(phases) - 1)
+                                for j, phase in enumerate(phases)]
+    maps = _build_maps((system, (end - start) * t_cycle / n_steps) for phase_keys in keys.values()
+                       for (start, end, n_steps, system), _, _ in phase_keys)
 
-    # per (phase, step offset in its cycle, ends the cycle): operator,
-    # cycles, stacks of shifted starts
+    # per slot key: operator, cycles, stacks of shifted starts
     slots: dict[tuple[Phase, int, bool], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
     z = np.append(x0, 1.0)
-    for k, r in runs:
+    for k, p, count in order:
+        if p:
+            block = [(entry, [slots[key] for key in keys[id(phases)]])
+                     for entry, phases in cycles[k:k + p]]
+            z = _run_batch(block, z, k, count)
+            continue
         entry, phases = cycles[k]
         if entry is not None:
             z = entry @ z
-        # the run's first cycle: operators built at its start state, if new
-        run_slots = []
-        offset = 0
-        for j, phase in enumerate(phases):
-            key = (phase, offset, j == len(phases) - 1)
+        for key in keys[id(phases)]:
             slot = slots.get(key)
-            if slot is None:
-                start, end, n_steps, system = phase
+            if slot is None:   # a new slot: its operator built at this start
+                start, end, n_steps, system = key[0]
                 dt = (end - start) * t_cycle / n_steps
                 op = PhaseOperator(system, dt, n_steps, maps[system, dt], z[:-1], peak_rows, v_limit)
                 slot = slots[key] = (op, [], [])
@@ -706,10 +711,6 @@ def run_cycles(
             ks.append(k)
             zs.append(zp[None])
             z = op.end @ zp
-            offset += phase.n_steps
-            run_slots.append(slot)
-        if r > 1:
-            z = _run_batch(run_slots, z, k + 1, r - 1)
 
     compile_operators(op for op, _, _ in slots.values())
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
@@ -751,51 +752,91 @@ def run_cycles(
     return peaks, samples, states if stride else None
 
 
-def _run_batch(run_slots: list[tuple[PhaseOperator, list[int], list[np.ndarray]]],
-               z: np.ndarray, k0: int, m: int) -> np.ndarray:
-    """Pass 1 for cycles k0 .. k0 + m - 1 of a run at once, from state z:
-    records their shifted starts in the run's phase slots and returns the
-    last one's end state.
+def _periods(cycles: Sequence[tuple[np.ndarray | None, Sequence[Phase]]]) -> list[tuple[int, int, int]]:
+    """Pass 1's order of work: (k, 0, 1) runs cycle k alone, (k, p, count)
+    runs cycles k .. k + count - 1 as one batch repeating the p before k.
+    Cycles match when their entry maps and phases are the same objects.
+    From cycle k the candidate period p is the distance to its next match;
+    a block needs one whole period matched, then extends by doubling, and
+    its first period is split the same way."""
+    entries, phases = zip(*cycles)
+    ids = list(zip(map(id, entries), map(id, phases)))
+    n = len(ids)
+    nxt, seen = [2 * n] * n, {}   # the next match of each cycle (2n: none)
+    for k in range(n - 1, -1, -1):
+        nxt[k], seen[ids[k]] = seen.get(ids[k], 2 * n), k
+    out: list[tuple[int, int, int]] = []
 
-    Each phase's shift folds into its end map and those compose into the
-    cycle map C, so the starts follow by doubling (one product by C^s per
-    doubling) and each phase's shifted starts by one stacked product.  Each
-    stack gets one guard reduction; only the (cycle, phase) pairs whose
-    bound fails are checked exactly, in cycle-then-phase order, so a
-    divergence names the cycle and peak the per-cycle loop would.  Past a
-    true divergence later starts may overflow, so the batched products
-    run without numpy warnings and the check raises first.
+    def split(k: int, stop: int) -> None:
+        while k < stop:
+            p = nxt[k] - k
+            size = 2 * p   # cycles k .. k + size - 1 repeat with period p
+            if k + size > stop or ids[k + p:k + size] != ids[k:k + p]:
+                out.append((k, 0, 1))
+                k += 1
+                continue
+            while k + size < stop:
+                take = min(size, stop - k - size)
+                if ids[k + size:k + size + take] != ids[k:k + take]:
+                    size += next(i for i, (a, b) in enumerate(zip(ids[k + size:], ids[k:])) if a != b)
+                    break
+                size += take
+            split(k, k + p)
+            out.append((k + p, p, size - p))
+            k += size
+
+    split(0, n)
+    return out
+
+
+def _run_batch(block: list[tuple[np.ndarray | None,
+                                 list[tuple[PhaseOperator, list[int], list[np.ndarray]]]]],
+               z: np.ndarray, k0: int, count: int) -> np.ndarray:
+    """Pass 1 for cycles k0 .. k0 + count - 1 at once, from state z: they
+    repeat ``block``, a period of cycles, each an entry map (or None) and
+    its phase slots.  Records their shifted starts in the slots and returns
+    the last one's end state.
+
+    The entry maps and the end maps, each phase's shift folded in, compose
+    into the period map P, so the period starts follow by doubling; a
+    trailing partial period rides along as one more start.  Each (cycle in
+    the period, phase) then takes one stacked product and one guard; only
+    the pairs whose bound fails are checked exactly, in cycle-then-phase
+    order, so a divergence names the cycle and peak the per-cycle loop
+    would.  Past a true divergence later starts may overflow, so the
+    products run without numpy warnings and the check raises first.
     """
-    d1 = z.size
-    c = np.eye(d1)
-    for op, _, _ in run_slots:
-        fold = op.end.copy()
-        fold[:, -1] -= op.end @ op.ref
-        c = fold @ c
-    zs = np.empty((m, d1))   # the batch's start states
-    zs[0] = z
-    shifted, flagged = [], []
+    p = len(block)
+    m, q = divmod(count, p)   # whole periods, cycles of the partial one
+    flagged = []   # (cycle in the batch, phase, operator, shifted start)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 1
-        while s < m:
-            take = min(s, m - s)
-            zs[s:s + take] = zs[:take] @ c.T
-            s += take
-            if s < m:
-                c = c @ c
-        z = zs
-        for j, (op, _, _) in enumerate(run_slots):
-            zp = z - op.ref
-            shifted.append(zp)
-            flagged.extend((i, j) for i in np.flatnonzero(~op.guard(zp)).tolist())
-            z = zp @ op.end.T
-    ks = range(k0, k0 + m)
-    for i, j in sorted(flagged):
-        run_slots[j][0].check(shifted[j][i], ks[i])
-    for (_, slot_ks, slot_zs), zp in zip(run_slots, shifted):
-        slot_ks.extend(ks)
-        slot_zs.append(zp)
-    return z[-1]
+        c = np.eye(z.size)   # the period map
+        for entry, cycle_slots in block:
+            c = c if entry is None else entry @ c
+            for op, _, _ in cycle_slots:   # the end map, its shift folded in
+                fold = op.end.copy()
+                fold[:, -1] -= op.end @ op.ref
+                c = fold @ c
+        z = z[None]   # the period starts, by doubling
+        while len(z) < m + (q > 0):
+            z = np.concatenate([z, z[:m + (q > 0) - len(z)] @ c.T])
+            c = c @ c
+        for i, (entry, cycle_slots) in enumerate(block):
+            if i == q > 0:   # the partial period ends here
+                end, z = z[-1], z[:-1]
+            if entry is not None:
+                z = z @ entry.T
+            for j, (op, ks, starts) in enumerate(cycle_slots):
+                zp = z - op.ref
+                ok = op.guard(zp)
+                if not ok.all():
+                    flagged += [(i + p * row, j, op, zp[row]) for row in np.flatnonzero(~ok).tolist()]
+                ks.extend(range(k0 + i, k0 + i + p * len(zp), p))
+                starts.append(zp)
+                z = zp @ op.end.T
+    for di, _, op, zp in sorted(flagged, key=lambda f: f[:2]):
+        op.check(zp, k0 + di)
+    return end if q else z[-1]
 
 
 def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
@@ -817,15 +858,18 @@ def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
     return tuple(phases)
 
 
+@functools.cache
 def _rejoin(dim_from: int, dim_to: int) -> np.ndarray:
     """Augmented entry map of a gate change: the top plates of the newly
     enabled branch set join at the clock voltage (they were parked at the
-    trough when last disconnected); I_L, V_PC and V_m carry over."""
+    trough when last disconnected); I_L, V_PC and V_m carry over.  Cached
+    and read-only: equal entries are one object, for ``_periods``."""
     entry = np.zeros((dim_to + 1, dim_from + 1))
     entry[0, 0] = 1.0
     entry[1:dim_to - 1, 1] = 1.0
     entry[dim_to - 1, dim_from - 1] = 1.0
     entry[dim_to, dim_from] = 1.0
+    entry.flags.writeable = False
     return entry
 
 

@@ -194,18 +194,6 @@ class NeuronRun:
     def oracle_string(self) -> str:
         return "".join(str(b) for b in self.oracle_bits)
 
-    @property
-    def mean_tree_energy(self) -> float:
-        """Mean tree energy over cycles with a non-zero input code."""
-        vals = [e for e, c in zip(self.ledger.s_e, self.codes) if any(c)]
-        if not vals:
-            return 0.0
-        return float(np.mean(vals))
-
-    @property
-    def soma_energy(self) -> float:
-        return float(sum(self.ledger.soma))
-
     def to_csv(self, path: str) -> None:
         led = self.ledger
         engine.write_csv(

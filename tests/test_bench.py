@@ -62,6 +62,21 @@ def test_worst_window_mean_matches_enumeration(series, skip, window):
         _brute_worst_window(series, skip, window), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_worst_window_mean_is_the_loop_bit_for_bit(seed):
+    # the vectorised sums add in the loop's order, so the result is its
+    # bits; a NaN entry drops the windows that hold it, as the loop does
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(1, 120))
+        skip = int(rng.integers(0, n))
+        window = int(rng.integers(1, n - skip + 1))
+        series = rng.lognormal(-27.0, 1.0, n) * rng.choice([1.0, -1.0], n)
+        series[rng.random(n) < 0.02] = math.nan
+        series = series.tolist()
+        assert worst_window_mean(series, skip, window) == _brute_worst_window(series, skip, window)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(cycles=10, skip=8, window=4)

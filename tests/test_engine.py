@@ -6,7 +6,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -397,22 +396,34 @@ def test_closed_form_kernel_matches_reference_kernel(order):
 
 # a run-length stream: long runs of one code, the idle code among them
 RUN_LENGTH_STREAM = [(1, 1, 0, 1)] * 200 + [(0, 0, 0, 0)] * 40 + [(1, 0, 1, 0)] * 60
+# a periodic stream: a 16-code order, 4 passes and a partial fifth, then
+# the order's first three codes, which break the period and start from
+# the state the partial pass ends in
+ORDER = input_sweeps(4, seed=0)[1]
+PERIODIC_STREAM = ORDER * 4 + ORDER[:5] + ORDER[:3]
 
 
-@pytest.mark.parametrize("design, recal_every", [
-    ("adiabatic", 1), ("adiabatic", 16), ("adiabatic", 10_000), ("baseline", None),
-], ids=["1", "16", "10000", "baseline"])
-def test_batched_runs_match_reference_kernel(design, recal_every):
-    # repeated cycles run through pass 1 as batches: none when every cycle
-    # recalibrates, up to 15 cycles at 16, one batch per code at 10 000.
-    # The baseline has an entry map every cycle, so it never batches, but
-    # its runs have the most operators to compile
+@pytest.mark.parametrize("design, recal_every, codes", [
+    ("adiabatic", 1, RUN_LENGTH_STREAM), ("adiabatic", 16, RUN_LENGTH_STREAM),
+    ("adiabatic", 10_000, RUN_LENGTH_STREAM), ("baseline", None, RUN_LENGTH_STREAM),
+    ("adiabatic", 16, PERIODIC_STREAM), ("adiabatic", 5, PERIODIC_STREAM),
+    ("baseline", None, PERIODIC_STREAM),
+], ids=["1", "16", "10000", "baseline", "periodic-16", "periodic-5", "periodic-baseline"])
+def test_batched_runs_match_reference_kernel(design, recal_every, codes):
+    # repeated blocks of cycles run through pass 1 as batches.  On the
+    # run-length stream: none when every cycle recalibrates, up to 15
+    # cycles at 16, one batch per code at 10 000, and one per code in the
+    # baseline, whose cycles repeat their entry map with their code.  On
+    # the periodic stream: 16-cycle periods, the partial pass riding in the
+    # last batch; a recalibration every 5 cycles, which does not divide
+    # the order, would make the period 80 cycles, longer than the stream,
+    # so its passes run cycle by cycle
     cfg = tune_inductor(CircuitConfig())
     if design == "adiabatic":
         cfg = replace(cfg, sim=replace(cfg.sim, recal_every=recal_every))
-        run = partial(run_neuron, cfg, RUN_LENGTH_STREAM, keep_trace=True)
+        run = partial(run_neuron, cfg, codes, keep_trace=True)
     else:
-        run = partial(run_baseline, BaselineConfig.from_circuit(cfg), RUN_LENGTH_STREAM)
+        run = partial(run_baseline, BaselineConfig.from_circuit(cfg), codes)
     got = run()
     with reference_kernel():
         ref = run()
@@ -450,9 +461,11 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
 
 def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     # 608 cycles of one code (8 idle warm-up cycles, a recalibration every
-    # 16): pass 1 guards each run's first cycle and each batch once per
-    # phase, where one guard per cycle and phase made 1216 calls, and
-    # pass 2 searches peaks in chunks bounded by cycles x blocks, where
+    # 16): pass 1 guards each lone cycle, and each batch once per phase of
+    # its period; the 16-cycle period of a recalibration and 15 plain
+    # cycles runs as one batch after its first period (one guard per cycle
+    # and phase made 1216 calls, one batch per run of one schedule 232).
+    # Pass 2 searches peaks in chunks bounded by cycles x blocks, where
     # 16-cycle chunks made 158 calls
     cfg = tune_inductor(CircuitConfig())
     guards, peaks = [], []
@@ -470,13 +483,8 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     monkeypatch.setattr(PhaseOperator, "peak", counted_peak)
     run_neuron(cfg, [(1, 1, 0, 1)] * 600)
 
-    warm, recal = cfg.sim.startup_discard_cycles, cfg.sim.recal_every
-    # a run: cycles of one schedule object (code and recalibration flag)
-    plans = [(k < warm, k % recal == 0) for k in range(warm + 600)]
-    lengths = [len(list(g)) for _, g in groupby(plans)]
-    batches = sum(n > 1 for n in lengths)
-    assert len(guards) <= 2 * (len(lengths) + batches) < 1216 // 4
-    assert sum(guards) == 2 * len(plans)
+    assert len(guards) <= 64
+    assert sum(guards) == 2 * (cfg.sim.startup_discard_cycles + 600)
     # even chunks overshoot the bound by less than one cycle's blocks
     assert all(m < engine._CHUNK_BLOCKS + 128 for m in peaks)
     assert len(peaks) < 158 // 4
@@ -550,6 +558,36 @@ def test_phase_operator_states_and_peaks_match_propagation():
     # the peak search returns the maximum over every step, not a strided one
     for i, r in enumerate((1, -1)):
         np.testing.assert_allclose(op.peak(zs, i), every[:, :, r].max(1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [33, 512, 3583, 3584])
+def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
+    # a deviation bound far above any state makes every block a candidate:
+    # the exhaustive search, on the same arithmetic, so the chord-bounded
+    # search must return its bits.  Step counts: a partial last block of
+    # one step, whole blocks, a partial one, and a last block of step n
+    # alone.  The phase spans most of a cycle, or 24 steps a clock period,
+    # so that crests can rise inside blocks whose ends both lie below the best
+    # block start.  The second system's membrane holds exactly (gates and
+    # reset open), so there every block ties
+    cfg = tune_inductor(CircuitConfig())
+    rng = np.random.default_rng(n)
+    for dt in (0.95 * cfg.pc.t_pc / n, cfg.pc.t_pc / 24):
+        for on in ((True, True, False, False), (False,) * 4):
+            sys = build_phase_system(cfg, SwitchState(False, False, on))
+            x_ref = np.array([1e-4, 0.3, *[0.3] * (sys.dim - 3), 0.8])
+            op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
+            # starts off x_ref, and x_ref itself
+            zs = np.column_stack([rng.normal(scale=[2e-4, *[0.5] * (sys.dim - 2), 0.2],
+                                             size=(8, sys.dim)), np.ones(8)])
+            zs[0, :-1] = 0.0
+            every = op.states(zs, np.arange(n + 1))
+            chord = [op.peak(zs, i) for i in range(2)]
+            op.deviation = np.full_like(op.deviation, 1e300)
+            for i, r in enumerate((1, -1)):
+                exhaustive = op.peak(zs, i)
+                np.testing.assert_array_equal(chord[i], exhaustive)
+                np.testing.assert_allclose(exhaustive, every[:, :, r].max(1), rtol=1e-13)
 
 
 def test_stacked_compile_matches_lone_compiles():
