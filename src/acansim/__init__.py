@@ -45,9 +45,7 @@ from .engine import (
     simulate,
 )
 from .neuron import (
-    Decision,
     NeuronRun,
-    dlcc_decide,
     dlcc_offset,
     input_sweeps,
     make_schedule,
@@ -87,7 +85,7 @@ __all__ = [
     "tg_resistance", "topup_energy_analytic", "tune_inductor",
     "CycleStats", "DecayFit", "EnergyLedger", "FitError", "SimulationError",
     "SwitchState", "Trace", "energy_residual", "fit_decay", "simulate",
-    "Decision", "NeuronRun", "dlcc_decide", "dlcc_offset",
+    "NeuronRun", "dlcc_offset",
     "input_sweeps", "make_schedule", "run_neuron",
     "BaselineConfig", "baseline_oracle_spec",
     "baseline_transition_energy_analytic", "run_baseline",

@@ -18,7 +18,7 @@ whose driver sits high.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .engine import (
     PhaseSystem,
     Source,
     Store,
+    first_seen,
     reset_terms,
     run_cycles,
 )
@@ -193,51 +194,40 @@ def _plate_entry(levels: Sequence[tuple[int, int, float, int]], dim_from: int,
     return entry
 
 
-def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronRun:
+def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronRun:
     """Level-driven transient: one code per cycle, switching only the bits
     that change between consecutive codes.  The membrane resets to V_REF
     on all-zero codes, as in the adiabatic design.
 
-    Code bits are normalised to 0/1; an empty stream or a code whose length
-    is not the tree's synapse count raises ValueError.  Repeated codes
-    share their work: one level grouping and drive-toggle count per
-    distinct (previous code, code) pair and one oracle bit per distinct
-    code.
+    Code bits are normalised to 0/1; an empty stream, a code whose length
+    is not the tree's synapse count or a bit that is not a finite number
+    raises ValueError.  The run carries one integer per cycle: one level
+    grouping and drive-toggle count per distinct (previous code, code)
+    pair, one entry map per distinct (pair, state size) and one oracle bit
+    per distinct code.
     """
     tree = cfg.tree
     table, index = _code_table(codes, tree.n)
-    n_cycles = len(index)
+    n_cycles = index.size
 
     t_cycle = 1.0 / cfg.f_clock
     e_toggle = 0.5 * tree.c_inv * cfg.v_dd ** 2
     v_limit = 50.0 * cfg.v_dd   # numerical-blowup guard, as in the adiabatic design
 
     ledger = EnergyLedger.zeros(n_cycles)
+    # the run starts from the all-zero code, table entry 0
+    prev = np.concatenate(([0], index[:-1]))
+    first, pair_of = first_seen(prev * len(table) + index)
     systems: dict[tuple, PhaseSystem] = {}
-    # (previous index, index) -> (levels, phase system, drive toggles)
-    transitions: dict[tuple[int, int], tuple[list, PhaseSystem, int]] = {}
-    entries: dict[tuple[int, int, int], np.ndarray] = {}   # per (previous index, index, dim)
-    steps: list[tuple[np.ndarray, PhaseSystem]] = []
-    prev = 0   # the run starts from the all-zero code, table entry 0
-    dim = 1    # and from the membrane alone, at V_REF
-
-    for k, i in enumerate(index):
-        step = transitions.get((prev, i))
-        if step is None:
-            prev_code, code = table[prev], table[i]
-            levels = _levels(tree, prev_code, code)
-            key = (tuple(levels), not any(code))
-            if key not in systems:
-                systems[key] = build_baseline_system(cfg, levels, reset_on=key[1])
-            toggles = sum(p != n for p, n in zip(prev_code, code))
-            step = transitions[prev, i] = (levels, systems[key], toggles)
-        levels, system, toggles = step
-        if (prev, i, dim) not in entries:
-            entries[prev, i, dim] = _plate_entry(levels, dim, cfg.v_dd)
-        steps.append((entries[prev, i, dim], system))
-        ledger.drive[k] += e_toggle * toggles
-        dim = len(levels) + 1
-        prev = i
+    levels, pair_systems = [], []   # per distinct pair
+    for a, b in zip(prev[first].tolist(), index[first].tolist()):
+        levels.append(_levels(tree, table[a], table[b]))
+        key = (tuple(levels[-1]), not any(table[b]))
+        if key not in systems:
+            systems[key] = build_baseline_system(cfg, levels[-1], reset_on=key[1])
+        pair_systems.append(systems[key])
+    toggles = [sum(count for p, n, _, count in lv if p != n) for lv in levels]
+    ledger.drive += e_toggle * np.array(toggles)[pair_of]
 
     # each system's phases, from one stacked eigenvalue call per dimension
     plans: dict[PhaseSystem, list[Phase]] = {}
@@ -246,11 +236,18 @@ def run_baseline(cfg: BaselineConfig, codes: Sequence[Sequence[int]]) -> NeuronR
         rates = np.linalg.eigvals(np.stack([system.a for system in group])).real
         plans.update((system, _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle))
                      for system, r in zip(group, rates))
-    cycles = [(entry, plans[system]) for entry, system in steps]
+
+    # per cycle one (entry, phases) object, the entry from the state size
+    # the previous cycle ends with (the membrane alone at the start)
+    dims = np.array([len(lv) + 1 for lv in levels])[pair_of]
+    dim_from = np.concatenate(([1], dims[:-1]))
+    kind_first, kind_of = first_seen(pair_of * (dims.max() + 1) + dim_from)
+    kinds = [(_plate_entry(levels[t], d, cfg.v_dd), plans[pair_systems[t]])
+             for t, d in zip(pair_of[kind_first].tolist(), dim_from[kind_first].tolist())]
+    cycles = list(map(kinds.__getitem__, kind_of.tolist()))
 
     peaks, samples, _ = run_cycles(ledger, cycles, np.array([tree.v_ref]), t_cycle, v_limit, (-1,))
-    stats = [CycleStats(v_pk=cfg.v_dd, v_m_peak=v_m_peak, v_m_sample=v_m_sample)
-             for v_m_peak, v_m_sample in zip(peaks[:, 0].tolist(), samples.tolist())]
+    stats = CycleStats(np.full(n_cycles, cfg.v_dd), peaks[:, 0], samples)
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = baseline_oracle_spec(cfg, v_os=v_os)
     return decided_run(table, index, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)

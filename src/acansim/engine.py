@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -477,13 +477,12 @@ def _compile_accounts(group: list[PhaseOperator]) -> None:
 SAMPLE_FRAC = 0.5
 
 
-@dataclass
-class CycleStats:
-    """Per-cycle observables; the energies of a cycle are in the ledger."""
+class CycleStats(NamedTuple):
+    """Per-cycle observables, one entry per cycle; the energies are in the ledger."""
 
-    v_pk: float          # clock-node peak
-    v_m_peak: float      # membrane peak
-    v_m_sample: float    # membrane at the decision sampling instant
+    v_pk: np.ndarray         # clock-node peak
+    v_m_peak: np.ndarray     # membrane peak
+    v_m_sample: np.ndarray   # membrane at the decision sampling instant
 
 
 _ACCOUNTS = ("source_dc", "source_ref", "r_pc", "r_lc", "r_tg", "r_reset",
@@ -554,7 +553,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 @dataclass
 class Trace:
-    """Sampled run history plus per-cycle stats.
+    """Sampled run history plus per-cycle observables.
 
     Sample times are strictly increasing but not necessarily uniform: the
     integrator spends a denser sub-grid on the short bypass window.  V_s is
@@ -567,7 +566,7 @@ class Trace:
     v_pc: np.ndarray
     v_s: np.ndarray
     v_m: np.ndarray
-    cycles: list[CycleStats] = field(default_factory=list)
+    stats: CycleStats
 
     def to_csv(self, path: str) -> None:
         write_csv(path, ("t", "I_L", "V_PC", "V_s", "V_m"),
@@ -657,9 +656,11 @@ def run_cycles(
     phases, checking every phase with the divergence guard (|x| < v_limit
     for every state; a NaN trips it too), and records each phase's shifted
     start in its slot, the one record of the pass.  It goes in the order
-    of ``_periods``: a cycle in no repeated block goes phase by phase; a
-    block's first period goes the same way, the rest as one batch
-    (``_run_batch``), guarded by one product per phase of the period.
+    of ``_periods`` on one integer key per cycle (cycles match when their
+    entry maps and phases are the same objects): a cycle in no repeated
+    block goes phase by phase; a block's first period goes the same way,
+    the rest as one batch (``_run_batch``), guarded by one product per
+    phase of the period.
     Pass 2 then works per slot on the stacked start states of every cycle
     that ran it: the ledger accounts, the stored energy at the cycles'
     start (first slots) and end (last slots), whose jumps from one cycle
@@ -674,7 +675,10 @@ def run_cycles(
     states (None without a stride).
     """
     n_cycles = len(cycles)
-    order = _periods(cycles)
+    entries, runs = zip(*cycles)
+    _, entry_of = np.unique(_ids(entries), return_inverse=True)
+    _, phases_of = np.unique(_ids(runs), return_inverse=True)
+    order = _periods(entry_of * (phases_of.max() + 1) + phases_of)
     # per phases object (each first runs in a lone cycle), its slot keys:
     # (phase, step offset in its cycle, ends the cycle)
     keys: dict[int, list[tuple[Phase, int, bool]]] = {}
@@ -752,19 +756,19 @@ def run_cycles(
     return peaks, samples, states if stride else None
 
 
-def _periods(cycles: Sequence[tuple[np.ndarray | None, Sequence[Phase]]]) -> list[tuple[int, int, int]]:
+def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:
     """Pass 1's order of work: (k, 0, 1) runs cycle k alone, (k, p, count)
     runs cycles k .. k + count - 1 as one batch repeating the p before k.
-    Cycles match when their entry maps and phases are the same objects.
-    From cycle k the candidate period p is the distance to its next match;
-    a block needs one whole period matched, then extends by doubling, and
-    its first period is split the same way."""
-    entries, phases = zip(*cycles)
-    ids = list(zip(map(id, entries), map(id, phases)))
-    n = len(ids)
-    nxt, seen = [2 * n] * n, {}   # the next match of each cycle (2n: none)
-    for k in range(n - 1, -1, -1):
-        nxt[k], seen[ids[k]] = seen.get(ids[k], 2 * n), k
+    Cycles match when their integer keys are equal.  From cycle k the
+    candidate period p is the distance to its next match; a block needs
+    one whole period matched, then extends by doubling, and its first
+    period is split the same way."""
+    n = keys.size
+    by_key = np.argsort(keys, kind="stable")
+    same = keys[by_key[1:]] == keys[by_key[:-1]]
+    nxt = np.full(n, 2 * n)   # the next match of each cycle (2n: none)
+    nxt[by_key[:-1][same]] = by_key[1:][same]
+    nxt, ids = nxt.tolist(), keys.tolist()
     out: list[tuple[int, int, int]] = []
 
     def split(k: int, stop: int) -> None:
@@ -787,6 +791,19 @@ def _periods(cycles: Sequence[tuple[np.ndarray | None, Sequence[Phase]]]) -> lis
 
     split(0, n)
     return out
+
+
+def _ids(objects: Sequence) -> np.ndarray:
+    """The identity of each object, as an integer array."""
+    return np.fromiter(map(id, objects), np.uint64, len(objects))
+
+
+def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an integer array in order of first appearance:
+    where each first appears, and each entry's index into them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 def _run_batch(block: list[tuple[np.ndarray | None,
@@ -886,9 +903,13 @@ def simulate(
     plan hold for its whole cycle.  The states carry a numerical-blowup
     guard far above any legitimate swing.
 
-    Returns the sampled trace (with per-cycle stats attached) and the
-    energy ledger.  The membrane is sampled for the decision stage at
-    ``SAMPLE_FRAC`` of each cycle.
+    ``cycles`` holds one plan per cycle.  Phases are built once per plan
+    object (equal plans built apart share phase systems by content); drive
+    toggles and entry maps are booked only where the gates change.
+
+    Returns the sampled trace (with the per-cycle observables attached)
+    and the energy ledger.  The membrane is sampled for the decision stage
+    at ``SAMPLE_FRAC`` of each cycle.
     """
     n_cycles = len(cycles)
     if n_cycles == 0:
@@ -900,51 +921,38 @@ def simulate(
     # well past the supply before the bypass clamp reins them in
     v_limit = 50.0 * v_dd
     e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
-
-    systems: dict[tuple, PhaseSystem] = {}
-    # plan object id -> (plan, phases); holding the plan keeps its id unique.
-    # Equal plans built as separate objects share phase systems by content.
-    plan_phases: dict[int, tuple[tuple[Segment, ...], tuple[Phase, ...]]] = {}
     ledger = EnergyLedger.zeros(n_cycles)
-    steps: list[tuple[np.ndarray | None, tuple[Phase, ...]]] = []
-
     # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
     x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
-    prev_on = (False,) * cfg.tree.n
-    prev_plan = None
-    dim = x0.size
-    for k, plan in enumerate(cycles):
-        plan = tuple(plan)
-        hit = plan_phases.get(id(plan))
-        if hit is None:
-            hit = plan_phases[id(plan)] = (plan, _plan_phases(cfg, plan, systems))
-        phases = hit[1]
-        entry = None
-        if plan is not prev_plan:   # the same plan object holds the same gates
-            on = plan[0][2].synapse_on
-            if on != prev_on:
-                # gate-driver overhead: half a full charge per toggled control line
-                ledger.drive[k] += sum(a != b for a, b in zip(prev_on, on)) * e_toggle
-                entry = _rejoin(dim, phases[0].system.dim)
-            prev_on = on
-            prev_plan = plan
-        steps.append((entry, phases))
-        dim = phases[-1].system.dim
+
+    first, plan_of = first_seen(_ids(cycles))
+    systems: dict[tuple, PhaseSystem] = {}
+    plans = [tuple(cycles[k]) for k in first.tolist()]
+    kinds = [(None, _plan_phases(cfg, plan, systems)) for plan in plans]
+    steps = list(map(kinds.__getitem__, plan_of.tolist()))
+    # per cycle its gate key, into ``gates``; the run starts with every gate open
+    gates = {(False,) * cfg.tree.n: 0}
+    gate = np.array([gates.setdefault(plan[0][2].synapse_on, len(gates)) for plan in plans])[plan_of]
+    prev = np.concatenate(([0], gate[:-1]))
+    changes = np.flatnonzero(gate != prev)
+    # gate-driver overhead: half a full charge per toggled control line
+    on = np.array(list(gates), dtype=bool)
+    ledger.drive[changes] += (on[prev[changes]] != on[gate[changes]]).sum(1) * e_toggle
+    for k in changes.tolist():   # a gate change enters through ``_rejoin``
+        phases = steps[k][1]
+        steps[k] = (_rejoin(steps[k - 1][1][-1].system.dim if k else x0.size, phases[0].system.dim),
+                    phases)
 
     peaks, samples, states = run_cycles(ledger, steps, x0, t_pc, v_limit, (1, -1),
                                         stride if keep_samples else None)
-    stats = [CycleStats(v_pk=v_pk, v_m_peak=v_m_peak, v_m_sample=v_m_sample)
-             for (v_pk, v_m_peak), v_m_sample in zip(peaks.tolist(), samples.tolist())]
+    stats = CycleStats(peaks[:, 0], peaks[:, 1], samples)
 
     # a cycle has steps_per_cycle steps, which the stride divides: its
     # samples are its first step and every stride-th one after
-    states = states or []
-    n_rows = sum(len(rows) for rows in states)
-    t_all = np.empty(n_rows)
-    x_all = np.empty((n_rows, 4))   # columns i_l, v_pc, v_s_agg, v_m
+    t_all = np.empty((len(states or ()), cfg.sim.steps_per_cycle // stride))
+    x_all = np.empty((*t_all.shape, 4))   # columns i_l, v_pc, v_s_agg, v_m
     v_s_hold = 0.0   # last known top-plate aggregate
-    at = 0
-    for k, ((_, phases), rows) in enumerate(zip(steps, states)):
+    for k, ((_, phases), rows) in enumerate(zip(steps, states or ())):
         states[k] = None   # each cycle's states are held once, here or in x_all
         groups = phases[0].system.groups
         if groups:   # the gates hold all cycle
@@ -953,14 +961,14 @@ def simulate(
             v_s_hold = float(agg[-1])
         else:
             agg = v_s_hold
-        t_all[at:at + len(rows)] = np.concatenate([
+        t_all[k] = np.concatenate([
             k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
             for start, end, n_steps, _ in phases])[::stride]
-        x = x_all[at:at + len(rows)]
+        x = x_all[k]
         x[:, 0], x[:, 1], x[:, 2], x[:, 3] = rows[:, 0], rows[:, 1], agg, rows[:, -1]
-        at += len(rows)
-    trace = Trace(t=t_all, i_l=x_all[:, 0], v_pc=x_all[:, 1], v_s=x_all[:, 2], v_m=x_all[:, 3],
-                  cycles=stats)
+    x_all = x_all.reshape(-1, 4)
+    trace = Trace(t=t_all.ravel(), i_l=x_all[:, 0], v_pc=x_all[:, 1], v_s=x_all[:, 2],
+                  v_m=x_all[:, 3], stats=stats)
     return trace, ledger
 
 

@@ -8,9 +8,10 @@ a logarithmic metastability term at small overdrive.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,37 +94,17 @@ def dlcc_offset(m_l: float, m_r: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One clocked comparator decision."""
-
-    outp: int
-    delay: float        # seconds
-
-    @property
-    def fired(self) -> bool:
-        return self.outp == 1
-
-
-def dlcc_decide(v_m: float, dlcc: DlccConfig, v_os: float) -> Decision:
-    """Strict-threshold decision: fires iff V_m exceeds v_th - v_os, with
-    v_os the trim pair's offset (``dlcc_offset``).
-
-    A tie does not fire.  The delay is the measured anchor for the trim
-    pair plus a metastability term that grows as the overdrive shrinks
-    below the anchor's reference overdrive.
-    """
-    return _decide(np.array([v_m]), dlcc, v_os)[0]
-
-
-def _decide(v_m: np.ndarray, dlcc: DlccConfig, v_os: float) -> list[Decision]:
-    """``dlcc_decide`` of every sample in v_m at once."""
+def _decide(v_m: np.ndarray, dlcc: DlccConfig, v_os: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clocked comparator decisions on membrane samples v_m: the outputs
+    (1 fires iff a sample exceeds v_th - v_os, v_os the trim pair's offset
+    from ``dlcc_offset``; a tie does not fire) and the delays in seconds:
+    the trim pair's measured anchor plus a metastability term that grows
+    as the overdrive shrinks below the anchor's reference overdrive."""
     threshold = dlcc.v_th - v_os
     overdrive = np.maximum(np.abs(v_m - threshold), _MIN_OVERDRIVE)
     delay = base_delay(dlcc.m_l, dlcc.m_r) + _METASTABILITY_SLOPE * np.maximum(
         0.0, np.log(_REFERENCE_OVERDRIVE / overdrive))
-    return [Decision(outp=o, delay=d)
-            for o, d in zip((v_m > threshold).astype(int).tolist(), delay.tolist())]
+    return (v_m > threshold).astype(int), delay
 
 
 def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[engine.Segment, ...]:
@@ -170,12 +151,15 @@ def input_sweeps(n_bits: int, n_scrambles: int = 4, seed: int = 0) -> list[list[
 
 @dataclass
 class NeuronRun:
-    """Outcome of a multi-cycle neuron run."""
+    """Outcome of a multi-cycle neuron run.  Every per-cycle array holds
+    one entry per reported cycle."""
 
-    codes: list[Code]
-    decisions: list[Decision]
-    oracle_bits: list[int]
-    stats: list[engine.CycleStats]
+    table: list[Code]                    # distinct codes (``_code_table``)
+    index: np.ndarray                    # each cycle's code, into table
+    outputs: np.ndarray                  # comparator decisions, 1 fires
+    delays: np.ndarray                   # decision delays, s
+    oracle_bits: np.ndarray              # threshold-unit oracle, 1 fires
+    stats: engine.CycleStats
     ledger_full: engine.EnergyLedger     # includes warm-up; use for audits
     warm_up: int                         # leading ledger cycles not reported
     trace: engine.Trace | None
@@ -188,103 +172,114 @@ class NeuronRun:
 
     @property
     def output_bits(self) -> str:
-        return "".join(str(d.outp) for d in self.decisions)
+        return "".join(map(str, self.outputs.tolist()))
 
     @property
     def oracle_string(self) -> str:
-        return "".join(str(b) for b in self.oracle_bits)
+        return "".join(map(str, self.oracle_bits.tolist()))
 
     def to_csv(self, path: str) -> None:
-        led = self.ledger
+        names = ["".join(map(str, code)) for code in self.table]
         engine.write_csv(
             path, ("cycle", "code", "V_m_peak", "OutP", "delay_ns", "E_tree_pJ", "E_soma_pJ"),
-            ((i, "".join(map(str, code)), st.v_m_peak, dec.outp, dec.delay * 1e9,
-              s_e * 1e12, soma * 1e12)
-             for i, (code, dec, st, s_e, soma)
-             in enumerate(zip(self.codes, self.decisions, self.stats, led.s_e, led.soma))))
+            zip(range(self.index.size), map(names.__getitem__, self.index.tolist()),
+                self.stats.v_m_peak.tolist(), self.outputs.tolist(), (self.delays * 1e9).tolist(),
+                (self.ledger.s_e * 1e12).tolist(), (self.ledger.soma * 1e12).tolist()))
 
 
-def _code_table(codes: Sequence[Sequence[int]], n: int) -> tuple[list[Code], list[int]]:
+def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.ndarray]:
     """Distinct normalised codes of a stream and each cycle's index into them.
 
     Bits are normalised to 0/1.  The table starts with the all-zero code
     (index 0, whether or not the stream holds it); each later entry is the
-    first cycle's copy of a new normalised code.  A code is normalised and
-    its length checked only the first time its raw bits appear; every
-    cycle still pays one C-level copy and hash of its raw tuple.  Raises
-    ValueError on an empty stream or a code that is not n bits long.
+    first cycle's copy of a new normalised code.  Bits are checked and
+    normalised only the first time they appear.  A tuple object seen before
+    is found by identity (tuples are immutable; each is held for the call,
+    so no other object takes its id); other codes, such as a list that may
+    change between cycles, are copied and hashed every cycle.  Raises
+    ValueError, naming the code, on an empty stream, a code that is not n
+    bits long or a bit that is not a finite number (a string or NaN, say).
     """
-    zero: Code = (0,) * n
-    table: list[Code] = [zero]
-    by_code: dict[Code, int] = {zero: 0}
-    by_raw: dict[tuple, int] = {}
+    table: list[Code] = [(0,) * n]
+    by_raw: dict[tuple, int] = {table[0]: 0}   # normalised codes are raw codes too
+    by_id: dict[int, int] = {}
+    held: list[tuple] = []
     index: list[int] = []
     for raw in codes:
-        key = tuple(raw)
-        i = by_raw.get(key)
+        is_tuple = type(raw) is tuple
+        i = by_id.get(id(raw)) if is_tuple else None
         if i is None:
-            code = tuple(int(bool(x)) for x in key)
-            if len(code) != n:
-                raise ValueError(f"code {len(index)} has {len(code)} bits, tree has {n} synapses")
-            i = by_raw[key] = by_code.setdefault(code, len(table))
-            if i == len(table):
-                table.append(code)
+            key = tuple(raw)
+            i = by_raw.get(key)
+            if i is None:
+                if len(key) != n:
+                    raise ValueError(f"code {len(index)} has {len(key)} bits, tree has {n} synapses")
+                try:
+                    finite = all(map(math.isfinite, key))
+                except TypeError:   # a bit that is no real number: a string, say
+                    finite = False
+                if not finite:
+                    raise ValueError(f"code {len(index)} has a bit that is not a finite number")
+                code = tuple(map(int, map(bool, key)))
+                i = by_raw[key] = by_raw.setdefault(code, len(table))
+                if i == len(table):
+                    table.append(code)
+            if is_tuple:
+                by_id[id(raw)] = i
+                held.append(raw)
         index.append(i)
     if not index:
         raise ValueError("code stream is empty: need at least one code")
-    return table, index
+    return table, np.array(index)
 
 
-def decided_run(table: list[Code], index: list[int], stats: list[engine.CycleStats],
+def decided_run(table: list[Code], index: np.ndarray, stats: engine.CycleStats,
                 ledger: engine.EnergyLedger, warm_up: int, dlcc: DlccConfig, v_os: float,
                 oracle: NeuronSpec, v_pk_ref: float, trace: engine.Trace | None) -> NeuronRun:
     """Finish a run of either design: book the soma energy, decide every
-    reported cycle from its membrane sample and score the codes with the
-    threshold-unit oracle, once per distinct reported code.  The reported
-    codes come as ``_code_table``'s table and per-cycle index; v_os is the
-    comparator offset the oracle was built with."""
+    reported cycle from its membrane sample, all at once, and score the
+    codes with the threshold-unit oracle, once per distinct reported code.
+    The reported codes come as ``_code_table``'s table and per-cycle index,
+    the samples in ``stats``; v_os is the comparator offset the oracle was
+    built with."""
     ledger.soma[:] = dlcc.e_decision
-    fired = {i: oracle.fires(table[i]) for i in dict.fromkeys(index)}
+    fired = np.zeros(len(table), dtype=int)
+    for i in np.unique(index).tolist():
+        fired[i] = oracle.fires(table[i])
+    outputs, delays = _decide(stats.v_m_sample, dlcc, v_os)
     return NeuronRun(
-        codes=[table[i] for i in index],
-        decisions=_decide(np.array([s.v_m_sample for s in stats]), dlcc, v_os),
-        oracle_bits=[fired[i] for i in index],
-        stats=stats, ledger_full=ledger, warm_up=warm_up,
-        trace=trace, v_pk_reference=v_pk_ref,
+        table=table, index=index, outputs=outputs, delays=delays, oracle_bits=fired[index],
+        stats=stats, ledger_full=ledger, warm_up=warm_up, trace=trace, v_pk_reference=v_pk_ref,
     )
 
 
 def run_neuron(
     cfg: CircuitConfig,
-    codes: Sequence[Sequence[int]],
+    codes: Iterable[Sequence[int]],
     keep_trace: bool = False,
 ) -> NeuronRun:
     """Simulate one code per cycle and decide each cycle at the clock crest.
 
-    Code bits are normalised to 0/1 (``_code_table``); an empty stream or a
-    code whose length is not the tree's synapse count raises ValueError.
-    Warm-up cycles (all-zero input, count from the sim config) are
-    prepended so reported cycles see the settled oscillation; they are
-    dropped from the returned rows.  Digital outputs are checked against
-    the threshold-unit oracle built from the run's own clock peak.
-    Repeated codes share their work: one schedule per distinct (code,
-    recalibration flag) and one oracle bit per distinct code.
+    Code bits are normalised to 0/1 (``_code_table``); an empty stream, a
+    code whose length is not the tree's synapse count or a bit that is not
+    a finite number raises ValueError.  Warm-up cycles (all-zero input,
+    count from the sim config) are prepended so reported cycles see the
+    settled oscillation; they are dropped from the returned arrays.
+    Digital outputs are checked against the threshold-unit oracle built
+    from the run's own clock peak.  One schedule object serves every cycle
+    of a distinct (code, recalibration flag), and one oracle bit every
+    cycle of a distinct code.
     """
     table, index = _code_table(codes, cfg.tree.n)
     warm = cfg.sim.startup_discard_cycles
-    recal = cfg.sim.recal_every
-
-    schedules: dict[tuple[int, bool], tuple[engine.Segment, ...]] = {}
-    plans = []
-    for k, i in enumerate([0] * warm + index):
-        key = (i, k % recal == 0)
-        plan = schedules.get(key)
-        if plan is None:
-            plan = schedules[key] = make_schedule(cfg, table[i], cycle=k)
-        plans.append(plan)
-    trace, ledger = engine.simulate(cfg, plans, keep_samples=keep_trace)
-    stats = trace.cycles[warm:]
-    v_pk_ref = float(np.median([s.v_pk for s in stats]))
+    full = np.concatenate((np.zeros(warm, dtype=index.dtype), index))
+    recal = np.arange(full.size) % cfg.sim.recal_every == 0
+    first, plan_of = engine.first_seen(2 * full + recal)
+    plans = [make_schedule(cfg, table[full[k]], cycle=k) for k in first.tolist()]
+    trace, ledger = engine.simulate(cfg, list(map(plans.__getitem__, plan_of.tolist())),
+                                    keep_samples=keep_trace)
+    stats = engine.CycleStats(*(a[warm:] for a in trace.stats))
+    v_pk_ref = float(np.median(stats.v_pk))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)
     return decided_run(table, index, stats, ledger, warm, cfg.dlcc, v_os, spec, v_pk_ref,

@@ -122,11 +122,10 @@ def assert_same_run(run, ref):
     assert led.e_stored_first == pytest.approx(want.e_stored_first, rel=1e-10)
     assert led.e_stored_last == pytest.approx(want.e_stored_last, rel=1e-10)
     for field in ("v_pk", "v_m_peak", "v_m_sample"):
-        got = [getattr(s, field) for s in run.stats]
-        np.testing.assert_allclose(got, [getattr(s, field) for s in ref.stats], rtol=1e-10,
-                                   err_msg=field)
+        np.testing.assert_allclose(getattr(run.stats, field), getattr(ref.stats, field),
+                                   rtol=1e-10, err_msg=field)
     assert run.output_bits == ref.output_bits
-    assert run.oracle_bits == ref.oracle_bits
+    np.testing.assert_array_equal(run.oracle_bits, ref.oracle_bits)
     assert (run.trace is None) == (ref.trace is None)
     if run.trace is not None:
         np.testing.assert_array_equal(run.trace.t, ref.trace.t)

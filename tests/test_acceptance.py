@@ -192,8 +192,9 @@ def test_criterion_5_decision_fidelity(capsys):
         outs, oras = run.output_bits[-16:], run.oracle_string[-16:]
         hits += sum(a == b for a, b in zip(outs, oras))
         total += 16
-        for code, st, bit in zip(run.codes[-16:], run.stats[-16:], outs):
-            peaks[sum(code)].append(st.v_m_peak)
+        codes = [run.table[i] for i in run.index[-16:]]
+        for code, v_m_peak, bit in zip(codes, run.stats.v_m_peak[-16:], outs):
+            peaks[sum(code)].append(v_m_peak)
             # independent closed form: equal weights fire at two active inputs
             assert bit == ("1" if sum(code) >= 2 else "0"), code
     spreads = {k: max(v) - min(v) for k, v in peaks.items()}

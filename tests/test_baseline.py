@@ -115,8 +115,7 @@ def test_run_baseline_idle_codes_stay_quiet():
     run = run_baseline(cfg, [(0, 0, 0, 0)] * 3)
     assert run.output_bits == "000"
     assert float(run.ledger.s_e.sum()) == pytest.approx(0.0, abs=1e-20)
-    for st in run.stats:
-        assert st.v_m_sample == pytest.approx(0.7, abs=1e-6)
+    assert run.stats.v_m_sample == pytest.approx([0.7] * 3, abs=1e-6)
 
 
 def test_run_baseline_divergence_is_an_error():

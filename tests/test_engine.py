@@ -156,9 +156,8 @@ def test_simulate_baseline_waveform_shape():
     plans = [make_schedule(cfg, (0, 0, 0, 0), cycle=k) for k in range(6)]
     trace, ledger = simulate(cfg, plans)
     assert trace.t.size == 6 * 4096 // 8
-    assert len(trace.cycles) == 6
-    for st in trace.cycles:
-        assert 1.6 < st.v_pk < 2.1
+    assert trace.stats.v_pk.shape == (6,)
+    assert np.all((1.6 < trace.stats.v_pk) & (trace.stats.v_pk < 2.1))
     # the bypass closes at the cycle start, near the clock trough; every
     # cycle has steps_per_cycle // trace_stride samples
     assert np.abs(trace.v_pc[::4096 // 8]).max() < 0.2
@@ -446,7 +445,7 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
         peaks, samples, states = engine.run_cycles(
             EnergyLedger.zeros(len(flat_cycles)), flat_cycles,
             np.array([0.0, 0.0, cfg.tree.v_ref]), cfg.pc.t_pc, math.inf, (1, -1), 8)
-        return (np.array([[s.v_pk, s.v_m_peak, s.v_m_sample] for s in run.stats]),
+        return (np.column_stack(run.stats),
                 np.column_stack([trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m]),
                 peaks, samples, np.concatenate(states))
 

@@ -13,7 +13,6 @@ from acansim import (
     CircuitConfig,
     DlccConfig,
     NeuronSpec,
-    dlcc_decide,
     dlcc_offset,
     input_sweeps,
     SimulationError,
@@ -93,39 +92,38 @@ def test_dlcc_offset_balanced_diagonal_is_small():
 
 
 def _decide(v_m, dlcc):
-    return dlcc_decide(v_m, dlcc, dlcc_offset(dlcc.m_l, dlcc.m_r))
+    # outputs and delays of the samples v_m, one entry each
+    return neuron_mod._decide(np.array(v_m), dlcc, dlcc_offset(dlcc.m_l, dlcc.m_r))
 
 
 def test_dlcc_decide_strict_threshold():
     dlcc = DlccConfig()  # 10k/10k trim: offset 0.3 mV
     threshold = 1.1 - 0.3e-3
-    assert _decide(threshold + 1e-6, dlcc).fired
-    assert not _decide(threshold - 1e-6, dlcc).fired
-    assert not _decide(threshold, dlcc).fired
+    outputs, _ = _decide([threshold + 1e-6, threshold - 1e-6, threshold], dlcc)
+    assert outputs.tolist() == [1, 0, 0]
     assert dlcc_offset(dlcc.m_l, dlcc.m_r) == pytest.approx(0.3e-3, abs=1e-12)
 
 
 def test_dlcc_decide_delay_anchors():
-    d = _decide(1.1 - 0.3e-3 + 0.1, DlccConfig())      # reference overdrive
-    assert d.delay == pytest.approx(147e-9, rel=1e-9)
+    _, delays = _decide([1.1 - 0.3e-3 + 0.1, 1.1 - 0.3e-3 - 0.1], DlccConfig())   # reference overdrive
+    assert delays == pytest.approx([147e-9] * 2, rel=1e-9)
     fast = DlccConfig(m_l=1e3, m_r=10e3)
     v_th_fast = 1.1 - 261.2e-3
-    d = _decide(v_th_fast + 0.1, fast)
-    assert d.delay == pytest.approx(51e-9, rel=1e-9)
+    _, delays = _decide([v_th_fast + 0.1], fast)
+    assert delays == pytest.approx([51e-9], rel=1e-9)
     sym = DlccConfig(m_l=1e3, m_r=1e3)
-    d = _decide(1.1 - 0.2e-3 + 0.1, sym)
-    assert d.delay == pytest.approx(87e-9, rel=1e-9)
+    _, delays = _decide([1.1 - 0.2e-3 + 0.1], sym)
+    assert delays == pytest.approx([87e-9], rel=1e-9)
 
 
 def test_dlcc_decide_metastability_growth():
     dlcc = DlccConfig()
     threshold = 1.1 - 0.3e-3
-    slow = _decide(threshold + 1e-3, dlcc)
+    # 1 mV of overdrive either side, then below the clamp, which
+    # saturates the delay
+    _, delays = _decide([threshold + 1e-3, threshold - 1e-3, threshold + 1e-5], dlcc)
     expect = 147e-9 + 5e-9 * math.log(0.1 / 1e-3)
-    assert slow.delay == pytest.approx(expect, rel=1e-9)
-    # overdrive below the clamp saturates the delay
-    slower = _decide(threshold + 1e-5, dlcc)
-    assert slower.delay == pytest.approx(expect, rel=1e-9)
+    assert delays == pytest.approx([expect] * 3, rel=1e-9)
 
 
 def test_base_delay_nearest_anchor():
@@ -206,7 +204,7 @@ def test_run_neuron_constant_stream():
     assert run.ledger.n_cycles == 6
     # warm-up cycles are simulated but not reported
     assert run.ledger_full.n_cycles == 6 + cfg.sim.startup_discard_cycles
-    assert len(run.stats) == 6
+    assert run.outputs.shape == run.delays.shape == run.stats.v_m_sample.shape == (6,)
     assert np.all(run.ledger.soma == cfg.dlcc.e_decision)
     assert run.trace is None
 
@@ -216,15 +214,14 @@ def test_run_neuron_zero_code_stays_quiet():
     run = run_neuron(cfg, [(0, 0, 0, 0)] * 4)
     assert run.output_bits == "0000"
     assert run.output_bits == run.oracle_string
-    for st in run.stats:
-        assert st.v_m_sample == pytest.approx(0.7, abs=5e-3)
+    assert run.stats.v_m_sample == pytest.approx([0.7] * 4, abs=5e-3)
 
 
 def test_run_neuron_keeps_trace_on_request():
     cfg = tune_inductor(CircuitConfig())
     run = run_neuron(cfg, [(1, 0, 0, 0)] * 2, keep_trace=True)
     assert run.trace is not None
-    assert len(run.trace.cycles) == 2 + cfg.sim.startup_discard_cycles
+    assert run.trace.stats.v_pk.shape == (2 + cfg.sim.startup_discard_cycles,)
 
 
 def test_run_neuron_csv_schema(tmp_path):
@@ -417,6 +414,13 @@ def _run(design, cfg, codes):
     ([], "code stream is empty: need at least one code"),
     ([(1, 0, 0)], "code 0 has 3 bits, tree has 4 synapses"),
     ([(1, 0, 0, 0), (1, 0, 0, 0), [1, 0, 0, 0, 1]], "code 2 has 5 bits, tree has 4 synapses"),
+    # a string of digits is no code: bool("0") is True
+    (["0000", "0101"], "code 0 has a bit that is not a finite number"),
+    ([(1, 0, 0, 0), (0, 1, math.nan, 0)], "code 1 has a bit that is not a finite number"),
+    ([(1, 0, 0, 0), [1, 0, 0, 0], [0.0, -math.inf, 1.0, 0.0]],
+     "code 2 has a bit that is not a finite number"),
+    ([(1, 0, 0, 0), (1, None, 0, 0)], "code 1 has a bit that is not a finite number"),
+    ([((1,), (0,), (0,), (1,))], "code 0 has a bit that is not a finite number"),
 ])
 def test_empty_and_malformed_streams_fail_by_name(design, codes, message):
     cfg = tune_inductor(CircuitConfig())
@@ -434,14 +438,29 @@ def test_input_forms_give_the_canonical_stream(design):
     rows = np.array([[0, 0, 0, 0], [0, 3, 1, -1]])
     # two raw keys per normalised code: (2, 0, 0, 0) beside (1, 0, 0, 0)
     raw = [(2, 0, 0, 0), [1, 0, 0, 0], (True, True, False, True), rows[0], [1, 1, 0, 7], rows[1]]
-    want, got = _run(design, cfg, canonical), _run(design, cfg, raw)
-    assert got.codes == want.codes
-    assert got.output_bits == want.output_bits
-    assert got.oracle_bits == want.oracle_bits
-    assert got.stats == want.stats
-    assert got.v_pk_reference == want.v_pk_reference
-    for f in fields(engine.EnergyLedger):
-        assert np.array_equal(getattr(got.ledger_full, f.name), getattr(want.ledger_full, f.name)), f.name
+
+    def mutated():
+        # one list object, changed in place between cycles
+        code = [0] * 4
+        for bits in canonical:
+            code[:] = bits
+            yield code
+
+    # equal tuples that are distinct objects, read by content; from a
+    # generator each is dropped after its cycle, so its id may come back
+    fresh = [tuple(list(code)) for code in canonical]
+    assert len(set(map(id, fresh))) == len(fresh)
+    want = _run(design, cfg, canonical)
+    for codes in (raw, mutated(), fresh, (tuple(list(code)) for code in canonical)):
+        got = _run(design, cfg, codes)
+        assert got.table == want.table
+        assert got.output_bits == want.output_bits
+        for name in ("index", "outputs", "delays", "oracle_bits", "stats"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert got.v_pk_reference == want.v_pk_reference
+        for f in fields(engine.EnergyLedger):
+            assert np.array_equal(getattr(got.ledger_full, f.name),
+                                  getattr(want.ledger_full, f.name)), f.name
 
 
 def _count_calls(monkeypatch, owner, name):

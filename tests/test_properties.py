@@ -1,7 +1,9 @@
 """Property tests over short random code streams: on the 4-synapse tree
-both designs return finite, passive ledgers that conserve energy, and on
-random small trees the closed-form kernel matches the per-step reference
-kernel."""
+both designs return finite, passive ledgers that conserve energy, and the
+same run whatever form the stream takes; on random small trees the
+closed-form kernel matches the per-step reference kernel."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from acansim import (
     BaselineConfig,
     CircuitConfig,
+    EnergyLedger,
     SimConfig,
     SynapseTreeConfig,
     energy_residual,
@@ -44,18 +47,32 @@ def _check_conservation(ledger):
     assert abs(energy_residual(ledger)) <= 1e-3 * ledger.dissipated_total + 1e-9 * scale
 
 
+def _check_input_forms(design, cfg, want, codes):
+    # the stream as fresh lists and as one int array gives the tuples' run
+    for form in ([list(code) for code in codes], np.array(codes, dtype=int)):
+        got = design(cfg, form)
+        for f in fields(EnergyLedger):
+            assert np.array_equal(getattr(got.ledger_full, f.name),
+                                  getattr(want.ledger_full, f.name)), f.name
+        assert got.output_bits == want.output_bits
+        np.testing.assert_array_equal(got.oracle_bits, want.oracle_bits)
+
+
 @settings(max_examples=25, deadline=None)
 @given(codes=streams)
 def test_run_neuron_ledger_finite_passive_conserving(codes):
-    ledger = run_neuron(CFG, codes).ledger_full
-    _check_finite_and_passive(ledger)
-    _check_conservation(ledger)
+    run = run_neuron(CFG, codes)
+    _check_finite_and_passive(run.ledger_full)
+    _check_conservation(run.ledger_full)
+    _check_input_forms(run_neuron, CFG, run, codes)
 
 
 @settings(max_examples=25, deadline=None)
 @given(codes=streams)
 def test_run_baseline_ledger_finite_and_passive(codes):
-    _check_finite_and_passive(run_baseline(BASE, codes).ledger_full)
+    run = run_baseline(BASE, codes)
+    _check_finite_and_passive(run.ledger_full)
+    _check_input_forms(run_baseline, BASE, run, codes)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
