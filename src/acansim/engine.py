@@ -9,19 +9,21 @@ keeps is a closed form in it: a *phase operator* holds those forms.
 A run (``run_cycles``) builds the step maps of its distinct (phase
 system, step size) pairs, stacked, and takes two passes over phase slots
 (a phase at its place in a cycle), each of which owns one operator.
-Pass 1 carries each cycle's start state through the phases' end maps
-under a divergence guard that bounds every state of a phase at once, and
+Pass 1 carries each cycle's start state through the phases' end maps and
 records the state in each slot it passes: a repeated block of cycles
-goes as one batch, from powers of its period map.  Pass 2 compiles the
-operators' accounts from their systems' storage, loss and source terms,
-stacked (a source account is linear in the start state, a loss account a
-sum of squares: trapezoidal quadrature on the step grid, summed in
-closed form by doubling).  Then, per slot and for all the cycles that
-ran it, it books the accounts and the stored energy at the cycles' ends
-and finds the exact peaks (chord-bounded), the decision sample and the
-trace samples.  The stored-energy jumps caused by switch reconfiguration
-(node capacitances change when gates open or close) are booked as well,
-and the conservation residual is exposed as an audit.
+goes as one batch, from powers of its period map.  Then the operators
+are compiled, stacked: their block powers, guard and peak bounds, and
+their accounts from their systems' storage, loss and source terms (a
+source account is linear in the start state, a loss account a sum of
+squares: trapezoidal quadrature on the step grid, summed in closed form
+by doubling).  Each slot guards the starts it recorded against
+divergence with one product, a bound on every state of the phase at
+once.  Pass 2, per slot and for all the cycles that ran it, books the
+accounts and the stored energy at the cycles' ends and finds the exact
+peaks (chord-bounded), the decision sample and the trace samples.  The
+stored-energy jumps caused by switch reconfiguration (node capacitances
+change when gates open or close) are booked as well, and the
+conservation residual is exposed as an audit.
 """
 
 from __future__ import annotations
@@ -258,17 +260,36 @@ _CHORD = np.arange(_BLOCK + 1)[:, None, None] / _BLOCK   # m / B at the steps m 
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
-    """base^0 .. base^(count-1), stacked: one batched product per doubling."""
-    out = np.empty((count, *base.shape))
-    out[0] = np.eye(base.shape[0])
+    """base^0 .. base^(count-1) of a matrix, or of each matrix of a stack
+    (P, d, d), on a new axis before the matrix axes: (count, d, d) or
+    (P, count, d, d).  One product per matrix and doubling: the powers
+    known so far, stacked as the rows of one operand, times base^s."""
+    d = base.shape[-1]
+    out = np.empty((*base.shape[:-2], count * d, d))
+    out[..., :d, :] = np.eye(d)
     s = 1
     while s < count:
         take = min(s, count - s)
-        out[s:s + take] = out[:take] @ base
+        np.matmul(out[..., :take * d, :], base, out=out[..., s * d:(s + take) * d, :])
         s += take
         if s < count:
             base = base @ base
-    return out
+    return out.reshape(*base.shape[:-2], count, d, d)
+
+
+def _end_power(g: np.ndarray, n: int) -> np.ndarray:
+    """G^n as the compiled tables give it, G^(n mod B) @ (G^B)^(n // B):
+    each factor the product of the squarings G^(2^i) over the set bits i
+    of its exponent, lowest first, which is how ``_powers`` forms them.
+    (``dot``: the same product as ``@``, with less overhead per call.)"""
+    parts = [np.eye(g.shape[-1])] * 2   # bits below B, and from B on
+    for i in range(n.bit_length()):
+        if i:
+            g = g.dot(g)
+        if n >> i & 1:
+            part = i >= _BLOCK.bit_length() - 1
+            parts[part] = parts[part].dot(g)
+    return parts[0].dot(parts[1])
 
 
 def _stein_sums(g: np.ndarray, forms: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -304,10 +325,12 @@ class PhaseOperator:
     (m < B) and the block-start powers G^(bB); the n states are never
     stored.
 
-    It is built from the step map ``maps`` = (E, f) of size dt and holds
-    the end map, the divergence guard's bound and, per peak row, bounds on
-    how far the row rises above each block's chord (second order in B),
-    which make the peak search exact.  Only its accounts come later.
+    It is built from the step map ``maps`` = (E, f) of size dt and holds G
+    and the end map, all that pass 1 needs.  ``compile_operators`` adds the
+    rest: the block table and starts, the divergence guard's bound, per
+    peak row bounds on how far the row rises above each block's chord
+    (second order in B), which make the peak search exact, and the
+    accounts.
     """
 
     def __init__(self, system: PhaseSystem, dt: float, n: int,
@@ -326,32 +349,9 @@ class PhaseOperator:
         self.v_limit = v_limit
         self.ref = np.append(x_ref, 0.0)   # z = [x; 1] - ref
         self._g = g
-        powers = _powers(g, _BLOCK + 1)
-        self.table = powers[:_BLOCK]
-        # block starts G^(bB) for b <= n // B, and the last block's chord end
-        self.blocks = _powers(powers[_BLOCK], n // _BLOCK + 2)
         # [x_end; 1] = end @ z
-        self.end = self.table[n % _BLOCK] @ self.blocks[n // _BLOCK]
+        self.end = _end_power(g, n)
         self.end[:d, d] += x_ref
-        # |x_k - x_ref| <= bound @ |z| for every step k <= n; scaled by the
-        # room each state has to the limit and maximised over the states,
-        # a start passes when guard @ |z| < 1 (NaN fails, as does every
-        # start if x_ref is at the limit)
-        bound = np.abs(self.table[:, :d]).max(0) @ np.abs(self.blocks[:-1]).max(0)
-        room = v_limit - np.abs(x_ref)
-        self._guard = (bound / room[:, None]).max(0) if (room > 0).all() else np.full(d + 1, np.nan)
-        # per peak row, (blocks, d + 1): max over the block's steps m of
-        # |D_m G^(bB)|, D_m = (G^m - I - m/B (G^B - I))[r], so the row rises
-        # at most that @ |z| above the chord between its block's two end
-        # values (steps past the end of the last block left out)
-        rows = np.array(self.peak_rows)
-        step = powers[:, rows]                           # (B + 1, rows, d + 1)
-        step[:, np.arange(rows.size), rows] -= 1.0
-        step -= _CHORD * step[_BLOCK]
-        by_column = self.blocks[:-1].transpose(1, 0, 2).reshape(d + 1, -1)   # [G^(bB) for b] side by side
-        dev = (step[:_BLOCK].reshape(-1, d + 1) @ by_column).reshape(_BLOCK, rows.size, -1, d + 1)
-        dev[n % _BLOCK + 1:, :, -1] = 0.0
-        self.deviation = np.maximum(dev.max(0), -dev.min(0))
 
     def guard(self, zs: np.ndarray) -> np.ndarray:
         """Divergence guard of the phase over a stack of shifted start
@@ -405,14 +405,51 @@ class PhaseOperator:
 
 
 def compile_operators(ops: Iterable[PhaseOperator]) -> None:
-    """Compile the accounts of phase operators, stacked per state
-    dimension: one Stein doubling and one ``eigh`` call per dimension.  A
-    lone operator is a batch of one."""
-    groups: dict[int, list[PhaseOperator]] = {}
+    """Complete phase operators built in pass 1 for the guard and pass 2,
+    stacked: per state dimension, step count and peak rows one ``_powers``
+    call for the block tables, one for the block starts and one deviation
+    product (``_compile_powers``); per state dimension the accounts, one
+    Stein doubling and one ``eigh`` call (``_compile_accounts``).  A lone
+    operator is a stack of one."""
+    shapes: dict[tuple[int, int, tuple[int, ...]], list[PhaseOperator]] = {}
+    dims: dict[int, list[PhaseOperator]] = {}
     for op in ops:
-        groups.setdefault(op.dim, []).append(op)
-    for group in groups.values():
+        shapes.setdefault((op.dim, op.n, op.peak_rows), []).append(op)
+        dims.setdefault(op.dim, []).append(op)
+    for group in shapes.values():
+        _compile_powers(group)
+    for group in dims.values():
         _compile_accounts(group)
+
+
+def _compile_powers(group: list[PhaseOperator]) -> None:
+    """The block table, block starts, guard bound and chord deviation
+    bounds of operators of one state dimension, step count and peak rows."""
+    d, n, rows = group[0].dim, group[0].n, np.array(group[0].peak_rows)
+    powers = _powers(np.stack([op._g for op in group]), _BLOCK + 1)   # (operators, B + 1, d + 1, d + 1)
+    # block starts G^(bB) for b <= n // B, and the last block's chord end
+    blocks = _powers(powers[:, _BLOCK], n // _BLOCK + 2)
+    # |x_k - x_ref| <= bound @ |z| for every step k <= n; scaled by the
+    # room each state has to the limit and maximised over the states, a
+    # start passes when guard @ |z| < 1 (NaN fails, as does every start
+    # if x_ref is at the limit)
+    bound = np.abs(powers[:, :_BLOCK, :d]).max(1) @ np.abs(blocks[:, :-1]).max(1)
+    room = np.array([op.v_limit for op in group])[:, None] - np.abs([op.ref[:d] for op in group])
+    guards = (bound / np.where(room > 0, room, np.nan)[:, :, None]).max(1)
+    # per peak row, (blocks, d + 1): max over the block's steps m of
+    # |D_m G^(bB)|, D_m = (G^m - I - m/B (G^B - I))[r], so the row rises
+    # at most that @ |z| above the chord between its block's two end
+    # values (steps past the end of the last block left out)
+    step = powers[:, :, rows]                        # (operators, B + 1, rows, d + 1)
+    step[:, :, np.arange(rows.size), rows] -= 1.0
+    step -= _CHORD * step[:, _BLOCK, None]
+    by_column = blocks[:, :-1].transpose(0, 2, 1, 3).reshape(len(group), d + 1, -1)
+    dev = (step[:, :_BLOCK].reshape(len(group), -1, d + 1) @ by_column).reshape(
+        len(group), _BLOCK, rows.size, -1, d + 1)
+    dev[:, n % _BLOCK + 1:, :, -1] = 0.0
+    deviation = np.maximum(dev.max(1), -dev.min(1))
+    for op, table, starts, guard, chord in zip(group, powers, blocks, guards, deviation):
+        op.table, op.blocks, op._guard, op.deviation = table[:_BLOCK], starts, guard, chord
 
 
 def _compile_accounts(group: list[PhaseOperator]) -> None:
@@ -649,18 +686,22 @@ def run_cycles(
     distinct (system, dt) pairs are built first, one stacked call per state
     dimension.  Each slot, a phase at its step offset in its cycle (and
     whether it ends the cycle), owns one ``PhaseOperator``, built at the
-    slot's first start state and compiled with the others at the start of
-    pass 2 (``compile_operators``).
+    slot's first start state.
 
     Pass 1 carries each cycle's start state through the end maps of its
-    phases, checking every phase with the divergence guard (|x| < v_limit
-    for every state; a NaN trips it too), and records each phase's shifted
-    start in its slot, the one record of the pass.  It goes in the order
-    of ``_periods`` on one integer key per cycle (cycles match when their
-    entry maps and phases are the same objects): a cycle in no repeated
-    block goes phase by phase; a block's first period goes the same way,
-    the rest as one batch (``_run_batch``), guarded by one product per
-    phase of the period.
+    phases and records each phase's shifted start in its slot, the one
+    record of the pass.  It goes in the order of ``_periods`` on one
+    integer key per cycle (cycles match when their entry maps and phases
+    are the same objects): a cycle in no repeated block goes phase by
+    phase; a block's first period goes the same way, the rest as one
+    batch (``_run_batch``).  It runs unguarded, with numpy's overflow and
+    invalid-value warnings off, for past a divergence the states may
+    overflow.  Then all the slots' operators are compiled at once
+    (``compile_operators``), and each slot guards its stacked starts with
+    one product (|x| < v_limit for every state of the phase; a NaN trips
+    it too).  Only the starts the bound fails are checked state by state,
+    in cycle-then-phase order, so a divergence raises the cycle and peak
+    that per-step propagation would name, before any overflow is read.
     Pass 2 then works per slot on the stacked start states of every cycle
     that ran it: the ledger accounts, the stored energy at the cycles'
     start (first slots) and end (last slots), whose jumps from one cycle
@@ -692,31 +733,41 @@ def run_cycles(
     # per slot key: operator, cycles, stacks of shifted starts
     slots: dict[tuple[Phase, int, bool], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
     z = np.append(x0, 1.0)
-    for k, p, count in order:
-        if p:
-            block = [(entry, [slots[key] for key in keys[id(phases)]])
-                     for entry, phases in cycles[k:k + p]]
-            z = _run_batch(block, z, k, count)
-            continue
-        entry, phases = cycles[k]
-        if entry is not None:
-            z = entry @ z
-        for key in keys[id(phases)]:
-            slot = slots.get(key)
-            if slot is None:   # a new slot: its operator built at this start
-                start, end, n_steps, system = key[0]
-                dt = (end - start) * t_cycle / n_steps
-                op = PhaseOperator(system, dt, n_steps, maps[system, dt], z[:-1], peak_rows, v_limit)
-                slot = slots[key] = (op, [], [])
-            op, ks, zs = slot
-            zp = z - op.ref
-            if not op.guard(zp[None])[0]:
-                op.check(zp, k)
-            ks.append(k)
-            zs.append(zp[None])
-            z = op.end @ zp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, p, count in order:
+            if p:
+                block = [(entry, [slots[key] for key in keys[id(phases)]])
+                         for entry, phases in cycles[k:k + p]]
+                z = _run_batch(block, z, k, count)
+                continue
+            entry, phases = cycles[k]
+            if entry is not None:
+                z = entry @ z
+            for key in keys[id(phases)]:
+                slot = slots.get(key)
+                if slot is None:   # a new slot: its operator built at this start
+                    start, end, n_steps, system = key[0]
+                    dt = (end - start) * t_cycle / n_steps
+                    op = PhaseOperator(system, dt, n_steps, maps[system, dt], z[:-1], peak_rows, v_limit)
+                    slot = slots[key] = (op, [], [])
+                op, ks, zs = slot
+                zp = z - op.ref
+                ks.append(k)
+                zs.append(zp[None])
+                z = op.end @ zp
 
-    compile_operators(op for op, _, _ in slots.values())
+        compile_operators(op for op, _, _ in slots.values())
+        slots = {key: (op, np.array(ks), np.concatenate(zs)) for key, (op, ks, zs) in slots.items()}
+        # one guard product per slot; (cycle, step offset, operator, shifted
+        # start) of each start past the bound
+        flagged = []
+        for (_, offset, _), (op, ks, zs) in slots.items():
+            ok = op.guard(zs)
+            if not ok.all():
+                flagged += [(ks[i], offset, op, zs[i]) for i in np.flatnonzero(~ok).tolist()]
+    for k, _, op, zp in sorted(flagged, key=lambda f: f[:2]):
+        op.check(zp, k)
+
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
     e_start, e_end = np.empty(n_cycles), np.empty(n_cycles)
@@ -725,7 +776,6 @@ def run_cycles(
         states = [np.empty((-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim))
                   for _, phases in cycles]
     for ((start, end, n_steps, system), offset, ends), (op, ks, zs) in slots.items():
-        ks, zs = np.array(ks), np.concatenate(zs)
         op.book(ledger, ks, zs)
         if offset == 0:
             e_start[ks] = system.stored_energy(zs + op.ref)
@@ -817,42 +867,33 @@ def _run_batch(block: list[tuple[np.ndarray | None,
     The entry maps and the end maps, each phase's shift folded in, compose
     into the period map P, so the period starts follow by doubling; a
     trailing partial period rides along as one more start.  Each (cycle in
-    the period, phase) then takes one stacked product and one guard; only
-    the pairs whose bound fails are checked exactly, in cycle-then-phase
-    order, so a divergence names the cycle and peak the per-cycle loop
-    would.  Past a true divergence later starts may overflow, so the
-    products run without numpy warnings and the check raises first.
+    the period, phase) then takes one stacked product.  Nothing is guarded
+    here: past a divergence the starts may overflow, which ``run_cycles``
+    lets pass silently until its guard names the divergence.
     """
     p = len(block)
     m, q = divmod(count, p)   # whole periods, cycles of the partial one
-    flagged = []   # (cycle in the batch, phase, operator, shifted start)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.eye(z.size)   # the period map
-        for entry, cycle_slots in block:
-            c = c if entry is None else entry @ c
-            for op, _, _ in cycle_slots:   # the end map, its shift folded in
-                fold = op.end.copy()
-                fold[:, -1] -= op.end @ op.ref
-                c = fold @ c
-        z = z[None]   # the period starts, by doubling
-        while len(z) < m + (q > 0):
-            z = np.concatenate([z, z[:m + (q > 0) - len(z)] @ c.T])
-            c = c @ c
-        for i, (entry, cycle_slots) in enumerate(block):
-            if i == q > 0:   # the partial period ends here
-                end, z = z[-1], z[:-1]
-            if entry is not None:
-                z = z @ entry.T
-            for j, (op, ks, starts) in enumerate(cycle_slots):
-                zp = z - op.ref
-                ok = op.guard(zp)
-                if not ok.all():
-                    flagged += [(i + p * row, j, op, zp[row]) for row in np.flatnonzero(~ok).tolist()]
-                ks.extend(range(k0 + i, k0 + i + p * len(zp), p))
-                starts.append(zp)
-                z = zp @ op.end.T
-    for di, _, op, zp in sorted(flagged, key=lambda f: f[:2]):
-        op.check(zp, k0 + di)
+    c = np.eye(z.size)   # the period map
+    for entry, cycle_slots in block:
+        c = c if entry is None else entry @ c
+        for op, _, _ in cycle_slots:   # the end map, its shift folded in
+            fold = op.end.copy()
+            fold[:, -1] -= op.end @ op.ref
+            c = fold @ c
+    z = z[None]   # the period starts, by doubling
+    while len(z) < m + (q > 0):
+        z = np.concatenate([z, z[:m + (q > 0) - len(z)] @ c.T])
+        c = c @ c
+    for i, (entry, cycle_slots) in enumerate(block):
+        if i == q > 0:   # the partial period ends here
+            end, z = z[-1], z[:-1]
+        if entry is not None:
+            z = z @ entry.T
+        for op, ks, starts in cycle_slots:
+            zp = z - op.ref
+            ks.extend(range(k0 + i, k0 + i + p * len(zp), p))
+            starts.append(zp)
+            z = zp @ op.end.T
     return end if q else z[-1]
 
 

@@ -460,18 +460,17 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
 
 def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     # 608 cycles of one code (8 idle warm-up cycles, a recalibration every
-    # 16): pass 1 guards each lone cycle, and each batch once per phase of
-    # its period; the 16-cycle period of a recalibration and 15 plain
-    # cycles runs as one batch after its first period (one guard per cycle
-    # and phase made 1216 calls, one batch per run of one schedule 232).
-    # Pass 2 searches peaks in chunks bounded by cycles x blocks, where
-    # 16-cycle chunks made 158 calls
+    # 16): after the compile each slot guards the stacked starts of every
+    # cycle that ran it in one call (one guard per cycle and phase made
+    # 1216 calls, one per phase of each batch and lone cycle 50).  Pass 2
+    # searches peaks in chunks bounded by cycles x blocks, where 16-cycle
+    # chunks made 158 calls
     cfg = tune_inductor(CircuitConfig())
-    guards, peaks = [], []
+    guards, peaks = [], []   # per guard call: operator and starts guarded
     guard, peak = PhaseOperator.guard, PhaseOperator.peak
 
     def counted_guard(self, zs, *args):
-        guards.append(len(np.atleast_2d(zs)))
+        guards.append((self, len(zs)))
         return guard(self, zs, *args)
 
     def counted_peak(self, zs, i):
@@ -482,8 +481,9 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     monkeypatch.setattr(PhaseOperator, "peak", counted_peak)
     run_neuron(cfg, [(1, 1, 0, 1)] * 600)
 
-    assert len(guards) <= 64
-    assert sum(guards) == 2 * (cfg.sim.startup_discard_cycles + 600)
+    # one call per slot, and every (cycle, phase) pair guarded once
+    assert len(guards) == len({id(op) for op, _ in guards}) <= 8
+    assert sum(n for _, n in guards) == 2 * (cfg.sim.startup_discard_cycles + 600)
     # even chunks overshoot the bound by less than one cycle's blocks
     assert all(m < engine._CHUNK_BLOCKS + 128 for m in peaks)
     assert len(peaks) < 158 // 4
@@ -492,19 +492,27 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
 def test_sweep_run_compiles_operators_per_dimension(monkeypatch):
     # the 16-code ascending sweep, 4 passes: a run builds its step maps in
     # one stacked call per state dimension and compiles its operators in
-    # one call, with one Stein doubling per dimension, where one build per
-    # operator made 11 step_maps calls and 11 doublings (adiabatic) and 22
-    # and 22 (baseline)
+    # one call, with one Stein doubling per dimension and one pair of
+    # _powers calls (block table, block starts) per state dimension and
+    # step count, where one build per operator made 11 step_maps calls and
+    # 11 doublings (adiabatic) and 22 and 22 (baseline), and one pair of
+    # _powers calls per operator.  Operators are built without _powers
     cfg = tune_inductor(CircuitConfig())
     codes = input_sweeps(4, n_scrambles=0, seed=0)[0] * 4
     calls = []   # (function, state dimension or number of dimensions)
-    compile_operators, stein_sums, step_maps = (
-        engine.compile_operators, engine._stein_sums, engine.step_maps)
+    compile_operators, stein_sums, step_maps, powers = (
+        engine.compile_operators, engine._stein_sums, engine.step_maps, engine._powers)
+    shapes = []   # per compile: its distinct (state dimension, step count), its operators
 
     def counted_compile(ops):
         ops = list(ops)
         calls.append(("compile", len({op.dim for op in ops})))
+        shapes.append((list(dict.fromkeys((op.dim, op.n) for op in ops)), len(ops)))
         return compile_operators(ops)
+
+    def counted_powers(base, count):
+        calls.append(("powers", (base.shape[-1] - 1, count)))
+        return powers(base, count)
 
     def counted_stein(g, *args):
         calls.append(("stein", g.shape[-1] - 1))
@@ -517,15 +525,25 @@ def test_sweep_run_compiles_operators_per_dimension(monkeypatch):
     monkeypatch.setattr(engine, "compile_operators", counted_compile)
     monkeypatch.setattr(engine, "_stein_sums", counted_stein)
     monkeypatch.setattr(engine, "step_maps", counted_maps)
+    monkeypatch.setattr(engine, "_powers", counted_powers)
     for run in (partial(run_neuron, cfg, codes),
                 partial(run_baseline, BaselineConfig.from_circuit(cfg), codes)):
         calls.clear()
+        shapes.clear()
         run()
         n_dims = [n for f, n in calls if f == "compile"]
         assert len(n_dims) == 1 and n_dims[0] > 1
         for name in ("stein", "maps"):
             dims = [d for f, d in calls if f == name]
             assert len(dims) == len(set(dims)) == n_dims[0]
+        # every _powers call comes from the compile: a table of B + 1
+        # powers, then n // B + 2 block starts, per (dimension, step count)
+        (groups, n_ops), = shapes
+        compiled = [arg for f, arg in calls[calls.index(("compile", n_dims[0])):] if f == "powers"]
+        assert len(compiled) == len([f for f, _ in calls if f == "powers"]) == 2 * len(groups)
+        assert compiled[0::2] == [(d, engine._BLOCK + 1) for d, _ in groups]
+        assert compiled[1::2] == [(d, n // engine._BLOCK + 2) for d, n in groups]
+        assert len(groups) < n_ops   # operators share stacks
 
 
 def _clock_phase():
@@ -576,6 +594,7 @@ def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
             sys = build_phase_system(cfg, SwitchState(False, False, on))
             x_ref = np.array([1e-4, 0.3, *[0.3] * (sys.dim - 3), 0.8])
             op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
+            compile_operators([op])
             # starts off x_ref, and x_ref itself
             zs = np.column_stack([rng.normal(scale=[2e-4, *[0.5] * (sys.dim - 2), 0.2],
                                              size=(8, sys.dim)), np.ones(8)])
@@ -632,20 +651,53 @@ def test_stacked_compile_matches_lone_compiles():
             np.testing.assert_array_equal(op.peak(zs, i), alone.peak(zs, i))
 
 
+@pytest.mark.parametrize("count", [1, 33, 114])
+@pytest.mark.parametrize("stack", [1, 3])
+def test_stacked_powers_equal_each_matrix_powers(stack, count):
+    # _powers of a (P, D, D) stack is the stack of each matrix's powers,
+    # bit for bit, starting from the identity of the matrices' size
+    rng = np.random.default_rng(count)
+    base = np.eye(5) + rng.normal(scale=0.2, size=(stack, 5, 5))
+    stacked = engine._powers(base, count)
+    assert stacked.shape == (stack, count, 5, 5)
+    np.testing.assert_array_equal(stacked[:, 0], np.broadcast_to(np.eye(5), (stack, 5, 5)))
+    for p in range(stack):
+        alone = engine._powers(base[p], count)
+        np.testing.assert_array_equal(stacked[p], alone)
+        want = np.linalg.matrix_power(base[p], count - 1)
+        np.testing.assert_allclose(alone[-1], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 3583, 3584])
+def test_end_map_is_the_compiled_tables_power(n):
+    # pass 1 uses an operator's end map before the compile: it must be the
+    # power that the compiled block table and starts give, bit for bit
+    sys, _, dt = _clock_phase()
+    x_ref = np.array([1e-4, 0.3, 0.3, 0.8])
+    op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
+    end = op.end.copy()
+    compile_operators([op])
+    want = op.table[n % engine._BLOCK] @ op.blocks[n // engine._BLOCK]
+    want[:-1, -1] += x_ref
+    np.testing.assert_array_equal(end, want)
+
+
 def test_phase_operator_guard_visits_states_only_past_its_bound():
     sys, n, dt = _clock_phase()
     x0 = np.array([1e-4, 0.3, 0.3, 0.8])
     z = np.append(x0, 1.0) - np.append(x0, 0.0)
     maps = step_maps(sys.a, sys.b, dt)
     peak = np.abs(propagate(*maps, x0, n)).max()
+    ops = [PhaseOperator(sys, dt, n, maps, x0, (1,), scale * peak) for scale in (10.0, 1.001, 0.9)]
+    compile_operators(ops)
     # far below the limit the bound passes the start without a visit
-    assert PhaseOperator(sys, dt, n, maps, x0, (1,), 10.0 * peak).guard(z[None]).tolist() == [True]
+    assert ops[0].guard(z[None]).tolist() == [True]
     # a limit just above the peak trips the bound of every start in the
     # stack, and the start passes on the exact states
-    op = PhaseOperator(sys, dt, n, maps, x0, (1,), 1.001 * peak)
+    op = ops[1]
     assert op.guard(np.stack([z, z])).tolist() == [False, False]
     op.check(z, 3)
-    op = PhaseOperator(sys, dt, n, maps, x0, (1,), 0.9 * peak)
+    op = ops[2]
     assert op.guard(z[None]).tolist() == [False]
     with pytest.raises(SimulationError, match=rf"cycle 3: \|x\| reached {peak:.3g}, limit"):
         op.check(z, 3)

@@ -334,13 +334,15 @@ def test_false_alarm_inside_a_batch_matches_reference(monkeypatch):
     # the limit, and the run is the reference kernel's
     cfg = tune_inductor(CircuitConfig())
     codes = [(1, 1, 0, 1)] * 30 + [(0, 0, 0, 0)] * 6
-    init = engine.PhaseOperator.__init__
+    compile_operators = engine.compile_operators
 
-    def alarmed(self, *args):
-        init(self, *args)
-        self._guard = self._guard + 1.0   # |z| ends in the affine 1: guard @ |z| >= 1
+    def alarmed(ops):
+        ops = list(ops)
+        compile_operators(ops)
+        for op in ops:
+            op._guard = op._guard + 1.0   # |z| ends in the affine 1: guard @ |z| >= 1
 
-    monkeypatch.setattr(engine.PhaseOperator, "__init__", alarmed)
+    monkeypatch.setattr(engine, "compile_operators", alarmed)
     checks = _count_calls(monkeypatch, engine.PhaseOperator, "check")
     run = run_neuron(cfg, codes, keep_trace=True)
     n_cycles = cfg.sim.startup_discard_cycles + len(codes)
@@ -429,6 +431,27 @@ def test_empty_and_malformed_streams_fail_by_name(design, codes, message):
         with pytest.raises(ValueError) as err:
             _run(design, cfg, codes)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+@pytest.mark.parametrize("codes, message", [
+    ([[1, 0, 0, 0], [0, 1, math.nan, 0], [math.inf, 0, 0, 0]],
+     "code 1 has a bit that is not a finite number"),
+    ([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -math.inf]],
+     "code 2 has a bit that is not a finite number"),
+    ([[1, 0, 0], [0, 1, 1]], "code 0 has 3 bits, tree has 4 synapses"),
+    ([[1, 0, 0, 0, 1]], "code 0 has 5 bits, tree has 4 synapses"),
+])
+def test_array_streams_fail_by_the_list_forms_name(design, codes, message):
+    # a stream given as one array is checked by numpy, and must name the
+    # code that its rows as lists name
+    cfg = tune_inductor(CircuitConfig())
+    for form in (codes, np.array(codes)):
+        with pytest.raises(ValueError) as err:
+            _run(design, cfg, form)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="^code stream is empty"):
+        _run(design, cfg, np.zeros((0, 4), dtype=int))
 
 
 @pytest.mark.parametrize("design", ["adiabatic", "baseline"])

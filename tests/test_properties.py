@@ -1,13 +1,18 @@
 """Property tests over short random code streams: on the 4-synapse tree
 both designs return finite, passive ledgers that conserve energy, and the
 same run whatever form the stream takes; on random small trees the
-closed-form kernel matches the per-step reference kernel."""
+closed-form kernel matches the per-step reference kernel, and so do its
+divergence errors on steps that grow the state; on random circuits a run
+either fails by name or returns finite results."""
 
-from dataclasses import fields
+import math
+import warnings
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from acansim import (
@@ -15,12 +20,15 @@ from acansim import (
     CircuitConfig,
     EnergyLedger,
     SimConfig,
+    SimulationError,
     SynapseTreeConfig,
     energy_residual,
+    engine,
     run_baseline,
     run_neuron,
     tune_inductor,
 )
+from acansim.model import effective_pc_capacitance
 from reference_kernel import assert_same_run, reference_kernel
 
 CFG = tune_inductor(CircuitConfig())
@@ -110,3 +118,92 @@ def test_closed_form_kernel_matches_reference_on_random_trees(case):
         refs = [run_neuron(cfg, codes, keep_trace=True), run_baseline(base, codes)]
     for run, ref in zip(runs, refs):
         assert_same_run(run, ref)
+
+
+@st.composite
+def growing_streams(draw):
+    # a run-length stream (each code 1 to 12 times) repeated 1 to 3 times,
+    # so pass 1 batches repeated cycles and periodic blocks, on steps that
+    # grow the state by a factor 1 + eps: from no growth, through a guard
+    # crossed late or early, to states that overflow float64 long before
+    # the stream ends (eps 3e-3 grows them ~1e5x per cycle)
+    runs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * 4), st.integers(1, 12)),
+                         min_size=1, max_size=4))
+    repeats = draw(st.integers(1, 3))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-7, 3e-3)))
+    return [code for code, count in runs for _ in range(count)] * repeats, eps
+
+
+# states that overflow in the batches after the divergence
+OVERFLOWING = (([(1, 1, 0, 1)] * 12 + [(0, 1, 1, 0)] * 12) * 3, 3e-3)
+
+
+@settings(max_examples=20, deadline=None)
+@example(case=OVERFLOWING, design="adiabatic")
+@example(case=OVERFLOWING, design="baseline")
+@given(case=growing_streams(), design=st.sampled_from(("adiabatic", "baseline")))
+def test_deferred_guard_names_the_reference_divergence(case, design):
+    # pass 1 carries every cycle before any guard runs; the guard must
+    # still raise the reference kernel's error, or leave its run, and no
+    # overflow or invalid-value warning may escape
+    codes, eps = case
+    step_maps = engine.step_maps
+
+    def grown(a, b, dt):
+        e, f = step_maps(a, b, dt)
+        return (1.0 + eps) * e, f
+
+    def run():
+        return run_neuron(CFG, codes) if design == "adiabatic" else run_baseline(BASE, codes)
+
+    with mock.patch.object(engine, "step_maps", grown):
+        with reference_kernel():
+            try:
+                ref, want = run(), None
+            except SimulationError as err:
+                want = str(err)
+        event("ran" if want is None else "diverged")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                assert_same_run(run(), ref)
+            else:
+                with pytest.raises(SimulationError) as err:
+                    run()
+                assert str(err.value) == want
+
+
+@st.composite
+def circuits(draw):
+    # an inductor and tank capacitor, a clock off the pair's resonance by
+    # up to 60% either way, a step budget and stride, a recalibration rate
+    cfg = CircuitConfig()
+    l_pc = draw(st.floats(1e-4, 1e-2))
+    pc = replace(cfg.pc, l_pc=l_pc, c_e=draw(st.floats(5e-12, 100e-12)))
+    f_res = 1.0 / (2.0 * math.pi * math.sqrt(l_pc * effective_pc_capacitance(cfg.tree, pc, 0.0)))
+    pc = replace(pc, f_nominal=f_res * draw(st.floats(0.4, 1.6)))
+    stride = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    sim = SimConfig(steps_per_cycle=stride * draw(st.integers(-(-256 // stride), 4096 // stride)),
+                    trace_stride=stride, recal_every=draw(st.integers(1, 20)))
+    return replace(cfg, pc=pc, sim=sim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=circuits(), codes=streams)
+def test_random_circuits_fail_by_name_or_run_finite(cfg, codes):
+    # a run raises a named error or returns finite ledgers, peaks and
+    # samples: overflow past a divergence never reaches a result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run = run_neuron(cfg, codes, keep_trace=True)
+        except (SimulationError, ValueError) as err:
+            event(f"{type(err).__name__}: {str(err).split(':')[0]}")
+            return
+    event("ran")
+    for f in fields(EnergyLedger):
+        assert np.all(np.isfinite(getattr(run.ledger_full, f.name))), f.name
+    for name, values in run.stats._asdict().items():
+        assert np.all(np.isfinite(values)), name
+    for name in ("t", "i_l", "v_pc", "v_s", "v_m"):
+        assert np.all(np.isfinite(getattr(run.trace, name))), name
