@@ -257,6 +257,10 @@ _BLOCK = 32
 # states: bounds their per-block temporaries, whatever a slot's length.
 _CHUNK_BLOCKS = 8192
 _CHORD = np.arange(_BLOCK + 1)[:, None, None] / _BLOCK   # m / B at the steps m <= B of a block
+# Entries (operators x B x peak rows x blocks x (d + 1)) per compile stack
+# of the chord deviation product: bounds its temporary, 2 MB, however
+# many operators share a state dimension and step count.
+_STACK_ENTRIES = 1 << 18
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -408,16 +412,19 @@ def compile_operators(ops: Iterable[PhaseOperator]) -> None:
     """Complete phase operators built in pass 1 for the guard and pass 2,
     stacked: per state dimension, step count and peak rows one ``_powers``
     call for the block tables, one for the block starts and one deviation
-    product (``_compile_powers``); per state dimension the accounts, one
-    Stein doubling and one ``eigh`` call (``_compile_accounts``).  A lone
-    operator is a stack of one."""
+    product (``_compile_powers``), in stacks of at most ``_STACK_ENTRIES``
+    deviation entries (one operator at least); per state dimension the
+    accounts, one Stein doubling and one ``eigh`` call
+    (``_compile_accounts``).  A lone operator is a stack of one."""
     shapes: dict[tuple[int, int, tuple[int, ...]], list[PhaseOperator]] = {}
     dims: dict[int, list[PhaseOperator]] = {}
     for op in ops:
         shapes.setdefault((op.dim, op.n, op.peak_rows), []).append(op)
         dims.setdefault(op.dim, []).append(op)
-    for group in shapes.values():
-        _compile_powers(group)
+    for (d, n, rows), group in shapes.items():
+        size = max(1, _STACK_ENTRIES // (_BLOCK * len(rows) * (n // _BLOCK + 1) * (d + 1)))
+        for c in range(0, len(group), size):
+            _compile_powers(group[c:c + size])
     for group in dims.values():
         _compile_accounts(group)
 
@@ -733,7 +740,8 @@ def run_cycles(
     # per slot key: operator, cycles, stacks of shifted starts
     slots: dict[tuple[Phase, int, bool], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
     z = np.append(x0, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet):
         for k, p, count in order:
             if p:
                 block = [(entry, [slots[key] for key in keys[id(phases)]])
@@ -756,8 +764,14 @@ def run_cycles(
                 zs.append(zp[None])
                 z = op.end @ zp
 
+    slots = {key: (op, np.array(ks), np.concatenate(zs)) for key, (op, ks, zs) in slots.items()}
+    # a start past the limit (or NaN; an operator's reference is a start
+    # too) dooms the run and may overflow the compile and guard, so it
+    # quiets them as well; a healthy run's warn
+    healthy = all((np.abs(zs[:, :op.dim] + op.ref[:op.dim]) < op.v_limit).all()
+                  for op, _, zs in slots.values())
+    with np.errstate(**({} if healthy else quiet)):
         compile_operators(op for op, _, _ in slots.values())
-        slots = {key: (op, np.array(ks), np.concatenate(zs)) for key, (op, ks, zs) in slots.items()}
         # one guard product per slot; (cycle, step offset, operator, shifted
         # start) of each start past the bound
         flagged = []

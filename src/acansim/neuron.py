@@ -196,15 +196,10 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     normalised only the first time they appear.  A tuple object seen before
     is found by identity (tuples are immutable; each is held for the call,
     so no other object takes its id); other codes, such as a list that may
-    change between cycles, are copied and hashed every cycle.  A stream
-    given as one 2-D numeric array is checked by numpy and its rows are
-    told apart by the bytes of their normalised bits, packed.  Raises
-    ValueError, naming the first bad code, on an empty stream, a code that
-    is not n bits long or a bit that is not a finite number (a string or
-    NaN, say).
+    change between cycles, are copied and hashed every cycle.  Raises
+    ValueError, naming the code, on an empty stream, a code that is not n
+    bits long or a bit that is not a finite number (a string or NaN, say).
     """
-    if isinstance(codes, np.ndarray) and codes.ndim == 2 and codes.dtype.kind in "biuf":
-        return _array_code_table(codes, n)
     table: list[Code] = [(0,) * n]
     by_raw: dict[tuple, int] = {table[0]: 0}   # normalised codes are raw codes too
     by_id: dict[int, int] = {}
@@ -236,23 +231,6 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     if not index:
         raise ValueError("code stream is empty: need at least one code")
     return table, np.array(index)
-
-
-def _array_code_table(codes: np.ndarray, n: int) -> tuple[list[Code], np.ndarray]:
-    """``_code_table`` of a stream given as one (cycles, bits) numeric array."""
-    if not len(codes):
-        raise ValueError("code stream is empty: need at least one code")
-    if codes.shape[1] != n:
-        raise ValueError(f"code 0 has {codes.shape[1]} bits, tree has {n} synapses")
-    bad = np.flatnonzero(~np.isfinite(codes).all(1))
-    if bad.size:
-        raise ValueError(f"code {bad[0]} has a bit that is not a finite number")
-    bits = (codes != 0).view(np.uint8)
-    by_bytes = {bytes(-(-n // 8)): 0}   # the all-zero code comes first
-    index = np.array([by_bytes.setdefault(row.tobytes(), len(by_bytes))
-                      for row in np.packbits(bits, axis=1)])
-    present, first = np.unique(index, return_index=True)
-    return [(0,) * n, *(tuple(bits[k].tolist()) for k in first[present > 0])], index
 
 
 def decided_run(table: list[Code], index: np.ndarray, stats: engine.CycleStats,

@@ -651,6 +651,50 @@ def test_stacked_compile_matches_lone_compiles():
             np.testing.assert_array_equal(op.peak(zs, i), alone.peak(zs, i))
 
 
+def test_compile_splits_a_large_stack_without_changing_it(monkeypatch):
+    # nine operators of one dimension, step count and peak rows, over a
+    # budget of four operators' deviation entries: compiled in stacks of
+    # 4, 4 and 1, each must keep the tables, guard, deviation bounds and
+    # peaks that a lone compile gives it
+    sys, n, dt = _clock_phase()
+    rng = np.random.default_rng(11)
+    args = [(sys, dt, n, step_maps(sys.a, sys.b, dt),
+             np.array([1e-4, 0.3, 0.3, 0.8]) + rng.normal(scale=0.05, size=4), (1, -1), 2.0)
+            for _ in range(9)]
+    per_op = engine._BLOCK * 2 * (n // engine._BLOCK + 1) * (sys.dim + 1)
+    monkeypatch.setattr(engine, "_STACK_ENTRIES", 4 * per_op + per_op // 2)
+    stacks = []
+    compile_powers = engine._compile_powers
+    monkeypatch.setattr(engine, "_compile_powers", lambda group: (stacks.append(len(group)),
+                                                                 compile_powers(group)))
+    ops = [PhaseOperator(*a) for a in args]
+    compile_operators(ops)
+    assert stacks == [4, 4, 1]
+    zs = np.column_stack([rng.normal(scale=0.1, size=(5, sys.dim)), np.ones(5)])
+    for a, op in zip(args, ops):
+        alone = PhaseOperator(*a)
+        compile_operators([alone])
+        for name in ("table", "blocks", "_guard", "deviation"):
+            np.testing.assert_array_equal(getattr(op, name), getattr(alone, name), err_msg=name)
+        for i in range(2):
+            np.testing.assert_array_equal(op.peak(zs, i), alone.peak(zs, i))
+
+
+def test_a_healthy_runs_compile_warns(monkeypatch):
+    # pass 1 runs with overflow warnings off; a run whose starts are all
+    # inside the limit compiles with them on, so a stray overflow there
+    # still surfaces
+    compile_powers = engine._compile_powers
+
+    def overflowing(group):
+        np.float64(1e308) * 10.0
+        compile_powers(group)
+
+    monkeypatch.setattr(engine, "_compile_powers", overflowing)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        run_neuron(tune_inductor(CircuitConfig()), [(1, 0, 1, 0)] * 3)
+
+
 @pytest.mark.parametrize("count", [1, 33, 114])
 @pytest.mark.parametrize("stack", [1, 3])
 def test_stacked_powers_equal_each_matrix_powers(stack, count):

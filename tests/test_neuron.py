@@ -443,8 +443,8 @@ def test_empty_and_malformed_streams_fail_by_name(design, codes, message):
     ([[1, 0, 0, 0, 1]], "code 0 has 5 bits, tree has 4 synapses"),
 ])
 def test_array_streams_fail_by_the_list_forms_name(design, codes, message):
-    # a stream given as one array is checked by numpy, and must name the
-    # code that its rows as lists name
+    # a stream given as one array must name the code that its rows as
+    # lists name
     cfg = tune_inductor(CircuitConfig())
     for form in (codes, np.array(codes)):
         with pytest.raises(ValueError) as err:
