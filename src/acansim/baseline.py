@@ -184,13 +184,11 @@ def _cycle_plan(system: PhaseSystem, rates: np.ndarray, t_cycle: float, spc: int
 def _plate_entry(levels: Sequence[tuple[int, int, float, int]], dim_from: int,
                  v_dd: float) -> np.ndarray:
     """Augmented entry map of a cycle: each plate starts at the rail its
-    driver held last cycle; the membrane carries over.  Read-only: a run
-    keeps one per (transition, dim_from), so equal entries are one object."""
+    driver held last cycle; the membrane carries over."""
     entry = np.zeros((len(levels) + 2, dim_from + 1))
     entry[:len(levels), dim_from] = [p * v_dd for p, _, _, _ in levels]
     entry[len(levels), dim_from - 1] = 1.0
     entry[-1, dim_from] = 1.0
-    entry.flags.writeable = False
     return entry
 
 
@@ -203,8 +201,9 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     is not the tree's synapse count or a bit that is not a finite number
     raises ValueError.  The run carries one integer per cycle: one level
     grouping and drive-toggle count per distinct (previous code, code)
-    pair, one entry map per distinct (pair, state size) and one oracle bit
-    per distinct code.
+    pair, one kind (entry map and phases) per distinct (pair, state size),
+    which the kernel gets with each cycle's index into them, and one
+    oracle bit per distinct code.
     """
     tree = cfg.tree
     table, index = _code_table(codes, tree.n)
@@ -237,16 +236,16 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
         plans.update((system, _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle))
                      for system, r in zip(group, rates))
 
-    # per cycle one (entry, phases) object, the entry from the state size
-    # the previous cycle ends with (the membrane alone at the start)
+    # per cycle its kind: its pair and the state size the previous cycle
+    # ends with (the membrane alone at the start), which fix its entry map
     dims = np.array([len(lv) + 1 for lv in levels])[pair_of]
     dim_from = np.concatenate(([1], dims[:-1]))
     kind_first, kind_of = first_seen(pair_of * (dims.max() + 1) + dim_from)
     kinds = [(_plate_entry(levels[t], d, cfg.v_dd), plans[pair_systems[t]])
              for t, d in zip(pair_of[kind_first].tolist(), dim_from[kind_first].tolist())]
-    cycles = list(map(kinds.__getitem__, kind_of.tolist()))
 
-    peaks, samples, _ = run_cycles(ledger, cycles, np.array([tree.v_ref]), t_cycle, v_limit, (-1,))
+    peaks, samples, _ = run_cycles(ledger, kinds, kind_of, np.array([tree.v_ref]), t_cycle,
+                                   v_limit, (-1,))
     stats = CycleStats(np.full(n_cycles, cfg.v_dd), peaks[:, 0], samples)
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = baseline_oracle_spec(cfg, v_os=v_os)

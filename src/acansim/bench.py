@@ -583,7 +583,7 @@ def compare_designs(
     adia = {"tree": hi["adiabatic_tree_J"]}
     base = {"tree": hi["baseline_tree_J"]}
     return SavingsReport(
-        mode="loading", f_hz=hi["f_opt_Hz"], duty=cfg.pc.duty_d,
+        mode="loading", f_hz=hi["f_opt_Hz"], duty=cfg.pc.t_on * hi["f_opt_Hz"],
         adiabatic=adia, baseline=base,
         savings=1.0 - _ratio(adia["tree"], base["tree"]),
         loading=rows,

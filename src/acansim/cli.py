@@ -39,8 +39,9 @@ class ConfigError(ValueError):
     """Config file rejected; message names the offending field."""
 
 
+# micro as "u", the micro sign and the Greek mu (the micro sign's NFKC form)
 _PREFIXES = {
-    "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "µ": 1e-6,
+    "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "\u00b5": 1e-6, "\u03bc": 1e-6,
     "m": 1e-3, "k": 1e3, "K": 1e3, "M": 1e6, "G": 1e9,
 }
 # longest first so "Hz" wins over "z"-less fallbacks

@@ -28,10 +28,9 @@ conservation residual is exposed as an audit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -676,9 +675,14 @@ class Phase(NamedTuple):
     system: PhaseSystem
 
 
+# A phase slot's key: (phase, step offset in its cycle, ends the cycle).
+SlotKey = tuple[Phase, int, bool]
+
+
 def run_cycles(
     ledger: EnergyLedger,
-    cycles: Sequence[tuple[np.ndarray | None, Sequence[Phase]]],
+    kinds: Sequence[tuple[np.ndarray | None, Sequence[Phase]]],
+    kind_of: np.ndarray,
     x0: np.ndarray,
     t_cycle: float,
     v_limit: float,
@@ -687,23 +691,23 @@ def run_cycles(
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
     """Run both designs' cycles from state x0 and book them into the ledger.
 
-    Each cycle is ``(entry, phases)``: ``entry`` maps the previous cycle's
-    end state ``[x; 1]`` to this cycle's augmented start state (None keeps
-    the state), then the phases run in order.  The step maps of the run's
-    distinct (system, dt) pairs are built first, one stacked call per state
-    dimension.  Each slot, a phase at its step offset in its cycle (and
-    whether it ends the cycle), owns one ``PhaseOperator``, built at the
-    slot's first start state.
+    ``kinds`` holds the run's distinct cycles and ``kind_of`` each cycle's
+    index into them.  A kind is ``(entry, phases)``: ``entry`` maps the
+    previous cycle's end state ``[x; 1]`` to this cycle's augmented start
+    state (None keeps the state), then the phases run in order.  The step
+    maps of the kinds' distinct (system, dt) pairs are built first, one
+    stacked call per state dimension.  Each slot, a phase at its step
+    offset in its cycle (and whether it ends the cycle), owns one
+    ``PhaseOperator``, built at the slot's first start state.
 
     Pass 1 carries each cycle's start state through the end maps of its
     phases and records each phase's shifted start in its slot, the one
-    record of the pass.  It goes in the order of ``_periods`` on one
-    integer key per cycle (cycles match when their entry maps and phases
-    are the same objects): a cycle in no repeated block goes phase by
-    phase; a block's first period goes the same way, the rest as one
-    batch (``_run_batch``).  It runs unguarded, with numpy's overflow and
-    invalid-value warnings off, for past a divergence the states may
-    overflow.  Then all the slots' operators are compiled at once
+    record of the pass.  It goes in the order of ``_periods`` on
+    ``kind_of``, one ``_run_batch`` per item: a cycle in no repeated block
+    and each cycle of a block's first period go alone, as a period of one,
+    and the rest of a block as one batch.  It runs unguarded, with numpy's
+    overflow and invalid-value warnings off, for past a divergence the
+    states may overflow.  Then all the slots' operators are compiled at once
     (``compile_operators``), and each slot guards its stacked starts with
     one product (|x| < v_limit for every state of the phase; a NaN trips
     it too).  Only the starts the bound fails are checked state by state,
@@ -722,47 +726,28 @@ def run_cycles(
     (cycles x peak rows), the decision samples and the per-cycle sampled
     states (None without a stride).
     """
-    n_cycles = len(cycles)
-    entries, runs = zip(*cycles)
-    _, entry_of = np.unique(_ids(entries), return_inverse=True)
-    _, phases_of = np.unique(_ids(runs), return_inverse=True)
-    order = _periods(entry_of * (phases_of.max() + 1) + phases_of)
-    # per phases object (each first runs in a lone cycle), its slot keys:
-    # (phase, step offset in its cycle, ends the cycle)
-    keys: dict[int, list[tuple[Phase, int, bool]]] = {}
-    for phases in (cycles[k][1] for k, p, _ in order if not p):
-        if id(phases) not in keys:
-            keys[id(phases)] = [(phase, sum(q.n_steps for q in phases[:j]), j == len(phases) - 1)
-                                for j, phase in enumerate(phases)]
-    maps = _build_maps((system, (end - start) * t_cycle / n_steps) for phase_keys in keys.values()
-                       for (start, end, n_steps, system), _, _ in phase_keys)
+    n_cycles = kind_of.size
+    # per kind, its entry and slot keys
+    kind_slots = [(entry, [(phase, sum(q.n_steps for q in phases[:j]), j == len(phases) - 1)
+                           for j, phase in enumerate(phases)]) for entry, phases in kinds]
+    maps = _build_maps((system, (end - start) * t_cycle / n_steps)
+                       for _, phases in kinds for start, end, n_steps, system in phases)
+
+    def operator(key: SlotKey, x: np.ndarray) -> PhaseOperator:
+        start, end, n_steps, system = key[0]
+        dt = (end - start) * t_cycle / n_steps
+        return PhaseOperator(system, dt, n_steps, maps[system, dt], x, peak_rows, v_limit)
 
     # per slot key: operator, cycles, stacks of shifted starts
-    slots: dict[tuple[Phase, int, bool], tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
+    slots: dict[SlotKey, tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
     z = np.append(x0, 1.0)
+    kind_at = kind_of.tolist()
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
-        for k, p, count in order:
-            if p:
-                block = [(entry, [slots[key] for key in keys[id(phases)]])
-                         for entry, phases in cycles[k:k + p]]
-                z = _run_batch(block, z, k, count)
-                continue
-            entry, phases = cycles[k]
-            if entry is not None:
-                z = entry @ z
-            for key in keys[id(phases)]:
-                slot = slots.get(key)
-                if slot is None:   # a new slot: its operator built at this start
-                    start, end, n_steps, system = key[0]
-                    dt = (end - start) * t_cycle / n_steps
-                    op = PhaseOperator(system, dt, n_steps, maps[system, dt], z[:-1], peak_rows, v_limit)
-                    slot = slots[key] = (op, [], [])
-                op, ks, zs = slot
-                zp = z - op.ref
-                ks.append(k)
-                zs.append(zp[None])
-                z = op.end @ zp
+        for k, p, count in _periods(kind_of):
+            # the period from cycle k: a batch's equals the p cycles before it
+            period = [kind_slots[i] for i in kind_at[k:k + max(p, 1)]]
+            z = _run_batch(period, z, k, count, slots, operator)
 
     slots = {key: (op, np.array(ks), np.concatenate(zs)) for key, (op, ks, zs) in slots.items()}
     # a start past the limit (or NaN; an operator's reference is a start
@@ -787,8 +772,9 @@ def run_cycles(
     e_start, e_end = np.empty(n_cycles), np.empty(n_cycles)
     states: list[np.ndarray] = []
     if stride:
-        states = [np.empty((-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim))
-                  for _, phases in cycles]
+        shapes = [(-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim)
+                  for _, phases in kinds]
+        states = [np.empty(shapes[i]) for i in kind_at]
     for ((start, end, n_steps, system), offset, ends), (op, ks, zs) in slots.items():
         op.book(ledger, ks, zs)
         if offset == 0:
@@ -822,44 +808,42 @@ def run_cycles(
 
 def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:
     """Pass 1's order of work: (k, 0, 1) runs cycle k alone, (k, p, count)
-    runs cycles k .. k + count - 1 as one batch repeating the p before k.
-    Cycles match when their integer keys are equal.  From cycle k the
-    candidate period p is the distance to its next match; a block needs
-    one whole period matched, then extends by doubling, and its first
-    period is split the same way."""
+    runs cycles k .. k + count - 1 as one batch repeating the p before k
+    (count >= p).  Cycles match when their keys are equal: ``run_cycles``
+    passes each cycle's kind index.  From cycle k the candidate period p
+    is the distance to its next match; a block needs one whole period
+    matched, then extends by doubling, and its first period is split the
+    same way."""
     n = keys.size
     by_key = np.argsort(keys, kind="stable")
     same = keys[by_key[1:]] == keys[by_key[:-1]]
     nxt = np.full(n, 2 * n)   # the next match of each cycle (2n: none)
     nxt[by_key[:-1][same]] = by_key[1:][same]
-    nxt, ids = nxt.tolist(), keys.tolist()
     out: list[tuple[int, int, int]] = []
-
-    def split(k: int, stop: int) -> None:
-        while k < stop:
-            p = nxt[k] - k
-            size = 2 * p   # cycles k .. k + size - 1 repeat with period p
-            if k + size > stop or ids[k + p:k + size] != ids[k:k + p]:
-                out.append((k, 0, 1))
-                k += 1
-                continue
-            while k + size < stop:
-                take = min(size, stop - k - size)
-                if ids[k + size:k + size + take] != ids[k:k + take]:
-                    size += next(i for i, (a, b) in enumerate(zip(ids[k + size:], ids[k:])) if a != b)
-                    break
-                size += take
-            split(k, k + p)
-            out.append((k + p, p, size - p))
-            k += size
-
-    split(0, n)
+    _split(0, n, nxt.tolist(), keys.tolist(), out)
     return out
 
 
-def _ids(objects: Sequence) -> np.ndarray:
-    """The identity of each object, as an integer array."""
-    return np.fromiter(map(id, objects), np.uint64, len(objects))
+def _split(k: int, stop: int, nxt: list[int], ids: list[int],
+           out: list[tuple[int, int, int]]) -> None:
+    """``_periods`` for cycles k .. stop - 1, into ``out``.  Not a closure:
+    one that calls itself is a reference cycle, freed only by the gc."""
+    while k < stop:
+        p = nxt[k] - k
+        size = 2 * p   # cycles k .. k + size - 1 repeat with period p
+        if k + size > stop or ids[k + p:k + size] != ids[k:k + p]:
+            out.append((k, 0, 1))
+            k += 1
+            continue
+        while k + size < stop:
+            take = min(size, stop - k - size)
+            if ids[k + size:k + size + take] != ids[k:k + take]:
+                size += next(i for i, (a, b) in enumerate(zip(ids[k + size:], ids[k:])) if a != b)
+                break
+            size += take
+        _split(k, k + p, nxt, ids, out)
+        out.append((k + p, p, size - p))
+        k += size
 
 
 def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -870,40 +854,50 @@ def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], np.argsort(order)[inverse]
 
 
-def _run_batch(block: list[tuple[np.ndarray | None,
-                                 list[tuple[PhaseOperator, list[int], list[np.ndarray]]]]],
-               z: np.ndarray, k0: int, count: int) -> np.ndarray:
+def _run_batch(period: list[tuple[np.ndarray | None, list[SlotKey]]], z: np.ndarray,
+               k0: int, count: int,
+               slots: dict[SlotKey, tuple[PhaseOperator, list[int], list[np.ndarray]]],
+               operator: Callable[[SlotKey, np.ndarray], PhaseOperator]) -> np.ndarray:
     """Pass 1 for cycles k0 .. k0 + count - 1 at once, from state z: they
-    repeat ``block``, a period of cycles, each an entry map (or None) and
-    its phase slots.  Records their shifted starts in the slots and returns
-    the last one's end state.
+    repeat ``period``, p cycles, each an entry map (or None) and its slot
+    keys.  Records their shifted starts in ``slots`` (a new slot gets
+    ``operator(key, x)``, built at its first start x) and returns the last
+    cycle's end state.  A lone cycle is a period of one, with count 1.
 
-    The entry maps and the end maps, each phase's shift folded in, compose
-    into the period map P, so the period starts follow by doubling; a
-    trailing partial period rides along as one more start.  Each (cycle in
-    the period, phase) then takes one stacked product.  Nothing is guarded
-    here: past a divergence the starts may overflow, which ``run_cycles``
-    lets pass silently until its guard names the divergence.
+    With more than one period start, the entry maps and the end maps, each
+    phase's shift folded in, compose into the period map P, so the period
+    starts follow by doubling; a trailing partial period rides along as
+    one more start.  Each (cycle in the period, phase) then takes one
+    stacked product.  Nothing is guarded here: past a divergence the
+    starts may overflow, which ``run_cycles`` lets pass silently until its
+    guard names the divergence.
     """
-    p = len(block)
+    p = len(period)
     m, q = divmod(count, p)   # whole periods, cycles of the partial one
-    c = np.eye(z.size)   # the period map
-    for entry, cycle_slots in block:
-        c = c if entry is None else entry @ c
-        for op, _, _ in cycle_slots:   # the end map, its shift folded in
-            fold = op.end.copy()
-            fold[:, -1] -= op.end @ op.ref
-            c = fold @ c
-    z = z[None]   # the period starts, by doubling
-    while len(z) < m + (q > 0):
-        z = np.concatenate([z, z[:m + (q > 0) - len(z)] @ c.T])
-        c = c @ c
-    for i, (entry, cycle_slots) in enumerate(block):
+    n_starts = m + (q > 0)
+    z = z[None]   # the period starts
+    if n_starts > 1:   # the period map; its slots ran in the first period
+        c = np.eye(z.shape[1])
+        for entry, keys in period:
+            c = c if entry is None else entry @ c
+            for key in keys:   # the end map, its shift folded in
+                op = slots[key][0]
+                fold = op.end.copy()
+                fold[:, -1] -= op.end @ op.ref
+                c = fold @ c
+        while len(z) < n_starts:   # by doubling
+            z = np.concatenate([z, z[:n_starts - len(z)] @ c.T])
+            c = c @ c
+    for i, (entry, keys) in enumerate(period):
         if i == q > 0:   # the partial period ends here
             end, z = z[-1], z[:-1]
         if entry is not None:
             z = z @ entry.T
-        for op, ks, starts in cycle_slots:
+        for key in keys:
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = (operator(key, z[0, :-1]), [], [])
+            op, ks, starts = slot
             zp = z - op.ref
             ks.extend(range(k0 + i, k0 + i + p * len(zp), p))
             starts.append(zp)
@@ -930,18 +924,15 @@ def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
     return tuple(phases)
 
 
-@functools.cache
 def _rejoin(dim_from: int, dim_to: int) -> np.ndarray:
     """Augmented entry map of a gate change: the top plates of the newly
     enabled branch set join at the clock voltage (they were parked at the
-    trough when last disconnected); I_L, V_PC and V_m carry over.  Cached
-    and read-only: equal entries are one object, for ``_periods``."""
+    trough when last disconnected); I_L, V_PC and V_m carry over."""
     entry = np.zeros((dim_to + 1, dim_from + 1))
     entry[0, 0] = 1.0
     entry[1:dim_to - 1, 1] = 1.0
     entry[dim_to - 1, dim_from - 1] = 1.0
     entry[dim_to, dim_from] = 1.0
-    entry.flags.writeable = False
     return entry
 
 
@@ -960,7 +951,9 @@ def simulate(
 
     ``cycles`` holds one plan per cycle.  Phases are built once per plan
     object (equal plans built apart share phase systems by content); drive
-    toggles and entry maps are booked only where the gates change.
+    toggles and entry maps are booked only where the gates change.  The
+    kernel gets the run's kinds, one per distinct (plan, state size entered
+    from where the gates change), and each cycle's index into them.
 
     Returns the sampled trace (with the per-cycle observables attached)
     and the energy ledger.  The membrane is sampled for the decision stage
@@ -980,11 +973,11 @@ def simulate(
     # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
     x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
 
-    first, plan_of = first_seen(_ids(cycles))
+    # per cycle its plan, by identity (``cycles`` holds each plan for the call)
+    first, plan_of = first_seen(np.fromiter(map(id, cycles), np.uint64, n_cycles))
     systems: dict[tuple, PhaseSystem] = {}
     plans = [tuple(cycles[k]) for k in first.tolist()]
-    kinds = [(None, _plan_phases(cfg, plan, systems)) for plan in plans]
-    steps = list(map(kinds.__getitem__, plan_of.tolist()))
+    plan_phases = [_plan_phases(cfg, plan, systems) for plan in plans]
     # per cycle its gate key, into ``gates``; the run starts with every gate open
     gates = {(False,) * cfg.tree.n: 0}
     gate = np.array([gates.setdefault(plan[0][2].synapse_on, len(gates)) for plan in plans])[plan_of]
@@ -993,12 +986,15 @@ def simulate(
     # gate-driver overhead: half a full charge per toggled control line
     on = np.array(list(gates), dtype=bool)
     ledger.drive[changes] += (on[prev[changes]] != on[gate[changes]]).sum(1) * e_toggle
-    for k in changes.tolist():   # a gate change enters through ``_rejoin``
-        phases = steps[k][1]
-        steps[k] = (_rejoin(steps[k - 1][1][-1].system.dim if k else x0.size, phases[0].system.dim),
-                    phases)
+    # per cycle its kind: its plan and, where the gates change, the state
+    # size it enters from through ``_rejoin`` (0: no entry map)
+    dims = np.array([phases[0].system.dim for phases in plan_phases])
+    dim_from = np.where(gate != prev, np.concatenate(([x0.size], dims[plan_of[:-1]])), 0)
+    kind_first, kind_of = first_seen(plan_of * (dims.max() + 1) + dim_from)
+    kinds = [(_rejoin(d, dims[p]) if d else None, plan_phases[p])
+             for p, d in zip(plan_of[kind_first].tolist(), dim_from[kind_first].tolist())]
 
-    peaks, samples, states = run_cycles(ledger, steps, x0, t_pc, v_limit, (1, -1),
+    peaks, samples, states = run_cycles(ledger, kinds, kind_of, x0, t_pc, v_limit, (1, -1),
                                         stride if keep_samples else None)
     stats = CycleStats(peaks[:, 0], peaks[:, 1], samples)
 
@@ -1007,8 +1003,9 @@ def simulate(
     t_all = np.empty((len(states or ()), cfg.sim.steps_per_cycle // stride))
     x_all = np.empty((*t_all.shape, 4))   # columns i_l, v_pc, v_s_agg, v_m
     v_s_hold = 0.0   # last known top-plate aggregate
-    for k, ((_, phases), rows) in enumerate(zip(steps, states or ())):
+    for k, (p, rows) in enumerate(zip(plan_of.tolist(), states or ())):
         states[k] = None   # each cycle's states are held once, here or in x_all
+        phases = plan_phases[p]
         groups = phases[0].system.groups
         if groups:   # the gates hold all cycle
             w = np.array([g.c for g in groups])

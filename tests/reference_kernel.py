@@ -50,16 +50,16 @@ def book_segment(ledger, k, system, xs, dt):
         getattr(ledger, account)[k] += g * np.trapezoid((d + u) ** 2, dx=dt)
 
 
-def run_cycles(ledger, cycles, x0, t_cycle, v_limit, peak_rows, stride=None):
+def run_cycles(ledger, kinds, kind_of, x0, t_cycle, v_limit, peak_rows, stride=None):
     """Same contract as ``engine.run_cycles``, one propagated segment per
     phase and cycle."""
-    n_cycles = len(cycles)
+    n_cycles = kind_of.size
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
     states = [] if stride else None
     x = x0
     prev = None
-    for k, (entry, phases) in enumerate(cycles):
+    for k, (entry, phases) in enumerate(map(kinds.__getitem__, kind_of.tolist())):
         start_x = x if entry is None else (entry @ np.append(x, 1.0))[:-1]
         e_start = phases[0].system.stored_energy(start_x)
         if prev is None:

@@ -242,6 +242,8 @@ def test_compare_designs_loading_mode():
     assert len(report.loading) == 2
     assert report.loading[0]["alpha"] == 0.0
     assert report.loading[1]["alpha"] == 1.0
+    # the adiabatic side runs at its optimum with the top-up window width held
+    assert report.duty == pytest.approx(CircuitConfig().pc.t_on * report.f_hz, rel=1e-9)
     assert report.adiabatic_ratio > 1.0
     # an idle level-driven tree books only round-off, which counts as
     # zero, so its ratio is not defined

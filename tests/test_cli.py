@@ -17,6 +17,9 @@ def test_parse_quantity_suffixes():
     assert parse_quantity("977kHz") == pytest.approx(977e3)
     assert parse_quantity("3fF") == pytest.approx(3e-15)
     assert parse_quantity("40u" + "m") == pytest.approx(40e-6)
+    # micro as the micro sign and as the Greek mu (its NFKC form)
+    assert parse_quantity("1\u00b5F") == pytest.approx(1e-6)
+    assert parse_quantity("1\u03bcF") == pytest.approx(1e-6)
 
 
 def test_parse_quantity_bare_numbers():

@@ -3,7 +3,8 @@ both designs return finite, passive ledgers that conserve energy, and the
 same run whatever form the stream takes; on random small trees the
 closed-form kernel matches the per-step reference kernel, and so do its
 divergence errors on steps that grow the state; on random circuits a run
-either fails by name or returns finite results."""
+either fails by name or returns finite results; on random per-cycle keys
+pass 1's order of work tiles the run and batches only repeated cycles."""
 
 import math
 import warnings
@@ -118,6 +119,52 @@ def test_closed_form_kernel_matches_reference_on_random_trees(case):
         refs = [run_neuron(cfg, codes, keep_trace=True), run_baseline(base, codes)]
     for run, ref in zip(runs, refs):
         assert_same_run(run, ref)
+
+
+@st.composite
+def cycle_keys(draw):
+    # per-cycle kind indices from three kinds of part: constant runs,
+    # nested periodic blocks (an inner block repeated, plus a tail, the
+    # whole repeated and cut anywhere, so a partial period may trail) and
+    # noise
+    keys = st.integers(0, 4)
+    out = []
+    for part in draw(st.lists(st.sampled_from(("constant", "nested", "noise")),
+                              min_size=1, max_size=6)):
+        if part == "constant":
+            out += [draw(keys)] * draw(st.integers(1, 40))
+        elif part == "nested":
+            inner = draw(st.lists(keys, min_size=1, max_size=3)) * draw(st.integers(1, 4))
+            block = (inner + draw(st.lists(keys, max_size=3))) * draw(st.integers(1, 8))
+            out += block[:draw(st.integers(1, len(block)))]
+        else:
+            out += draw(st.lists(keys, min_size=1, max_size=12))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@example(keys=[0])
+@example(keys=[3] * 600)
+@example(keys=([0, 1] * 3 + [2]) * 5 + [0, 1])
+@given(keys=cycle_keys())
+def test_periods_tile_the_run_and_batch_only_repeats(keys):
+    order = engine._periods(np.array(keys))
+    ran = 0   # cycles 0 .. ran - 1 ran in earlier items
+    for k, p, count in order:
+        # the items tile 0 .. n - 1 in order, with no gap and no overlap
+        assert k == ran and count >= 1
+        if p == 0:
+            assert count == 1   # a lone cycle
+        else:
+            # every batched cycle has the key of the cycle p before it, and
+            # the batch holds a whole period (``run_cycles`` reads the
+            # period from its first p cycles)
+            assert count >= p
+            assert keys[k:k + count] == keys[k - p:k + count - p]
+            # the first period ran in earlier items, so its slots exist
+            assert 0 <= k - p
+        ran += count
+    assert ran == len(keys)
 
 
 @st.composite
