@@ -20,10 +20,11 @@ by doubling).  Each slot guards the starts it recorded against
 divergence with one product, a bound on every state of the phase at
 once.  Pass 2, per slot and for all the cycles that ran it, books the
 accounts and the stored energy at the cycles' ends and finds the exact
-peaks (chord-bounded), the decision sample and the trace samples.  The
-stored-energy jumps caused by switch reconfiguration (node capacitances
-change when gates open or close) are booked as well, and the
-conservation residual is exposed as an audit.
+peaks (per chunk of cycles and peak row, one product over the blocks
+whose chord bound admits them for some cycle), the decision sample and
+the trace samples.  The stored-energy jumps caused by switch
+reconfiguration (node capacitances change when gates open or close) are
+booked as well, and the conservation residual is exposed as an audit.
 """
 
 from __future__ import annotations
@@ -330,10 +331,13 @@ class PhaseOperator:
 
     It is built from the step map ``maps`` = (E, f) of size dt and holds G
     and the end map, all that pass 1 needs.  ``compile_operators`` adds the
-    rest: the block table and starts, the divergence guard's bound, per
-    peak row bounds on how far the row rises above each block's chord
-    (second order in B), which make the peak search exact, and the
-    accounts.
+    rest: the block table and starts, the divergence guard's bound, the
+    peak rows of the block starts (``coarse``) and per peak row bounds on
+    how far the row rises above each block's chord (``deviation``, second
+    order in B), which make the peak search exact, and the accounts.
+    ``coarse`` and ``deviation`` are (d + 1, peak rows x blocks) columns,
+    so that ``peaks`` gets every row's block-start values, and their
+    bounds, from one product each.
     """
 
     def __init__(self, system: PhaseSystem, dt: float, n: int,
@@ -383,22 +387,28 @@ class PhaseOperator:
         xs = at_blocks[blk] @ np.swapaxes(self.table[m, :self.dim], 1, 2)
         return np.swapaxes(xs, 0, 1) + self.ref[:self.dim]
 
-    def peak(self, zs: np.ndarray, i: int) -> np.ndarray:
-        """Maximum of state ``peak_rows[i]`` over every step of the phase, for
-        each shifted start state in zs.
+    def peaks(self, zs: np.ndarray) -> np.ndarray:
+        """Maximum of each state of ``peak_rows`` over every step of the
+        phase, for each shifted start state in zs: (len(zs), len(peak_rows)).
 
-        The block-start values give a lower bound on the maximum; only the
-        blocks whose higher end value plus deviation bound above their
-        chord reaches it are evaluated step by step."""
-        r = self.peak_rows[i]
-        coarse = zs @ self.blocks[:, r].T
-        best = coarse[:, :-1].max(1)   # real block starts only
-        ends = np.maximum(coarse[:, :-1], coarse[:, 1:])
-        ci, bi = np.nonzero(ends + np.abs(zs) @ self.deviation[i].T >= best[:, None])
-        vals = (self.blocks[bi] @ zs[ci, :, None])[:, :, 0] @ self.table[:, r].T
-        vals[bi == self.blocks.shape[0] - 2, self.n % _BLOCK + 1:] = -np.inf   # past the end
-        top = np.maximum.reduceat(vals.max(1), np.searchsorted(ci, np.arange(len(zs))))
-        return np.maximum(best, top) + self.ref[r]
+        The block-start values give a lower bound on each maximum; a block
+        is evaluated step by step only when, for some start, its higher end
+        value plus its deviation bound above its chord reaches that bound.
+        Per row, the steps of those blocks, for all the starts, take one
+        product: each start's own candidates are among them."""
+        coarse = (zs @ self.coarse).reshape(len(zs), len(self.peak_rows), -1)
+        best = coarse[:, :, :-1].max(2)   # real block starts only
+        ends = np.maximum(coarse[:, :, :-1], coarse[:, :, 1:])
+        needed = (ends + (np.abs(zs) @ self.deviation).reshape(ends.shape)
+                  >= best[:, :, None]).any(0)
+        past = _BLOCK - 1 - self.n % _BLOCK   # steps of the last block past the end
+        for i, r in enumerate(self.peak_rows):
+            bi = np.flatnonzero(needed[i])
+            steps = (self.table[:, r] @ self.blocks[bi]).reshape(-1, self.dim + 1)
+            if bi[-1] == ends.shape[2] - 1:
+                steps = steps[:len(steps) - past]
+            best[:, i] = np.maximum(best[:, i], (zs @ steps.T).max(1))
+        return best + self.ref[list(self.peak_rows)]
 
     def book(self, ledger: EnergyLedger, ks: np.ndarray, zs: np.ndarray) -> None:
         """Add the phase's accounts from shifted start states zs to cycles ks
@@ -411,9 +421,10 @@ def compile_operators(ops: Iterable[PhaseOperator]) -> None:
     """Complete phase operators built in pass 1 for the guard and pass 2,
     stacked: per state dimension, step count and peak rows one ``_powers``
     call for the block tables, one for the block starts and one deviation
-    product (``_compile_powers``), in stacks of at most ``_STACK_ENTRIES``
-    deviation entries (one operator at least); per state dimension the
-    accounts, one Stein doubling and one ``eigh`` call
+    product (``_compile_powers``, which lays out the peak rows' block
+    starts and chord bounds as ``peaks`` multiplies them), in stacks of at
+    most ``_STACK_ENTRIES`` deviation entries (one operator at least); per
+    state dimension the accounts, one Stein doubling and one ``eigh`` call
     (``_compile_accounts``).  A lone operator is a stack of one."""
     shapes: dict[tuple[int, int, tuple[int, ...]], list[PhaseOperator]] = {}
     dims: dict[int, list[PhaseOperator]] = {}
@@ -429,8 +440,9 @@ def compile_operators(ops: Iterable[PhaseOperator]) -> None:
 
 
 def _compile_powers(group: list[PhaseOperator]) -> None:
-    """The block table, block starts, guard bound and chord deviation
-    bounds of operators of one state dimension, step count and peak rows."""
+    """The block table, block starts, guard bound, and the peak rows' block
+    starts and chord deviation bounds of operators of one state dimension,
+    step count and peak rows."""
     d, n, rows = group[0].dim, group[0].n, np.array(group[0].peak_rows)
     powers = _powers(np.stack([op._g for op in group]), _BLOCK + 1)   # (operators, B + 1, d + 1, d + 1)
     # block starts G^(bB) for b <= n // B, and the last block's chord end
@@ -453,9 +465,15 @@ def _compile_powers(group: list[PhaseOperator]) -> None:
     dev = (step[:, :_BLOCK].reshape(len(group), -1, d + 1) @ by_column).reshape(
         len(group), _BLOCK, rows.size, -1, d + 1)
     dev[:, n % _BLOCK + 1:, :, -1] = 0.0
-    deviation = np.maximum(dev.max(1), -dev.min(1))
-    for op, table, starts, guard, chord in zip(group, powers, blocks, guards, deviation):
-        op.table, op.blocks, op._guard, op.deviation = table[:_BLOCK], starts, guard, chord
+    # both (operators, d + 1, rows x blocks), so that one product of the
+    # starts gives every peak row's block-start values, one their bounds
+    deviation = np.maximum(dev.max(1), -dev.min(1)).transpose(0, 3, 1, 2)
+    deviation = deviation.reshape(len(group), d + 1, -1)
+    coarse = blocks[:, :, rows].transpose(0, 3, 2, 1).reshape(len(group), d + 1, -1)
+    for op, table, starts, guard, chord, at_starts in zip(group, powers, blocks, guards,
+                                                          deviation, coarse):
+        op.table, op.blocks, op._guard, op.deviation, op.coarse = (
+            table[:_BLOCK], starts, guard, chord, at_starts)
 
 
 def _compile_accounts(group: list[PhaseOperator]) -> None:
@@ -717,8 +735,10 @@ def run_cycles(
     that ran it: the ledger accounts, the stored energy at the cycles'
     start (first slots) and end (last slots), whose jumps from one cycle
     to the next are booked as ``reconfig``, the per-cycle maxima of the
-    states ``peak_rows`` (in even chunks of at most about ``_CHUNK_BLOCKS``
-    cycles x blocks), the membrane (last state) at ``SAMPLE_FRAC`` (nearest
+    states ``peak_rows`` (one ``PhaseOperator.peaks`` call per even chunk
+    of at most about ``_CHUNK_BLOCKS`` cycles x blocks: per peak row, one
+    product of the chunk's starts and the steps of every block that one of
+    them needs), the membrane (last state) at ``SAMPLE_FRAC`` (nearest
     step) and, with a ``stride``, the states at every stride-th step of the
     concatenated cycle.
 
@@ -793,8 +813,7 @@ def run_cycles(
         edges = [c * ks.size // n_chunks for c in range(n_chunks + 1)]
         for a, b in zip(edges, edges[1:]):
             kc, zc = ks[a:b], zs[a:b]
-            for i in range(len(peak_rows)):
-                peaks[kc, i] = np.maximum(peaks[kc, i], op.peak(zc, i))
+            peaks[kc] = np.maximum(peaks[kc], op.peaks(zc))
             if stride:
                 for k, xs in zip(kc.tolist(), op.states(zc, sampled)):
                     states[k][rows_at] = xs
@@ -949,17 +968,32 @@ def simulate(
     plan hold for its whole cycle.  The states carry a numerical-blowup
     guard far above any legitimate swing.
 
-    ``cycles`` holds one plan per cycle.  Phases are built once per plan
-    object (equal plans built apart share phase systems by content); drive
-    toggles and entry maps are booked only where the gates change.  The
-    kernel gets the run's kinds, one per distinct (plan, state size entered
-    from where the gates change), and each cycle's index into them.
+    ``cycles`` holds one plan per cycle; a plan object is found by
+    identity and goes to ``simulate_plans`` once, with each cycle's index
+    into the distinct plans.
 
     Returns the sampled trace (with the per-cycle observables attached)
     and the energy ledger.  The membrane is sampled for the decision stage
     at ``SAMPLE_FRAC`` of each cycle.
     """
-    n_cycles = len(cycles)
+    # ``cycles`` holds each plan for the call, so identities are unique
+    first, plan_of = first_seen(np.fromiter(map(id, cycles), np.uint64, len(cycles)))
+    return simulate_plans(cfg, [cycles[k] for k in first.tolist()], plan_of, keep_samples)
+
+
+def simulate_plans(
+    cfg: CircuitConfig,
+    plans: Sequence[CyclePlan],
+    plan_of: np.ndarray,
+    keep_samples: bool = True,
+) -> tuple[Trace, EnergyLedger]:
+    """``simulate`` over a run's distinct plans and each cycle's index into
+    them, in order of first use.  Phases are built once per plan (equal
+    plans built apart share phase systems by content); drive toggles and
+    entry maps are booked only where the gates change.  The kernel gets
+    the run's kinds, one per distinct (plan, state size entered from where
+    the gates change), and each cycle's index into them."""
+    n_cycles = plan_of.size
     if n_cycles == 0:
         raise ValueError("simulate: need at least one cycle plan")
     stride = cfg.sim.trace_stride
@@ -973,10 +1007,8 @@ def simulate(
     # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
     x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
 
-    # per cycle its plan, by identity (``cycles`` holds each plan for the call)
-    first, plan_of = first_seen(np.fromiter(map(id, cycles), np.uint64, n_cycles))
     systems: dict[tuple, PhaseSystem] = {}
-    plans = [tuple(cycles[k]) for k in first.tolist()]
+    plans = [tuple(plan) for plan in plans]
     plan_phases = [_plan_phases(cfg, plan, systems) for plan in plans]
     # per cycle its gate key, into ``gates``; the run starts with every gate open
     gates = {(False,) * cfg.tree.n: 0}

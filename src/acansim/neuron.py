@@ -276,8 +276,7 @@ def run_neuron(
     recal = np.arange(full.size) % cfg.sim.recal_every == 0
     first, plan_of = engine.first_seen(2 * full + recal)
     plans = [make_schedule(cfg, table[full[k]], cycle=k) for k in first.tolist()]
-    trace, ledger = engine.simulate(cfg, list(map(plans.__getitem__, plan_of.tolist())),
-                                    keep_samples=keep_trace)
+    trace, ledger = engine.simulate_plans(cfg, plans, plan_of, keep_samples=keep_trace)
     stats = engine.CycleStats(*(a[warm:] for a in trace.stats))
     v_pk_ref = float(np.median(stats.v_pk))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)

@@ -4,7 +4,8 @@ It propagates every state of every phase (map doubling over the steps of
 a segment) and books each account by ``np.trapezoid`` over the states, as
 the engine did before its closed-form phase operators.  The parity tests
 run both designs through this kernel and through the engine's and
-compare the results.
+compare the results.  ``Gathers`` shows which blocks the peak search
+evaluates step by step, for tests that compare it with an exhaustive one.
 """
 
 from contextlib import contextmanager
@@ -87,6 +88,18 @@ def run_cycles(ledger, kinds, kind_of, x0, t_cycle, v_limit, peak_rows, stride=N
         prev = phases[-1].system
     ledger.e_stored_last = float(prev.stored_energy(x))
     return peaks, samples, states
+
+
+class Gathers(np.ndarray):
+    """A phase operator's block starts that record each gather of them by
+    an index array in ``gathered``: ``op.blocks = op.blocks.view(Gathers)``
+    and ``op.blocks.gathered = []``, then each peak row of ``op.peaks``
+    adds the blocks it evaluates step by step."""
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray):
+            self.gathered.append(index.tolist())
+        return np.asarray(super().__getitem__(index))
 
 
 @contextmanager

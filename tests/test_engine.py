@@ -43,7 +43,7 @@ from acansim.engine import (
     write_csv,
 )
 from acansim.neuron import input_sweeps, make_schedule
-from reference_kernel import assert_same_run, propagate, reference_kernel
+from reference_kernel import Gathers, assert_same_run, propagate, reference_kernel
 
 
 def _operating_point(cfg, f):
@@ -175,6 +175,33 @@ def test_simulate_bills_drive_only_on_code_change():
     assert ledger.drive[1] == 0.0
     assert ledger.drive[2] == pytest.approx(2 * e_toggle, rel=1e-12)
     assert ledger.drive[3] == 0.0
+
+
+def test_simulate_hands_its_distinct_plans_and_index_to_simulate_plans(monkeypatch):
+    # simulate finds each cycle's plan by identity, and equal plans built
+    # apart stay apart; run_neuron hands its own distinct plans and index
+    # to simulate_plans, with no plan per cycle
+    cfg = tune_inductor(CircuitConfig())
+    plans = [make_schedule(cfg, c, cycle=1) for c in ((1, 1, 0, 0), (0, 1, 1, 1), (1, 1, 0, 0))]
+    calls = []
+    simulate_plans = engine.simulate_plans
+
+    def counted(cfg, distinct, plan_of, keep_samples=True):
+        calls.append((distinct, plan_of.tolist()))
+        return simulate_plans(cfg, distinct, plan_of, keep_samples)
+
+    monkeypatch.setattr(engine, "simulate_plans", counted)
+    cycles = [plans[i] for i in (1, 1, 0, 2, 0, 1)]
+    _, ledger = simulate(cfg, cycles)
+    (distinct, plan_of), = calls
+    assert [id(p) for p in distinct] == [id(plans[i]) for i in (1, 0, 2)]
+    assert plan_of == [0, 0, 1, 2, 1, 0] and ledger.n_cycles == 6
+
+    monkeypatch.setattr(engine, "simulate", None)
+    run = run_neuron(cfg, [(1, 1, 0, 0)] * 3)
+    distinct, plan_of = calls[-1]
+    assert len(plan_of) == run.ledger_full.n_cycles == cfg.sim.startup_discard_cycles + 3
+    assert sorted(set(plan_of)) == list(range(len(distinct)))
 
 
 def test_simulate_passivity():
@@ -482,22 +509,23 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     # 16): after the compile each slot guards the stacked starts of every
     # cycle that ran it in one call (one guard per cycle and phase made
     # 1216 calls, one per phase of each batch and lone cycle 50).  Pass 2
-    # searches peaks in chunks bounded by cycles x blocks, where 16-cycle
-    # chunks made 158 calls
+    # searches peaks in chunks bounded by cycles x blocks, one call per
+    # chunk for both peak rows, where 16-cycle chunks made 158 calls and
+    # one call per chunk and row 28
     cfg = tune_inductor(CircuitConfig())
     guards, peaks = [], []   # per guard call: operator and starts guarded
-    guard, peak = PhaseOperator.guard, PhaseOperator.peak
+    guard, search = PhaseOperator.guard, PhaseOperator.peaks
 
     def counted_guard(self, zs, *args):
         guards.append((self, len(zs)))
         return guard(self, zs, *args)
 
-    def counted_peak(self, zs, i):
+    def counted_peaks(self, zs):
         peaks.append(len(zs) * self.blocks.shape[0])
-        return peak(self, zs, i)
+        return search(self, zs)
 
     monkeypatch.setattr(PhaseOperator, "guard", counted_guard)
-    monkeypatch.setattr(PhaseOperator, "peak", counted_peak)
+    monkeypatch.setattr(PhaseOperator, "peaks", counted_peaks)
     run_neuron(cfg, [(1, 1, 0, 1)] * 600)
 
     # one call per slot, and every (cycle, phase) pair guarded once
@@ -505,7 +533,8 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     assert sum(n for _, n in guards) == 2 * (cfg.sim.startup_discard_cycles + 600)
     # even chunks overshoot the bound by less than one cycle's blocks
     assert all(m < engine._CHUNK_BLOCKS + 128 for m in peaks)
-    assert len(peaks) < 158 // 4
+    chunks = sum(-(-n * op.blocks.shape[0] // engine._CHUNK_BLOCKS) for op, n in guards)
+    assert len(peaks) == chunks == 14
 
 
 def test_sweep_run_compiles_operators_per_dimension(monkeypatch):
@@ -593,19 +622,20 @@ def test_phase_operator_states_and_peaks_match_propagation():
         assert op.row(3, 1791) @ z + x_ref[3] == pytest.approx(want[1791, 3], rel=1e-12)
     # the peak search returns the maximum over every step, not a strided one
     for i, r in enumerate((1, -1)):
-        np.testing.assert_allclose(op.peak(zs, i), every[:, :, r].max(1), rtol=1e-12)
+        np.testing.assert_allclose(op.peaks(zs)[:, i], every[:, :, r].max(1), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [33, 512, 3583, 3584])
 def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
     # a deviation bound far above any state makes every block a candidate:
     # the exhaustive search, on the same arithmetic, so the chord-bounded
-    # search must return its bits.  Step counts: a partial last block of
-    # one step, whole blocks, a partial one, and a last block of step n
-    # alone.  The phase spans most of a cycle, or 24 steps a clock period,
-    # so that crests can rise inside blocks whose ends both lie below the best
-    # block start.  The second system's membrane holds exactly (gates and
-    # reset open), so there every block ties
+    # search must return its bits.  The bound is set on the operator, and
+    # the search must then gather every block for both rows.  Step counts:
+    # a partial last block of one step, whole blocks, a partial one, and a
+    # last block of step n alone.  The phase spans most of a cycle, or 24
+    # steps a clock period, so that crests can rise inside blocks whose ends
+    # both lie below the best block start.  The second system's membrane
+    # holds exactly (gates and reset open), so there every block ties
     cfg = tune_inductor(CircuitConfig())
     rng = np.random.default_rng(n)
     for dt in (0.95 * cfg.pc.t_pc / n, cfg.pc.t_pc / 24):
@@ -619,12 +649,15 @@ def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
                                              size=(8, sys.dim)), np.ones(8)])
             zs[0, :-1] = 0.0
             every = op.states(zs, np.arange(n + 1))
-            chord = [op.peak(zs, i) for i in range(2)]
+            chord = op.peaks(zs)
             op.deviation = np.full_like(op.deviation, 1e300)
+            op.blocks = op.blocks.view(Gathers)
+            op.blocks.gathered = []
+            exhaustive = op.peaks(zs)
+            assert op.blocks.gathered == [list(range(n // engine._BLOCK + 1))] * 2
+            np.testing.assert_array_equal(chord, exhaustive)
             for i, r in enumerate((1, -1)):
-                exhaustive = op.peak(zs, i)
-                np.testing.assert_array_equal(chord[i], exhaustive)
-                np.testing.assert_allclose(exhaustive, every[:, :, r].max(1), rtol=1e-13)
+                np.testing.assert_allclose(exhaustive[:, i], every[:, :, r].max(1), rtol=1e-13)
 
 
 def test_stacked_compile_matches_lone_compiles():
@@ -665,9 +698,8 @@ def test_stacked_compile_matches_lone_compiles():
                 np.testing.assert_allclose(f, f_alone, rtol=0.0, atol=1e-13 * np.abs(f_alone).max(),
                                            err_msg=name)
         assert len(op.accounts) == len(alone.accounts)
-        for i in range(2):
-            np.testing.assert_array_equal(op.deviation[i], alone.deviation[i])
-            np.testing.assert_array_equal(op.peak(zs, i), alone.peak(zs, i))
+        np.testing.assert_array_equal(op.deviation, alone.deviation)
+        np.testing.assert_array_equal(op.peaks(zs), alone.peaks(zs))
 
 
 def test_compile_splits_a_large_stack_without_changing_it(monkeypatch):
@@ -693,10 +725,9 @@ def test_compile_splits_a_large_stack_without_changing_it(monkeypatch):
     for a, op in zip(args, ops):
         alone = PhaseOperator(*a)
         compile_operators([alone])
-        for name in ("table", "blocks", "_guard", "deviation"):
+        for name in ("table", "blocks", "_guard", "deviation", "coarse"):
             np.testing.assert_array_equal(getattr(op, name), getattr(alone, name), err_msg=name)
-        for i in range(2):
-            np.testing.assert_array_equal(op.peak(zs, i), alone.peak(zs, i))
+        np.testing.assert_array_equal(op.peaks(zs), alone.peaks(zs))
 
 
 def test_a_healthy_runs_compile_warns(monkeypatch):

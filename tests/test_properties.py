@@ -4,7 +4,9 @@ same run whatever form the stream takes; on random small trees the
 closed-form kernel matches the per-step reference kernel, and so do its
 divergence errors on steps that grow the state; on random circuits a run
 either fails by name or returns finite results; on random per-cycle keys
-pass 1's order of work tiles the run and batches only repeated cycles."""
+pass 1's order of work tiles the run and batches only repeated cycles; on
+random phase operators and start clouds the peak search returns the
+exhaustive maximum."""
 
 import math
 import warnings
@@ -29,8 +31,9 @@ from acansim import (
     run_neuron,
     tune_inductor,
 )
+from acansim.engine import PhaseOperator, SwitchState, build_phase_system
 from acansim.model import effective_pc_capacitance
-from reference_kernel import assert_same_run, reference_kernel
+from reference_kernel import Gathers, assert_same_run, reference_kernel
 
 CFG = tune_inductor(CircuitConfig())
 BASE = BaselineConfig.from_circuit(CFG)
@@ -266,3 +269,63 @@ def test_random_circuits_fail_by_name_or_run_finite(cfg, codes):
         assert np.all(np.isfinite(values)), name
     for name in ("t", "i_l", "v_pc", "v_s", "v_m"):
         assert np.all(np.isfinite(getattr(run.trace, name))), name
+
+
+@st.composite
+def peak_searches(draw):
+    # a phase at random switches and step size, of fewer steps than a block
+    # or a last block of 1, 2 or 32 steps, and a cloud of start states: a
+    # tight cluster about the operator's reference start plus far outliers,
+    # so that the blocks some start needs are few or nearly all
+    sw = SwitchState(draw(st.booleans()), draw(st.booleans()),
+                     draw(st.tuples(*[st.booleans()] * 4)))
+    per_period = draw(st.floats(3.0, 3000.0))   # steps per clock period
+    n = draw(st.one_of(st.integers(1, 31),
+                       st.builds(lambda b, m: 32 * b + m, st.integers(1, 120),
+                                 st.sampled_from((0, 1, 31)))))
+    spread = draw(st.floats(1e-9, 1e-2))   # of the cluster, relative
+    reach = draw(st.floats(1.0, 30.0))     # of the outliers, relative
+    counts = draw(st.integers(1, 16)), draw(st.integers(0, 4))
+    return sw, per_period, n, spread, reach, counts, draw(st.integers(0, 2 ** 32 - 1))
+
+
+# A settling phase (reset and bypass closed, gates open) from one start
+# above its rest: both rows fall from step 0, so only the first block,
+# the one of the best block start, is searched step by step.
+SETTLING = (SwitchState(True, True, (False,) * 4), 2000.0, 3584, 1e-9, 1.0, (1, 0), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=SETTLING)
+@given(case=peak_searches())
+def test_peaks_equal_the_exhaustive_maximum(case):
+    # peaks() evaluates step by step only the blocks that some start of the
+    # cloud needs, in one product per row; each start's maximum must equal
+    # the maximum of its states at every step of the phase to within
+    # 1e-14 of the row's largest magnitude over the phase (a few ulp: the
+    # two evaluate the same powers in a different association)
+    sw, per_period, n, spread, reach, (near, far), seed = case
+    system = build_phase_system(CFG, sw)
+    d = system.dim
+    dt = CFG.pc.t_pc / per_period
+    rng = np.random.default_rng(seed)
+    scale = np.array([2e-4, *[0.5] * (d - 2), 0.2])
+    x_ref = np.array([1e-4, 0.3, *[0.3] * (d - 3), 0.8]) + rng.normal(scale=scale)
+    x0s = x_ref + np.concatenate([rng.normal(scale=spread * scale, size=(near, d)),
+                                  rng.normal(scale=reach * scale, size=(far, d))])
+    op = PhaseOperator(system, dt, n, engine.step_maps(system.a, system.b, dt), x_ref,
+                       (1, -1), math.inf)
+    engine.compile_operators([op])
+    zs = np.column_stack([x0s, np.ones(len(x0s))]) - op.ref
+    every = op.states(zs, np.arange(n + 1))[:, :, [1, -1]]
+    op.blocks = op.blocks.view(Gathers)
+    op.blocks.gathered = []
+    got = op.peaks(zs)
+    assert np.all(np.abs(got - every.max(1)) <= 1e-14 * np.abs(every).max(1))
+    blocks = n // engine._BLOCK + 1
+    for row in op.blocks.gathered:
+        share = len(row) / blocks
+        event("one block" if len(row) == 1 else "all blocks" if share == 1
+              else "under half the blocks" if share < 0.5 else "half the blocks or more")
+    if case == SETTLING:
+        assert op.blocks.gathered == [[0], [0]]
