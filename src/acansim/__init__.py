@@ -33,23 +33,20 @@ from .model import (
     tune_inductor,
 )
 from .engine import (
-    CycleStats,
-    DecayFit,
     EnergyLedger,
-    FitError,
     SimulationError,
-    SwitchState,
-    Trace,
     energy_residual,
-    fit_decay,
-    simulate,
 )
 from .neuron import (
+    CycleStats,
     NeuronRun,
+    SwitchState,
+    Trace,
     dlcc_offset,
     input_sweeps,
     make_schedule,
     run_neuron,
+    simulate,
 )
 from .baseline import (
     BaselineConfig,
@@ -83,10 +80,9 @@ __all__ = [
     "predicted_optimal_frequency", "reset_resistance", "resonant_frequency",
     "series_capacitance", "sweep_lock_frequency", "synapse_energy_analytic",
     "tg_resistance", "topup_energy_analytic", "tune_inductor",
-    "CycleStats", "DecayFit", "EnergyLedger", "FitError", "SimulationError",
-    "SwitchState", "Trace", "energy_residual", "fit_decay", "simulate",
-    "NeuronRun", "dlcc_offset",
-    "input_sweeps", "make_schedule", "run_neuron",
+    "EnergyLedger", "SimulationError", "energy_residual",
+    "CycleStats", "NeuronRun", "SwitchState", "Trace", "dlcc_offset",
+    "input_sweeps", "make_schedule", "run_neuron", "simulate",
     "BaselineConfig", "baseline_oracle_spec",
     "baseline_transition_energy_analytic", "run_baseline",
     "CornerTable", "FrequencyOpt", "SavingsReport", "ScalingTable", "Surface",

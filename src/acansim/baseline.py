@@ -24,7 +24,6 @@ import numpy as np
 
 from .engine import (
     BranchGroup,
-    CycleStats,
     EnergyLedger,
     Loss,
     Phase,
@@ -45,7 +44,7 @@ from .model import (
     reset_resistance,
     within,
 )
-from .neuron import Code, NeuronRun, _code_table, decided_run, dlcc_offset
+from .neuron import Code, CycleStats, NeuronRun, _code_table, decided_run, dlcc_offset
 
 
 @dataclass(frozen=True)

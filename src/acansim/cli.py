@@ -93,10 +93,6 @@ def _take(section: dict, name: str, allowed: dict) -> dict:
     return out
 
 
-def _num(v, field):
-    return parse_quantity(v, field)
-
-
 def _int(v, field):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{field}: expected an integer, got {v!r}")
@@ -119,21 +115,25 @@ def _corner(v, field):
 
 def _build_circuit(doc: dict) -> CircuitConfig:
     pc_kw = _take(doc.get("pc", {}), "pc", {
-        "L_PC": ("l_pc", _num), "C_E": ("c_e", _num), "V_dc": ("v_dc", _num),
-        "W_n": ("w_n", _num), "D": ("duty_d", _num), "f_nominal": ("f_nominal", _num),
+        "L_PC": ("l_pc", parse_quantity), "C_E": ("c_e", parse_quantity),
+        "V_dc": ("v_dc", parse_quantity), "W_n": ("w_n", parse_quantity),
+        "D": ("duty_d", parse_quantity), "f_nominal": ("f_nominal", parse_quantity),
     })
     tree_kw = _take(doc.get("tree", {}), "tree", {
-        "C_s": ("c_s", _num_list), "C_d": ("c_d", _num), "C_par": ("c_par", _num),
-        "R_TG": ("r_tg_nominal", _num), "C_inv": ("c_inv", _num), "C_sh": ("c_sh", _num),
-        "C_pl_on": ("c_pl_on", _num), "C_pl_off": ("c_pl_off", _num),
-        "C_pr": ("c_pr", _num), "V_REF": ("v_ref", _num), "R_reset": ("r_reset", _num),
+        "C_s": ("c_s", _num_list), "C_d": ("c_d", parse_quantity),
+        "C_par": ("c_par", parse_quantity), "R_TG": ("r_tg_nominal", parse_quantity),
+        "C_inv": ("c_inv", parse_quantity), "C_sh": ("c_sh", parse_quantity),
+        "C_pl_on": ("c_pl_on", parse_quantity), "C_pl_off": ("c_pl_off", parse_quantity),
+        "C_pr": ("c_pr", parse_quantity), "V_REF": ("v_ref", parse_quantity),
+        "R_reset": ("r_reset", parse_quantity),
     })
     dlcc_kw = _take(doc.get("dlcc", {}), "dlcc", {
-        "M_L": ("m_l", _num), "M_R": ("m_r", _num), "V_TH": ("v_th", _num),
-        "V_dd": ("v_dd", _num), "E_decision": ("e_decision", _num),
+        "M_L": ("m_l", parse_quantity), "M_R": ("m_r", parse_quantity),
+        "V_TH": ("v_th", parse_quantity), "V_dd": ("v_dd", parse_quantity),
+        "E_decision": ("e_decision", parse_quantity),
     })
     env_kw = _take(doc.get("env", {}), "env", {
-        "corner": ("corner", _corner), "temperature_C": ("temperature_c", _num),
+        "corner": ("corner", _corner), "temperature_C": ("temperature_c", parse_quantity),
     })
     sim_kw = _take(doc.get("sim", {}), "sim", {
         "steps_per_cycle": ("steps_per_cycle", _int),

@@ -25,6 +25,9 @@ whose chord bound admits them for some cycle), the decision sample and
 the trace samples.  The stored-energy jumps caused by switch
 reconfiguration (node capacitances change when gates open or close) are
 booked as well, and the conservation residual is exposed as an audit.
+
+The kernel knows no circuit: each design (``neuron``, ``baseline``)
+builds its phase systems and cycle kinds and hands them to ``run_cycles``.
 """
 
 from __future__ import annotations
@@ -35,36 +38,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import (
-    CircuitConfig,
-    bypass_resistance,
-    lc_series_resistance,
-    reset_resistance,
-    tg_resistance,
-)
-
 
 class SimulationError(RuntimeError):
     """Raised when the transient leaves its validity envelope."""
-
-
-class FitError(RuntimeError):
-    """Raised when a trace segment cannot be fit as a damped oscillation."""
-
-
-@dataclass(frozen=True)
-class SwitchState:
-    """Positions of every switch during one phase."""
-
-    bypass_on: bool
-    reset_on: bool
-    synapse_on: tuple[bool, ...]
-
-
-# One cycle of schedule: (start_frac, end_frac, SwitchState) segments that
-# partition [0, 1) in cycle-relative time.
-Segment = tuple[float, float, SwitchState]
-CyclePlan = Sequence[Segment]
 
 
 @dataclass(frozen=True)
@@ -138,90 +114,6 @@ def reset_terms(g_reset: float, v_ref: float, i: int) -> tuple[Loss, Source]:
     power the V_REF source delivers through it."""
     return (Loss("r_reset", g_reset, i, u=-v_ref),
             Source("source_ref", -g_reset * v_ref, i, -v_ref))
-
-
-def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
-    """Assemble (A, b) and the elements for one switch phase.
-
-    State layout: [I_L, V_PC, V_s per group..., V_m]; with no enabled
-    synapse this is the reduced 3-state system [I_L, V_PC, V_m].
-
-    Topology: the DC source feeds the inductor into the clock node, which
-    carries the tank capacitor and the plate/shunt parasitics of every
-    disabled gate; the bypass switch adds a conductance to ground when on;
-    enabled synapses form parallel RC legs to the membrane (equal weights
-    lump into one leg of r_tg/n and n*c_s); the membrane carries the
-    divider capacitor, wiring parasitics and the enabled gates' output
-    parasitics; the reset switch ties the membrane to V_REF when on.
-    """
-    tree, pc, env = cfg.tree, cfg.pc, cfg.env
-    if len(sw.synapse_on) != tree.n:
-        raise ValueError(f"switch state has {len(sw.synapse_on)} synapse bits, tree has {tree.n}")
-
-    active = [i for i, on in enumerate(sw.synapse_on) if on]
-    n_on = len(active)
-    n_off = tree.n - n_on
-
-    r_tg = tg_resistance(tree, env)
-    groups = []
-    for c_val in sorted({tree.c_s[i] for i in active}):
-        count = sum(1 for i in active if tree.c_s[i] == c_val)
-        groups.append(BranchGroup(r=r_tg / count, c=count * c_val))
-    groups = tuple(groups)
-
-    c_pc = pc.c_e + n_off * (tree.c_pl_off + tree.c_sh) + n_on * tree.c_pl_on
-    c_m = tree.c_d + tree.c_par + n_on * tree.c_pr
-    g_pc = 1.0 / bypass_resistance(pc.w_n, env) if sw.bypass_on else 0.0
-    g_reset = 1.0 / reset_resistance(tree, env) if sw.reset_on else 0.0
-    r_lc = lc_series_resistance(cfg)
-
-    n_g = len(groups)
-    dim = 3 + n_g
-    a = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    im = dim - 1
-
-    # inductor branch: L dI/dt = V_dc - V_PC - I R_lc (series coil loss)
-    a[0, 0] = -r_lc / pc.l_pc
-    a[0, 1] = -1.0 / pc.l_pc
-    b[0] = pc.v_dc / pc.l_pc
-
-    # clock node: C_pc dV/dt = I_L - sum_g (V_PC - V_sg)/r_g - g_pc V_PC
-    a[1, 0] = 1.0 / c_pc
-    a[1, 1] = -g_pc / c_pc
-    for j, g in enumerate(groups):
-        a[1, 1] -= (1.0 / g.r) / c_pc
-        a[1, 2 + j] = (1.0 / g.r) / c_pc
-
-    # membrane: C_m dV/dt = sum_g (V_PC - V_sg)/r_g - g_reset (V_m - V_REF)
-    a[im, im] = -g_reset / c_m
-    b[im] = g_reset * tree.v_ref / c_m
-    for j, g in enumerate(groups):
-        a[im, 1] += (1.0 / g.r) / c_m
-        a[im, 2 + j] -= (1.0 / g.r) / c_m
-
-    # group top plates: series-leg current balance gives
-    # dV_sg/dt = dV_m/dt + (V_PC - V_sg)/(r_g c_g)
-    for j, g in enumerate(groups):
-        a[2 + j, :] = a[im, :]
-        b[2 + j] = b[im]
-        a[2 + j, 1] += 1.0 / (g.r * g.c)
-        a[2 + j, 2 + j] -= 1.0 / (g.r * g.c)
-
-    stores = (Store(pc.l_pc, 0), Store(c_pc, 1), Store(c_m, im),
-              *(Store(g.c, 2 + j, im) for j, g in enumerate(groups)))
-    losses = [Loss("r_tg", 1.0 / g.r, 1, 2 + j) for j, g in enumerate(groups)]
-    sources = [Source("source_dc", pc.v_dc, 0)]
-    if r_lc > 0.0:
-        losses.append(Loss("r_lc", r_lc, 0))   # series coil: R_lc I_L^2
-    if g_pc > 0.0:
-        losses.append(Loss("r_pc", g_pc, 1))
-    if g_reset > 0.0:
-        loss, source = reset_terms(g_reset, tree.v_ref, im)
-        losses.append(loss)
-        sources.append(source)
-    return PhaseSystem(a=a, b=b, groups=groups, stores=stores,
-                       losses=tuple(losses), sources=tuple(sources))
 
 
 def step_maps(a: np.ndarray, b: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -538,14 +430,6 @@ def _compile_accounts(group: list[PhaseOperator]) -> None:
 SAMPLE_FRAC = 0.5
 
 
-class CycleStats(NamedTuple):
-    """Per-cycle observables, one entry per cycle; the energies are in the ledger."""
-
-    v_pk: np.ndarray         # clock-node peak
-    v_m_peak: np.ndarray     # membrane peak
-    v_m_sample: np.ndarray   # membrane at the decision sampling instant
-
-
 _ACCOUNTS = ("source_dc", "source_ref", "r_pc", "r_lc", "r_tg", "r_reset",
              "drive", "reconfig", "soma")
 
@@ -610,77 +494,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         for row in rows:
             fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
                                for v in row]) + "\n")
-
-
-@dataclass
-class Trace:
-    """Sampled run history plus per-cycle observables.
-
-    Sample times are strictly increasing but not necessarily uniform: the
-    integrator spends a denser sub-grid on the short bypass window.  V_s is
-    the capacitance-weighted aggregate of the enabled top plates, held at
-    its last value while every gate is open.
-    """
-
-    t: np.ndarray
-    i_l: np.ndarray
-    v_pc: np.ndarray
-    v_s: np.ndarray
-    v_m: np.ndarray
-    stats: CycleStats
-
-    def to_csv(self, path: str) -> None:
-        write_csv(path, ("t", "I_L", "V_PC", "V_s", "V_m"),
-                  zip(self.t, self.i_l, self.v_pc, self.v_s, self.v_m))
-
-
-def _allocate_steps(plan: CyclePlan, spc: int) -> list[int]:
-    """Distribute the cycle's step budget over its segments.
-
-    Proportional allocation by duration with largest-remainder rounding,
-    then segments with the bypass switch closed are boosted to at least
-    spc // 8 steps so the fast clamp transient stays well resolved.  The
-    budget total is preserved by taking steps back from the largest
-    non-boosted segment.
-    """
-    fracs = [end - start for start, end, _ in plan]
-    raw = [f * spc for f in fracs]
-    counts = [int(math.floor(r)) for r in raw]
-    short = spc - sum(counts)
-    order = sorted(range(len(plan)), key=lambda i: raw[i] - counts[i], reverse=True)
-    for i in order[:short]:
-        counts[i] += 1
-
-    floor_boost = max(8, spc // 8)
-    boosted = [i for i, (_, _, sw) in enumerate(plan) if sw.bypass_on]
-    for i in boosted:
-        if counts[i] < floor_boost:
-            need = floor_boost - counts[i]
-            donor = max(
-                (j for j in range(len(plan)) if j not in boosted),
-                key=lambda j: counts[j],
-                default=None,
-            )
-            if donor is None or counts[donor] - need < 8:
-                raise ValueError("cycle plan leaves no room for the bypass sub-grid")
-            counts[donor] -= need
-            counts[i] = floor_boost
-    for i, c in enumerate(counts):
-        if c < 2:
-            raise ValueError(f"segment {i} of cycle plan resolves to {c} steps")
-    return counts
-
-
-def _validate_plan(plan: CyclePlan) -> None:
-    pos = 0.0
-    for start, end, _ in plan:
-        if not math.isclose(start, pos, abs_tol=1e-12):
-            raise ValueError(f"cycle plan has a gap or overlap at fraction {start}")
-        if end <= start:
-            raise ValueError("cycle plan segment has non-positive duration")
-        pos = end
-    if not math.isclose(pos, 1.0, abs_tol=1e-12):
-        raise ValueError(f"cycle plan covers [0, {pos}), expected [0, 1)")
 
 
 class Phase(NamedTuple):
@@ -922,219 +735,3 @@ def _run_batch(period: list[tuple[np.ndarray | None, list[SlotKey]]], z: np.ndar
             starts.append(zp)
             z = zp @ op.end.T
     return end if q else z[-1]
-
-
-def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
-                 systems: dict[tuple, PhaseSystem]) -> tuple[Phase, ...]:
-    """Phases of one cycle plan.  Phase systems are shared through
-    ``systems`` across the plans of a run, keyed by their content: the
-    bypass and reset switches and the multiset of enabled weights."""
-    _validate_plan(plan)
-    if len({sw.synapse_on for _, _, sw in plan}) > 1:
-        raise ValueError("cycle plan switches gates mid-cycle; gates change only at a cycle start")
-    weights = tuple(sorted(c for c, on in zip(cfg.tree.c_s, plan[0][2].synapse_on, strict=True)
-                           if on))
-    phases = []
-    for (start, end, sw), n_steps in zip(plan, _allocate_steps(plan, cfg.sim.steps_per_cycle)):
-        key = (sw.bypass_on, sw.reset_on, weights)
-        if key not in systems:
-            systems[key] = build_phase_system(cfg, sw)
-        phases.append(Phase(start, end, n_steps, systems[key]))
-    return tuple(phases)
-
-
-def _rejoin(dim_from: int, dim_to: int) -> np.ndarray:
-    """Augmented entry map of a gate change: the top plates of the newly
-    enabled branch set join at the clock voltage (they were parked at the
-    trough when last disconnected); I_L, V_PC and V_m carry over."""
-    entry = np.zeros((dim_to + 1, dim_from + 1))
-    entry[0, 0] = 1.0
-    entry[1:dim_to - 1, 1] = 1.0
-    entry[dim_to - 1, dim_from - 1] = 1.0
-    entry[dim_to, dim_from] = 1.0
-    return entry
-
-
-def simulate(
-    cfg: CircuitConfig,
-    cycles: Sequence[CyclePlan],
-    keep_samples: bool = True,
-) -> tuple[Trace, EnergyLedger]:
-    """Run the switched linear transient over the given cycle plans.
-
-    Initial conditions: V_PC = 0, I_L = 0, V_s = 0, V_m = V_REF.  Segment
-    boundaries are honored exactly (each segment is integrated with its own
-    uniform sub-grid, so no switching time is displaced).  The gates of a
-    plan hold for its whole cycle.  The states carry a numerical-blowup
-    guard far above any legitimate swing.
-
-    ``cycles`` holds one plan per cycle; a plan object is found by
-    identity and goes to ``simulate_plans`` once, with each cycle's index
-    into the distinct plans.
-
-    Returns the sampled trace (with the per-cycle observables attached)
-    and the energy ledger.  The membrane is sampled for the decision stage
-    at ``SAMPLE_FRAC`` of each cycle.
-    """
-    # ``cycles`` holds each plan for the call, so identities are unique
-    first, plan_of = first_seen(np.fromiter(map(id, cycles), np.uint64, len(cycles)))
-    return simulate_plans(cfg, [cycles[k] for k in first.tolist()], plan_of, keep_samples)
-
-
-def simulate_plans(
-    cfg: CircuitConfig,
-    plans: Sequence[CyclePlan],
-    plan_of: np.ndarray,
-    keep_samples: bool = True,
-) -> tuple[Trace, EnergyLedger]:
-    """``simulate`` over a run's distinct plans and each cycle's index into
-    them, in order of first use.  Phases are built once per plan (equal
-    plans built apart share phase systems by content); drive toggles and
-    entry maps are booked only where the gates change.  The kernel gets
-    the run's kinds, one per distinct (plan, state size entered from where
-    the gates change), and each cycle's index into them."""
-    n_cycles = plan_of.size
-    if n_cycles == 0:
-        raise ValueError("simulate: need at least one cycle plan")
-    stride = cfg.sim.trace_stride
-    t_pc = cfg.pc.t_pc
-    v_dd = cfg.dlcc.v_dd
-    # numerical-blowup guard only: legitimate off-resonance beats can ride
-    # well past the supply before the bypass clamp reins them in
-    v_limit = 50.0 * v_dd
-    e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
-    ledger = EnergyLedger.zeros(n_cycles)
-    # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
-    x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
-
-    systems: dict[tuple, PhaseSystem] = {}
-    plans = [tuple(plan) for plan in plans]
-    plan_phases = [_plan_phases(cfg, plan, systems) for plan in plans]
-    # per cycle its gate key, into ``gates``; the run starts with every gate open
-    gates = {(False,) * cfg.tree.n: 0}
-    gate = np.array([gates.setdefault(plan[0][2].synapse_on, len(gates)) for plan in plans])[plan_of]
-    prev = np.concatenate(([0], gate[:-1]))
-    changes = np.flatnonzero(gate != prev)
-    # gate-driver overhead: half a full charge per toggled control line
-    on = np.array(list(gates), dtype=bool)
-    ledger.drive[changes] += (on[prev[changes]] != on[gate[changes]]).sum(1) * e_toggle
-    # per cycle its kind: its plan and, where the gates change, the state
-    # size it enters from through ``_rejoin`` (0: no entry map)
-    dims = np.array([phases[0].system.dim for phases in plan_phases])
-    dim_from = np.where(gate != prev, np.concatenate(([x0.size], dims[plan_of[:-1]])), 0)
-    kind_first, kind_of = first_seen(plan_of * (dims.max() + 1) + dim_from)
-    kinds = [(_rejoin(d, dims[p]) if d else None, plan_phases[p])
-             for p, d in zip(plan_of[kind_first].tolist(), dim_from[kind_first].tolist())]
-
-    peaks, samples, states = run_cycles(ledger, kinds, kind_of, x0, t_pc, v_limit, (1, -1),
-                                        stride if keep_samples else None)
-    stats = CycleStats(peaks[:, 0], peaks[:, 1], samples)
-
-    # a cycle has steps_per_cycle steps, which the stride divides: its
-    # samples are its first step and every stride-th one after
-    t_all = np.empty((len(states or ()), cfg.sim.steps_per_cycle // stride))
-    x_all = np.empty((*t_all.shape, 4))   # columns i_l, v_pc, v_s_agg, v_m
-    v_s_hold = 0.0   # last known top-plate aggregate
-    for k, (p, rows) in enumerate(zip(plan_of.tolist(), states or ())):
-        states[k] = None   # each cycle's states are held once, here or in x_all
-        phases = plan_phases[p]
-        groups = phases[0].system.groups
-        if groups:   # the gates hold all cycle
-            w = np.array([g.c for g in groups])
-            agg = (rows[:, 2:-1] @ w) / w.sum()
-            v_s_hold = float(agg[-1])
-        else:
-            agg = v_s_hold
-        t_all[k] = np.concatenate([
-            k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
-            for start, end, n_steps, _ in phases])[::stride]
-        x = x_all[k]
-        x[:, 0], x[:, 1], x[:, 2], x[:, 3] = rows[:, 0], rows[:, 1], agg, rows[:, -1]
-    x_all = x_all.reshape(-1, 4)
-    trace = Trace(t=t_all.ravel(), i_l=x_all[:, 0], v_pc=x_all[:, 1], v_s=x_all[:, 2],
-                  v_m=x_all[:, 3], stats=stats)
-    return trace, ledger
-
-
-@dataclass
-class DecayFit:
-    """Damped-oscillation fit v(t) = v_max exp(-lam t) cos(omega t + theta) + offset."""
-
-    v_max: float
-    omega: float
-    theta: float
-    lam: float
-    offset: float
-    residual_rms: float
-
-    @property
-    def frequency(self) -> float:
-        return self.omega / (2.0 * math.pi)
-
-
-def fit_decay(t: np.ndarray, v: np.ndarray) -> DecayFit:
-    """Least-squares fit of a damped cosine to a trace segment.
-
-    Needs at least three visible oscillation periods; raises FitError for
-    segments that do not look oscillatory.
-    """
-    from scipy.optimize import least_squares   # deferred: most of acansim's import time
-
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if t.size != v.size or t.size < 16:
-        raise FitError("fit_decay: need matching arrays with at least 16 samples")
-
-    t0 = t[0]
-    tt = t - t0
-    offset0 = float(v.mean())
-    d = v - offset0
-
-    sign = np.sign(d)
-    sign[sign == 0] = 1
-    crossings = np.where(np.diff(sign) != 0)[0]
-    if crossings.size < 6:
-        raise FitError("fit_decay: segment does not look oscillatory (fewer than 3 periods)")
-    # average half-period from the zero crossings
-    cross_t = tt[crossings]
-    half = np.diff(cross_t).mean()
-    omega0 = math.pi / half
-
-    amp0 = float(np.abs(d).max())
-    if amp0 <= 0.0:
-        raise FitError("fit_decay: segment is constant")
-
-    # crude decay estimate from early/late envelope
-    third = t.size // 3
-    a_early = float(np.abs(d[:third]).max())
-    a_late = float(np.abs(d[-third:]).max())
-    span = tt[-1] - tt[third]
-    lam0 = max(0.0, math.log(max(a_early, 1e-300) / max(a_late, 1e-300)) / max(span, 1e-300))
-
-    c0 = min(1.0, max(-1.0, d[0] / amp0))
-    theta0 = math.acos(c0)
-    if d.size > 1 and d[1] > d[0]:
-        theta0 = -theta0
-
-    def resid(p: np.ndarray) -> np.ndarray:
-        a, w, th, lam, off = p
-        return a * np.exp(-lam * tt) * np.cos(w * tt + th) + off - v
-
-    sol = least_squares(
-        resid,
-        x0=np.array([amp0, omega0, theta0, lam0, offset0]),
-        method="lm",
-        max_nfev=20000,
-    )
-    a, w, th, lam, off = sol.x
-    if a < 0:
-        a, th = -a, th + math.pi
-    if w < 0:
-        w, th = -w, -th
-    th = math.atan2(math.sin(th), math.cos(th))
-    rms = float(np.sqrt(np.mean(sol.fun ** 2)))
-    if rms > 0.05 * max(abs(a), 1e-300):
-        raise FitError(f"fit_decay: poor fit, residual rms {rms:.3g} vs amplitude {a:.3g}")
-    # report the decay referenced to the segment start
-    return DecayFit(v_max=float(a), omega=float(w), theta=float(th), lam=float(lam),
-                    offset=float(off), residual_rms=rms)

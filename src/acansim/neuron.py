@@ -1,5 +1,11 @@
-"""Neuron-level orchestration: cycle schedules, the latched comparator
-behavioral model, the threshold-unit reference oracle, and full runs.
+"""Neuron-level orchestration: the adiabatic design's phase systems and
+cycle schedules, the latched comparator behavioral model, the
+threshold-unit reference oracle, and full runs.
+
+The adiabatic design is a phase-system builder plus a cycle schedule on
+the engine's kernel (``run_cycles``), as the level-driven baseline is:
+its plans become phases and cycle kinds, the kernel runs them, and the
+run's samples become a ``Trace``.
 
 The comparator offset is interpolated from a measured 5x5 grid over the
 two trim resistances; the decision delay comes from measured anchors plus
@@ -11,12 +17,32 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import engine
-from .model import CircuitConfig, DlccConfig, NeuronSpec
+from .engine import (
+    BranchGroup,
+    EnergyLedger,
+    Loss,
+    Phase,
+    PhaseSystem,
+    Source,
+    Store,
+    first_seen,
+    reset_terms,
+    run_cycles,
+    write_csv,
+)
+from .model import (
+    CircuitConfig,
+    DlccConfig,
+    NeuronSpec,
+    bypass_resistance,
+    lc_series_resistance,
+    reset_resistance,
+    tg_resistance,
+)
 
 Code = tuple[int, ...]
 
@@ -107,7 +133,52 @@ def _decide(v_m: np.ndarray, dlcc: DlccConfig, v_os: float) -> tuple[np.ndarray,
     return (v_m > threshold).astype(int), delay
 
 
-def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[engine.Segment, ...]:
+@dataclass(frozen=True)
+class SwitchState:
+    """Positions of every switch during one phase."""
+
+    bypass_on: bool
+    reset_on: bool
+    synapse_on: tuple[bool, ...]
+
+
+# One cycle of schedule: (start_frac, end_frac, SwitchState) segments that
+# partition [0, 1) in cycle-relative time.
+Segment = tuple[float, float, SwitchState]
+CyclePlan = Sequence[Segment]
+
+
+class CycleStats(NamedTuple):
+    """Per-cycle observables, one entry per cycle; the energies are in the ledger."""
+
+    v_pk: np.ndarray         # clock-node peak
+    v_m_peak: np.ndarray     # membrane peak
+    v_m_sample: np.ndarray   # membrane at the decision sampling instant
+
+
+@dataclass
+class Trace:
+    """Sampled run history plus per-cycle observables.
+
+    Sample times are strictly increasing but not necessarily uniform: the
+    integrator spends a denser sub-grid on the short bypass window.  V_s is
+    the capacitance-weighted aggregate of the enabled top plates, held at
+    its last value while every gate is open.
+    """
+
+    t: np.ndarray
+    i_l: np.ndarray
+    v_pc: np.ndarray
+    v_s: np.ndarray
+    v_m: np.ndarray
+    stats: CycleStats
+
+    def to_csv(self, path: str) -> None:
+        write_csv(path, ("t", "I_L", "V_PC", "V_s", "V_m"),
+                  zip(self.t, self.i_l, self.v_pc, self.v_s, self.v_m))
+
+
+def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[Segment, ...]:
     """Switch timing for one clock cycle of one input code.
 
     The bypass window opens at the cycle start (the clock trough); the
@@ -127,9 +198,274 @@ def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tu
     # gates follow the input register for the whole cycle; toggles (and the
     # driver overhead) happen only when the code actually changes
     return (
-        (0.0, duty, engine.SwitchState(bypass_on=True, reset_on=all_zero or forced, synapse_on=bits)),
-        (duty, 1.0, engine.SwitchState(bypass_on=False, reset_on=all_zero, synapse_on=bits)),
+        (0.0, duty, SwitchState(bypass_on=True, reset_on=all_zero or forced, synapse_on=bits)),
+        (duty, 1.0, SwitchState(bypass_on=False, reset_on=all_zero, synapse_on=bits)),
     )
+
+
+def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
+    """Assemble (A, b) and the elements for one switch phase.
+
+    State layout: [I_L, V_PC, V_s per group..., V_m]; with no enabled
+    synapse this is the reduced 3-state system [I_L, V_PC, V_m].
+
+    Topology: the DC source feeds the inductor into the clock node, which
+    carries the tank capacitor and the plate/shunt parasitics of every
+    disabled gate; the bypass switch adds a conductance to ground when on;
+    enabled synapses form parallel RC legs to the membrane (equal weights
+    lump into one leg of r_tg/n and n*c_s); the membrane carries the
+    divider capacitor, wiring parasitics and the enabled gates' output
+    parasitics; the reset switch ties the membrane to V_REF when on.
+    """
+    tree, pc, env = cfg.tree, cfg.pc, cfg.env
+    if len(sw.synapse_on) != tree.n:
+        raise ValueError(f"switch state has {len(sw.synapse_on)} synapse bits, tree has {tree.n}")
+
+    active = [i for i, on in enumerate(sw.synapse_on) if on]
+    n_on = len(active)
+    n_off = tree.n - n_on
+
+    r_tg = tg_resistance(tree, env)
+    groups = []
+    for c_val in sorted({tree.c_s[i] for i in active}):
+        count = sum(1 for i in active if tree.c_s[i] == c_val)
+        groups.append(BranchGroup(r=r_tg / count, c=count * c_val))
+    groups = tuple(groups)
+
+    c_pc = pc.c_e + n_off * (tree.c_pl_off + tree.c_sh) + n_on * tree.c_pl_on
+    c_m = tree.c_d + tree.c_par + n_on * tree.c_pr
+    g_pc = 1.0 / bypass_resistance(pc.w_n, env) if sw.bypass_on else 0.0
+    g_reset = 1.0 / reset_resistance(tree, env) if sw.reset_on else 0.0
+    r_lc = lc_series_resistance(cfg)
+
+    n_g = len(groups)
+    dim = 3 + n_g
+    a = np.zeros((dim, dim))
+    b = np.zeros(dim)
+    im = dim - 1
+
+    # inductor branch: L dI/dt = V_dc - V_PC - I R_lc (series coil loss)
+    a[0, 0] = -r_lc / pc.l_pc
+    a[0, 1] = -1.0 / pc.l_pc
+    b[0] = pc.v_dc / pc.l_pc
+
+    # clock node: C_pc dV/dt = I_L - sum_g (V_PC - V_sg)/r_g - g_pc V_PC
+    a[1, 0] = 1.0 / c_pc
+    a[1, 1] = -g_pc / c_pc
+    for j, g in enumerate(groups):
+        a[1, 1] -= (1.0 / g.r) / c_pc
+        a[1, 2 + j] = (1.0 / g.r) / c_pc
+
+    # membrane: C_m dV/dt = sum_g (V_PC - V_sg)/r_g - g_reset (V_m - V_REF)
+    a[im, im] = -g_reset / c_m
+    b[im] = g_reset * tree.v_ref / c_m
+    for j, g in enumerate(groups):
+        a[im, 1] += (1.0 / g.r) / c_m
+        a[im, 2 + j] -= (1.0 / g.r) / c_m
+
+    # group top plates: series-leg current balance gives
+    # dV_sg/dt = dV_m/dt + (V_PC - V_sg)/(r_g c_g)
+    for j, g in enumerate(groups):
+        a[2 + j, :] = a[im, :]
+        b[2 + j] = b[im]
+        a[2 + j, 1] += 1.0 / (g.r * g.c)
+        a[2 + j, 2 + j] -= 1.0 / (g.r * g.c)
+
+    stores = (Store(pc.l_pc, 0), Store(c_pc, 1), Store(c_m, im),
+              *(Store(g.c, 2 + j, im) for j, g in enumerate(groups)))
+    losses = [Loss("r_tg", 1.0 / g.r, 1, 2 + j) for j, g in enumerate(groups)]
+    sources = [Source("source_dc", pc.v_dc, 0)]
+    if r_lc > 0.0:
+        losses.append(Loss("r_lc", r_lc, 0))   # series coil: R_lc I_L^2
+    if g_pc > 0.0:
+        losses.append(Loss("r_pc", g_pc, 1))
+    if g_reset > 0.0:
+        loss, source = reset_terms(g_reset, tree.v_ref, im)
+        losses.append(loss)
+        sources.append(source)
+    return PhaseSystem(a=a, b=b, groups=groups, stores=stores,
+                       losses=tuple(losses), sources=tuple(sources))
+
+
+def _allocate_steps(plan: CyclePlan, spc: int) -> list[int]:
+    """Distribute the cycle's step budget over its segments.
+
+    Proportional allocation by duration with largest-remainder rounding,
+    then segments with the bypass switch closed are boosted to at least
+    spc // 8 steps so the fast clamp transient stays well resolved.  The
+    budget total is preserved by taking steps back from the largest
+    non-boosted segment.
+    """
+    fracs = [end - start for start, end, _ in plan]
+    raw = [f * spc for f in fracs]
+    counts = [int(math.floor(r)) for r in raw]
+    short = spc - sum(counts)
+    order = sorted(range(len(plan)), key=lambda i: raw[i] - counts[i], reverse=True)
+    for i in order[:short]:
+        counts[i] += 1
+
+    floor_boost = max(8, spc // 8)
+    boosted = [i for i, (_, _, sw) in enumerate(plan) if sw.bypass_on]
+    for i in boosted:
+        if counts[i] < floor_boost:
+            need = floor_boost - counts[i]
+            donor = max(
+                (j for j in range(len(plan)) if j not in boosted),
+                key=lambda j: counts[j],
+                default=None,
+            )
+            if donor is None or counts[donor] - need < 8:
+                raise ValueError("cycle plan leaves no room for the bypass sub-grid")
+            counts[donor] -= need
+            counts[i] = floor_boost
+    for i, c in enumerate(counts):
+        if c < 2:
+            raise ValueError(f"segment {i} of cycle plan resolves to {c} steps")
+    return counts
+
+
+def _validate_plan(plan: CyclePlan) -> None:
+    pos = 0.0
+    for start, end, _ in plan:
+        if not math.isclose(start, pos, abs_tol=1e-12):
+            raise ValueError(f"cycle plan has a gap or overlap at fraction {start}")
+        if end <= start:
+            raise ValueError("cycle plan segment has non-positive duration")
+        pos = end
+    if not math.isclose(pos, 1.0, abs_tol=1e-12):
+        raise ValueError(f"cycle plan covers [0, {pos}), expected [0, 1)")
+
+
+def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
+                 systems: dict[tuple, PhaseSystem]) -> tuple[Phase, ...]:
+    """Phases of one cycle plan.  Phase systems are shared through
+    ``systems`` across the plans of a run, keyed by their content: the
+    bypass and reset switches and the multiset of enabled weights."""
+    _validate_plan(plan)
+    if len({sw.synapse_on for _, _, sw in plan}) > 1:
+        raise ValueError("cycle plan switches gates mid-cycle; gates change only at a cycle start")
+    weights = tuple(sorted(c for c, on in zip(cfg.tree.c_s, plan[0][2].synapse_on, strict=True)
+                           if on))
+    phases = []
+    for (start, end, sw), n_steps in zip(plan, _allocate_steps(plan, cfg.sim.steps_per_cycle)):
+        key = (sw.bypass_on, sw.reset_on, weights)
+        if key not in systems:
+            systems[key] = build_phase_system(cfg, sw)
+        phases.append(Phase(start, end, n_steps, systems[key]))
+    return tuple(phases)
+
+
+def _rejoin(dim_from: int, dim_to: int) -> np.ndarray:
+    """Augmented entry map of a gate change: the top plates of the newly
+    enabled branch set join at the clock voltage (they were parked at the
+    trough when last disconnected); I_L, V_PC and V_m carry over."""
+    entry = np.zeros((dim_to + 1, dim_from + 1))
+    entry[0, 0] = 1.0
+    entry[1:dim_to - 1, 1] = 1.0
+    entry[dim_to - 1, dim_from - 1] = 1.0
+    entry[dim_to, dim_from] = 1.0
+    return entry
+
+
+def simulate(
+    cfg: CircuitConfig,
+    cycles: Sequence[CyclePlan],
+    keep_samples: bool = True,
+) -> tuple[Trace, EnergyLedger]:
+    """Run the switched linear transient over the given cycle plans.
+
+    Initial conditions: V_PC = 0, I_L = 0, V_s = 0, V_m = V_REF.  Segment
+    boundaries are honored exactly (each segment is integrated with its own
+    uniform sub-grid, so no switching time is displaced).  The gates of a
+    plan hold for its whole cycle.  The states carry a numerical-blowup
+    guard far above any legitimate swing.
+
+    ``cycles`` holds one plan per cycle; a plan object is found by
+    identity and goes to ``_simulate_plans`` once, with each cycle's index
+    into the distinct plans.
+
+    Returns the sampled trace (with the per-cycle observables attached)
+    and the energy ledger.  The membrane is sampled for the decision stage
+    at ``SAMPLE_FRAC`` of each cycle.
+    """
+    # ``cycles`` holds each plan for the call, so identities are unique
+    first, plan_of = first_seen(np.fromiter(map(id, cycles), np.uint64, len(cycles)))
+    return _simulate_plans(cfg, [cycles[k] for k in first.tolist()], plan_of, keep_samples)
+
+
+def _simulate_plans(
+    cfg: CircuitConfig,
+    plans: Sequence[CyclePlan],
+    plan_of: np.ndarray,
+    keep_samples: bool = True,
+) -> tuple[Trace, EnergyLedger]:
+    """``simulate`` over a run's distinct plans and each cycle's index into
+    them, in order of first use; ``run_neuron`` calls it with its own.  Phases are built once per plan (equal
+    plans built apart share phase systems by content); drive toggles and
+    entry maps are booked only where the gates change.  The kernel gets
+    the run's kinds, one per distinct (plan, state size entered from where
+    the gates change), and each cycle's index into them."""
+    n_cycles = plan_of.size
+    if n_cycles == 0:
+        raise ValueError("simulate: need at least one cycle plan")
+    stride = cfg.sim.trace_stride
+    t_pc = cfg.pc.t_pc
+    v_dd = cfg.dlcc.v_dd
+    # numerical-blowup guard only: legitimate off-resonance beats can ride
+    # well past the supply before the bypass clamp reins them in
+    v_limit = 50.0 * v_dd
+    e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
+    ledger = EnergyLedger.zeros(n_cycles)
+    # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
+    x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
+
+    systems: dict[tuple, PhaseSystem] = {}
+    plans = [tuple(plan) for plan in plans]
+    plan_phases = [_plan_phases(cfg, plan, systems) for plan in plans]
+    # per cycle its gate key, into ``gates``; the run starts with every gate open
+    gates = {(False,) * cfg.tree.n: 0}
+    gate = np.array([gates.setdefault(plan[0][2].synapse_on, len(gates)) for plan in plans])[plan_of]
+    prev = np.concatenate(([0], gate[:-1]))
+    changes = np.flatnonzero(gate != prev)
+    # gate-driver overhead: half a full charge per toggled control line
+    on = np.array(list(gates), dtype=bool)
+    ledger.drive[changes] += (on[prev[changes]] != on[gate[changes]]).sum(1) * e_toggle
+    # per cycle its kind: its plan and, where the gates change, the state
+    # size it enters from through ``_rejoin`` (0: no entry map)
+    dims = np.array([phases[0].system.dim for phases in plan_phases])
+    dim_from = np.where(gate != prev, np.concatenate(([x0.size], dims[plan_of[:-1]])), 0)
+    kind_first, kind_of = first_seen(plan_of * (dims.max() + 1) + dim_from)
+    kinds = [(_rejoin(d, dims[p]) if d else None, plan_phases[p])
+             for p, d in zip(plan_of[kind_first].tolist(), dim_from[kind_first].tolist())]
+
+    peaks, samples, states = run_cycles(ledger, kinds, kind_of, x0, t_pc, v_limit, (1, -1),
+                                        stride if keep_samples else None)
+    stats = CycleStats(peaks[:, 0], peaks[:, 1], samples)
+
+    # a cycle has steps_per_cycle steps, which the stride divides: its
+    # samples are its first step and every stride-th one after
+    t_all = np.empty((len(states or ()), cfg.sim.steps_per_cycle // stride))
+    x_all = np.empty((*t_all.shape, 4))   # columns i_l, v_pc, v_s_agg, v_m
+    v_s_hold = 0.0   # last known top-plate aggregate
+    for k, (p, rows) in enumerate(zip(plan_of.tolist(), states or ())):
+        states[k] = None   # each cycle's states are held once, here or in x_all
+        phases = plan_phases[p]
+        groups = phases[0].system.groups
+        if groups:   # the gates hold all cycle
+            w = np.array([g.c for g in groups])
+            agg = (rows[:, 2:-1] @ w) / w.sum()
+            v_s_hold = float(agg[-1])
+        else:
+            agg = v_s_hold
+        t_all[k] = np.concatenate([
+            k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
+            for start, end, n_steps, _ in phases])[::stride]
+        x = x_all[k]
+        x[:, 0], x[:, 1], x[:, 2], x[:, 3] = rows[:, 0], rows[:, 1], agg, rows[:, -1]
+    x_all = x_all.reshape(-1, 4)
+    trace = Trace(t=t_all.ravel(), i_l=x_all[:, 0], v_pc=x_all[:, 1], v_s=x_all[:, 2],
+                  v_m=x_all[:, 3], stats=stats)
+    return trace, ledger
 
 
 def input_sweeps(n_bits: int, n_scrambles: int = 4, seed: int = 0) -> list[list[Code]]:
@@ -159,14 +495,14 @@ class NeuronRun:
     outputs: np.ndarray                  # comparator decisions, 1 fires
     delays: np.ndarray                   # decision delays, s
     oracle_bits: np.ndarray              # threshold-unit oracle, 1 fires
-    stats: engine.CycleStats
-    ledger_full: engine.EnergyLedger     # includes warm-up; use for audits
+    stats: CycleStats
+    ledger_full: EnergyLedger     # includes warm-up; use for audits
     warm_up: int                         # leading ledger cycles not reported
-    trace: engine.Trace | None
+    trace: Trace | None
     v_pk_reference: float
 
     @property
-    def ledger(self) -> engine.EnergyLedger:
+    def ledger(self) -> EnergyLedger:
         """Ledger view of the reported cycles."""
         return self.ledger_full.since(self.warm_up)
 
@@ -180,7 +516,7 @@ class NeuronRun:
 
     def to_csv(self, path: str) -> None:
         names = ["".join(map(str, code)) for code in self.table]
-        engine.write_csv(
+        write_csv(
             path, ("cycle", "code", "V_m_peak", "OutP", "delay_ns", "E_tree_pJ", "E_soma_pJ"),
             zip(range(self.index.size), map(names.__getitem__, self.index.tolist()),
                 self.stats.v_m_peak.tolist(), self.outputs.tolist(), (self.delays * 1e9).tolist(),
@@ -233,9 +569,9 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     return table, np.array(index)
 
 
-def decided_run(table: list[Code], index: np.ndarray, stats: engine.CycleStats,
-                ledger: engine.EnergyLedger, warm_up: int, dlcc: DlccConfig, v_os: float,
-                oracle: NeuronSpec, v_pk_ref: float, trace: engine.Trace | None) -> NeuronRun:
+def decided_run(table: list[Code], index: np.ndarray, stats: CycleStats,
+                ledger: EnergyLedger, warm_up: int, dlcc: DlccConfig, v_os: float,
+                oracle: NeuronSpec, v_pk_ref: float, trace: Trace | None) -> NeuronRun:
     """Finish a run of either design: book the soma energy, decide every
     reported cycle from its membrane sample, all at once, and score the
     codes with the threshold-unit oracle, once per distinct reported code.
@@ -274,10 +610,10 @@ def run_neuron(
     warm = cfg.sim.startup_discard_cycles
     full = np.concatenate((np.zeros(warm, dtype=index.dtype), index))
     recal = np.arange(full.size) % cfg.sim.recal_every == 0
-    first, plan_of = engine.first_seen(2 * full + recal)
+    first, plan_of = first_seen(2 * full + recal)
     plans = [make_schedule(cfg, table[full[k]], cycle=k) for k in first.tolist()]
-    trace, ledger = engine.simulate_plans(cfg, plans, plan_of, keep_samples=keep_trace)
-    stats = engine.CycleStats(*(a[warm:] for a in trace.stats))
+    trace, ledger = _simulate_plans(cfg, plans, plan_of, keep_samples=keep_trace)
+    stats = CycleStats(*(a[warm:] for a in trace.stats))
     v_pk_ref = float(np.median(stats.v_pk))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)

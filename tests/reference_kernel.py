@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from acansim import baseline, engine
+from acansim import baseline, engine, neuron
 from acansim.engine import SAMPLE_FRAC, SimulationError
 
 ACCOUNTS = ("source_dc", "source_ref", "r_pc", "r_lc", "r_tg", "r_reset",
@@ -104,13 +104,28 @@ class Gathers(np.ndarray):
 
 @contextmanager
 def reference_kernel():
-    """Run both designs through ``run_cycles`` above inside the block."""
-    saved = engine.run_cycles, baseline.run_cycles
-    engine.run_cycles = baseline.run_cycles = run_cycles
+    """Run both designs through ``run_cycles`` above inside the block.
+
+    Every module that holds the kernel's ``run_cycles`` gets the reference,
+    and the block fails on exit if the reference never ran: a design that
+    found the kernel elsewhere would compare the kernel with itself.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return run_cycles(*args, **kwargs)
+
+    modules = (engine, neuron, baseline)
+    saved = [m.run_cycles for m in modules]
+    for m in modules:
+        m.run_cycles = counted
     try:
         yield
     finally:
-        engine.run_cycles, baseline.run_cycles = saved
+        for m, kernel in zip(modules, saved):
+            m.run_cycles = kernel
+    assert calls, "no run went through the reference run_cycles"
 
 
 def assert_same_run(run, ref):

@@ -26,7 +26,6 @@ from acansim import (
     corner_study,
     dlcc_offset,
     energy_residual,
-    fit_decay,
     input_sweeps,
     optimize_frequency,
     predicted_optimal_frequency,
@@ -40,6 +39,7 @@ from acansim import (
     tune_inductor,
     worst_window_mean,
 )
+from decay_fit import fit_decay
 
 
 def _verdict(capsys, num, name, ok, detail):

@@ -1,5 +1,6 @@
 """Integrator fidelity: step maps, switched runs, conservation, decay fits."""
 
+import ast
 import gc
 import math
 import os
@@ -16,13 +17,11 @@ from acansim import (
     BaselineConfig,
     CircuitConfig,
     EnergyLedger,
-    FitError,
     SimulationError,
     SwitchState,
     SynapseTreeConfig,
     bypass_resistance,
     energy_residual,
-    fit_decay,
     lc_series_resistance,
     reset_resistance,
     run_baseline,
@@ -32,17 +31,18 @@ from acansim import (
     tune_inductor,
 )
 from acansim import engine
+from acansim import neuron as neuron_mod
 from acansim.baseline import build_baseline_system
 from acansim.engine import (
     PhaseOperator,
     Source,
     Store,
-    build_phase_system,
     compile_operators,
     step_maps,
     write_csv,
 )
-from acansim.neuron import input_sweeps, make_schedule
+from acansim.neuron import build_phase_system, input_sweeps, make_schedule
+from decay_fit import fit_decay
 from reference_kernel import Gathers, assert_same_run, propagate, reference_kernel
 
 
@@ -180,24 +180,24 @@ def test_simulate_bills_drive_only_on_code_change():
 def test_simulate_hands_its_distinct_plans_and_index_to_simulate_plans(monkeypatch):
     # simulate finds each cycle's plan by identity, and equal plans built
     # apart stay apart; run_neuron hands its own distinct plans and index
-    # to simulate_plans, with no plan per cycle
+    # to the same helper, _simulate_plans, with no plan per cycle
     cfg = tune_inductor(CircuitConfig())
     plans = [make_schedule(cfg, c, cycle=1) for c in ((1, 1, 0, 0), (0, 1, 1, 1), (1, 1, 0, 0))]
     calls = []
-    simulate_plans = engine.simulate_plans
+    simulate_plans = neuron_mod._simulate_plans
 
     def counted(cfg, distinct, plan_of, keep_samples=True):
         calls.append((distinct, plan_of.tolist()))
         return simulate_plans(cfg, distinct, plan_of, keep_samples)
 
-    monkeypatch.setattr(engine, "simulate_plans", counted)
+    monkeypatch.setattr(neuron_mod, "_simulate_plans", counted)
     cycles = [plans[i] for i in (1, 1, 0, 2, 0, 1)]
     _, ledger = simulate(cfg, cycles)
     (distinct, plan_of), = calls
     assert [id(p) for p in distinct] == [id(plans[i]) for i in (1, 0, 2)]
     assert plan_of == [0, 0, 1, 2, 1, 0] and ledger.n_cycles == 6
 
-    monkeypatch.setattr(engine, "simulate", None)
+    monkeypatch.setattr(neuron_mod, "simulate", None)
     run = run_neuron(cfg, [(1, 1, 0, 0)] * 3)
     distinct, plan_of = calls[-1]
     assert len(plan_of) == run.ledger_full.n_cycles == cfg.sim.startup_discard_cycles + 3
@@ -295,36 +295,29 @@ def test_damped_ring_fit_recovers_loss_rate():
     assert fit.lam == pytest.approx(lam_expect, rel=0.02)
 
 
-def test_fit_decay_synthetic_damped_sine():
-    t = np.linspace(0.0, 10e-6, 4000)
-    omega = 2.0 * math.pi * 1e6
-    v = 0.9 + 0.8 * np.exp(-1e4 * t) * np.cos(omega * t + 0.3)
-    fit = fit_decay(t, v)
-    assert fit.omega == pytest.approx(omega, rel=1e-6)
-    assert fit.lam == pytest.approx(1e4, rel=0.01)
-    assert fit.offset == pytest.approx(0.9, abs=1e-3)
-
-
-def test_fit_decay_rejects_flat_and_short_series():
-    t = np.linspace(0.0, 1e-5, 100)
-    with pytest.raises(FitError):
-        fit_decay(t, np.ones_like(t))
-    with pytest.raises(FitError):
-        fit_decay(t[:8], np.sin(t[:8] * 1e6))
-
-
-def test_import_leaves_scipy_optimize_to_fit_decay():
-    # scipy.optimize is most of the package's import time; only fit_decay
-    # imports it, on first call
+def test_import_loads_no_scipy():
+    # the package needs numpy alone; scipy serves the tests' decay fits
     import acansim
     src = str(Path(acansim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import acansim, acansim.cli, sys; print('scipy.optimize' in sys.modules)"],
+         "import acansim, acansim.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_engine_imports_no_acansim_module():
+    # the kernel knows no circuit: the designs import it, never the reverse
+    tree = ast.parse(Path(engine.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [("." * node.level) + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in imported if m.startswith(".") or m.split(".")[0] == "acansim"]
+    assert "numpy" in imported
 
 
 def _assert_accounts(ledger, ref):

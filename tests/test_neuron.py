@@ -383,7 +383,7 @@ def test_run_neuron_builds_each_step_map_once(monkeypatch):
     pairs = set()
     for k, c in enumerate(all_codes):
         plan = make_schedule(cfg, c, cycle=k)
-        counts = engine._allocate_steps(plan, cfg.sim.steps_per_cycle)
+        counts = neuron_mod._allocate_steps(plan, cfg.sim.steps_per_cycle)
         weights = tuple(sorted(w for w, on in zip(cfg.tree.c_s, c) if on))
         pairs |= {((sw.bypass_on, sw.reset_on, weights), (end - start) * cfg.pc.t_pc / n)
                   for (start, end, sw), n in zip(plan, counts)}

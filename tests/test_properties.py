@@ -31,8 +31,9 @@ from acansim import (
     run_neuron,
     tune_inductor,
 )
-from acansim.engine import PhaseOperator, SwitchState, build_phase_system
+from acansim.engine import PhaseOperator
 from acansim.model import effective_pc_capacitance
+from acansim.neuron import SwitchState, build_phase_system
 from reference_kernel import Gathers, assert_same_run, reference_kernel
 
 CFG = tune_inductor(CircuitConfig())
