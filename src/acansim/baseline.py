@@ -44,7 +44,7 @@ from .model import (
     reset_resistance,
     within,
 )
-from .neuron import Code, CycleStats, NeuronRun, _code_table, decided_run, dlcc_offset
+from .neuron import CycleStats, NeuronRun, _code_table, _weight_counts, decided_run, dlcc_offset
 
 
 @dataclass(frozen=True)
@@ -104,18 +104,27 @@ def baseline_oracle_spec(cfg: BaselineConfig, v_os: float = 0.0) -> NeuronSpec:
     dv = cfg.dlcc.v_th - v_os - tree.v_ref
     c_tot = sum(tree.c_s) + tree.c_d + tree.c_par
     return NeuronSpec(
-        weights=tuple(c * cfg.v_dd for c in tree.c_s),
+        weights=tuple((np.asarray(tree.c_s) * cfg.v_dd).tolist()),
         theta=dv * c_tot,
     )
 
 
-def _levels(tree: SynapseTreeConfig, prev_code: Code, code: Code) -> list[tuple[int, int, float, int]]:
-    """Branches lumped by (previous level, new level, weight value), with counts."""
-    keys: dict[tuple[int, int, float], int] = {}
-    for c, p, n in zip(tree.c_s, prev_code, code):
-        k = (p, n, c)
-        keys[k] = keys.get(k, 0) + 1
-    return [(p, n, c, cnt) for (p, n, c), cnt in sorted(keys.items())]
+def _levels(tree: SynapseTreeConfig, before: np.ndarray,
+            after: np.ndarray) -> list[list[tuple[int, int, float, int]]]:
+    """Branches lumped by (previous level, new level, weight value), with
+    counts, in that order, for each transition from a row of the boolean
+    (transitions, n) matrix ``before`` to the same row of ``after``: one
+    count over every transition at once."""
+    # per transition its four (previous level, new level) masks, in order
+    masks = np.stack((~before & ~after, ~before & after, before & ~after, before & after), axis=1)
+    values, counts = _weight_counts(tree.c_s, masks.reshape(-1, tree.n))
+    counts = counts.reshape(before.shape[0], -1)   # column (2 p + n) w + j, w values
+    w = len(values)
+    levels: list[list[tuple[int, int, float, int]]] = [[] for _ in range(before.shape[0])]
+    ts, ks = counts.nonzero()
+    for t, k, count in zip(ts.tolist(), ks.tolist(), counts[ts, ks].tolist()):
+        levels[t].append((k // (2 * w), k // w % 2, values[k % w], count))
+    return levels
 
 
 def build_baseline_system(
@@ -202,10 +211,11 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     grouping and drive-toggle count per distinct (previous code, code)
     pair, one kind (entry map and phases) per distinct (pair, state size),
     which the kernel gets with each cycle's index into them, and one
-    oracle bit per distinct code.
+    oracle bit per distinct code.  The groupings, toggle counts and oracle
+    bits come from the distinct codes' bit matrix, each in one array pass.
     """
     tree = cfg.tree
-    table, index = _code_table(codes, tree.n)
+    table, bits, index = _code_table(codes, tree.n)
     n_cycles = index.size
 
     t_cycle = 1.0 / cfg.f_clock
@@ -216,16 +226,17 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     # the run starts from the all-zero code, table entry 0
     prev = np.concatenate(([0], index[:-1]))
     first, pair_of = first_seen(prev * len(table) + index)
+    before, after = bits[prev[first]], bits[index[first]]
+    levels = _levels(tree, before, after)   # per distinct pair
     systems: dict[tuple, PhaseSystem] = {}
-    levels, pair_systems = [], []   # per distinct pair
-    for a, b in zip(prev[first].tolist(), index[first].tolist()):
-        levels.append(_levels(tree, table[a], table[b]))
-        key = (tuple(levels[-1]), not any(table[b]))
+    pair_systems = []
+    # table entry 0 is the all-zero code, and the only one
+    for lv, reset_on in zip(levels, (index[first] == 0).tolist()):
+        key = (tuple(lv), reset_on)
         if key not in systems:
-            systems[key] = build_baseline_system(cfg, levels[-1], reset_on=key[1])
+            systems[key] = build_baseline_system(cfg, lv, reset_on=reset_on)
         pair_systems.append(systems[key])
-    toggles = [sum(count for p, n, _, count in lv if p != n) for lv in levels]
-    ledger.drive += e_toggle * np.array(toggles)[pair_of]
+    ledger.drive += e_toggle * (before ^ after).sum(1)[pair_of]
 
     # each system's phases, from one stacked eigenvalue call per dimension
     plans: dict[PhaseSystem, list[Phase]] = {}
@@ -248,4 +259,4 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     stats = CycleStats(np.full(n_cycles, cfg.v_dd), peaks[:, 0], samples)
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = baseline_oracle_spec(cfg, v_os=v_os)
-    return decided_run(table, index, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)
+    return decided_run(table, bits, index, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)

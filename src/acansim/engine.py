@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -485,15 +486,31 @@ def energy_residual(ledger: EnergyLedger) -> float:
     return ledger.source_total - ledger.dissipated_total - delta_stored + float(ledger.reconfig.sum())
 
 
+# rows that ``write_csv`` formats at a time: each row held as Python objects
+# costs ~0.5 kB, so larger chunks raise a trace export's peak memory
+CSV_CHUNK = 512
+# cell types whose ``str`` is their cell: a float's ``str`` is its ``repr``
+_PLAIN_CELLS = {float, int, bool, str}
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write one CSV data file: the header, then one line per row.  Float
     cells, numpy scalars included, are written as ``repr(float(v))`` so
-    they read back exactly; any other cell as ``str(v)``."""
+    they read back exactly; any other cell as ``str(v)``.  Rows are
+    formatted ``CSV_CHUNK`` at a time, with one template for the chunk;
+    rows of Python floats, ints, bools and strings (``tolist()``) need no
+    conversion cell by cell.  Every row has one cell per header name."""
+    rows = iter(rows)
+    line = ",".join(["{}"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
-                               for v in row]) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK)):
+            if set(map(len, chunk)) != {len(header)}:
+                raise ValueError(f"write_csv: every row needs {len(header)} cells")
+            cells = list(chain.from_iterable(chunk))
+            if not set(map(type, cells)) <= _PLAIN_CELLS:
+                cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in cells]
+            fh.write((line * len(chunk)).format(*cells))
 
 
 class Phase(NamedTuple):

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 
 class Corner(str, Enum):
     """Process corner of the switch devices."""
@@ -153,8 +155,11 @@ class SynapseTreeConfig:
         _require(len(self.c_s) >= 1, "tree.c_s: need at least one synapse")
         if not isinstance(self.c_s, tuple):
             object.__setattr__(self, "c_s", tuple(float(c) for c in self.c_s))
-        for i, c in enumerate(self.c_s):
-            require_within(f"tree.c_s[{i}]", c, "(0, inf)")
+        weights = np.asarray(self.c_s)
+        # all weights checked at once; one by one, to name the first bad one
+        if not (weights.dtype.kind in "iuf" and np.all((weights > 0) & (weights < math.inf))):
+            for i, c in enumerate(self.c_s):
+                require_within(f"tree.c_s[{i}]", c, "(0, inf)")
         if self.c_d is None:
             object.__setattr__(self, "c_d", float(sum(self.c_s)))
         require_within("tree.c_d", self.c_d, "(0, inf)")
@@ -358,9 +363,22 @@ class NeuronSpec:
     theta: float
 
     def fires(self, code: Sequence[int]) -> int:
+        """1 if the code fires, else 0: its enabled weights are summed left
+        to right from zero."""
         _require(len(code) == len(self.weights), "code: length mismatch with weights")
-        drive = sum(w for w, x in zip(self.weights, code) if x)
+        drive = 0.0
+        for w, x in zip(self.weights, code):
+            if x:
+                drive += w
         return 1 if drive > self.theta else 0
+
+    def fires_rows(self, bits: np.ndarray) -> np.ndarray:
+        """``fires`` of every row of a boolean (codes, n) matrix, at once.
+        Each row's enabled weights are summed left to right by ``cumsum``,
+        so a tie decides as in ``fires``, bit for bit."""
+        _require(bits.shape[1] == len(self.weights), "code: length mismatch with weights")
+        drive = np.cumsum(np.where(bits, np.asarray(self.weights), 0.0), axis=1)[:, -1]
+        return (drive > self.theta).astype(int)
 
     @classmethod
     def from_circuit(cls, cfg: CircuitConfig, v_pk: float, v_os: float = 0.0) -> "NeuronSpec":
@@ -375,6 +393,6 @@ class NeuronSpec:
         c_fixed = tree.c_d + tree.c_par
         if dv >= v_pk:
             # threshold unreachable: never fires
-            return cls(weights=tuple(0.0 for _ in tree.c_s), theta=math.inf)
-        weights = tuple(c * (v_pk - dv) - dv * tree.c_pr for c in tree.c_s)
-        return cls(weights=weights, theta=dv * c_fixed)
+            return cls(weights=(0.0,) * tree.n, theta=math.inf)
+        weights = np.asarray(tree.c_s) * (v_pk - dv) - dv * tree.c_pr
+        return cls(weights=tuple(weights.tolist()), theta=dv * c_fixed)

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .engine import (
+    CSV_CHUNK,
     BranchGroup,
     EnergyLedger,
     Loss,
@@ -135,7 +137,8 @@ def _decide(v_m: np.ndarray, dlcc: DlccConfig, v_os: float) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class SwitchState:
-    """Positions of every switch during one phase."""
+    """Positions of every switch during one phase; ``synapse_on`` holds one
+    flag per synapse gate, truthy where it is on."""
 
     bypass_on: bool
     reset_on: bool
@@ -174,8 +177,11 @@ class Trace:
     stats: CycleStats
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, ("t", "I_L", "V_PC", "V_s", "V_m"),
-                  zip(self.t, self.i_l, self.v_pc, self.v_s, self.v_m))
+        cols = (self.t, self.i_l, self.v_pc, self.v_s, self.v_m)
+        # rows of Python floats, converted a chunk of samples at a time
+        write_csv(path, ("t", "I_L", "V_PC", "V_s", "V_m"), chain.from_iterable(
+            zip(*(c[k:k + CSV_CHUNK].tolist() for c in cols))
+            for k in range(0, self.t.size, CSV_CHUNK)))
 
 
 def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[Segment, ...]:
@@ -187,20 +193,32 @@ def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tu
     the code is all zero.  The membrane is sampled mid-cycle, at the
     clock crest.
     """
-    bits = tuple(bool(x) for x in code)
+    bits = tuple(map(bool, code))
     if len(bits) != cfg.tree.n:
         raise ValueError(f"code has {len(bits)} bits, tree has {cfg.tree.n} synapses")
+    return _schedule(cfg, bits, not any(bits), cycle % cfg.sim.recal_every == 0)
+
+
+def _schedule(cfg: CircuitConfig, on: Sequence, all_zero: bool, forced: bool) -> tuple[Segment, ...]:
+    """``make_schedule`` for gates ``on``, given whether they are all off
+    and whether the cycle is a recalibration cycle."""
     duty = cfg.pc.duty_d
-
-    all_zero = not any(bits)
-    forced = cycle % cfg.sim.recal_every == 0
-
     # gates follow the input register for the whole cycle; toggles (and the
     # driver overhead) happen only when the code actually changes
     return (
-        (0.0, duty, SwitchState(bypass_on=True, reset_on=all_zero or forced, synapse_on=bits)),
-        (duty, 1.0, SwitchState(bypass_on=False, reset_on=all_zero, synapse_on=bits)),
+        (0.0, duty, SwitchState(bypass_on=True, reset_on=all_zero or forced, synapse_on=on)),
+        (duty, 1.0, SwitchState(bypass_on=False, reset_on=all_zero, synapse_on=on)),
     )
+
+
+def _weight_counts(c_s: Sequence[float], on: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The distinct weight values of a tree, ascending, and for each row of
+    the boolean (rows, n) gate matrix ``on`` the number of enabled
+    synapses of each value: one sum per value for every row at once."""
+    values, cls = np.unique(np.asarray(c_s), return_inverse=True)
+    order = np.argsort(cls, kind="stable")
+    starts = np.flatnonzero(np.diff(cls[order], prepend=-1))
+    return values.tolist(), np.add.reduceat(on[:, order], starts, axis=1, dtype=np.intp)
 
 
 def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
@@ -217,20 +235,25 @@ def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
     divider capacitor, wiring parasitics and the enabled gates' output
     parasitics; the reset switch ties the membrane to V_REF when on.
     """
-    tree, pc, env = cfg.tree, cfg.pc, cfg.env
-    if len(sw.synapse_on) != tree.n:
-        raise ValueError(f"switch state has {len(sw.synapse_on)} synapse bits, tree has {tree.n}")
+    if len(sw.synapse_on) != cfg.tree.n:
+        raise ValueError(f"switch state has {len(sw.synapse_on)} synapse bits, "
+                         f"tree has {cfg.tree.n}")
+    values, counts = _weight_counts(cfg.tree.c_s, np.asarray(sw.synapse_on, dtype=bool)[None])
+    return _phase_system(cfg, sw, values, counts[0].tolist())
 
-    active = [i for i, on in enumerate(sw.synapse_on) if on]
-    n_on = len(active)
+
+def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
+                  counts: Sequence[int]) -> PhaseSystem:
+    """``build_phase_system`` with the gates given as the enabled count of
+    each distinct weight value (``_weight_counts``); ``sw.synapse_on`` is
+    not read."""
+    tree, pc, env = cfg.tree, cfg.pc, cfg.env
+    n_on = sum(counts)
     n_off = tree.n - n_on
 
     r_tg = tg_resistance(tree, env)
-    groups = []
-    for c_val in sorted({tree.c_s[i] for i in active}):
-        count = sum(1 for i in active if tree.c_s[i] == c_val)
-        groups.append(BranchGroup(r=r_tg / count, c=count * c_val))
-    groups = tuple(groups)
+    groups = tuple(BranchGroup(r=r_tg / count, c=count * c_val)
+                   for c_val, count in zip(values, counts) if count)
 
     c_pc = pc.c_e + n_off * (tree.c_pl_off + tree.c_sh) + n_on * tree.c_pl_on
     c_m = tree.c_d + tree.c_par + n_on * tree.c_pr
@@ -336,21 +359,17 @@ def _validate_plan(plan: CyclePlan) -> None:
         raise ValueError(f"cycle plan covers [0, {pos}), expected [0, 1)")
 
 
-def _plan_phases(cfg: CircuitConfig, plan: CyclePlan,
-                 systems: dict[tuple, PhaseSystem]) -> tuple[Phase, ...]:
-    """Phases of one cycle plan.  Phase systems are shared through
-    ``systems`` across the plans of a run, keyed by their content: the
-    bypass and reset switches and the multiset of enabled weights."""
-    _validate_plan(plan)
-    if len({sw.synapse_on for _, _, sw in plan}) > 1:
-        raise ValueError("cycle plan switches gates mid-cycle; gates change only at a cycle start")
-    weights = tuple(sorted(c for c, on in zip(cfg.tree.c_s, plan[0][2].synapse_on, strict=True)
-                           if on))
+def _plan_phases(cfg: CircuitConfig, plan: CyclePlan, systems: dict[tuple, PhaseSystem],
+                 values: Sequence[float], counts: tuple[int, ...]) -> tuple[Phase, ...]:
+    """Phases of one valid cycle plan whose gates enable ``counts`` synapses
+    of each weight value in ``values`` (``_weight_counts``).  Phase systems
+    are shared through ``systems`` across the plans of a run, keyed by
+    their content: the bypass and reset switches and those counts."""
     phases = []
     for (start, end, sw), n_steps in zip(plan, _allocate_steps(plan, cfg.sim.steps_per_cycle)):
-        key = (sw.bypass_on, sw.reset_on, weights)
+        key = (sw.bypass_on, sw.reset_on, counts)
         if key not in systems:
-            systems[key] = build_phase_system(cfg, sw)
+            systems[key] = _phase_system(cfg, sw, values, counts)
         phases.append(Phase(start, end, n_steps, systems[key]))
     return tuple(phases)
 
@@ -390,21 +409,39 @@ def simulate(
     """
     # ``cycles`` holds each plan for the call, so identities are unique
     first, plan_of = first_seen(np.fromiter(map(id, cycles), np.uint64, len(cycles)))
-    return _simulate_plans(cfg, [cycles[k] for k in first.tolist()], plan_of, keep_samples)
+    plans = [cycles[k] for k in first.tolist()]
+    # each plan's gates, as a row of ``gates``; the run starts with every gate open
+    gates = {(False,) * cfg.tree.n: 0}
+    gate_of = []
+    for plan in plans:
+        _validate_plan(plan)
+        on = plan[0][2].synapse_on
+        if any(sw.synapse_on != on for _, _, sw in plan):
+            raise ValueError("cycle plan switches gates mid-cycle; gates change only at a cycle start")
+        if len(on) != cfg.tree.n:
+            raise ValueError(f"switch state has {len(on)} synapse bits, tree has {cfg.tree.n}")
+        gate_of.append(gates.setdefault(tuple(on), len(gates)))
+    return _simulate_plans(cfg, plans, plan_of, np.array(list(gates), dtype=bool),
+                           np.array(gate_of, dtype=int), keep_samples)
 
 
 def _simulate_plans(
     cfg: CircuitConfig,
     plans: Sequence[CyclePlan],
     plan_of: np.ndarray,
+    gates: np.ndarray,
+    gate_of: np.ndarray,
     keep_samples: bool = True,
 ) -> tuple[Trace, EnergyLedger]:
-    """``simulate`` over a run's distinct plans and each cycle's index into
-    them, in order of first use; ``run_neuron`` calls it with its own.  Phases are built once per plan (equal
-    plans built apart share phase systems by content); drive toggles and
-    entry maps are booked only where the gates change.  The kernel gets
-    the run's kinds, one per distinct (plan, state size entered from where
-    the gates change), and each cycle's index into them."""
+    """``simulate`` over a run's distinct valid plans and each cycle's index
+    into them, in order of first use; ``run_neuron`` calls it with its own.
+    The plans' gates come as rows of the boolean matrix ``gates``, row 0
+    all off, and each plan's row (``gate_of``); equal rows are one row.
+    Phases are built once per plan (equal plans built apart share phase
+    systems by content); drive toggles and entry maps are booked only
+    where the gates change.  The kernel gets the run's kinds, one per
+    distinct (plan, state size entered from where the gates change), and
+    each cycle's index into them."""
     n_cycles = plan_of.size
     if n_cycles == 0:
         raise ValueError("simulate: need at least one cycle plan")
@@ -420,16 +457,15 @@ def _simulate_plans(
     x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
 
     systems: dict[tuple, PhaseSystem] = {}
-    plans = [tuple(plan) for plan in plans]
-    plan_phases = [_plan_phases(cfg, plan, systems) for plan in plans]
-    # per cycle its gate key, into ``gates``; the run starts with every gate open
-    gates = {(False,) * cfg.tree.n: 0}
-    gate = np.array([gates.setdefault(plan[0][2].synapse_on, len(gates)) for plan in plans])[plan_of]
+    values, counts = _weight_counts(cfg.tree.c_s, gates)
+    keys = list(map(tuple, counts.tolist()))
+    plan_phases = [_plan_phases(cfg, plan, systems, values, keys[g])
+                   for plan, g in zip(plans, gate_of.tolist())]
+    gate = gate_of[plan_of]
     prev = np.concatenate(([0], gate[:-1]))
     changes = np.flatnonzero(gate != prev)
     # gate-driver overhead: half a full charge per toggled control line
-    on = np.array(list(gates), dtype=bool)
-    ledger.drive[changes] += (on[prev[changes]] != on[gate[changes]]).sum(1) * e_toggle
+    ledger.drive[changes] += (gates[prev[changes]] ^ gates[gate[changes]]).sum(1) * e_toggle
     # per cycle its kind: its plan and, where the gates change, the state
     # size it enters from through ``_rejoin`` (0: no entry map)
     dims = np.array([phases[0].system.dim for phases in plan_phases])
@@ -523,69 +559,109 @@ class NeuronRun:
                 (self.ledger.s_e * 1e12).tolist(), (self.ledger.soma * 1e12).tolist()))
 
 
-def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.ndarray]:
+def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.ndarray, np.ndarray]:
     """Distinct normalised codes of a stream and each cycle's index into them.
 
-    Bits are normalised to 0/1.  The table starts with the all-zero code
-    (index 0, whether or not the stream holds it); each later entry is the
-    first cycle's copy of a new normalised code.  Bits are checked and
-    normalised only the first time they appear.  A tuple object seen before
-    is found by identity (tuples are immutable; each is held for the call,
-    so no other object takes its id); other codes, such as a list that may
-    change between cycles, are copied and hashed every cycle.  Raises
-    ValueError, naming the code, on an empty stream, a code that is not n
-    bits long or a bit that is not a finite number (a string or NaN, say).
+    Returns the table of distinct codes as tuples of 0/1 ints, the same
+    codes as one boolean (table size, n) matrix, and each cycle's index
+    into them.  The table starts with the all-zero code (index 0, whether
+    or not the stream holds it); each later entry is the next new
+    normalised code in stream order.
+
+    A stream given as one 2-D array is read whole.  Any other stream is
+    read code by code, and only its distinct raw codes go on: a tuple
+    object seen before is found by identity (tuples are immutable; each is
+    held for the call, so no other object takes its id); other codes, such
+    as a list that may change between cycles, are copied and hashed every
+    cycle.  The raw codes are then checked and turned into bits all at
+    once (``_code_bits``), and normalised codes are told apart by their
+    rows' packed bytes.  Raises ValueError, naming the code, on an empty
+    stream, a code that is not n bits long or a bit that is not a finite
+    number (a string or NaN, say).
     """
-    table: list[Code] = [(0,) * n]
-    by_raw: dict[tuple, int] = {table[0]: 0}   # normalised codes are raw codes too
-    by_id: dict[int, int] = {}
-    held: list[tuple] = []
-    index: list[int] = []
-    for raw in codes:
-        is_tuple = type(raw) is tuple
-        i = by_id.get(id(raw)) if is_tuple else None
-        if i is None:
-            key = tuple(raw)
-            i = by_raw.get(key)
+    wrong_length = None   # (cycle, length) of the first code of a wrong length
+    if isinstance(codes, np.ndarray) and codes.ndim == 2:
+        raw, cycle_of, raw_of = codes, range(len(codes)), None
+        if len(codes) and codes.shape[1] != n:
+            raw, wrong_length = codes[:0], (0, codes.shape[1])
+    else:
+        raw, cycle_of, raw_of = [], [], []   # distinct raw codes, their first cycles
+        by_raw: dict[tuple, int] = {}
+        by_id: dict[int, int] = {}
+        held: list[tuple] = []
+        for raw_code in codes:
+            is_tuple = type(raw_code) is tuple
+            i = by_id.get(id(raw_code)) if is_tuple else None
             if i is None:
-                if len(key) != n:
-                    raise ValueError(f"code {len(index)} has {len(key)} bits, tree has {n} synapses")
-                try:
-                    finite = all(map(math.isfinite, key))
-                except TypeError:   # a bit that is no real number: a string, say
-                    finite = False
-                if not finite:
-                    raise ValueError(f"code {len(index)} has a bit that is not a finite number")
-                code = tuple(map(int, map(bool, key)))
-                i = by_raw[key] = by_raw.setdefault(code, len(table))
-                if i == len(table):
-                    table.append(code)
-            if is_tuple:
-                by_id[id(raw)] = i
-                held.append(raw)
-        index.append(i)
-    if not index:
+                key = tuple(raw_code)
+                i = by_raw.get(key)
+                if i is None:
+                    if len(key) != n:
+                        wrong_length = (len(raw_of), len(key))
+                        break
+                    i = by_raw[key] = len(raw)
+                    raw.append(key)
+                    cycle_of.append(len(raw_of))
+                if is_tuple:
+                    by_id[id(raw_code)] = i
+                    held.append(raw_code)
+            raw_of.append(i)
+    if len(raw):   # the codes before a wrong length are checked first
+        on = _code_bits(raw, cycle_of)
+    if wrong_length is not None:
+        raise ValueError(f"code {wrong_length[0]} has {wrong_length[1]} bits, tree has {n} synapses")
+    if not len(raw):
         raise ValueError("code stream is empty: need at least one code")
-    return table, np.array(index)
+    on = np.concatenate((np.zeros((1, n), dtype=bool), on))   # the all-zero code first
+    packed = np.packbits(on, axis=1)
+    _, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                           return_inverse=True)
+    first, code_of = first_seen(inverse)
+    bits = on[first]
+    index = code_of[1:] if raw_of is None else code_of[1:][np.array(raw_of)]
+    return list(map(tuple, bits.view(np.int8).tolist())), bits, index
 
 
-def decided_run(table: list[Code], index: np.ndarray, stats: CycleStats,
+def _code_bits(raw: Sequence[Sequence] | np.ndarray, cycle_of: Sequence[int]) -> np.ndarray:
+    """The bits of raw n-bit codes as a boolean (codes, n) matrix, on where
+    nonzero.  Raises ValueError at the first code with a bit that is not a
+    finite number, named by its cycle: ``cycle_of[i]`` for code i."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:   # bits that are sequences of unequal length
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.dtype.kind not in "biuf":
+        # bits that are no plain numbers, None or strings say, one by one
+        for i, code in enumerate(raw):
+            try:
+                finite = all(map(math.isfinite, code))
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ValueError(f"code {cycle_of[i]} has a bit that is not a finite number")
+        return np.array(raw, dtype=object).astype(bool)
+    if arr.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise ValueError(f"code {cycle_of[bad[0]]} has a bit that is not a finite number")
+    return arr != 0
+
+
+def decided_run(table: list[Code], bits: np.ndarray, index: np.ndarray, stats: CycleStats,
                 ledger: EnergyLedger, warm_up: int, dlcc: DlccConfig, v_os: float,
                 oracle: NeuronSpec, v_pk_ref: float, trace: Trace | None) -> NeuronRun:
     """Finish a run of either design: book the soma energy, decide every
     reported cycle from its membrane sample, all at once, and score the
-    codes with the threshold-unit oracle, once per distinct reported code.
-    The reported codes come as ``_code_table``'s table and per-cycle index,
-    the samples in ``stats``; v_os is the comparator offset the oracle was
-    built with."""
+    codes with the threshold-unit oracle, all distinct codes at once.  The
+    reported codes come as ``_code_table``'s table, bit matrix and
+    per-cycle index, the samples in ``stats``; v_os is the comparator
+    offset the oracle was built with."""
     ledger.soma[:] = dlcc.e_decision
-    fired = np.zeros(len(table), dtype=int)
-    for i in np.unique(index).tolist():
-        fired[i] = oracle.fires(table[i])
     outputs, delays = _decide(stats.v_m_sample, dlcc, v_os)
     return NeuronRun(
-        table=table, index=index, outputs=outputs, delays=delays, oracle_bits=fired[index],
-        stats=stats, ledger_full=ledger, warm_up=warm_up, trace=trace, v_pk_reference=v_pk_ref,
+        table=table, index=index, outputs=outputs, delays=delays,
+        oracle_bits=oracle.fires_rows(bits)[index], stats=stats, ledger_full=ledger,
+        warm_up=warm_up, trace=trace, v_pk_reference=v_pk_ref,
     )
 
 
@@ -604,18 +680,23 @@ def run_neuron(
     Digital outputs are checked against the threshold-unit oracle built
     from the run's own clock peak.  One schedule object serves every cycle
     of a distinct (code, recalibration flag), and one oracle bit every
-    cycle of a distinct code.
+    cycle of a distinct code.  The work that grows with the synapse count
+    (phase-system keys, drive toggles, oracle sums) is array work on the
+    distinct codes' bit matrix, once per run.
     """
-    table, index = _code_table(codes, cfg.tree.n)
+    table, bits, index = _code_table(codes, cfg.tree.n)
     warm = cfg.sim.startup_discard_cycles
     full = np.concatenate((np.zeros(warm, dtype=index.dtype), index))
     recal = np.arange(full.size) % cfg.sim.recal_every == 0
     first, plan_of = first_seen(2 * full + recal)
-    plans = [make_schedule(cfg, table[full[k]], cycle=k) for k in first.tolist()]
-    trace, ledger = _simulate_plans(cfg, plans, plan_of, keep_samples=keep_trace)
+    code_of = full[first]
+    # table entry 0 is the all-zero code, and the only one
+    plans = [_schedule(cfg, table[i], i == 0, forced)
+             for i, forced in zip(code_of.tolist(), recal[first].tolist())]
+    trace, ledger = _simulate_plans(cfg, plans, plan_of, bits, code_of, keep_samples=keep_trace)
     stats = CycleStats(*(a[warm:] for a in trace.stats))
     v_pk_ref = float(np.median(stats.v_pk))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)
-    return decided_run(table, index, stats, ledger, warm, cfg.dlcc, v_os, spec, v_pk_ref,
+    return decided_run(table, bits, index, stats, ledger, warm, cfg.dlcc, v_os, spec, v_pk_ref,
                        trace if keep_trace else None)

@@ -81,9 +81,12 @@ def test_values_outside_the_range_are_rejected_by_name(cls, name, is_int, interv
 
 
 def test_hand_written_tree_rules_reject_non_finite_capacitors():
-    for bad in (math.nan, math.inf, 0.0):
+    for bad in (math.nan, math.inf, 0.0, -1e-12):
         with pytest.raises(ValueError, match=r"^tree\.c_s\[1\]: "):
             SynapseTreeConfig(c_s=(1e-12, bad))
+        # the weights are checked at once; the first bad one is named
+        with pytest.raises(ValueError, match=r"^tree\.c_s\[300\]: "):
+            SynapseTreeConfig(c_s=(1e-12,) * 300 + (bad,) + (1e-12, bad))
         with pytest.raises(ValueError, match=r"^tree\.c_d: "):
             SynapseTreeConfig(c_d=bad)
 

@@ -186,9 +186,9 @@ def test_simulate_hands_its_distinct_plans_and_index_to_simulate_plans(monkeypat
     calls = []
     simulate_plans = neuron_mod._simulate_plans
 
-    def counted(cfg, distinct, plan_of, keep_samples=True):
+    def counted(cfg, distinct, plan_of, *gates, **kwargs):
         calls.append((distinct, plan_of.tolist()))
-        return simulate_plans(cfg, distinct, plan_of, keep_samples)
+        return simulate_plans(cfg, distinct, plan_of, *gates, **kwargs)
 
     monkeypatch.setattr(neuron_mod, "_simulate_plans", counted)
     cycles = [plans[i] for i in (1, 1, 0, 2, 0, 1)]
@@ -272,6 +272,53 @@ def test_write_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
     write_csv(str(path), ("a", "b", "c", "d"), [(np.float64(0.1), 1e-12 / 3, 7, "0110")])
     assert path.read_text() == f"a,b,c,d\n0.1,{1e-12 / 3!r},7,0110\n"
+
+
+def _per_cell_csv(path, header, rows):
+    # the per-cell formatter that write_csv's chunk templates replaced
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row]) + "\n")
+
+
+_EDGE_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-05, 1e22, 5e-324, 0.1, 1 / 3,
+               123456789012345680.0, 7, -3, 0, True, False, "0110", "", "nan"]
+_NUMPY_CELLS = [np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(1e16),
+                np.float32(0.1), np.int64(5), np.bool_(True), np.str_("x")]
+
+
+@pytest.mark.parametrize("numpy_chunk", [None, 0, 1, 2])
+def test_write_csv_matches_the_per_cell_formatter(tmp_path, numpy_chunk):
+    # three chunks, the last one partial: Python cells only, or numpy
+    # scalars in one chunk; every byte as the per-cell formatter writes it
+    header = ("a", "b", "c", "d", "e")
+    cells = _EDGE_CELLS * (-(-(2 * engine.CSV_CHUNK + 3) * 5 // len(_EDGE_CELLS)))
+    rows = [tuple(cells[5 * k:5 * k + 5]) for k in range(2 * engine.CSV_CHUNK + 3)]
+    if numpy_chunk is not None:
+        k = numpy_chunk * engine.CSV_CHUNK + 1
+        rows[k] = tuple(_NUMPY_CELLS[:5])
+        rows[k + 1] = tuple(_NUMPY_CELLS[3:])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(str(got), header, iter(rows))
+    _per_cell_csv(str(want), header, rows)
+    assert got.read_bytes() == want.read_bytes()
+    with pytest.raises(ValueError, match="every row needs 5 cells"):
+        write_csv(str(got), header, rows[:3] + [rows[3][:4]])
+
+
+def test_trace_csv_matches_the_per_cell_formatter(tmp_path):
+    # a trace longer than one chunk, written from per-chunk Python floats
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 0, 0, 0), (0, 1, 1, 1)] * 5
+    trace, _ = simulate(cfg, [make_schedule(cfg, c, cycle=k) for k, c in enumerate(codes)])
+    assert trace.t.size > engine.CSV_CHUNK
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    trace.to_csv(str(got))
+    _per_cell_csv(str(want), ("t", "I_L", "V_PC", "V_s", "V_m"),
+                  zip(trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_lossless_ring_fit_recovers_resonance():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from acansim import (
@@ -170,6 +171,24 @@ def test_neuron_spec_tie_does_not_fire():
     spec = NeuronSpec(weights=(1.0, 1.0), theta=2.0)
     assert spec.fires((1, 1)) == 0
     assert spec.fires((1, 0)) == 0
+
+
+def test_fires_rows_sums_left_to_right_as_fires():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right and 0.6 summed
+    # right to left: at theta 0.6 only the left-to-right sum fires
+    spec = NeuronSpec(weights=(0.1, 0.2, 0.3, 0.5), theta=0.6)
+    codes = [(1, 1, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1)]
+    assert [spec.fires(code) for code in codes] == [1, 0, 0, 0, 1]
+    bits = np.array(codes, dtype=bool)
+    assert spec.fires_rows(bits).tolist() == [1, 0, 0, 0, 1]
+    assert NeuronSpec(weights=(1.0, 1.0), theta=2.0).fires_rows(np.ones((1, 2), bool)).tolist() == [0]
+    # 16 weights sum to 6.000000000000001 left to right, but to 6.0 by a
+    # dot product or numpy's pairwise sum
+    spec = NeuronSpec(weights=(0.2, 0.3, 0.7, 0.7, 0.1, 0.1, 0.7, 0.7,
+                               0.1, 0.2, 0.7, 0.2, 0.2, 0.7, 0.2, 0.2), theta=6.0)
+    assert spec.fires((1,) * 16) == spec.fires_rows(np.ones((1, 16), bool))[0] == 1
+    with pytest.raises(ValueError, match="length mismatch"):
+        spec.fires_rows(bits[:, :3])
 
 
 def test_neuron_spec_unreachable_threshold():

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -474,7 +475,9 @@ def test_input_forms_give_the_canonical_stream(design):
     fresh = [tuple(list(code)) for code in canonical]
     assert len(set(map(id, fresh))) == len(fresh)
     want = _run(design, cfg, canonical)
-    for codes in (raw, mutated(), fresh, (tuple(list(code)) for code in canonical)):
+    # bits that are finite numbers but not plain ones, as fractions
+    exact = [tuple(map(Fraction, code)) for code in canonical]
+    for codes in (raw, mutated(), fresh, (tuple(list(code)) for code in canonical), exact):
         got = _run(design, cfg, codes)
         assert got.table == want.table
         assert got.output_bits == want.output_bits
@@ -500,26 +503,50 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_repeated_codes_share_their_per_code_work(monkeypatch):
     # one 512-synapse stream of three distinct codes over 36 cycles: the
-    # O(n) work runs once per distinct key, not once per cycle
+    # O(n) work runs on the distinct codes' bit matrix, once per run, and
+    # no per-bit function runs per cycle, code, plan or transition
     cfg = tune_inductor(scaled_tree(CircuitConfig(), 512))
     n = cfg.tree.n
     a = (1,) * 256 + (0,) * 256
     b = (0, 1) * 256
     zero = (0,) * n
     codes = [a] * 12 + [b] * 12 + [zero] * 4 + [a] * 8
-    schedules = _count_calls(monkeypatch, neuron_mod, "make_schedule")
-    fires = _count_calls(monkeypatch, NeuronSpec, "fires")
-    run_neuron(cfg, codes)
+    per_bit = [_count_calls(monkeypatch, NeuronSpec, "fires"),
+               _count_calls(monkeypatch, neuron_mod, "make_schedule"),
+               _count_calls(monkeypatch, neuron_mod, "build_phase_system")]
+    scored = _count_calls(monkeypatch, NeuronSpec, "fires_rows")
+    counted = _count_calls(monkeypatch, neuron_mod, "_weight_counts")
+    simulated = _count_calls(monkeypatch, neuron_mod, "_simulate_plans")
+    run = run_neuron(cfg, codes)
+    assert all(len(calls) == 0 for calls in per_bit)
+    matrix = np.array([zero, a, b], dtype=bool)
+    (_, plans, plan_of, gates, gate_of), = simulated
+    np.testing.assert_array_equal(gates, matrix)
+    (_, on), = counted
+    assert on is gates
+    # one plan per (code, recalibration flag), keyed on the index arrays
     warm = cfg.sim.startup_discard_cycles
-    keys = {(c, k % cfg.sim.recal_every == 0) for k, c in enumerate([zero] * warm + codes)}
+    full = [zero] * warm + codes
+    keys = {(c, k % cfg.sim.recal_every == 0) for k, c in enumerate(full)}
     assert len(keys) == 5
-    assert len(schedules) == len(keys)
-    assert len(fires) == len(set(codes)) == 3
+    plan_keys = [(gate_of[p], k % cfg.sim.recal_every == 0) for k, p in enumerate(plan_of.tolist())]
+    assert len(plans) == len(set(plan_keys)) == len(set(zip(plan_keys, plan_of.tolist()))) == 5
+    for k, (p, (g, forced)) in enumerate(zip(plan_of.tolist(), plan_keys)):
+        assert matrix[g].tolist() == [bool(x) for x in full[k]]
+        assert [sw.reset_on for _, _, sw in plans[p]] == [g == 0 or forced, g == 0]
+    (_, rows), = scored
+    np.testing.assert_array_equal(rows, matrix)
+    assert run.table == [zero, a, b]
 
-    fires.clear()
+    scored.clear()
     levels = _count_calls(monkeypatch, baseline_mod, "_levels")
     run_baseline(BaselineConfig.from_circuit(cfg), codes)
+    assert all(len(calls) == 0 for calls in per_bit)
     pairs = set(zip([zero] + codes, codes))
     assert len(pairs) == 6
-    assert len(levels) == len(pairs)
-    assert len(fires) == 3
+    (_, before, after), = levels
+    assert before.shape == after.shape == (len(pairs), n)
+    assert {(x.tobytes(), y.tobytes()) for x, y in zip(before, after)} == {
+        (np.array(x, dtype=bool).tobytes(), np.array(y, dtype=bool).tobytes()) for x, y in pairs}
+    (_, rows), = scored
+    np.testing.assert_array_equal(rows, matrix)

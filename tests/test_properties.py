@@ -6,7 +6,10 @@ divergence errors on steps that grow the state; on random circuits a run
 either fails by name or returns finite results; on random per-cycle keys
 pass 1's order of work tiles the run and batches only repeated cycles; on
 random phase operators and start clouds the peak search returns the
-exhaustive maximum."""
+exhaustive maximum; on random trees with repeated and unequal weights
+the run path's code matrix keeps the per-bit rules: the same run from
+tuples, lists or one array, oracle bits equal to ``NeuronSpec.fires``,
+drive accounts equal to the bit toggles, and the same errors."""
 
 import math
 import warnings
@@ -22,9 +25,12 @@ from acansim import (
     BaselineConfig,
     CircuitConfig,
     EnergyLedger,
+    NeuronSpec,
     SimConfig,
     SimulationError,
     SynapseTreeConfig,
+    baseline_oracle_spec,
+    dlcc_offset,
     energy_residual,
     engine,
     run_baseline,
@@ -123,6 +129,85 @@ def test_closed_form_kernel_matches_reference_on_random_trees(case):
         refs = [run_neuron(cfg, codes, keep_trace=True), run_baseline(base, codes)]
     for run, ref in zip(runs, refs):
         assert_same_run(run, ref)
+
+
+@st.composite
+def trees_and_repeating_streams(draw):
+    # up to 8 synapses of three weight values, so repeated and unequal
+    # weights mix; a stream drawn from up to four distinct codes, so codes
+    # repeat; and where a malformed code goes in the error cases
+    weights = draw(st.lists(st.sampled_from((0.5e-12, 1e-12, 2e-12)), min_size=1, max_size=8))
+    distinct = draw(st.lists(st.tuples(*[st.integers(0, 1)] * len(weights)),
+                             min_size=1, max_size=4))
+    codes = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    return tuple(weights), codes, draw(st.integers(0, len(codes)))
+
+
+def _assert_same_runs(got, want):
+    assert got.table == want.table
+    for name in ("index", "outputs", "delays", "oracle_bits"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    for a, b in zip(got.stats, want.stats):
+        np.testing.assert_array_equal(a, b)
+    for f in fields(EnergyLedger):
+        assert np.array_equal(getattr(got.ledger_full, f.name),
+                              getattr(want.ledger_full, f.name)), f.name
+
+
+def _raises(design, cfg, codes, message):
+    with pytest.raises(ValueError) as err:
+        design(cfg, codes)
+    assert str(err.value) == message
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=trees_and_repeating_streams())
+def test_code_matrix_keeps_the_per_bit_rules(case):
+    weights, codes, bad_at = case
+    n = len(weights)
+    cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=weights)))
+    base = BaselineConfig.from_circuit(cfg)
+    v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
+    e_toggle = 0.5 * cfg.tree.c_inv * cfg.dlcc.v_dd ** 2
+    zero = (0,) * n
+    for design, config in ((run_neuron, cfg), (run_baseline, base)):
+        want = design(config, codes)
+        for form in ([list(code) for code in codes], [tuple(map(float, code)) for code in codes],
+                     np.array(codes, dtype=int)):
+            _assert_same_runs(design(config, form), want)
+        assert [want.table[i] for i in want.index.tolist()] == codes
+        assert want.table[0] == zero and len(set(want.table)) == len(want.table)
+
+        spec = (NeuronSpec.from_circuit(cfg, want.v_pk_reference, v_os=v_os)
+                if design is run_neuron else baseline_oracle_spec(base, v_os=v_os))
+        assert want.oracle_bits.tolist() == [spec.fires(code) for code in codes]
+
+        # one toggle per bit that differs from the previous cycle's code,
+        # from every gate open; warm-up cycles hold the all-zero code
+        full = [zero] * want.warm_up + codes
+        toggles = [sum(x != y for x, y in zip(prev, code)) for prev, code in zip([zero] + full, full)]
+        np.testing.assert_array_equal(want.ledger_full.drive, np.array(toggles) * e_toggle)
+
+        for form in (tuple, list):
+            stream = [form(code) for code in codes]
+
+            def spliced(bad):
+                return stream[:bad_at] + [form(bad)] + stream[bad_at:]
+
+            _raises(design, config, [], "code stream is empty: need at least one code")
+            _raises(design, config, spliced((1,) * (n + 1)),
+                    f"code {bad_at} has {n + 1} bits, tree has {n} synapses")
+            for bit in (math.nan, "1"):
+                _raises(design, config, spliced((0,) * (n - 1) + (bit,)),
+                        f"code {bad_at} has a bit that is not a finite number")
+        _raises(design, config, np.zeros((0, n), dtype=int),
+                "code stream is empty: need at least one code")
+        _raises(design, config, np.ones((len(codes), n + 1), dtype=int),
+                f"code 0 has {n + 1} bits, tree has {n} synapses")
+        floats = np.array(codes, dtype=float)
+        floats[min(bad_at, len(codes) - 1), -1] = math.nan
+        _raises(design, config, floats,
+                f"code {min(bad_at, len(codes) - 1)} has a bit that is not a finite number")
 
 
 @st.composite
