@@ -10,7 +10,6 @@ grid points concurrently when asked.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -75,9 +74,11 @@ def worst_window_mean(series: Sequence[float], skip: int, window: int) -> float:
     return float(np.fmax.reduce(acc / window, initial=-math.inf))   # NaN windows lose, as in max()
 
 
-def _const_codes(tree: SynapseTreeConfig, alpha: float, cycles: int) -> list[Code]:
-    n_on = active_count(tree, alpha)
-    return [tuple(1 if i < n_on else 0 for i in range(tree.n))] * cycles
+def _const_codes(tree: SynapseTreeConfig, alpha: float, cycles: int) -> np.ndarray:
+    """``cycles`` rows of one code, the first synapses enabled at loading
+    alpha: one boolean (cycles, n) array, which ``run_neuron`` reads whole."""
+    on = np.arange(tree.n) < active_count(tree, alpha)
+    return np.broadcast_to(on, (cycles, tree.n))
 
 
 def _fill_codes(orders: list[list[Code]], cycles: int) -> list[Code]:
@@ -86,7 +87,7 @@ def _fill_codes(orders: list[list[Code]], cycles: int) -> list[Code]:
     return (flat * reps)[:cycles]
 
 
-def _load_codes(cfg: CircuitConfig, spec: SweepSpec) -> list[Code]:
+def _load_codes(cfg: CircuitConfig, spec: SweepSpec) -> list[Code] | np.ndarray:
     if spec.load_case == "all-0":
         return _const_codes(cfg.tree, 0.0, spec.cycles)
     if spec.load_case == "all-1":
@@ -129,6 +130,9 @@ def _corner_point(args):
 def _pmap(fn, items: list, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: ``import acansim`` then loads no multiprocessing module
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
         return list(ex.map(fn, items))
 
@@ -564,7 +568,7 @@ def compare_designs(
     rows = []
     for alpha in (0.0, 1.0):
         opt = optimize_frequency(cfg, alpha, spec=spec)
-        code = _const_codes(cfg.tree, alpha, 1)[0]
+        code = tuple(_const_codes(cfg.tree, alpha, 1)[0].astype(int).tolist())
         zero = (0,) * cfg.tree.n
         b_cfg = BaselineConfig.from_circuit(cfg)
         run_b = run_baseline(b_cfg, [code, zero] * max(spec.repeats, 2))

@@ -145,10 +145,11 @@ def _build_maps(pairs: Iterable[tuple[PhaseSystem, float]]) -> dict[tuple[PhaseS
 
 # Steps per block of a phase operator: step k = bB + m of a phase is
 # G^m G^(bB) z, from a table of B powers and one power per block.
-_BLOCK = 32
+_BLOCK = 64
 # Cycles x blocks per pass-2 chunk of the peak search and the sampled
-# states: bounds their per-block temporaries, whatever a slot's length.
-_CHUNK_BLOCKS = 8192
+# states, 2^18 steps: bounds their per-block temporaries, whatever a
+# slot's length or the block length.
+_CHUNK_BLOCKS = 2 ** 18 // _BLOCK
 _CHORD = np.arange(_BLOCK + 1)[:, None, None] / _BLOCK   # m / B at the steps m <= B of a block
 # Entries (operators x B x peak rows x blocks x (d + 1)) per compile stack
 # of the chord deviation product: bounds its temporary, 2 MB, however
@@ -194,18 +195,19 @@ def _stein_sums(g: np.ndarray, forms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     counts n, by doubling over the bits of the largest n: O(log n) stacked
     products and no n-sized arrays (the trapezoid analogue of Van Loan's
     block-exponential integrals, in the manner of squared Smith iteration).
-    A zero bit of n steps by I and adds no form: sum and power stay exact."""
-    on = (ns[None, :] >> np.arange(int(ns.max()).bit_length())[::-1, None]) & 1 == 1
+    A zero bit of n steps by I and adds no form, so a bit that no n sets
+    takes no step at all: sum and power stay exact."""
     eye = np.eye(g.shape[-1])
-    steps = np.where(on[:, :, None, None], g, eye)        # per bit: G, or I where it is zero
-    fronts = np.where(on[:, :, None, None], forms, 0.0)   # per bit: the form one more step adds
     w = np.zeros_like(forms)
     p = np.broadcast_to(eye, g.shape)   # G^(terms summed so far)
-    for step, front in zip(steps, fronts):
+    for bit in range(int(ns.max()).bit_length() - 1, -1, -1):
         w = w + np.swapaxes(p, 1, 2) @ w @ p
         p = p @ p
-        w = front + np.swapaxes(step, 1, 2) @ w @ step
-        p = p @ step
+        on = (ns >> bit) & 1 == 1
+        if on.any():
+            step = np.where(on[:, None, None], g, eye)   # G, or I where the bit is zero
+            w = np.where(on[:, None, None], forms, 0.0) + np.swapaxes(step, 1, 2) @ w @ step
+            p = p @ step
     return w
 
 
@@ -223,7 +225,8 @@ class PhaseOperator:
     stored.
 
     It is built from the step map ``maps`` = (E, f) of size dt and holds G
-    and the end map, all that pass 1 needs.  ``compile_operators`` adds the
+    and the end map, also with its shift folded in (``folded``, which maps
+    [x0; 1] itself), all that pass 1 needs.  ``compile_operators`` adds the
     rest: the block table and starts, the divergence guard's bound, the
     peak rows of the block starts (``coarse``) and per peak row bounds on
     how far the row rises above each block's chord (``deviation``, second
@@ -249,9 +252,11 @@ class PhaseOperator:
         self.v_limit = v_limit
         self.ref = np.append(x_ref, 0.0)   # z = [x; 1] - ref
         self._g = g
-        # [x_end; 1] = end @ z
+        # [x_end; 1] = end @ z = folded @ [x0; 1], the shift folded in
         self.end = _end_power(g, n)
         self.end[:d, d] += x_ref
+        self.folded = self.end.copy()
+        self.folded[:, d] -= self.end @ self.ref
 
     def guard(self, zs: np.ndarray) -> np.ndarray:
         """Divergence guard of the phase over a stack of shifted start
@@ -729,11 +734,8 @@ def _run_batch(period: list[tuple[np.ndarray | None, list[SlotKey]]], z: np.ndar
         c = np.eye(z.shape[1])
         for entry, keys in period:
             c = c if entry is None else entry @ c
-            for key in keys:   # the end map, its shift folded in
-                op = slots[key][0]
-                fold = op.end.copy()
-                fold[:, -1] -= op.end @ op.ref
-                c = fold @ c
+            for key in keys:
+                c = slots[key][0].folded @ c
         while len(z) < n_starts:   # by doubling
             z = np.concatenate([z, z[:n_starts - len(z)] @ c.T])
             c = c @ c

@@ -310,7 +310,7 @@ def sweep_lock_frequency(cfg: CircuitConfig, codes: Sequence[Sequence[int]]) -> 
     total = 0.0
     for code in codes:
         _require(len(code) == n, f"codes: every code must have length {n}")
-        n_on = sum(1 for b in code if b)
+        n_on = sum(map(bool, code))
         total += effective_pc_capacitance(cfg.tree, cfg.pc, n_on / n)
     return cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
 

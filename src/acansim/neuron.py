@@ -47,6 +47,8 @@ from .model import (
 )
 
 Code = tuple[int, ...]
+# a code's 0/1 bytes to its CSV name, one character per bit
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 # Measured comparator offset (V) over the trim-resistance grid.  Rows are
 # the left resistance, columns the right one, both spanning 1k..10k Ohm in
@@ -360,13 +362,19 @@ def _validate_plan(plan: CyclePlan) -> None:
 
 
 def _plan_phases(cfg: CircuitConfig, plan: CyclePlan, systems: dict[tuple, PhaseSystem],
-                 values: Sequence[float], counts: tuple[int, ...]) -> tuple[Phase, ...]:
+                 steps: dict[tuple, list[int]], values: Sequence[float],
+                 counts: tuple[int, ...]) -> tuple[Phase, ...]:
     """Phases of one valid cycle plan whose gates enable ``counts`` synapses
     of each weight value in ``values`` (``_weight_counts``).  Phase systems
     are shared through ``systems`` across the plans of a run, keyed by
-    their content: the bypass and reset switches and those counts."""
+    their content: the bypass and reset switches and those counts; step
+    allocations through ``steps``, keyed by all that ``_allocate_steps``
+    reads: the segments' fractions and bypass switches."""
+    layout = (tuple(end - start for start, end, _ in plan), tuple(sw.bypass_on for _, _, sw in plan))
+    if layout not in steps:
+        steps[layout] = _allocate_steps(plan, cfg.sim.steps_per_cycle)
     phases = []
-    for (start, end, sw), n_steps in zip(plan, _allocate_steps(plan, cfg.sim.steps_per_cycle)):
+    for (start, end, sw), n_steps in zip(plan, steps[layout]):
         key = (sw.bypass_on, sw.reset_on, counts)
         if key not in systems:
             systems[key] = _phase_system(cfg, sw, values, counts)
@@ -457,9 +465,10 @@ def _simulate_plans(
     x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
 
     systems: dict[tuple, PhaseSystem] = {}
+    steps: dict[tuple, list[int]] = {}
     values, counts = _weight_counts(cfg.tree.c_s, gates)
     keys = list(map(tuple, counts.tolist()))
-    plan_phases = [_plan_phases(cfg, plan, systems, values, keys[g])
+    plan_phases = [_plan_phases(cfg, plan, systems, steps, values, keys[g])
                    for plan, g in zip(plans, gate_of.tolist())]
     gate = gate_of[plan_of]
     prev = np.concatenate(([0], gate[:-1]))
@@ -551,7 +560,7 @@ class NeuronRun:
         return "".join(map(str, self.oracle_bits.tolist()))
 
     def to_csv(self, path: str) -> None:
-        names = ["".join(map(str, code)) for code in self.table]
+        names = [bytes(code).translate(_BIT_CHARS).decode() for code in self.table]
         write_csv(
             path, ("cycle", "code", "V_m_peak", "OutP", "delay_ns", "E_tree_pJ", "E_soma_pJ"),
             zip(range(self.index.size), map(names.__getitem__, self.index.tolist()),

@@ -6,6 +6,9 @@ the engine did before its closed-form phase operators.  The parity tests
 run both designs through this kernel and through the engine's and
 compare the results.  ``Gathers`` shows which blocks the peak search
 evaluates step by step, for tests that compare it with an exhaustive one.
+``stein_sums`` is the engine's Stein doubling with a step at every bit,
+for the test that pins the engine's, which skips the bits no step count
+sets, to it.
 """
 
 from contextlib import contextmanager
@@ -88,6 +91,23 @@ def run_cycles(ledger, kinds, kind_of, x0, t_cycle, v_limit, peak_rows, stride=N
         prev = phases[-1].system
     ledger.e_stored_last = float(prev.stored_energy(x))
     return peaks, samples, states
+
+
+def stein_sums(g, forms, ns):
+    """``engine._stein_sums`` stepping at every bit of the largest n: a bit
+    that no n sets steps every map by I and adds no form."""
+    on = (ns[None, :] >> np.arange(int(ns.max()).bit_length())[::-1, None]) & 1 == 1
+    eye = np.eye(g.shape[-1])
+    steps = np.where(on[:, :, None, None], g, eye)        # per bit: G, or I where it is zero
+    fronts = np.where(on[:, :, None, None], forms, 0.0)   # per bit: the form one more step adds
+    w = np.zeros_like(forms)
+    p = np.broadcast_to(eye, g.shape)   # G^(terms summed so far)
+    for step, front in zip(steps, fronts):
+        w = w + np.swapaxes(p, 1, 2) @ w @ p
+        p = p @ p
+        w = front + np.swapaxes(step, 1, 2) @ w @ step
+        p = p @ step
+    return w
 
 
 class Gathers(np.ndarray):

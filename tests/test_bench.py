@@ -12,15 +12,18 @@ from acansim import (
     CircuitConfig,
     Corner,
     SweepSpec,
+    active_count,
     compare_designs,
     corner_study,
     optimize_frequency,
+    run_neuron,
     scaled_tree,
     scaling_study,
     sweep_freq_duty,
     sweep_width_duty,
     worst_window_mean,
 )
+from acansim import bench
 
 _FAST = SweepSpec(cycles=48, skip=8, window=20)
 
@@ -218,6 +221,26 @@ def test_corner_study_slow_corner_costs_most(tmp_path):
     path = tmp_path / "corners.csv"
     table.to_csv(str(path))
     assert path.read_text().splitlines()[0] == "corner,temp_C,E_tree_J,E_soma_J,outputs_ok"
+
+
+def test_constant_streams_are_one_boolean_array():
+    # a constant stream is one (cycles, n) boolean array whose rows are
+    # the code of the first active_count synapses, and a run reads it to
+    # the bits of the same stream as a list of 0/1 tuples
+    cfg = scaled_tree(CircuitConfig(), 8)
+    for alpha in (0.0, 0.3, 1.0):
+        codes = bench._const_codes(cfg.tree, alpha, 24)
+        n_on = active_count(cfg.tree, alpha)
+        assert codes.dtype == bool and codes.shape == (24, 8)
+        as_tuples = [tuple(1 if i < n_on else 0 for i in range(8))] * 24
+        assert codes.astype(int).tolist() == [list(c) for c in as_tuples]
+        got, want = run_neuron(cfg, codes), run_neuron(cfg, as_tuples)
+        assert got.table == want.table
+        np.testing.assert_array_equal(got.index, want.index)
+        for name in ("s_e", "soma"):
+            np.testing.assert_array_equal(getattr(got.ledger, name), getattr(want.ledger, name))
+        np.testing.assert_array_equal(np.column_stack(got.stats), np.column_stack(want.stats))
+        assert got.output_bits == want.output_bits
 
 
 def test_compare_designs_sweep_mode():

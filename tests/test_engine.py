@@ -43,7 +43,7 @@ from acansim.engine import (
 )
 from acansim.neuron import build_phase_system, input_sweeps, make_schedule
 from decay_fit import fit_decay
-from reference_kernel import Gathers, assert_same_run, propagate, reference_kernel
+from reference_kernel import Gathers, assert_same_run, propagate, reference_kernel, stein_sums
 
 
 def _operating_point(cfg, f):
@@ -343,7 +343,9 @@ def test_damped_ring_fit_recovers_loss_rate():
 
 
 def test_import_loads_no_scipy():
-    # the package needs numpy alone; scipy serves the tests' decay fits
+    # the package needs numpy alone; scipy serves the tests' decay fits.
+    # Nor does it load the process pool's modules, which only a sweep with
+    # more than one job needs, at import
     import acansim
     src = str(Path(acansim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -351,7 +353,8 @@ def test_import_loads_no_scipy():
     out = subprocess.run(
         [sys.executable, "-c",
          "import acansim, acansim.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -561,7 +564,7 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
         return guard(self, zs, *args)
 
     def counted_peaks(self, zs):
-        peaks.append(len(zs) * self.blocks.shape[0])
+        peaks.append((len(zs), self.blocks.shape[0]))
         return search(self, zs)
 
     monkeypatch.setattr(PhaseOperator, "guard", counted_guard)
@@ -572,7 +575,7 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     assert len(guards) == len({id(op) for op, _ in guards}) <= 8
     assert sum(n for _, n in guards) == 2 * (cfg.sim.startup_discard_cycles + 600)
     # even chunks overshoot the bound by less than one cycle's blocks
-    assert all(m < engine._CHUNK_BLOCKS + 128 for m in peaks)
+    assert all(c * blocks < engine._CHUNK_BLOCKS + blocks for c, blocks in peaks)
     chunks = sum(-(-n * op.blocks.shape[0] // engine._CHUNK_BLOCKS) for op, n in guards)
     assert len(peaks) == chunks == 14
 
@@ -665,14 +668,16 @@ def test_phase_operator_states_and_peaks_match_propagation():
         np.testing.assert_allclose(op.peaks(zs)[:, i], every[:, :, r].max(1), rtol=1e-12)
 
 
-@pytest.mark.parametrize("n", [33, 512, 3583, 3584])
+@pytest.mark.parametrize("n", [engine._BLOCK + 1, 8 * engine._BLOCK, 56 * engine._BLOCK - 1,
+                               56 * engine._BLOCK])
 def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
     # a deviation bound far above any state makes every block a candidate:
     # the exhaustive search, on the same arithmetic, so the chord-bounded
     # search must return its bits.  The bound is set on the operator, and
-    # the search must then gather every block for both rows.  Step counts:
-    # a partial last block of one step, whole blocks, a partial one, and a
-    # last block of step n alone.  The phase spans most of a cycle, or 24
+    # the search must then gather every block for both rows.  Step counts,
+    # from the block length B: a partial last block of one step, whole
+    # blocks, a partial one, and a last block of step n alone (56 B is a
+    # cycle's main phase at B = 64).  The phase spans most of a cycle, or 24
     # steps a clock period, so that crests can rise inside blocks whose ends
     # both lie below the best block start.  The second system's membrane
     # holds exactly (gates and reset open), so there every block ties
@@ -702,7 +707,8 @@ def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
 
 def test_stacked_compile_matches_lone_compiles():
     # operators of three dimensions whose step counts have bit lengths
-    # from 1 to 13, compiled in one batch and each alone: a lone operator
+    # from 1 to 13 (at B = 64; a block less or more than B steps among
+    # them), compiled in one batch and each alone: a lone operator
     # is a batch of one, so the batch must leave each one's accounts,
     # deviation bounds and peaks as they are
     cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 1e-12, 2e-12, 2e-12))))
@@ -714,7 +720,8 @@ def test_stacked_compile_matches_lone_compiles():
     assert sorted({sys.dim for sys in systems}) == [3, 4, 5]
     rng = np.random.default_rng(7)
     args = []
-    for k, n in enumerate((1, 2, 31, 32, 33, 1024, 3072, 3584, 4096)):
+    b = engine._BLOCK
+    for k, n in enumerate((1, 2, b - 1, b, b + 1, 16 * b, 48 * b, 56 * b, 64 * b)):
         sys = systems[k % len(systems)]
         x_ref = np.array([1e-4, 0.3, *[0.3] * (sys.dim - 3), 0.8]) + rng.normal(scale=0.05, size=sys.dim)
         dt = 0.9 * cfg.pc.t_pc / n
@@ -740,6 +747,37 @@ def test_stacked_compile_matches_lone_compiles():
         assert len(op.accounts) == len(alone.accounts)
         np.testing.assert_array_equal(op.deviation, alone.deviation)
         np.testing.assert_array_equal(op.peaks(zs), alone.peaks(zs))
+
+
+def test_stein_doubling_skips_only_identity_steps():
+    # the engine's doubling steps only at the bits that some step count of
+    # the stack sets; the reference steps at every bit of the largest, by
+    # I where a count's bit is zero.  They must agree bit for bit, on
+    # stacks that skip no bit, some bits or most of them (512 and 3584 set
+    # only bits 9 to 11), and both must equal the direct sum over the
+    # steps, sum_{k<n} (G^k)^T Q G^k, within 1e-12 of its largest entry.
+    # The maps are a clock phase's augmented step maps at dt = 0.95 T / n
+    sys, _, _ = _clock_phase()
+    t_pc = tune_inductor(CircuitConfig()).pc.t_pc
+    ns = np.array([1, 2, 3, 512, 3584, 4096])
+    g = np.stack([PhaseOperator(sys, 0.95 * t_pc / n, n, step_maps(sys.a, sys.b, 0.95 * t_pc / n),
+                                np.array([1e-4, 0.3, 0.3, 0.8]), (1, -1), math.inf)._g
+                  for n in ns.tolist()])
+    rng = np.random.default_rng(19)
+    q = rng.normal(size=g.shape)
+    forms = q + np.swapaxes(q, 1, 2)
+    direct = []
+    for gi, qi, n in zip(g, forms, ns.tolist()):
+        w, p = np.zeros_like(qi), np.eye(len(qi))
+        for _ in range(n):
+            w += p.T @ qi @ p
+            p = p @ gi
+        direct.append(w)
+    for pick in ([0, 1, 2, 3, 4, 5], [3, 4], [4, 5], [0, 1, 2], *[[i] for i in range(ns.size)]):
+        got = engine._stein_sums(g[pick], forms[pick], ns[pick])
+        np.testing.assert_array_equal(got, stein_sums(g[pick], forms[pick], ns[pick]))
+        for w, i in zip(got, pick):
+            assert np.abs(w - direct[i]).max() <= 1e-12 * np.abs(direct[i]).max(), ns[i]
 
 
 def test_compile_splits_a_large_stack_without_changing_it(monkeypatch):
@@ -802,14 +840,20 @@ def test_stacked_powers_equal_each_matrix_powers(stack, count):
         np.testing.assert_allclose(alone[-1], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 3583, 3584])
+@pytest.mark.parametrize("n", [1, engine._BLOCK - 1, engine._BLOCK, engine._BLOCK + 1,
+                               56 * engine._BLOCK - 1, 56 * engine._BLOCK])
 def test_end_map_is_the_compiled_tables_power(n):
     # pass 1 uses an operator's end map before the compile: it must be the
-    # power that the compiled block table and starts give, bit for bit
+    # power that the compiled block table and starts give, bit for bit.
+    # Its shift-folded form, which period maps compose, must be the end
+    # map with the shift subtracted from its affine column, bit for bit
     sys, _, dt = _clock_phase()
     x_ref = np.array([1e-4, 0.3, 0.3, 0.8])
     op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
     end = op.end.copy()
+    folded = end.copy()
+    folded[:, -1] -= end @ op.ref
+    np.testing.assert_array_equal(op.folded, folded)
     compile_operators([op])
     want = op.table[n % engine._BLOCK] @ op.blocks[n // engine._BLOCK]
     want[:-1, -1] += x_ref

@@ -155,6 +155,19 @@ def test_sweep_lock_frequency_constant_stream():
         sweep_lock_frequency(cfg, [(1, 0)])
 
 
+def test_sweep_lock_frequency_counts_truthy_bits():
+    # a bit is on where it is truthy, as ``sum(1 for b in code if b)``
+    # counts it: ints other than 1, floats, NaN, bools and numpy scalars
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 0, 2, -1), (0.5, 0.0, 0, 0), (True, False, True, True), (math.nan, 0, 0, 0),
+             tuple(np.array([0, 3, 0, 1])), np.array([0.0, -0.0, 1e-300, 0.0]), (0, 0, 0, 0)]
+    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
+    total = sum(effective_pc_capacitance(cfg.tree, cfg.pc, sum(1 for b in code if b) / 4)
+                for code in codes)
+    want = cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
+    assert sweep_lock_frequency(cfg, codes) == want
+
+
 def test_neuron_spec_from_circuit():
     cfg = CircuitConfig()
     spec = NeuronSpec.from_circuit(cfg, v_pk=1.8)

@@ -167,6 +167,28 @@ def test_make_schedule_validation():
         replace(cfg.pc, duty_d=0.5)
 
 
+def test_plan_phases_allocate_steps_once_per_fractions_and_bypass(monkeypatch):
+    # plans of two duties, every code and both recalibration flags: steps
+    # are allocated once per distinct (segment fractions, bypass
+    # switches), and every plan gets the steps its own allocation gives
+    cfg = tune_inductor(CircuitConfig())
+    plans = [make_schedule(c, code, cycle)
+             for c in (cfg, replace(cfg, pc=replace(cfg.pc, duty_d=0.2)))
+             for code in input_sweeps(4, n_scrambles=0)[0] for cycle in (0, 1)]
+    gates = np.array([[False] * 4] + [plan[0][2].synapse_on for plan in plans])
+    values, counts = neuron_mod._weight_counts(cfg.tree.c_s, gates)
+    keys = list(map(tuple, counts.tolist()))
+    calls = _count_calls(monkeypatch, neuron_mod, "_allocate_steps")
+    systems, steps = {}, {}
+    phases = [neuron_mod._plan_phases(cfg, plan, systems, steps, values, keys[g])
+              for g, plan in enumerate(plans, 1)]
+    assert len(calls) == 2 and len(plans) == 64
+    for plan, got in zip(plans, phases):
+        want = neuron_mod._allocate_steps(plan, cfg.sim.steps_per_cycle)
+        assert [p.n_steps for p in got] == want
+        assert [(p.start, p.end) for p in got] == [(start, end) for start, end, _ in plan]
+
+
 def test_input_sweeps_cover_the_code_set():
     sweeps = input_sweeps(4)
     assert len(sweeps) == 5
@@ -237,6 +259,20 @@ def test_run_neuron_csv_schema(tmp_path):
     for line in lines[1:]:
         for text in line.split(",")[2:]:
             float(text)   # every column after the code is a plain number
+
+
+def test_csv_code_names_are_the_bits_as_digits(tmp_path):
+    # each cycle's code is named by one digit per bit, as
+    # "".join(map(str, code)) names the table's 0/1 tuple: on 512-bit
+    # codes, the all-zero and all-one codes among them
+    cfg = tune_inductor(scaled_tree(CircuitConfig(), 512))
+    rng = np.random.default_rng(4)
+    codes = [*map(tuple, rng.integers(0, 2, size=(4, 512)).tolist()), (0,) * 512, (1,) * 512]
+    run = run_neuron(cfg, codes * 2)
+    path = tmp_path / "run.csv"
+    run.to_csv(str(path))
+    names = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+    assert names == ["".join(map(str, code)) for code in codes * 2]
 
 
 def test_run_neuron_rejects_non_finite_inductor(monkeypatch):

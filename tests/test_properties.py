@@ -360,15 +360,16 @@ def test_random_circuits_fail_by_name_or_run_finite(cfg, codes):
 @st.composite
 def peak_searches(draw):
     # a phase at random switches and step size, of fewer steps than a block
-    # or a last block of 1, 2 or 32 steps, and a cloud of start states: a
+    # or a last block of 1, 2 or B steps, and a cloud of start states: a
     # tight cluster about the operator's reference start plus far outliers,
     # so that the blocks some start needs are few or nearly all
     sw = SwitchState(draw(st.booleans()), draw(st.booleans()),
                      draw(st.tuples(*[st.booleans()] * 4)))
     per_period = draw(st.floats(3.0, 3000.0))   # steps per clock period
-    n = draw(st.one_of(st.integers(1, 31),
-                       st.builds(lambda b, m: 32 * b + m, st.integers(1, 120),
-                                 st.sampled_from((0, 1, 31)))))
+    block = engine._BLOCK
+    n = draw(st.one_of(st.integers(1, block - 1),
+                       st.builds(lambda b, m: block * b + m, st.integers(1, 3840 // block),
+                                 st.sampled_from((0, 1, block - 1)))))
     spread = draw(st.floats(1e-9, 1e-2))   # of the cluster, relative
     reach = draw(st.floats(1.0, 30.0))     # of the outliers, relative
     counts = draw(st.integers(1, 16)), draw(st.integers(0, 4))
