@@ -7,12 +7,14 @@ phase is affine in the phase's start state, and every quantity a run
 keeps is a closed form in it: a *phase operator* holds those forms.
 
 A run (``run_cycles``) builds the step maps of its distinct (phase
-system, step size) pairs, stacked, and takes two passes over phase slots
-(a phase at its place in a cycle), each of which owns one operator.
-Pass 1 carries each cycle's start state through the phases' end maps and
-records the state in each slot it passes: a repeated block of cycles
-goes as one batch, from powers of its period map.  Then the operators
-are compiled, stacked: their block powers, guard and peak bounds, and
+system, step size) pairs and the end maps of its distinct phases,
+stacked, and takes two passes over phase slots (a phase at its place in
+a cycle).  Pass 1 carries each cycle's start state through the entry
+maps and the phases' end maps and records the state in each slot it
+passes: a repeated block of cycles, its first period included, goes as
+one batch, from powers of its period map.  Then each slot gets one
+operator, built at its first start, and the operators are compiled,
+stacked: their block powers, guard and peak bounds, and
 their accounts from their systems' storage, loss and source terms (a
 source account is linear in the start state, a loss account a sum of
 squares: trapezoidal quadrature on the step grid, summed in closed form
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,18 +131,32 @@ def step_maps(a: np.ndarray, b: np.ndarray, dt: float | np.ndarray) -> tuple[np.
     return e, f
 
 
-def _build_maps(pairs: Iterable[tuple[PhaseSystem, float]]) -> dict[tuple[PhaseSystem, float],
-                                                                    tuple[np.ndarray, np.ndarray]]:
-    """Step maps of the distinct (system, dt) pairs, one stacked
-    ``step_maps`` call per state dimension."""
-    pairs = list(dict.fromkeys(pairs))
-    maps = {}
-    for dim in dict.fromkeys(system.dim for system, _ in pairs):
-        group = [(system, dt) for system, dt in pairs if system.dim == dim]
-        e, f = step_maps(np.stack([s.a for s, _ in group]), np.stack([s.b for s, _ in group]),
-                         np.array([dt for _, dt in group]))
-        maps.update(zip(group, zip(e, f)))
-    return maps
+def _build_maps(phases: Iterable[tuple[PhaseSystem, float, int]]) -> tuple[
+        dict[tuple[PhaseSystem, float], tuple[np.ndarray, np.ndarray]],
+        dict[tuple[PhaseSystem, float, int], np.ndarray]]:
+    """Step maps (E, f) of the distinct (system, dt) pairs of phases
+    (system, dt, n), one stacked ``step_maps`` call per state dimension,
+    and the end map of each distinct phase: M = G^n for G = [E f; 0 1] the
+    augmented step map, so [x_end; 1] = M [x0; 1], one stacked power per
+    state dimension and step count."""
+    by_dim: dict[int, dict[tuple[PhaseSystem, float], list[int]]] = {}
+    for system, dt, n in dict.fromkeys(phases):
+        by_dim.setdefault(system.dim, {}).setdefault((system, dt), []).append(n)
+    maps, ends = {}, {}
+    for d, pairs in by_dim.items():
+        e, f = step_maps(np.stack([s.a for s, _ in pairs]), np.stack([s.b for s, _ in pairs]),
+                         np.array([dt for _, dt in pairs]))
+        maps.update(zip(pairs, zip(e, f)))
+        g = np.zeros((len(pairs), d + 1, d + 1))
+        g[:, :d, :d], g[:, :d, d], g[:, d, d] = e, f, 1.0
+        by_n: dict[int, list[int]] = {}
+        for i, ns in enumerate(pairs.values()):
+            for n in ns:
+                by_n.setdefault(n, []).append(i)
+        keys = list(pairs)
+        for n, at in by_n.items():
+            ends.update(zip([(*keys[i], n) for i in at], np.linalg.matrix_power(g[at], n)))
+    return maps, ends
 
 
 # Steps per block of a phase operator: step k = bB + m of a phase is
@@ -173,21 +189,6 @@ def _powers(base: np.ndarray, count: int) -> np.ndarray:
         if s < count:
             base = base @ base
     return out.reshape(*base.shape[:-2], count, d, d)
-
-
-def _end_power(g: np.ndarray, n: int) -> np.ndarray:
-    """G^n as the compiled tables give it, G^(n mod B) @ (G^B)^(n // B):
-    each factor the product of the squarings G^(2^i) over the set bits i
-    of its exponent, lowest first, which is how ``_powers`` forms them.
-    (``dot``: the same product as ``@``, with less overhead per call.)"""
-    parts = [np.eye(g.shape[-1])] * 2   # bits below B, and from B on
-    for i in range(n.bit_length()):
-        if i:
-            g = g.dot(g)
-        if n >> i & 1:
-            part = i >= _BLOCK.bit_length() - 1
-            parts[part] = parts[part].dot(g)
-    return parts[0].dot(parts[1])
 
 
 def _stein_sums(g: np.ndarray, forms: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -224,13 +225,13 @@ class PhaseOperator:
     (m < B) and the block-start powers G^(bB); the n states are never
     stored.
 
-    It is built from the step map ``maps`` = (E, f) of size dt and holds G
-    and the end map, also with its shift folded in (``folded``, which maps
-    [x0; 1] itself), all that pass 1 needs.  ``compile_operators`` adds the
-    rest: the block table and starts, the divergence guard's bound, the
-    peak rows of the block starts (``coarse``) and per peak row bounds on
-    how far the row rises above each block's chord (``deviation``, second
-    order in B), which make the peak search exact, and the accounts.
+    It is built from the step map ``maps`` = (E, f) of size dt and holds G;
+    ``run_cycles`` builds each slot's operator once, after pass 1, at the
+    slot's first start.  ``compile_operators`` adds the rest: the block
+    table and starts, the divergence guard's bound, the peak rows of the
+    block starts (``coarse``) and per peak row bounds on how far the row
+    rises above each block's chord (``deviation``, second order in B),
+    which make the peak search exact, and the accounts.
     ``coarse`` and ``deviation`` are (d + 1, peak rows x blocks) columns,
     so that ``peaks`` gets every row's block-start values, and their
     bounds, from one product each.
@@ -252,11 +253,6 @@ class PhaseOperator:
         self.v_limit = v_limit
         self.ref = np.append(x_ref, 0.0)   # z = [x; 1] - ref
         self._g = g
-        # [x_end; 1] = end @ z = folded @ [x0; 1], the shift folded in
-        self.end = _end_power(g, n)
-        self.end[:d, d] += x_ref
-        self.folded = self.end.copy()
-        self.folded[:, d] -= self.end @ self.ref
 
     def guard(self, zs: np.ndarray) -> np.ndarray:
         """Divergence guard of the phase over a stack of shifted start
@@ -316,7 +312,7 @@ class PhaseOperator:
 
 
 def compile_operators(ops: Iterable[PhaseOperator]) -> None:
-    """Complete phase operators built in pass 1 for the guard and pass 2,
+    """Complete phase operators for the guard and pass 2,
     stacked: per state dimension, step count and peak rows one ``_powers``
     call for the block tables, one for the block starts and one deviation
     product (``_compile_powers``, which lays out the peak rows' block
@@ -548,33 +544,34 @@ def run_cycles(
     index into them.  A kind is ``(entry, phases)``: ``entry`` maps the
     previous cycle's end state ``[x; 1]`` to this cycle's augmented start
     state (None keeps the state), then the phases run in order.  The step
-    maps of the kinds' distinct (system, dt) pairs are built first, one
-    stacked call per state dimension.  Each slot, a phase at its step
-    offset in its cycle (and whether it ends the cycle), owns one
-    ``PhaseOperator``, built at the slot's first start state.
+    maps of the kinds' distinct (system, dt) pairs and the end maps of
+    their distinct phases are built first, stacked (``_build_maps``).
 
-    Pass 1 carries each cycle's start state through the end maps of its
-    phases and records each phase's shifted start in its slot, the one
-    record of the pass.  It goes in the order of ``_periods`` on
-    ``kind_of``, one ``_run_batch`` per item: a cycle in no repeated block
-    and each cycle of a block's first period go alone, as a period of one,
-    and the rest of a block as one batch.  It runs unguarded, with numpy's
-    overflow and invalid-value warnings off, for past a divergence the
-    states may overflow.  Then all the slots' operators are compiled at once
-    (``compile_operators``), and each slot guards its stacked starts with
-    one product (|x| < v_limit for every state of the phase; a NaN trips
-    it too).  Only the starts the bound fails are checked state by state,
-    in cycle-then-phase order, so a divergence raises the cycle and peak
-    that per-step propagation would name, before any overflow is read.
-    Pass 2 then works per slot on the stacked start states of every cycle
-    that ran it: the ledger accounts, the stored energy at the cycles'
-    start (first slots) and end (last slots), whose jumps from one cycle
-    to the next are booked as ``reconfig``, the per-cycle maxima of the
-    states ``peak_rows`` (one ``PhaseOperator.peaks`` call per even chunk
-    of at most about ``_CHUNK_BLOCKS`` cycles x blocks: per peak row, one
-    product of the chunk's starts and the steps of every block that one of
-    them needs), the membrane (last state) at ``SAMPLE_FRAC`` (nearest
-    step) and, with a ``stride``, the states at every stride-th step of the
+    Pass 1 carries each cycle's start state ``[x; 1]`` through the entry
+    maps and the phases' end maps, and records each phase's start in its
+    slot (a phase at its step offset in its cycle, and whether it ends the
+    cycle), the one record of the pass.  It goes in the order of
+    ``_periods`` on ``kind_of``, one ``_run_batch`` per item: a repeated
+    block of cycles, its first period included, as one batch, and any
+    other cycle alone, as a period of one.  It runs unguarded, with
+    numpy's overflow and invalid-value warnings off, for past a divergence
+    the states may overflow.  Then each slot gets its ``PhaseOperator``,
+    built once at the slot's first start, all of them are compiled at once
+    (``compile_operators``), and each slot guards its starts, shifted by
+    its operator's reference, with one product (|x| < v_limit for every
+    state of the phase; a NaN trips it too).  Only the starts the bound
+    fails are checked state by state, in cycle-then-phase order, so a
+    divergence raises the cycle and peak that per-step propagation would
+    name, before any overflow is read.  Pass 2 then works per slot on the
+    stacked start states of every cycle that ran it: the ledger accounts,
+    the stored energy at the cycles' start (first slots) and end (last
+    slots, from the phase's end map), whose jumps from one cycle to the
+    next are booked as ``reconfig``, the per-cycle maxima of the states
+    ``peak_rows`` (one ``PhaseOperator.peaks`` call per even chunk of at
+    most about ``_CHUNK_BLOCKS`` cycles x blocks: per peak row, one product
+    of the chunk's starts and the steps of every block that one of them
+    needs), the membrane (last state) at ``SAMPLE_FRAC`` (nearest step)
+    and, with a ``stride``, the states at every stride-th step of the
     concatenated cycle.
 
     All phases of a cycle share its state layout.  Returns the maxima
@@ -582,40 +579,44 @@ def run_cycles(
     states (None without a stride).
     """
     n_cycles = kind_of.size
-    # per kind, its entry and slot keys
-    kind_slots = [(entry, [(phase, sum(q.n_steps for q in phases[:j]), j == len(phases) - 1)
-                           for j, phase in enumerate(phases)]) for entry, phases in kinds]
-    maps = _build_maps((system, (end - start) * t_cycle / n_steps)
-                       for _, phases in kinds for start, end, n_steps, system in phases)
 
-    def operator(key: SlotKey, x: np.ndarray) -> PhaseOperator:
-        start, end, n_steps, system = key[0]
-        dt = (end - start) * t_cycle / n_steps
-        return PhaseOperator(system, dt, n_steps, maps[system, dt], x, peak_rows, v_limit)
+    def step(phase: Phase) -> float:
+        return (phase.end - phase.start) * t_cycle / phase.n_steps
 
-    # per slot key: operator, cycles, stacks of shifted starts
-    slots: dict[SlotKey, tuple[PhaseOperator, list[int], list[np.ndarray]]] = {}
-    z = np.append(x0, 1.0)
+    maps, ends = _build_maps((p.system, step(p), p.n_steps) for _, phases in kinds for p in phases)
+    # per kind, its entry and its slots' keys, each with its phase's end map
+    kind_slots = [(entry, [((p, sum(q.n_steps for q in phases[:j]), j == len(phases) - 1),
+                            ends[p.system, step(p), p.n_steps]) for j, p in enumerate(phases)])
+                  for entry, phases in kinds]
+
+    # per slot key: cycles, stacks of starts [x; 1]
+    starts: dict[SlotKey, tuple[list[int], list[np.ndarray]]] = {}
+    x = np.append(x0, 1.0)
     kind_at = kind_of.tolist()
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
         for k, p, count in _periods(kind_of):
-            # the period from cycle k: a batch's equals the p cycles before it
-            period = [kind_slots[i] for i in kind_at[k:k + max(p, 1)]]
-            z = _run_batch(period, z, k, count, slots, operator)
+            x = _run_batch([kind_slots[i] for i in kind_at[k:k + p]], x, k, count, starts)
 
-    slots = {key: (op, np.array(ks), np.concatenate(zs)) for key, (op, ks, zs) in slots.items()}
-    # a start past the limit (or NaN; an operator's reference is a start
-    # too) dooms the run and may overflow the compile and guard, so it
-    # quiets them as well; a healthy run's warn
-    healthy = all((np.abs(zs[:, :op.dim] + op.ref[:op.dim]) < op.v_limit).all()
-                  for op, _, zs in slots.values())
+    # a start past the limit (or NaN) dooms the run and may overflow the
+    # operators, compile and guard, so it quiets them as well; a healthy
+    # run's warn
+    starts = {key: (np.array(ks), np.concatenate(xs)) for key, (ks, xs) in starts.items()}
+    healthy = all((np.abs(xs[:, :-1]) < v_limit).all() for _, xs in starts.values())
+    # per slot key: operator, cycles, starts, starts shifted by the reference
+    slots: dict[SlotKey, tuple[PhaseOperator, np.ndarray, np.ndarray, np.ndarray]] = {}
     with np.errstate(**({} if healthy else quiet)):
-        compile_operators(op for op, _, _ in slots.values())
+        for key, (ks, xs) in starts.items():
+            phase = key[0]
+            dt = step(phase)
+            op = PhaseOperator(phase.system, dt, phase.n_steps, maps[phase.system, dt], xs[0, :-1],
+                               peak_rows, v_limit)
+            slots[key] = (op, ks, xs, xs - op.ref)
+        compile_operators(op for op, _, _, _ in slots.values())
         # one guard product per slot; (cycle, step offset, operator, shifted
         # start) of each start past the bound
         flagged = []
-        for (_, offset, _), (op, ks, zs) in slots.items():
+        for (_, offset, _), (op, ks, _, zs) in slots.items():
             ok = op.guard(zs)
             if not ok.all():
                 flagged += [(ks[i], offset, op, zs[i]) for i in np.flatnonzero(~ok).tolist()]
@@ -630,12 +631,12 @@ def run_cycles(
         shapes = [(-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim)
                   for _, phases in kinds]
         states = [np.empty(shapes[i]) for i in kind_at]
-    for ((start, end, n_steps, system), offset, ends), (op, ks, zs) in slots.items():
+    for ((start, end, n_steps, system), offset, last), (op, ks, xs, zs) in slots.items():
         op.book(ledger, ks, zs)
         if offset == 0:
-            e_start[ks] = system.stored_energy(zs + op.ref)
-        if ends:
-            e_end[ks] = system.stored_energy(zs @ op.end.T)
+            e_start[ks] = system.stored_energy(xs)
+        if last:
+            e_end[ks] = system.stored_energy(xs @ ends[system, op.dt, n_steps].T)
         if start <= SAMPLE_FRAC < end:
             idx = min(max(int(round((SAMPLE_FRAC - start) * t_cycle / op.dt)), 0), n_steps)
             samples[ks] = zs @ op.row(op.dim - 1, idx) + op.ref[op.dim - 1]
@@ -650,8 +651,8 @@ def run_cycles(
             kc, zc = ks[a:b], zs[a:b]
             peaks[kc] = np.maximum(peaks[kc], op.peaks(zc))
             if stride:
-                for k, xs in zip(kc.tolist(), op.states(zc, sampled)):
-                    states[k][rows_at] = xs
+                for k, xk in zip(kc.tolist(), op.states(zc, sampled)):
+                    states[k][rows_at] = xk
 
     ledger.reconfig[1:] += e_start[1:] - e_end[:-1]
     ledger.e_stored_first = float(e_start[0])
@@ -661,43 +662,37 @@ def run_cycles(
 
 
 def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:
-    """Pass 1's order of work: (k, 0, 1) runs cycle k alone, (k, p, count)
-    runs cycles k .. k + count - 1 as one batch repeating the p before k
-    (count >= p).  Cycles match when their keys are equal: ``run_cycles``
+    """Pass 1's order of work: (k, p, count) runs cycles k .. k + count - 1
+    as one batch repeating their first p cycles, and (k, 1, 1) runs cycle
+    k alone.  Cycles match when their keys are equal: ``run_cycles``
     passes each cycle's kind index.  From cycle k the candidate period p
-    is the distance to its next match; a block needs one whole period
-    matched, then extends by doubling, and its first period is split the
-    same way."""
+    is the distance to its next match; a block needs two whole periods
+    matched, then extends by doubling.  A stream shorter than two of its
+    periods therefore runs cycle by cycle."""
     n = keys.size
     by_key = np.argsort(keys, kind="stable")
     same = keys[by_key[1:]] == keys[by_key[:-1]]
     nxt = np.full(n, 2 * n)   # the next match of each cycle (2n: none)
     nxt[by_key[:-1][same]] = by_key[1:][same]
+    nxt, ids = nxt.tolist(), keys.tolist()
     out: list[tuple[int, int, int]] = []
-    _split(0, n, nxt.tolist(), keys.tolist(), out)
-    return out
-
-
-def _split(k: int, stop: int, nxt: list[int], ids: list[int],
-           out: list[tuple[int, int, int]]) -> None:
-    """``_periods`` for cycles k .. stop - 1, into ``out``.  Not a closure:
-    one that calls itself is a reference cycle, freed only by the gc."""
-    while k < stop:
+    k = 0
+    while k < n:
         p = nxt[k] - k
         size = 2 * p   # cycles k .. k + size - 1 repeat with period p
-        if k + size > stop or ids[k + p:k + size] != ids[k:k + p]:
-            out.append((k, 0, 1))
+        if k + size > n or ids[k + p:k + size] != ids[k:k + p]:
+            out.append((k, 1, 1))
             k += 1
             continue
-        while k + size < stop:
-            take = min(size, stop - k - size)
+        while k + size < n:
+            take = min(size, n - k - size)
             if ids[k + size:k + size + take] != ids[k:k + take]:
                 size += next(i for i, (a, b) in enumerate(zip(ids[k + size:], ids[k:])) if a != b)
                 break
             size += take
-        _split(k, k + p, nxt, ids, out)
-        out.append((k + p, p, size - p))
+        out.append((k, p, size))
         k += size
+    return out
 
 
 def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -708,49 +703,43 @@ def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], np.argsort(order)[inverse]
 
 
-def _run_batch(period: list[tuple[np.ndarray | None, list[SlotKey]]], z: np.ndarray,
-               k0: int, count: int,
-               slots: dict[SlotKey, tuple[PhaseOperator, list[int], list[np.ndarray]]],
-               operator: Callable[[SlotKey, np.ndarray], PhaseOperator]) -> np.ndarray:
-    """Pass 1 for cycles k0 .. k0 + count - 1 at once, from state z: they
-    repeat ``period``, p cycles, each an entry map (or None) and its slot
-    keys.  Records their shifted starts in ``slots`` (a new slot gets
-    ``operator(key, x)``, built at its first start x) and returns the last
-    cycle's end state.  A lone cycle is a period of one, with count 1.
+def _run_batch(period: list[tuple[np.ndarray | None, list[tuple[SlotKey, np.ndarray]]]],
+               x: np.ndarray, k0: int, count: int,
+               starts: dict[SlotKey, tuple[list[int], list[np.ndarray]]]) -> np.ndarray:
+    """Pass 1 for cycles k0 .. k0 + count - 1 at once, from state x = [x; 1]:
+    they repeat ``period``, p cycles, each an entry map (or None) and its
+    slot keys, each with its phase's end map.  Records the start [x; 1] of
+    each of their phases in ``starts`` under its slot key, and returns the
+    last cycle's end state.  A lone cycle is a period of one, with count 1.
 
-    With more than one period start, the entry maps and the end maps, each
-    phase's shift folded in, compose into the period map P, so the period
-    starts follow by doubling; a trailing partial period rides along as
-    one more start.  Each (cycle in the period, phase) then takes one
-    stacked product.  Nothing is guarded here: past a divergence the
-    starts may overflow, which ``run_cycles`` lets pass silently until its
-    guard names the divergence.
+    With more than one period start, the entry maps and end maps compose
+    into the period map P, so the period starts follow by doubling; a
+    trailing partial period rides along as one more start.  Each (cycle in
+    the period, phase) then takes one stacked product.  Nothing is guarded
+    here: past a divergence the starts may overflow, which ``run_cycles``
+    lets pass silently until its guard names the divergence.
     """
     p = len(period)
     m, q = divmod(count, p)   # whole periods, cycles of the partial one
     n_starts = m + (q > 0)
-    z = z[None]   # the period starts
-    if n_starts > 1:   # the period map; its slots ran in the first period
-        c = np.eye(z.shape[1])
-        for entry, keys in period:
+    x = x[None]   # the period starts
+    if n_starts > 1:   # the period map
+        c = np.eye(x.shape[1])
+        for entry, phases in period:
             c = c if entry is None else entry @ c
-            for key in keys:
-                c = slots[key][0].folded @ c
-        while len(z) < n_starts:   # by doubling
-            z = np.concatenate([z, z[:n_starts - len(z)] @ c.T])
+            for _, end in phases:
+                c = end @ c
+        while len(x) < n_starts:   # by doubling
+            x = np.concatenate([x, x[:n_starts - len(x)] @ c.T])
             c = c @ c
-    for i, (entry, keys) in enumerate(period):
+    for i, (entry, phases) in enumerate(period):
         if i == q > 0:   # the partial period ends here
-            end, z = z[-1], z[:-1]
+            last, x = x[-1], x[:-1]
         if entry is not None:
-            z = z @ entry.T
-        for key in keys:
-            slot = slots.get(key)
-            if slot is None:
-                slot = slots[key] = (operator(key, z[0, :-1]), [], [])
-            op, ks, starts = slot
-            zp = z - op.ref
-            ks.extend(range(k0 + i, k0 + i + p * len(zp), p))
-            starts.append(zp)
-            z = zp @ op.end.T
-    return end if q else z[-1]
+            x = x @ entry.T
+        for key, end in phases:
+            ks, xs = starts.setdefault(key, ([], []))
+            ks.extend(range(k0 + i, k0 + i + p * len(x), p))
+            xs.append(x)
+            x = x @ end.T
+    return last if q else x[-1]

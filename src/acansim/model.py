@@ -251,13 +251,17 @@ def effective_pc_capacitance(tree: SynapseTreeConfig, pc: PowerClockConfig, alph
     on ones and hangs its weight capacitor, in series with the
     membrane-side capacitance, off the clock node.
     """
-    n = tree.n
     n_on = active_count(tree, alpha)
+    return _clock_load(tree, pc, n_on, sum(tree.c_s[:n_on]))
+
+
+def _clock_load(tree: SynapseTreeConfig, pc: PowerClockConfig, n_on: int, c_active: float) -> float:
+    """Capacitance seen by the clock inductor with n_on gates enabled,
+    whose weights sum to c_active."""
     c = pc.c_e
-    c += (n - n_on) * (tree.c_pl_off + tree.c_sh)
+    c += (tree.n - n_on) * (tree.c_pl_off + tree.c_sh)
     c += n_on * (tree.c_pl_on + tree.c_pr)
     if n_on > 0:
-        c_active = sum(tree.c_s[:n_on])
         c += series_capacitance(c_active, tree.c_d)
     return c
 
@@ -302,16 +306,20 @@ def sweep_lock_frequency(cfg: CircuitConfig, codes: Sequence[Sequence[int]]) -> 
     stream settles around the mean capacitance it presents rather than the
     all-off value.  Scaling f_nominal by sqrt(C_off / C_mean) keeps the
     trough aligned with the top-up window across the stream; for the
-    reference 16-code sweep this lands about 2.4% below nominal.
+    reference 16-code sweep this lands about 2.4% below nominal.  Each
+    code hangs its own enabled weights off the clock node (a bit is on
+    where it is truthy), summed left to right.
     """
     _require(len(codes) > 0, "codes: need at least one code")
-    n = cfg.tree.n
-    c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
-    total = 0.0
+    tree = cfg.tree
     for code in codes:
-        _require(len(code) == n, f"codes: every code must have length {n}")
-        n_on = sum(map(bool, code))
-        total += effective_pc_capacitance(cfg.tree, cfg.pc, n_on / n)
+        _require(len(code) == tree.n, f"codes: every code must have length {tree.n}")
+    bits = np.array([list(map(bool, code)) for code in codes], dtype=bool)
+    c_active = np.cumsum(np.where(bits, np.asarray(tree.c_s), 0.0), axis=1)[:, -1]
+    c0 = effective_pc_capacitance(tree, cfg.pc, 0.0)
+    total = 0.0
+    for n_on, c in zip(bits.sum(1).tolist(), c_active.tolist()):
+        total += _clock_load(tree, cfg.pc, n_on, c)
     return cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
 
 

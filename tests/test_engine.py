@@ -655,13 +655,14 @@ def test_phase_operator_states_and_peaks_match_propagation():
     x0s = x_ref + rng.normal(scale=[2e-4, 0.5, 0.5, 0.2], size=(6, 4))
     zs = np.column_stack([x0s, np.ones(6)]) - op.ref
     every = op.states(zs, np.arange(n + 1))
+    end = engine._build_maps([(sys, dt, n)])[1][sys, dt, n]   # the phase's end map
     for x0, xs, z in zip(x0s, every, zs):
         want = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
         # within 1e-13 of each state's own scale (I_L keeps its own); a
         # drift rounded at |x_ref| in every step would miss this by 20x
         scale = np.abs(want).max(0)
         assert np.all(np.abs(xs - want) <= 1e-13 * scale)
-        assert np.all(np.abs((op.end @ z)[:-1] - want[-1]) <= 1e-13 * scale)
+        assert np.all(np.abs((end @ np.append(x0, 1.0))[:-1] - want[-1]) <= 1e-13 * scale)
         assert op.row(3, 1791) @ z + x_ref[3] == pytest.approx(want[1791, 3], rel=1e-12)
     # the peak search returns the maximum over every step, not a strided one
     for i, r in enumerate((1, -1)):
@@ -842,22 +843,23 @@ def test_stacked_powers_equal_each_matrix_powers(stack, count):
 
 @pytest.mark.parametrize("n", [1, engine._BLOCK - 1, engine._BLOCK, engine._BLOCK + 1,
                                56 * engine._BLOCK - 1, 56 * engine._BLOCK])
-def test_end_map_is_the_compiled_tables_power(n):
-    # pass 1 uses an operator's end map before the compile: it must be the
-    # power that the compiled block table and starts give, bit for bit.
-    # Its shift-folded form, which period maps compose, must be the end
-    # map with the shift subtracted from its affine column, bit for bit
+def test_phase_end_map_matches_propagation(n):
+    # pass 1 carries [x; 1] through each phase's end map, the n-th power of
+    # its unshifted augmented step map: from every start, the end state
+    # must be the per-step propagation's within 1e-13 of each state's own
+    # scale over the phase (I_L keeps its own), at step counts below, at
+    # and past one block, and up to a cycle's main phase (56 B at B = 64)
     sys, _, dt = _clock_phase()
+    maps, ends = engine._build_maps([(sys, dt, n), (sys, dt, n)])
+    assert list(ends) == [(sys, dt, n)]
+    np.testing.assert_array_equal(maps[sys, dt][0], step_maps(sys.a, sys.b, dt)[0])
+    rng = np.random.default_rng(n)
     x_ref = np.array([1e-4, 0.3, 0.3, 0.8])
-    op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
-    end = op.end.copy()
-    folded = end.copy()
-    folded[:, -1] -= end @ op.ref
-    np.testing.assert_array_equal(op.folded, folded)
-    compile_operators([op])
-    want = op.table[n % engine._BLOCK] @ op.blocks[n // engine._BLOCK]
-    want[:-1, -1] += x_ref
-    np.testing.assert_array_equal(end, want)
+    for x0 in [x_ref, *(x_ref + rng.normal(scale=[2e-4, 0.5, 0.5, 0.2], size=(4, 4)))]:
+        want = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
+        got = ends[sys, dt, n] @ np.append(x0, 1.0)
+        assert got[-1] == 1.0
+        assert np.all(np.abs(got[:-1] - want[-1]) <= 1e-13 * np.abs(want).max(0))
 
 
 def test_phase_operator_guard_visits_states_only_past_its_bound():

@@ -168,6 +168,28 @@ def test_sweep_lock_frequency_counts_truthy_bits():
     assert sweep_lock_frequency(cfg, codes) == want
 
 
+def test_sweep_lock_frequency_uses_each_codes_own_weights():
+    # on a (1, 2, 4, 8) pF tree, 0001 hangs the 8 pF synapse off the clock
+    # node and 1000 the 1 pF one: one enabled gate each, but 0001 locks
+    # lower.  A stream's clock capacitances are each code's own, assembled
+    # by hand (an enabled gate's on-parasitics, a disabled one's
+    # off-parasitics, the enabled weights in series with C_D)
+    tree = SynapseTreeConfig(c_s=(1e-12, 2e-12, 4e-12, 8e-12))
+    cfg = tune_inductor(CircuitConfig(tree=tree))
+    assert sweep_lock_frequency(cfg, [(0, 0, 0, 1)]) == pytest.approx(909.6e3, rel=1e-4)
+    assert sweep_lock_frequency(cfg, [(1, 0, 0, 0)]) == pytest.approx(981.7e3, rel=1e-4)
+    codes = [(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0)]
+    c0 = effective_pc_capacitance(tree, cfg.pc, 0.0)
+    total = 0.0
+    for code in codes:
+        n_on = sum(code)
+        c_active = sum(c for c, b in zip(tree.c_s, code) if b)
+        total += (cfg.pc.c_e + (4 - n_on) * (tree.c_pl_off + tree.c_sh)
+                  + n_on * (tree.c_pl_on + tree.c_pr) + series_capacitance(c_active, tree.c_d))
+    want = cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
+    assert sweep_lock_frequency(cfg, codes) == pytest.approx(want, rel=1e-12)
+
+
 def test_neuron_spec_from_circuit():
     cfg = CircuitConfig()
     spec = NeuronSpec.from_circuit(cfg, v_pk=1.8)

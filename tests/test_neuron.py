@@ -346,9 +346,8 @@ def test_divergence_inside_an_overflowing_batch(monkeypatch):
 def test_divergence_inside_a_periodic_batch(monkeypatch):
     # a 16-code order, 8 passes, on steps that grow the state by 5e-5: the
     # run crosses the guard in its third pass.  Pass 1 runs the order's
-    # first period cycle by cycle and the rest as one batch of 16-cycle
-    # periods, whose exact checks must name the cycle and peak the
-    # reference kernel names
+    # passes, the first included, as one batch of 16-cycle periods, whose
+    # exact checks must name the cycle and peak the reference kernel names
     cfg = tune_inductor(CircuitConfig())
     codes = input_sweeps(4, seed=0)[0] * 8
     _growing_step_maps(monkeypatch, 1.00005)
@@ -363,6 +362,20 @@ def test_divergence_inside_a_periodic_batch(monkeypatch):
     k = int(re.match(r"state diverged in cycle (\d+): ", str(err.value)).group(1))
     block, _, k0, count = [call[:4] for call in batches if call[3] > 1][-1]
     assert len(block) == 16 and k0 <= k < k0 + count
+
+
+def test_a_repeated_order_batches_from_its_first_pass(monkeypatch):
+    # the ascending 16-code order, 4 passes: pass 1 batches a repeated
+    # block from its first cycle, so each design's run takes a few items,
+    # not one per cycle of the first pass
+    cfg = tune_inductor(CircuitConfig())
+    codes = input_sweeps(4)[0] * 4
+    batches = _count_calls(monkeypatch, engine, "_run_batch")
+    run_neuron(cfg, codes)
+    assert len(batches) <= 3
+    batches.clear()
+    run_baseline(BaselineConfig.from_circuit(cfg), codes)
+    assert len(batches) <= 2
 
 
 def test_false_alarm_inside_a_batch_matches_reference(monkeypatch):

@@ -241,17 +241,16 @@ def test_periods_tile_the_run_and_batch_only_repeats(keys):
     ran = 0   # cycles 0 .. ran - 1 ran in earlier items
     for k, p, count in order:
         # the items tile 0 .. n - 1 in order, with no gap and no overlap
-        assert k == ran and count >= 1
-        if p == 0:
-            assert count == 1   # a lone cycle
+        assert k == ran and p >= 1 and count >= 1
+        if count == 1:
+            assert p == 1   # a lone cycle
         else:
-            # every batched cycle has the key of the cycle p before it, and
-            # the batch holds a whole period (``run_cycles`` reads the
-            # period from its first p cycles)
-            assert count >= p
-            assert keys[k:k + count] == keys[k - p:k + count - p]
-            # the first period ran in earlier items, so its slots exist
-            assert 0 <= k - p
+            # a batch holds at least two whole periods, its first included
+            # (``run_cycles`` reads the period from its first p cycles), and
+            # every cycle past its first period has the key of the cycle p
+            # before it
+            assert count >= 2 * p
+            assert keys[k + p:k + count] == keys[k:k + count - p]
         ran += count
     assert ran == len(keys)
 
