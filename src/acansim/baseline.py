@@ -9,7 +9,9 @@ meaningful.
 The design is a phase-system builder plus a cycle schedule on the
 engine's kernel (``run_cycles``): the same phase operators, divergence
 guard, element-driven accounting, peak search and decision sample as the
-adiabatic design.  The drive-resistor loss is booked
+adiabatic design.  The synapses of one weight value that share a new
+level lump exactly into one leg, their spread about it into one state
+per weight value that decays on its own.  The drive-resistor loss is booked
 in the tree-resistor slot and the clock-generator slot stays zero (there
 is no power clock here); the rail energy is a source term on every leg
 whose driver sits high.
@@ -109,64 +111,96 @@ def baseline_oracle_spec(cfg: BaselineConfig, v_os: float = 0.0) -> NeuronSpec:
     )
 
 
-def _levels(tree: SynapseTreeConfig, before: np.ndarray,
-            after: np.ndarray) -> list[list[tuple[int, int, float, int]]]:
-    """Branches lumped by (previous level, new level, weight value), with
-    counts, in that order, for each transition from a row of the boolean
-    (transitions, n) matrix ``before`` to the same row of ``after``: one
-    count over every transition at once."""
+def _legs(cfg: BaselineConfig, before: np.ndarray,
+          after: np.ndarray) -> list[tuple[tuple, list[float]]]:
+    """Lumped legs of each transition from a row of the boolean
+    (transitions, n) matrix ``before`` to the same row of ``after``, from
+    one count over every transition at once: per transition its system
+    key, the ``build_baseline_system`` arguments after the config, and the
+    start of each of the system's states but the membrane.
+
+    The synapses of one weight value that share a new level share their
+    drive and their RC product, so they lump exactly into one leg, which
+    starts at v_dd times the share of them whose previous level was high.
+    Their spread about the leg decays on its own and never reaches the
+    membrane; the weight value's spread state sigma, with N_w sigma^2 the
+    sum of the squared spreads of all its N_w synapses, starts at
+    v_dd sqrt(sum c0 c1 / (c0 + c1) / N_w) <= v_dd / 2, summed over its
+    new levels, c0 and c1 their synapses of previous level low and high.
+    It is a state only where a new level mixes both previous levels, so
+    that a system has the same set of modes as one state per (previous
+    level, new level, weight value) group.
+    """
     # per transition its four (previous level, new level) masks, in order
     masks = np.stack((~before & ~after, ~before & after, before & ~after, before & after), axis=1)
-    values, counts = _weight_counts(tree.c_s, masks.reshape(-1, tree.n))
-    counts = counts.reshape(before.shape[0], -1)   # column (2 p + n) w + j, w values
-    w = len(values)
-    levels: list[list[tuple[int, int, float, int]]] = [[] for _ in range(before.shape[0])]
-    ts, ks = counts.nonzero()
-    for t, k, count in zip(ts.tolist(), ks.tolist(), counts[ts, ks].tolist()):
-        levels[t].append((k // (2 * w), k // w % 2, values[k % w], count))
-    return levels
+    _, counts = _weight_counts(cfg.tree.c_s, masks.reshape(-1, cfg.tree.n))
+    c00, c01, c10, c11 = counts.reshape(before.shape[0], 4, -1).transpose(1, 0, 2)
+    low, high = c00 + c10, c01 + c11   # (transitions, weight values) at each new level
+    mixed = c00 * c10 / np.maximum(low, 1) + c01 * c11 / np.maximum(high, 1)
+    spread = mixed > 0
+    # per weight value: the low leg, the high leg, the spread, where present
+    present = np.stack((low > 0, high > 0, spread), axis=2).reshape(before.shape[0], -1)
+    start = cfg.v_dd * np.stack((c10 / np.maximum(low, 1), c11 / np.maximum(high, 1),
+                                 np.sqrt(mixed / (low + high))), axis=2).reshape(present.shape)
+    reset = ~after.any(1)   # the all-zero code closes the reset
+    return [((tuple(n1), tuple(s), r), x[on].tolist()) for n1, s, r, x, on in
+            zip(high.tolist(), spread.tolist(), reset.tolist(), start, present)]
 
 
-def build_baseline_system(
-    cfg: BaselineConfig, levels: Sequence[tuple[int, int, float, int]], reset_on: bool
-) -> PhaseSystem:
-    """Phase system of one cycle over [V_t per group..., V_m].
+def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequence[bool],
+                          reset_on: bool) -> PhaseSystem:
+    """Phase system of one cycle: per distinct weight value, ascending, its
+    low leg, its high leg and its spread state, where present, then V_m.
 
-    Each level group is one driver leg of r_drv/count in series with its
-    lumped weight capacitor, its driver held at the new level's rail.  A
-    driver held high draws the rail energy v_dd times its leg current.
+    ``ones`` holds per weight value the number of its synapses whose
+    driver sits high, and ``spread`` whether it has a spread state.  Each
+    leg is one driver of r_drv/count in series with its lumped weight
+    capacitor (its state is the top plate), its driver held at its level's
+    rail; a driver held high draws the rail energy v_dd times its leg
+    current.  A spread state sigma of the weight value's N_w synapses,
+    of c_w each, decays at 1/(r_drv c_w), stores 1/2 N_w c_w sigma^2 and
+    dissipates N_w sigma^2 / r_drv in the drivers (``_legs``).
     """
     tree = cfg.tree
     c_mb = tree.c_d + tree.c_par
     g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0
-    groups = tuple(BranchGroup(r=cfg.r_drv / cnt, c=cnt * c)
-                   for _, _, c, cnt in levels)
-    u = [n * cfg.v_dd for _, n, _, _ in levels]
+    values, totals = _weight_counts(tree.c_s, np.ones((1, tree.n), dtype=bool))
+    legs, spreads = [], []   # (state, lumped leg, rail), (state, count, weight)
+    for c, total, n1, mixed in zip(values, totals[0].tolist(), ones, spread):
+        for count, u in ((total - n1, 0.0), (n1, cfg.v_dd)):
+            if count:
+                leg = BranchGroup(r=cfg.r_drv / count, c=count * c)
+                legs.append((len(legs) + len(spreads), leg, u))
+        if mixed:
+            spreads.append((len(legs) + len(spreads), total, c))
 
-    dim = len(groups) + 1
+    dim = len(legs) + len(spreads) + 1
     a = np.zeros((dim, dim))
     b = np.zeros(dim)
     im = dim - 1
     a[im, im] = -g_reset / c_mb
     b[im] = g_reset * tree.v_ref / c_mb
-    for j, g in enumerate(groups):
+    for j, g, u in legs:
         a[im, j] -= (1.0 / g.r) / c_mb
-        b[im] += (u[j] / g.r) / c_mb
-    for j, g in enumerate(groups):
+        b[im] += (u / g.r) / c_mb
+    for j, g, u in legs:
         a[j, :] = a[im, :]
         b[j] = b[im]
         a[j, j] -= 1.0 / (g.r * g.c)
-        b[j] += u[j] / (g.r * g.c)
+        b[j] += u / (g.r * g.c)
+    for s, _, c in spreads:
+        a[s, s] = -1.0 / (cfg.r_drv * c)
 
-    stores = (Store(c_mb, im), *(Store(g.c, j, im) for j, g in enumerate(groups)))
-    losses = [Loss("r_tg", 1.0 / g.r, j, u=-u[j]) for j, g in enumerate(groups)]
-    sources = [Source("source_dc", -u[j] / g.r, j, -u[j])
-               for j, g in enumerate(groups) if u[j] > 0.0]
+    stores = (Store(c_mb, im), *(Store(g.c, j, im) for j, g, _ in legs),
+              *(Store(total * c, s) for s, total, c in spreads))
+    losses = [Loss("r_tg", 1.0 / g.r, j, u=-u) for j, g, u in legs]
+    losses += [Loss("r_tg", total / cfg.r_drv, s) for s, total, _ in spreads]
+    sources = [Source("source_dc", -u / g.r, j, -u) for j, g, u in legs if u > 0.0]
     if g_reset > 0.0:
         loss, source = reset_terms(g_reset, tree.v_ref, im)
         losses.append(loss)
         sources.append(source)
-    return PhaseSystem(a=a, b=b, groups=groups, stores=stores,
+    return PhaseSystem(a=a, b=b, groups=tuple(g for _, g, _ in legs), stores=stores,
                        losses=tuple(losses), sources=tuple(sources))
 
 
@@ -189,13 +223,13 @@ def _cycle_plan(system: PhaseSystem, rates: np.ndarray, t_cycle: float, spc: int
     return [Phase(0.0, split, n_fine, system), Phase(split, 1.0, spc - n_fine, system)]
 
 
-def _plate_entry(levels: Sequence[tuple[int, int, float, int]], dim_from: int,
-                 v_dd: float) -> np.ndarray:
-    """Augmented entry map of a cycle: each plate starts at the rail its
-    driver held last cycle; the membrane carries over."""
-    entry = np.zeros((len(levels) + 2, dim_from + 1))
-    entry[:len(levels), dim_from] = [p * v_dd for p, _, _, _ in levels]
-    entry[len(levels), dim_from - 1] = 1.0
+def _entry_map(starts: Sequence[float], dim_from: int) -> np.ndarray:
+    """Augmented entry map of a cycle: each state but the membrane starts
+    at its value in ``starts``, whatever the last cycle left; the membrane
+    carries over."""
+    entry = np.zeros((len(starts) + 2, dim_from + 1))
+    entry[:len(starts), dim_from] = starts
+    entry[len(starts), dim_from - 1] = 1.0
     entry[-1, dim_from] = 1.0
     return entry
 
@@ -207,12 +241,17 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
 
     Code bits are normalised to 0/1; an empty stream, a code whose length
     is not the tree's synapse count or a bit that is not a finite number
-    raises ValueError.  The run carries one integer per cycle: one level
-    grouping and drive-toggle count per distinct (previous code, code)
-    pair, one kind (entry map and phases) per distinct (pair, state size),
-    which the kernel gets with each cycle's index into them, and one
-    oracle bit per distinct code.  The groupings, toggle counts and oracle
-    bits come from the distinct codes' bit matrix, each in one array pass.
+    raises ValueError.  The run carries one integer per cycle: lumped legs
+    (``_legs``: per weight value one leg per new level, and a spread
+    state where a new level mixes both previous levels) and a drive-toggle
+    count per distinct (previous code, code) pair, one phase system per
+    distinct key (the high count and spread flag per weight value, and
+    the reset), so transitions with the same new levels share their
+    system and operators, one kind (entry map and phases) per distinct
+    (pair, state size), which the kernel gets with each cycle's index into
+    them, and one oracle bit per distinct code.  The legs, toggle counts
+    and oracle bits come from the distinct codes' bit matrix, each in one
+    array pass; each pair's starts go into its entry map's affine column.
     """
     tree = cfg.tree
     table, bits, index = _code_table(codes, tree.n)
@@ -227,14 +266,12 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     prev = np.concatenate(([0], index[:-1]))
     first, pair_of = first_seen(prev * len(table) + index)
     before, after = bits[prev[first]], bits[index[first]]
-    levels = _levels(tree, before, after)   # per distinct pair
+    pair_legs = _legs(cfg, before, after)   # per distinct pair
     systems: dict[tuple, PhaseSystem] = {}
     pair_systems = []
-    # table entry 0 is the all-zero code, and the only one
-    for lv, reset_on in zip(levels, (index[first] == 0).tolist()):
-        key = (tuple(lv), reset_on)
+    for key, _ in pair_legs:
         if key not in systems:
-            systems[key] = build_baseline_system(cfg, lv, reset_on=reset_on)
+            systems[key] = build_baseline_system(cfg, *key)
         pair_systems.append(systems[key])
     ledger.drive += e_toggle * (before ^ after).sum(1)[pair_of]
 
@@ -248,10 +285,10 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
 
     # per cycle its kind: its pair and the state size the previous cycle
     # ends with (the membrane alone at the start), which fix its entry map
-    dims = np.array([len(lv) + 1 for lv in levels])[pair_of]
+    dims = np.array([len(starts) + 1 for _, starts in pair_legs])[pair_of]
     dim_from = np.concatenate(([1], dims[:-1]))
     kind_first, kind_of = first_seen(pair_of * (dims.max() + 1) + dim_from)
-    kinds = [(_plate_entry(levels[t], d, cfg.v_dd), plans[pair_systems[t]])
+    kinds = [(_entry_map(pair_legs[t][1], d), plans[pair_systems[t]])
              for t, d in zip(pair_of[kind_first].tolist(), dim_from[kind_first].tolist())]
 
     peaks, samples, _ = run_cycles(ledger, kinds, kind_of, np.array([tree.v_ref]), t_cycle,

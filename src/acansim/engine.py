@@ -88,8 +88,10 @@ class PhaseSystem:
     with its elements as data: the storage terms give the stored energy of
     a state, the loss and source terms give a phase's energy accounts
     (``PhaseOperator``).  ``groups`` are the lumped branch legs, in the
-    order of their top-plate states.  Systems compare and hash by identity,
-    so a run's phases can key its operators.
+    order of their top-plate states; it lists the legs only and is no
+    state index, for a design may put other states among them (the
+    baseline's spread states).  Systems compare and hash by identity, so a
+    run's phases can key its operators.
     """
 
     a: np.ndarray
@@ -666,9 +668,10 @@ def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:
     as one batch repeating their first p cycles, and (k, 1, 1) runs cycle
     k alone.  Cycles match when their keys are equal: ``run_cycles``
     passes each cycle's kind index.  From cycle k the candidate period p
-    is the distance to its next match; a block needs two whole periods
-    matched, then extends by doubling.  A stream shorter than two of its
-    periods therefore runs cycle by cycle."""
+    is the distance to its next match; a block is the longest run of
+    cycles from k that repeats with period p, and needs two whole periods.
+    A stream shorter than two of its periods therefore runs cycle by
+    cycle."""
     n = keys.size
     by_key = np.argsort(keys, kind="stable")
     same = keys[by_key[1:]] == keys[by_key[:-1]]
@@ -679,20 +682,26 @@ def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:
     k = 0
     while k < n:
         p = nxt[k] - k
-        size = 2 * p   # cycles k .. k + size - 1 repeat with period p
-        if k + size > n or ids[k + p:k + size] != ids[k:k + p]:
-            out.append((k, 1, 1))
-            k += 1
-            continue
-        while k + size < n:
-            take = min(size, n - k - size)
-            if ids[k + size:k + size + take] != ids[k:k + take]:
-                size += next(i for i, (a, b) in enumerate(zip(ids[k + size:], ids[k:])) if a != b)
-                break
-            size += take
+        # cycles k .. k + size - 1 repeat with period p
+        size = p + _agreeing(ids, k + p, k, n - k - p) if k + 2 * p <= n else 0
+        if size < 2 * p:
+            p = size = 1   # a lone cycle
         out.append((k, p, size))
         k += size
     return out
+
+
+def _agreeing(ids: list, a: int, b: int, length: int) -> int:
+    """How many of ids[a:a + length] equal ids[b:b + length] before the
+    first that differs.  Compared in slices that double from one, so it
+    costs O(that count), not O(length)."""
+    i, chunk = 0, 1
+    while i < length:
+        j = min(i + chunk, length)
+        if ids[a + i:a + j] != ids[b + i:b + j]:
+            return i + next(m for m in range(j - i) if ids[a + i + m] != ids[b + i + m])
+        i, chunk = j, 2 * chunk
+    return length
 
 
 def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from acansim import (
     energy_residual,
     run_baseline,
 )
+from acansim import baseline, engine
 from acansim.neuron import input_sweeps
 
 
@@ -144,3 +145,37 @@ def test_run_baseline_passivity():
     assert np.all(run.ledger.r_tg >= 0.0)
     assert np.all(run.ledger.r_reset >= 0.0)
     assert np.all(run.ledger.drive >= 0.0)
+
+
+def test_random_512_bit_codes_share_their_phase_systems(monkeypatch):
+    # 600 distinct random codes on 512 equal weights: the legs lump by new
+    # level, so the systems are keyed by the high count (with the spread
+    # and the reset) and the operators number ~2 per popcount, not ~2 per
+    # distinct transition (1188 for one leg per previous and new level)
+    tree = SynapseTreeConfig(c_s=(1e-12,) * 512)
+    cfg = BaselineConfig.from_circuit(CircuitConfig(tree=tree))
+    codes = np.random.default_rng(0).integers(0, 2, (600, 512))
+    compiled, kinds = [], []
+    compile_operators, run_cycles = engine.compile_operators, baseline.run_cycles
+
+    def counted(ops):
+        ops = list(ops)
+        compiled.append(len(ops))
+        compile_operators(ops)
+
+    def kept(ledger, run_kinds, *args):
+        kinds.extend(run_kinds)
+        return run_cycles(ledger, run_kinds, *args)
+
+    monkeypatch.setattr(engine, "compile_operators", counted)
+    monkeypatch.setattr(baseline, "run_cycles", kept)
+    run_baseline(cfg, codes)
+    assert len(compiled) == 1 and compiled[0] <= 130
+    # every spread state (stored to ground, not the membrane) starts at
+    # most v_dd / 2 above zero: the divergence guard still reads voltages
+    spreads = []
+    for entry, phases in kinds:
+        system = phases[0].system
+        spreads += [entry[i, -1] for _, i, j in system.stores if j is None and i != system.dim - 1]
+    assert len(spreads) >= len(kinds) - 1   # all but the first cycle's mix both levels
+    assert all(0.0 < s <= cfg.v_dd / 2 for s in spreads)

@@ -30,6 +30,7 @@ from acansim import (
     sweep_lock_frequency,
     tune_inductor,
 )
+from acansim import baseline as baseline_mod
 from acansim import engine
 from acansim import neuron as neuron_mod
 from acansim.baseline import build_baseline_system
@@ -422,12 +423,25 @@ def test_book_segment_matches_per_column_formulas_adiabatic():
 
 
 def test_book_segment_matches_per_column_formulas_baseline():
-    # rising, falling, held-high and held-low branches, reset closed
-    bcfg = BaselineConfig.from_circuit(CircuitConfig())
-    prev, code = (0, 1, 1, 0), (1, 0, 1, 0)
-    levels = sorted((p, n, c, 1) for p, n, c in zip(prev, code, bcfg.tree.c_s))
-    sys = build_baseline_system(bcfg, levels, reset_on=True)
-    x0 = np.array([0.0, 1.8, 0.0, 1.8, 0.9])
+    # rising, falling, held-high and held-low branches of two weight values,
+    # reset closed; the 1 pF value's high leg mixes both previous levels,
+    # so that value has a spread state
+    tree = SynapseTreeConfig(c_s=(1e-12, 1e-12, 1e-12, 2e-12, 2e-12))
+    bcfg = BaselineConfig.from_circuit(CircuitConfig(tree=tree))
+    prev, code = (0, 1, 1, 0, 1), (1, 1, 0, 0, 1)
+    ((ones, spread, reset_on), starts), = baseline_mod._legs(
+        bcfg, np.array([prev], dtype=bool), np.array([code], dtype=bool))
+    assert (ones, spread, reset_on) == ((2, 1), (True, False), False)
+    v_dd, r = bcfg.v_dd, bcfg.r_drv
+    # per state but the membrane: count, weight and rail (None: the spread)
+    states = [(1, 1e-12, 0.0), (2, 1e-12, v_dd), (3, 1e-12, None),
+              (1, 2e-12, 0.0), (1, 2e-12, v_dd)]
+    sigma0 = v_dd * math.sqrt((1 * 1 / 2) / 3)
+    assert starts == pytest.approx([v_dd, v_dd / 2, sigma0, 0.0, v_dd], rel=1e-15)
+    sys = build_baseline_system(bcfg, ones, spread, reset_on=True)
+    assert [(g.r, g.c) for g in sys.groups] == pytest.approx(
+        [(r / cnt, cnt * c) for cnt, c, u in states if u is not None], rel=1e-15)
+    x0 = np.array([*starts, 0.9])
     n, dt = 1024, 1e-6 / 1024
     xs = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
     ledger = _book_phase(sys, dt, n, x0)
@@ -435,18 +449,35 @@ def test_book_segment_matches_per_column_formulas_baseline():
     def trapz(y):
         return float(np.trapezoid(y, dx=dt))
 
-    g_reset = 1.0 / reset_resistance(bcfg.tree, bcfg.env)
-    v_ref = bcfg.tree.v_ref
+    legs = [(j, cnt, u) for j, (cnt, _, u) in enumerate(states) if u is not None]
+    g_reset = 1.0 / reset_resistance(tree, bcfg.env)
+    v_ref = tree.v_ref
     dvm = xs[:, -1] - v_ref
     _assert_accounts(ledger, {
-        "r_tg": sum((cnt / bcfg.r_drv) * trapz((n_ * bcfg.v_dd - xs[:, j]) ** 2)
-                    for j, (_, n_, _, cnt) in enumerate(levels)),
+        # the legs, and the spread's 3 synapses of the mixed new level
+        "r_tg": sum((cnt / r) * trapz((u - xs[:, j]) ** 2) for j, cnt, u in legs)
+                + (3 / r) * trapz(xs[:, 2] ** 2),
         # the rail feeds only the legs whose driver sits high
-        "source_dc": sum(bcfg.v_dd * (cnt / bcfg.r_drv) * trapz(bcfg.v_dd - xs[:, j])
-                         for j, (_, n_, _, cnt) in enumerate(levels) if n_ == 1),
+        "source_dc": sum(v_dd * (cnt / r) * trapz(v_dd - xs[:, j])
+                         for j, cnt, u in legs if u > 0.0),
         "r_reset": g_reset * trapz(dvm ** 2),
         "source_ref": g_reset * v_ref * trapz(-dvm),
     })
+    # the spread decays on its own: by (1 - h) / (1 + h) a trapezoid step,
+    # h = dt / (2 r_drv c_w)
+    h = dt / (2.0 * r * 1e-12)
+    np.testing.assert_allclose(xs[:, 2], sigma0 * ((1 - h) / (1 + h)) ** np.arange(n + 1),
+                               rtol=1e-12, atol=1e-15 * sigma0)
+    # stored energy per column, the spread's 1/2 N_w c_w sigma^2 included,
+    # and at the start that of every plate at its driver's previous rail
+    c_mb = tree.c_d + tree.c_par
+    stored = 0.5 * c_mb * xs[:, -1] ** 2 + 0.5 * 3 * 1e-12 * xs[:, 2] ** 2 + sum(
+        0.5 * cnt * c * (xs[:, j] - xs[:, -1]) ** 2
+        for j, (cnt, c, u) in enumerate(states) if u is not None)
+    np.testing.assert_allclose(sys.stored_energy(xs), stored, rtol=1e-12)
+    per_synapse = 0.5 * c_mb * 0.9 ** 2 + sum(0.5 * c * (p * v_dd - 0.9) ** 2
+                                             for p, c in zip(prev, tree.c_s))
+    assert sys.stored_energy(x0) == pytest.approx(per_synapse, rel=1e-12)
 
 
 @pytest.mark.parametrize("order", range(5))

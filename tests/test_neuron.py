@@ -588,12 +588,12 @@ def test_repeated_codes_share_their_per_code_work(monkeypatch):
     assert run.table == [zero, a, b]
 
     scored.clear()
-    levels = _count_calls(monkeypatch, baseline_mod, "_levels")
+    legs = _count_calls(monkeypatch, baseline_mod, "_legs")
     run_baseline(BaselineConfig.from_circuit(cfg), codes)
     assert all(len(calls) == 0 for calls in per_bit)
     pairs = set(zip([zero] + codes, codes))
     assert len(pairs) == 6
-    (_, before, after), = levels
+    (_, before, after), = legs
     assert before.shape == after.shape == (len(pairs), n)
     assert {(x.tobytes(), y.tobytes()) for x, y in zip(before, after)} == {
         (np.array(x, dtype=bool).tobytes(), np.array(y, dtype=bool).tobytes()) for x, y in pairs}

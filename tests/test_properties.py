@@ -4,7 +4,9 @@ same run whatever form the stream takes; on random small trees the
 closed-form kernel matches the per-step reference kernel, and so do its
 divergence errors on steps that grow the state; on random circuits a run
 either fails by name or returns finite results; on random per-cycle keys
-pass 1's order of work tiles the run and batches only repeated cycles; on
+pass 1's order of work tiles the run, batches only repeated cycles and
+equals that of the whole-slice comparison; on random unequal-weight
+trees the baseline's lumped legs give the grouped legs' run; on
 random phase operators and start clouds the peak search returns the
 exhaustive maximum; on random trees with repeated and unequal weights
 the run path's code matrix keeps the per-bit rules: the same run from
@@ -13,6 +15,7 @@ drive accounts equal to the bit toggles, and the same errors."""
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -29,6 +32,7 @@ from acansim import (
     SimConfig,
     SimulationError,
     SynapseTreeConfig,
+    baseline,
     baseline_oracle_spec,
     dlcc_offset,
     energy_residual,
@@ -40,6 +44,7 @@ from acansim import (
 from acansim.engine import PhaseOperator
 from acansim.model import effective_pc_capacitance
 from acansim.neuron import SwitchState, build_phase_system
+from grouped_baseline import grouped_legs
 from reference_kernel import Gathers, assert_same_run, reference_kernel
 
 CFG = tune_inductor(CircuitConfig())
@@ -132,6 +137,52 @@ def test_closed_form_kernel_matches_reference_on_random_trees(case):
 
 
 @st.composite
+def unequal_trees_and_streams(draw):
+    # 2 to 6 synapses of 1, 2 or 4 pF, so equal and unequal weights mix,
+    # and a stream in which the all-zero code, a reset cycle, recurs
+    weights = draw(st.lists(st.sampled_from((1e-12, 2e-12, 4e-12)), min_size=2, max_size=6))
+    zero = (0,) * len(weights)
+    code = st.one_of(st.just(zero), st.tuples(*[st.integers(0, 1)] * len(weights)))
+    return tuple(weights), draw(st.lists(code, min_size=1, max_size=16))
+
+
+@settings(max_examples=25, deadline=None)
+# spread states on two weight values, a reset, and both again after it
+@example(case=((1e-12, 2e-12, 1e-12, 2e-12, 4e-12),
+               [(1, 1, 0, 0, 1), (1, 1, 1, 1, 0), (0,) * 5, (1, 0, 1, 1, 0), (0, 0, 1, 0, 0),
+                (1, 1, 1, 1, 0)]))
+@given(case=unequal_trees_and_streams())
+def test_lumped_baseline_matches_the_grouped_legs(case):
+    # the baseline's legs lumped by (new level, weight value), with spread
+    # states, against one leg per (previous level, new level, weight
+    # value): the same decisions, accounts within 1e-11 of the largest
+    # synaptic energy, peaks and samples within 1e-11 relative, and per
+    # cycle the same phases
+    weights, codes = case
+    cfg = BaselineConfig.from_circuit(CircuitConfig(tree=SynapseTreeConfig(c_s=weights)))
+    runs, phases = [], []
+    for legs in (nullcontext, grouped_legs):
+        with legs(), mock.patch.object(baseline, "run_cycles", wraps=baseline.run_cycles) as kernel:
+            runs.append(run_baseline(cfg, codes))
+        _, kinds, kind_of, *_ = kernel.call_args.args
+        phases.append([[(p.start, p.end, p.n_steps) for p in kinds[i][1]]
+                       for i in kind_of.tolist()])
+    run, want = runs
+    assert run.output_bits == want.output_bits
+    np.testing.assert_array_equal(run.outputs, want.outputs)
+    tol = 1e-11 * np.abs(want.ledger_full.s_e).max()
+    for f in fields(EnergyLedger):
+        got, ref = getattr(run.ledger_full, f.name), getattr(want.ledger_full, f.name)
+        assert np.all(np.abs(got - ref) <= tol), f.name
+    for got, ref in zip(run.stats, want.stats):
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
+    for lumped, grouped in zip(*phases, strict=True):
+        assert [n for _, _, n in lumped] == [n for _, _, n in grouped]
+        np.testing.assert_allclose([b for p in lumped for b in p[:2]],
+                                   [b for p in grouped for b in p[:2]], rtol=1e-12, atol=0.0)
+
+
+@st.composite
 def trees_and_repeating_streams(draw):
     # up to 8 synapses of three weight values, so repeated and unequal
     # weights mix; a stream drawn from up to four distinct codes, so codes
@@ -212,13 +263,14 @@ def test_code_matrix_keeps_the_per_bit_rules(case):
 
 @st.composite
 def cycle_keys(draw):
-    # per-cycle kind indices from three kinds of part: constant runs,
+    # per-cycle kind indices from four kinds of part: constant runs,
     # nested periodic blocks (an inner block repeated, plus a tail, the
-    # whole repeated and cut anywhere, so a partial period may trail) and
-    # noise
+    # whole repeated and cut anywhere, so a partial period may trail),
+    # noise, and pairs (keys of their own, each twice, in random places,
+    # so candidate periods reach far)
     keys = st.integers(0, 4)
     out = []
-    for part in draw(st.lists(st.sampled_from(("constant", "nested", "noise")),
+    for part in draw(st.lists(st.sampled_from(("constant", "nested", "noise", "pairs")),
                               min_size=1, max_size=6)):
         if part == "constant":
             out += [draw(keys)] * draw(st.integers(1, 40))
@@ -226,8 +278,39 @@ def cycle_keys(draw):
             inner = draw(st.lists(keys, min_size=1, max_size=3)) * draw(st.integers(1, 4))
             block = (inner + draw(st.lists(keys, max_size=3))) * draw(st.integers(1, 8))
             out += block[:draw(st.integers(1, len(block)))]
-        else:
+        elif part == "noise":
             out += draw(st.lists(keys, min_size=1, max_size=12))
+        else:
+            fresh = range(5 + len(out), 5 + len(out) + draw(st.integers(1, 20)))
+            out += draw(st.permutations([*fresh, *fresh]))
+    return out
+
+
+def _sliced_periods(keys):
+    """``engine._periods`` as it compared whole slices: the output to pin."""
+    n = keys.size
+    by_key = np.argsort(keys, kind="stable")
+    same = keys[by_key[1:]] == keys[by_key[:-1]]
+    nxt = np.full(n, 2 * n)
+    nxt[by_key[:-1][same]] = by_key[1:][same]
+    nxt, ids = nxt.tolist(), keys.tolist()
+    out = []
+    k = 0
+    while k < n:
+        p = nxt[k] - k
+        size = 2 * p
+        if k + size > n or ids[k + p:k + size] != ids[k:k + p]:
+            out.append((k, 1, 1))
+            k += 1
+            continue
+        while k + size < n:
+            take = min(size, n - k - size)
+            if ids[k + size:k + size + take] != ids[k:k + take]:
+                size += next(i for i, (a, b) in enumerate(zip(ids[k + size:], ids[k:])) if a != b)
+                break
+            size += take
+        out.append((k, p, size))
+        k += size
     return out
 
 
@@ -238,6 +321,7 @@ def cycle_keys(draw):
 @given(keys=cycle_keys())
 def test_periods_tile_the_run_and_batch_only_repeats(keys):
     order = engine._periods(np.array(keys))
+    assert order == _sliced_periods(np.array(keys))
     ran = 0   # cycles 0 .. ran - 1 ran in earlier items
     for k, p, count in order:
         # the items tile 0 .. n - 1 in order, with no gap and no overlap
