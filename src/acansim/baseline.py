@@ -116,8 +116,9 @@ def _legs(cfg: BaselineConfig, before: np.ndarray,
     """Lumped legs of each transition from a row of the boolean
     (transitions, n) matrix ``before`` to the same row of ``after``, from
     one count over every transition at once: per transition its system
-    key, the ``build_baseline_system`` arguments after the config, and the
-    start of each of the system's states but the membrane.
+    key, the ``build_baseline_system`` arguments after the config and
+    before the state size, and the start of each of the system's own
+    states but the membrane.
 
     The synapses of one weight value that share a new level share their
     drive and their RC product, so they lump exactly into one leg, which
@@ -128,8 +129,8 @@ def _legs(cfg: BaselineConfig, before: np.ndarray,
     v_dd sqrt(sum c0 c1 / (c0 + c1) / N_w) <= v_dd / 2, summed over its
     new levels, c0 and c1 their synapses of previous level low and high.
     It is a state only where a new level mixes both previous levels, so
-    that a system has the same set of modes as one state per (previous
-    level, new level, weight value) group.
+    that a system has the same set of decaying modes as one state per
+    (previous level, new level, weight value) group.
     """
     # per transition its four (previous level, new level) masks, in order
     masks = np.stack((~before & ~after, ~before & after, before & ~after, before & after), axis=1)
@@ -148,9 +149,13 @@ def _legs(cfg: BaselineConfig, before: np.ndarray,
 
 
 def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequence[bool],
-                          reset_on: bool) -> PhaseSystem:
+                          reset_on: bool, dim: int | None = None) -> PhaseSystem:
     """Phase system of one cycle: per distinct weight value, ascending, its
-    low leg, its high leg and its spread state, where present, then V_m.
+    low leg, its high leg and its spread state, where present, then held
+    states up to ``dim`` states in all (none by default), then V_m.  A
+    held state has a zero row and column in A, a zero entry in b and no
+    element, so the systems of a run share the state size of its widest
+    one (``run_baseline``).
 
     ``ones`` holds per weight value the number of its synapses whose
     driver sits high, and ``spread`` whether it has a spread state.  Each
@@ -174,7 +179,7 @@ def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequ
         if mixed:
             spreads.append((len(legs) + len(spreads), total, c))
 
-    dim = len(legs) + len(spreads) + 1
+    dim = dim or len(legs) + len(spreads) + 1
     a = np.zeros((dim, dim))
     b = np.zeros(dim)
     im = dim - 1
@@ -211,8 +216,8 @@ def _cycle_plan(system: PhaseSystem, rates: np.ndarray, t_cycle: float, spc: int
     The slowest settling mode comes straight from the system matrix (the
     real parts of its eigenvalues, ``rates``), so the dense window tracks
     the actual transient at any tree size.  With the reset open the
-    membrane-charge mode sits at exactly zero rate; it never settles and
-    must not widen the dense window.
+    membrane-charge mode sits at exactly zero rate, as does each held
+    state; they never settle and must not widen the dense window.
     """
     taus = [1.0 / -r for r in rates if r < 0.0 and -r * t_cycle >= 1.0]
     t_fine = 60.0 * max(taus) if taus else t_cycle
@@ -223,14 +228,14 @@ def _cycle_plan(system: PhaseSystem, rates: np.ndarray, t_cycle: float, spc: int
     return [Phase(0.0, split, n_fine, system), Phase(split, 1.0, spc - n_fine, system)]
 
 
-def _entry_map(starts: Sequence[float], dim_from: int) -> np.ndarray:
-    """Augmented entry map of a cycle: each state but the membrane starts
-    at its value in ``starts``, whatever the last cycle left; the membrane
-    carries over."""
-    entry = np.zeros((len(starts) + 2, dim_from + 1))
-    entry[:len(starts), dim_from] = starts
-    entry[len(starts), dim_from - 1] = 1.0
-    entry[-1, dim_from] = 1.0
+def _entry_map(starts: Sequence[float], dim: int) -> np.ndarray:
+    """Augmented entry map of a cycle in a layout of ``dim`` states,
+    square: each state but the membrane starts at its value in
+    ``starts``, whatever the last cycle left, and each held state after
+    them at 0; the membrane carries over."""
+    entry = np.zeros((dim + 1, dim + 1))
+    entry[:len(starts), -1] = starts
+    entry[-2, -2] = entry[-1, -1] = 1.0
     return entry
 
 
@@ -247,11 +252,13 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     count per distinct (previous code, code) pair, one phase system per
     distinct key (the high count and spread flag per weight value, and
     the reset), so transitions with the same new levels share their
-    system and operators, one kind (entry map and phases) per distinct
-    (pair, state size), which the kernel gets with each cycle's index into
-    them, and one oracle bit per distinct code.  The legs, toggle counts
-    and oracle bits come from the distinct codes' bit matrix, each in one
-    array pass; each pair's starts go into its entry map's affine column.
+    system and operators, and one oracle bit per distinct code.  Every
+    system of the run has the state size of its widest transition, its
+    own states first, then held states, then V_m, so each pair is one
+    kind (its square entry map and phases), which the kernel gets with
+    each cycle's pair index.  The legs, toggle counts and oracle bits
+    come from the distinct codes' bit matrix, each in one array pass;
+    each pair's starts go into its entry map's affine column.
     """
     tree = cfg.tree
     table, bits, index = _code_table(codes, tree.n)
@@ -267,32 +274,23 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     first, pair_of = first_seen(prev * len(table) + index)
     before, after = bits[prev[first]], bits[index[first]]
     pair_legs = _legs(cfg, before, after)   # per distinct pair
+    dim = max(len(starts) for _, starts in pair_legs) + 1   # the run's state size
     systems: dict[tuple, PhaseSystem] = {}
-    pair_systems = []
     for key, _ in pair_legs:
         if key not in systems:
-            systems[key] = build_baseline_system(cfg, *key)
-        pair_systems.append(systems[key])
+            systems[key] = build_baseline_system(cfg, *key, dim)
     ledger.drive += e_toggle * (before ^ after).sum(1)[pair_of]
 
-    # each system's phases, from one stacked eigenvalue call per dimension
-    plans: dict[PhaseSystem, list[Phase]] = {}
-    for d in dict.fromkeys(system.dim for system in systems.values()):
-        group = [system for system in systems.values() if system.dim == d]
-        rates = np.linalg.eigvals(np.stack([system.a for system in group])).real
-        plans.update((system, _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle))
-                     for system, r in zip(group, rates))
+    # each system's phases, from one stacked eigenvalue call; a held
+    # state's zero rate is dropped there as the floating membrane's is
+    rates = np.linalg.eigvals(np.stack([system.a for system in systems.values()])).real
+    plans = {system: _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle)
+             for system, r in zip(systems.values(), rates)}
+    kinds = [(_entry_map(starts, dim), plans[systems[key]]) for key, starts in pair_legs]
 
-    # per cycle its kind: its pair and the state size the previous cycle
-    # ends with (the membrane alone at the start), which fix its entry map
-    dims = np.array([len(starts) + 1 for _, starts in pair_legs])[pair_of]
-    dim_from = np.concatenate(([1], dims[:-1]))
-    kind_first, kind_of = first_seen(pair_of * (dims.max() + 1) + dim_from)
-    kinds = [(_entry_map(pair_legs[t][1], d), plans[pair_systems[t]])
-             for t, d in zip(pair_of[kind_first].tolist(), dim_from[kind_first].tolist())]
-
-    peaks, samples, _ = run_cycles(ledger, kinds, kind_of, np.array([tree.v_ref]), t_cycle,
-                                   v_limit, (-1,))
+    # the membrane at V_REF, every other state at 0
+    x0 = np.append(np.zeros(dim - 1), tree.v_ref)
+    peaks, samples, _ = run_cycles(ledger, kinds, pair_of, x0, t_cycle, v_limit, (-1,))
     stats = CycleStats(np.full(n_cycles, cfg.v_dd), peaks[:, 0], samples)
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     spec = baseline_oracle_spec(cfg, v_os=v_os)

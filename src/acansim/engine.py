@@ -88,10 +88,13 @@ class PhaseSystem:
     with its elements as data: the storage terms give the stored energy of
     a state, the loss and source terms give a phase's energy accounts
     (``PhaseOperator``).  ``groups`` are the lumped branch legs, in the
-    order of their top-plate states; it lists the legs only and is no
-    state index, for a design may put other states among them (the
-    baseline's spread states).  Systems compare and hash by identity, so a
-    run's phases can key its operators.
+    order of their top-plate states; it lists the enabled legs only and is
+    no state index.  Every phase system of a run has one state layout, so
+    other states sit among the legs: held states, which a switch state
+    leaves unused (a zero row and column in A, a zero entry in b, and no
+    store, loss or source term), and the baseline's spread states.
+    Systems compare and hash by identity, so a run's phases can key its
+    operators.
     """
 
     a: np.ndarray
@@ -137,28 +140,27 @@ def _build_maps(phases: Iterable[tuple[PhaseSystem, float, int]]) -> tuple[
         dict[tuple[PhaseSystem, float], tuple[np.ndarray, np.ndarray]],
         dict[tuple[PhaseSystem, float, int], np.ndarray]]:
     """Step maps (E, f) of the distinct (system, dt) pairs of phases
-    (system, dt, n), one stacked ``step_maps`` call per state dimension,
+    (system, dt, n) of one state size, in one stacked ``step_maps`` call,
     and the end map of each distinct phase: M = G^n for G = [E f; 0 1] the
     augmented step map, so [x_end; 1] = M [x0; 1], one stacked power per
-    state dimension and step count."""
-    by_dim: dict[int, dict[tuple[PhaseSystem, float], list[int]]] = {}
+    step count."""
+    pairs: dict[tuple[PhaseSystem, float], list[int]] = {}
     for system, dt, n in dict.fromkeys(phases):
-        by_dim.setdefault(system.dim, {}).setdefault((system, dt), []).append(n)
-    maps, ends = {}, {}
-    for d, pairs in by_dim.items():
-        e, f = step_maps(np.stack([s.a for s, _ in pairs]), np.stack([s.b for s, _ in pairs]),
-                         np.array([dt for _, dt in pairs]))
-        maps.update(zip(pairs, zip(e, f)))
-        g = np.zeros((len(pairs), d + 1, d + 1))
-        g[:, :d, :d], g[:, :d, d], g[:, d, d] = e, f, 1.0
-        by_n: dict[int, list[int]] = {}
-        for i, ns in enumerate(pairs.values()):
-            for n in ns:
-                by_n.setdefault(n, []).append(i)
-        keys = list(pairs)
-        for n, at in by_n.items():
-            ends.update(zip([(*keys[i], n) for i in at], np.linalg.matrix_power(g[at], n)))
-    return maps, ends
+        pairs.setdefault((system, dt), []).append(n)
+    keys = list(pairs)
+    e, f = step_maps(np.stack([s.a for s, _ in keys]), np.stack([s.b for s, _ in keys]),
+                     np.array([dt for _, dt in keys]))
+    d = e.shape[-1]
+    g = np.zeros((len(keys), d + 1, d + 1))
+    g[:, :d, :d], g[:, :d, d], g[:, d, d] = e, f, 1.0
+    by_n: dict[int, list[int]] = {}
+    for i, ns in enumerate(pairs.values()):
+        for n in ns:
+            by_n.setdefault(n, []).append(i)
+    ends = {}
+    for n, at in by_n.items():
+        ends.update(zip([(*keys[i], n) for i in at], np.linalg.matrix_power(g[at], n)))
+    return dict(zip(keys, zip(e, f))), ends
 
 
 # Steps per block of a phase operator: step k = bB + m of a phase is
@@ -171,7 +173,7 @@ _CHUNK_BLOCKS = 2 ** 18 // _BLOCK
 _CHORD = np.arange(_BLOCK + 1)[:, None, None] / _BLOCK   # m / B at the steps m <= B of a block
 # Entries (operators x B x peak rows x blocks x (d + 1)) per compile stack
 # of the chord deviation product: bounds its temporary, 2 MB, however
-# many operators share a state dimension and step count.
+# many operators of a run share a step count.
 _STACK_ENTRIES = 1 << 18
 
 
@@ -314,30 +316,29 @@ class PhaseOperator:
 
 
 def compile_operators(ops: Iterable[PhaseOperator]) -> None:
-    """Complete phase operators for the guard and pass 2,
-    stacked: per state dimension, step count and peak rows one ``_powers``
-    call for the block tables, one for the block starts and one deviation
-    product (``_compile_powers``, which lays out the peak rows' block
-    starts and chord bounds as ``peaks`` multiplies them), in stacks of at
-    most ``_STACK_ENTRIES`` deviation entries (one operator at least); per
-    state dimension the accounts, one Stein doubling and one ``eigh`` call
+    """Complete phase operators of one state size and peak rows for the
+    guard and pass 2, stacked: per step count one ``_powers`` call for the
+    block tables, one for the block starts and one deviation product
+    (``_compile_powers``, which lays out the peak rows' block starts and
+    chord bounds as ``peaks`` multiplies them), in stacks of at most
+    ``_STACK_ENTRIES`` deviation entries (one operator at least); for all
+    of them the accounts, one Stein doubling and one ``eigh`` call
     (``_compile_accounts``).  A lone operator is a stack of one."""
-    shapes: dict[tuple[int, int, tuple[int, ...]], list[PhaseOperator]] = {}
-    dims: dict[int, list[PhaseOperator]] = {}
+    ops = list(ops)
+    by_n: dict[int, list[PhaseOperator]] = {}
     for op in ops:
-        shapes.setdefault((op.dim, op.n, op.peak_rows), []).append(op)
-        dims.setdefault(op.dim, []).append(op)
-    for (d, n, rows), group in shapes.items():
+        by_n.setdefault(op.n, []).append(op)
+    for n, group in by_n.items():
+        d, rows = group[0].dim, group[0].peak_rows
         size = max(1, _STACK_ENTRIES // (_BLOCK * len(rows) * (n // _BLOCK + 1) * (d + 1)))
         for c in range(0, len(group), size):
             _compile_powers(group[c:c + size])
-    for group in dims.values():
-        _compile_accounts(group)
+    _compile_accounts(ops)
 
 
 def _compile_powers(group: list[PhaseOperator]) -> None:
     """The block table, block starts, guard bound, and the peak rows' block
-    starts and chord deviation bounds of operators of one state dimension,
+    starts and chord deviation bounds of operators of one state size,
     step count and peak rows."""
     d, n, rows = group[0].dim, group[0].n, np.array(group[0].peak_rows)
     powers = _powers(np.stack([op._g for op in group]), _BLOCK + 1)   # (operators, B + 1, d + 1, d + 1)
@@ -375,7 +376,7 @@ def _compile_powers(group: list[PhaseOperator]) -> None:
 def _compile_accounts(group: list[PhaseOperator]) -> None:
     """Each operator's accounts, (account, array, is a loss), each a
     trapezoid sum over the phase: a loss as factors F (loss = |F z|^2), a
-    source as a row s (energy = s @ z); for operators of one dimension."""
+    source as a row s (energy = s @ z); for operators of one state size."""
     d = group[0].dim
     # one form per (account, operator), the losses first; per term its form,
     # indices and operator, and its gain (or power) and offset
@@ -576,10 +577,16 @@ def run_cycles(
     and, with a ``stride``, the states at every stride-th step of the
     concatenated cycle.
 
-    All phases of a cycle share its state layout.  Returns the maxima
-    (cycles x peak rows), the decision samples and the per-cycle sampled
-    states (None without a stride).
+    A run has one state size: x0, every phase system and every entry map
+    (square) share it, so that the maps and operators of a run stack
+    whole; anything else raises ValueError.  Returns the maxima (cycles x
+    peak rows), the decision samples and the per-cycle sampled states
+    (None without a stride).
     """
+    sizes = {x0.size, *(p.system.dim for _, phases in kinds for p in phases),
+             *(n - 1 for entry, _ in kinds if entry is not None for n in entry.shape)}
+    if len(sizes) > 1:
+        raise ValueError(f"run_cycles: a run needs one state size, got sizes {sorted(sizes)}")
     n_cycles = kind_of.size
 
     def step(phase: Phase) -> float:
@@ -630,8 +637,7 @@ def run_cycles(
     e_start, e_end = np.empty(n_cycles), np.empty(n_cycles)
     states: list[np.ndarray] = []
     if stride:
-        shapes = [(-(-sum(p.n_steps for p in phases) // stride), phases[0].system.dim)
-                  for _, phases in kinds]
+        shapes = [(-(-sum(p.n_steps for p in phases) // stride), x0.size) for _, phases in kinds]
         states = [np.empty(shapes[i]) for i in kind_at]
     for ((start, end, n_steps, system), offset, last), (op, ks, xs, zs) in slots.items():
         op.book(ledger, ks, zs)

@@ -226,8 +226,12 @@ def _weight_counts(c_s: Sequence[float], on: np.ndarray) -> tuple[list[float], n
 def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
     """Assemble (A, b) and the elements for one switch phase.
 
-    State layout: [I_L, V_PC, V_s per group..., V_m]; with no enabled
-    synapse this is the reduced 3-state system [I_L, V_PC, V_m].
+    State layout: [I_L, V_PC, V_s per weight value..., V_m], one top
+    plate per distinct weight value of the tree, ascending, whatever the
+    gates: a value with no enabled synapse holds its plate (a zero row and
+    column in A, a zero entry in b and no element), so every phase system
+    of a tree has one state size.  A run keeps the plates of the values
+    it enables only (``_simulate_plans``).
 
     Topology: the DC source feeds the inductor into the clock node, which
     carries the tank capacitor and the plate/shunt parasitics of every
@@ -247,15 +251,16 @@ def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
 def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
                   counts: Sequence[int]) -> PhaseSystem:
     """``build_phase_system`` with the gates given as the enabled count of
-    each distinct weight value (``_weight_counts``); ``sw.synapse_on`` is
-    not read."""
+    each weight value in ``values`` (``_weight_counts``), one plate per
+    value; ``sw.synapse_on`` is not read."""
     tree, pc, env = cfg.tree, cfg.pc, cfg.env
     n_on = sum(counts)
     n_off = tree.n - n_on
 
     r_tg = tg_resistance(tree, env)
-    groups = tuple(BranchGroup(r=r_tg / count, c=count * c_val)
-                   for c_val, count in zip(values, counts) if count)
+    # (top-plate state, lumped leg) of each enabled weight value
+    legs = [(2 + j, BranchGroup(r=r_tg / count, c=count * c_val))
+            for j, (c_val, count) in enumerate(zip(values, counts)) if count]
 
     c_pc = pc.c_e + n_off * (tree.c_pl_off + tree.c_sh) + n_on * tree.c_pl_on
     c_m = tree.c_d + tree.c_par + n_on * tree.c_pr
@@ -263,8 +268,7 @@ def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
     g_reset = 1.0 / reset_resistance(tree, env) if sw.reset_on else 0.0
     r_lc = lc_series_resistance(cfg)
 
-    n_g = len(groups)
-    dim = 3 + n_g
+    dim = 3 + len(values)
     a = np.zeros((dim, dim))
     b = np.zeros(dim)
     im = dim - 1
@@ -277,28 +281,28 @@ def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
     # clock node: C_pc dV/dt = I_L - sum_g (V_PC - V_sg)/r_g - g_pc V_PC
     a[1, 0] = 1.0 / c_pc
     a[1, 1] = -g_pc / c_pc
-    for j, g in enumerate(groups):
+    for j, g in legs:
         a[1, 1] -= (1.0 / g.r) / c_pc
-        a[1, 2 + j] = (1.0 / g.r) / c_pc
+        a[1, j] = (1.0 / g.r) / c_pc
 
     # membrane: C_m dV/dt = sum_g (V_PC - V_sg)/r_g - g_reset (V_m - V_REF)
     a[im, im] = -g_reset / c_m
     b[im] = g_reset * tree.v_ref / c_m
-    for j, g in enumerate(groups):
+    for j, g in legs:
         a[im, 1] += (1.0 / g.r) / c_m
-        a[im, 2 + j] -= (1.0 / g.r) / c_m
+        a[im, j] -= (1.0 / g.r) / c_m
 
     # group top plates: series-leg current balance gives
     # dV_sg/dt = dV_m/dt + (V_PC - V_sg)/(r_g c_g)
-    for j, g in enumerate(groups):
-        a[2 + j, :] = a[im, :]
-        b[2 + j] = b[im]
-        a[2 + j, 1] += 1.0 / (g.r * g.c)
-        a[2 + j, 2 + j] -= 1.0 / (g.r * g.c)
+    for j, g in legs:
+        a[j, :] = a[im, :]
+        b[j] = b[im]
+        a[j, 1] += 1.0 / (g.r * g.c)
+        a[j, j] -= 1.0 / (g.r * g.c)
 
     stores = (Store(pc.l_pc, 0), Store(c_pc, 1), Store(c_m, im),
-              *(Store(g.c, 2 + j, im) for j, g in enumerate(groups)))
-    losses = [Loss("r_tg", 1.0 / g.r, 1, 2 + j) for j, g in enumerate(groups)]
+              *(Store(g.c, j, im) for j, g in legs))
+    losses = [Loss("r_tg", 1.0 / g.r, 1, j) for j, g in legs]
     sources = [Source("source_dc", pc.v_dc, 0)]
     if r_lc > 0.0:
         losses.append(Loss("r_lc", r_lc, 0))   # series coil: R_lc I_L^2
@@ -308,7 +312,7 @@ def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
         loss, source = reset_terms(g_reset, tree.v_ref, im)
         losses.append(loss)
         sources.append(source)
-    return PhaseSystem(a=a, b=b, groups=groups, stores=stores,
+    return PhaseSystem(a=a, b=b, groups=tuple(g for _, g in legs), stores=stores,
                        losses=tuple(losses), sources=tuple(sources))
 
 
@@ -382,15 +386,15 @@ def _plan_phases(cfg: CircuitConfig, plan: CyclePlan, systems: dict[tuple, Phase
     return tuple(phases)
 
 
-def _rejoin(dim_from: int, dim_to: int) -> np.ndarray:
-    """Augmented entry map of a gate change: the top plates of the newly
-    enabled branch set join at the clock voltage (they were parked at the
-    trough when last disconnected); I_L, V_PC and V_m carry over."""
-    entry = np.zeros((dim_to + 1, dim_from + 1))
-    entry[0, 0] = 1.0
-    entry[1:dim_to - 1, 1] = 1.0
-    entry[dim_to - 1, dim_from - 1] = 1.0
-    entry[dim_to, dim_from] = 1.0
+def _rejoin(dim: int) -> np.ndarray:
+    """Augmented entry map of a gate change in a layout of ``dim`` states:
+    the top plates of the newly enabled branch set join at the clock
+    voltage (they were parked at the trough when last disconnected), and
+    so does every other plate, which no element reads while held; I_L,
+    V_PC and V_m carry over."""
+    entry = np.eye(dim + 1)
+    entry[2:dim - 1] = 0.0
+    entry[2:dim - 1, 1] = 1.0
     return entry
 
 
@@ -447,9 +451,12 @@ def _simulate_plans(
     all off, and each plan's row (``gate_of``); equal rows are one row.
     Phases are built once per plan (equal plans built apart share phase
     systems by content); drive toggles and entry maps are booked only
-    where the gates change.  The kernel gets the run's kinds, one per
-    distinct (plan, state size entered from where the gates change), and
-    each cycle's index into them."""
+    where the gates change.  Every phase system of the run has one state
+    layout, a plate per weight value that some plan enables (a value the
+    run leaves off has none), so the kernel gets the run's kinds, one per
+    distinct (plan, whether the gates change), the change's kind entering
+    through the one square ``_rejoin`` map, and each cycle's index into
+    them."""
     n_cycles = plan_of.size
     if n_cycles == 0:
         raise ValueError("simulate: need at least one cycle plan")
@@ -461,12 +468,14 @@ def _simulate_plans(
     v_limit = 50.0 * v_dd
     e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
     ledger = EnergyLedger.zeros(n_cycles)
-    # persistent state between cycles: [I_L, V_PC, V_s per group..., V_m]
-    x0 = np.array([0.0, 0.0, cfg.tree.v_ref])
-
     systems: dict[tuple, PhaseSystem] = {}
     steps: dict[tuple, list[int]] = {}
     values, counts = _weight_counts(cfg.tree.c_s, gates)
+    # the run's layout has a plate for each weight value some plan enables
+    used = counts.any(0)
+    values, counts = [v for v, u in zip(values, used.tolist()) if u], counts[:, used]
+    # persistent state between cycles: [I_L, V_PC, V_s per used weight value..., V_m]
+    x0 = np.array([0.0, 0.0, *[0.0] * len(values), cfg.tree.v_ref])
     keys = list(map(tuple, counts.tolist()))
     plan_phases = [_plan_phases(cfg, plan, systems, steps, values, keys[g])
                    for plan, g in zip(plans, gate_of.tolist())]
@@ -475,13 +484,11 @@ def _simulate_plans(
     changes = np.flatnonzero(gate != prev)
     # gate-driver overhead: half a full charge per toggled control line
     ledger.drive[changes] += (gates[prev[changes]] ^ gates[gate[changes]]).sum(1) * e_toggle
-    # per cycle its kind: its plan and, where the gates change, the state
-    # size it enters from through ``_rejoin`` (0: no entry map)
-    dims = np.array([phases[0].system.dim for phases in plan_phases])
-    dim_from = np.where(gate != prev, np.concatenate(([x0.size], dims[plan_of[:-1]])), 0)
-    kind_first, kind_of = first_seen(plan_of * (dims.max() + 1) + dim_from)
-    kinds = [(_rejoin(d, dims[p]) if d else None, plan_phases[p])
-             for p, d in zip(plan_of[kind_first].tolist(), dim_from[kind_first].tolist())]
+    # per cycle its kind: its plan and whether the gates change
+    kind = 2 * plan_of + (gate != prev)
+    kind_first, kind_of = first_seen(kind)
+    rejoin = _rejoin(x0.size)
+    kinds = [(rejoin if k % 2 else None, plan_phases[k // 2]) for k in kind[kind_first].tolist()]
 
     peaks, samples, states = run_cycles(ledger, kinds, kind_of, x0, t_pc, v_limit, (1, -1),
                                         stride if keep_samples else None)
@@ -492,12 +499,13 @@ def _simulate_plans(
     t_all = np.empty((len(states or ()), cfg.sim.steps_per_cycle // stride))
     x_all = np.empty((*t_all.shape, 4))   # columns i_l, v_pc, v_s_agg, v_m
     v_s_hold = 0.0   # last known top-plate aggregate
+    # per gate row, each plate's weight in it: enabled count x value, 0 where held
+    weights = counts * np.array(values)
     for k, (p, rows) in enumerate(zip(plan_of.tolist(), states or ())):
         states[k] = None   # each cycle's states are held once, here or in x_all
         phases = plan_phases[p]
-        groups = phases[0].system.groups
-        if groups:   # the gates hold all cycle
-            w = np.array([g.c for g in groups])
+        w = weights[gate_of[p]]
+        if w.any():   # the gates hold all cycle
             agg = (rows[:, 2:-1] @ w) / w.sum()
             v_s_hold = float(agg[-1])
         else:

@@ -6,7 +6,9 @@ mix both previous levels.  The grouping here keeps one leg per (previous
 level, new level, weight value): no spread state, and each leg's top
 plate starts at the rail its driver held last cycle.  It is the exact
 system the lumping aggregates, so runs through both agree to round-off;
-the property tests pin the lumped run to it.
+the property tests pin the lumped run to it.  Like the design, its
+systems take the run's state size: a transition's own legs, then held
+states (a zero row and column, no element), then V_m.
 """
 
 from contextlib import contextmanager
@@ -37,17 +39,18 @@ def grouped_legs_of(cfg, before, after):
             for lv, row in zip(levels, after)]
 
 
-def build_grouped_system(cfg, levels, reset_on):
-    """Phase system of one cycle over [V_t per group..., V_m]: each group
-    one driver leg of r_drv/count in series with its lumped weight
-    capacitor, its driver held at the new level's rail."""
+def build_grouped_system(cfg, levels, reset_on, dim=None):
+    """Phase system of one cycle over [V_t per group..., held..., V_m],
+    ``dim`` states in all (no held state by default): each group one
+    driver leg of r_drv/count in series with its lumped weight capacitor,
+    its driver held at the new level's rail."""
     tree = cfg.tree
     c_mb = tree.c_d + tree.c_par
     g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0
     groups = tuple(BranchGroup(r=cfg.r_drv / cnt, c=cnt * c) for _, _, c, cnt in levels)
     u = [n * cfg.v_dd for _, n, _, _ in levels]
 
-    dim = len(groups) + 1
+    dim = dim or len(groups) + 1
     a = np.zeros((dim, dim))
     b = np.zeros(dim)
     im = dim - 1

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import itertools
 import math
 import os
 import subprocess
@@ -102,21 +103,47 @@ def test_propagate_matches_repeated_advance():
         assert np.allclose(xs[k + 1], x, rtol=1e-10, atol=1e-14)
 
 
-def test_build_phase_system_reduced_when_all_off():
+def _held_states(sys, held):
+    # a held state: a zero row and column in A, a zero entry in b, and no
+    # store, loss or source names it
+    held = list(held)
+    assert not sys.a[held].any() and not sys.a[:, held].any() and not sys.b[held].any()
+    named = {k for t in (*sys.stores, *sys.losses) for k in (t.i, t.j)} | {t.i for t in sys.sources}
+    assert not named & set(held)
+
+
+def test_build_phase_system_holds_plates_when_all_off():
     cfg = CircuitConfig()
     sys = build_phase_system(cfg, SwitchState(False, False, (False,) * 4))
-    assert sys.dim == 3
+    # the tree's layout [I_L, V_PC, V_s, V_m], its one plate held
+    assert sys.dim == 4
     assert sys.groups == ()
+    _held_states(sys, [2])
     l_pc, c_pc, c_m = sys.stores
     assert (l_pc.k, l_pc.i, l_pc.j) == (cfg.pc.l_pc, 0, None)
     assert c_pc.k == pytest.approx(25.014e-12, rel=1e-12)
-    assert c_m.k == pytest.approx(4.5e-12, rel=1e-12)
+    assert c_m.k == pytest.approx(4.5e-12, rel=1e-12) and c_m.i == 3
     # bypass and reset open: only the coil loses, only the DC feed sources
     assert [loss.account for loss in sys.losses] == ["r_lc"]
     assert sys.sources == (Source("source_dc", cfg.pc.v_dc, 0),)
-    x = np.array([1e-3, 0.5, 0.9])
+    x = np.array([1e-3, 0.5, 0.3, 0.9])
     expect = 0.5 * cfg.pc.l_pc * 1e-6 + 0.5 * c_pc.k * 0.25 + 0.5 * c_m.k * 0.81
     assert sys.stored_energy(x) == pytest.approx(expect, rel=1e-12)
+    # every code of an unequal tree, all-off included, has the tree's
+    # layout, one plate per weight value (1, 2 and 4 pF), and holds the
+    # plates of the values with no enabled gate
+    tree = SynapseTreeConfig(c_s=(2e-12, 1e-12, 4e-12, 1e-12))
+    values = (1e-12, 2e-12, 4e-12)
+    for code in itertools.product((False, True), repeat=4):
+        for bypass, reset in ((False, False), (True, True)):
+            sys = build_phase_system(CircuitConfig(tree=tree), SwitchState(bypass, reset, code))
+            assert sys.dim == 6
+            on = [any(b for b, c in zip(code, tree.c_s) if c == v) for v in values]
+            _held_states(sys, [2 + j for j, enabled in enumerate(on) if not enabled])
+            assert [g.c for g in sys.groups] == pytest.approx(
+                [v * sum(b for b, c in zip(code, tree.c_s) if c == v)
+                 for v, enabled in zip(values, on) if enabled], rel=1e-12)
+            assert all(sys.a[2 + j, 2 + j] < 0.0 for j, enabled in enumerate(on) if enabled)
 
 
 def test_build_phase_system_lumps_equal_weights():
@@ -425,7 +452,9 @@ def test_book_segment_matches_per_column_formulas_adiabatic():
 def test_book_segment_matches_per_column_formulas_baseline():
     # rising, falling, held-high and held-low branches of two weight values,
     # reset closed; the 1 pF value's high leg mixes both previous levels,
-    # so that value has a spread state
+    # so that value has a spread state, and the 2 pF value has none; the
+    # system takes a state size one wider, as in a run with a wider
+    # transition, so one state is held
     tree = SynapseTreeConfig(c_s=(1e-12, 1e-12, 1e-12, 2e-12, 2e-12))
     bcfg = BaselineConfig.from_circuit(CircuitConfig(tree=tree))
     prev, code = (0, 1, 1, 0, 1), (1, 1, 0, 0, 1)
@@ -433,15 +462,21 @@ def test_book_segment_matches_per_column_formulas_baseline():
         bcfg, np.array([prev], dtype=bool), np.array([code], dtype=bool))
     assert (ones, spread, reset_on) == ((2, 1), (True, False), False)
     v_dd, r = bcfg.v_dd, bcfg.r_drv
-    # per state but the membrane: count, weight and rail (None: the spread)
+    # per weight value its low leg, high leg and spread, where present,
+    # then the held state, then the membrane; per state but the membrane:
+    # count, weight and rail (None: the spread), or None where it is held
     states = [(1, 1e-12, 0.0), (2, 1e-12, v_dd), (3, 1e-12, None),
-              (1, 2e-12, 0.0), (1, 2e-12, v_dd)]
+              (1, 2e-12, 0.0), (1, 2e-12, v_dd), None]
     sigma0 = v_dd * math.sqrt((1 * 1 / 2) / 3)
     assert starts == pytest.approx([v_dd, v_dd / 2, sigma0, 0.0, v_dd], rel=1e-15)
-    sys = build_baseline_system(bcfg, ones, spread, reset_on=True)
+    assert build_baseline_system(bcfg, ones, spread, reset_on=True).dim == 6
+    sys = build_baseline_system(bcfg, ones, spread, reset_on=True, dim=7)
+    assert sys.dim == 7
+    _held_states(sys, [5])
+    legs = [(j, *st) for j, st in enumerate(states) if st is not None and st[2] is not None]
     assert [(g.r, g.c) for g in sys.groups] == pytest.approx(
-        [(r / cnt, cnt * c) for cnt, c, u in states if u is not None], rel=1e-15)
-    x0 = np.array([*starts, 0.9])
+        [(r / cnt, cnt * c) for _, cnt, c, _ in legs], rel=1e-15)
+    x0 = np.array([*starts, 0.0, 0.9])
     n, dt = 1024, 1e-6 / 1024
     xs = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
     ledger = _book_phase(sys, dt, n, x0)
@@ -449,31 +484,30 @@ def test_book_segment_matches_per_column_formulas_baseline():
     def trapz(y):
         return float(np.trapezoid(y, dx=dt))
 
-    legs = [(j, cnt, u) for j, (cnt, _, u) in enumerate(states) if u is not None]
     g_reset = 1.0 / reset_resistance(tree, bcfg.env)
     v_ref = tree.v_ref
     dvm = xs[:, -1] - v_ref
     _assert_accounts(ledger, {
         # the legs, and the spread's 3 synapses of the mixed new level
-        "r_tg": sum((cnt / r) * trapz((u - xs[:, j]) ** 2) for j, cnt, u in legs)
+        "r_tg": sum((cnt / r) * trapz((u - xs[:, j]) ** 2) for j, cnt, _, u in legs)
                 + (3 / r) * trapz(xs[:, 2] ** 2),
         # the rail feeds only the legs whose driver sits high
         "source_dc": sum(v_dd * (cnt / r) * trapz(v_dd - xs[:, j])
-                         for j, cnt, u in legs if u > 0.0),
+                         for j, cnt, _, u in legs if u > 0.0),
         "r_reset": g_reset * trapz(dvm ** 2),
         "source_ref": g_reset * v_ref * trapz(-dvm),
     })
     # the spread decays on its own: by (1 - h) / (1 + h) a trapezoid step,
-    # h = dt / (2 r_drv c_w)
+    # h = dt / (2 r_drv c_w); the held state stays at its start
     h = dt / (2.0 * r * 1e-12)
     np.testing.assert_allclose(xs[:, 2], sigma0 * ((1 - h) / (1 + h)) ** np.arange(n + 1),
                                rtol=1e-12, atol=1e-15 * sigma0)
+    assert not xs[:, 5].any()
     # stored energy per column, the spread's 1/2 N_w c_w sigma^2 included,
     # and at the start that of every plate at its driver's previous rail
     c_mb = tree.c_d + tree.c_par
     stored = 0.5 * c_mb * xs[:, -1] ** 2 + 0.5 * 3 * 1e-12 * xs[:, 2] ** 2 + sum(
-        0.5 * cnt * c * (xs[:, j] - xs[:, -1]) ** 2
-        for j, (cnt, c, u) in enumerate(states) if u is not None)
+        0.5 * cnt * c * (xs[:, j] - xs[:, -1]) ** 2 for j, cnt, c, _ in legs)
     np.testing.assert_allclose(sys.stored_energy(xs), stored, rtol=1e-12)
     per_synapse = 0.5 * c_mb * 0.9 ** 2 + sum(0.5 * c * (p * v_dd - 0.9) ** 2
                                              for p, c in zip(prev, tree.c_s))
@@ -536,7 +570,8 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
     cfg = tune_inductor(CircuitConfig())
     codes = [(1, 1, 0, 1)] * 101 + [(0, 0, 0, 0)] * 77 + [(1, 0, 1, 0)] * 23
     # and a membrane that holds exactly (gates and reset open), so every
-    # block of its peak search is a candidate
+    # block of its peak search is a candidate; the run starts in the flat
+    # system's layout, its plate held at 0
     flat = build_phase_system(cfg, SwitchState(False, False, (False,) * 4))
     flat_kinds = [(None, (engine.Phase(0.0, 1.0, 4096, flat),))]
 
@@ -546,7 +581,7 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
         trace = run.trace
         peaks, samples, states = engine.run_cycles(
             EnergyLedger.zeros(151), flat_kinds, np.zeros(151, int),
-            np.array([0.0, 0.0, cfg.tree.v_ref]), cfg.pc.t_pc, math.inf, (1, -1), 8)
+            np.append(np.zeros(flat.dim - 1), cfg.tree.v_ref), cfg.pc.t_pc, math.inf, (1, -1), 8)
         return (np.column_stack(run.stats),
                 np.column_stack([trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m]),
                 peaks, samples, np.concatenate(states))
@@ -585,10 +620,25 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     # 1216 calls, one per phase of each batch and lone cycle 50).  Pass 2
     # searches peaks in chunks bounded by cycles x blocks, one call per
     # chunk for both peak rows, where 16-cycle chunks made 158 calls and
-    # one call per chunk and row 28
+    # one call per chunk and row 28.  The idle warm-up cycles share the
+    # code's state layout, so the run compiles its accounts in one call
+    # and its powers in one per step count, the bypass and main phases (a
+    # 3-state warm-up layout made 2 and 4)
     cfg = tune_inductor(CircuitConfig())
     guards, peaks = [], []   # per guard call: operator and starts guarded
     guard, search = PhaseOperator.guard, PhaseOperator.peaks
+    stacks = []   # per compile stack: its function and operators
+
+    def counted(name):
+        compile_stack = getattr(engine, name)
+
+        def stack(group):
+            stacks.append((name, len(group)))
+            return compile_stack(group)
+        return stack
+
+    for name in ("_compile_powers", "_compile_accounts"):
+        monkeypatch.setattr(engine, name, counted(name))
 
     def counted_guard(self, zs, *args):
         guards.append((self, len(zs)))
@@ -609,28 +659,40 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     assert all(c * blocks < engine._CHUNK_BLOCKS + blocks for c, blocks in peaks)
     chunks = sum(-(-n * op.blocks.shape[0] // engine._CHUNK_BLOCKS) for op, n in guards)
     assert len(peaks) == chunks == 14
+    assert [name for name, _ in stacks] == ["_compile_powers"] * 2 + ["_compile_accounts"]
+    assert sum(n for name, n in stacks if name == "_compile_powers") == stacks[-1][1] == len(guards)
 
 
-def test_sweep_run_compiles_operators_per_dimension(monkeypatch):
-    # the 16-code ascending sweep, 4 passes: a run builds its step maps in
-    # one stacked call per state dimension and compiles its operators in
-    # one call, with one Stein doubling per dimension and one pair of
-    # _powers calls (block table, block starts) per state dimension and
-    # step count, where one build per operator made 11 step_maps calls and
-    # 11 doublings (adiabatic) and 22 and 22 (baseline), and one pair of
+def test_sweep_run_compiles_operators_per_step_count(monkeypatch):
+    # the 16-code ascending sweep, 4 passes: every phase system of a run
+    # has one state size, so a run builds its step maps in one
+    # stacked call and compiles its operators in one call, with one
+    # _compile_accounts call (one Stein doubling) and one _compile_powers
+    # call (one pair of _powers calls: block table, block starts) per step
+    # count, where one build per operator made 11 step_maps calls and 11
+    # doublings (adiabatic) and 22 and 22 (baseline), and one pair of
     # _powers calls per operator.  Operators are built without _powers
     cfg = tune_inductor(CircuitConfig())
     codes = input_sweeps(4, n_scrambles=0, seed=0)[0] * 4
-    calls = []   # (function, state dimension or number of dimensions)
-    compile_operators, stein_sums, step_maps, powers = (
-        engine.compile_operators, engine._stein_sums, engine.step_maps, engine._powers)
-    shapes = []   # per compile: its distinct (state dimension, step count), its operators
+    calls = []   # (function, its argument's state size and more)
+    compile_operators, compile_accounts, compile_powers, stein_sums, step_maps, powers = (
+        engine.compile_operators, engine._compile_accounts, engine._compile_powers,
+        engine._stein_sums, engine.step_maps, engine._powers)
+    ops = []   # the operators of each compile
 
-    def counted_compile(ops):
-        ops = list(ops)
-        calls.append(("compile", len({op.dim for op in ops})))
-        shapes.append((list(dict.fromkeys((op.dim, op.n) for op in ops)), len(ops)))
-        return compile_operators(ops)
+    def counted_compile(group):
+        group = list(group)
+        calls.append(("compile", None))
+        ops.append(group)
+        return compile_operators(group)
+
+    def counted_accounts(group):
+        calls.append(("accounts", len(group)))
+        return compile_accounts(group)
+
+    def counted_stack(group):
+        calls.append(("stack", (group[0].n, len(group))))
+        return compile_powers(group)
 
     def counted_powers(base, count):
         calls.append(("powers", (base.shape[-1] - 1, count)))
@@ -645,27 +707,56 @@ def test_sweep_run_compiles_operators_per_dimension(monkeypatch):
         return step_maps(a, *args)
 
     monkeypatch.setattr(engine, "compile_operators", counted_compile)
+    monkeypatch.setattr(engine, "_compile_accounts", counted_accounts)
+    monkeypatch.setattr(engine, "_compile_powers", counted_stack)
     monkeypatch.setattr(engine, "_stein_sums", counted_stein)
     monkeypatch.setattr(engine, "step_maps", counted_maps)
     monkeypatch.setattr(engine, "_powers", counted_powers)
     for run in (partial(run_neuron, cfg, codes),
                 partial(run_baseline, BaselineConfig.from_circuit(cfg), codes)):
         calls.clear()
-        shapes.clear()
+        ops.clear()
         run()
-        n_dims = [n for f, n in calls if f == "compile"]
-        assert len(n_dims) == 1 and n_dims[0] > 1
-        for name in ("stein", "maps"):
-            dims = [d for f, d in calls if f == name]
-            assert len(dims) == len(set(dims)) == n_dims[0]
+        (run_ops,) = ops
+        d = run_ops[0].dim
+        assert {op.dim for op in run_ops} == {d}
+        steps = list(dict.fromkeys(op.n for op in run_ops))
+        assert len(steps) < len(run_ops)   # operators share stacks
+        for name in ("compile", "maps", "stein"):
+            assert [f for f, _ in calls].count(name) == 1, name
+        assert ("maps", d) in calls and ("stein", d) in calls
+        assert [arg for f, arg in calls if f == "accounts"] == [len(run_ops)]
+        # one stack per step count, every operator in it
+        assert [arg for f, arg in calls if f == "stack"] == [
+            (n, sum(op.n == n for op in run_ops)) for n in steps]
         # every _powers call comes from the compile: a table of B + 1
-        # powers, then n // B + 2 block starts, per (dimension, step count)
-        (groups, n_ops), = shapes
-        compiled = [arg for f, arg in calls[calls.index(("compile", n_dims[0])):] if f == "powers"]
-        assert len(compiled) == len([f for f, _ in calls if f == "powers"]) == 2 * len(groups)
-        assert compiled[0::2] == [(d, engine._BLOCK + 1) for d, _ in groups]
-        assert compiled[1::2] == [(d, n // engine._BLOCK + 2) for d, n in groups]
-        assert len(groups) < n_ops   # operators share stacks
+        # powers, then n // B + 2 block starts, per step count
+        compiled = [arg for f, arg in calls[calls.index(("compile", None)):] if f == "powers"]
+        assert len(compiled) == len([f for f, _ in calls if f == "powers"]) == 2 * len(steps)
+        assert compiled[0::2] == [(d, engine._BLOCK + 1)] * len(steps)
+        assert compiled[1::2] == [(d, n // engine._BLOCK + 2) for n in steps]
+
+
+def test_run_cycles_needs_one_state_size():
+    # a run's maps and operators stack whole, so a run whose phases, entry
+    # maps or start state differ in state size is refused by name before
+    # any work
+    cfg = CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 2e-12)))
+    one, both = (build_phase_system(cfg, SwitchState(False, False, on))
+                 for on in ((True, False), (True, True)))
+    small = CircuitConfig()   # one weight value: a state fewer
+    other = build_phase_system(small, SwitchState(False, False, (True,) * 4))
+    x0 = np.array([0.0, 0.0, 0.0, 0.0, 0.7])
+    phase = partial(engine.Phase, 0.0, 1.0, 256)
+    runs = [([(None, (phase(one),)), (None, (phase(other),))], x0),
+            ([(None, (phase(both), phase(other)))], x0),
+            ([(None, (phase(one),)), (np.eye(5), (phase(both),))], x0),
+            ([(None, (phase(one),))], x0[1:])]
+    for kinds, start in runs:
+        with pytest.raises(ValueError, match=r"^run_cycles: a run needs one state size, "
+                                             r"got sizes \[4, 5\]$"):
+            engine.run_cycles(EnergyLedger.zeros(2), kinds, np.arange(2) % len(kinds), start,
+                              1e-6, math.inf, (-1,))
 
 
 def _clock_phase():
@@ -738,18 +829,20 @@ def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
 
 
 def test_stacked_compile_matches_lone_compiles():
-    # operators of three dimensions whose step counts have bit lengths
+    # operators of one state size whose step counts have bit lengths
     # from 1 to 13 (at B = 64; a block less or more than B steps among
-    # them), compiled in one batch and each alone: a lone operator
-    # is a batch of one, so the batch must leave each one's accounts,
-    # deviation bounds and peaks as they are
+    # them), on systems that hold both, one or none of their two plates,
+    # compiled in one batch and each alone: a lone operator is a batch of
+    # one, so the batch must leave each one's accounts, deviation bounds
+    # and peaks as they are
     cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 1e-12, 2e-12, 2e-12))))
     gates = [(False,) * 4, (True, True, False, False), (True, False, True, False)]
     systems = [build_phase_system(cfg, SwitchState(bypass, reset, on))
                for bypass, reset, on in [(True, False, gates[0]), (False, True, gates[0]),
                                          (False, False, gates[1]), (True, True, gates[1]),
                                          (False, False, gates[2])]]
-    assert sorted({sys.dim for sys in systems}) == [3, 4, 5]
+    assert {sys.dim for sys in systems} == {5}
+    assert [len(sys.groups) for sys in systems] == [0, 0, 1, 1, 2]
     rng = np.random.default_rng(7)
     args = []
     b = engine._BLOCK

@@ -22,6 +22,7 @@ from acansim import (
     run_baseline,
     run_neuron,
     scaled_tree,
+    SynapseTreeConfig,
     tune_inductor,
 )
 from acansim import baseline as baseline_mod
@@ -403,13 +404,12 @@ def test_false_alarm_inside_a_batch_matches_reference(monkeypatch):
 
 
 def _count_step_maps(monkeypatch):
-    # per step_maps call: the state dimension and the number of maps built
-    # (the entries of its stack)
+    # per step_maps call: the number of maps built (the entries of its stack)
     calls = []
     step_maps = engine.step_maps
 
     def counted(a, b, dt):
-        calls.append((a.shape[-1], np.size(dt)))
+        calls.append(np.size(dt))
         return step_maps(a, b, dt)
 
     monkeypatch.setattr(engine, "step_maps", counted)
@@ -417,10 +417,9 @@ def _count_step_maps(monkeypatch):
 
 
 def _maps_built(calls):
-    # a run builds its maps in one stacked call per state dimension
-    dims = [dim for dim, _ in calls]
-    assert len(dims) == len(set(dims))
-    return sum(n for _, n in calls)
+    # a run has one state size and builds its maps in one stacked call
+    (n,) = calls
+    return n
 
 
 def test_run_neuron_builds_each_step_map_once(monkeypatch):
@@ -453,6 +452,36 @@ def test_run_baseline_builds_each_step_map_once(monkeypatch):
     # a third pass repeats the level transitions of the second one
     run_baseline(cfg, codes * 3)
     assert _maps_built(calls) == n_two
+
+
+@pytest.mark.parametrize("design, c_s, codes, size", [
+    # a plate per weight value that some cycle enables: none, two of
+    # three, all three
+    ("adiabatic", (1e-12, 2e-12, 4e-12), [(0, 0, 0)] * 3, 3),
+    ("adiabatic", (1e-12, 2e-12, 4e-12), [(1, 0, 0), (0, 1, 0), (1, 1, 0)], 5),
+    ("adiabatic", (1e-12, 2e-12, 4e-12), [(0, 0, 1), (0, 0, 0), (1, 1, 0)], 6),
+    # one synapse per weight value: every transition has one leg per
+    # value and no spread, so nothing is held
+    ("baseline", (1e-12, 2e-12, 4e-12, 8e-12), input_sweeps(4, n_scrambles=0)[0], 5),
+    # equal weights: a transition that mixes both previous levels at a
+    # new level has a low leg, a high leg and a spread, the widest
+    ("baseline", (1e-12,) * 4, [(1, 1, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)], 4),
+    ("baseline", (1e-12,) * 4, [(1, 1, 0, 0), (1, 1, 0, 0)], 3),
+])
+def test_a_run_sizes_its_one_layout(monkeypatch, design, c_s, codes, size):
+    # each design sizes the one state layout of a run by what the run
+    # uses, not by the tree: start state and every phase system
+    runs = []
+    module = neuron_mod if design == "adiabatic" else baseline_mod
+    run_cycles = module.run_cycles
+
+    def kept(ledger, kinds, kind_of, x0, *args):
+        runs.append((x0.size, {p.system.dim for _, phases in kinds for p in phases}))
+        return run_cycles(ledger, kinds, kind_of, x0, *args)
+
+    monkeypatch.setattr(module, "run_cycles", kept)
+    _run(design, tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=c_s))), codes)
+    assert runs == [(size, {size})]
 
 
 def _run(design, cfg, codes):

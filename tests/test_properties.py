@@ -11,9 +11,13 @@ random phase operators and start clouds the peak search returns the
 exhaustive maximum; on random trees with repeated and unequal weights
 the run path's code matrix keeps the per-bit rules: the same run from
 tuples, lists or one array, oracle bits equal to ``NeuronSpec.fires``,
-drive accounts equal to the bit toggles, and the same errors."""
+drive accounts equal to the bit toggles, and the same errors; and any
+finite number written with an SI prefix and unit, or none, parses to
+its scaled value, while an unknown suffix fails by field name."""
 
 import math
+import re
+import string
 import warnings
 from contextlib import nullcontext
 from dataclasses import fields, replace
@@ -41,6 +45,7 @@ from acansim import (
     run_neuron,
     tune_inductor,
 )
+from acansim.cli import _PREFIXES, _UNITS, ConfigError, parse_quantity
 from acansim.engine import PhaseOperator
 from acansim.model import effective_pc_capacitance
 from acansim.neuron import SwitchState, build_phase_system
@@ -151,13 +156,18 @@ def unequal_trees_and_streams(draw):
 @example(case=((1e-12, 2e-12, 1e-12, 2e-12, 4e-12),
                [(1, 1, 0, 0, 1), (1, 1, 1, 1, 0), (0,) * 5, (1, 0, 1, 1, 0), (0, 0, 1, 0, 0),
                 (1, 1, 1, 1, 0)]))
+# a stream that never sets a bit, on three weight values: no charge
+# moves, and both runs build the same systems, so they agree to round-off
+# of the synaptic energy's round-off
+@example(case=((1e-12, 2e-12, 4e-12), [(0, 0, 0)] * 3))
 @given(case=unequal_trees_and_streams())
 def test_lumped_baseline_matches_the_grouped_legs(case):
     # the baseline's legs lumped by (new level, weight value), with spread
     # states, against one leg per (previous level, new level, weight
-    # value): the same decisions, accounts within 1e-11 of the largest
-    # synaptic energy, peaks and samples within 1e-11 relative, and per
-    # cycle the same phases
+    # value), each padded with held states to its run's widest
+    # transition: the same decisions, accounts within 1e-11 of the
+    # largest synaptic energy, peaks and samples within 1e-11 relative,
+    # and per cycle the same phases
     weights, codes = case
     cfg = BaselineConfig.from_circuit(CircuitConfig(tree=SynapseTreeConfig(c_s=weights)))
     runs, phases = [], []
@@ -499,3 +509,33 @@ def test_peaks_equal_the_exhaustive_maximum(case):
               else "under half the blocks" if share < 0.5 else "half the blocks or more")
     if case == SETTLING:
         assert op.blocks.gathered == [[0], [0]]
+
+
+# every suffix parse_quantity reads: an SI prefix, a unit, both or neither
+_KNOWN_SUFFIXES = {p + u for p in ("", *_PREFIXES) for u in ("", *_UNITS)} | {"%"}
+
+
+@settings(max_examples=200, deadline=None)
+@example(value=10.0, prefix="m", unit="")
+@given(value=st.floats(allow_nan=False, allow_infinity=False),
+       prefix=st.sampled_from(("", *_PREFIXES)), unit=st.sampled_from(("", *_UNITS)))
+def test_si_strings_parse_to_their_scaled_value(value, prefix, unit):
+    # any finite float written with repr, then a prefix and a unit, each
+    # possibly empty, parses to float(text) times the prefix's scale.  A
+    # bare "m" reads as the metre unit, not milli, so "10m" is 10
+    text = repr(value)
+    scale = 1.0 if (prefix, unit) == ("m", "") else _PREFIXES.get(prefix, 1.0)
+    assert parse_quantity(text + prefix + unit, "tree.C_d") == float(text) * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False),
+       suffix=st.text(string.ascii_letters + "\u00b5\u03bc%_", min_size=1, max_size=5).filter(
+           lambda suffix: suffix not in _KNOWN_SUFFIXES))
+def test_unknown_suffixes_fail_by_field(value, suffix):
+    # letters after the number that are no prefix and unit raise a
+    # ConfigError that names the field and the suffix
+    text = repr(value) + suffix
+    with pytest.raises(ConfigError, match=rf"^tree\.C_d: unknown unit suffix "
+                                          rf"{re.escape(repr(suffix))} in {re.escape(repr(text))}$"):
+        parse_quantity(text, "tree.C_d")
