@@ -46,7 +46,7 @@ from .model import (
     reset_resistance,
     within,
 )
-from .neuron import CycleStats, NeuronRun, _code_table, _weight_counts, decided_run, dlcc_offset
+from .neuron import NeuronRun, RunStats, _code_table, _weight_counts, decided_run, dlcc_offset
 
 
 @dataclass(frozen=True)
@@ -290,8 +290,7 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
 
     # the membrane at V_REF, every other state at 0
     x0 = np.append(np.zeros(dim - 1), tree.v_ref)
-    peaks, samples, _ = run_cycles(ledger, kinds, pair_of, x0, t_cycle, v_limit, (-1,))
-    stats = CycleStats(np.full(n_cycles, cfg.v_dd), peaks[:, 0], samples)
+    search, samples, _ = run_cycles(ledger, kinds, pair_of, x0, t_cycle, v_limit, (-1,))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
-    spec = baseline_oracle_spec(cfg, v_os=v_os)
-    return decided_run(table, bits, index, stats, ledger, 0, cfg.dlcc, v_os, spec, cfg.v_dd, None)
+    return decided_run(table, bits, index, RunStats(search, samples, rail=cfg.v_dd), ledger, 0,
+                       cfg.dlcc, v_os, baseline_oracle_spec(cfg, v_os=v_os), None)

@@ -14,19 +14,21 @@ maps and the phases' end maps and records the state in each slot it
 passes: a repeated block of cycles, its first period included, goes as
 one batch, from powers of its period map.  Then each slot gets one
 operator, built at its first start, and the operators are compiled,
-stacked: their block powers, guard and peak bounds, and
-their accounts from their systems' storage, loss and source terms (a
-source account is linear in the start state, a loss account a sum of
-squares: trapezoidal quadrature on the step grid, summed in closed form
-by doubling).  Each slot guards the starts it recorded against
-divergence with one product, a bound on every state of the phase at
-once.  Pass 2, per slot and for all the cycles that ran it, books the
-accounts and the stored energy at the cycles' ends and finds the exact
-peaks (per chunk of cycles and peak row, one product over the blocks
-whose chord bound admits them for some cycle), the decision sample and
-the trace samples.  The stored-energy jumps caused by switch
-reconfiguration (node capacitances change when gates open or close) are
-booked as well, and the conservation residual is exposed as an audit.
+stacked: their block powers, guard bounds, and their accounts from
+their systems' storage, loss and source terms (a source account is
+linear in the start state, a loss account a sum of squares: trapezoidal
+quadrature on the step grid, summed in closed form by doubling).  Each
+slot guards the starts it recorded against divergence with one product,
+a bound on every state of the phase at once.  Pass 2, per slot and for
+all the cycles that ran it, books the accounts and the stored energy at
+the cycles' ends and takes the decision sample and the trace samples.
+The stored-energy jumps caused by switch reconfiguration (node
+capacitances change when gates open or close) are booked as well, and
+the conservation residual is exposed as an audit.  The exact peaks are
+left pending (``PeakSearch``): their search (per chunk of cycles and
+peak row, one product over the blocks whose chord bound admits them for
+some cycle) and its chord bounds run at the first read, so a run whose
+peaks nobody reads never pays for them.
 
 The kernel knows no circuit: each design (``neuron``, ``baseline``)
 builds its phase systems and cycle kinds and hands them to ``run_cycles``.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, NamedTuple, Sequence
 
@@ -166,14 +169,14 @@ def _build_maps(phases: Iterable[tuple[PhaseSystem, float, int]]) -> tuple[
 # Steps per block of a phase operator: step k = bB + m of a phase is
 # G^m G^(bB) z, from a table of B powers and one power per block.
 _BLOCK = 64
-# Cycles x blocks per pass-2 chunk of the peak search and the sampled
+# Cycles x blocks per chunk of the peak search and of the sampled
 # states, 2^18 steps: bounds their per-block temporaries, whatever a
 # slot's length or the block length.
 _CHUNK_BLOCKS = 2 ** 18 // _BLOCK
 _CHORD = np.arange(_BLOCK + 1)[:, None, None] / _BLOCK   # m / B at the steps m <= B of a block
-# Entries (operators x B x peak rows x blocks x (d + 1)) per compile stack
-# of the chord deviation product: bounds its temporary, 2 MB, however
-# many operators of a run share a step count.
+# Entries (operators x B x peak rows x blocks x (d + 1)) per stack of the
+# chord deviation product (``compile_chords``): bounds its temporary, 2 MB,
+# however many operators of a run share a step count.
 _STACK_ENTRIES = 1 << 18
 
 
@@ -231,14 +234,15 @@ class PhaseOperator:
 
     It is built from the step map ``maps`` = (E, f) of size dt and holds G;
     ``run_cycles`` builds each slot's operator once, after pass 1, at the
-    slot's first start.  ``compile_operators`` adds the rest: the block
-    table and starts, the divergence guard's bound, the peak rows of the
-    block starts (``coarse``) and per peak row bounds on how far the row
-    rises above each block's chord (``deviation``, second order in B),
-    which make the peak search exact, and the accounts.
-    ``coarse`` and ``deviation`` are (d + 1, peak rows x blocks) columns,
-    so that ``peaks`` gets every row's block-start values, and their
-    bounds, from one product each.
+    slot's first start.  ``compile_operators`` adds what a run reads: the
+    block table and starts, the table's peak rows (``peak_table``, steps
+    m <= B), the divergence guard's bound and the accounts.
+    ``compile_chords`` adds what only the peak search reads: the peak rows
+    of the block starts (``coarse``) and per peak row bounds on how far the
+    row rises above each block's chord (``deviation``, second order in B),
+    which make the search exact.  ``coarse`` and ``deviation`` are (d + 1,
+    peak rows x blocks) columns, so that ``peaks`` gets every row's
+    block-start values, and their bounds, from one product each.
     """
 
     def __init__(self, system: PhaseSystem, dt: float, n: int,
@@ -300,9 +304,9 @@ class PhaseOperator:
         needed = (ends + (np.abs(zs) @ self.deviation).reshape(ends.shape)
                   >= best[:, :, None]).any(0)
         past = _BLOCK - 1 - self.n % _BLOCK   # steps of the last block past the end
-        for i, r in enumerate(self.peak_rows):
+        for i in range(len(self.peak_rows)):
             bi = np.flatnonzero(needed[i])
-            steps = (self.table[:, r] @ self.blocks[bi]).reshape(-1, self.dim + 1)
+            steps = (self.peak_table[:_BLOCK, i] @ self.blocks[bi]).reshape(-1, self.dim + 1)
             if bi[-1] == ends.shape[2] - 1:
                 steps = steps[:len(steps) - past]
             best[:, i] = np.maximum(best[:, i], (zs @ steps.T).max(1))
@@ -314,33 +318,50 @@ class PhaseOperator:
         for account, a, loss in self.accounts:
             getattr(ledger, account)[ks] += np.square(zs @ a.T).sum(1) if loss else zs @ a
 
+    def keep_search_only(self) -> None:
+        """Drop what only a run reads, the block table, guard bound,
+        accounts, step map and system; ``compile_chords`` and ``peaks``
+        read the block starts and ``peak_table``."""
+        del self.table, self._guard, self.accounts, self._g, self.system
+
 
 def compile_operators(ops: Iterable[PhaseOperator]) -> None:
-    """Complete phase operators of one state size and peak rows for the
-    guard and pass 2, stacked: per step count one ``_powers`` call for the
-    block tables, one for the block starts and one deviation product
-    (``_compile_powers``, which lays out the peak rows' block starts and
-    chord bounds as ``peaks`` multiplies them), in stacks of at most
-    ``_STACK_ENTRIES`` deviation entries (one operator at least); for all
-    of them the accounts, one Stein doubling and one ``eigh`` call
+    """Complete phase operators of one state size and peak rows for a run:
+    the guard and pass 2.  Per step count one ``_compile_powers`` call
+    (one ``_powers`` call for the block tables, one for the block starts);
+    for all of them the accounts, one Stein doubling and one ``eigh`` call
     (``_compile_accounts``).  A lone operator is a stack of one."""
     ops = list(ops)
-    by_n: dict[int, list[PhaseOperator]] = {}
-    for op in ops:
-        by_n.setdefault(op.n, []).append(op)
-    for n, group in by_n.items():
-        d, rows = group[0].dim, group[0].peak_rows
-        size = max(1, _STACK_ENTRIES // (_BLOCK * len(rows) * (n // _BLOCK + 1) * (d + 1)))
-        for c in range(0, len(group), size):
-            _compile_powers(group[c:c + size])
+    for group in _by_steps(ops).values():
+        _compile_powers(group)
     _compile_accounts(ops)
 
 
+def compile_chords(ops: Iterable[PhaseOperator]) -> None:
+    """Complete compiled operators of one state size and peak rows for
+    ``peaks``: per step count one chord deviation product
+    (``_compile_chords``, which lays out the peak rows' block starts and
+    chord bounds as ``peaks`` multiplies them), in stacks of at most
+    ``_STACK_ENTRIES`` deviation entries (one operator at least)."""
+    for n, group in _by_steps(ops).items():
+        d, rows = group[0].dim, group[0].peak_rows
+        size = max(1, _STACK_ENTRIES // (_BLOCK * len(rows) * (n // _BLOCK + 1) * (d + 1)))
+        for c in range(0, len(group), size):
+            _compile_chords(group[c:c + size])
+
+
+def _by_steps(ops: Iterable[PhaseOperator]) -> dict[int, list[PhaseOperator]]:
+    """Operators grouped by step count, in order of first appearance."""
+    by_n: dict[int, list[PhaseOperator]] = {}
+    for op in ops:
+        by_n.setdefault(op.n, []).append(op)
+    return by_n
+
+
 def _compile_powers(group: list[PhaseOperator]) -> None:
-    """The block table, block starts, guard bound, and the peak rows' block
-    starts and chord deviation bounds of operators of one state size,
-    step count and peak rows."""
-    d, n, rows = group[0].dim, group[0].n, np.array(group[0].peak_rows)
+    """The block table, its peak rows, the block starts and the guard bound
+    of operators of one state size, step count and peak rows."""
+    d, n, rows = group[0].dim, group[0].n, list(group[0].peak_rows)
     powers = _powers(np.stack([op._g for op in group]), _BLOCK + 1)   # (operators, B + 1, d + 1, d + 1)
     # block starts G^(bB) for b <= n // B, and the last block's chord end
     blocks = _powers(powers[:, _BLOCK], n // _BLOCK + 2)
@@ -351,11 +372,20 @@ def _compile_powers(group: list[PhaseOperator]) -> None:
     bound = np.abs(powers[:, :_BLOCK, :d]).max(1) @ np.abs(blocks[:, :-1]).max(1)
     room = np.array([op.v_limit for op in group])[:, None] - np.abs([op.ref[:d] for op in group])
     guards = (bound / np.where(room > 0, room, np.nan)[:, :, None]).max(1)
+    for op, table, peak_rows, starts, guard in zip(group, powers, powers[:, :, rows], blocks, guards):
+        op.table, op.peak_table, op.blocks, op._guard = table[:_BLOCK], peak_rows, starts, guard
+
+
+def _compile_chords(group: list[PhaseOperator]) -> None:
+    """The peak rows' block starts and chord deviation bounds of compiled
+    operators of one state size, step count and peak rows."""
+    d, n, rows = group[0].dim, group[0].n, np.array(group[0].peak_rows)
+    blocks = np.stack([op.blocks for op in group])
     # per peak row, (blocks, d + 1): max over the block's steps m of
     # |D_m G^(bB)|, D_m = (G^m - I - m/B (G^B - I))[r], so the row rises
     # at most that @ |z| above the chord between its block's two end
     # values (steps past the end of the last block left out)
-    step = powers[:, :, rows]                        # (operators, B + 1, rows, d + 1)
+    step = np.stack([op.peak_table for op in group])   # (operators, B + 1, rows, d + 1)
     step[:, :, np.arange(rows.size), rows] -= 1.0
     step -= _CHORD * step[:, _BLOCK, None]
     by_column = blocks[:, :-1].transpose(0, 2, 1, 3).reshape(len(group), d + 1, -1)
@@ -367,10 +397,8 @@ def _compile_powers(group: list[PhaseOperator]) -> None:
     deviation = np.maximum(dev.max(1), -dev.min(1)).transpose(0, 3, 1, 2)
     deviation = deviation.reshape(len(group), d + 1, -1)
     coarse = blocks[:, :, rows].transpose(0, 3, 2, 1).reshape(len(group), d + 1, -1)
-    for op, table, starts, guard, chord, at_starts in zip(group, powers, blocks, guards,
-                                                          deviation, coarse):
-        op.table, op.blocks, op._guard, op.deviation, op.coarse = (
-            table[:_BLOCK], starts, guard, chord, at_starts)
+    for op, chord, at_starts in zip(group, deviation, coarse):
+        op.deviation, op.coarse = chord, at_starts
 
 
 def _compile_accounts(group: list[PhaseOperator]) -> None:
@@ -531,6 +559,47 @@ class Phase(NamedTuple):
 SlotKey = tuple[Phase, int, bool]
 
 
+def _chunks(size: int, blocks: int) -> list[int]:
+    """Edges of a slot's chunks for the sampled states and the peak search:
+    even chunks of its ``size`` cycles, each of at most about
+    ``_CHUNK_BLOCKS`` cycles x ``blocks``, so that a slot splits the same
+    way whatever its tail."""
+    n_chunks = -(-size * blocks // _CHUNK_BLOCKS)
+    return [c * size // n_chunks for c in range(n_chunks + 1)]
+
+
+class PeakSearch:
+    """A run's exact peak search, pending until the first read of
+    ``peaks``: the maximum of each state of the run's peak rows over every
+    step of each cycle, (cycles x peak rows).
+
+    Until then it holds, per phase slot, the cycles that ran it, their
+    shifted starts and the slot's operator, which keeps only its block
+    starts and the block table's peak rows (``keep_search_only``).  The
+    first read compiles the operators' chord tables (``compile_chords``),
+    calls ``PhaseOperator.peaks`` once per even chunk of at most about
+    ``_CHUNK_BLOCKS`` cycles x blocks (per peak row, one product of the
+    chunk's starts and the steps of every block that one of them needs),
+    and drops its slots.
+    """
+
+    def __init__(self, n_cycles: int, n_rows: int,
+                 slots: list[tuple[PhaseOperator, np.ndarray, np.ndarray]]) -> None:
+        self._shape = (n_cycles, n_rows)
+        self._slots = slots   # (operator, cycles, shifted starts)
+
+    @cached_property
+    def peaks(self) -> np.ndarray:
+        compile_chords(op for op, _, _ in self._slots)
+        peaks = np.full(self._shape, -np.inf)
+        for op, ks, zs in self._slots:
+            edges = _chunks(ks.size, op.blocks.shape[0])
+            for a, b in zip(edges, edges[1:]):
+                peaks[ks[a:b]] = np.maximum(peaks[ks[a:b]], op.peaks(zs[a:b]))
+        del self._slots
+        return peaks
+
+
 def run_cycles(
     ledger: EnergyLedger,
     kinds: Sequence[tuple[np.ndarray | None, Sequence[Phase]]],
@@ -540,7 +609,7 @@ def run_cycles(
     v_limit: float,
     peak_rows: tuple[int, ...],
     stride: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
+) -> tuple[PeakSearch, np.ndarray, list[np.ndarray] | None]:
     """Run both designs' cycles from state x0 and book them into the ledger.
 
     ``kinds`` holds the run's distinct cycles and ``kind_of`` each cycle's
@@ -569,19 +638,19 @@ def run_cycles(
     stacked start states of every cycle that ran it: the ledger accounts,
     the stored energy at the cycles' start (first slots) and end (last
     slots, from the phase's end map), whose jumps from one cycle to the
-    next are booked as ``reconfig``, the per-cycle maxima of the states
-    ``peak_rows`` (one ``PhaseOperator.peaks`` call per even chunk of at
-    most about ``_CHUNK_BLOCKS`` cycles x blocks: per peak row, one product
-    of the chunk's starts and the steps of every block that one of them
-    needs), the membrane (last state) at ``SAMPLE_FRAC`` (nearest step)
-    and, with a ``stride``, the states at every stride-th step of the
-    concatenated cycle.
+    next are booked as ``reconfig``, the membrane (last state) at
+    ``SAMPLE_FRAC`` (nearest step) and, with a ``stride``, the states at
+    every stride-th step of the concatenated cycle (in the even chunks of
+    ``_chunks``).  It defers the per-cycle maxima of the states
+    ``peak_rows``: each slot hands its cycles, its shifted starts and its
+    operator, stripped to what the search reads, to a ``PeakSearch``,
+    which searches them at the first read of its ``peaks``.
 
     A run has one state size: x0, every phase system and every entry map
     (square) share it, so that the maps and operators of a run stack
-    whole; anything else raises ValueError.  Returns the maxima (cycles x
-    peak rows), the decision samples and the per-cycle sampled states
-    (None without a stride).
+    whole; anything else raises ValueError.  Returns the pending peak
+    search (its ``peaks`` are cycles x peak rows), the decision samples
+    and the per-cycle sampled states (None without a stride).
     """
     sizes = {x0.size, *(p.system.dim for _, phases in kinds for p in phases),
              *(n - 1 for entry, _ in kinds if entry is not None for n in entry.shape)}
@@ -632,7 +701,6 @@ def run_cycles(
     for k, _, op, zp in sorted(flagged, key=lambda f: f[:2]):
         op.check(zp, k)
 
-    peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
     e_start, e_end = np.empty(n_cycles), np.empty(n_cycles)
     states: list[np.ndarray] = []
@@ -652,21 +720,18 @@ def run_cycles(
             first = -offset % stride
             sampled = np.arange(first, n_steps, stride)
             rows_at = slice((offset + first) // stride, (offset + first) // stride + sampled.size)
-        # even chunks: a slot splits the same way whatever its tail
-        n_chunks = -(-ks.size * op.blocks.shape[0] // _CHUNK_BLOCKS)
-        edges = [c * ks.size // n_chunks for c in range(n_chunks + 1)]
-        for a, b in zip(edges, edges[1:]):
-            kc, zc = ks[a:b], zs[a:b]
-            peaks[kc] = np.maximum(peaks[kc], op.peaks(zc))
-            if stride:
-                for k, xk in zip(kc.tolist(), op.states(zc, sampled)):
+            edges = _chunks(ks.size, op.blocks.shape[0])
+            for a, b in zip(edges, edges[1:]):
+                for k, xk in zip(ks[a:b].tolist(), op.states(zs[a:b], sampled)):
                     states[k][rows_at] = xk
+        op.keep_search_only()
 
     ledger.reconfig[1:] += e_start[1:] - e_end[:-1]
     ledger.e_stored_first = float(e_start[0])
     ledger.e_stored_last = float(e_end[-1])
 
-    return peaks, samples, states if stride else None
+    search = PeakSearch(n_cycles, len(peak_rows), [(op, ks, zs) for op, ks, _, zs in slots.values()])
+    return search, samples, states if stride else None
 
 
 def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:

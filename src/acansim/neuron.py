@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .engine import (
     BranchGroup,
     EnergyLedger,
     Loss,
+    PeakSearch,
     Phase,
     PhaseSystem,
     Source,
@@ -161,6 +163,26 @@ class CycleStats(NamedTuple):
     v_m_sample: np.ndarray   # membrane at the decision sampling instant
 
 
+class RunStats:
+    """Every cycle's ``CycleStats`` of a run, made at the first read of
+    ``stats``: the decision samples, and the clock and membrane peaks from
+    the kernel's pending peak search (``engine.PeakSearch``), which that
+    read runs, once.  The membrane peak is the search's last peak row, the
+    clock peak its first, or, for a design with no clock node (the
+    baseline), its drive ``rail`` in every cycle."""
+
+    def __init__(self, search: PeakSearch, samples: np.ndarray, rail: float | None = None) -> None:
+        self.samples = samples
+        self._search, self._rail = search, rail
+
+    @cached_property
+    def stats(self) -> CycleStats:
+        peaks = self._search.peaks
+        del self._search
+        v_pk = peaks[:, 0] if self._rail is None else np.full(len(peaks), self._rail)
+        return CycleStats(v_pk, peaks[:, -1], self.samples)
+
+
 @dataclass
 class Trace:
     """Sampled run history plus per-cycle observables.
@@ -168,7 +190,8 @@ class Trace:
     Sample times are strictly increasing but not necessarily uniform: the
     integrator spends a denser sub-grid on the short bypass window.  V_s is
     the capacitance-weighted aggregate of the enabled top plates, held at
-    its last value while every gate is open.
+    its last value while every gate is open.  ``stats`` reads the run's
+    peaks (``RunStats``).
     """
 
     t: np.ndarray
@@ -176,7 +199,11 @@ class Trace:
     v_pc: np.ndarray
     v_s: np.ndarray
     v_m: np.ndarray
-    stats: CycleStats
+    observed: RunStats
+
+    @property
+    def stats(self) -> CycleStats:
+        return self.observed.stats
 
     def to_csv(self, path: str) -> None:
         cols = (self.t, self.i_l, self.v_pc, self.v_s, self.v_m)
@@ -490,9 +517,8 @@ def _simulate_plans(
     rejoin = _rejoin(x0.size)
     kinds = [(rejoin if k % 2 else None, plan_phases[k // 2]) for k in kind[kind_first].tolist()]
 
-    peaks, samples, states = run_cycles(ledger, kinds, kind_of, x0, t_pc, v_limit, (1, -1),
-                                        stride if keep_samples else None)
-    stats = CycleStats(peaks[:, 0], peaks[:, 1], samples)
+    search, samples, states = run_cycles(ledger, kinds, kind_of, x0, t_pc, v_limit, (1, -1),
+                                         stride if keep_samples else None)
 
     # a cycle has steps_per_cycle steps, which the stride divides: its
     # samples are its first step and every stride-th one after
@@ -517,7 +543,7 @@ def _simulate_plans(
         x[:, 0], x[:, 1], x[:, 2], x[:, 3] = rows[:, 0], rows[:, 1], agg, rows[:, -1]
     x_all = x_all.reshape(-1, 4)
     trace = Trace(t=t_all.ravel(), i_l=x_all[:, 0], v_pc=x_all[:, 1], v_s=x_all[:, 2],
-                  v_m=x_all[:, 3], stats=stats)
+                  v_m=x_all[:, 3], observed=RunStats(search, samples))
     return trace, ledger
 
 
@@ -541,18 +567,40 @@ def input_sweeps(n_bits: int, n_scrambles: int = 4, seed: int = 0) -> list[list[
 @dataclass
 class NeuronRun:
     """Outcome of a multi-cycle neuron run.  Every per-cycle array holds
-    one entry per reported cycle."""
+    one entry per reported cycle.
+
+    The values read from the run's peaks, ``stats``, ``v_pk_reference``
+    and ``oracle_bits``, are made at their first read; the first of them,
+    ``to_csv`` or ``trace.stats`` runs the run's peak search, once
+    (``RunStats``).  The baseline's oracle reads no peak."""
 
     table: list[Code]                    # distinct codes (``_code_table``)
+    bits: np.ndarray                     # the same codes as a boolean (codes, n) matrix
     index: np.ndarray                    # each cycle's code, into table
     outputs: np.ndarray                  # comparator decisions, 1 fires
     delays: np.ndarray                   # decision delays, s
-    oracle_bits: np.ndarray              # threshold-unit oracle, 1 fires
-    stats: CycleStats
+    observed: RunStats                   # every cycle's observables, warm-up included
+    # threshold-unit oracle: the spec, or its maker at the clock peak
+    oracle: NeuronSpec | Callable[[float], NeuronSpec]
     ledger_full: EnergyLedger     # includes warm-up; use for audits
     warm_up: int                         # leading ledger cycles not reported
     trace: Trace | None
-    v_pk_reference: float
+
+    @cached_property
+    def stats(self) -> CycleStats:
+        return CycleStats(*(a[self.warm_up:] for a in self.observed.stats))
+
+    @cached_property
+    def v_pk_reference(self) -> float:
+        """Clock peak the oracle is built at: the median over the reported
+        cycles (the baseline's rail)."""
+        return float(np.median(self.stats.v_pk))
+
+    @cached_property
+    def oracle_bits(self) -> np.ndarray:
+        """Threshold-unit oracle, 1 fires."""
+        spec = self.oracle if isinstance(self.oracle, NeuronSpec) else self.oracle(self.v_pk_reference)
+        return spec.fires_rows(self.bits)[self.index]
 
     @property
     def ledger(self) -> EnergyLedger:
@@ -585,7 +633,8 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     or not the stream holds it); each later entry is the next new
     normalised code in stream order.
 
-    A stream given as one 2-D array is read whole.  Any other stream is
+    A stream given as one 2-D array is read whole; of a numeric one, only
+    the first row of each run of equal rows goes on.  Any other stream is
     read code by code, and only its distinct raw codes go on: a tuple
     object seen before is found by identity (tuples are immutable; each is
     held for the call, so no other object takes its id); other codes, such
@@ -601,6 +650,15 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
         raw, cycle_of, raw_of = codes, range(len(codes)), None
         if len(codes) and codes.shape[1] != n:
             raw, wrong_length = codes[:0], (0, codes.shape[1])
+        elif len(codes) > 1 and codes.dtype.kind in "biuf":
+            # a row with a NaN equals no row, so it starts a run: the first
+            # row with a bit that is not finite is the first of its run
+            new = np.empty(len(codes), dtype=bool)
+            new[0] = True
+            np.any(codes[1:] != codes[:-1], axis=1, out=new[1:])
+            if not new.all():
+                cycle_of = np.flatnonzero(new)
+                raw, raw_of = codes[cycle_of], np.cumsum(new) - 1
     else:
         raw, cycle_of, raw_of = [], [], []   # distinct raw codes, their first cycles
         by_raw: dict[tuple, int] = {}
@@ -635,7 +693,7 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
                            return_inverse=True)
     first, code_of = first_seen(inverse)
     bits = on[first]
-    index = code_of[1:] if raw_of is None else code_of[1:][np.array(raw_of)]
+    index = code_of[1:] if raw_of is None else code_of[1:][np.asarray(raw_of)]
     return list(map(tuple, bits.view(np.int8).tolist())), bits, index
 
 
@@ -661,25 +719,25 @@ def _code_bits(raw: Sequence[Sequence] | np.ndarray, cycle_of: Sequence[int]) ->
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if bad.size:
             raise ValueError(f"code {cycle_of[bad[0]]} has a bit that is not a finite number")
-    return arr != 0
+    return arr if arr.dtype == bool else arr != 0
 
 
-def decided_run(table: list[Code], bits: np.ndarray, index: np.ndarray, stats: CycleStats,
+def decided_run(table: list[Code], bits: np.ndarray, index: np.ndarray, observed: RunStats,
                 ledger: EnergyLedger, warm_up: int, dlcc: DlccConfig, v_os: float,
-                oracle: NeuronSpec, v_pk_ref: float, trace: Trace | None) -> NeuronRun:
-    """Finish a run of either design: book the soma energy, decide every
-    reported cycle from its membrane sample, all at once, and score the
-    codes with the threshold-unit oracle, all distinct codes at once.  The
-    reported codes come as ``_code_table``'s table, bit matrix and
-    per-cycle index, the samples in ``stats``; v_os is the comparator
-    offset the oracle was built with."""
+                oracle: NeuronSpec | Callable[[float], NeuronSpec],
+                trace: Trace | None) -> NeuronRun:
+    """Finish a run of either design: book the soma energy and decide every
+    reported cycle from its membrane sample, all at once; the run scores
+    the codes with the threshold-unit oracle, all distinct codes at once,
+    when its ``oracle_bits`` are first read.  The reported codes come as
+    ``_code_table``'s table, bit matrix and per-cycle index, every cycle's
+    samples and pending peaks in ``observed``; v_os is the comparator
+    offset the oracle is built with."""
     ledger.soma[:] = dlcc.e_decision
-    outputs, delays = _decide(stats.v_m_sample, dlcc, v_os)
-    return NeuronRun(
-        table=table, index=index, outputs=outputs, delays=delays,
-        oracle_bits=oracle.fires_rows(bits)[index], stats=stats, ledger_full=ledger,
-        warm_up=warm_up, trace=trace, v_pk_reference=v_pk_ref,
-    )
+    outputs, delays = _decide(observed.samples[warm_up:], dlcc, v_os)
+    return NeuronRun(table=table, bits=bits, index=index, outputs=outputs, delays=delays,
+                     observed=observed, oracle=oracle, ledger_full=ledger, warm_up=warm_up,
+                     trace=trace)
 
 
 def run_neuron(
@@ -711,9 +769,7 @@ def run_neuron(
     plans = [_schedule(cfg, table[i], i == 0, forced)
              for i, forced in zip(code_of.tolist(), recal[first].tolist())]
     trace, ledger = _simulate_plans(cfg, plans, plan_of, bits, code_of, keep_samples=keep_trace)
-    stats = CycleStats(*(a[warm:] for a in trace.stats))
-    v_pk_ref = float(np.median(stats.v_pk))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
-    spec = NeuronSpec.from_circuit(cfg, v_pk_ref, v_os=v_os)
-    return decided_run(table, bits, index, stats, ledger, warm, cfg.dlcc, v_os, spec, v_pk_ref,
+    return decided_run(table, bits, index, trace.observed, ledger, warm, cfg.dlcc, v_os,
+                       partial(NeuronSpec.from_circuit, cfg, v_os=v_os),
                        trace if keep_trace else None)

@@ -12,6 +12,7 @@ sets, to it.
 """
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -54,9 +55,16 @@ def book_segment(ledger, k, system, xs, dt):
         getattr(ledger, account)[k] += g * np.trapezoid((d + u) ** 2, dx=dt)
 
 
+class Searched(NamedTuple):
+    """A peak search that has run: the per-step maxima, read as the
+    kernel's pending ``engine.PeakSearch`` is, through ``peaks``."""
+
+    peaks: np.ndarray
+
+
 def run_cycles(ledger, kinds, kind_of, x0, t_cycle, v_limit, peak_rows, stride=None):
     """Same contract as ``engine.run_cycles``, one propagated segment per
-    phase and cycle."""
+    phase and cycle; the peaks are found per step, during the run."""
     n_cycles = kind_of.size
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
@@ -90,7 +98,7 @@ def run_cycles(ledger, kinds, kind_of, x0, t_cycle, v_limit, peak_rows, stride=N
             states.append(np.vstack([xs[:-1] for xs in trajectories])[::stride])
         prev = phases[-1].system
     ledger.e_stored_last = float(prev.stored_energy(x))
-    return peaks, samples, states
+    return Searched(peaks), samples, states
 
 
 def stein_sums(g, forms, ns):

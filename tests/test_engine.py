@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -39,6 +40,7 @@ from acansim.engine import (
     PhaseOperator,
     Source,
     Store,
+    compile_chords,
     compile_operators,
     step_maps,
     write_csv,
@@ -579,12 +581,13 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
         monkeypatch.setattr(engine, "_CHUNK_BLOCKS", chunk_blocks)
         run = run_neuron(cfg, codes, keep_trace=True)
         trace = run.trace
-        peaks, samples, states = engine.run_cycles(
+        search, samples, states = engine.run_cycles(
             EnergyLedger.zeros(151), flat_kinds, np.zeros(151, int),
             np.append(np.zeros(flat.dim - 1), cfg.tree.v_ref), cfg.pc.t_pc, math.inf, (1, -1), 8)
+        # the searches run here, under the chunk bound
         return (np.column_stack(run.stats),
                 np.column_stack([trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m]),
-                peaks, samples, np.concatenate(states))
+                search.peaks, samples, np.concatenate(states))
 
     # under the bound the main phases of the first two codes take two
     # chunks each and the flat phase three
@@ -598,32 +601,107 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
 def test_runs_leave_no_reference_cycles():
     # cyclic garbage outlives its run until the collector next runs, which
     # lifts a study's peak memory: both designs, periodic blocks and the
-    # trace path included, leave none
+    # trace path included, leave none, whether their peak search is still
+    # pending or has run
     cfg = tune_inductor(CircuitConfig())
     base = BaselineConfig.from_circuit(cfg)
     codes = input_sweeps(4, seed=0)[1] * 2
-    run_neuron(cfg, codes[:3])   # lazy first-call set-up outside acansim
+    run_neuron(cfg, codes[:3]).stats   # lazy first-call set-up outside acansim
     gc.collect()
     gc.disable()
     try:
-        run_neuron(cfg, codes, keep_trace=True)
-        run_baseline(base, codes)
+        for searched in (False, True):
+            for run in (run_neuron(cfg, codes, keep_trace=True), run_baseline(base, codes)):
+                if searched:
+                    run.stats, run.oracle_bits, run.v_pk_reference
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _read_all(run, path):
+    # every peak-derived value of a run, its CSV file's bytes among them
+    run.to_csv(str(path))
+    values = [*run.stats, run.oracle_bits, run.v_pk_reference, path.read_bytes()]
+    return values + ([*run.trace.stats] if run.trace is not None else [])
+
+
+# a peak-derived value of a run, read: (name, whether the baseline's read
+# runs its search, read); the baseline keeps no trace
+READS = {
+    "stats": (True, lambda run, path: run.stats),
+    "oracle_bits": (False, lambda run, path: run.oracle_bits),
+    "v_pk_reference": (True, lambda run, path: run.v_pk_reference),
+    "trace.stats": (None, lambda run, path: run.trace.stats),
+    "to_csv": (True, lambda run, path: run.to_csv(str(path))),
+}
+
+
+@pytest.mark.parametrize("design, first", [("adiabatic", name) for name in READS] + [
+    ("baseline", name) for name, (searched, _) in READS.items() if searched is not None])
+def test_peaks_are_searched_once_at_the_first_read(monkeypatch, tmp_path, design, first):
+    # a run leaves its peak search pending: no PhaseOperator.peaks call
+    # and no chord table until a peak-derived value is read.  Whichever
+    # is read first, the search then runs once (one compile_chords call)
+    # and every value is bit for bit the one read after the stats.  The
+    # baseline's oracle reads no peak, and it keeps no trace
+    cfg = tune_inductor(CircuitConfig())
+    codes = input_sweeps(4, seed=0)[2] * 2
+    if design == "adiabatic":
+        run = partial(run_neuron, cfg, codes, keep_trace=True)
+    else:
+        run = partial(run_baseline, BaselineConfig.from_circuit(cfg), codes)
+    want = _read_all(run(), tmp_path / "want.csv")
+    searches, peaks, stacks = [], [], []
+    for owner, name, calls in ((engine, "compile_chords", searches),
+                               (PhaseOperator, "peaks", peaks),
+                               (engine, "_compile_chords", stacks)):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, orig=orig, calls=calls: (
+            calls.append(None), orig(*args))[1])
+    got = run()
+    assert not searches and not peaks and not stacks
+    searched, read = READS[first]
+    read(got, tmp_path / "got.csv")
+    assert len(searches) == (design == "adiabatic" or searched)
+    values = _read_all(got, tmp_path / "got.csv")
+    assert len(searches) == 1 and peaks and stacks
+    assert len(values) == len(want)
+    for a, b in zip(values, want):
+        np.testing.assert_array_equal(a, b)
+    calls = len(peaks)
+    _read_all(got, tmp_path / "again.csv")
+    assert len(peaks) == calls
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+@pytest.mark.parametrize("searched", [False, True], ids=["pending", "searched"])
+def test_runs_pickle_with_their_search_pending_or_run(design, searched):
+    # a run pickles before its peak search has run and after: the copy
+    # reads the same stats, oracle bits and clock reference
+    cfg = tune_inductor(CircuitConfig())
+    codes = input_sweeps(4, seed=0)[3]
+    run = (run_neuron(cfg, codes, keep_trace=True) if design == "adiabatic"
+           else run_baseline(BaselineConfig.from_circuit(cfg), codes))
+    if searched:
+        run.stats
+    copy = pickle.loads(pickle.dumps(run))
+    for a, b in zip([*copy.stats, copy.oracle_bits], [*run.stats, run.oracle_bits]):
+        np.testing.assert_array_equal(a, b)
+    assert copy.v_pk_reference == run.v_pk_reference
 
 
 def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
     # 608 cycles of one code (8 idle warm-up cycles, a recalibration every
     # 16): after the compile each slot guards the stacked starts of every
     # cycle that ran it in one call (one guard per cycle and phase made
-    # 1216 calls, one per phase of each batch and lone cycle 50).  Pass 2
-    # searches peaks in chunks bounded by cycles x blocks, one call per
-    # chunk for both peak rows, where 16-cycle chunks made 158 calls and
-    # one call per chunk and row 28.  The idle warm-up cycles share the
-    # code's state layout, so the run compiles its accounts in one call
-    # and its powers in one per step count, the bypass and main phases (a
-    # 3-state warm-up layout made 2 and 4)
+    # 1216 calls, one per phase of each batch and lone cycle 50).  The
+    # first read of the stats searches peaks in chunks bounded by cycles x
+    # blocks, one call per chunk for both peak rows, where 16-cycle chunks
+    # made 158 calls and one call per chunk and row 28.  The idle warm-up
+    # cycles share the code's state layout, so the run compiles its
+    # accounts in one call and its powers in one per step count, the
+    # bypass and main phases (a 3-state warm-up layout made 2 and 4)
     cfg = tune_inductor(CircuitConfig())
     guards, peaks = [], []   # per guard call: operator and starts guarded
     guard, search = PhaseOperator.guard, PhaseOperator.peaks
@@ -650,7 +728,9 @@ def test_constant_stream_guards_and_peaks_per_batch(monkeypatch):
 
     monkeypatch.setattr(PhaseOperator, "guard", counted_guard)
     monkeypatch.setattr(PhaseOperator, "peaks", counted_peaks)
-    run_neuron(cfg, [(1, 1, 0, 1)] * 600)
+    run = run_neuron(cfg, [(1, 1, 0, 1)] * 600)
+    assert not peaks
+    run.stats
 
     # one call per slot, and every (cycle, phase) pair guarded once
     assert len(guards) == len({id(op) for op, _ in guards}) <= 8
@@ -774,6 +854,7 @@ def test_phase_operator_states_and_peaks_match_propagation():
     x_ref = np.array([1e-4, 0.3, 0.3, 0.8])
     op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
     compile_operators([op])
+    compile_chords([op])
     x0s = x_ref + rng.normal(scale=[2e-4, 0.5, 0.5, 0.2], size=(6, 4))
     zs = np.column_stack([x0s, np.ones(6)]) - op.ref
     every = op.states(zs, np.arange(n + 1))
@@ -812,6 +893,7 @@ def test_chord_bounded_peaks_equal_an_exhaustive_search(n):
             x_ref = np.array([1e-4, 0.3, *[0.3] * (sys.dim - 3), 0.8])
             op = PhaseOperator(sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf)
             compile_operators([op])
+            compile_chords([op])
             # starts off x_ref, and x_ref itself
             zs = np.column_stack([rng.normal(scale=[2e-4, *[0.5] * (sys.dim - 2), 0.2],
                                              size=(8, sys.dim)), np.ones(8)])
@@ -853,9 +935,11 @@ def test_stacked_compile_matches_lone_compiles():
         args.append((sys, dt, n, step_maps(sys.a, sys.b, dt), x_ref, (1, -1), math.inf))
     batch = [PhaseOperator(*a) for a in args]
     compile_operators(batch)
+    compile_chords(batch)
     for a, op in zip(args, batch):
         alone = PhaseOperator(*a)
         compile_operators([alone])
+        compile_chords([alone])
         zs = np.column_stack([rng.normal(scale=0.1, size=(5, op.dim)), np.ones(5)])   # [x0 - x_ref; 1]
         got, want = EnergyLedger.zeros(5), EnergyLedger.zeros(5)
         op.book(got, np.arange(5), zs)
@@ -907,9 +991,10 @@ def test_stein_doubling_skips_only_identity_steps():
 
 def test_compile_splits_a_large_stack_without_changing_it(monkeypatch):
     # nine operators of one dimension, step count and peak rows, over a
-    # budget of four operators' deviation entries: compiled in stacks of
-    # 4, 4 and 1, each must keep the tables, guard, deviation bounds and
-    # peaks that a lone compile gives it
+    # budget of four operators' deviation entries: their powers compiled
+    # in one stack and their chord tables in stacks of 4, 4 and 1, each
+    # must keep the tables, guard, deviation bounds and peaks that a lone
+    # compile gives it
     sys, n, dt = _clock_phase()
     rng = np.random.default_rng(11)
     args = [(sys, dt, n, step_maps(sys.a, sys.b, dt),
@@ -917,18 +1002,25 @@ def test_compile_splits_a_large_stack_without_changing_it(monkeypatch):
             for _ in range(9)]
     per_op = engine._BLOCK * 2 * (n // engine._BLOCK + 1) * (sys.dim + 1)
     monkeypatch.setattr(engine, "_STACK_ENTRIES", 4 * per_op + per_op // 2)
-    stacks = []
-    compile_powers = engine._compile_powers
-    monkeypatch.setattr(engine, "_compile_powers", lambda group: (stacks.append(len(group)),
-                                                                 compile_powers(group)))
+    stacks = []   # per stack: its function and operators
+
+    def counted(name):
+        compile_stack = getattr(engine, name)
+        return lambda group: (stacks.append((name, len(group))), compile_stack(group))
+
+    for name in ("_compile_powers", "_compile_chords"):
+        monkeypatch.setattr(engine, name, counted(name))
     ops = [PhaseOperator(*a) for a in args]
     compile_operators(ops)
-    assert stacks == [4, 4, 1]
+    compile_chords(ops)
+    assert stacks == [("_compile_powers", 9), ("_compile_chords", 4), ("_compile_chords", 4),
+                      ("_compile_chords", 1)]
     zs = np.column_stack([rng.normal(scale=0.1, size=(5, sys.dim)), np.ones(5)])
     for a, op in zip(args, ops):
         alone = PhaseOperator(*a)
         compile_operators([alone])
-        for name in ("table", "blocks", "_guard", "deviation", "coarse"):
+        compile_chords([alone])
+        for name in ("table", "peak_table", "blocks", "_guard", "deviation", "coarse"):
             np.testing.assert_array_equal(getattr(op, name), getattr(alone, name), err_msg=name)
         np.testing.assert_array_equal(op.peaks(zs), alone.peaks(zs))
 

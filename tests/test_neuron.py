@@ -313,8 +313,10 @@ def _growing_step_maps(monkeypatch, scale=1.0006):
     ("baseline", "state diverged in cycle 1: |x| reached 95.7, limit 90"),
 ])
 def test_divergence_names_its_cycle_and_peak(monkeypatch, design, message):
+    # a diverging run raises at run time, before any peak search
     cfg = tune_inductor(CircuitConfig())
     _growing_step_maps(monkeypatch)
+    peaks = _count_calls(monkeypatch, engine.PhaseOperator, "peaks")
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # no overflow or invalid-value warning escapes
         with pytest.raises(SimulationError) as err:
@@ -323,6 +325,7 @@ def test_divergence_names_its_cycle_and_peak(monkeypatch, design, message):
             else:
                 run_baseline(BaselineConfig.from_circuit(cfg), [(1, 1, 0, 0)] * 6)
     assert str(err.value) == message
+    assert not peaks
 
 
 def test_divergence_inside_an_overflowing_batch(monkeypatch):
@@ -520,12 +523,17 @@ def test_empty_and_malformed_streams_fail_by_name(design, codes, message):
      "code 2 has a bit that is not a finite number"),
     ([[1, 0, 0], [0, 1, 1]], "code 0 has 3 bits, tree has 4 synapses"),
     ([[1, 0, 0, 0, 1]], "code 0 has 5 bits, tree has 4 synapses"),
+    # runs of equal rows, a NaN inside one and a run of rows with an inf
+    ([[1, 0, 0, 0]] * 3 + [[0, 1, 0, 0]] * 2 + [[0, 1, math.nan, 0]] + [[0, 1, 0, 0]] * 2,
+     "code 5 has a bit that is not a finite number"),
+    ([[1, 0, 0, 0]] * 2 + [[0, math.inf, 1, 0]] * 3 + [[1, 0, 0, 0]],
+     "code 2 has a bit that is not a finite number"),
 ])
 def test_array_streams_fail_by_the_list_forms_name(design, codes, message):
     # a stream given as one array must name the code that its rows as
-    # lists name
+    # lists or tuples name
     cfg = tune_inductor(CircuitConfig())
-    for form in (codes, np.array(codes)):
+    for form in (codes, [tuple(code) for code in codes], np.array(codes)):
         with pytest.raises(ValueError) as err:
             _run(design, cfg, form)
         assert str(err.value) == message
@@ -555,7 +563,12 @@ def test_input_forms_give_the_canonical_stream(design):
     want = _run(design, cfg, canonical)
     # bits that are finite numbers but not plain ones, as fractions
     exact = [tuple(map(Fraction, code)) for code in canonical]
-    for codes in (raw, mutated(), fresh, (tuple(list(code)) for code in canonical), exact):
+    # one array each, read by runs of equal rows: -0.0 and 0.0 are equal,
+    # 2.0 and 1.0 are not, but normalise alike
+    signed = np.array(canonical, dtype=float)
+    signed[0, 1:], signed[2] = -0.0, [2.0, 1.0, 0.0, 2.0]
+    arrays = [np.array(canonical, dtype=bool), np.array(canonical), signed]
+    for codes in (raw, mutated(), fresh, (tuple(list(code)) for code in canonical), exact, *arrays):
         got = _run(design, cfg, codes)
         assert got.table == want.table
         assert got.output_bits == want.output_bits
@@ -596,6 +609,7 @@ def test_repeated_codes_share_their_per_code_work(monkeypatch):
     counted = _count_calls(monkeypatch, neuron_mod, "_weight_counts")
     simulated = _count_calls(monkeypatch, neuron_mod, "_simulate_plans")
     run = run_neuron(cfg, codes)
+    run.oracle_bits   # scored at the first read
     assert all(len(calls) == 0 for calls in per_bit)
     matrix = np.array([zero, a, b], dtype=bool)
     (_, plans, plan_of, gates, gate_of), = simulated
@@ -618,7 +632,7 @@ def test_repeated_codes_share_their_per_code_work(monkeypatch):
 
     scored.clear()
     legs = _count_calls(monkeypatch, baseline_mod, "_legs")
-    run_baseline(BaselineConfig.from_circuit(cfg), codes)
+    run_baseline(BaselineConfig.from_circuit(cfg), codes).oracle_bits
     assert all(len(calls) == 0 for calls in per_bit)
     pairs = set(zip([zero] + codes, codes))
     assert len(pairs) == 6

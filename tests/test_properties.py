@@ -438,6 +438,7 @@ def test_random_circuits_fail_by_name_or_run_finite(cfg, codes):
         warnings.simplefilter("error")
         try:
             run = run_neuron(cfg, codes, keep_trace=True)
+            run.stats   # the peak search, under the same warnings filter
         except (SimulationError, ValueError) as err:
             event(f"{type(err).__name__}: {str(err).split(':')[0]}")
             return
@@ -496,6 +497,7 @@ def test_peaks_equal_the_exhaustive_maximum(case):
     op = PhaseOperator(system, dt, n, engine.step_maps(system.a, system.b, dt), x_ref,
                        (1, -1), math.inf)
     engine.compile_operators([op])
+    engine.compile_chords([op])
     zs = np.column_stack([x0s, np.ones(len(x0s))]) - op.ref
     every = op.states(zs, np.arange(n + 1))[:, :, [1, -1]]
     op.blocks = op.blocks.view(Gathers)
