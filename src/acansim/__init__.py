@@ -38,6 +38,7 @@ from .engine import (
     energy_residual,
 )
 from .neuron import (
+    CodeStream,
     CycleStats,
     NeuronRun,
     SwitchState,
@@ -81,7 +82,7 @@ __all__ = [
     "series_capacitance", "sweep_lock_frequency", "synapse_energy_analytic",
     "tg_resistance", "topup_energy_analytic", "tune_inductor",
     "EnergyLedger", "SimulationError", "energy_residual",
-    "CycleStats", "NeuronRun", "SwitchState", "Trace", "dlcc_offset",
+    "CodeStream", "CycleStats", "NeuronRun", "SwitchState", "Trace", "dlcc_offset",
     "input_sweeps", "make_schedule", "run_neuron", "simulate",
     "BaselineConfig", "baseline_oracle_spec",
     "baseline_transition_energy_analytic", "run_baseline",

@@ -20,12 +20,13 @@ whose driver sits high.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .engine import (
     BranchGroup,
+    CycleOrder,
     EnergyLedger,
     Loss,
     Phase,
@@ -46,7 +47,7 @@ from .model import (
     reset_resistance,
     within,
 )
-from .neuron import NeuronRun, RunStats, _code_table, _weight_counts, decided_run, dlcc_offset
+from .neuron import CodeStream, NeuronRun, RunStats, _weight_counts, decided_run, dlcc_offset
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,49 @@ def baseline_oracle_spec(cfg: BaselineConfig, v_os: float = 0.0) -> NeuronSpec:
     )
 
 
-def _legs(cfg: BaselineConfig, before: np.ndarray,
-          after: np.ndarray) -> list[tuple[tuple, list[float]]]:
-    """Lumped legs of each transition from a row of the boolean
-    (transitions, n) matrix ``before`` to the same row of ``after``, from
-    one count over every transition at once: per transition its system
-    key, the ``build_baseline_system`` arguments after the config and
-    before the state size, and the start of each of the system's own
-    states but the membrane.
+def _level_counts(c_s: Sequence[float], before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Per transition from a row of the boolean (transitions, n) matrix
+    ``before`` to the same row of ``after``, on a tree of weights ``c_s``:
+    the synapses of each weight value, ascending (``_weight_counts``), at
+    each (previous level, new level), in the order (0, 0), (0, 1), (1, 0),
+    (1, 1); one count over every transition at once, shape (transitions,
+    4, weight values)."""
+    masks = np.stack((~before & ~after, ~before & after, before & ~after, before & after), axis=1)
+    _, counts = _weight_counts(c_s, masks.reshape(-1, before.shape[1]))
+    return counts.reshape(before.shape[0], 4, -1)
+
+
+class _Pairs(NamedTuple):
+    """A stream's distinct (previous code, code) pairs, the run starting
+    from the all-zero code, on a tree (``_pairs``).  Its arrays are
+    read-only: the runs of a ``CodeStream`` share it."""
+
+    counts: np.ndarray   # per pair, ``_level_counts``
+    reset: np.ndarray    # per pair, whether its code is all zero, which closes the reset
+    toggles: np.ndarray  # per pair, the drivers whose level changes
+    order: CycleOrder    # each cycle's pair
+
+
+def _pairs(stream: CodeStream, c_s: Sequence[float]) -> _Pairs:
+    """The ``_Pairs`` of a stream on a tree of weights ``c_s``."""
+    index = stream.index
+    prev = np.concatenate(([0], index[:-1]))   # table entry 0 is the all-zero code
+    first, pair_of = first_seen(prev * len(stream.table) + index)
+    before, after = stream.bits[prev[first]], stream.bits[index[first]]
+    pairs = _Pairs(_level_counts(c_s, before, after), ~after.any(1), (before ^ after).sum(1),
+                   CycleOrder(pair_of))
+    for a in pairs[:3]:
+        a.flags.writeable = False
+    return pairs
+
+
+def _legs(cfg: BaselineConfig, counts: np.ndarray,
+          reset: np.ndarray) -> list[tuple[tuple, list[float]]]:
+    """Lumped legs of each transition from its ``_level_counts`` and
+    whether its code closes the reset: per transition its system key, the
+    ``build_baseline_system`` arguments after the config and before the
+    state size, and the start of each of the system's own states but the
+    membrane.
 
     The synapses of one weight value that share a new level share their
     drive and their RC product, so they lump exactly into one leg, which
@@ -132,18 +168,14 @@ def _legs(cfg: BaselineConfig, before: np.ndarray,
     that a system has the same set of decaying modes as one state per
     (previous level, new level, weight value) group.
     """
-    # per transition its four (previous level, new level) masks, in order
-    masks = np.stack((~before & ~after, ~before & after, before & ~after, before & after), axis=1)
-    _, counts = _weight_counts(cfg.tree.c_s, masks.reshape(-1, cfg.tree.n))
-    c00, c01, c10, c11 = counts.reshape(before.shape[0], 4, -1).transpose(1, 0, 2)
+    c00, c01, c10, c11 = counts.transpose(1, 0, 2)
     low, high = c00 + c10, c01 + c11   # (transitions, weight values) at each new level
     mixed = c00 * c10 / np.maximum(low, 1) + c01 * c11 / np.maximum(high, 1)
     spread = mixed > 0
     # per weight value: the low leg, the high leg, the spread, where present
-    present = np.stack((low > 0, high > 0, spread), axis=2).reshape(before.shape[0], -1)
+    present = np.stack((low > 0, high > 0, spread), axis=2).reshape(counts.shape[0], -1)
     start = cfg.v_dd * np.stack((c10 / np.maximum(low, 1), c11 / np.maximum(high, 1),
                                  np.sqrt(mixed / (low + high))), axis=2).reshape(present.shape)
-    reset = ~after.any(1)   # the all-zero code closes the reset
     return [((tuple(n1), tuple(s), r), x[on].tolist()) for n1, s, r, x, on in
             zip(high.tolist(), spread.tolist(), reset.tolist(), start, present)]
 
@@ -239,11 +271,12 @@ def _entry_map(starts: Sequence[float], dim: int) -> np.ndarray:
     return entry
 
 
-def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronRun:
+def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]]) -> NeuronRun:
     """Level-driven transient: one code per cycle, switching only the bits
     that change between consecutive codes.  The membrane resets to V_REF
     on all-zero codes, as in the adiabatic design.
 
+    ``codes`` is a ``CodeStream`` or the raw codes, which go into one.
     Code bits are normalised to 0/1; an empty stream, a code whose length
     is not the tree's synapse count or a bit that is not a finite number
     raises ValueError.  The run carries one integer per cycle: lumped legs
@@ -256,30 +289,28 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
     system of the run has the state size of its widest transition, its
     own states first, then held states, then V_m, so each pair is one
     kind (its square entry map and phases), which the kernel gets with
-    each cycle's pair index.  The legs, toggle counts and oracle bits
-    come from the distinct codes' bit matrix, each in one array pass;
+    each cycle's pair index.  The level counts and toggle counts come
+    from the distinct codes' bit matrix, each in one array pass, once per
+    stream and tree (``_pairs``), as do the oracle bits once per run;
     each pair's starts go into its entry map's affine column.
     """
     tree = cfg.tree
-    table, bits, index = _code_table(codes, tree.n)
-    n_cycles = index.size
+    stream = CodeStream.of(codes, tree.n)
+    pairs = stream.derive(_pairs, tree.c_s)
+    n_cycles = stream.index.size
 
     t_cycle = 1.0 / cfg.f_clock
     e_toggle = 0.5 * tree.c_inv * cfg.v_dd ** 2
     v_limit = 50.0 * cfg.v_dd   # numerical-blowup guard, as in the adiabatic design
 
     ledger = EnergyLedger.zeros(n_cycles)
-    # the run starts from the all-zero code, table entry 0
-    prev = np.concatenate(([0], index[:-1]))
-    first, pair_of = first_seen(prev * len(table) + index)
-    before, after = bits[prev[first]], bits[index[first]]
-    pair_legs = _legs(cfg, before, after)   # per distinct pair
+    pair_legs = _legs(cfg, pairs.counts, pairs.reset)   # per distinct pair
     dim = max(len(starts) for _, starts in pair_legs) + 1   # the run's state size
     systems: dict[tuple, PhaseSystem] = {}
     for key, _ in pair_legs:
         if key not in systems:
             systems[key] = build_baseline_system(cfg, *key, dim)
-    ledger.drive += e_toggle * (before ^ after).sum(1)[pair_of]
+    ledger.drive += e_toggle * pairs.toggles[pairs.order.kind_of]
 
     # each system's phases, from one stacked eigenvalue call; a held
     # state's zero rate is dropped there as the floating membrane's is
@@ -290,7 +321,7 @@ def run_baseline(cfg: BaselineConfig, codes: Iterable[Sequence[int]]) -> NeuronR
 
     # the membrane at V_REF, every other state at 0
     x0 = np.append(np.zeros(dim - 1), tree.v_ref)
-    search, samples, _ = run_cycles(ledger, kinds, pair_of, x0, t_cycle, v_limit, (-1,))
+    search, samples, _ = run_cycles(ledger, kinds, pairs.order, x0, t_cycle, v_limit, (-1,))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
-    return decided_run(table, bits, index, RunStats(search, samples, rail=cfg.v_dd), ledger, 0,
+    return decided_run(stream, RunStats(search, samples, rail=cfg.v_dd), ledger, 0,
                        cfg.dlcc, v_os, baseline_oracle_spec(cfg, v_os=v_os), None)

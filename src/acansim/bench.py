@@ -29,7 +29,7 @@ from .model import (
     tune_inductor,
     within,
 )
-from .neuron import Code, input_sweeps, run_neuron
+from .neuron import Code, CodeStream, input_sweeps, run_neuron
 
 _LOAD_CASES = ("all-0", "all-1", "sweep")
 
@@ -102,13 +102,11 @@ def _energy_point(args) -> float:
 
 
 def _width_point(args) -> float:
-    cfg, orders, repeats = args
+    cfg, streams, repeats = args
     worst = -math.inf
-    for order in orders:
-        run = run_neuron(cfg, list(order) * repeats)
-        block = len(order)
-        s_e = run.ledger.s_e
-        means = s_e.reshape(repeats, block).mean(axis=1)
+    for stream in streams:
+        run = run_neuron(cfg, stream)
+        means = run.ledger.s_e.reshape(repeats, -1).mean(axis=1)
         worst = max(worst, float(means[-1]))
     return worst
 
@@ -118,12 +116,11 @@ def _corner_point(args):
     # lock-in transient, which is not part of the per-corner comparison
     cfg, codes, block = args
     run = run_neuron(cfg, codes)
-    k0 = len(codes) - block
     return (
-        float(run.ledger.s_e[k0:].mean()),
-        float(run.ledger.soma[k0:].mean()),
-        run.output_bits[k0:],
-        run.output_bits[k0:] == run.oracle_string[k0:],
+        float(run.ledger.s_e[-block:].mean()),
+        float(run.ledger.soma[-block:].mean()),
+        run.output_bits[-block:],
+        run.output_bits[-block:] == run.oracle_string[-block:],
     )
 
 
@@ -191,17 +188,18 @@ def sweep_freq_duty(
 
     The inductor is tuned once so the unloaded resonance sits at the
     config's nominal frequency; the grid then sweeps the drive frequency
-    across that fixed resonator.
+    across that fixed resonator.  Every point runs one ``CodeStream``.
     """
     if not f_grid or not d_grid:
         raise ValueError("sweep_freq_duty: grids must be non-empty")
     spec = spec or SweepSpec()
     base = tune_inductor(cfg)
+    codes = CodeStream(_load_codes(base, spec), base.tree.n)
     items = []
     for f in f_grid:
         for d in d_grid:
             pt = replace(base, pc=replace(base.pc, f_nominal=float(f), duty_d=float(d)))
-            items.append((pt, _load_codes(pt, spec), spec.skip, spec.window))
+            items.append((pt, codes, spec.skip, spec.window))
     vals = _pmap(_energy_point, items, jobs)
     energy = np.array(vals).reshape(len(f_grid), len(d_grid))
     return Surface("f_Hz", "duty", tuple(float(v) for v in f_grid),
@@ -220,18 +218,20 @@ def sweep_width_duty(
     Runs the five input orders (one ascending, four scrambled) for
     `spec.repeats` passes each at a drive frequency slightly below the
     unloaded resonance, and keeps the worst converged sweep average.
+    Every point runs the same ``CodeStream`` per order.
     """
     if not w_grid or not d_grid:
         raise ValueError("sweep_width_duty: grids must be non-empty")
     spec = spec or SweepSpec()
     base = tune_inductor(cfg)
     base = replace(base, pc=replace(base.pc, f_nominal=base.pc.f_nominal * _F_BELOW_RESONANCE))
-    orders = input_sweeps(base.tree.n, seed=spec.seed)
+    streams = [CodeStream(list(order) * spec.repeats, base.tree.n)
+               for order in input_sweeps(base.tree.n, seed=spec.seed)]
     items = []
     for w in w_grid:
         for d in d_grid:
             pt = replace(base, pc=replace(base.pc, w_n=float(w), duty_d=float(d)))
-            items.append((pt, orders, spec.repeats))
+            items.append((pt, streams, spec.repeats))
     vals = _pmap(_width_point, items, jobs)
     energy = np.array(vals).reshape(len(w_grid), len(d_grid))
     return Surface("W_um", "duty", tuple(float(v) for v in w_grid),
@@ -267,11 +267,11 @@ def optimize_frequency(
     trial points rescale the duty fraction so t_ON stays put while the
     period stretches.  Searching with a fixed fraction instead would widen
     the window at low frequencies and overdrive the tank, burying the
-    loading effect under top-up loss.
+    loading effect under top-up loss.  Every trial runs one ``CodeStream``.
     """
     spec = spec or SweepSpec()
     cfg = tune_inductor(cfg)
-    codes = _const_codes(cfg.tree, alpha, spec.cycles)
+    codes = CodeStream(_const_codes(cfg.tree, alpha, spec.cycles), cfg.tree.n)
     t_on = cfg.pc.t_on
 
     def obj(f: float) -> float:
@@ -452,7 +452,8 @@ def corner_study(
     jobs: int = 1,
 ) -> CornerTable:
     """Energy and functionality across process corners and temperatures,
-    driven slightly below the unloaded resonance."""
+    driven slightly below the unloaded resonance; every grid point runs
+    one ``CodeStream``."""
     corners = list(corners) if corners is not None else list(Corner)
     if not corners or not temps:
         raise ValueError("corner_study: grids must be non-empty")
@@ -462,7 +463,7 @@ def corner_study(
     base = replace(base, pc=replace(
         base.pc, f_nominal=f_op, duty_d=base.pc.t_on * f_op))
     orders = input_sweeps(base.tree.n, seed=spec.seed)
-    codes = list(orders[0]) * spec.repeats
+    codes = CodeStream(list(orders[0]) * spec.repeats, base.tree.n)
     items = []
     grid = [(c, float(t)) for c in corners for t in temps]
     for c, t in grid:
@@ -539,8 +540,9 @@ def compare_designs(
         f_op = sweep_lock_frequency(tuned, codes)
         run_cfg = replace(tuned, pc=replace(
             tuned.pc, f_nominal=f_op, duty_d=tuned.pc.t_on * f_op))
-        run_a = run_neuron(run_cfg, codes)
-        run_b = run_baseline(BaselineConfig.from_circuit(cfg), codes)
+        stream = CodeStream(codes, cfg.tree.n)
+        run_a = run_neuron(run_cfg, stream)
+        run_b = run_baseline(BaselineConfig.from_circuit(cfg), stream)
         la, lb = run_a.ledger, run_b.ledger
         adia = {
             "tree": float(la.s_e.mean()),

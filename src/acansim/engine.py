@@ -600,10 +600,26 @@ class PeakSearch:
         return peaks
 
 
+class CycleOrder:
+    """Each cycle's index into a run's kinds (``kind_of``, read-only), and
+    pass 1's order of work on it: ``_periods``, found at the first read of
+    ``batches`` and kept, so that every run of one order finds it once.
+    A batch is (first cycle, the kind indices of its period, cycles)."""
+
+    def __init__(self, kind_of: np.ndarray) -> None:
+        self.kind_of = kind_of.view()
+        self.kind_of.flags.writeable = False
+
+    @cached_property
+    def batches(self) -> list[tuple[int, list[int], int]]:
+        kind_at = self.kind_of.tolist()
+        return [(k, kind_at[k:k + p], count) for k, p, count in _periods(self.kind_of)]
+
+
 def run_cycles(
     ledger: EnergyLedger,
     kinds: Sequence[tuple[np.ndarray | None, Sequence[Phase]]],
-    kind_of: np.ndarray,
+    order: CycleOrder,
     x0: np.ndarray,
     t_cycle: float,
     v_limit: float,
@@ -612,20 +628,21 @@ def run_cycles(
 ) -> tuple[PeakSearch, np.ndarray, list[np.ndarray] | None]:
     """Run both designs' cycles from state x0 and book them into the ledger.
 
-    ``kinds`` holds the run's distinct cycles and ``kind_of`` each cycle's
-    index into them.  A kind is ``(entry, phases)``: ``entry`` maps the
-    previous cycle's end state ``[x; 1]`` to this cycle's augmented start
-    state (None keeps the state), then the phases run in order.  The step
+    ``kinds`` holds the run's distinct cycles and ``order`` each cycle's
+    index into them (``CycleOrder``).  A kind is ``(entry, phases)``:
+    ``entry`` maps the previous cycle's end state ``[x; 1]`` to this
+    cycle's augmented start state (None keeps the state), then the phases
+    run in order.  The step
     maps of the kinds' distinct (system, dt) pairs and the end maps of
     their distinct phases are built first, stacked (``_build_maps``).
 
     Pass 1 carries each cycle's start state ``[x; 1]`` through the entry
     maps and the phases' end maps, and records each phase's start in its
     slot (a phase at its step offset in its cycle, and whether it ends the
-    cycle), the one record of the pass.  It goes in the order of
-    ``_periods`` on ``kind_of``, one ``_run_batch`` per item: a repeated
-    block of cycles, its first period included, as one batch, and any
-    other cycle alone, as a period of one.  It runs unguarded, with
+    cycle), the one record of the pass.  It goes in the order's
+    ``batches``, one ``_run_batch`` each: a repeated block of cycles, its
+    first period included, as one batch, and any other cycle alone, as a
+    period of one.  It runs unguarded, with
     numpy's overflow and invalid-value warnings off, for past a divergence
     the states may overflow.  Then each slot gets its ``PhaseOperator``,
     built once at the slot's first start, all of them are compiled at once
@@ -656,7 +673,7 @@ def run_cycles(
              *(n - 1 for entry, _ in kinds if entry is not None for n in entry.shape)}
     if len(sizes) > 1:
         raise ValueError(f"run_cycles: a run needs one state size, got sizes {sorted(sizes)}")
-    n_cycles = kind_of.size
+    n_cycles = order.kind_of.size
 
     def step(phase: Phase) -> float:
         return (phase.end - phase.start) * t_cycle / phase.n_steps
@@ -670,11 +687,10 @@ def run_cycles(
     # per slot key: cycles, stacks of starts [x; 1]
     starts: dict[SlotKey, tuple[list[int], list[np.ndarray]]] = {}
     x = np.append(x0, 1.0)
-    kind_at = kind_of.tolist()
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
-        for k, p, count in _periods(kind_of):
-            x = _run_batch([kind_slots[i] for i in kind_at[k:k + p]], x, k, count, starts)
+        for k, period, count in order.batches:
+            x = _run_batch([kind_slots[i] for i in period], x, k, count, starts)
 
     # a start past the limit (or NaN) dooms the run and may overflow the
     # operators, compile and guard, so it quiets them as well; a healthy
@@ -706,7 +722,7 @@ def run_cycles(
     states: list[np.ndarray] = []
     if stride:
         shapes = [(-(-sum(p.n_steps for p in phases) // stride), x0.size) for _, phases in kinds]
-        states = [np.empty(shapes[i]) for i in kind_at]
+        states = [np.empty(shapes[i]) for i in order.kind_of.tolist()]
     for ((start, end, n_steps, system), offset, last), (op, ks, xs, zs) in slots.items():
         op.book(ledger, ks, zs)
         if offset == 0:
@@ -737,7 +753,7 @@ def run_cycles(
 def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:
     """Pass 1's order of work: (k, p, count) runs cycles k .. k + count - 1
     as one batch repeating their first p cycles, and (k, 1, 1) runs cycle
-    k alone.  Cycles match when their keys are equal: ``run_cycles``
+    k alone.  Cycles match when their keys are equal: ``CycleOrder``
     passes each cycle's kind index.  From cycle k the candidate period p
     is the distance to its next match; a block is the longest run of
     cycles from k that repeats with period p, and needs two whole periods.

@@ -19,13 +19,14 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .engine import (
     CSV_CHUNK,
     BranchGroup,
+    CycleOrder,
     EnergyLedger,
     Loss,
     PeakSearch,
@@ -49,6 +50,7 @@ from .model import (
 )
 
 Code = tuple[int, ...]
+_T = TypeVar("_T")
 # a code's 0/1 bytes to its CSV name, one character per bit
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
@@ -446,6 +448,8 @@ def simulate(
     and the energy ledger.  The membrane is sampled for the decision stage
     at ``SAMPLE_FRAC`` of each cycle.
     """
+    if not len(cycles):
+        raise ValueError("simulate: need at least one cycle plan")
     # ``cycles`` holds each plan for the call, so identities are unique
     first, plan_of = first_seen(np.fromiter(map(id, cycles), np.uint64, len(cycles)))
     plans = [cycles[k] for k in first.tolist()]
@@ -460,33 +464,68 @@ def simulate(
         if len(on) != cfg.tree.n:
             raise ValueError(f"switch state has {len(on)} synapse bits, tree has {cfg.tree.n}")
         gate_of.append(gates.setdefault(tuple(on), len(gates)))
-    return _simulate_plans(cfg, plans, plan_of, np.array(list(gates), dtype=bool),
-                           np.array(gate_of, dtype=int), keep_samples)
+    layout = _layout(cfg.tree.c_s, np.array(list(gates), dtype=bool),
+                     np.array(gate_of, dtype=int), plan_of)
+    return _simulate_plans(cfg, plans, layout, keep_samples)
+
+
+class _Layout(NamedTuple):
+    """What a run makes of its plans' gates and of each cycle's plan,
+    whatever the operating point (``_layout``).  Its arrays are
+    read-only: the runs of a ``CodeStream`` share it."""
+
+    plan_of: np.ndarray      # each cycle's index into the distinct plans
+    gate_of: np.ndarray      # each plan's row of the gate matrix
+    values: list[float]      # weight values some plan enables, ascending: a plate each
+    counts: np.ndarray       # per row of gates, its enabled count of each of those values
+    changes: np.ndarray      # cycles whose gates differ from the cycle before (all off before the first)
+    toggles: np.ndarray      # control lines toggled in each of those cycles
+    kinds: list[int]         # per kind, 2 x its plan + whether its gates change
+    order: CycleOrder        # each cycle's kind
+
+
+def _layout(c_s: Sequence[float], gates: np.ndarray, gate_of: np.ndarray,
+            plan_of: np.ndarray) -> _Layout:
+    """The ``_Layout`` of a run on a tree of weights ``c_s``, from its
+    plans' gates (boolean rows, row 0 all off), each plan's row of them
+    and each cycle's plan: the
+    weight counts of the gate rows (``_weight_counts``), the gate changes
+    with their toggle counts, and the kinds, one per distinct (plan,
+    whether the gates change)."""
+    values, counts = _weight_counts(c_s, gates)
+    # the run's layout has a plate for each weight value some plan enables
+    used = counts.any(0)
+    gate = gate_of[plan_of]
+    prev = np.concatenate(([0], gate[:-1]))
+    changed = gate != prev
+    changes = np.flatnonzero(changed)
+    kind = 2 * plan_of + changed
+    kind_first, kind_of = first_seen(kind)
+    layout = _Layout(plan_of, gate_of, [v for v, u in zip(values, used.tolist()) if u],
+                     counts[:, used], changes, (gates[prev[changes]] ^ gates[gate[changes]]).sum(1),
+                     kind[kind_first].tolist(), CycleOrder(kind_of))
+    for a in (plan_of, gate_of, layout.counts, changes, layout.toggles):
+        a.flags.writeable = False
+    return layout
 
 
 def _simulate_plans(
     cfg: CircuitConfig,
     plans: Sequence[CyclePlan],
-    plan_of: np.ndarray,
-    gates: np.ndarray,
-    gate_of: np.ndarray,
+    layout: _Layout,
     keep_samples: bool = True,
 ) -> tuple[Trace, EnergyLedger]:
-    """``simulate`` over a run's distinct valid plans and each cycle's index
-    into them, in order of first use; ``run_neuron`` calls it with its own.
-    The plans' gates come as rows of the boolean matrix ``gates``, row 0
-    all off, and each plan's row (``gate_of``); equal rows are one row.
+    """``simulate`` over a run's distinct valid plans, in order of first
+    use, and its ``_Layout``; ``run_neuron`` calls it with its own.
     Phases are built once per plan (equal plans built apart share phase
     systems by content); drive toggles and entry maps are booked only
     where the gates change.  Every phase system of the run has one state
     layout, a plate per weight value that some plan enables (a value the
     run leaves off has none), so the kernel gets the run's kinds, one per
     distinct (plan, whether the gates change), the change's kind entering
-    through the one square ``_rejoin`` map, and each cycle's index into
+    through the one square ``_rejoin`` map, and the layout's order of
     them."""
-    n_cycles = plan_of.size
-    if n_cycles == 0:
-        raise ValueError("simulate: need at least one cycle plan")
+    n_cycles = layout.plan_of.size
     stride = cfg.sim.trace_stride
     t_pc = cfg.pc.t_pc
     v_dd = cfg.dlcc.v_dd
@@ -497,27 +536,18 @@ def _simulate_plans(
     ledger = EnergyLedger.zeros(n_cycles)
     systems: dict[tuple, PhaseSystem] = {}
     steps: dict[tuple, list[int]] = {}
-    values, counts = _weight_counts(cfg.tree.c_s, gates)
-    # the run's layout has a plate for each weight value some plan enables
-    used = counts.any(0)
-    values, counts = [v for v, u in zip(values, used.tolist()) if u], counts[:, used]
+    values = layout.values
     # persistent state between cycles: [I_L, V_PC, V_s per used weight value..., V_m]
     x0 = np.array([0.0, 0.0, *[0.0] * len(values), cfg.tree.v_ref])
-    keys = list(map(tuple, counts.tolist()))
+    keys = list(map(tuple, layout.counts.tolist()))
     plan_phases = [_plan_phases(cfg, plan, systems, steps, values, keys[g])
-                   for plan, g in zip(plans, gate_of.tolist())]
-    gate = gate_of[plan_of]
-    prev = np.concatenate(([0], gate[:-1]))
-    changes = np.flatnonzero(gate != prev)
+                   for plan, g in zip(plans, layout.gate_of.tolist())]
     # gate-driver overhead: half a full charge per toggled control line
-    ledger.drive[changes] += (gates[prev[changes]] ^ gates[gate[changes]]).sum(1) * e_toggle
-    # per cycle its kind: its plan and whether the gates change
-    kind = 2 * plan_of + (gate != prev)
-    kind_first, kind_of = first_seen(kind)
+    ledger.drive[layout.changes] += layout.toggles * e_toggle
     rejoin = _rejoin(x0.size)
-    kinds = [(rejoin if k % 2 else None, plan_phases[k // 2]) for k in kind[kind_first].tolist()]
+    kinds = [(rejoin if k % 2 else None, plan_phases[k // 2]) for k in layout.kinds]
 
-    search, samples, states = run_cycles(ledger, kinds, kind_of, x0, t_pc, v_limit, (1, -1),
+    search, samples, states = run_cycles(ledger, kinds, layout.order, x0, t_pc, v_limit, (1, -1),
                                          stride if keep_samples else None)
 
     # a cycle has steps_per_cycle steps, which the stride divides: its
@@ -526,11 +556,11 @@ def _simulate_plans(
     x_all = np.empty((*t_all.shape, 4))   # columns i_l, v_pc, v_s_agg, v_m
     v_s_hold = 0.0   # last known top-plate aggregate
     # per gate row, each plate's weight in it: enabled count x value, 0 where held
-    weights = counts * np.array(values)
-    for k, (p, rows) in enumerate(zip(plan_of.tolist(), states or ())):
+    weights = layout.counts * np.array(values)
+    for k, (p, rows) in enumerate(zip(layout.plan_of.tolist(), states or ())):
         states[k] = None   # each cycle's states are held once, here or in x_all
         phases = plan_phases[p]
-        w = weights[gate_of[p]]
+        w = weights[layout.gate_of[p]]
         if w.any():   # the gates hold all cycle
             agg = (rows[:, 2:-1] @ w) / w.sum()
             v_s_hold = float(agg[-1])
@@ -633,12 +663,13 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     or not the stream holds it); each later entry is the next new
     normalised code in stream order.
 
-    A stream given as one 2-D array is read whole; of a numeric one, only
-    the first row of each run of equal rows goes on.  Any other stream is
-    read code by code, and only its distinct raw codes go on: a tuple
-    object seen before is found by identity (tuples are immutable; each is
-    held for the call, so no other object takes its id); other codes, such
-    as a list that may change between cycles, are copied and hashed every
+    A stream given as one 2-D array is read whole; a numeric one has its
+    bits checked and turned into booleans first, and only the first row of
+    each run of equal rows goes on.  Any other stream is read code by
+    code, and only its distinct raw codes go on: a tuple object seen
+    before is found by identity (tuples are immutable; each is held for
+    the call, so no other object takes its id); other codes, such as a
+    list that may change between cycles, are copied and hashed every
     cycle.  The raw codes are then checked and turned into bits all at
     once (``_code_bits``), and normalised codes are told apart by their
     rows' packed bytes.  Raises ValueError, naming the code, on an empty
@@ -651,14 +682,14 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
         if len(codes) and codes.shape[1] != n:
             raw, wrong_length = codes[:0], (0, codes.shape[1])
         elif len(codes) > 1 and codes.dtype.kind in "biuf":
-            # a row with a NaN equals no row, so it starts a run: the first
-            # row with a bit that is not finite is the first of its run
+            raw = _code_bits(codes, cycle_of)
+            packed = np.packbits(raw, axis=1)   # rows told apart by their packed bytes
             new = np.empty(len(codes), dtype=bool)
             new[0] = True
-            np.any(codes[1:] != codes[:-1], axis=1, out=new[1:])
+            np.any(packed[1:] != packed[:-1], axis=1, out=new[1:])
             if not new.all():
                 cycle_of = np.flatnonzero(new)
-                raw, raw_of = codes[cycle_of], np.cumsum(new) - 1
+                raw, raw_of = raw[cycle_of], np.cumsum(new) - 1
     else:
         raw, cycle_of, raw_of = [], [], []   # distinct raw codes, their first cycles
         by_raw: dict[tuple, int] = {}
@@ -722,31 +753,95 @@ def _code_bits(raw: Sequence[Sequence] | np.ndarray, cycle_of: Sequence[int]) ->
     return arr if arr.dtype == bool else arr != 0
 
 
-def decided_run(table: list[Code], bits: np.ndarray, index: np.ndarray, observed: RunStats,
-                ledger: EnergyLedger, warm_up: int, dlcc: DlccConfig, v_os: float,
-                oracle: NeuronSpec | Callable[[float], NeuronSpec],
+class CodeStream:
+    """A code stream, read once for any number of runs of either design.
+
+    Build one where a stream runs at many operating points (frequency,
+    duty, widths, corner and temperature) and pass it to ``run_neuron``
+    or ``run_baseline`` in place of the codes; both wrap raw codes in one
+    on entry.  It holds ``_code_table``'s ``table`` of distinct codes,
+    their boolean matrix ``bits`` and each cycle's ``index`` into them,
+    read-only: every run shares them (``NeuronRun.bits`` and ``index``).
+    Beside them it keeps what each design derives from the stream alone,
+    keyed by the settings that reads (``derive``), and nothing that
+    depends on the operating point.  Built for a tree of n synapses;
+    raises ValueError, naming the code, on a stream that
+    ``_code_table`` rejects.
+    """
+
+    def __init__(self, codes: Iterable[Sequence[int]], n: int) -> None:
+        table, bits, index = _code_table(codes, n)
+        self.__setstate__((tuple(table), bits, index))
+
+    @classmethod
+    def of(cls, codes: CodeStream | Iterable[Sequence[int]], n: int) -> CodeStream:
+        """``codes`` if it is a stream, else a stream of them, for a tree
+        of n synapses; a stream of another size fails as its codes would."""
+        if not isinstance(codes, CodeStream):
+            return cls(codes, n)
+        if codes.n != n:
+            raise ValueError(f"code 0 has {codes.n} bits, tree has {n} synapses")
+        return codes
+
+    @property
+    def n(self) -> int:
+        return self.bits.shape[1]
+
+    def derive(self, make: Callable[..., _T], *settings) -> _T:
+        """``make(self, *settings)``, made at the first call with these
+        (hashable) settings and kept for the stream's later calls."""
+        key = (make, *settings)
+        if key not in self._derived:
+            self._derived[key] = make(self, *settings)
+        return self._derived[key]
+
+    def __getstate__(self) -> tuple:
+        # what the stream derived stays behind: a worker derives its own
+        return self.table, self.bits, self.index
+
+    def __setstate__(self, state: tuple) -> None:
+        self.table, self.bits, self.index = state
+        self.bits.flags.writeable = self.index.flags.writeable = False
+        self._derived: dict[tuple, object] = {}
+
+
+def decided_run(stream: CodeStream, observed: RunStats, ledger: EnergyLedger, warm_up: int,
+                dlcc: DlccConfig, v_os: float, oracle: NeuronSpec | Callable[[float], NeuronSpec],
                 trace: Trace | None) -> NeuronRun:
     """Finish a run of either design: book the soma energy and decide every
     reported cycle from its membrane sample, all at once; the run scores
     the codes with the threshold-unit oracle, all distinct codes at once,
     when its ``oracle_bits`` are first read.  The reported codes come as
-    ``_code_table``'s table, bit matrix and per-cycle index, every cycle's
-    samples and pending peaks in ``observed``; v_os is the comparator
-    offset the oracle is built with."""
+    the stream, every cycle's samples and pending peaks in ``observed``;
+    v_os is the comparator offset the oracle is built with."""
     ledger.soma[:] = dlcc.e_decision
     outputs, delays = _decide(observed.samples[warm_up:], dlcc, v_os)
-    return NeuronRun(table=table, bits=bits, index=index, outputs=outputs, delays=delays,
-                     observed=observed, oracle=oracle, ledger_full=ledger, warm_up=warm_up,
-                     trace=trace)
+    return NeuronRun(table=list(stream.table), bits=stream.bits, index=stream.index,
+                     outputs=outputs, delays=delays, observed=observed, oracle=oracle,
+                     ledger_full=ledger, warm_up=warm_up, trace=trace)
+
+
+def _cycle_layout(stream: CodeStream, c_s: Sequence[float], warm: int,
+                  recal_every: int) -> tuple[tuple[bool, ...], _Layout]:
+    """``run_neuron``'s plans on a stream, after ``warm`` all-zero warm-up
+    cycles and recalibrated every ``recal_every`` cycles from the first,
+    on a tree of weights ``c_s``: the recalibration flag of each distinct
+    (code, flag), one plan each, and their ``_Layout``, whose gate rows
+    are the stream's table."""
+    full = np.concatenate((np.zeros(warm, dtype=stream.index.dtype), stream.index))
+    recal = np.arange(full.size) % recal_every == 0
+    first, plan_of = first_seen(2 * full + recal)
+    return tuple(recal[first].tolist()), _layout(c_s, stream.bits, full[first], plan_of)
 
 
 def run_neuron(
     cfg: CircuitConfig,
-    codes: Iterable[Sequence[int]],
+    codes: CodeStream | Iterable[Sequence[int]],
     keep_trace: bool = False,
 ) -> NeuronRun:
     """Simulate one code per cycle and decide each cycle at the clock crest.
 
+    ``codes`` is a ``CodeStream`` or the raw codes, which go into one.
     Code bits are normalised to 0/1 (``_code_table``); an empty stream, a
     code whose length is not the tree's synapse count or a bit that is not
     a finite number raises ValueError.  Warm-up cycles (all-zero input,
@@ -757,19 +852,16 @@ def run_neuron(
     of a distinct (code, recalibration flag), and one oracle bit every
     cycle of a distinct code.  The work that grows with the synapse count
     (phase-system keys, drive toggles, oracle sums) is array work on the
-    distinct codes' bit matrix, once per run.
+    distinct codes' bit matrix, once per stream and tree (``_cycle_layout``).
     """
-    table, bits, index = _code_table(codes, cfg.tree.n)
+    stream = CodeStream.of(codes, cfg.tree.n)
     warm = cfg.sim.startup_discard_cycles
-    full = np.concatenate((np.zeros(warm, dtype=index.dtype), index))
-    recal = np.arange(full.size) % cfg.sim.recal_every == 0
-    first, plan_of = first_seen(2 * full + recal)
-    code_of = full[first]
+    forced, layout = stream.derive(_cycle_layout, cfg.tree.c_s, warm, cfg.sim.recal_every)
     # table entry 0 is the all-zero code, and the only one
-    plans = [_schedule(cfg, table[i], i == 0, forced)
-             for i, forced in zip(code_of.tolist(), recal[first].tolist())]
-    trace, ledger = _simulate_plans(cfg, plans, plan_of, bits, code_of, keep_samples=keep_trace)
+    plans = [_schedule(cfg, stream.table[i], i == 0, f)
+             for i, f in zip(layout.gate_of.tolist(), forced)]
+    trace, ledger = _simulate_plans(cfg, plans, layout, keep_samples=keep_trace)
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
-    return decided_run(table, bits, index, trace.observed, ledger, warm, cfg.dlcc, v_os,
+    return decided_run(stream, trace.observed, ledger, warm, cfg.dlcc, v_os,
                        partial(NeuronSpec.from_circuit, cfg, v_os=v_os),
                        trace if keep_trace else None)

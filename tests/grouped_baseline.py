@@ -18,25 +18,21 @@ import numpy as np
 from acansim import baseline
 from acansim.engine import BranchGroup, Loss, PhaseSystem, Source, Store, reset_terms
 from acansim.model import reset_resistance
-from acansim.neuron import _weight_counts
 
 
-def grouped_legs_of(cfg, before, after):
+def grouped_legs_of(cfg, counts, reset):
     """``baseline._legs`` with one leg per (previous level, new level,
     weight value) group: per transition its key, the group tuple and the
     reset, and each plate's start, the previous level's rail."""
-    tree = cfg.tree
-    # per transition its four (previous level, new level) masks, in order
-    masks = np.stack((~before & ~after, ~before & after, before & ~after, before & after), axis=1)
-    values, counts = _weight_counts(tree.c_s, masks.reshape(-1, tree.n))
-    counts = counts.reshape(before.shape[0], -1)   # column (2 p + n) w + j, w values
+    values = np.unique(cfg.tree.c_s).tolist()   # ascending, as ``_level_counts`` counts them
+    counts = counts.reshape(counts.shape[0], -1)   # column (2 p + n) w + j, w values
     w = len(values)
-    levels = [[] for _ in range(before.shape[0])]
+    levels = [[] for _ in range(counts.shape[0])]
     ts, ks = counts.nonzero()
     for t, k, count in zip(ts.tolist(), ks.tolist(), counts[ts, ks].tolist()):
         levels[t].append((k // (2 * w), k // w % 2, values[k % w], count))
-    return [((tuple(lv), not row.any()), [p * cfg.v_dd for p, _, _, _ in lv])
-            for lv, row in zip(levels, after)]
+    return [((tuple(lv), r), [p * cfg.v_dd for p, _, _, _ in lv])
+            for lv, r in zip(levels, reset.tolist())]
 
 
 def build_grouped_system(cfg, levels, reset_on, dim=None):

@@ -62,9 +62,10 @@ class Searched(NamedTuple):
     peaks: np.ndarray
 
 
-def run_cycles(ledger, kinds, kind_of, x0, t_cycle, v_limit, peak_rows, stride=None):
+def run_cycles(ledger, kinds, order, x0, t_cycle, v_limit, peak_rows, stride=None):
     """Same contract as ``engine.run_cycles``, one propagated segment per
     phase and cycle; the peaks are found per step, during the run."""
+    kind_of = order.kind_of
     n_cycles = kind_of.size
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)

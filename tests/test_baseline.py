@@ -1,6 +1,6 @@
 """Level-driven reference design: analytic transition charge and transients."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ import pytest
 from acansim import (
     BaselineConfig,
     CircuitConfig,
+    CodeStream,
+    EnergyLedger,
     SimulationError,
     SynapseTreeConfig,
     baseline_oracle_spec,
@@ -179,3 +181,29 @@ def test_random_512_bit_codes_share_their_phase_systems(monkeypatch):
         spreads += [entry[i, -1] for _, i, j in system.stores if j is None and i != system.dim - 1]
     assert len(spreads) >= len(kinds) - 1   # all but the first cycle's mix both levels
     assert all(0.0 < s <= cfg.v_dd / 2 for s in spreads)
+
+
+def test_one_stream_serves_every_baseline_config(monkeypatch):
+    # configs that differ in code rate, rail, drive resistance and tree
+    # weights give from one stream what they give from fresh ones; the
+    # stream derives its transitions once per tree
+    codes = [(1, 0, 0, 0), (1, 1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1)] * 3
+    base = BaselineConfig.from_circuit(CircuitConfig())
+    configs = [base, replace(base, f_clock=2e6), replace(base, v_dd=1.2), replace(base, r_drv=3e3),
+               replace(base, tree=SynapseTreeConfig(c_s=(1e-12, 2e-12, 4e-12, 8e-12))), base]
+    stream = CodeStream(codes, 4)
+    calls = []
+    pairs = baseline._pairs
+    monkeypatch.setattr(baseline, "_pairs", lambda *args: calls.append(args) or pairs(*args))
+    for cfg in configs:
+        got, want = run_baseline(cfg, stream), run_baseline(cfg, codes)
+        assert got.table == want.table
+        for name in ("index", "outputs", "delays", "oracle_bits"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        for a, b in zip(got.stats, want.stats, strict=True):
+            np.testing.assert_array_equal(a, b)
+        for f in fields(EnergyLedger):
+            assert np.array_equal(getattr(got.ledger_full, f.name),
+                                  getattr(want.ledger_full, f.name)), f.name
+    # per config one for the raw codes, and one per tree for the stream
+    assert [c[0] for c in calls].count(stream) == 2 and len(calls) == len(configs) + 2

@@ -243,6 +243,33 @@ def test_constant_streams_are_one_boolean_array():
         assert got.output_bits == want.output_bits
 
 
+@pytest.mark.parametrize("grid", [1, 2])
+def test_a_study_reads_each_stream_once(monkeypatch, grid):
+    # every point of a study runs its stream, read once per study (or per
+    # order), whatever the grid: one code table and one pass-1 order each
+    from acansim import engine, neuron
+
+    calls = []
+    for owner, name in ((neuron, "_code_table"), (engine, "_periods")):
+        monkeypatch.setattr(owner, name, lambda *a, f=getattr(owner, name), n=name:
+                            calls.append(n) or f(*a))
+
+    def reads(study, *args, **kwargs):
+        calls.clear()
+        study(CircuitConfig(), *args, **kwargs)
+        return sorted(calls)
+
+    once = ["_code_table", "_periods"]
+    spec = SweepSpec(cycles=32, skip=8, window=16, repeats=2)
+    assert reads(optimize_frequency, 1.0, spec=_FAST) == once
+    assert reads(sweep_freq_duty, [0.96e6, 1.0e6][:grid], [0.04, 0.05], spec=_FAST) == once
+    assert reads(corner_study, corners=[Corner.TT, Corner.SS][:grid], temps=(25.0, 50.0),
+                 spec=spec) == once
+    assert reads(sweep_width_duty, [30e-6, 60e-6][:grid], [0.05], spec=spec) == sorted(once * 5)
+    # a run given raw codes reads them once, as ever
+    assert reads(lambda cfg: run_neuron(cfg, [(1, 0, 0, 0)] * 3)) == once
+
+
 def test_compare_designs_sweep_mode():
     report = compare_designs(CircuitConfig(), mode="sweep")
     assert report.mode == "sweep"

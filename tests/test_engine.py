@@ -216,9 +216,9 @@ def test_simulate_hands_its_distinct_plans_and_index_to_simulate_plans(monkeypat
     calls = []
     simulate_plans = neuron_mod._simulate_plans
 
-    def counted(cfg, distinct, plan_of, *gates, **kwargs):
-        calls.append((distinct, plan_of.tolist()))
-        return simulate_plans(cfg, distinct, plan_of, *gates, **kwargs)
+    def counted(cfg, distinct, layout, *args, **kwargs):
+        calls.append((distinct, layout.plan_of.tolist()))
+        return simulate_plans(cfg, distinct, layout, *args, **kwargs)
 
     monkeypatch.setattr(neuron_mod, "_simulate_plans", counted)
     cycles = [plans[i] for i in (1, 1, 0, 2, 0, 1)]
@@ -460,8 +460,9 @@ def test_book_segment_matches_per_column_formulas_baseline():
     tree = SynapseTreeConfig(c_s=(1e-12, 1e-12, 1e-12, 2e-12, 2e-12))
     bcfg = BaselineConfig.from_circuit(CircuitConfig(tree=tree))
     prev, code = (0, 1, 1, 0, 1), (1, 1, 0, 0, 1)
-    ((ones, spread, reset_on), starts), = baseline_mod._legs(
-        bcfg, np.array([prev], dtype=bool), np.array([code], dtype=bool))
+    counts = baseline_mod._level_counts(tree.c_s, np.array([prev], dtype=bool),
+                                        np.array([code], dtype=bool))
+    ((ones, spread, reset_on), starts), = baseline_mod._legs(bcfg, counts, np.array([False]))
     assert (ones, spread, reset_on) == ((2, 1), (True, False), False)
     v_dd, r = bcfg.v_dd, bcfg.r_drv
     # per weight value its low leg, high leg and spread, where present,
@@ -582,7 +583,7 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
         run = run_neuron(cfg, codes, keep_trace=True)
         trace = run.trace
         search, samples, states = engine.run_cycles(
-            EnergyLedger.zeros(151), flat_kinds, np.zeros(151, int),
+            EnergyLedger.zeros(151), flat_kinds, engine.CycleOrder(np.zeros(151, int)),
             np.append(np.zeros(flat.dim - 1), cfg.tree.v_ref), cfg.pc.t_pc, math.inf, (1, -1), 8)
         # the searches run here, under the chunk bound
         return (np.column_stack(run.stats),
@@ -835,7 +836,8 @@ def test_run_cycles_needs_one_state_size():
     for kinds, start in runs:
         with pytest.raises(ValueError, match=r"^run_cycles: a run needs one state size, "
                                              r"got sizes \[4, 5\]$"):
-            engine.run_cycles(EnergyLedger.zeros(2), kinds, np.arange(2) % len(kinds), start,
+            engine.run_cycles(EnergyLedger.zeros(2), kinds,
+                              engine.CycleOrder(np.arange(2) % len(kinds)), start,
                               1e-6, math.inf, (-1,))
 
 

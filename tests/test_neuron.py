@@ -1,6 +1,7 @@
 """Comparator offset/decision model, cycle schedules, and full neuron runs."""
 
 import math
+import pickle
 import re
 import warnings
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ import pytest
 from acansim import (
     BaselineConfig,
     CircuitConfig,
+    CodeStream,
     DlccConfig,
     NeuronSpec,
     dlcc_offset,
@@ -612,10 +614,10 @@ def test_repeated_codes_share_their_per_code_work(monkeypatch):
     run.oracle_bits   # scored at the first read
     assert all(len(calls) == 0 for calls in per_bit)
     matrix = np.array([zero, a, b], dtype=bool)
-    (_, plans, plan_of, gates, gate_of), = simulated
-    np.testing.assert_array_equal(gates, matrix)
+    (_, plans, layout), = simulated
+    plan_of, gate_of = layout.plan_of, layout.gate_of
     (_, on), = counted
-    assert on is gates
+    np.testing.assert_array_equal(on, matrix)
     # one plan per (code, recalibration flag), keyed on the index arrays
     warm = cfg.sim.startup_discard_cycles
     full = [zero] * warm + codes
@@ -631,14 +633,99 @@ def test_repeated_codes_share_their_per_code_work(monkeypatch):
     assert run.table == [zero, a, b]
 
     scored.clear()
-    legs = _count_calls(monkeypatch, baseline_mod, "_legs")
+    counted_levels = _count_calls(monkeypatch, baseline_mod, "_level_counts")
     run_baseline(BaselineConfig.from_circuit(cfg), codes).oracle_bits
     assert all(len(calls) == 0 for calls in per_bit)
     pairs = set(zip([zero] + codes, codes))
     assert len(pairs) == 6
-    (_, before, after), = legs
+    (_, before, after), = counted_levels
     assert before.shape == after.shape == (len(pairs), n)
     assert {(x.tobytes(), y.tobytes()) for x, y in zip(before, after)} == {
         (np.array(x, dtype=bool).tobytes(), np.array(y, dtype=bool).tobytes()) for x, y in pairs}
     (_, rows), = scored
     np.testing.assert_array_equal(rows, matrix)
+
+
+_CODES = [(1, 0, 0, 0), (1, 1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 0)] * 3
+_FORMS = {
+    "list": lambda codes: [list(code) for code in codes],
+    "tuple": lambda codes: [tuple(code) for code in codes],
+    "bool array": lambda codes: np.array(codes, dtype=bool),
+    "int array": lambda codes: np.array(codes, dtype=int),
+}
+
+
+def _assert_identical(got, want):
+    assert got.table == want.table and got.warm_up == want.warm_up
+    for name in ("index", "bits", "outputs", "delays", "oracle_bits"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    for a, b in zip(got.stats, want.stats, strict=True):
+        np.testing.assert_array_equal(a, b)
+    for f in fields(engine.EnergyLedger):
+        assert np.array_equal(getattr(got.ledger_full, f.name),
+                              getattr(want.ledger_full, f.name)), f.name
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_a_code_stream_runs_as_its_raw_codes(design, form):
+    cfg = tune_inductor(CircuitConfig())
+    codes = _FORMS[form](_CODES)
+    _assert_identical(_run(design, cfg, CodeStream(codes, cfg.tree.n)), _run(design, cfg, codes))
+    if design == "adiabatic":   # and so is the trace
+        got, want = (run_neuron(cfg, c, keep_trace=True) for c in (CodeStream(codes, 4), codes))
+        for name in ("t", "i_l", "v_pc", "v_s", "v_m"):
+            np.testing.assert_array_equal(getattr(got.trace, name), getattr(want.trace, name))
+
+
+def test_one_stream_serves_every_operating_point(monkeypatch):
+    # runs that differ in frequency, duty, warm-up, recalibration and tree
+    # weights give from one stream what they give from fresh ones; the
+    # stream derives its plans' layout once per tree, warm-up and
+    # recalibration setting, and the operating point derives nothing
+    base = tune_inductor(CircuitConfig())
+    configs = [base,
+               replace(base, pc=replace(base.pc, f_nominal=0.9 * base.pc.f_nominal)),
+               replace(base, pc=replace(base.pc, duty_d=0.5 * base.pc.duty_d)),
+               replace(base, sim=replace(base.sim, startup_discard_cycles=2)),
+               replace(base, sim=replace(base.sim, recal_every=3)),
+               tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 2e-12, 4e-12, 8e-12)))),
+               base]
+    stream = CodeStream(_CODES, 4)
+    got = [run_neuron(cfg, stream) for cfg in configs]
+    laid_out = _count_calls(monkeypatch, neuron_mod, "_layout")
+    for run, cfg in zip(got, configs):
+        _assert_identical(run, run_neuron(cfg, CodeStream(_CODES, 4)))
+    assert len(laid_out) == len(configs)
+    laid_out.clear()
+    for cfg in configs:
+        run_neuron(cfg, stream)
+    assert laid_out == []
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+def test_a_stream_and_its_runs_share_read_only_arrays(design):
+    cfg = tune_inductor(CircuitConfig())
+    stream = CodeStream(_CODES, 4)
+    runs = [_run(design, cfg, stream) for _ in range(2)]
+    assert runs[0].index is runs[1].index is stream.index
+    assert runs[0].bits is runs[1].bits is stream.bits
+    assert runs[0].table == runs[1].table == list(stream.table)
+    assert runs[0].table is not runs[1].table
+    # sent to a worker, the stream keeps its arrays read-only and its runs
+    sent = pickle.loads(pickle.dumps(stream))
+    _assert_identical(_run(design, cfg, sent), runs[0])
+    for a in (stream.bits, stream.index, sent.bits, sent.index):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+def test_a_stream_of_another_size_fails_as_its_codes(design):
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 0, 0), (0, 1, 1)]
+    for form in (codes, np.array(codes), CodeStream(codes, 3)):
+        with pytest.raises(ValueError) as err:
+            _run(design, cfg, form)
+        assert str(err.value) == "code 0 has 3 bits, tree has 4 synapses"

@@ -11,7 +11,9 @@ random phase operators and start clouds the peak search returns the
 exhaustive maximum; on random trees with repeated and unequal weights
 the run path's code matrix keeps the per-bit rules: the same run from
 tuples, lists or one array, oracle bits equal to ``NeuronSpec.fires``,
-drive accounts equal to the bit toggles, and the same errors; and any
+drive accounts equal to the bit toggles, and the same errors; one
+``CodeStream`` run through two random circuits gives the runs of its raw
+codes; and any
 finite number written with an SI prefix and unit, or none, parses to
 its scaled value, while an unknown suffix fails by field name."""
 
@@ -31,6 +33,7 @@ from hypothesis import strategies as st
 from acansim import (
     BaselineConfig,
     CircuitConfig,
+    CodeStream,
     EnergyLedger,
     NeuronSpec,
     SimConfig,
@@ -174,9 +177,9 @@ def test_lumped_baseline_matches_the_grouped_legs(case):
     for legs in (nullcontext, grouped_legs):
         with legs(), mock.patch.object(baseline, "run_cycles", wraps=baseline.run_cycles) as kernel:
             runs.append(run_baseline(cfg, codes))
-        _, kinds, kind_of, *_ = kernel.call_args.args
+        _, kinds, order, *_ = kernel.call_args.args
         phases.append([[(p.start, p.end, p.n_steps) for p in kinds[i][1]]
-                       for i in kind_of.tolist()])
+                       for i in order.kind_of.tolist()])
     run, want = runs
     assert run.output_bits == want.output_bits
     np.testing.assert_array_equal(run.outputs, want.outputs)
@@ -474,6 +477,18 @@ def peak_searches(draw):
 # above its rest: both rows fall from step 0, so only the first block,
 # the one of the best block start, is searched step by step.
 SETTLING = (SwitchState(True, True, (False,) * 4), 2000.0, 3584, 1e-9, 1.0, (1, 0), 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(codes=streams, cfgs=st.lists(st.tuples(circuits(), st.integers(0, 4)), min_size=2, max_size=2))
+def test_runs_from_a_stream_are_runs_from_its_codes(codes, cfgs):
+    # one stream through two random circuits and warm-ups, in both
+    # designs: each run is the run of the raw codes
+    stream = CodeStream(codes, 4)
+    for cfg, warm in cfgs:
+        cfg = replace(cfg, sim=replace(cfg.sim, startup_discard_cycles=warm))
+        for design, config in ((run_neuron, cfg), (run_baseline, BaselineConfig.from_circuit(cfg))):
+            _assert_same_runs(design(config, stream), design(config, codes))
 
 
 @settings(max_examples=60, deadline=None)
