@@ -45,7 +45,6 @@ from .neuron import (
     Trace,
     dlcc_offset,
     input_sweeps,
-    make_schedule,
     run_neuron,
     simulate,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "tg_resistance", "topup_energy_analytic", "tune_inductor",
     "EnergyLedger", "SimulationError", "energy_residual",
     "CodeStream", "CycleStats", "NeuronRun", "SwitchState", "Trace", "dlcc_offset",
-    "input_sweeps", "make_schedule", "run_neuron", "simulate",
+    "input_sweeps", "run_neuron", "simulate",
     "BaselineConfig", "baseline_oracle_spec",
     "baseline_transition_energy_analytic", "run_baseline",
     "CornerTable", "FrequencyOpt", "SavingsReport", "ScalingTable", "Surface",

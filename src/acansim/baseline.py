@@ -25,7 +25,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .engine import (
-    BranchGroup,
     CycleOrder,
     EnergyLedger,
     Loss,
@@ -202,12 +201,12 @@ def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequ
     c_mb = tree.c_d + tree.c_par
     g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0
     values, totals = _weight_counts(tree.c_s, np.ones((1, tree.n), dtype=bool))
-    legs, spreads = [], []   # (state, lumped leg, rail), (state, count, weight)
+    # (state, lumped resistance, lumped capacitance, rail), (state, count, weight)
+    legs, spreads = [], []
     for c, total, n1, mixed in zip(values, totals[0].tolist(), ones, spread):
         for count, u in ((total - n1, 0.0), (n1, cfg.v_dd)):
             if count:
-                leg = BranchGroup(r=cfg.r_drv / count, c=count * c)
-                legs.append((len(legs) + len(spreads), leg, u))
+                legs.append((len(legs) + len(spreads), cfg.r_drv / count, count * c, u))
         if mixed:
             spreads.append((len(legs) + len(spreads), total, c))
 
@@ -217,28 +216,27 @@ def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequ
     im = dim - 1
     a[im, im] = -g_reset / c_mb
     b[im] = g_reset * tree.v_ref / c_mb
-    for j, g, u in legs:
-        a[im, j] -= (1.0 / g.r) / c_mb
-        b[im] += (u / g.r) / c_mb
-    for j, g, u in legs:
+    for j, r, _, u in legs:
+        a[im, j] -= (1.0 / r) / c_mb
+        b[im] += (u / r) / c_mb
+    for j, r, c, u in legs:
         a[j, :] = a[im, :]
         b[j] = b[im]
-        a[j, j] -= 1.0 / (g.r * g.c)
-        b[j] += u / (g.r * g.c)
+        a[j, j] -= 1.0 / (r * c)
+        b[j] += u / (r * c)
     for s, _, c in spreads:
         a[s, s] = -1.0 / (cfg.r_drv * c)
 
-    stores = (Store(c_mb, im), *(Store(g.c, j, im) for j, g, _ in legs),
+    stores = (Store(c_mb, im), *(Store(c, j, im) for j, _, c, _ in legs),
               *(Store(total * c, s) for s, total, c in spreads))
-    losses = [Loss("r_tg", 1.0 / g.r, j, u=-u) for j, g, u in legs]
+    losses = [Loss("r_tg", 1.0 / r, j, u=-u) for j, r, _, u in legs]
     losses += [Loss("r_tg", total / cfg.r_drv, s) for s, total, _ in spreads]
-    sources = [Source("source_dc", -u / g.r, j, -u) for j, g, u in legs if u > 0.0]
+    sources = [Source("source_dc", -u / r, j, -u) for j, r, _, u in legs if u > 0.0]
     if g_reset > 0.0:
         loss, source = reset_terms(g_reset, tree.v_ref, im)
         losses.append(loss)
         sources.append(source)
-    return PhaseSystem(a=a, b=b, groups=tuple(g for _, g, _ in legs), stores=stores,
-                       losses=tuple(losses), sources=tuple(sources))
+    return PhaseSystem(a=a, b=b, stores=stores, losses=tuple(losses), sources=tuple(sources))
 
 
 def _cycle_plan(system: PhaseSystem, rates: np.ndarray, t_cycle: float, spc: int) -> list[Phase]:

@@ -336,6 +336,10 @@ def _cmd_compare(args, cfg, spec, grids):
         n = args.n if args.n is not None else grids.get("n_synapses", cfg.tree.n)
         c_e = cfg.pc.c_e if args.c_e is None else parse_quantity(args.c_e, "--c-e")
         cfg = bench.scaled_tree(cfg, n, c_e)
+    else:
+        given = [flag for flag, value in (("--n", args.n), ("--c-e", args.c_e)) if value is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)}: only with --mode loading")
     report = bench.compare_designs(cfg, mode=args.mode, spec=spec).as_dict()
     return {"savings.json": report}, report
 

@@ -49,15 +49,6 @@ class SimulationError(RuntimeError):
     """Raised when the transient leaves its validity envelope."""
 
 
-@dataclass(frozen=True)
-class BranchGroup:
-    """Branches sharing one weight value, lumped into a single series RC
-    leg onto the membrane."""
-
-    r: float         # lumped resistance, per-branch resistance / count
-    c: float         # lumped capacitance, count * per-branch capacitance
-
-
 class Store(NamedTuple):
     """Storage element holding 1/2 k (x_i - x_j)^2; j None is ground."""
 
@@ -90,19 +81,17 @@ class PhaseSystem:
     """Constant-coefficient system dx/dt = A x + b for one switch phase,
     with its elements as data: the storage terms give the stored energy of
     a state, the loss and source terms give a phase's energy accounts
-    (``PhaseOperator``).  ``groups`` are the lumped branch legs, in the
-    order of their top-plate states; it lists the enabled legs only and is
-    no state index.  Every phase system of a run has one state layout, so
-    other states sit among the legs: held states, which a switch state
-    leaves unused (a zero row and column in A, a zero entry in b, and no
-    store, loss or source term), and the baseline's spread states.
+    (``PhaseOperator``).  A design keeps no other record of its circuit
+    here: an RC leg onto the membrane is its store across the leg and its
+    loss.  Every phase system of a run has one state layout, so a switch
+    state may leave states unused: such a state is *held*, a zero row and
+    column in A, a zero entry in b, and no store, loss or source term.
     Systems compare and hash by identity, so a run's phases can key its
     operators.
     """
 
     a: np.ndarray
     b: np.ndarray
-    groups: tuple[BranchGroup, ...]
     stores: tuple[Store, ...]
     losses: tuple[Loss, ...]
     sources: tuple[Source, ...]

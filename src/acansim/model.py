@@ -370,20 +370,12 @@ class NeuronSpec:
     weights: tuple[float, ...]
     theta: float
 
-    def fires(self, code: Sequence[int]) -> int:
-        """1 if the code fires, else 0: its enabled weights are summed left
-        to right from zero."""
-        _require(len(code) == len(self.weights), "code: length mismatch with weights")
-        drive = 0.0
-        for w, x in zip(self.weights, code):
-            if x:
-                drive += w
-        return 1 if drive > self.theta else 0
-
     def fires_rows(self, bits: np.ndarray) -> np.ndarray:
-        """``fires`` of every row of a boolean (codes, n) matrix, at once.
-        Each row's enabled weights are summed left to right by ``cumsum``,
-        so a tie decides as in ``fires``, bit for bit."""
+        """1 where a row of a boolean (codes, n) matrix fires, else 0, for
+        every row at once.  A row fires when its enabled weights, summed
+        left to right from zero (``cumsum`` along the row, not a dot
+        product or a pairwise sum), exceed theta, so a tie decides the
+        same bit for bit whatever the row's length."""
         _require(bits.shape[1] == len(self.weights), "code: length mismatch with weights")
         drive = np.cumsum(np.where(bits, np.asarray(self.weights), 0.0), axis=1)[:, -1]
         return (drive > self.theta).astype(int)

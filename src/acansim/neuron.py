@@ -25,7 +25,6 @@ import numpy as np
 
 from .engine import (
     CSV_CHUNK,
-    BranchGroup,
     CycleOrder,
     EnergyLedger,
     Loss,
@@ -215,8 +214,10 @@ class Trace:
             for k in range(0, self.t.size, CSV_CHUNK)))
 
 
-def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tuple[Segment, ...]:
-    """Switch timing for one clock cycle of one input code.
+def _schedule(cfg: CircuitConfig, on: Sequence, all_zero: bool, forced: bool) -> tuple[Segment, ...]:
+    """Switch timing for one clock cycle whose gates hold ``on``, given
+    whether they are all off and whether the cycle is a recalibration
+    cycle.
 
     The bypass window opens at the cycle start (the clock trough); the
     input gates hold the code for the whole cycle.  Reset closes for the
@@ -224,15 +225,6 @@ def make_schedule(cfg: CircuitConfig, code: Sequence[int], cycle: int = 0) -> tu
     the code is all zero.  The membrane is sampled mid-cycle, at the
     clock crest.
     """
-    bits = tuple(map(bool, code))
-    if len(bits) != cfg.tree.n:
-        raise ValueError(f"code has {len(bits)} bits, tree has {cfg.tree.n} synapses")
-    return _schedule(cfg, bits, not any(bits), cycle % cfg.sim.recal_every == 0)
-
-
-def _schedule(cfg: CircuitConfig, on: Sequence, all_zero: bool, forced: bool) -> tuple[Segment, ...]:
-    """``make_schedule`` for gates ``on``, given whether they are all off
-    and whether the cycle is a recalibration cycle."""
     duty = cfg.pc.duty_d
     # gates follow the input register for the whole cycle; toggles (and the
     # driver overhead) happen only when the code actually changes
@@ -252,43 +244,35 @@ def _weight_counts(c_s: Sequence[float], on: np.ndarray) -> tuple[list[float], n
     return values.tolist(), np.add.reduceat(on[:, order], starts, axis=1, dtype=np.intp)
 
 
-def build_phase_system(cfg: CircuitConfig, sw: SwitchState) -> PhaseSystem:
-    """Assemble (A, b) and the elements for one switch phase.
+def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
+                  counts: Sequence[int]) -> PhaseSystem:
+    """Assemble (A, b) and the elements for one switch phase whose gates
+    enable ``counts`` synapses of each weight value in ``values``
+    (``_weight_counts``); ``sw.synapse_on`` is not read.
 
-    State layout: [I_L, V_PC, V_s per weight value..., V_m], one top
-    plate per distinct weight value of the tree, ascending, whatever the
-    gates: a value with no enabled synapse holds its plate (a zero row and
-    column in A, a zero entry in b and no element), so every phase system
-    of a tree has one state size.  A run keeps the plates of the values
-    it enables only (``_simulate_plans``).
+    State layout: [I_L, V_PC, V_s per weight value in ``values``..., V_m],
+    one top plate per value whatever the gates: a value with no enabled
+    synapse holds its plate (a zero row and column in A, a zero entry in b
+    and no element), so every phase system of a run has one state size.
+    A run gives the values that some plan of it enables
+    (``_simulate_plans``).
 
     Topology: the DC source feeds the inductor into the clock node, which
     carries the tank capacitor and the plate/shunt parasitics of every
     disabled gate; the bypass switch adds a conductance to ground when on;
     enabled synapses form parallel RC legs to the membrane (equal weights
-    lump into one leg of r_tg/n and n*c_s); the membrane carries the
-    divider capacitor, wiring parasitics and the enabled gates' output
-    parasitics; the reset switch ties the membrane to V_REF when on.
+    lump into one leg of r_tg/n and n*c_s: its store across the leg and
+    its r_tg loss); the membrane carries the divider capacitor, wiring
+    parasitics and the enabled gates' output parasitics; the reset switch
+    ties the membrane to V_REF when on.
     """
-    if len(sw.synapse_on) != cfg.tree.n:
-        raise ValueError(f"switch state has {len(sw.synapse_on)} synapse bits, "
-                         f"tree has {cfg.tree.n}")
-    values, counts = _weight_counts(cfg.tree.c_s, np.asarray(sw.synapse_on, dtype=bool)[None])
-    return _phase_system(cfg, sw, values, counts[0].tolist())
-
-
-def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
-                  counts: Sequence[int]) -> PhaseSystem:
-    """``build_phase_system`` with the gates given as the enabled count of
-    each weight value in ``values`` (``_weight_counts``), one plate per
-    value; ``sw.synapse_on`` is not read."""
     tree, pc, env = cfg.tree, cfg.pc, cfg.env
     n_on = sum(counts)
     n_off = tree.n - n_on
 
     r_tg = tg_resistance(tree, env)
-    # (top-plate state, lumped leg) of each enabled weight value
-    legs = [(2 + j, BranchGroup(r=r_tg / count, c=count * c_val))
+    # (top-plate state, lumped resistance, lumped capacitance) of each enabled weight value
+    legs = [(2 + j, r_tg / count, count * c_val)
             for j, (c_val, count) in enumerate(zip(values, counts)) if count]
 
     c_pc = pc.c_e + n_off * (tree.c_pl_off + tree.c_sh) + n_on * tree.c_pl_on
@@ -310,28 +294,28 @@ def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
     # clock node: C_pc dV/dt = I_L - sum_g (V_PC - V_sg)/r_g - g_pc V_PC
     a[1, 0] = 1.0 / c_pc
     a[1, 1] = -g_pc / c_pc
-    for j, g in legs:
-        a[1, 1] -= (1.0 / g.r) / c_pc
-        a[1, j] = (1.0 / g.r) / c_pc
+    for j, r, _ in legs:
+        a[1, 1] -= (1.0 / r) / c_pc
+        a[1, j] = (1.0 / r) / c_pc
 
     # membrane: C_m dV/dt = sum_g (V_PC - V_sg)/r_g - g_reset (V_m - V_REF)
     a[im, im] = -g_reset / c_m
     b[im] = g_reset * tree.v_ref / c_m
-    for j, g in legs:
-        a[im, 1] += (1.0 / g.r) / c_m
-        a[im, j] -= (1.0 / g.r) / c_m
+    for j, r, _ in legs:
+        a[im, 1] += (1.0 / r) / c_m
+        a[im, j] -= (1.0 / r) / c_m
 
     # group top plates: series-leg current balance gives
     # dV_sg/dt = dV_m/dt + (V_PC - V_sg)/(r_g c_g)
-    for j, g in legs:
+    for j, r, c in legs:
         a[j, :] = a[im, :]
         b[j] = b[im]
-        a[j, 1] += 1.0 / (g.r * g.c)
-        a[j, j] -= 1.0 / (g.r * g.c)
+        a[j, 1] += 1.0 / (r * c)
+        a[j, j] -= 1.0 / (r * c)
 
     stores = (Store(pc.l_pc, 0), Store(c_pc, 1), Store(c_m, im),
-              *(Store(g.c, j, im) for j, g in legs))
-    losses = [Loss("r_tg", 1.0 / g.r, 1, j) for j, g in legs]
+              *(Store(c, j, im) for j, _, c in legs))
+    losses = [Loss("r_tg", 1.0 / r, 1, j) for j, r, _ in legs]
     sources = [Source("source_dc", pc.v_dc, 0)]
     if r_lc > 0.0:
         losses.append(Loss("r_lc", r_lc, 0))   # series coil: R_lc I_L^2
@@ -341,8 +325,7 @@ def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
         loss, source = reset_terms(g_reset, tree.v_ref, im)
         losses.append(loss)
         sources.append(source)
-    return PhaseSystem(a=a, b=b, groups=tuple(g for _, g in legs), stores=stores,
-                       losses=tuple(losses), sources=tuple(sources))
+    return PhaseSystem(a=a, b=b, stores=stores, losses=tuple(losses), sources=tuple(sources))
 
 
 def _allocate_steps(plan: CyclePlan, spc: int) -> list[int]:

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from acansim import baseline
-from acansim.engine import BranchGroup, Loss, PhaseSystem, Source, Store, reset_terms
+from acansim.engine import Loss, PhaseSystem, Source, Store, reset_terms
 from acansim.model import reset_resistance
 
 
@@ -43,8 +43,8 @@ def build_grouped_system(cfg, levels, reset_on, dim=None):
     tree = cfg.tree
     c_mb = tree.c_d + tree.c_par
     g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0
-    groups = tuple(BranchGroup(r=cfg.r_drv / cnt, c=cnt * c) for _, _, c, cnt in levels)
-    u = [n * cfg.v_dd for _, n, _, _ in levels]
+    # (lumped resistance, lumped capacitance, rail) of each group
+    groups = [(cfg.r_drv / cnt, cnt * c, n * cfg.v_dd) for _, n, c, cnt in levels]
 
     dim = dim or len(groups) + 1
     a = np.zeros((dim, dim))
@@ -52,25 +52,23 @@ def build_grouped_system(cfg, levels, reset_on, dim=None):
     im = dim - 1
     a[im, im] = -g_reset / c_mb
     b[im] = g_reset * tree.v_ref / c_mb
-    for j, g in enumerate(groups):
-        a[im, j] -= (1.0 / g.r) / c_mb
-        b[im] += (u[j] / g.r) / c_mb
-    for j, g in enumerate(groups):
+    for j, (r, _, u) in enumerate(groups):
+        a[im, j] -= (1.0 / r) / c_mb
+        b[im] += (u / r) / c_mb
+    for j, (r, c, u) in enumerate(groups):
         a[j, :] = a[im, :]
         b[j] = b[im]
-        a[j, j] -= 1.0 / (g.r * g.c)
-        b[j] += u[j] / (g.r * g.c)
+        a[j, j] -= 1.0 / (r * c)
+        b[j] += u / (r * c)
 
-    stores = (Store(c_mb, im), *(Store(g.c, j, im) for j, g in enumerate(groups)))
-    losses = [Loss("r_tg", 1.0 / g.r, j, u=-u[j]) for j, g in enumerate(groups)]
-    sources = [Source("source_dc", -u[j] / g.r, j, -u[j])
-               for j, g in enumerate(groups) if u[j] > 0.0]
+    stores = (Store(c_mb, im), *(Store(c, j, im) for j, (_, c, _) in enumerate(groups)))
+    losses = [Loss("r_tg", 1.0 / r, j, u=-u) for j, (r, _, u) in enumerate(groups)]
+    sources = [Source("source_dc", -u / r, j, -u) for j, (r, _, u) in enumerate(groups) if u > 0.0]
     if g_reset > 0.0:
         loss, source = reset_terms(g_reset, tree.v_ref, im)
         losses.append(loss)
         sources.append(source)
-    return PhaseSystem(a=a, b=b, groups=groups, stores=stores,
-                       losses=tuple(losses), sources=tuple(sources))
+    return PhaseSystem(a=a, b=b, stores=stores, losses=tuple(losses), sources=tuple(sources))
 
 
 @contextmanager

@@ -88,8 +88,7 @@ def test_baseline_oracle_spec_weights():
     assert spec.weights == tuple(1e-12 * 1.8 for _ in range(4))
     assert spec.theta == pytest.approx(0.4 * 8.5e-12, rel=1e-12)
     # always-driven divider: one active synapse cannot reach threshold
-    assert spec.fires((1, 0, 0, 0)) == 0
-    assert spec.fires((1, 1, 0, 0)) == 1
+    assert spec.fires_rows(np.array([(1, 0, 0, 0), (1, 1, 0, 0)], dtype=bool)).tolist() == [0, 1]
 
 
 def test_run_baseline_full_sweep():

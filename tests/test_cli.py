@@ -115,13 +115,37 @@ def test_run_trace_artifact(tmp_path):
     assert len(lines) > 100
 
 
-def test_run_artifacts_are_deterministic(tmp_path):
+# a tiny protocol and grid for every study, so each subcommand runs in well
+# under a second
+_TINY_BENCH = {"cycles": 24, "skip": 4, "window": 8, "repeats": 1,
+               "f_grid": ["0.98MHz", "1MHz"], "d_grid": [0.05], "w_grid": ["40um"],
+               "c_e_grid": ["25pF"], "alpha_grid": [0.0, 1.0]}
+# every subcommand, and the data files it writes beside summary.json
+_RERUNS = [
+    (["run", "--trace"], ["neuron_run.csv", "trace.csv"]),
+    (["compare"], ["savings.json"]),
+    (["compare", "--mode", "loading", "--n", "8"], ["savings.json"]),
+    (["optimize-freq", "--alpha", "1"], []),
+    (["corners"], ["corners.csv"]),
+    (["sweep-freq"], ["surface_freq_duty.csv"]),
+    (["sweep-width"], ["surface_width_duty.csv"]),
+    (["sweep-scaling", "--n", "8"], ["scaling.csv"]),
+]
+
+
+@pytest.mark.parametrize("argv, data", _RERUNS, ids=[" ".join(argv) for argv, _ in _RERUNS])
+def test_run_artifacts_are_deterministic(tmp_path, argv, data):
+    # two reruns of one config and seed write byte-identical data files
+    # and summary.json; only the manifest carries wall-clock values
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"bench": _TINY_BENCH}))
     a, b = tmp_path / "a", tmp_path / "b"
-    argv = ["run", "--seed", "0", "--out"]
-    assert dispatch(argv + [str(a)]) == 0
-    assert dispatch(argv + [str(b)]) == 0
-    for name in ("neuron_run.csv", "summary.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    for out in (a, b):
+        assert dispatch(argv + ["--seed", "0", "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(data + ["summary.json"])
+    for name in data + ["summary.json"]:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def _error_exit(argv, capsys) -> str:
@@ -249,3 +273,13 @@ def test_bench_section_feeds_sweeps(tmp_path, capsys):
                  ["compare", "--mode", "loading"], ["compare", "--mode", "loading", "--n", "0"]):
         err = _error_exit(argv + ["--config", str(path), "--out", str(tmp_path / "n0")], capsys)
         assert "n: must be >= 1" in err
+
+
+def test_compare_sweep_refuses_loading_flags_by_name(tmp_path, capsys):
+    # sweep mode runs the configured tree: a synapse count or C_E given
+    # for the loading mode is refused, not ignored
+    out = tmp_path / "x"
+    for flags, named in ((["--n", "512", "--c-e", "1n"], "--n, --c-e"), (["--c-e", "25pF"], "--c-e")):
+        err = _error_exit(["compare", *flags, "--out", str(out)], capsys)
+        assert err == f"error: {named}: only with --mode loading\n"
+    assert not out.exists()

@@ -45,9 +45,10 @@ from acansim.engine import (
     step_maps,
     write_csv,
 )
-from acansim.neuron import build_phase_system, input_sweeps, make_schedule
+from acansim.neuron import input_sweeps
 from decay_fit import fit_decay
 from reference_kernel import Gathers, assert_same_run, propagate, reference_kernel, stein_sums
+from scalar_oracles import build_phase_system, legs, make_schedule
 
 
 def _operating_point(cfg, f):
@@ -119,7 +120,7 @@ def test_build_phase_system_holds_plates_when_all_off():
     sys = build_phase_system(cfg, SwitchState(False, False, (False,) * 4))
     # the tree's layout [I_L, V_PC, V_s, V_m], its one plate held
     assert sys.dim == 4
-    assert sys.groups == ()
+    assert legs(sys) == []
     _held_states(sys, [2])
     l_pc, c_pc, c_m = sys.stores
     assert (l_pc.k, l_pc.i, l_pc.j) == (cfg.pc.l_pc, 0, None)
@@ -142,7 +143,8 @@ def test_build_phase_system_holds_plates_when_all_off():
             assert sys.dim == 6
             on = [any(b for b, c in zip(code, tree.c_s) if c == v) for v in values]
             _held_states(sys, [2 + j for j, enabled in enumerate(on) if not enabled])
-            assert [g.c for g in sys.groups] == pytest.approx(
+            assert [j for j, _, _ in legs(sys)] == [2 + k for k, enabled in enumerate(on) if enabled]
+            assert [c for _, _, c in legs(sys)] == pytest.approx(
                 [v * sum(b for b, c in zip(code, tree.c_s) if c == v)
                  for v, enabled in zip(values, on) if enabled], rel=1e-12)
             assert all(sys.a[2 + j, 2 + j] < 0.0 for j, enabled in enumerate(on) if enabled)
@@ -152,13 +154,13 @@ def test_build_phase_system_lumps_equal_weights():
     cfg = CircuitConfig()
     sys = build_phase_system(cfg, SwitchState(True, False, (True,) * 4))
     assert sys.dim == 4
-    assert len(sys.groups) == 1
-    g = sys.groups[0]
-    assert g.r == pytest.approx(5e3 / 4.0, rel=1e-12)
-    assert g.c == pytest.approx(4e-12, rel=1e-12)
+    (j, r, c), = legs(sys)
+    assert j == 2
+    assert r == pytest.approx(5e3 / 4.0, rel=1e-12)
+    assert c == pytest.approx(4e-12, rel=1e-12)
     assert sys.stores[1].k == pytest.approx(25e-12 + 4 * 3e-15, rel=1e-12)
     assert sys.stores[2].k == pytest.approx(4.5e-12 + 4 * 3e-15, rel=1e-12)
-    assert sys.stores[3] == Store(g.c, 2, 3)
+    assert sys.stores[3] == Store(c, 2, 3)
     bypass = [loss for loss in sys.losses if loss.account == "r_pc"]
     assert len(bypass) == 1 and bypass[0].g == pytest.approx(1.0 / 80.0, rel=1e-12)
 
@@ -169,17 +171,12 @@ def test_build_phase_system_splits_distinct_weights():
     sys = build_phase_system(cfg, SwitchState(False, False, (True,) * 4))
     assert sys.dim == 5
     # each group lumps two gates: half the gate resistance, twice the weight
-    assert [g.c for g in sys.groups] == pytest.approx([2e-12, 4e-12], rel=1e-12)
-    assert [g.r for g in sys.groups] == pytest.approx([2.5e3, 2.5e3], rel=1e-12)
+    assert [j for j, _, _ in legs(sys)] == [2, 3]
+    assert [c for _, _, c in legs(sys)] == pytest.approx([2e-12, 4e-12], rel=1e-12)
+    assert [r for _, r, _ in legs(sys)] == pytest.approx([2.5e3, 2.5e3], rel=1e-12)
     # one gate loss per group, across its leg from the clock node
     gates = [loss for loss in sys.losses if loss.account == "r_tg"]
     assert [(loss.i, loss.j) for loss in gates] == [(1, 2), (1, 3)]
-
-
-def test_build_phase_system_rejects_wrong_bit_count():
-    cfg = CircuitConfig()
-    with pytest.raises(ValueError):
-        build_phase_system(cfg, SwitchState(False, False, (False,) * 3))
 
 
 def test_simulate_baseline_waveform_shape():
@@ -285,6 +282,9 @@ def test_simulate_rejects_bad_plans():
     on = SwitchState(False, False, (True,) + (False,) * 3)
     with pytest.raises(ValueError, match="mid-cycle"):
         simulate(cfg, [((0.0, 0.4, off), (0.4, 1.0, on))])
+    # a switch state of another bit count than the tree's
+    with pytest.raises(ValueError, match=r"^switch state has 3 synapse bits, tree has 4$"):
+        simulate(cfg, [((0.0, 1.0, SwitchState(False, False, (False,) * 3)),)])
 
 
 def test_trace_csv_schema(tmp_path):
@@ -425,7 +425,7 @@ def test_book_segment_matches_per_column_formulas_adiabatic():
     tree = SynapseTreeConfig(c_s=(1e-12, 1e-12, 2e-12, 2e-12))
     cfg = tune_inductor(CircuitConfig(tree=tree))
     sys = build_phase_system(cfg, SwitchState(True, True, (True, True, True, False)))
-    assert len(sys.groups) == 2
+    assert [j for j, _, _ in legs(sys)] == [2, 3]
     x0 = np.array([2e-4, 0.6, 0.4, 0.3, 0.9])
     n, dt = 512, 0.05 * cfg.pc.t_pc / 512
     xs = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
@@ -446,8 +446,7 @@ def test_book_segment_matches_per_column_formulas_adiabatic():
         "r_pc": g_pc * trapz(col_vpc ** 2),
         "r_reset": g_reset * trapz(dvm ** 2),
         "source_ref": g_reset * v_ref * trapz(-dvm),
-        "r_tg": sum((1.0 / g.r) * trapz((col_vpc - xs[:, 2 + j]) ** 2)
-                    for j, g in enumerate(sys.groups)),
+        "r_tg": sum((1.0 / r) * trapz((col_vpc - xs[:, j]) ** 2) for j, r, _ in legs(sys)),
     })
 
 
@@ -476,9 +475,10 @@ def test_book_segment_matches_per_column_formulas_baseline():
     sys = build_baseline_system(bcfg, ones, spread, reset_on=True, dim=7)
     assert sys.dim == 7
     _held_states(sys, [5])
-    legs = [(j, *st) for j, st in enumerate(states) if st is not None and st[2] is not None]
-    assert [(g.r, g.c) for g in sys.groups] == pytest.approx(
-        [(r / cnt, cnt * c) for _, cnt, c, _ in legs], rel=1e-15)
+    driven = [(j, *st) for j, st in enumerate(states) if st is not None and st[2] is not None]
+    assert [j for j, _, _ in legs(sys)] == [j for j, _, _, _ in driven]
+    assert [x for _, r_leg, c_leg in legs(sys) for x in (r_leg, c_leg)] == pytest.approx(
+        [x for _, cnt, c, _ in driven for x in (r / cnt, cnt * c)], rel=1e-15)
     x0 = np.array([*starts, 0.0, 0.9])
     n, dt = 1024, 1e-6 / 1024
     xs = propagate(*step_maps(sys.a, sys.b, dt), x0, n)
@@ -492,11 +492,11 @@ def test_book_segment_matches_per_column_formulas_baseline():
     dvm = xs[:, -1] - v_ref
     _assert_accounts(ledger, {
         # the legs, and the spread's 3 synapses of the mixed new level
-        "r_tg": sum((cnt / r) * trapz((u - xs[:, j]) ** 2) for j, cnt, _, u in legs)
+        "r_tg": sum((cnt / r) * trapz((u - xs[:, j]) ** 2) for j, cnt, _, u in driven)
                 + (3 / r) * trapz(xs[:, 2] ** 2),
         # the rail feeds only the legs whose driver sits high
         "source_dc": sum(v_dd * (cnt / r) * trapz(v_dd - xs[:, j])
-                         for j, cnt, _, u in legs if u > 0.0),
+                         for j, cnt, _, u in driven if u > 0.0),
         "r_reset": g_reset * trapz(dvm ** 2),
         "source_ref": g_reset * v_ref * trapz(-dvm),
     })
@@ -510,7 +510,7 @@ def test_book_segment_matches_per_column_formulas_baseline():
     # and at the start that of every plate at its driver's previous rail
     c_mb = tree.c_d + tree.c_par
     stored = 0.5 * c_mb * xs[:, -1] ** 2 + 0.5 * 3 * 1e-12 * xs[:, 2] ** 2 + sum(
-        0.5 * cnt * c * (xs[:, j] - xs[:, -1]) ** 2 for j, cnt, c, _ in legs)
+        0.5 * cnt * c * (xs[:, j] - xs[:, -1]) ** 2 for j, cnt, c, _ in driven)
     np.testing.assert_allclose(sys.stored_energy(xs), stored, rtol=1e-12)
     per_synapse = 0.5 * c_mb * 0.9 ** 2 + sum(0.5 * c * (p * v_dd - 0.9) ** 2
                                              for p, c in zip(prev, tree.c_s))
@@ -926,7 +926,7 @@ def test_stacked_compile_matches_lone_compiles():
                                          (False, False, gates[1]), (True, True, gates[1]),
                                          (False, False, gates[2])]]
     assert {sys.dim for sys in systems} == {5}
-    assert [len(sys.groups) for sys in systems] == [0, 0, 1, 1, 2]
+    assert [len(legs(sys)) for sys in systems] == [0, 0, 1, 1, 2]
     rng = np.random.default_rng(7)
     args = []
     b = engine._BLOCK

@@ -27,6 +27,7 @@ from acansim import (
     topup_energy_analytic,
     tune_inductor,
 )
+from scalar_oracles import fires
 
 
 def test_series_capacitance_values():
@@ -197,23 +198,22 @@ def test_neuron_spec_from_circuit():
     assert spec.theta == pytest.approx(0.4 * 4.5e-12, rel=1e-12)
     for w in spec.weights:
         assert w == pytest.approx(1e-12 * 1.4 - 0.4 * 3e-15, rel=1e-12)
-    assert spec.fires((1, 0, 0, 0)) == 0
-    assert spec.fires((1, 1, 0, 0)) == 1
-    assert spec.fires((1, 1, 1, 1)) == 1
+    codes = np.array([(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)], dtype=bool)
+    assert spec.fires_rows(codes).tolist() == [0, 1, 1]
 
 
 def test_neuron_spec_tie_does_not_fire():
     spec = NeuronSpec(weights=(1.0, 1.0), theta=2.0)
-    assert spec.fires((1, 1)) == 0
-    assert spec.fires((1, 0)) == 0
+    assert spec.fires_rows(np.array([(1, 1), (1, 0)], dtype=bool)).tolist() == [0, 0]
 
 
 def test_fires_rows_sums_left_to_right_as_fires():
+    # the scalar oracle is the rule itself: one bit at a time, left to right
     # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right and 0.6 summed
     # right to left: at theta 0.6 only the left-to-right sum fires
     spec = NeuronSpec(weights=(0.1, 0.2, 0.3, 0.5), theta=0.6)
     codes = [(1, 1, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1)]
-    assert [spec.fires(code) for code in codes] == [1, 0, 0, 0, 1]
+    assert [fires(spec, code) for code in codes] == [1, 0, 0, 0, 1]
     bits = np.array(codes, dtype=bool)
     assert spec.fires_rows(bits).tolist() == [1, 0, 0, 0, 1]
     assert NeuronSpec(weights=(1.0, 1.0), theta=2.0).fires_rows(np.ones((1, 2), bool)).tolist() == [0]
@@ -221,7 +221,7 @@ def test_fires_rows_sums_left_to_right_as_fires():
     # dot product or numpy's pairwise sum
     spec = NeuronSpec(weights=(0.2, 0.3, 0.7, 0.7, 0.1, 0.1, 0.7, 0.7,
                                0.1, 0.2, 0.7, 0.2, 0.2, 0.7, 0.2, 0.2), theta=6.0)
-    assert spec.fires((1,) * 16) == spec.fires_rows(np.ones((1, 16), bool))[0] == 1
+    assert fires(spec, (1,) * 16) == spec.fires_rows(np.ones((1, 16), bool))[0] == 1
     with pytest.raises(ValueError, match="length mismatch"):
         spec.fires_rows(bits[:, :3])
 
@@ -230,7 +230,7 @@ def test_neuron_spec_unreachable_threshold():
     cfg = CircuitConfig()
     spec = NeuronSpec.from_circuit(cfg, v_pk=0.3)
     assert math.isinf(spec.theta)
-    assert spec.fires((1, 1, 1, 1)) == 0
+    assert spec.fires_rows(np.ones((1, 4), dtype=bool)).tolist() == [0]
 
 
 def test_synapse_energy_analytic_terms():

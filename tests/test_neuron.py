@@ -19,7 +19,6 @@ from acansim import (
     dlcc_offset,
     input_sweeps,
     SimulationError,
-    make_schedule,
     predicted_optimal_frequency,
     run_baseline,
     run_neuron,
@@ -32,6 +31,7 @@ from acansim import engine
 from acansim import neuron as neuron_mod
 from acansim.neuron import base_delay
 from reference_kernel import assert_same_run, reference_kernel
+from scalar_oracles import make_schedule
 
 _GRID = [1e3, 3.25e3, 5.5e3, 7.75e3, 10e3]
 _OFFSET_MV = [
@@ -136,9 +136,21 @@ def test_base_delay_nearest_anchor():
     assert base_delay(2e3, 9e3) == pytest.approx(51e-9)
 
 
-def test_make_schedule_segments():
+def _plans_of(monkeypatch, cfg, codes):
+    """``run_neuron``'s plan of every cycle of ``codes``, warm-up included."""
+    calls = _count_calls(monkeypatch, neuron_mod, "_simulate_plans")
+    run_neuron(cfg, codes)
+    (_, plans, layout), = calls
+    return [plans[p] for p in layout.plan_of.tolist()]
+
+
+def test_make_schedule_segments(monkeypatch):
+    # run_neuron plans a cycle by the rule: the bypass window, then the
+    # rest of the cycle, the gates holding the code throughout
     cfg = CircuitConfig()
-    sched = make_schedule(cfg, (1, 0, 0, 0), cycle=3)
+    warm = cfg.sim.startup_discard_cycles
+    sched = make_schedule(cfg, (1, 0, 0, 0), cycle=warm + 3)
+    assert _plans_of(monkeypatch, cfg, [(1, 0, 0, 0)] * 4)[warm + 3] == sched
     assert len(sched) == 2
     (a0, a1, sw0), (b0, b1, sw1) = sched
     assert (a0, a1) == (0.0, 0.05)
@@ -149,8 +161,12 @@ def test_make_schedule_segments():
     assert sw1.synapse_on == sw0.synapse_on
 
 
-def test_make_schedule_recalibration_and_zero_code():
+def test_make_schedule_recalibration_and_zero_code(monkeypatch):
+    # every cycle of a run, warm-up included, is planned by the rule
     cfg = CircuitConfig()
+    codes = [(1, 0, 0, 0)] * 12 + [(0, 0, 0, 0), (0, 1, 1, 0)] * 3 + [(1, 0, 0, 0)] * 20
+    full = [(0, 0, 0, 0)] * cfg.sim.startup_discard_cycles + codes
+    assert _plans_of(monkeypatch, cfg, codes) == [make_schedule(cfg, c, k) for k, c in enumerate(full)]
     # every 16th cycle forces a trough-window reset
     forced = make_schedule(cfg, (1, 0, 0, 0), cycle=16)
     assert forced[0][2].reset_on
@@ -162,9 +178,10 @@ def test_make_schedule_recalibration_and_zero_code():
 
 
 def test_make_schedule_validation():
+    # a plan whose gates do not match the tree is refused where it runs
     cfg = CircuitConfig()
-    with pytest.raises(ValueError):
-        make_schedule(cfg, (1, 0), cycle=0)
+    with pytest.raises(ValueError, match=r"^switch state has 2 synapse bits, tree has 4$"):
+        neuron_mod.simulate(cfg, [make_schedule(cfg, (1, 0), cycle=0)])
     # a bypass window reaching the mid-cycle sample is refused with the config
     with pytest.raises(ValueError, match=r"^pc\.duty_d: "):
         replace(cfg.pc, duty_d=0.5)
@@ -597,22 +614,19 @@ def _count_calls(monkeypatch, owner, name):
 def test_repeated_codes_share_their_per_code_work(monkeypatch):
     # one 512-synapse stream of three distinct codes over 36 cycles: the
     # O(n) work runs on the distinct codes' bit matrix, once per run, and
-    # no per-bit function runs per cycle, code, plan or transition
+    # a schedule is made once per plan, not per cycle
     cfg = tune_inductor(scaled_tree(CircuitConfig(), 512))
     n = cfg.tree.n
     a = (1,) * 256 + (0,) * 256
     b = (0, 1) * 256
     zero = (0,) * n
     codes = [a] * 12 + [b] * 12 + [zero] * 4 + [a] * 8
-    per_bit = [_count_calls(monkeypatch, NeuronSpec, "fires"),
-               _count_calls(monkeypatch, neuron_mod, "make_schedule"),
-               _count_calls(monkeypatch, neuron_mod, "build_phase_system")]
+    scheduled = _count_calls(monkeypatch, neuron_mod, "_schedule")
     scored = _count_calls(monkeypatch, NeuronSpec, "fires_rows")
     counted = _count_calls(monkeypatch, neuron_mod, "_weight_counts")
     simulated = _count_calls(monkeypatch, neuron_mod, "_simulate_plans")
     run = run_neuron(cfg, codes)
     run.oracle_bits   # scored at the first read
-    assert all(len(calls) == 0 for calls in per_bit)
     matrix = np.array([zero, a, b], dtype=bool)
     (_, plans, layout), = simulated
     plan_of, gate_of = layout.plan_of, layout.gate_of
@@ -625,6 +639,7 @@ def test_repeated_codes_share_their_per_code_work(monkeypatch):
     assert len(keys) == 5
     plan_keys = [(gate_of[p], k % cfg.sim.recal_every == 0) for k, p in enumerate(plan_of.tolist())]
     assert len(plans) == len(set(plan_keys)) == len(set(zip(plan_keys, plan_of.tolist()))) == 5
+    assert len(scheduled) == 5
     for k, (p, (g, forced)) in enumerate(zip(plan_of.tolist(), plan_keys)):
         assert matrix[g].tolist() == [bool(x) for x in full[k]]
         assert [sw.reset_on for _, _, sw in plans[p]] == [g == 0 or forced, g == 0]
@@ -635,7 +650,6 @@ def test_repeated_codes_share_their_per_code_work(monkeypatch):
     scored.clear()
     counted_levels = _count_calls(monkeypatch, baseline_mod, "_level_counts")
     run_baseline(BaselineConfig.from_circuit(cfg), codes).oracle_bits
-    assert all(len(calls) == 0 for calls in per_bit)
     pairs = set(zip([zero] + codes, codes))
     assert len(pairs) == 6
     (_, before, after), = counted_levels

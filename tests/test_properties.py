@@ -2,18 +2,19 @@
 both designs return finite, passive ledgers that conserve energy, and the
 same run whatever form the stream takes; on random small trees the
 closed-form kernel matches the per-step reference kernel, and so do its
-divergence errors on steps that grow the state; on random circuits a run
-either fails by name or returns finite results; on random per-cycle keys
-pass 1's order of work tiles the run, batches only repeated cycles and
-equals that of the whole-slice comparison; on random unequal-weight
-trees the baseline's lumped legs give the grouped legs' run; on
-random phase operators and start clouds the peak search returns the
-exhaustive maximum; on random trees with repeated and unequal weights
-the run path's code matrix keeps the per-bit rules: the same run from
-tuples, lists or one array, oracle bits equal to ``NeuronSpec.fires``,
-drive accounts equal to the bit toggles, and the same errors; one
-``CodeStream`` run through two random circuits gives the runs of its raw
-codes; and any
+divergence errors on steps that grow the state; on random circuits of
+either design (the adiabatic clock, or the baseline's drive, rail, code
+rate, step count and weights) a run either fails by name or returns
+finite results; on random per-cycle keys pass 1's order of work tiles
+the run, batches only repeated cycles and equals that of the
+whole-slice comparison; on random unequal-weight trees the baseline's
+lumped legs give the grouped legs' run; on random phase operators and
+start clouds the peak search returns the exhaustive maximum; on random
+trees with repeated and unequal weights the run path's code matrix keeps
+the per-bit rules: the same run from tuples, lists or one array, oracle
+bits equal to the per-bit sum (``scalar_oracles.fires``), drive accounts
+equal to the bit toggles, and the same errors; one ``CodeStream`` run
+through two random circuits gives the runs of its raw codes; and any
 finite number written with an SI prefix and unit, or none, parses to
 its scaled value, while an unknown suffix fails by field name."""
 
@@ -51,9 +52,10 @@ from acansim import (
 from acansim.cli import _PREFIXES, _UNITS, ConfigError, parse_quantity
 from acansim.engine import PhaseOperator
 from acansim.model import effective_pc_capacitance
-from acansim.neuron import SwitchState, build_phase_system
+from acansim.neuron import SwitchState
 from grouped_baseline import grouped_legs
 from reference_kernel import Gathers, assert_same_run, reference_kernel
+from scalar_oracles import build_phase_system, fires
 
 CFG = tune_inductor(CircuitConfig())
 BASE = BaselineConfig.from_circuit(CFG)
@@ -244,7 +246,7 @@ def test_code_matrix_keeps_the_per_bit_rules(case):
 
         spec = (NeuronSpec.from_circuit(cfg, want.v_pk_reference, v_os=v_os)
                 if design is run_neuron else baseline_oracle_spec(base, v_os=v_os))
-        assert want.oracle_bits.tolist() == [spec.fires(code) for code in codes]
+        assert want.oracle_bits.tolist() == [fires(spec, code) for code in codes]
 
         # one toggle per bit that differs from the previous cycle's code,
         # from every gate open; warm-up cycles hold the all-zero code
@@ -452,6 +454,59 @@ def test_random_circuits_fail_by_name_or_run_finite(cfg, codes):
         assert np.all(np.isfinite(values)), name
     for name in ("t", "i_l", "v_pc", "v_s", "v_m"):
         assert np.all(np.isfinite(getattr(run.trace, name))), name
+
+
+def _log_floats(lo, hi):
+    # log-uniform over [10**lo, 10**hi]
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# a field value its interval refuses
+_OUT_OF_RANGE = st.sampled_from((0.0, -1.0, math.inf, math.nan))
+
+
+@st.composite
+def baseline_circuits(draw):
+    # a tree of 1-5 weights from 0.1 to 10 pF, and the baseline's own
+    # fields, each drawn in range or, now and then, out of it; the config
+    # is built in the test, so a refused field fails there by name
+    weights = tuple(draw(st.lists(_log_floats(-13, -11), min_size=1, max_size=5)))
+    fields_ = {name: draw(st.one_of(values, _OUT_OF_RANGE) if draw(st.integers(0, 9)) == 0
+                          else values)
+               for name, values in (("r_drv", _log_floats(1, 6)), ("v_dd", _log_floats(-1, 1)),
+                                    ("f_clock", _log_floats(4, 8)))}
+    fields_["steps_per_cycle"] = draw(st.integers(200, 4096))
+    codes = draw(st.lists(st.tuples(*[st.integers(0, 1)] * len(weights)), min_size=1, max_size=8))
+    return weights, fields_, codes
+
+
+@settings(max_examples=50, deadline=None)
+@example(case=((1e-12,) * 4, {"r_drv": math.nan, "v_dd": 1.8, "f_clock": 1e6,
+                              "steps_per_cycle": 4096}, [(1, 0, 1, 0)]))
+@example(case=((1e-12, 2e-12), {"r_drv": 1e3, "v_dd": 1.8, "f_clock": 1e6,
+                                "steps_per_cycle": 255}, [(1, 0)]))
+@given(case=baseline_circuits())
+def test_random_baseline_circuits_fail_by_name_or_run_finite(case):
+    # a config is refused naming its field, or a run raises a named error,
+    # or it returns finite ledgers, samples and peaks and 0/1 decisions
+    weights, values, codes = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = BaselineConfig(tree=SynapseTreeConfig(c_s=weights), **values)
+            run = run_baseline(cfg, codes)
+            run.stats, run.oracle_bits   # the peak search, under the same warnings filter
+        except (SimulationError, ValueError) as err:
+            assert re.match(r"^(baseline\.\w+|state diverged in cycle \d+): ", str(err)), str(err)
+            event(f"{type(err).__name__}: {str(err).split(':')[0]}")
+            return
+    event("ran")
+    for f in fields(EnergyLedger):
+        assert np.all(np.isfinite(getattr(run.ledger_full, f.name))), f.name
+    for name, series in run.stats._asdict().items():
+        assert np.all(np.isfinite(series)), name
+    assert np.all(np.isfinite(run.delays))
+    assert set(run.outputs.tolist()) <= {0, 1} and set(run.oracle_bits.tolist()) <= {0, 1}
 
 
 @st.composite
