@@ -151,7 +151,7 @@ def _legs(cfg: BaselineConfig, counts: np.ndarray,
           reset: np.ndarray) -> list[tuple[tuple, list[float]]]:
     """Lumped legs of each transition from its ``_level_counts`` and
     whether its code closes the reset: per transition its system key, the
-    ``build_baseline_system`` arguments after the config and before the
+    ``build_baseline_system`` arguments after the weights and before the
     state size, and the start of each of the system's own states but the
     membrane.
 
@@ -179,8 +179,9 @@ def _legs(cfg: BaselineConfig, counts: np.ndarray,
             zip(high.tolist(), spread.tolist(), reset.tolist(), start, present)]
 
 
-def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequence[bool],
-                          reset_on: bool, dim: int | None = None) -> PhaseSystem:
+def build_baseline_system(cfg: BaselineConfig, weights: Sequence[tuple[float, int]],
+                          ones: Sequence[int], spread: Sequence[bool], reset_on: bool,
+                          dim: int | None = None) -> PhaseSystem:
     """Phase system of one cycle: per distinct weight value, ascending, its
     low leg, its high leg and its spread state, where present, then held
     states up to ``dim`` states in all (none by default), then V_m.  A
@@ -188,6 +189,8 @@ def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequ
     element, so the systems of a run share the state size of its widest
     one (``run_baseline``).
 
+    ``weights`` holds per weight value of the tree, ascending, the value
+    and its synapse count, counted once per run (``run_baseline``).
     ``ones`` holds per weight value the number of its synapses whose
     driver sits high, and ``spread`` whether it has a spread state.  Each
     leg is one driver of r_drv/count in series with its lumped weight
@@ -200,10 +203,9 @@ def build_baseline_system(cfg: BaselineConfig, ones: Sequence[int], spread: Sequ
     tree = cfg.tree
     c_mb = tree.c_d + tree.c_par
     g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0
-    values, totals = _weight_counts(tree.c_s, np.ones((1, tree.n), dtype=bool))
     # (state, lumped resistance, lumped capacitance, rail), (state, count, weight)
     legs, spreads = [], []
-    for c, total, n1, mixed in zip(values, totals[0].tolist(), ones, spread):
+    for (c, total), n1, mixed in zip(weights, ones, spread):
         for count, u in ((total - n1, 0.0), (n1, cfg.v_dd)):
             if count:
                 legs.append((len(legs) + len(spreads), cfg.r_drv / count, count * c, u))
@@ -304,10 +306,12 @@ def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]
     ledger = EnergyLedger.zeros(n_cycles)
     pair_legs = _legs(cfg, pairs.counts, pairs.reset)   # per distinct pair
     dim = max(len(starts) for _, starts in pair_legs) + 1   # the run's state size
+    values, totals = _weight_counts(tree.c_s, np.ones((1, tree.n), dtype=bool))
+    weights = list(zip(values, totals[0].tolist()))   # per weight value: (value, synapses)
     systems: dict[tuple, PhaseSystem] = {}
     for key, _ in pair_legs:
         if key not in systems:
-            systems[key] = build_baseline_system(cfg, *key, dim)
+            systems[key] = build_baseline_system(cfg, weights, *key, dim)
     ledger.drive += e_toggle * pairs.toggles[pairs.order.kind_of]
 
     # each system's phases, from one stacked eigenvalue call; a held

@@ -3,15 +3,17 @@
 Energy surfaces over frequency/duty and width/duty grids, optimal
 operating-frequency search, synapse-count scaling tables, process-corner
 trends, and savings reports against the level-driven design.  Every
-study is deterministic for a fixed seed and dispatches its independent
-grid points concurrently when asked.
+study is deterministic for a fixed seed.  A study declares its points,
+(config, code stream) pairs, and what it keeps of each run; ``_runs``
+runs them, in order or in one process pool, one chunk per worker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,9 +31,10 @@ from .model import (
     tune_inductor,
     within,
 )
-from .neuron import Code, CodeStream, input_sweeps, run_neuron
+from .neuron import Code, CodeStream, NeuronRun, input_sweeps, run_neuron
 
 _LOAD_CASES = ("all-0", "all-1", "sweep")
+_T = TypeVar("_T")
 
 # Drive frequency of the width/duty and corner studies, as a fraction of
 # the unloaded resonance: slightly below it, where a code stream locks.
@@ -95,43 +98,48 @@ def _load_codes(cfg: CircuitConfig, spec: SweepSpec) -> list[Code] | np.ndarray:
     return _fill_codes(input_sweeps(cfg.tree.n, seed=spec.seed), spec.cycles)
 
 
-def _energy_point(args) -> float:
-    cfg, codes, skip, window = args
-    run = run_neuron(cfg, codes)
-    return worst_window_mean(run.ledger.s_e, skip, window)
-
-
-def _width_point(args) -> float:
-    cfg, streams, repeats = args
-    worst = -math.inf
-    for stream in streams:
-        run = run_neuron(cfg, stream)
-        means = run.ledger.s_e.reshape(repeats, -1).mean(axis=1)
-        worst = max(worst, float(means[-1]))
-    return worst
-
-
-def _corner_point(args):
-    # score the last order block only: the first repeats carry the
-    # lock-in transient, which is not part of the per-corner comparison
-    cfg, codes, block = args
-    run = run_neuron(cfg, codes)
-    return (
-        float(run.ledger.s_e[-block:].mean()),
-        float(run.ledger.soma[-block:].mean()),
-        run.output_bits[-block:],
-        run.output_bits[-block:] == run.oracle_string[-block:],
-    )
-
-
-def _pmap(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+def _runs(points: Sequence[tuple[CircuitConfig, CodeStream]], reduce: Callable[[NeuronRun], _T],
+          jobs: int, diverged: _T | None = None) -> list[_T]:
+    """``reduce`` of the run of each (config, stream) point, in order, or
+    ``diverged`` where set and the run raises SimulationError.  Up to
+    ``jobs`` workers take one contiguous chunk of points each, which
+    pickles a stream once per chunk, so ``reduce`` must pickle."""
+    run = partial(_run, reduce, diverged)
+    if jobs <= 1 or len(points) <= 1:
+        return [run(pt) for pt in points]
     # imported here: ``import acansim`` then loads no multiprocessing module
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
-        return list(ex.map(fn, items))
+    workers = min(jobs, len(points))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(run, points, chunksize=-(-len(points) // workers)))
+
+
+def _run(reduce: Callable[[NeuronRun], _T], diverged: _T | None,
+         point: tuple[CircuitConfig, CodeStream]) -> _T:
+    try:   # through this module, so a patched ``bench.run_neuron`` sees every run
+        run = run_neuron(*point)
+    except SimulationError:
+        if diverged is None:
+            raise
+        return diverged
+    return reduce(run)
+
+
+def _worst_window(run: NeuronRun, skip: int, window: int) -> float:
+    return worst_window_mean(run.ledger.s_e, skip, window)
+
+
+def _last_pass_mean(run: NeuronRun, repeats: int) -> float:
+    return float(run.ledger.s_e.reshape(repeats, -1).mean(axis=1)[-1])
+
+
+def _last_block(run: NeuronRun, block: int) -> tuple[float, float, str, bool]:
+    # score the last order block only: the first repeats carry the
+    # lock-in transient, which is not part of the per-corner comparison
+    bits = run.output_bits[-block:]
+    return (float(run.ledger.s_e[-block:].mean()), float(run.ledger.soma[-block:].mean()),
+            bits, bits == run.oracle_string[-block:])
 
 
 @dataclass
@@ -195,12 +203,9 @@ def sweep_freq_duty(
     spec = spec or SweepSpec()
     base = tune_inductor(cfg)
     codes = CodeStream(_load_codes(base, spec), base.tree.n)
-    items = []
-    for f in f_grid:
-        for d in d_grid:
-            pt = replace(base, pc=replace(base.pc, f_nominal=float(f), duty_d=float(d)))
-            items.append((pt, codes, spec.skip, spec.window))
-    vals = _pmap(_energy_point, items, jobs)
+    points = [(replace(base, pc=replace(base.pc, f_nominal=float(f), duty_d=float(d))), codes)
+              for f in f_grid for d in d_grid]
+    vals = _runs(points, partial(_worst_window, skip=spec.skip, window=spec.window), jobs)
     energy = np.array(vals).reshape(len(f_grid), len(d_grid))
     return Surface("f_Hz", "duty", tuple(float(v) for v in f_grid),
                    tuple(float(v) for v in d_grid), energy)
@@ -218,7 +223,7 @@ def sweep_width_duty(
     Runs the five input orders (one ascending, four scrambled) for
     `spec.repeats` passes each at a drive frequency slightly below the
     unloaded resonance, and keeps the worst converged sweep average.
-    Every point runs the same ``CodeStream`` per order.
+    Every grid cell runs each order's ``CodeStream`` as its own point.
     """
     if not w_grid or not d_grid:
         raise ValueError("sweep_width_duty: grids must be non-empty")
@@ -227,13 +232,12 @@ def sweep_width_duty(
     base = replace(base, pc=replace(base.pc, f_nominal=base.pc.f_nominal * _F_BELOW_RESONANCE))
     streams = [CodeStream(list(order) * spec.repeats, base.tree.n)
                for order in input_sweeps(base.tree.n, seed=spec.seed)]
-    items = []
-    for w in w_grid:
-        for d in d_grid:
-            pt = replace(base, pc=replace(base.pc, w_n=float(w), duty_d=float(d)))
-            items.append((pt, streams, spec.repeats))
-    vals = _pmap(_width_point, items, jobs)
-    energy = np.array(vals).reshape(len(w_grid), len(d_grid))
+    points = [(replace(base, pc=replace(base.pc, w_n=float(w), duty_d=float(d))), stream)
+              for w in w_grid for d in d_grid for stream in streams]
+    means = _runs(points, partial(_last_pass_mean, repeats=spec.repeats), jobs)
+    k = len(streams)
+    energy = np.array([max(-math.inf, *means[i:i + k]) for i in range(0, len(means), k)])
+    energy = energy.reshape(len(w_grid), len(d_grid))
     return Surface("W_um", "duty", tuple(float(v) for v in w_grid),
                    tuple(float(v) for v in d_grid), energy)
 
@@ -247,6 +251,74 @@ class FrequencyOpt(NamedTuple):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class _Search:
+    """One frequency search of ``optimize_frequency`` at loading alpha:
+    the tuned config, its constant stream and the 13-point coarse grid."""
+
+    def __init__(self, cfg: CircuitConfig, alpha: float, spec: SweepSpec) -> None:
+        self.cfg = cfg = tune_inductor(cfg)
+        self.codes = CodeStream(_const_codes(cfg.tree, alpha, spec.cycles), cfg.tree.n)
+        self.spec = spec
+        f_pred = predicted_optimal_frequency(cfg, alpha)
+        self.grid = [f_pred * s for s in np.linspace(0.4, 1.6, 13)]
+
+    def point(self, f: float) -> tuple[CircuitConfig, CodeStream] | None:
+        """The trial at drive frequency f, the top-up window width held,
+        or None where its duty leaves (0, 0.5)."""
+        duty = self.cfg.pc.t_on * float(f)
+        if not 0.0 < duty < 0.5:
+            return None
+        return replace(self.cfg, pc=replace(self.cfg.pc, f_nominal=float(f), duty_d=duty)), self.codes
+
+    def finish(self, e_grid: list[float]) -> FrequencyOpt:
+        """The search from its coarse grid's energies: the unimodality
+        test, then golden section, one trial at a time."""
+        grid = self.grid
+        finite = [e for e in e_grid if math.isfinite(e)]
+        if not finite:
+            raise SimulationError("optimize_frequency: every coarse grid point diverged")
+        sentinel = 10.0 * max(finite)
+        e_grid = [e if math.isfinite(e) else sentinel for e in e_grid]
+        k = int(np.argmin(e_grid))
+
+        # unimodality on the coarse grid: energy must fall, then rise
+        diffs = np.diff(e_grid)
+        deadband = 1e-9 * max(abs(v) for v in e_grid)
+        signs = [0 if abs(d) <= deadband else (1 if d > 0 else -1) for d in diffs]
+        signs = [s for s in signs if s != 0]
+        descents = sum(1 for a, b in zip(signs, signs[1:]) if a > 0 and b < 0)
+        if descents > 0 or k in (0, len(grid) - 1):
+            return FrequencyOpt(float(grid[k]), float(e_grid[k]), False)
+
+        a, b = grid[k - 1], grid[k + 1]
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        e_c, e_d = _energies([self.point(c), self.point(d)], self.spec)
+        best_f, best_e = (grid[k], e_grid[k])
+        while (b - a) > 1e-3 * 0.5 * (a + b):
+            if e_c < e_d:
+                b, d, e_d = d, c, e_c
+                c = b - _INVPHI * (b - a)
+                e_c, = _energies([self.point(c)], self.spec)
+            else:
+                a, c, e_c = c, d, e_d
+                d = a + _INVPHI * (b - a)
+                e_d, = _energies([self.point(d)], self.spec)
+            for f, e in ((c, e_c), (d, e_d)):
+                if e < best_e:
+                    best_f, best_e = f, e
+        return FrequencyOpt(float(best_f), float(best_e), True)
+
+
+def _energies(points: list[tuple[CircuitConfig, CodeStream] | None], spec: SweepSpec,
+              jobs: int = 1) -> list[float]:
+    """Worst-window tree energy of each search trial; infinite where it is
+    None or its run trips the guard (a hopeless operating frequency)."""
+    runs = iter(_runs([p for p in points if p is not None],
+                      partial(_worst_window, skip=spec.skip, window=spec.window), jobs, math.inf))
+    return [math.inf if p is None else next(runs) for p in points]
 
 
 def optimize_frequency(
@@ -269,60 +341,8 @@ def optimize_frequency(
     the window at low frequencies and overdrive the tank, burying the
     loading effect under top-up loss.  Every trial runs one ``CodeStream``.
     """
-    spec = spec or SweepSpec()
-    cfg = tune_inductor(cfg)
-    codes = CodeStream(_const_codes(cfg.tree, alpha, spec.cycles), cfg.tree.n)
-    t_on = cfg.pc.t_on
-
-    def obj(f: float) -> float:
-        duty = t_on * float(f)
-        if not 0.0 < duty < 0.5:
-            return math.inf
-        pt = replace(cfg, pc=replace(cfg.pc, f_nominal=float(f), duty_d=duty))
-        try:
-            run = run_neuron(pt, codes)
-        except SimulationError:
-            # guard-tripped point: hopeless operating frequency
-            return math.inf
-        return worst_window_mean(run.ledger.s_e, spec.skip, spec.window)
-
-    f_pred = predicted_optimal_frequency(cfg, alpha)
-    grid = [f_pred * s for s in np.linspace(0.4, 1.6, 13)]
-    e_grid = [obj(f) for f in grid]
-    finite = [e for e in e_grid if math.isfinite(e)]
-    if not finite:
-        raise SimulationError("optimize_frequency: every coarse grid point diverged")
-    sentinel = 10.0 * max(finite)
-    e_grid = [e if math.isfinite(e) else sentinel for e in e_grid]
-    k = int(np.argmin(e_grid))
-
-    # unimodality on the coarse grid: energy must fall, then rise
-    diffs = np.diff(e_grid)
-    deadband = 1e-9 * max(abs(v) for v in e_grid)
-    signs = [0 if abs(d) <= deadband else (1 if d > 0 else -1) for d in diffs]
-    signs = [s for s in signs if s != 0]
-    descents = sum(1 for a, b in zip(signs, signs[1:]) if a > 0 and b < 0)
-    if descents > 0 or k in (0, len(grid) - 1):
-        return FrequencyOpt(float(grid[k]), float(e_grid[k]), False)
-
-    a, b = grid[k - 1], grid[k + 1]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    e_c, e_d = obj(c), obj(d)
-    best_f, best_e = (grid[k], e_grid[k])
-    while (b - a) > 1e-3 * 0.5 * (a + b):
-        if e_c < e_d:
-            b, d, e_d = d, c, e_c
-            c = b - _INVPHI * (b - a)
-            e_c = obj(c)
-        else:
-            a, c, e_c = c, d, e_d
-            d = a + _INVPHI * (b - a)
-            e_d = obj(d)
-        for f, e in ((c, e_c), (d, e_d)):
-            if e < best_e:
-                best_f, best_e = f, e
-    return FrequencyOpt(float(best_f), float(best_e), True)
+    search = _Search(cfg, alpha, spec or SweepSpec())
+    return search.finish(_energies([search.point(f) for f in search.grid], search.spec))
 
 
 def scaled_tree(cfg: CircuitConfig, n: int, c_e: float | None = None) -> CircuitConfig:
@@ -382,13 +402,6 @@ class ScalingTable:
         }
 
 
-def _scaling_row(args) -> ScalingRow:
-    cfg, n, c_e, alpha, spec = args
-    opt = optimize_frequency(scaled_tree(cfg, n, c_e), alpha, spec=spec)
-    return ScalingRow(c_e=c_e, alpha=alpha, f_opt=opt.frequency,
-                      s_e=opt.energy, n_e=cfg.dlcc.e_decision, unimodal=opt.unimodal)
-
-
 def scaling_study(
     cfg: CircuitConfig,
     n: int,
@@ -397,14 +410,19 @@ def scaling_study(
     spec: SweepSpec | None = None,
     jobs: int = 1,
 ) -> ScalingTable:
-    """Optimal frequency and energies for an n-synapse tree across C_E and loading."""
+    """Optimal frequency and energies for an n-synapse tree across C_E and
+    loading: every row's ``optimize_frequency`` coarse grid runs in one
+    batch, then each row finishes its search in turn."""
     if not c_e_list or not alpha_list:
         raise ValueError("scaling_study: grids must be non-empty")
     spec = spec or SweepSpec()
-    items = [(cfg, n, float(c_e), float(alpha), spec)
-             for c_e in c_e_list for alpha in alpha_list]
-    rows = _pmap(_scaling_row, items, jobs)
-    table = ScalingTable(n=n, rows=rows)
+    cells = [(float(c_e), float(alpha)) for c_e in c_e_list for alpha in alpha_list]
+    searches = [_Search(scaled_tree(cfg, n, c_e), alpha, spec) for c_e, alpha in cells]
+    coarse = iter(_energies([s.point(f) for s in searches for f in s.grid], spec, jobs))
+    opts = [s.finish([next(coarse) for _ in s.grid]) for s in searches]
+    table = ScalingTable(n=n, rows=[
+        ScalingRow(c_e, alpha, opt.frequency, opt.energy, cfg.dlcc.e_decision, opt.unimodal)
+        for (c_e, alpha), opt in zip(cells, opts)])
     table.validate()
     return table
 
@@ -464,16 +482,10 @@ def corner_study(
         base.pc, f_nominal=f_op, duty_d=base.pc.t_on * f_op))
     orders = input_sweeps(base.tree.n, seed=spec.seed)
     codes = CodeStream(list(orders[0]) * spec.repeats, base.tree.n)
-    items = []
     grid = [(c, float(t)) for c in corners for t in temps]
-    for c, t in grid:
-        pt = replace(base, env=Environment(corner=c, temperature_c=t))
-        items.append((pt, codes, len(orders[0])))
-    vals = _pmap(_corner_point, items, jobs)
-    rows = [CornerRow(corner=c.value, temperature_c=t, e_tree=v[0], e_soma=v[1],
-                      outputs=v[2], outputs_ok=v[3])
-            for (c, t), v in zip(grid, vals)]
-    return CornerTable(rows=rows)
+    points = [(replace(base, env=Environment(corner=c, temperature_c=t)), codes) for c, t in grid]
+    vals = _runs(points, partial(_last_block, block=len(orders[0])), jobs)
+    return CornerTable(rows=[CornerRow(c.value, t, *v) for (c, t), v in zip(grid, vals)])
 
 
 @dataclass

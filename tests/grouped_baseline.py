@@ -35,11 +35,12 @@ def grouped_legs_of(cfg, counts, reset):
             for lv, r in zip(levels, reset.tolist())]
 
 
-def build_grouped_system(cfg, levels, reset_on, dim=None):
+def build_grouped_system(cfg, weights, levels, reset_on, dim=None):
     """Phase system of one cycle over [V_t per group..., held..., V_m],
     ``dim`` states in all (no held state by default): each group one
     driver leg of r_drv/count in series with its lumped weight capacitor,
-    its driver held at the new level's rail."""
+    its driver held at the new level's rail.  ``weights``, the tree's
+    weight values and counts, is not read: each group carries its own."""
     tree = cfg.tree
     c_mb = tree.c_d + tree.c_par
     g_reset = 1.0 / reset_resistance(tree, cfg.env) if reset_on else 0.0

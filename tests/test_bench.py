@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,17 +11,20 @@ from hypothesis import strategies as st
 
 from acansim import (
     CircuitConfig,
+    CodeStream,
     Corner,
     SweepSpec,
     active_count,
     compare_designs,
     corner_study,
     optimize_frequency,
+    predicted_optimal_frequency,
     run_neuron,
     scaled_tree,
     scaling_study,
     sweep_freq_duty,
     sweep_width_duty,
+    tune_inductor,
     worst_window_mean,
 )
 from acansim import bench
@@ -114,6 +118,32 @@ def test_optimize_frequency_returns_floats_off_the_golden_section_path():
     assert type(opt.energy) is float
 
 
+@pytest.mark.parametrize("shift, duty, trials", [(1.03, 0.05, 26), (1.38, 0.35, 24)])
+def test_optimize_frequency_refines_a_unimodal_landscape(monkeypatch, shift, duty, trials):
+    # no real landscape is unimodal on the coarse grid, so plant one: each
+    # trial's tree energy is a parabola in its frequency about shift x the
+    # predicted optimum; at a duty of 35% the top two grid points and the
+    # upper golden-section trials leave (0, 0.5) and never run
+    cfg = CircuitConfig()
+    cfg = replace(cfg, pc=replace(cfg.pc, duty_d=duty))
+    f0 = shift * predicted_optimal_frequency(tune_inductor(cfg), 0.0)
+    ran = []
+
+    def planted(cfg, codes):
+        ran.append(cfg.pc.f_nominal)
+        assert 0.0 < cfg.pc.duty_d < 0.5
+        s_e = np.full(len(codes.index), 1e-13 * (1 + (cfg.pc.f_nominal / f0 - 1) ** 2))
+        return SimpleNamespace(ledger=SimpleNamespace(s_e=s_e))
+
+    monkeypatch.setattr(bench, "run_neuron", planted)
+    opt = optimize_frequency(cfg, 0.0, spec=_FAST)
+    assert opt.unimodal is True
+    assert opt.frequency == pytest.approx(f0, rel=1e-3)
+    assert opt.energy == pytest.approx(min(1e-13 * (1 + (f / f0 - 1) ** 2) for f in ran),
+                                       rel=1e-12)
+    assert len(ran) == trials
+
+
 def test_scaled_tree_shapes():
     cfg = scaled_tree(CircuitConfig(), 16, c_e=100e-12)
     assert cfg.tree.n == 16
@@ -151,11 +181,32 @@ def test_sweep_freq_duty_takes_the_load_case_from_the_spec():
     assert energy("all-1") > 10.0 * energy("all-0")
 
 
-def test_sweep_freq_duty_process_pool_matches_serial():
-    args = (CircuitConfig(), [0.96e6, 1.0e6], [0.05])
-    serial = sweep_freq_duty(*args, spec=_FAST, jobs=1)
-    pooled = sweep_freq_duty(*args, spec=_FAST, jobs=2)
-    assert np.array_equal(pooled.energy, serial.energy)
+_SHORT = SweepSpec(cycles=32, skip=8, window=16, repeats=2)
+
+
+@pytest.mark.parametrize("study, args, spec", [
+    (sweep_freq_duty, ([0.96e6, 1.0e6], [0.05]), _FAST),
+    (sweep_width_duty, ([30e-6, 60e-6], [0.05]), _SHORT),
+    (corner_study, ([Corner.TT, Corner.SS], (25.0,)), _SHORT),
+    (scaling_study, (16, [25e-12], [0.0, 1.0]), _FAST),
+], ids=["sweep_freq_duty", "sweep_width_duty", "corner_study", "scaling_study"])
+def test_process_pool_matches_serial(study, args, spec):
+    # every driver that takes jobs gives the serial result exactly
+    serial = study(CircuitConfig(), *args, spec=spec, jobs=1)
+    pooled = study(CircuitConfig(), *args, spec=spec, jobs=2)
+    assert pooled.as_dict() == serial.as_dict()
+
+
+def test_a_pooled_study_pickles_its_stream_once_per_worker(monkeypatch):
+    # the pool sends each worker one chunk of points, so the study's one
+    # stream is pickled once per chunk, not once per point
+    pickles = []
+    getstate = CodeStream.__getstate__
+    monkeypatch.setattr(CodeStream, "__getstate__", lambda self: pickles.append(1) or getstate(self))
+    table = corner_study(CircuitConfig(), corners=[Corner.FF, Corner.TT, Corner.SS],
+                         temps=(25.0, 50.0), spec=_SHORT, jobs=2)
+    assert len(table.rows) == 6
+    assert len(pickles) == 2
 
 
 def test_sweep_width_duty_surface(tmp_path):

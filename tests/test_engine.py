@@ -471,8 +471,9 @@ def test_book_segment_matches_per_column_formulas_baseline():
               (1, 2e-12, 0.0), (1, 2e-12, v_dd), None]
     sigma0 = v_dd * math.sqrt((1 * 1 / 2) / 3)
     assert starts == pytest.approx([v_dd, v_dd / 2, sigma0, 0.0, v_dd], rel=1e-15)
-    assert build_baseline_system(bcfg, ones, spread, reset_on=True).dim == 6
-    sys = build_baseline_system(bcfg, ones, spread, reset_on=True, dim=7)
+    weights = [(1e-12, 3), (2e-12, 2)]   # per weight value: (value, synapses)
+    assert build_baseline_system(bcfg, weights, ones, spread, reset_on=True).dim == 6
+    sys = build_baseline_system(bcfg, weights, ones, spread, reset_on=True, dim=7)
     assert sys.dim == 7
     _held_states(sys, [5])
     driven = [(j, *st) for j, st in enumerate(states) if st is not None and st[2] is not None]
