@@ -361,12 +361,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Adiabatic capacitive neuron simulator and benchmarks.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def common(p, pooled=False):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="acansim-out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="scramble seed")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="max concurrent sweep points (default: ACAN_JOBS or 1)")
+        if pooled:   # a study that takes ``jobs``
+            p.add_argument("--jobs", type=int, default=None,
+                           help="max concurrent sweep points (default: ACAN_JOBS or 1)")
 
     p = sub.add_parser("run", help="simulate one input sequence")
     common(p)
@@ -375,14 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="emit full waveform CSV")
 
     p = sub.add_parser("sweep-freq", help="energy over (frequency, duty)")
-    common(p)
+    common(p, pooled=True)
     p.add_argument("--load", choices=bench._LOAD_CASES, default=None)
 
     p = sub.add_parser("sweep-width", help="energy over (bypass width, duty)")
-    common(p)
+    common(p, pooled=True)
 
     p = sub.add_parser("sweep-scaling", help="optimal frequency and energy vs C_E and loading")
-    common(p)
+    common(p, pooled=True)
     p.add_argument("--n", type=int, default=None, help="synapse count")
 
     p = sub.add_parser("optimize-freq", help="search the optimal drive frequency")
@@ -390,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0, help="loading fraction")
 
     p = sub.add_parser("corners", help="corner/temperature energy grid")
-    common(p)
+    common(p, pooled=True)
 
     p = sub.add_parser("compare", help="adiabatic vs level-driven savings")
     common(p)
@@ -411,12 +412,12 @@ def dispatch(argv: list[str]) -> int:
         doc = _read_doc(args.config)
         cfg = _build_circuit(doc)
         spec, grids = _bench_section(doc, args.seed)
-        if args.jobs is None:
+        if getattr(args, "jobs", 1) is None:   # only the pooled studies take --jobs
             jobs = os.environ.get("ACAN_JOBS", "1")
             args.jobs = int(jobs) if jobs.strip().isdecimal() else 0
             if args.jobs < 1:
                 raise ConfigError(f"ACAN_JOBS: expected an integer >= 1, got {jobs!r}")
-        elif args.jobs < 1:
+        elif getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         files, summary = _COMMANDS[args.cmd](args, cfg, spec, grids)
         meta = _meta(args, doc, spec.seed)

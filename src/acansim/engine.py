@@ -614,7 +614,7 @@ def run_cycles(
     v_limit: float,
     peak_rows: tuple[int, ...],
     stride: int | None = None,
-) -> tuple[PeakSearch, np.ndarray, list[np.ndarray] | None]:
+) -> tuple[PeakSearch, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Run both designs' cycles from state x0 and book them into the ledger.
 
     ``kinds`` holds the run's distinct cycles and ``order`` each cycle's
@@ -645,23 +645,30 @@ def run_cycles(
     the stored energy at the cycles' start (first slots) and end (last
     slots, from the phase's end map), whose jumps from one cycle to the
     next are booked as ``reconfig``, the membrane (last state) at
-    ``SAMPLE_FRAC`` (nearest step) and, with a ``stride``, the states at
-    every stride-th step of the concatenated cycle (in the even chunks of
-    ``_chunks``).  It defers the per-cycle maxima of the states
-    ``peak_rows``: each slot hands its cycles, its shifted starts and its
-    operator, stripped to what the search reads, to a ``PeakSearch``,
-    which searches them at the first read of its ``peaks``.
+    ``SAMPLE_FRAC`` (nearest step) and, with a ``stride``, the times and
+    states at every stride-th step of the cycle from its first (the
+    states in the even chunks of ``_chunks``).  It defers the per-cycle
+    maxima of the states ``peak_rows``: each slot hands its cycles, its
+    shifted starts and its operator, stripped to what the search reads,
+    to a ``PeakSearch``, which searches them at the first read of its
+    ``peaks``.
 
     A run has one state size: x0, every phase system and every entry map
     (square) share it, so that the maps and operators of a run stack
-    whole; anything else raises ValueError.  Returns the pending peak
+    whole, and a sampled run one cycle length, so that its cycles share
+    one grid; anything else raises ValueError.  Returns the pending peak
     search (its ``peaks`` are cycles x peak rows), the decision samples
-    and the per-cycle sampled states (None without a stride).
+    and the sampled times (cycles x samples) and states (cycles x
+    samples x d), None without a stride.
     """
     sizes = {x0.size, *(p.system.dim for _, phases in kinds for p in phases),
              *(n - 1 for entry, _ in kinds if entry is not None for n in entry.shape)}
     if len(sizes) > 1:
         raise ValueError(f"run_cycles: a run needs one state size, got sizes {sorted(sizes)}")
+    lengths = {sum(p.n_steps for p in phases) for _, phases in kinds}
+    if stride and len(lengths) > 1:
+        raise ValueError(f"run_cycles: a sampled run needs one cycle length, "
+                         f"got steps {sorted(lengths)}")
     n_cycles = order.kind_of.size
 
     def step(phase: Phase) -> float:
@@ -708,10 +715,9 @@ def run_cycles(
 
     samples = np.full(n_cycles, np.nan)
     e_start, e_end = np.empty(n_cycles), np.empty(n_cycles)
-    states: list[np.ndarray] = []
     if stride:
-        shapes = [(-(-sum(p.n_steps for p in phases) // stride), x0.size) for _, phases in kinds]
-        states = [np.empty(shapes[i]) for i in order.kind_of.tolist()]
+        times = np.empty((n_cycles, -(-lengths.pop() // stride)))
+        states = np.empty((*times.shape, x0.size))
     for ((start, end, n_steps, system), offset, last), (op, ks, xs, zs) in slots.items():
         op.book(ledger, ks, zs)
         if offset == 0:
@@ -724,11 +730,11 @@ def run_cycles(
         if stride:   # the phase's steps on the cycle's sampling grid
             first = -offset % stride
             sampled = np.arange(first, n_steps, stride)
-            rows_at = slice((offset + first) // stride, (offset + first) // stride + sampled.size)
+            at = slice((offset + first) // stride, (offset + first) // stride + sampled.size)
+            times[ks, at] = (ks * t_cycle + start * t_cycle)[:, None] + op.dt * sampled
             edges = _chunks(ks.size, op.blocks.shape[0])
             for a, b in zip(edges, edges[1:]):
-                for k, xk in zip(ks[a:b].tolist(), op.states(zs[a:b], sampled)):
-                    states[k][rows_at] = xk
+                states[ks[a:b], at] = op.states(zs[a:b], sampled)
         op.keep_search_only()
 
     ledger.reconfig[1:] += e_start[1:] - e_end[:-1]
@@ -736,7 +742,7 @@ def run_cycles(
     ledger.e_stored_last = float(e_end[-1])
 
     search = PeakSearch(n_cycles, len(peak_rows), [(op, ks, zs) for op, ks, _, zs in slots.values()])
-    return search, samples, states if stride else None
+    return search, samples, (times, states) if stride else None
 
 
 def _periods(keys: np.ndarray) -> list[tuple[int, int, int]]:

@@ -191,8 +191,8 @@ class Trace:
     Sample times are strictly increasing but not necessarily uniform: the
     integrator spends a denser sub-grid on the short bypass window.  V_s is
     the capacitance-weighted aggregate of the enabled top plates, held at
-    its last value while every gate is open.  ``stats`` reads the run's
-    peaks (``RunStats``).
+    its last value while every gate is open, and 0 before any gate is on.
+    ``stats`` reads the run's peaks (``RunStats``).
     """
 
     t: np.ndarray
@@ -410,11 +410,7 @@ def _rejoin(dim: int) -> np.ndarray:
     return entry
 
 
-def simulate(
-    cfg: CircuitConfig,
-    cycles: Sequence[CyclePlan],
-    keep_samples: bool = True,
-) -> tuple[Trace, EnergyLedger]:
+def simulate(cfg: CircuitConfig, cycles: Sequence[CyclePlan]) -> tuple[Trace, EnergyLedger]:
     """Run the switched linear transient over the given cycle plans.
 
     Initial conditions: V_PC = 0, I_L = 0, V_s = 0, V_m = V_REF.  Segment
@@ -449,7 +445,8 @@ def simulate(
         gate_of.append(gates.setdefault(tuple(on), len(gates)))
     layout = _layout(cfg.tree.c_s, np.array(list(gates), dtype=bool),
                      np.array(gate_of, dtype=int), plan_of)
-    return _simulate_plans(cfg, plans, layout, keep_samples)
+    _, ledger, trace = _simulate_plans(cfg, plans, layout, keep_samples=True)
+    return trace, ledger
 
 
 class _Layout(NamedTuple):
@@ -496,8 +493,8 @@ def _simulate_plans(
     cfg: CircuitConfig,
     plans: Sequence[CyclePlan],
     layout: _Layout,
-    keep_samples: bool = True,
-) -> tuple[Trace, EnergyLedger]:
+    keep_samples: bool,
+) -> tuple[RunStats, EnergyLedger, Trace | None]:
     """``simulate`` over a run's distinct valid plans, in order of first
     use, and its ``_Layout``; ``run_neuron`` calls it with its own.
     Phases are built once per plan (equal plans built apart share phase
@@ -507,9 +504,8 @@ def _simulate_plans(
     run leaves off has none), so the kernel gets the run's kinds, one per
     distinct (plan, whether the gates change), the change's kind entering
     through the one square ``_rejoin`` map, and the layout's order of
-    them."""
+    them.  Returns its observables, its ledger and its ``Trace`` or None."""
     n_cycles = layout.plan_of.size
-    stride = cfg.sim.trace_stride
     t_pc = cfg.pc.t_pc
     v_dd = cfg.dlcc.v_dd
     # numerical-blowup guard only: legitimate off-resonance beats can ride
@@ -530,34 +526,24 @@ def _simulate_plans(
     rejoin = _rejoin(x0.size)
     kinds = [(rejoin if k % 2 else None, plan_phases[k // 2]) for k in layout.kinds]
 
-    search, samples, states = run_cycles(ledger, kinds, layout.order, x0, t_pc, v_limit, (1, -1),
-                                         stride if keep_samples else None)
-
-    # a cycle has steps_per_cycle steps, which the stride divides: its
-    # samples are its first step and every stride-th one after
-    t_all = np.empty((len(states or ()), cfg.sim.steps_per_cycle // stride))
-    x_all = np.empty((*t_all.shape, 4))   # columns i_l, v_pc, v_s_agg, v_m
-    v_s_hold = 0.0   # last known top-plate aggregate
-    # per gate row, each plate's weight in it: enabled count x value, 0 where held
-    weights = layout.counts * np.array(values)
-    for k, (p, rows) in enumerate(zip(layout.plan_of.tolist(), states or ())):
-        states[k] = None   # each cycle's states are held once, here or in x_all
-        phases = plan_phases[p]
-        w = weights[layout.gate_of[p]]
-        if w.any():   # the gates hold all cycle
-            agg = (rows[:, 2:-1] @ w) / w.sum()
-            v_s_hold = float(agg[-1])
-        else:
-            agg = v_s_hold
-        t_all[k] = np.concatenate([
-            k * t_pc + start * t_pc + (end - start) * t_pc / n_steps * np.arange(n_steps)
-            for start, end, n_steps, _ in phases])[::stride]
-        x = x_all[k]
-        x[:, 0], x[:, 1], x[:, 2], x[:, 3] = rows[:, 0], rows[:, 1], agg, rows[:, -1]
-    x_all = x_all.reshape(-1, 4)
-    trace = Trace(t=t_all.ravel(), i_l=x_all[:, 0], v_pc=x_all[:, 1], v_s=x_all[:, 2],
-                  v_m=x_all[:, 3], observed=RunStats(search, samples))
-    return trace, ledger
+    search, samples, sampled = run_cycles(ledger, kinds, layout.order, x0, t_pc, v_limit, (1, -1),
+                                          cfg.sim.trace_stride if keep_samples else None)
+    observed = RunStats(search, samples)
+    if not keep_samples:
+        return observed, ledger, None
+    times, states = sampled
+    # V_s: the plates weighted by enabled count x value (0 where held); through
+    # cycles with every gate open its last value, 0 before the first enabled one
+    w = (layout.counts * np.array(values))[layout.gate_of[layout.plan_of]]
+    on = w.any(1)
+    v_s = (states[:, :, 2:-1] @ w[:, :, None])[:, :, 0] / np.where(on, w.sum(1), 1.0)[:, None]
+    last = np.maximum.accumulate(np.where(on, np.arange(n_cycles), -1))
+    held = np.flatnonzero(~on)
+    v_s[held] = np.where(last[held] >= 0, v_s[last[held], -1], 0.0)[:, None]
+    flat = states.reshape(-1, x0.size)
+    trace = Trace(t=times.ravel(), i_l=flat[:, 0], v_pc=flat[:, 1], v_s=v_s.ravel(),
+                  v_m=flat[:, -1], observed=observed)
+    return observed, ledger, trace
 
 
 def input_sweeps(n_bits: int, n_scrambles: int = 4, seed: int = 0) -> list[list[Code]]:
@@ -656,14 +642,14 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     cycle.  The raw codes are then checked and turned into bits all at
     once (``_code_bits``), and normalised codes are told apart by their
     rows' packed bytes.  Raises ValueError, naming the code, on an empty
-    stream, a code that is not n bits long or a bit that is not a finite
-    number (a string or NaN, say).
+    stream, a code that is not a sequence (a bare bit, say) or not n bits
+    long, or a bit that is not a finite number (a string or NaN, say).
     """
-    wrong_length = None   # (cycle, length) of the first code of a wrong length
+    bad = None   # what is wrong with the first code that is no sequence of n bits
     if isinstance(codes, np.ndarray) and codes.ndim == 2:
         raw, cycle_of, raw_of = codes, range(len(codes)), None
         if len(codes) and codes.shape[1] != n:
-            raw, wrong_length = codes[:0], (0, codes.shape[1])
+            raw, bad = codes[:0], f"code 0 has {codes.shape[1]} bits, tree has {n} synapses"
         elif len(codes) > 1 and codes.dtype.kind in "biuf":
             raw = _code_bits(codes, cycle_of)
             packed = np.packbits(raw, axis=1)   # rows told apart by their packed bytes
@@ -682,11 +668,15 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
             is_tuple = type(raw_code) is tuple
             i = by_id.get(id(raw_code)) if is_tuple else None
             if i is None:
-                key = tuple(raw_code)
+                try:
+                    key = tuple(raw_code)
+                except TypeError:
+                    bad = f"code {len(raw_of)} is not a sequence of bits"
+                    break
                 i = by_raw.get(key)
                 if i is None:
                     if len(key) != n:
-                        wrong_length = (len(raw_of), len(key))
+                        bad = f"code {len(raw_of)} has {len(key)} bits, tree has {n} synapses"
                         break
                     i = by_raw[key] = len(raw)
                     raw.append(key)
@@ -695,10 +685,10 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
                     by_id[id(raw_code)] = i
                     held.append(raw_code)
             raw_of.append(i)
-    if len(raw):   # the codes before a wrong length are checked first
+    if len(raw):   # the codes before a bad one are checked first
         on = _code_bits(raw, cycle_of)
-    if wrong_length is not None:
-        raise ValueError(f"code {wrong_length[0]} has {wrong_length[1]} bits, tree has {n} synapses")
+    if bad is not None:
+        raise ValueError(bad)
     if not len(raw):
         raise ValueError("code stream is empty: need at least one code")
     on = np.concatenate((np.zeros((1, n), dtype=bool), on))   # the all-zero code first
@@ -826,10 +816,11 @@ def run_neuron(
 
     ``codes`` is a ``CodeStream`` or the raw codes, which go into one.
     Code bits are normalised to 0/1 (``_code_table``); an empty stream, a
-    code whose length is not the tree's synapse count or a bit that is not
-    a finite number raises ValueError.  Warm-up cycles (all-zero input,
-    count from the sim config) are prepended so reported cycles see the
-    settled oscillation; they are dropped from the returned arrays.
+    code that is not a sequence or whose length is not the tree's synapse
+    count, or a bit that is not a finite number raises ValueError.
+    Warm-up cycles (all-zero input, count from the sim config) are
+    prepended so reported cycles see the settled oscillation; they are
+    dropped from the returned arrays.
     Digital outputs are checked against the threshold-unit oracle built
     from the run's own clock peak.  One schedule object serves every cycle
     of a distinct (code, recalibration flag), and one oracle bit every
@@ -843,8 +834,7 @@ def run_neuron(
     # table entry 0 is the all-zero code, and the only one
     plans = [_schedule(cfg, stream.table[i], i == 0, f)
              for i, f in zip(layout.gate_of.tolist(), forced)]
-    trace, ledger = _simulate_plans(cfg, plans, layout, keep_samples=keep_trace)
+    observed, ledger, trace = _simulate_plans(cfg, plans, layout, keep_samples=keep_trace)
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
-    return decided_run(stream, trace.observed, ledger, warm, cfg.dlcc, v_os,
-                       partial(NeuronSpec.from_circuit, cfg, v_os=v_os),
-                       trace if keep_trace else None)
+    return decided_run(stream, observed, ledger, warm, cfg.dlcc, v_os,
+                       partial(NeuronSpec.from_circuit, cfg, v_os=v_os), trace)

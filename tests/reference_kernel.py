@@ -69,7 +69,7 @@ def run_cycles(ledger, kinds, order, x0, t_cycle, v_limit, peak_rows, stride=Non
     n_cycles = kind_of.size
     peaks = np.full((n_cycles, len(peak_rows)), -np.inf)
     samples = np.full(n_cycles, np.nan)
-    states = [] if stride else None
+    times, states = [], []
     x = x0
     prev = None
     for k, (entry, phases) in enumerate(map(kinds.__getitem__, kind_of.tolist())):
@@ -80,9 +80,10 @@ def run_cycles(ledger, kinds, order, x0, t_cycle, v_limit, peak_rows, stride=Non
         else:
             ledger.reconfig[k] += e_start - prev.stored_energy(x)
         x = start_x
-        trajectories = []
+        trajectories, at = [], []
         for start, end, n_steps, system in phases:
             dt = (end - start) * t_cycle / n_steps
+            at.append(k * t_cycle + start * t_cycle + dt * np.arange(n_steps))   # each step's time
             xs = propagate(*engine.step_maps(system.a, system.b, dt), x, n_steps)
             peak = float(np.abs(xs).max())
             if not peak < v_limit:
@@ -95,11 +96,12 @@ def run_cycles(ledger, kinds, order, x0, t_cycle, v_limit, peak_rows, stride=Non
                 samples[k] = xs[idx, -1]
             trajectories.append(xs)
             x = xs[-1]
-        if stride:
+        if stride:   # every stride-th step of the cycle, from its first
+            times.append(np.concatenate(at)[::stride])
             states.append(np.vstack([xs[:-1] for xs in trajectories])[::stride])
         prev = phases[-1].system
     ledger.e_stored_last = float(prev.stored_energy(x))
-    return Searched(peaks), samples, states
+    return Searched(peaks), samples, (np.array(times), np.array(states)) if stride else None
 
 
 def stein_sums(g, forms, ns):

@@ -9,7 +9,8 @@ the package to them:
   whole tree, one plate per weight value of the tree;
 - ``legs``: the RC legs of a phase system, read from the terms the
   kernel books;
-- ``fires``: the threshold unit's decision on one code.
+- ``fires``: the threshold unit's decision on one code;
+- ``v_s``: the trace's top-plate aggregate, one cycle at a time.
 """
 
 import numpy as np
@@ -62,3 +63,25 @@ def fires(spec, code):
         if x:
             drive += w
     return 1 if drive > spec.theta else 0
+
+
+def v_s(c_s, codes, plates):
+    """The V_s column of a run's trace, cycle by cycle, from each cycle's
+    code and sampled top plates (``plates[k]``: samples x plates, a plate
+    per weight value that some code enables, ascending).  In a cycle with
+    a gate on, each sample is the mean of the enabled synapses' plates,
+    each synapse at its weight value's plate and weighted by its
+    capacitance; in a cycle with every gate open, every sample is the last
+    sample before it, or 0 before the first cycle with a gate on."""
+    values = sorted({c for code in codes for c, x in zip(c_s, code) if x})
+    out, last = [], 0.0
+    for code, rows in zip(codes, plates):
+        on = [(c, values.index(c)) for c, x in zip(c_s, code) if x]
+        if on:
+            total = sum(c for c, _ in on)
+            cycle = [sum(c * row[j] for c, j in on) / total for row in rows]
+            last = cycle[-1]
+        else:
+            cycle = [last] * len(rows)
+        out.append(cycle)
+    return np.array(out)

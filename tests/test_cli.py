@@ -189,9 +189,19 @@ def test_bad_job_counts_are_refused_by_name(tmp_path, capsys, monkeypatch, env, 
     else:
         monkeypatch.setenv("ACAN_JOBS", env)
     out = tmp_path / "x"
-    argv = ["run", "--codes", "1100", "--out", str(out)] + ([f"--jobs={jobs}"] if jobs else [])
+    argv = ["corners", "--out", str(out)] + ([f"--jobs={jobs}"] if jobs else [])
     assert _error_exit(argv, capsys) == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_only_pooled_studies_take_a_job_count(tmp_path, capsys, monkeypatch):
+    # run, compare and optimize-freq run no pool: they read no ACAN_JOBS
+    # and have no --jobs flag
+    monkeypatch.setenv("ACAN_JOBS", "x")
+    assert dispatch(["run", "--codes", "1100", "--out", str(tmp_path / "run")]) == 0
+    assert dispatch(["optimize-freq", "--jobs", "3", "--out", str(tmp_path / "opt")]) == 2
+    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+    assert not (tmp_path / "opt").exists()
 
 
 def test_run_refuses_giant_full_sweep(tmp_path, capsys):

@@ -262,7 +262,7 @@ def test_plans_ending_short_of_one_book_first_and_last_phases():
     for end in (1.0, 1.0 - 1e-13):
         plans = {c: tuple((s, end if e == 1.0 else e, sw) for s, e, sw in make_schedule(cfg, c, 1))
                  for c in set(codes)}
-        ledgers.append(simulate(cfg, [plans[c] for c in codes], keep_samples=False)[1])
+        ledgers.append(simulate(cfg, [plans[c] for c in codes])[1])
     exact, short = ledgers
     dissipated = exact.dissipated_total
     assert short.e_stored_last == pytest.approx(exact.e_stored_last, rel=1e-7)
@@ -533,6 +533,22 @@ def test_closed_form_kernel_matches_reference_kernel(order):
         assert_same_run(run, ref)
 
 
+@pytest.mark.parametrize("duty, steps, stride", [(0.2, 4096, 8), (0.05, 4095, 3)])
+def test_sampling_grid_matches_reference_kernel_off_the_stride(duty, steps, stride):
+    # the main phase starts at step 819 (a 0.2 duty of 4096 steps) or 511
+    # (the bypass floor of 4095 steps), which the stride does not divide:
+    # its first sample is not its first step
+    cfg = tune_inductor(CircuitConfig())
+    cfg = replace(cfg, pc=replace(cfg.pc, duty_d=duty),
+                  sim=replace(cfg.sim, steps_per_cycle=steps, trace_stride=stride))
+    codes = [(1, 0, 1, 0), (0, 0, 0, 0), (1, 1, 0, 1)] * 2
+    run = run_neuron(cfg, codes, keep_trace=True)
+    with reference_kernel():
+        ref = run_neuron(cfg, codes, keep_trace=True)
+    assert run.trace.t.size == (len(codes) + cfg.sim.startup_discard_cycles) * steps // stride
+    assert_same_run(run, ref)
+
+
 # a run-length stream: long runs of one code, the idle code among them
 RUN_LENGTH_STREAM = [(1, 1, 0, 1)] * 200 + [(0, 0, 0, 0)] * 40 + [(1, 0, 1, 0)] * 60
 # a periodic stream: a 16-code order, 4 passes and a partial fifth, then
@@ -583,13 +599,13 @@ def test_peak_chunks_leave_peaks_and_samples_unchanged(monkeypatch):
         monkeypatch.setattr(engine, "_CHUNK_BLOCKS", chunk_blocks)
         run = run_neuron(cfg, codes, keep_trace=True)
         trace = run.trace
-        search, samples, states = engine.run_cycles(
+        search, samples, (times, states) = engine.run_cycles(
             EnergyLedger.zeros(151), flat_kinds, engine.CycleOrder(np.zeros(151, int)),
             np.append(np.zeros(flat.dim - 1), cfg.tree.v_ref), cfg.pc.t_pc, math.inf, (1, -1), 8)
         # the searches run here, under the chunk bound
         return (np.column_stack(run.stats),
                 np.column_stack([trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m]),
-                search.peaks, samples, np.concatenate(states))
+                search.peaks, samples, times, states)
 
     # under the bound the main phases of the first two codes take two
     # chunks each and the flat phase three
@@ -822,7 +838,8 @@ def test_sweep_run_compiles_operators_per_step_count(monkeypatch):
 def test_run_cycles_needs_one_state_size():
     # a run's maps and operators stack whole, so a run whose phases, entry
     # maps or start state differ in state size is refused by name before
-    # any work
+    # any work; so is a sampled run whose kinds differ in cycle length,
+    # whose cycles would not share one sampling grid
     cfg = CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 2e-12)))
     one, both = (build_phase_system(cfg, SwitchState(False, False, on))
                  for on in ((True, False), (True, True)))
@@ -830,16 +847,18 @@ def test_run_cycles_needs_one_state_size():
     other = build_phase_system(small, SwitchState(False, False, (True,) * 4))
     x0 = np.array([0.0, 0.0, 0.0, 0.0, 0.7])
     phase = partial(engine.Phase, 0.0, 1.0, 256)
-    runs = [([(None, (phase(one),)), (None, (phase(other),))], x0),
-            ([(None, (phase(both), phase(other)))], x0),
-            ([(None, (phase(one),)), (np.eye(5), (phase(both),))], x0),
-            ([(None, (phase(one),))], x0[1:])]
-    for kinds, start in runs:
-        with pytest.raises(ValueError, match=r"^run_cycles: a run needs one state size, "
-                                             r"got sizes \[4, 5\]$"):
+    sizes = r"^run_cycles: a run needs one state size, got sizes \[4, 5\]$"
+    runs = [([(None, (phase(one),)), (None, (phase(other),))], x0, None, sizes),
+            ([(None, (phase(both), phase(other)))], x0, None, sizes),
+            ([(None, (phase(one),)), (np.eye(5), (phase(both),))], x0, None, sizes),
+            ([(None, (phase(one),))], x0[1:], None, sizes),
+            ([(None, (phase(one),)), (None, (phase(both), phase(one)))], x0, 8,
+             r"^run_cycles: a sampled run needs one cycle length, got steps \[256, 512\]$")]
+    for kinds, start, stride, message in runs:
+        with pytest.raises(ValueError, match=message):
             engine.run_cycles(EnergyLedger.zeros(2), kinds,
                               engine.CycleOrder(np.arange(2) % len(kinds)), start,
-                              1e-6, math.inf, (-1,))
+                              1e-6, math.inf, (-1,), stride)
 
 
 def _clock_phase():

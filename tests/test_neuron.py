@@ -31,7 +31,7 @@ from acansim import engine
 from acansim import neuron as neuron_mod
 from acansim.neuron import base_delay
 from reference_kernel import assert_same_run, reference_kernel
-from scalar_oracles import make_schedule
+from scalar_oracles import make_schedule, v_s
 
 _GRID = [1e3, 3.25e3, 5.5e3, 7.75e3, 10e3]
 _OFFSET_MV = [
@@ -175,6 +175,36 @@ def test_make_schedule_recalibration_and_zero_code(monkeypatch):
     idle = make_schedule(cfg, (0, 0, 0, 0), cycle=5)
     assert idle[0][2].reset_on
     assert idle[1][2].reset_on
+
+
+_ZERO = (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("codes", [
+    [_ZERO] * 2 + [(1, 0, 1, 0), (0, 1, 1, 0)] + [_ZERO] * 3 + [(1, 1, 0, 0)] + [_ZERO] * 2,
+    [_ZERO] * 2 + [(0, 1, 1, 0)] + [_ZERO] * 3 + [(1, 1, 0, 0), (1, 0, 1, 0)],
+], ids=["zeros-after", "enabled-last"])
+def test_trace_v_s_follows_the_hold_rule(monkeypatch, codes):
+    # on a binary-weighted tree, with all-zero cycles before (the warm-up
+    # among them), between and after enabled codes, and a weight value no
+    # code enables, V_s is the rule stated cycle by cycle on the plates
+    # the kernel sampled
+    cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 2e-12, 4e-12, 8e-12))))
+    sampled = []
+    run_cycles = neuron_mod.run_cycles
+
+    def kept(*args):
+        result = run_cycles(*args)
+        sampled.append(result[2])
+        return result
+
+    monkeypatch.setattr(neuron_mod, "run_cycles", kept)
+    run = run_neuron(cfg, codes, keep_trace=True)
+    (_, states), = sampled
+    full = [_ZERO] * cfg.sim.startup_discard_cycles + codes
+    want = v_s(cfg.tree.c_s, full, states[:, :, 2:-1])
+    assert states.shape[2] == 6 and np.all(want[:cfg.sim.startup_discard_cycles + 2] == 0.0)
+    np.testing.assert_allclose(run.trace.v_s, want.ravel(), rtol=1e-13, atol=1e-15)
 
 
 def test_make_schedule_validation():
@@ -524,6 +554,10 @@ def _run(design, cfg, codes):
      "code 2 has a bit that is not a finite number"),
     ([(1, 0, 0, 0), (1, None, 0, 0)], "code 1 has a bit that is not a finite number"),
     ([((1,), (0,), (0,), (1,))], "code 0 has a bit that is not a finite number"),
+    # one code given bare: each bit is a code, and no sequence
+    ([1, 0, 1, 0], "code 0 is not a sequence of bits"),
+    (np.array([1, 0, 1, 0]), "code 0 is not a sequence of bits"),
+    ([(1, 0, 0, 0), (0, 1, 1, 0), 1], "code 2 is not a sequence of bits"),
 ])
 def test_empty_and_malformed_streams_fail_by_name(design, codes, message):
     cfg = tune_inductor(CircuitConfig())
