@@ -181,13 +181,12 @@ def _legs(cfg: BaselineConfig, counts: np.ndarray,
 
 def build_baseline_system(cfg: BaselineConfig, weights: Sequence[tuple[float, int]],
                           ones: Sequence[int], spread: Sequence[bool], reset_on: bool,
-                          dim: int | None = None) -> PhaseSystem:
+                          dim: int) -> PhaseSystem:
     """Phase system of one cycle: per distinct weight value, ascending, its
     low leg, its high leg and its spread state, where present, then held
-    states up to ``dim`` states in all (none by default), then V_m.  A
-    held state has a zero row and column in A, a zero entry in b and no
-    element, so the systems of a run share the state size of its widest
-    one (``run_baseline``).
+    states up to ``dim`` states in all, then V_m.  A held state has a zero
+    row and column in A, a zero entry in b and no element, so the systems
+    of a run share the state size of its widest one (``run_baseline``).
 
     ``weights`` holds per weight value of the tree, ascending, the value
     and its synapse count, counted once per run (``run_baseline``).
@@ -212,7 +211,6 @@ def build_baseline_system(cfg: BaselineConfig, weights: Sequence[tuple[float, in
         if mixed:
             spreads.append((len(legs) + len(spreads), total, c))
 
-    dim = dim or len(legs) + len(spreads) + 1
     a = np.zeros((dim, dim))
     b = np.zeros(dim)
     im = dim - 1
@@ -277,8 +275,8 @@ def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]
     on all-zero codes, as in the adiabatic design.
 
     ``codes`` is a ``CodeStream`` or the raw codes, which go into one.
-    Code bits are normalised to 0/1; an empty stream, a code whose length
-    is not the tree's synapse count or a bit that is not a finite number
+    Code bits are normalised to 0/1; a non-iterable or empty stream, a
+    code not one bit per synapse or a bit that is not a finite number
     raises ValueError.  The run carries one integer per cycle: lumped legs
     (``_legs``: per weight value one leg per new level, and a spread
     state where a new level mixes both previous levels) and a drive-toggle

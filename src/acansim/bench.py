@@ -164,20 +164,20 @@ class Surface:
         ix, iy = np.unravel_index(int(np.argmin(self.energy)), self.energy.shape)
         return self.x[ix], self.y[iy], float(self.energy[ix, iy])
 
-    def _x_csv(self, v: float) -> float:
+    def _x_csv(self, v: _T) -> _T:
+        # x as the CSV and the summary give it: widths in micrometres
         return v / 1e-6 if self.x_name == "W_um" else v
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, (self.x_name, self.y_name, "energy_J"),
-                  ((self._x_csv(xv), yv, e) for xv, row in zip(self.x, self.energy)
-                   for yv, e in zip(self.y, row)))
+        write_csv(path, {self.x_name: np.repeat(self._x_csv(np.asarray(self.x)), len(self.y)),
+                         self.y_name: np.tile(self.y, len(self.x)), "energy_J": self.energy.ravel()})
 
     def as_dict(self) -> dict:
         ax, ay, ae = self.argmin
         return {
             "x_name": self.x_name,
             "y_name": self.y_name,
-            "x": [float(v) for v in self.x],
+            "x": [float(self._x_csv(v)) for v in self.x],
             "y": [float(v) for v in self.y],
             "energy_J": [[float(v) for v in row] for row in self.energy],
             "argmin": {self.x_name: self._x_csv(ax), self.y_name: ay, "energy_J": ae},
@@ -388,9 +388,9 @@ class ScalingTable:
                         f"{lo.f_opt} -> {hi.f_opt}")
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, ("C_E_pF", "alpha", "f_opt_Hz", "S_E_pJ", "N_E_pJ"),
-                  ((r.c_e * 1e12, r.alpha, r.f_opt, r.s_e * 1e12, r.n_e * 1e12)
-                   for r in self.rows))
+        rows = self.as_dict()["rows"]   # in the summary's units; unimodal stays out
+        write_csv(path, {k: [r[k] for r in rows]
+                         for k in ("C_E_pF", "alpha", "f_opt_Hz", "S_E_pJ", "N_E_pJ")})
 
     def as_dict(self) -> dict:
         return {
@@ -451,9 +451,11 @@ class CornerTable:
         return {t: (max(v) - min(v)) / float(np.mean(v)) for t, v in sorted(by_t.items())}
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, ("corner", "temp_C", "E_tree_J", "E_soma_J", "outputs_ok"),
-                  ((r.corner, r.temperature_c, r.e_tree, r.e_soma, int(r.outputs_ok))
-                   for r in self.rows))
+        write_csv(path, {"corner": [r.corner for r in self.rows],
+                         "temp_C": [r.temperature_c for r in self.rows],
+                         "E_tree_J": [r.e_tree for r in self.rows],
+                         "E_soma_J": [r.e_soma for r in self.rows],
+                         "outputs_ok": [int(r.outputs_ok) for r in self.rows]})
 
     def as_dict(self) -> dict:
         return {"rows": [{
@@ -547,12 +549,11 @@ def compare_designs(
     spec = spec or SweepSpec()
     if mode == "sweep":
         orders = input_sweeps(cfg.tree.n, seed=spec.seed)
-        codes = [c for order in orders for c in order]
+        stream = CodeStream([c for order in orders for c in order], cfg.tree.n)
         tuned = tune_inductor(cfg)
-        f_op = sweep_lock_frequency(tuned, codes)
+        f_op = sweep_lock_frequency(tuned, stream)
         run_cfg = replace(tuned, pc=replace(
             tuned.pc, f_nominal=f_op, duty_d=tuned.pc.t_on * f_op))
-        stream = CodeStream(codes, cfg.tree.n)
         run_a = run_neuron(run_cfg, stream)
         run_b = run_baseline(BaselineConfig.from_circuit(cfg), stream)
         la, lb = run_a.ledger, run_b.ledger

@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -510,28 +510,25 @@ def energy_residual(ledger: EnergyLedger) -> float:
 # rows that ``write_csv`` formats at a time: each row held as Python objects
 # costs ~0.5 kB, so larger chunks raise a trace export's peak memory
 CSV_CHUNK = 512
-# cell types whose ``str`` is their cell: a float's ``str`` is its ``repr``
-_PLAIN_CELLS = {float, int, bool, str}
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write one CSV data file: the header, then one line per row.  Float
-    cells, numpy scalars included, are written as ``repr(float(v))`` so
-    they read back exactly; any other cell as ``str(v)``.  Rows are
-    formatted ``CSV_CHUNK`` at a time, with one template for the chunk;
-    rows of Python floats, ints, bools and strings (``tolist()``) need no
-    conversion cell by cell.  Every row has one cell per header name."""
-    rows = iter(rows)
-    line = ",".join(["{}"] * len(header)) + "\n"
+def write_csv(path: str, columns: Mapping[str, np.ndarray | list]) -> None:
+    """Write one CSV data file from named columns: the header names, then
+    one line per row.  Each column is a 1-D array or a list, all of one
+    length (ValueError otherwise).  Rows are formatted ``CSV_CHUNK`` at a
+    time with one template for the chunk, every cell as ``str`` of its
+    Python value (an array's chunk goes through ``tolist()``), so a float
+    cell, numpy float64 included, is its ``repr`` and reads back exactly."""
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"write_csv: columns have different lengths {sorted(lengths)}")
+    line = ",".join(["{!s}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, CSV_CHUNK)):
-            if set(map(len, chunk)) != {len(header)}:
-                raise ValueError(f"write_csv: every row needs {len(header)} cells")
-            cells = list(chain.from_iterable(chunk))
-            if not set(map(type, cells)) <= _PLAIN_CELLS:
-                cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in cells]
-            fh.write((line * len(chunk)).format(*cells))
+        fh.write(",".join(columns) + "\n")
+        for k in range(0, max(lengths, default=0), CSV_CHUNK):
+            chunk = [c[k:k + CSV_CHUNK] for c in columns.values()]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            fh.write((line * len(chunk[0])).format(*chain.from_iterable(zip(*chunk))))
 
 
 class Phase(NamedTuple):

@@ -15,9 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .neuron import CodeStream
 
 
 class Corner(str, Enum):
@@ -299,28 +302,27 @@ def tune_inductor(cfg: CircuitConfig) -> CircuitConfig:
     return replace(cfg, pc=replace(cfg.pc, l_pc=l))
 
 
-def sweep_lock_frequency(cfg: CircuitConfig, codes: Sequence[Sequence[int]]) -> float:
+def sweep_lock_frequency(cfg: CircuitConfig, codes: CodeStream | Iterable[Sequence[int]]) -> float:
     """Drive frequency at which a repeating code stream rings in step.
 
     The tank capacitance swings with the active set, so a repeating input
     stream settles around the mean capacitance it presents rather than the
     all-off value.  Scaling f_nominal by sqrt(C_off / C_mean) keeps the
     trough aligned with the top-up window across the stream; for the
-    reference 16-code sweep this lands about 2.4% below nominal.  Each
-    code hangs its own enabled weights off the clock node (a bit is on
-    where it is truthy), summed left to right.
+    reference 16-code sweep this lands about 2.4% below nominal.  The
+    codes are read as the designs read them (``CodeStream``), with their
+    errors; each distinct code hangs its own enabled weights off the clock
+    node, and the cycles' loads are summed left to right.
     """
-    _require(len(codes) > 0, "codes: need at least one code")
+    from .neuron import CodeStream   # neuron builds on this module
     tree = cfg.tree
-    for code in codes:
-        _require(len(code) == tree.n, f"codes: every code must have length {tree.n}")
-    bits = np.array([list(map(bool, code)) for code in codes], dtype=bool)
-    c_active = np.cumsum(np.where(bits, np.asarray(tree.c_s), 0.0), axis=1)[:, -1]
+    stream = CodeStream.of(codes, tree.n)
+    c_active = np.cumsum(np.where(stream.bits, np.asarray(tree.c_s), 0.0), axis=1)[:, -1]
+    loads = [_clock_load(tree, cfg.pc, n_on, c)
+             for n_on, c in zip(stream.bits.sum(1).tolist(), c_active.tolist())]
+    total = float(np.cumsum(np.take(loads, stream.index))[-1])
     c0 = effective_pc_capacitance(tree, cfg.pc, 0.0)
-    total = 0.0
-    for n_on, c in zip(bits.sum(1).tolist(), c_active.tolist()):
-        total += _clock_load(tree, cfg.pc, n_on, c)
-    return cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
+    return cfg.pc.f_nominal * math.sqrt(c0 * stream.index.size / total)
 
 
 def synapse_energy_analytic(

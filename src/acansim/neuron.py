@@ -18,13 +18,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .engine import (
-    CSV_CHUNK,
     CycleOrder,
     EnergyLedger,
     Loss,
@@ -207,11 +205,8 @@ class Trace:
         return self.observed.stats
 
     def to_csv(self, path: str) -> None:
-        cols = (self.t, self.i_l, self.v_pc, self.v_s, self.v_m)
-        # rows of Python floats, converted a chunk of samples at a time
-        write_csv(path, ("t", "I_L", "V_PC", "V_s", "V_m"), chain.from_iterable(
-            zip(*(c[k:k + CSV_CHUNK].tolist() for c in cols))
-            for k in range(0, self.t.size, CSV_CHUNK)))
+        write_csv(path, {"t": self.t, "I_L": self.i_l, "V_PC": self.v_pc, "V_s": self.v_s,
+                         "V_m": self.v_m})
 
 
 def _schedule(cfg: CircuitConfig, on: Sequence, all_zero: bool, forced: bool) -> tuple[Segment, ...]:
@@ -616,11 +611,10 @@ class NeuronRun:
 
     def to_csv(self, path: str) -> None:
         names = [bytes(code).translate(_BIT_CHARS).decode() for code in self.table]
-        write_csv(
-            path, ("cycle", "code", "V_m_peak", "OutP", "delay_ns", "E_tree_pJ", "E_soma_pJ"),
-            zip(range(self.index.size), map(names.__getitem__, self.index.tolist()),
-                self.stats.v_m_peak.tolist(), self.outputs.tolist(), (self.delays * 1e9).tolist(),
-                (self.ledger.s_e * 1e12).tolist(), (self.ledger.soma * 1e12).tolist()))
+        write_csv(path, {
+            "cycle": np.arange(self.index.size), "code": [names[i] for i in self.index.tolist()],
+            "V_m_peak": self.stats.v_m_peak, "OutP": self.outputs, "delay_ns": self.delays * 1e9,
+            "E_tree_pJ": self.ledger.s_e * 1e12, "E_soma_pJ": self.ledger.soma * 1e12})
 
 
 def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.ndarray, np.ndarray]:
@@ -641,9 +635,10 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     list that may change between cycles, are copied and hashed every
     cycle.  The raw codes are then checked and turned into bits all at
     once (``_code_bits``), and normalised codes are told apart by their
-    rows' packed bytes.  Raises ValueError, naming the code, on an empty
-    stream, a code that is not a sequence (a bare bit, say) or not n bits
-    long, or a bit that is not a finite number (a string or NaN, say).
+    rows' packed bytes.  Raises ValueError on a stream that is not
+    iterable, and, naming the code, on an empty stream, a code that is not
+    a sequence (a bare bit, say) or not n bits long, or a bit that is not
+    a finite number (a string or NaN, say).
     """
     bad = None   # what is wrong with the first code that is no sequence of n bits
     if isinstance(codes, np.ndarray) and codes.ndim == 2:
@@ -660,6 +655,10 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
                 cycle_of = np.flatnonzero(new)
                 raw, raw_of = raw[cycle_of], np.cumsum(new) - 1
     else:
+        try:
+            codes = iter(codes)
+        except TypeError:   # a bare int, None or a 0-d array
+            raise ValueError("code stream is not a sequence of codes") from None
         raw, cycle_of, raw_of = [], [], []   # distinct raw codes, their first cycles
         by_raw: dict[tuple, int] = {}
         by_id: dict[int, int] = {}
@@ -815,9 +814,9 @@ def run_neuron(
     """Simulate one code per cycle and decide each cycle at the clock crest.
 
     ``codes`` is a ``CodeStream`` or the raw codes, which go into one.
-    Code bits are normalised to 0/1 (``_code_table``); an empty stream, a
-    code that is not a sequence or whose length is not the tree's synapse
-    count, or a bit that is not a finite number raises ValueError.
+    Code bits are normalised to 0/1 (``_code_table``); a stream that is
+    not iterable or empty, a code that is not a sequence of one bit per
+    synapse, or a bit that is not a finite number raises ValueError.
     Warm-up cycles (all-zero input, count from the sim config) are
     prepended so reported cycles see the settled oscillation; they are
     dropped from the returned arrays.

@@ -224,6 +224,8 @@ def test_sweep_width_duty_surface(tmp_path):
     assert lines[1].startswith("30")
     d = surface.as_dict()
     assert min(abs(d["argmin"]["W_um"] - w) for w in (30.0, 60.0)) < 1e-9
+    # the summary lists the widths as the CSV's first column does
+    assert d["x"] == [float(line.split(",")[0]) for line in lines[1:]]
 
 
 def test_surface_grid_shape_is_checked():

@@ -300,12 +300,18 @@ def test_trace_csv_schema(tmp_path):
 
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
-    write_csv(str(path), ("a", "b", "c", "d"), [(np.float64(0.1), 1e-12 / 3, 7, "0110")])
+    write_csv(str(path), {"a": np.array([0.1]), "b": [1e-12 / 3], "c": [7], "d": ["0110"]})
     assert path.read_text() == f"a,b,c,d\n0.1,{1e-12 / 3!r},7,0110\n"
+    write_csv(str(path), {"a": np.zeros(0), "b": []})
+    assert path.read_text() == "a,b\n"
+    # the edge battery's float cells as an array column and as a list
+    floats = [c for c in _EDGE_CELLS if type(c) is float]
+    write_csv(str(path), {"a": np.array(floats), "b": floats})
+    assert path.read_text() == "a,b\n" + "".join(f"{v!r},{v!r}\n" for v in floats)
 
 
 def _per_cell_csv(path, header, rows):
-    # the per-cell formatter that write_csv's chunk templates replaced
+    # reference formatter, one cell at a time: repr of a float, str of anything else
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -322,7 +328,8 @@ _NUMPY_CELLS = [np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.floa
 @pytest.mark.parametrize("numpy_chunk", [None, 0, 1, 2])
 def test_write_csv_matches_the_per_cell_formatter(tmp_path, numpy_chunk):
     # three chunks, the last one partial: Python cells only, or numpy
-    # scalars in one chunk; every byte as the per-cell formatter writes it
+    # scalars in one chunk, given as list columns; every byte as the
+    # per-cell formatter writes it
     header = ("a", "b", "c", "d", "e")
     cells = _EDGE_CELLS * (-(-(2 * engine.CSV_CHUNK + 3) * 5 // len(_EDGE_CELLS)))
     rows = [tuple(cells[5 * k:5 * k + 5]) for k in range(2 * engine.CSV_CHUNK + 3)]
@@ -331,11 +338,11 @@ def test_write_csv_matches_the_per_cell_formatter(tmp_path, numpy_chunk):
         rows[k] = tuple(_NUMPY_CELLS[:5])
         rows[k + 1] = tuple(_NUMPY_CELLS[3:])
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(str(got), header, iter(rows))
+    write_csv(str(got), dict(zip(header, map(list, zip(*rows)))))
     _per_cell_csv(str(want), header, rows)
     assert got.read_bytes() == want.read_bytes()
-    with pytest.raises(ValueError, match="every row needs 5 cells"):
-        write_csv(str(got), header, rows[:3] + [rows[3][:4]])
+    with pytest.raises(ValueError, match=r"^write_csv: columns have different lengths \[3, 4\]$"):
+        write_csv(str(got), {"a": [1, 2, 3], "b": np.arange(4), "c": [1, 2, 3]})
 
 
 def test_trace_csv_matches_the_per_cell_formatter(tmp_path):
@@ -472,7 +479,7 @@ def test_book_segment_matches_per_column_formulas_baseline():
     sigma0 = v_dd * math.sqrt((1 * 1 / 2) / 3)
     assert starts == pytest.approx([v_dd, v_dd / 2, sigma0, 0.0, v_dd], rel=1e-15)
     weights = [(1e-12, 3), (2e-12, 2)]   # per weight value: (value, synapses)
-    assert build_baseline_system(bcfg, weights, ones, spread, reset_on=True).dim == 6
+    assert build_baseline_system(bcfg, weights, ones, spread, reset_on=True, dim=6).dim == 6
     sys = build_baseline_system(bcfg, weights, ones, spread, reset_on=True, dim=7)
     assert sys.dim == 7
     _held_states(sys, [5])

@@ -7,6 +7,7 @@ import pytest
 
 from acansim import (
     CircuitConfig,
+    CodeStream,
     Corner,
     Environment,
     NeuronSpec,
@@ -20,6 +21,7 @@ from acansim import (
     predicted_optimal_frequency,
     reset_resistance,
     resonant_frequency,
+    run_neuron,
     series_capacitance,
     sweep_lock_frequency,
     synapse_energy_analytic,
@@ -150,23 +152,38 @@ def test_sweep_lock_frequency_constant_stream():
     cfg = tune_inductor(CircuitConfig())
     f = sweep_lock_frequency(cfg, [(1, 1, 1, 1)])
     assert f == pytest.approx(predicted_optimal_frequency(cfg, 1.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        sweep_lock_frequency(cfg, [])
-    with pytest.raises(ValueError):
-        sweep_lock_frequency(cfg, [(1, 0)])
 
 
-def test_sweep_lock_frequency_counts_truthy_bits():
-    # a bit is on where it is truthy, as ``sum(1 for b in code if b)``
-    # counts it: ints other than 1, floats, NaN, bools and numpy scalars
+@pytest.mark.parametrize("codes, message", [
+    ([], "code stream is empty: need at least one code"),
+    ([(1, 0)], "code 0 has 2 bits, tree has 4 synapses"),
+    ([(math.nan, 0, 0, 0), (1, 1, 0, 0)], "code 0 has a bit that is not a finite number"),
+    ([("x", 0, 0, 0)], "code 0 has a bit that is not a finite number"),
+    ([(None, 0, 0, 0)], "code 0 has a bit that is not a finite number"),
+    (5, "code stream is not a sequence of codes"),
+])
+def test_sweep_lock_frequency_reads_codes_as_the_designs_do(codes, message):
     cfg = tune_inductor(CircuitConfig())
-    codes = [(1, 0, 2, -1), (0.5, 0.0, 0, 0), (True, False, True, True), (math.nan, 0, 0, 0),
+    with pytest.raises(ValueError) as err:
+        sweep_lock_frequency(cfg, codes)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        run_neuron(cfg, codes)
+    assert str(err.value) == message
+
+
+def test_sweep_lock_frequency_counts_nonzero_bits():
+    # a bit is on where it is nonzero, as the designs read it: ints other
+    # than 1, floats, bools and numpy scalars; a stream or its CodeStream
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 0, 2, -1), (0.5, 0.0, 0, 0), (True, False, True, True), (0, 0, 0, 0),
              tuple(np.array([0, 3, 0, 1])), np.array([0.0, -0.0, 1e-300, 0.0]), (0, 0, 0, 0)]
     c0 = effective_pc_capacitance(cfg.tree, cfg.pc, 0.0)
     total = sum(effective_pc_capacitance(cfg.tree, cfg.pc, sum(1 for b in code if b) / 4)
                 for code in codes)
     want = cfg.pc.f_nominal * math.sqrt(c0 * len(codes) / total)
     assert sweep_lock_frequency(cfg, codes) == want
+    assert sweep_lock_frequency(cfg, CodeStream(codes, 4)) == want
 
 
 def test_sweep_lock_frequency_uses_each_codes_own_weights():

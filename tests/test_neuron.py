@@ -558,6 +558,10 @@ def _run(design, cfg, codes):
     ([1, 0, 1, 0], "code 0 is not a sequence of bits"),
     (np.array([1, 0, 1, 0]), "code 0 is not a sequence of bits"),
     ([(1, 0, 0, 0), (0, 1, 1, 0), 1], "code 2 is not a sequence of bits"),
+    # a stream that is not iterable at all
+    (5, "code stream is not a sequence of codes"),
+    (None, "code stream is not a sequence of codes"),
+    (np.array(3), "code stream is not a sequence of codes"),
 ])
 def test_empty_and_malformed_streams_fail_by_name(design, codes, message):
     cfg = tune_inductor(CircuitConfig())
