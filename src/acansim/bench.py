@@ -5,7 +5,10 @@ operating-frequency search, synapse-count scaling tables, process-corner
 trends, and savings reports against the level-driven design.  Every
 study is deterministic for a fixed seed.  A study declares its points,
 (config, code stream) pairs, and what it keeps of each run; ``_runs``
-runs them, in order or in one process pool, one chunk per worker.
+runs them in order.  Only ``sweep_width_duty`` takes ``jobs`` and may
+run them in a process pool, one chunk per worker: on the other default
+grids the pool's start-up and hand-off cost more than it saves.  A
+scaling row is one ``optimize_frequency``.
 """
 
 from __future__ import annotations
@@ -99,12 +102,11 @@ def _load_codes(cfg: CircuitConfig, spec: SweepSpec) -> list[Code] | np.ndarray:
 
 
 def _runs(points: Sequence[tuple[CircuitConfig, CodeStream]], reduce: Callable[[NeuronRun], _T],
-          jobs: int, diverged: _T | None = None) -> list[_T]:
-    """``reduce`` of the run of each (config, stream) point, in order, or
-    ``diverged`` where set and the run raises SimulationError.  Up to
-    ``jobs`` workers take one contiguous chunk of points each, which
+          jobs: int = 1) -> list[_T]:
+    """``reduce`` of the run of each (config, stream) point, in order.  Up
+    to ``jobs`` workers take one contiguous chunk of points each, which
     pickles a stream once per chunk, so ``reduce`` must pickle."""
-    run = partial(_run, reduce, diverged)
+    run = partial(_run, reduce)
     if jobs <= 1 or len(points) <= 1:
         return [run(pt) for pt in points]
     # imported here: ``import acansim`` then loads no multiprocessing module
@@ -115,15 +117,9 @@ def _runs(points: Sequence[tuple[CircuitConfig, CodeStream]], reduce: Callable[[
         return list(ex.map(run, points, chunksize=-(-len(points) // workers)))
 
 
-def _run(reduce: Callable[[NeuronRun], _T], diverged: _T | None,
-         point: tuple[CircuitConfig, CodeStream]) -> _T:
-    try:   # through this module, so a patched ``bench.run_neuron`` sees every run
-        run = run_neuron(*point)
-    except SimulationError:
-        if diverged is None:
-            raise
-        return diverged
-    return reduce(run)
+def _run(reduce: Callable[[NeuronRun], _T], point: tuple[CircuitConfig, CodeStream]) -> _T:
+    # through this module, so a patched ``bench.run_neuron`` sees every run
+    return reduce(run_neuron(*point))
 
 
 def _worst_window(run: NeuronRun, skip: int, window: int) -> float:
@@ -189,7 +185,6 @@ def sweep_freq_duty(
     f_grid: Sequence[float],
     d_grid: Sequence[float],
     spec: SweepSpec | None = None,
-    jobs: int = 1,
 ) -> Surface:
     """Worst-window tree energy over (drive frequency, duty), under the
     load case ``spec.load_case``.
@@ -205,7 +200,7 @@ def sweep_freq_duty(
     codes = CodeStream(_load_codes(base, spec), base.tree.n)
     points = [(replace(base, pc=replace(base.pc, f_nominal=float(f), duty_d=float(d))), codes)
               for f in f_grid for d in d_grid]
-    vals = _runs(points, partial(_worst_window, skip=spec.skip, window=spec.window), jobs)
+    vals = _runs(points, partial(_worst_window, skip=spec.skip, window=spec.window))
     energy = np.array(vals).reshape(len(f_grid), len(d_grid))
     return Surface("f_Hz", "duty", tuple(float(v) for v in f_grid),
                    tuple(float(v) for v in d_grid), energy)
@@ -253,74 +248,6 @@ class FrequencyOpt(NamedTuple):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class _Search:
-    """One frequency search of ``optimize_frequency`` at loading alpha:
-    the tuned config, its constant stream and the 13-point coarse grid."""
-
-    def __init__(self, cfg: CircuitConfig, alpha: float, spec: SweepSpec) -> None:
-        self.cfg = cfg = tune_inductor(cfg)
-        self.codes = CodeStream(_const_codes(cfg.tree, alpha, spec.cycles), cfg.tree.n)
-        self.spec = spec
-        f_pred = predicted_optimal_frequency(cfg, alpha)
-        self.grid = [f_pred * s for s in np.linspace(0.4, 1.6, 13)]
-
-    def point(self, f: float) -> tuple[CircuitConfig, CodeStream] | None:
-        """The trial at drive frequency f, the top-up window width held,
-        or None where its duty leaves (0, 0.5)."""
-        duty = self.cfg.pc.t_on * float(f)
-        if not 0.0 < duty < 0.5:
-            return None
-        return replace(self.cfg, pc=replace(self.cfg.pc, f_nominal=float(f), duty_d=duty)), self.codes
-
-    def finish(self, e_grid: list[float]) -> FrequencyOpt:
-        """The search from its coarse grid's energies: the unimodality
-        test, then golden section, one trial at a time."""
-        grid = self.grid
-        finite = [e for e in e_grid if math.isfinite(e)]
-        if not finite:
-            raise SimulationError("optimize_frequency: every coarse grid point diverged")
-        sentinel = 10.0 * max(finite)
-        e_grid = [e if math.isfinite(e) else sentinel for e in e_grid]
-        k = int(np.argmin(e_grid))
-
-        # unimodality on the coarse grid: energy must fall, then rise
-        diffs = np.diff(e_grid)
-        deadband = 1e-9 * max(abs(v) for v in e_grid)
-        signs = [0 if abs(d) <= deadband else (1 if d > 0 else -1) for d in diffs]
-        signs = [s for s in signs if s != 0]
-        descents = sum(1 for a, b in zip(signs, signs[1:]) if a > 0 and b < 0)
-        if descents > 0 or k in (0, len(grid) - 1):
-            return FrequencyOpt(float(grid[k]), float(e_grid[k]), False)
-
-        a, b = grid[k - 1], grid[k + 1]
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        e_c, e_d = _energies([self.point(c), self.point(d)], self.spec)
-        best_f, best_e = (grid[k], e_grid[k])
-        while (b - a) > 1e-3 * 0.5 * (a + b):
-            if e_c < e_d:
-                b, d, e_d = d, c, e_c
-                c = b - _INVPHI * (b - a)
-                e_c, = _energies([self.point(c)], self.spec)
-            else:
-                a, c, e_c = c, d, e_d
-                d = a + _INVPHI * (b - a)
-                e_d, = _energies([self.point(d)], self.spec)
-            for f, e in ((c, e_c), (d, e_d)):
-                if e < best_e:
-                    best_f, best_e = f, e
-        return FrequencyOpt(float(best_f), float(best_e), True)
-
-
-def _energies(points: list[tuple[CircuitConfig, CodeStream] | None], spec: SweepSpec,
-              jobs: int = 1) -> list[float]:
-    """Worst-window tree energy of each search trial; infinite where it is
-    None or its run trips the guard (a hopeless operating frequency)."""
-    runs = iter(_runs([p for p in points if p is not None],
-                      partial(_worst_window, skip=spec.skip, window=spec.window), jobs, math.inf))
-    return [math.inf if p is None else next(runs) for p in points]
-
-
 def optimize_frequency(
     cfg: CircuitConfig,
     alpha: float,
@@ -333,7 +260,10 @@ def optimize_frequency(
     Evaluates a 13-point coarse grid spanning +/-60% of the predicted
     optimum, then refines by golden section to 1e-3 relative width.
     A landscape that is not unimodal on the coarse grid short-circuits to
-    the grid minimum with the flag cleared.
+    the grid minimum with the flag cleared.  On every landscape tried so
+    far the coarse grid is not unimodal (the grid's 10% step sees the
+    resonance dip only at its centre), so the result is the grid point at
+    the predicted optimum.
 
     The top-up window keeps the absolute width it has in the base config:
     trial points rescale the duty fraction so t_ON stays put while the
@@ -341,8 +271,58 @@ def optimize_frequency(
     the window at low frequencies and overdrive the tank, burying the
     loading effect under top-up loss.  Every trial runs one ``CodeStream``.
     """
-    search = _Search(cfg, alpha, spec or SweepSpec())
-    return search.finish(_energies([search.point(f) for f in search.grid], search.spec))
+    spec = spec or SweepSpec()
+    cfg = tune_inductor(cfg)
+    codes = CodeStream(_const_codes(cfg.tree, alpha, spec.cycles), cfg.tree.n)
+
+    def energy(f: float) -> float:
+        # infinite where the duty leaves (0, 0.5) or the run trips the
+        # guard (a hopeless operating frequency)
+        duty = cfg.pc.t_on * float(f)
+        if not 0.0 < duty < 0.5:
+            return math.inf
+        try:
+            run = run_neuron(replace(cfg, pc=replace(cfg.pc, f_nominal=float(f), duty_d=duty)), codes)
+        except SimulationError:
+            return math.inf
+        return _worst_window(run, spec.skip, spec.window)
+
+    grid = [predicted_optimal_frequency(cfg, alpha) * s for s in np.linspace(0.4, 1.6, 13)]
+    e_grid = [energy(f) for f in grid]
+    finite = [e for e in e_grid if math.isfinite(e)]
+    if not finite:
+        raise SimulationError("optimize_frequency: every coarse grid point diverged")
+    sentinel = 10.0 * max(finite)
+    e_grid = [e if math.isfinite(e) else sentinel for e in e_grid]
+    k = int(np.argmin(e_grid))
+
+    # unimodality on the coarse grid: energy must fall, then rise
+    diffs = np.diff(e_grid)
+    deadband = 1e-9 * max(abs(v) for v in e_grid)
+    signs = [0 if abs(d) <= deadband else (1 if d > 0 else -1) for d in diffs]
+    signs = [s for s in signs if s != 0]
+    descents = sum(1 for a, b in zip(signs, signs[1:]) if a > 0 and b < 0)
+    if descents > 0 or k in (0, len(grid) - 1):
+        return FrequencyOpt(float(grid[k]), float(e_grid[k]), False)
+
+    a, b = grid[k - 1], grid[k + 1]
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    e_c, e_d = energy(c), energy(d)
+    best_f, best_e = (grid[k], e_grid[k])
+    while (b - a) > 1e-3 * 0.5 * (a + b):
+        if e_c < e_d:
+            b, d, e_d = d, c, e_c
+            c = b - _INVPHI * (b - a)
+            e_c = energy(c)
+        else:
+            a, c, e_c = c, d, e_d
+            d = a + _INVPHI * (b - a)
+            e_d = energy(d)
+        for f, e in ((c, e_c), (d, e_d)):
+            if e < best_e:
+                best_f, best_e = f, e
+    return FrequencyOpt(float(best_f), float(best_e), True)
 
 
 def scaled_tree(cfg: CircuitConfig, n: int, c_e: float | None = None) -> CircuitConfig:
@@ -408,18 +388,13 @@ def scaling_study(
     c_e_list: Sequence[float],
     alpha_list: Sequence[float],
     spec: SweepSpec | None = None,
-    jobs: int = 1,
 ) -> ScalingTable:
     """Optimal frequency and energies for an n-synapse tree across C_E and
-    loading: every row's ``optimize_frequency`` coarse grid runs in one
-    batch, then each row finishes its search in turn."""
+    loading: one ``optimize_frequency`` per row, in row order."""
     if not c_e_list or not alpha_list:
         raise ValueError("scaling_study: grids must be non-empty")
-    spec = spec or SweepSpec()
     cells = [(float(c_e), float(alpha)) for c_e in c_e_list for alpha in alpha_list]
-    searches = [_Search(scaled_tree(cfg, n, c_e), alpha, spec) for c_e, alpha in cells]
-    coarse = iter(_energies([s.point(f) for s in searches for f in s.grid], spec, jobs))
-    opts = [s.finish([next(coarse) for _ in s.grid]) for s in searches]
+    opts = [optimize_frequency(scaled_tree(cfg, n, c_e), alpha, spec) for c_e, alpha in cells]
     table = ScalingTable(n=n, rows=[
         ScalingRow(c_e, alpha, opt.frequency, opt.energy, cfg.dlcc.e_decision, opt.unimodal)
         for (c_e, alpha), opt in zip(cells, opts)])
@@ -469,7 +444,6 @@ def corner_study(
     corners: Sequence[Corner] | None = None,
     temps: Sequence[float] = (0.0, 25.0, 50.0, 75.0, 100.0),
     spec: SweepSpec | None = None,
-    jobs: int = 1,
 ) -> CornerTable:
     """Energy and functionality across process corners and temperatures,
     driven slightly below the unloaded resonance; every grid point runs
@@ -486,7 +460,7 @@ def corner_study(
     codes = CodeStream(list(orders[0]) * spec.repeats, base.tree.n)
     grid = [(c, float(t)) for c in corners for t in temps]
     points = [(replace(base, env=Environment(corner=c, temperature_c=t)), codes) for c, t in grid]
-    vals = _runs(points, partial(_last_block, block=len(orders[0])), jobs)
+    vals = _runs(points, partial(_last_block, block=len(orders[0])))
     return CornerTable(rows=[CornerRow(c.value, t, *v) for (c, t), v in zip(grid, vals)])
 
 

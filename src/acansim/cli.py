@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 from dataclasses import replace
@@ -259,7 +258,7 @@ def _cmd_run(args, cfg: CircuitConfig, spec: bench.SweepSpec, grids: dict):
     n = cfg.tree.n
     if args.repeats < 1:
         raise ConfigError(f"--repeats: must be >= 1, got {args.repeats}")
-    if args.codes:
+    if args.codes is not None:
         codes = _parse_codes(args.codes, n)
     else:
         if n > 10:
@@ -289,7 +288,7 @@ def _cmd_sweep_freq(args, cfg, spec, grids):
     d_grid = grids.get("d_grid", (0.01, 0.02, 0.05, 0.10))
     if args.load:
         spec = replace(spec, load_case=args.load)
-    surface = bench.sweep_freq_duty(cfg, f_grid, d_grid, spec=spec, jobs=args.jobs)
+    surface = bench.sweep_freq_duty(cfg, f_grid, d_grid, spec=spec)
     return ({"surface_freq_duty.csv": surface},
             surface.as_dict() | {"load_case": spec.load_case})
 
@@ -297,6 +296,8 @@ def _cmd_sweep_freq(args, cfg, spec, grids):
 def _cmd_sweep_width(args, cfg, spec, grids):
     w_grid = grids.get("w_grid", tuple(np.linspace(10e-6, 100e-6, 10)))
     d_grid = grids.get("d_grid", tuple(x / 100 for x in range(1, 11)))
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     surface = bench.sweep_width_duty(cfg, w_grid, d_grid, spec=spec, jobs=args.jobs)
     return {"surface_width_duty.csv": surface}, surface.as_dict()
 
@@ -305,7 +306,7 @@ def _cmd_sweep_scaling(args, cfg, spec, grids):
     n = args.n if args.n is not None else grids.get("n_synapses", 512)
     c_e_grid = grids.get("c_e_grid", (25e-12, 100e-12, 1000e-12))
     alpha_grid = grids.get("alpha_grid", (0.0, 0.5, 1.0))
-    table = bench.scaling_study(cfg, n, c_e_grid, alpha_grid, spec=spec, jobs=args.jobs)
+    table = bench.scaling_study(cfg, n, c_e_grid, alpha_grid, spec=spec)
     return {"scaling.csv": table}, table.as_dict()
 
 
@@ -321,7 +322,7 @@ def _cmd_optimize_freq(args, cfg, spec, grids):
 
 
 def _cmd_corners(args, cfg, spec, grids):
-    table = bench.corner_study(cfg, spec=spec, jobs=args.jobs)
+    table = bench.corner_study(cfg, spec=spec)
     outputs = {r.outputs for r in table.rows}
     summary = table.as_dict()
     summary["spread_by_temperature"] = {
@@ -361,13 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Adiabatic capacitive neuron simulator and benchmarks.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, pooled=False):
+    def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="acansim-out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="scramble seed")
-        if pooled:   # a study that takes ``jobs``
-            p.add_argument("--jobs", type=int, default=None,
-                           help="max concurrent sweep points (default: ACAN_JOBS or 1)")
 
     p = sub.add_parser("run", help="simulate one input sequence")
     common(p)
@@ -376,14 +374,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="emit full waveform CSV")
 
     p = sub.add_parser("sweep-freq", help="energy over (frequency, duty)")
-    common(p, pooled=True)
+    common(p)
     p.add_argument("--load", choices=bench._LOAD_CASES, default=None)
 
     p = sub.add_parser("sweep-width", help="energy over (bypass width, duty)")
-    common(p, pooled=True)
+    common(p)
+    p.add_argument("--jobs", type=int, default=1, help="max concurrent sweep points")
 
     p = sub.add_parser("sweep-scaling", help="optimal frequency and energy vs C_E and loading")
-    common(p, pooled=True)
+    common(p)
     p.add_argument("--n", type=int, default=None, help="synapse count")
 
     p = sub.add_parser("optimize-freq", help="search the optimal drive frequency")
@@ -391,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0, help="loading fraction")
 
     p = sub.add_parser("corners", help="corner/temperature energy grid")
-    common(p, pooled=True)
+    common(p)
 
     p = sub.add_parser("compare", help="adiabatic vs level-driven savings")
     common(p)
@@ -412,13 +411,6 @@ def dispatch(argv: list[str]) -> int:
         doc = _read_doc(args.config)
         cfg = _build_circuit(doc)
         spec, grids = _bench_section(doc, args.seed)
-        if getattr(args, "jobs", 1) is None:   # only the pooled studies take --jobs
-            jobs = os.environ.get("ACAN_JOBS", "1")
-            args.jobs = int(jobs) if jobs.strip().isdecimal() else 0
-            if args.jobs < 1:
-                raise ConfigError(f"ACAN_JOBS: expected an integer >= 1, got {jobs!r}")
-        elif getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         files, summary = _COMMANDS[args.cmd](args, cfg, spec, grids)
         meta = _meta(args, doc, spec.seed)
         emit_outputs(args.out, files | {"summary.json": summary | meta}, meta)

@@ -801,7 +801,8 @@ def _cycle_layout(stream: CodeStream, c_s: Sequence[float], warm: int,
     (code, flag), one plan each, and their ``_Layout``, whose gate rows
     are the stream's table."""
     full = np.concatenate((np.zeros(warm, dtype=stream.index.dtype), stream.index))
-    recal = np.arange(full.size) % recal_every == 0
+    # a period past the run gives the same flags and keeps the modulus in int64
+    recal = np.arange(full.size) % min(recal_every, full.size) == 0
     first, plan_of = first_seen(2 * full + recal)
     return tuple(recal[first].tolist()), _layout(c_s, stream.bits, full[first], plan_of)
 

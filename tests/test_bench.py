@@ -184,29 +184,34 @@ def test_sweep_freq_duty_takes_the_load_case_from_the_spec():
 _SHORT = SweepSpec(cycles=32, skip=8, window=16, repeats=2)
 
 
-@pytest.mark.parametrize("study, args, spec", [
-    (sweep_freq_duty, ([0.96e6, 1.0e6], [0.05]), _FAST),
-    (sweep_width_duty, ([30e-6, 60e-6], [0.05]), _SHORT),
-    (corner_study, ([Corner.TT, Corner.SS], (25.0,)), _SHORT),
-    (scaling_study, (16, [25e-12], [0.0, 1.0]), _FAST),
-], ids=["sweep_freq_duty", "sweep_width_duty", "corner_study", "scaling_study"])
-def test_process_pool_matches_serial(study, args, spec):
-    # every driver that takes jobs gives the serial result exactly
-    serial = study(CircuitConfig(), *args, spec=spec, jobs=1)
-    pooled = study(CircuitConfig(), *args, spec=spec, jobs=2)
+def test_process_pool_matches_serial():
+    # sweep_width_duty, the one driver that takes jobs, gives the serial
+    # result exactly
+    args = (CircuitConfig(), [30e-6, 60e-6], [0.05])
+    serial = sweep_width_duty(*args, spec=_SHORT, jobs=1)
+    pooled = sweep_width_duty(*args, spec=_SHORT, jobs=2)
     assert pooled.as_dict() == serial.as_dict()
 
 
 def test_a_pooled_study_pickles_its_stream_once_per_worker(monkeypatch):
-    # the pool sends each worker one chunk of points, so the study's one
-    # stream is pickled once per chunk, not once per point
+    # the pool sends each worker one chunk of points, so each of the five
+    # order streams is pickled once per chunk (10), not once per point (20)
     pickles = []
     getstate = CodeStream.__getstate__
     monkeypatch.setattr(CodeStream, "__getstate__", lambda self: pickles.append(1) or getstate(self))
-    table = corner_study(CircuitConfig(), corners=[Corner.FF, Corner.TT, Corner.SS],
-                         temps=(25.0, 50.0), spec=_SHORT, jobs=2)
-    assert len(table.rows) == 6
-    assert len(pickles) == 2
+    surface = sweep_width_duty(CircuitConfig(), [30e-6, 60e-6], [0.02, 0.05], spec=_SHORT, jobs=2)
+    assert surface.energy.shape == (2, 2)
+    assert len(pickles) == 10
+
+
+def test_a_scaling_row_is_its_frequency_search():
+    cfg = CircuitConfig()
+    table = scaling_study(cfg, 16, [25e-12, 1e-9], [0.0, 1.0], spec=_FAST)
+    assert [(r.c_e, r.alpha) for r in table.rows] == [
+        (25e-12, 0.0), (25e-12, 1.0), (1e-9, 0.0), (1e-9, 1.0)]
+    for row in table.rows:
+        opt = optimize_frequency(scaled_tree(cfg, 16, row.c_e), row.alpha, spec=_FAST)
+        assert (row.f_opt, row.s_e, row.unimodal) == tuple(opt)
 
 
 def test_sweep_width_duty_surface(tmp_path):

@@ -160,6 +160,9 @@ def _error_exit(argv, capsys) -> str:
 def test_run_rejects_bad_codes(tmp_path, capsys):
     out = str(tmp_path / "x")
     _error_exit(["run", "--codes", "110", "--out", out], capsys)
+    # an empty list is refused, not read as no list
+    err = _error_exit(["run", "--codes", "", "--out", out], capsys)
+    assert err == "error: --codes: '' is not a 4-bit binary string\n"
     for repeats in ("0", "-1"):
         err = _error_exit(["run", "--codes", "1100", "--repeats", repeats, "--out", out], capsys)
         assert "--repeats" in err
@@ -176,32 +179,29 @@ def test_negative_seed_is_refused_by_name(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("env, jobs, message", [
-    ("x", None, "ACAN_JOBS: expected an integer >= 1, got 'x'"),
-    ("0", None, "ACAN_JOBS: expected an integer >= 1, got '0'"),
-    ("-2", None, "ACAN_JOBS: expected an integer >= 1, got '-2'"),
-    ("2", "0", "--jobs: must be >= 1, got 0"),
-    (None, "-5", "--jobs: must be >= 1, got -5"),
-])
-def test_bad_job_counts_are_refused_by_name(tmp_path, capsys, monkeypatch, env, jobs, message):
-    if env is None:
-        monkeypatch.delenv("ACAN_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("ACAN_JOBS", env)
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_bad_job_counts_are_refused_by_name(tmp_path, capsys, jobs):
     out = tmp_path / "x"
-    argv = ["corners", "--out", str(out)] + ([f"--jobs={jobs}"] if jobs else [])
-    assert _error_exit(argv, capsys) == f"error: {message}\n"
+    argv = ["sweep-width", f"--jobs={jobs}", "--out", str(out)]
+    assert _error_exit(argv, capsys) == f"error: --jobs: must be >= 1, got {jobs}\n"
     assert not out.exists()
 
 
-def test_only_pooled_studies_take_a_job_count(tmp_path, capsys, monkeypatch):
-    # run, compare and optimize-freq run no pool: they read no ACAN_JOBS
-    # and have no --jobs flag
-    monkeypatch.setenv("ACAN_JOBS", "x")
-    assert dispatch(["run", "--codes", "1100", "--out", str(tmp_path / "run")]) == 0
-    assert dispatch(["optimize-freq", "--jobs", "3", "--out", str(tmp_path / "opt")]) == 2
-    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
-    assert not (tmp_path / "opt").exists()
+@pytest.mark.parametrize("cmd", [
+    "run", "compare", "optimize-freq", "sweep-freq", "corners", "sweep-scaling"])
+def test_only_pooled_studies_take_a_job_count(tmp_path, capsys, cmd):
+    # sweep-width alone runs a process pool; no other subcommand has --jobs
+    out = tmp_path / "x"
+    assert dispatch([cmd, "--jobs", "2", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_takes_a_recalibration_period_past_int64(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sim": {"recal_every": 10**30}}))
+    argv = ["run", "--codes", "1100,0011", "--config", str(path), "--out", str(tmp_path / "x")]
+    assert dispatch(argv) == 0
 
 
 def test_run_refuses_giant_full_sweep(tmp_path, capsys):

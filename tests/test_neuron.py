@@ -755,6 +755,15 @@ def test_one_stream_serves_every_operating_point(monkeypatch):
     assert laid_out == []
 
 
+def test_a_recalibration_period_past_int64_runs_as_a_long_one():
+    # any period past the run forces cycle 0 only; one of 2**63 or more
+    # must not overflow the modulus of the cycle index
+    base = tune_inductor(CircuitConfig())
+    got, want = (run_neuron(replace(base, sim=replace(base.sim, recal_every=k)), _CODES)
+                 for k in (2**63, 10**6))
+    _assert_identical(got, want)
+
+
 @pytest.mark.parametrize("design", ["adiabatic", "baseline"])
 def test_a_stream_and_its_runs_share_read_only_arrays(design):
     cfg = tune_inductor(CircuitConfig())
