@@ -29,6 +29,7 @@ from .model import (
     SynapseTreeConfig,
     active_count,
     check_ranges,
+    keyed,
     predicted_optimal_frequency,
     sweep_lock_frequency,
     tune_inductor,
@@ -48,12 +49,12 @@ _F_BELOW_RESONANCE = 0.977
 class SweepSpec:
     """Protocol knobs shared by the parametric studies."""
 
-    cycles: int = within("[1, inf)", 600)    # simulated cycles per grid point
-    skip: int = within("[0, inf)", 200)      # startup cycles dropped before windowing
-    window: int = within("[1, inf)", 20)     # sliding-window length, cycles
-    repeats: int = within("[1, inf)", 8)     # sweep repetitions per input order
-    seed: int = within("[0, inf)", 0)        # scramble seed for input orders
-    load_case: str = "all-0"
+    cycles: int = within("[1, inf)", 600, "cycles")     # simulated cycles per grid point
+    skip: int = within("[0, inf)", 200, "skip")         # startup cycles dropped before windowing
+    window: int = within("[1, inf)", 20, "window")      # sliding-window length, cycles
+    repeats: int = within("[1, inf)", 8, "repeats")     # sweep repetitions per input order
+    seed: int = within("[0, inf)", 0, "seed")           # scramble seed for input orders
+    load_case: str = keyed("load_case", "all-0")
 
     def __post_init__(self) -> None:
         check_ranges(self, "bench")

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,16 +21,7 @@ import numpy as np
 from . import __version__
 from . import bench
 from .engine import SimulationError
-from .model import (
-    CircuitConfig,
-    Corner,
-    DlccConfig,
-    Environment,
-    PowerClockConfig,
-    SimConfig,
-    SynapseTreeConfig,
-    predicted_optimal_frequency,
-)
+from .model import CircuitConfig, Corner, predicted_optimal_frequency
 from .neuron import input_sweeps, run_neuron
 
 
@@ -79,19 +70,6 @@ def parse_quantity(value, field: str = "value") -> float:
     raise ConfigError(f"{field}: unknown unit suffix {suffix!r} in {value!r}")
 
 
-def _take(section: dict, name: str, allowed: dict) -> dict:
-    """Pop known keys, mapping config names to constructor kwargs."""
-    out = {}
-    for key in list(section):
-        if key not in allowed:
-            raise ConfigError(
-                f"{name}.{key}: unknown field (expected one of {sorted(allowed)})")
-    for key, (kwarg, conv) in allowed.items():
-        if key in section:
-            out[kwarg] = conv(section[key], f"{name}.{key}")
-    return out
-
-
 def _int(v, field):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{field}: expected an integer, got {v!r}")
@@ -112,47 +90,36 @@ def _corner(v, field):
             f"{field}: unknown corner {v!r} (expected one of {[c.value for c in Corner]})") from None
 
 
+# field kind (its annotation) -> converter; any other field is a quantity
+_CONVERTERS = {
+    "int": _int,
+    "tuple[float, ...]": _num_list,
+    "Corner": _corner,
+    "str": lambda v, _: str(v),
+}
+# the circuit's sections (pc, tree, dlcc, env, sim) -> their config classes
+_PARTS = {f.name: f.default_factory for f in fields(CircuitConfig)}
+_SECTIONS = (*_PARTS, "bench")
+
+
+def _read_section(section: dict, name: str, cls) -> dict:
+    """Constructor kwargs for config class ``cls`` from its JSON section:
+    every field that declares a key, converted by the field's kind."""
+    by_key = {f.metadata["key"]: f for f in fields(cls) if f.metadata.get("key")}
+    for key in section:
+        if key not in by_key:
+            raise ConfigError(
+                f"{name}.{key}: unknown field (expected one of {sorted(by_key)})")
+    return {f.name: _CONVERTERS.get(f.type, parse_quantity)(section[key], f"{name}.{key}")
+            for key, f in by_key.items() if key in section}
+
+
 def _build_circuit(doc: dict) -> CircuitConfig:
-    pc_kw = _take(doc.get("pc", {}), "pc", {
-        "L_PC": ("l_pc", parse_quantity), "C_E": ("c_e", parse_quantity),
-        "V_dc": ("v_dc", parse_quantity), "W_n": ("w_n", parse_quantity),
-        "D": ("duty_d", parse_quantity), "f_nominal": ("f_nominal", parse_quantity),
-    })
-    tree_kw = _take(doc.get("tree", {}), "tree", {
-        "C_s": ("c_s", _num_list), "C_d": ("c_d", parse_quantity),
-        "C_par": ("c_par", parse_quantity), "R_TG": ("r_tg_nominal", parse_quantity),
-        "C_inv": ("c_inv", parse_quantity), "C_sh": ("c_sh", parse_quantity),
-        "C_pl_on": ("c_pl_on", parse_quantity), "C_pl_off": ("c_pl_off", parse_quantity),
-        "C_pr": ("c_pr", parse_quantity), "V_REF": ("v_ref", parse_quantity),
-        "R_reset": ("r_reset", parse_quantity),
-    })
-    dlcc_kw = _take(doc.get("dlcc", {}), "dlcc", {
-        "M_L": ("m_l", parse_quantity), "M_R": ("m_r", parse_quantity),
-        "V_TH": ("v_th", parse_quantity), "V_dd": ("v_dd", parse_quantity),
-        "E_decision": ("e_decision", parse_quantity),
-    })
-    env_kw = _take(doc.get("env", {}), "env", {
-        "corner": ("corner", _corner), "temperature_C": ("temperature_c", parse_quantity),
-    })
-    sim_kw = _take(doc.get("sim", {}), "sim", {
-        "steps_per_cycle": ("steps_per_cycle", _int),
-        "startup_discard_cycles": ("startup_discard_cycles", _int),
-        "recal_every": ("recal_every", _int),
-        "trace_stride": ("trace_stride", _int),
-    })
+    kw = {name: _read_section(doc.get(name, {}), name, cls) for name, cls in _PARTS.items()}
     try:
-        return CircuitConfig(
-            pc=PowerClockConfig(**pc_kw),
-            tree=SynapseTreeConfig(**tree_kw),
-            dlcc=DlccConfig(**dlcc_kw),
-            env=Environment(**env_kw),
-            sim=SimConfig(**sim_kw),
-        )
+        return CircuitConfig(**{name: cls(**kw[name]) for name, cls in _PARTS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-_TOP_SECTIONS = ("pc", "tree", "dlcc", "env", "sim", "bench")
 
 
 def _read_doc(path: str | None) -> dict:
@@ -168,34 +135,23 @@ def _read_doc(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
     for key in doc:
-        if key not in _TOP_SECTIONS:
+        if key not in _SECTIONS:
             raise ConfigError(
-                f"config.{key}: unknown section (expected one of {list(_TOP_SECTIONS)})")
+                f"config.{key}: unknown section (expected one of {list(_SECTIONS)})")
         if not isinstance(doc[key], dict):
             raise ConfigError(f"config.{key}: must be an object")
     return doc
 
 
-def load_config(path: str | None) -> CircuitConfig:
-    """Circuit config from a JSON file; `{}` or a missing path gives the
-    reference scenario (1 mH, 25 pF, 5% duty at 1 MHz, four 1 pF synapses)."""
-    return _build_circuit(_read_doc(path))
-
-
 def _bench_section(doc: dict, seed: int | None) -> tuple[bench.SweepSpec, dict]:
     raw = dict(doc.get("bench", {}))
     grids = {}
-    for key, conv in (("f_grid", _num_list), ("d_grid", _num_list), ("w_grid", _num_list),
-                      ("c_e_grid", _num_list), ("alpha_grid", _num_list)):
+    for key in ("f_grid", "d_grid", "w_grid", "c_e_grid", "alpha_grid"):
         if key in raw:
-            grids[key] = conv(raw.pop(key), f"bench.{key}")
+            grids[key] = _num_list(raw.pop(key), f"bench.{key}")
     if "n_synapses" in raw:
         grids["n_synapses"] = _int(raw.pop("n_synapses"), "bench.n_synapses")
-    kw = _take(raw, "bench", {
-        "cycles": ("cycles", _int), "skip": ("skip", _int), "window": ("window", _int),
-        "repeats": ("repeats", _int), "seed": ("seed", _int),
-        "load_case": ("load_case", lambda v, f: str(v)),
-    })
+    kw = _read_section(raw, "bench", bench.SweepSpec)
     if seed is not None:
         kw["seed"] = seed
     try:

@@ -5,7 +5,8 @@ engine and the benchmarking layer, plus the small closed-form operations
 (resonance, effective capacitances, analytic energy estimates) that serve
 as independent cross-checks on the simulator.  Each numeric config field
 declares its admissible interval beside its default (``within``), and
-every config checks them all when built (``check_ranges``).
+every config checks them all when built (``check_ranges``).  A field read
+from JSON configs declares its key there too; one without is Python-only.
 
 Conventions: every quantity is in base SI units (F, H, V, s, Ohm, m).
 """
@@ -61,10 +62,16 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def within(interval: str, default):
+def within(interval: str, default, key: str | None = None):
     """Dataclass field whose value must lie in ``interval``, written in
-    interval notation: "(0, inf)", "[0, inf)", "(0, 0.5]", "[-40, 150]"."""
-    return field(default=default, metadata={"interval": interval})
+    interval notation: "(0, inf)", "[0, inf)", "(0, 0.5]", "[-40, 150]";
+    ``key`` names it in JSON configs."""
+    return field(default=default, metadata={"interval": interval, "key": key})
+
+
+def keyed(key: str, default):
+    """Dataclass field with no declared range, named ``key`` in JSON configs."""
+    return field(default=default, metadata={"key": key})
 
 
 def require_within(name: str, value, interval: str) -> None:
@@ -89,8 +96,8 @@ def check_ranges(cfg, section: str) -> None:
 class Environment:
     """Operating point: process corner and die temperature."""
 
-    corner: Corner = Corner.TT
-    temperature_c: float = within("[-40, 150]", 25.0)
+    corner: Corner = keyed("corner", Corner.TT)
+    temperature_c: float = within("[-40, 150]", 25.0, "temperature_C")
 
     def __post_init__(self) -> None:
         if not isinstance(self.corner, Corner):
@@ -107,14 +114,14 @@ class PowerClockConfig:
     """Resonant single-phase power clock: DC feed, inductor, tank capacitor,
     and the nMOS bypass switch that tops the oscillation up once per cycle."""
 
-    l_pc: float = within("(0, inf)", 1e-3)        # feed inductor, H
-    c_e: float = within("(0, inf)", 25e-12)       # explicit tank capacitor at the clock node, F
-    v_dc: float = within("(0, inf)", 0.9)         # DC feed voltage, V (half the logic supply)
-    w_n: float = within("(0, inf)", 30e-6)        # bypass switch width, m
+    l_pc: float = within("(0, inf)", 1e-3, "L_PC")      # feed inductor, H
+    c_e: float = within("(0, inf)", 25e-12, "C_E")      # explicit tank capacitor at the clock node, F
+    v_dc: float = within("(0, inf)", 0.9, "V_dc")       # DC feed voltage, V (half the logic supply)
+    w_n: float = within("(0, inf)", 30e-6, "W_n")       # bypass switch width, m
     # bypass on-time as a fraction of the cycle; it ends before the
     # mid-cycle decision sample
-    duty_d: float = within("(0, 0.5)", 0.05)
-    f_nominal: float = within("(0, inf)", 1e6)    # design/operating clock frequency, Hz
+    duty_d: float = within("(0, 0.5)", 0.05, "D")
+    f_nominal: float = within("(0, inf)", 1e6, "f_nominal")  # design/operating clock frequency, Hz
     # resonator quality factor; sets the LC series loss (inf: lossless loop)
     q_lc: float = within("(0, inf]", 630.0)
 
@@ -142,17 +149,17 @@ class SynapseTreeConfig:
     switch restores the membrane to V_REF.
     """
 
-    c_s: tuple[float, ...] = (1e-12, 1e-12, 1e-12, 1e-12)
-    c_d: float | None = None      # divider capacitor; defaults to sum(c_s)
-    c_par: float = within("[0, inf)", 0.5e-12)        # membrane wiring parasitic, F
-    r_tg_nominal: float = within("(0, inf)", 5e3)     # transmission-gate on-resistance at TT/25C
-    c_inv: float = within("[0, inf)", 2e-15)          # gate-driver input capacitance per synapse
-    c_sh: float = within("[0, inf)", 1.5e-15)         # shunt across an open gate, clock side
-    c_pl_on: float = within("[0, inf)", 3e-15)        # clock-node plate parasitic, gate on
-    c_pl_off: float = within("[0, inf)", 2e-15)       # clock-node plate parasitic, gate off
-    c_pr: float = within("[0, inf)", 3e-15)           # membrane-side gate parasitic, gate on
-    v_ref: float = within("[0, inf)", 0.7)            # membrane resting voltage, V
-    r_reset: float = within("(0, inf)", 1e3)          # reset switch on-resistance, Ohm
+    c_s: tuple[float, ...] = keyed("C_s", (1e-12, 1e-12, 1e-12, 1e-12))
+    c_d: float | None = keyed("C_d", None)                   # divider capacitor; defaults to sum(c_s)
+    c_par: float = within("[0, inf)", 0.5e-12, "C_par")      # membrane wiring parasitic, F
+    r_tg_nominal: float = within("(0, inf)", 5e3, "R_TG")    # transmission-gate on-resistance at TT/25C
+    c_inv: float = within("[0, inf)", 2e-15, "C_inv")        # gate-driver input capacitance per synapse
+    c_sh: float = within("[0, inf)", 1.5e-15, "C_sh")        # shunt across an open gate, clock side
+    c_pl_on: float = within("[0, inf)", 3e-15, "C_pl_on")    # clock-node plate parasitic, gate on
+    c_pl_off: float = within("[0, inf)", 2e-15, "C_pl_off")  # clock-node plate parasitic, gate off
+    c_pr: float = within("[0, inf)", 3e-15, "C_pr")          # membrane-side gate parasitic, gate on
+    v_ref: float = within("[0, inf)", 0.7, "V_REF")          # membrane resting voltage, V
+    r_reset: float = within("(0, inf)", 1e3, "R_reset")      # reset switch on-resistance, Ohm
 
     def __post_init__(self) -> None:
         _require(len(self.c_s) >= 1, "tree.c_s: need at least one synapse")
@@ -178,11 +185,12 @@ class SynapseTreeConfig:
 class DlccConfig:
     """Behavioral comparator (dynamic latch with resistive offset trim)."""
 
-    m_l: float = within("(0, inf)", 10e3)           # left trim resistance, Ohm
-    m_r: float = within("(0, inf)", 10e3)           # right trim resistance, Ohm
-    v_th: float = within("(-inf, inf)", 1.1)        # nominal decision threshold, V
-    v_dd: float = within("(0, inf)", 1.8)           # logic supply, V
-    e_decision: float = within("[0, inf)", 4.49e-12)  # fixed energy per clocked decision, J
+    m_l: float = within("(0, inf)", 10e3, "M_L")        # left trim resistance, Ohm
+    m_r: float = within("(0, inf)", 10e3, "M_R")        # right trim resistance, Ohm
+    v_th: float = within("(-inf, inf)", 1.1, "V_TH")    # nominal decision threshold, V
+    v_dd: float = within("(0, inf)", 1.8, "V_dd")       # logic supply, V
+    # fixed energy per clocked decision, J
+    e_decision: float = within("[0, inf)", 4.49e-12, "E_decision")
 
     def __post_init__(self) -> None:
         check_ranges(self, "dlcc")
@@ -192,10 +200,11 @@ class DlccConfig:
 class SimConfig:
     """Integration and run-protocol controls."""
 
-    steps_per_cycle: int = within("[256, inf)", 4096)
-    startup_discard_cycles: int = within("[0, inf)", 8)
-    recal_every: int = within("[1, inf)", 16)     # force a membrane reset every Nth cycle
-    trace_stride: int = within("[1, inf)", 8)     # record every Nth integration step
+    steps_per_cycle: int = within("[256, inf)", 4096, "steps_per_cycle")
+    startup_discard_cycles: int = within("[0, inf)", 8, "startup_discard_cycles")
+    # force a membrane reset every Nth cycle
+    recal_every: int = within("[1, inf)", 16, "recal_every")
+    trace_stride: int = within("[1, inf)", 8, "trace_stride")  # record every Nth integration step
 
     def __post_init__(self) -> None:
         check_ranges(self, "sim")

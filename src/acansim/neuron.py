@@ -638,7 +638,7 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
     rows' packed bytes.  Raises ValueError on a stream that is not
     iterable, and, naming the code, on an empty stream, a code that is not
     a sequence (a bare bit, say) or not n bits long, or a bit that is not
-    a finite number (a string or NaN, say).
+    a finite number (a string, NaN or a list, say).
     """
     bad = None   # what is wrong with the first code that is no sequence of n bits
     if isinstance(codes, np.ndarray) and codes.ndim == 2:
@@ -672,7 +672,11 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
                 except TypeError:
                     bad = f"code {len(raw_of)} is not a sequence of bits"
                     break
-                i = by_raw.get(key)
+                try:
+                    i = by_raw.get(key)
+                except TypeError:   # a bit that is itself a list or an array
+                    bad = f"code {len(raw_of)} has a bit that is not a finite number"
+                    break
                 if i is None:
                     if len(key) != n:
                         bad = f"code {len(raw_of)} has {len(key)} bits, tree has {n} synapses"

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from acansim import CircuitConfig
-from acansim.cli import ConfigError, dispatch, load_config, parse_quantity
+from acansim.cli import ConfigError, _build_circuit, _read_doc, dispatch, parse_quantity
+
+
+def load_config(path: str | None) -> CircuitConfig:
+    """Circuit config from a JSON file; `{}` or a missing path gives the
+    reference scenario (1 mH, 25 pF, 5% duty at 1 MHz, four 1 pF synapses)."""
+    return _build_circuit(_read_doc(path))
 
 
 def test_parse_quantity_suffixes():

@@ -554,6 +554,9 @@ def _run(design, cfg, codes):
      "code 2 has a bit that is not a finite number"),
     ([(1, 0, 0, 0), (1, None, 0, 0)], "code 1 has a bit that is not a finite number"),
     ([((1,), (0,), (0,), (1,))], "code 0 has a bit that is not a finite number"),
+    # bits that are lists or arrays, which no hash key can hold
+    ([[[0], [1], [0], [1]]], "code 0 has a bit that is not a finite number"),
+    (np.zeros((5, 4, 1)), "code 0 has a bit that is not a finite number"),
     # one code given bare: each bit is a code, and no sequence
     ([1, 0, 1, 0], "code 0 is not a sequence of bits"),
     (np.array([1, 0, 1, 0]), "code 0 is not a sequence of bits"),
