@@ -5,6 +5,7 @@ import json
 import pytest
 
 from acansim import CircuitConfig
+from artifact_golden import GOLDEN, check, load_json, slug
 from acansim.cli import ConfigError, _build_circuit, _read_doc, dispatch, parse_quantity
 
 
@@ -142,16 +143,19 @@ _RERUNS = [
 @pytest.mark.parametrize("argv, data", _RERUNS, ids=[" ".join(argv) for argv, _ in _RERUNS])
 def test_run_artifacts_are_deterministic(tmp_path, argv, data):
     # two reruns of one config and seed write byte-identical data files
-    # and summary.json; only the manifest carries wall-clock values
+    # and summary.json; only the manifest carries wall-clock values.  The
+    # first run matches its golden (tests/artifact_golden.py), and every
+    # JSON file it writes is strict JSON, with no Infinity or NaN
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"bench": _TINY_BENCH}))
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert dispatch(argv + ["--seed", "0", "--config", str(path), "--out", str(out)]) == 0
-    manifest = json.loads((a / "manifest.json").read_text())
+    manifest = load_json(a / "manifest.json")
     assert manifest["outputs"] == sorted(data + ["summary.json"])
     for name in data + ["summary.json"]:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert check(a, data + ["summary.json"], GOLDEN / slug(argv)) == []
 
 
 def _error_exit(argv, capsys) -> str:
