@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .baseline import BaselineConfig, run_baseline
-from .engine import SimulationError, write_csv
+from .engine import SimulationError
 from .model import (
     CircuitConfig,
     Corner,
@@ -141,10 +141,8 @@ def _last_block(run: NeuronRun, block: int) -> tuple[float, float, str, bool]:
 
 @dataclass
 class Surface:
-    """Energy per grid point over two swept parameters."""
+    """Energy per grid point over a swept parameter x (SI units) and duty y."""
 
-    x_name: str                 # "f_Hz" or "W_um"
-    y_name: str                 # "duty"
     x: tuple[float, ...]
     y: tuple[float, ...]
     energy: np.ndarray          # shape (len(x), len(y)), joules
@@ -160,25 +158,6 @@ class Surface:
         """(x, y, energy) of the grid minimum."""
         ix, iy = np.unravel_index(int(np.argmin(self.energy)), self.energy.shape)
         return self.x[ix], self.y[iy], float(self.energy[ix, iy])
-
-    def _x_csv(self, v: _T) -> _T:
-        # x as the CSV and the summary give it: widths in micrometres
-        return v / 1e-6 if self.x_name == "W_um" else v
-
-    def to_csv(self, path: str) -> None:
-        write_csv(path, {self.x_name: np.repeat(self._x_csv(np.asarray(self.x)), len(self.y)),
-                         self.y_name: np.tile(self.y, len(self.x)), "energy_J": self.energy.ravel()})
-
-    def as_dict(self) -> dict:
-        ax, ay, ae = self.argmin
-        return {
-            "x_name": self.x_name,
-            "y_name": self.y_name,
-            "x": [float(self._x_csv(v)) for v in self.x],
-            "y": [float(v) for v in self.y],
-            "energy_J": [[float(v) for v in row] for row in self.energy],
-            "argmin": {self.x_name: self._x_csv(ax), self.y_name: ay, "energy_J": ae},
-        }
 
 
 def sweep_freq_duty(
@@ -203,7 +182,7 @@ def sweep_freq_duty(
               for f in f_grid for d in d_grid]
     vals = _runs(points, partial(_worst_window, skip=spec.skip, window=spec.window))
     energy = np.array(vals).reshape(len(f_grid), len(d_grid))
-    return Surface("f_Hz", "duty", tuple(float(v) for v in f_grid),
+    return Surface(tuple(float(v) for v in f_grid),
                    tuple(float(v) for v in d_grid), energy)
 
 
@@ -234,7 +213,7 @@ def sweep_width_duty(
     k = len(streams)
     energy = np.array([max(-math.inf, *means[i:i + k]) for i in range(0, len(means), k)])
     energy = energy.reshape(len(w_grid), len(d_grid))
-    return Surface("W_um", "duty", tuple(float(v) for v in w_grid),
+    return Surface(tuple(float(v) for v in w_grid),
                    tuple(float(v) for v in d_grid), energy)
 
 
@@ -368,20 +347,6 @@ class ScalingTable:
                         f"scaling table: f_opt rises with alpha at C_E={c_e}: "
                         f"{lo.f_opt} -> {hi.f_opt}")
 
-    def to_csv(self, path: str) -> None:
-        rows = self.as_dict()["rows"]   # in the summary's units; unimodal stays out
-        write_csv(path, {k: [r[k] for r in rows]
-                         for k in ("C_E_pF", "alpha", "f_opt_Hz", "S_E_pJ", "N_E_pJ")})
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [{
-                "C_E_pF": r.c_e * 1e12, "alpha": r.alpha, "f_opt_Hz": r.f_opt,
-                "S_E_pJ": r.s_e * 1e12, "N_E_pJ": r.n_e * 1e12, "unimodal": r.unimodal,
-            } for r in self.rows],
-        }
-
 
 def scaling_study(
     cfg: CircuitConfig,
@@ -426,19 +391,6 @@ class CornerTable:
             by_t.setdefault(r.temperature_c, []).append(r.e_tree)
         return {t: (max(v) - min(v)) / float(np.mean(v)) for t, v in sorted(by_t.items())}
 
-    def to_csv(self, path: str) -> None:
-        write_csv(path, {"corner": [r.corner for r in self.rows],
-                         "temp_C": [r.temperature_c for r in self.rows],
-                         "E_tree_J": [r.e_tree for r in self.rows],
-                         "E_soma_J": [r.e_soma for r in self.rows],
-                         "outputs_ok": [int(r.outputs_ok) for r in self.rows]})
-
-    def as_dict(self) -> dict:
-        return {"rows": [{
-            "corner": r.corner, "temp_C": r.temperature_c, "E_tree_J": r.e_tree,
-            "E_soma_J": r.e_soma, "outputs": r.outputs, "outputs_ok": r.outputs_ok,
-        } for r in self.rows]}
-
 
 def corner_study(
     cfg: CircuitConfig,
@@ -479,23 +431,6 @@ class SavingsReport:
     adiabatic_ratio: float | None = None
     baseline_ratio: float | None = None
 
-    def as_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return None
-            return v
-        d = {
-            "mode": self.mode, "f_Hz": self.f_hz, "duty": self.duty,
-            "adiabatic_J": {k: clean(v) for k, v in self.adiabatic.items()},
-            "baseline_J": {k: clean(v) for k, v in self.baseline.items()},
-            "savings": clean(self.savings),
-        }
-        if self.loading is not None:
-            d["loading"] = [{k: clean(v) for k, v in row.items()} for row in self.loading]
-            d["adiabatic_ratio"] = clean(self.adiabatic_ratio)
-            d["baseline_ratio"] = clean(self.baseline_ratio)
-        return d
-
 
 def _ratio(num: float, den: float) -> float:
     if den == 0.0:
@@ -519,7 +454,7 @@ def compare_designs(
     present/clear pulse train on the level-driven side, for large trees
     where a full code sweep is meaningless.  An idle level-driven tree
     books only round-off, which counts as zero: its ratio is then
-    infinite and ``as_dict`` reports it as null.
+    infinite, and the artifacts write it as null.
     """
     spec = spec or SweepSpec()
     if mode == "sweep":

@@ -1,8 +1,10 @@
 """Batch front-end: JSON configs in, CSV/JSON artifacts out.
 
 Config values accept SI-suffixed strings ("25pF", "1mH", "1.8V", "5%");
-bare numbers are base SI units.  Data files are byte-deterministic for a
-fixed config and seed; wall-clock timestamps go only to the manifest.
+bare numbers are base SI units.  The studies return data only: this module
+alone names every artifact, its columns, units and summary keys.  Data
+files are byte-deterministic for a fixed config and seed; wall-clock
+timestamps go only to the manifest.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +26,7 @@ from . import __version__
 from . import bench
 from .engine import SimulationError
 from .model import CircuitConfig, Corner, predicted_optimal_frequency
-from .neuron import input_sweeps, run_neuron
+from .neuron import NeuronRun, Trace, input_sweeps, run_neuron
 
 
 class ConfigError(ValueError):
@@ -160,8 +164,42 @@ def _bench_section(doc: dict, seed: int | None) -> tuple[bench.SweepSpec, dict]:
         raise ConfigError(str(exc)) from None
 
 
+# rows that ``write_csv`` formats at a time: each row held as Python objects
+# costs ~0.5 kB, so larger chunks raise a trace export's peak memory
+CSV_CHUNK = 512
+
+
+def write_csv(path: Path | str, columns: dict[str, np.ndarray | list]) -> None:
+    """Write one CSV data file from named columns: the header names, then
+    one line per row.  Each column is a 1-D array or a list, all of one
+    length (ValueError otherwise).  Rows are formatted ``CSV_CHUNK`` at a
+    time with one template for the chunk, every cell as ``str`` of its
+    Python value (an array's chunk goes through ``tolist()``), so a float
+    cell, numpy float64 included, is its ``repr`` and reads back exactly."""
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"write_csv: columns have different lengths {sorted(lengths)}")
+    line = ",".join(["{!s}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for k in range(0, max(lengths, default=0), CSV_CHUNK):
+            chunk = [c[k:k + CSV_CHUNK] for c in columns.values()]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            fh.write((line * len(chunk[0])).format(*chain.from_iterable(zip(*chunk))))
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # a non-finite float is written as null: every JSON file is strict JSON
+    path.write_text(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _config_hash(doc: dict) -> str:
@@ -169,25 +207,19 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def emit_outputs(out_dir: str, files: dict[str, object], meta: dict) -> list[str]:
+def emit_outputs(out_dir: str, files: dict[str, object], meta: dict) -> None:
     """Write data files and summary.json, then the manifest.  `files` maps
-    file names to either ready CSV writers (objects with to_csv) or JSON
-    payloads; data outputs carry no timestamps."""
+    a ``*.csv`` name to its named columns (``write_csv``) and any other
+    name to a JSON value; data outputs carry no timestamps."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for name, payload in files.items():
-        path = out / name
-        if hasattr(payload, "to_csv") and name.endswith(".csv"):
-            payload.to_csv(str(path))
+        if name.endswith(".csv"):
+            write_csv(out / name, payload)
         else:
-            _write_json(path, payload)
-        written.append(name)
-    manifest = dict(meta)
-    manifest["outputs"] = sorted(written)
-    manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
-    _write_json(out / "manifest.json", manifest)
-    return written + ["manifest.json"]
+            _write_json(out / name, payload)
+    _write_json(out / "manifest.json", meta | {
+        "outputs": sorted(files), "created_utc": datetime.now(timezone.utc).isoformat()})
 
 
 def _meta(args, doc: dict, seed: int) -> dict:
@@ -208,6 +240,36 @@ def _parse_codes(text: str, n: int) -> list[tuple[int, ...]]:
             raise ConfigError(f"--codes: {part!r} is not a {n}-bit binary string")
         codes.append(tuple(int(ch) for ch in part))
     return codes
+
+
+def _rows(columns: dict[str, list]) -> list[dict]:
+    """The rows of named columns, each a dict from name to cell."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def _run_columns(run: NeuronRun) -> dict:
+    """``neuron_run.csv``: one row per reported cycle, its code named by
+    one digit per bit."""
+    names = ["".join(map(str, code)) for code in run.table]
+    return {"cycle": np.arange(run.index.size), "code": [names[i] for i in run.index.tolist()],
+            "V_m_peak": run.stats.v_m_peak, "OutP": run.outputs, "delay_ns": run.delays * 1e9,
+            "E_tree_pJ": run.ledger.s_e * 1e12, "E_soma_pJ": run.ledger.soma * 1e12}
+
+
+def _trace_columns(trace: Trace) -> dict:
+    """``trace.csv``: one row per waveform sample."""
+    return {"t": trace.t, "I_L": trace.i_l, "V_PC": trace.v_pc, "V_s": trace.v_s, "V_m": trace.v_m}
+
+
+def _surface_artifacts(surface: bench.Surface, name: str, x_name: str, x_unit: float):
+    """A surface's CSV, x in units of ``x_unit``, and its summary."""
+    x = [v / x_unit for v in surface.x]
+    ax, ay, ae = surface.argmin
+    columns = {x_name: np.repeat(x, len(surface.y)), "duty": np.tile(surface.y, len(x)),
+               "energy_J": surface.energy.ravel()}
+    return {name: columns}, {"x_name": x_name, "y_name": "duty", "x": x, "y": list(surface.y),
+                             "energy_J": surface.energy.tolist(),
+                             "argmin": {x_name: ax / x_unit, "duty": ay, "energy_J": ae}}
 
 
 def _cmd_run(args, cfg: CircuitConfig, spec: bench.SweepSpec, grids: dict):
@@ -232,9 +294,9 @@ def _cmd_run(args, cfg: CircuitConfig, spec: bench.SweepSpec, grids: dict):
         "soma_energy_J": float(run.ledger.soma.mean()),
         "v_pk_V": run.v_pk_reference,
     }
-    files: dict[str, object] = {"neuron_run.csv": run}
+    files = {"neuron_run.csv": _run_columns(run)}
     if args.trace:
-        files["trace.csv"] = run.trace
+        files["trace.csv"] = _trace_columns(run.trace)
     return files, summary
 
 
@@ -244,9 +306,9 @@ def _cmd_sweep_freq(args, cfg, spec, grids):
     d_grid = grids.get("d_grid", (0.01, 0.02, 0.05, 0.10))
     if args.load:
         spec = replace(spec, load_case=args.load)
-    surface = bench.sweep_freq_duty(cfg, f_grid, d_grid, spec=spec)
-    return ({"surface_freq_duty.csv": surface},
-            surface.as_dict() | {"load_case": spec.load_case})
+    files, summary = _surface_artifacts(bench.sweep_freq_duty(cfg, f_grid, d_grid, spec=spec),
+                                        "surface_freq_duty.csv", "f_Hz", 1.0)
+    return files, summary | {"load_case": spec.load_case}
 
 
 def _cmd_sweep_width(args, cfg, spec, grids):
@@ -255,15 +317,19 @@ def _cmd_sweep_width(args, cfg, spec, grids):
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     surface = bench.sweep_width_duty(cfg, w_grid, d_grid, spec=spec, jobs=args.jobs)
-    return {"surface_width_duty.csv": surface}, surface.as_dict()
+    return _surface_artifacts(surface, "surface_width_duty.csv", "W_um", 1e-6)
 
 
 def _cmd_sweep_scaling(args, cfg, spec, grids):
     n = args.n if args.n is not None else grids.get("n_synapses", 512)
     c_e_grid = grids.get("c_e_grid", (25e-12, 100e-12, 1000e-12))
     alpha_grid = grids.get("alpha_grid", (0.0, 0.5, 1.0))
-    table = bench.scaling_study(cfg, n, c_e_grid, alpha_grid, spec=spec)
-    return {"scaling.csv": table}, table.as_dict()
+    rows = bench.scaling_study(cfg, n, c_e_grid, alpha_grid, spec=spec).rows
+    columns = {"C_E_pF": [r.c_e * 1e12 for r in rows], "alpha": [r.alpha for r in rows],
+               "f_opt_Hz": [r.f_opt for r in rows], "S_E_pJ": [r.s_e * 1e12 for r in rows],
+               "N_E_pJ": [r.n_e * 1e12 for r in rows]}
+    return {"scaling.csv": columns}, {"n": n, "rows": [
+        row | {"unimodal": r.unimodal} for row, r in zip(_rows(columns), rows)]}
 
 
 def _cmd_optimize_freq(args, cfg, spec, grids):
@@ -279,13 +345,16 @@ def _cmd_optimize_freq(args, cfg, spec, grids):
 
 def _cmd_corners(args, cfg, spec, grids):
     table = bench.corner_study(cfg, spec=spec)
-    outputs = {r.outputs for r in table.rows}
-    summary = table.as_dict()
-    summary["spread_by_temperature"] = {
-        str(t): s for t, s in table.spread_by_temperature().items()}
-    summary["functionality_consistent"] = (
-        len(outputs) == 1 and all(r.outputs_ok for r in table.rows))
-    return {"corners.csv": table}, summary
+    rows = table.rows
+    columns = {"corner": [r.corner for r in rows], "temp_C": [r.temperature_c for r in rows],
+               "E_tree_J": [r.e_tree for r in rows], "E_soma_J": [r.e_soma for r in rows],
+               "outputs_ok": [int(r.outputs_ok) for r in rows]}
+    return {"corners.csv": columns}, {
+        "rows": [row | {"outputs": r.outputs, "outputs_ok": r.outputs_ok}
+                 for row, r in zip(_rows(columns), rows)],
+        "spread_by_temperature": {str(t): s for t, s in table.spread_by_temperature().items()},
+        "functionality_consistent": (
+            len({r.outputs for r in rows}) == 1 and all(r.outputs_ok for r in rows))}
 
 
 def _cmd_compare(args, cfg, spec, grids):
@@ -297,7 +366,12 @@ def _cmd_compare(args, cfg, spec, grids):
         given = [flag for flag, value in (("--n", args.n), ("--c-e", args.c_e)) if value is not None]
         if given:
             raise ConfigError(f"{', '.join(given)}: only with --mode loading")
-    report = bench.compare_designs(cfg, mode=args.mode, spec=spec).as_dict()
+    r = bench.compare_designs(cfg, mode=args.mode, spec=spec)
+    report = {"mode": r.mode, "f_Hz": r.f_hz, "duty": r.duty, "adiabatic_J": r.adiabatic,
+              "baseline_J": r.baseline, "savings": r.savings}
+    if r.loading is not None:
+        report |= {"loading": r.loading, "adiabatic_ratio": r.adiabatic_ratio,
+                   "baseline_ratio": r.baseline_ratio}
     return {"savings.json": report}, report
 
 

@@ -39,8 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -505,30 +504,6 @@ def energy_residual(ledger: EnergyLedger) -> float:
     Zero for exact accounting; quadrature error otherwise."""
     delta_stored = ledger.e_stored_last - ledger.e_stored_first
     return ledger.source_total - ledger.dissipated_total - delta_stored + float(ledger.reconfig.sum())
-
-
-# rows that ``write_csv`` formats at a time: each row held as Python objects
-# costs ~0.5 kB, so larger chunks raise a trace export's peak memory
-CSV_CHUNK = 512
-
-
-def write_csv(path: str, columns: Mapping[str, np.ndarray | list]) -> None:
-    """Write one CSV data file from named columns: the header names, then
-    one line per row.  Each column is a 1-D array or a list, all of one
-    length (ValueError otherwise).  Rows are formatted ``CSV_CHUNK`` at a
-    time with one template for the chunk, every cell as ``str`` of its
-    Python value (an array's chunk goes through ``tolist()``), so a float
-    cell, numpy float64 included, is its ``repr`` and reads back exactly."""
-    lengths = {len(c) for c in columns.values()}
-    if len(lengths) > 1:
-        raise ValueError(f"write_csv: columns have different lengths {sorted(lengths)}")
-    line = ",".join(["{!s}"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for k in range(0, max(lengths, default=0), CSV_CHUNK):
-            chunk = [c[k:k + CSV_CHUNK] for c in columns.values()]
-            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-            fh.write((line * len(chunk[0])).format(*chain.from_iterable(zip(*chunk))))
 
 
 class Phase(NamedTuple):

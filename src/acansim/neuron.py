@@ -34,7 +34,6 @@ from .engine import (
     first_seen,
     reset_terms,
     run_cycles,
-    write_csv,
 )
 from .model import (
     CircuitConfig,
@@ -48,8 +47,6 @@ from .model import (
 
 Code = tuple[int, ...]
 _T = TypeVar("_T")
-# a code's 0/1 bytes to its CSV name, one character per bit
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 # Measured comparator offset (V) over the trim-resistance grid.  Rows are
 # the left resistance, columns the right one, both spanning 1k..10k Ohm in
@@ -203,10 +200,6 @@ class Trace:
     @property
     def stats(self) -> CycleStats:
         return self.observed.stats
-
-    def to_csv(self, path: str) -> None:
-        write_csv(path, {"t": self.t, "I_L": self.i_l, "V_PC": self.v_pc, "V_s": self.v_s,
-                         "V_m": self.v_m})
 
 
 def _schedule(cfg: CircuitConfig, on: Sequence, all_zero: bool, forced: bool) -> tuple[Segment, ...]:
@@ -564,8 +557,8 @@ class NeuronRun:
     one entry per reported cycle.
 
     The values read from the run's peaks, ``stats``, ``v_pk_reference``
-    and ``oracle_bits``, are made at their first read; the first of them,
-    ``to_csv`` or ``trace.stats`` runs the run's peak search, once
+    and ``oracle_bits``, are made at their first read; the first of them
+    or of ``trace.stats`` runs the run's peak search, once
     (``RunStats``).  The baseline's oracle reads no peak."""
 
     table: list[Code]                    # distinct codes (``_code_table``)
@@ -608,13 +601,6 @@ class NeuronRun:
     @property
     def oracle_string(self) -> str:
         return "".join(map(str, self.oracle_bits.tolist()))
-
-    def to_csv(self, path: str) -> None:
-        names = [bytes(code).translate(_BIT_CHARS).decode() for code in self.table]
-        write_csv(path, {
-            "cycle": np.arange(self.index.size), "code": [names[i] for i in self.index.tolist()],
-            "V_m_peak": self.stats.v_m_peak, "OutP": self.outputs, "delay_ns": self.delays * 1e9,
-            "E_tree_pJ": self.ledger.s_e * 1e12, "E_soma_pJ": self.ledger.soma * 1e12})
 
 
 def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.ndarray, np.ndarray]:

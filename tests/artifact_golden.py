@@ -177,8 +177,7 @@ def check(out: Path, names: list[str], golden: Path) -> list[str]:
 
 
 def main() -> None:
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from test_cli import _RERUNS, _TINY_BENCH
+    from test_cli import _RERUNS, _TINY_BENCH   # run as a script, tests/ is on the path
 
     from acansim.cli import dispatch
 

@@ -1,5 +1,6 @@
 """Benchmark harness: window statistics, frequency search, parametric studies."""
 
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -27,9 +28,18 @@ from acansim import (
     tune_inductor,
     worst_window_mean,
 )
-from acansim import bench
+from acansim import bench, cli
 
 _FAST = SweepSpec(cycles=48, skip=8, window=20)
+
+
+def _artifacts(monkeypatch, tmp_path, study, result, argv):
+    # the CLI's files and summary.json for ``argv``, its study ``bench.<study>``
+    # returning ``result``: the artifacts of a result the test has at hand
+    monkeypatch.setattr(bench, study, lambda *args, **kwargs: result)
+    out = tmp_path / "out"
+    assert cli.dispatch(argv + ["--out", str(out)]) == 0
+    return out, json.loads((out / "summary.json").read_text())
 
 
 def _brute_worst_window(series, skip, window):
@@ -190,7 +200,8 @@ def test_process_pool_matches_serial():
     args = (CircuitConfig(), [30e-6, 60e-6], [0.05])
     serial = sweep_width_duty(*args, spec=_SHORT, jobs=1)
     pooled = sweep_width_duty(*args, spec=_SHORT, jobs=2)
-    assert pooled.as_dict() == serial.as_dict()
+    assert (pooled.x, pooled.y) == (serial.x, serial.y)
+    assert pooled.energy.tolist() == serial.energy.tolist()
 
 
 def test_a_pooled_study_pickles_its_stream_once_per_worker(monkeypatch):
@@ -215,19 +226,23 @@ def test_a_scaling_row_is_its_frequency_search():
 
 
 def test_sweep_width_duty_surface(tmp_path):
-    spec = SweepSpec(cycles=48, skip=8, window=20, repeats=2)
-    surface = sweep_width_duty(CircuitConfig(), [30e-6, 60e-6], [0.05], spec=spec)
-    assert surface.energy.shape == (2, 1)
-    assert np.all(np.isfinite(surface.energy))
-    assert np.all(surface.energy > 0.0)
-    path = tmp_path / "width.csv"
-    surface.to_csv(str(path))
-    lines = path.read_text().splitlines()
+    # through the CLI, which gives the surface's artifacts
+    doc = {"bench": {"cycles": 48, "skip": 8, "window": 20, "repeats": 2,
+                     "w_grid": ["30um", "60um"], "d_grid": [0.05]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.dispatch(["sweep-width", "--config", str(path), "--out", str(out)]) == 0
+    d = json.loads((out / "summary.json").read_text())
+    energy = np.array(d["energy_J"])
+    assert energy.shape == (2, 1)
+    assert np.all(np.isfinite(energy))
+    assert np.all(energy > 0.0)
+    lines = (out / "surface_width_duty.csv").read_text().splitlines()
     assert lines[0] == "W_um,duty,energy_J"
     assert len(lines) == 3
     # widths are reported in microns
     assert lines[1].startswith("30")
-    d = surface.as_dict()
     assert min(abs(d["argmin"]["W_um"] - w) for w in (30.0, 60.0)) < 1e-9
     # the summary lists the widths as the CSV's first column does
     assert d["x"] == [float(line.split(",")[0]) for line in lines[1:]]
@@ -236,10 +251,10 @@ def test_sweep_width_duty_surface(tmp_path):
 def test_surface_grid_shape_is_checked():
     from acansim.bench import Surface
     with pytest.raises(ValueError):
-        Surface("f_Hz", "duty", (1e6,), (0.05,), np.zeros((2, 2)))
+        Surface((1e6,), (0.05,), np.zeros((2, 2)))
 
 
-def test_scaling_study_small_tree(tmp_path):
+def test_scaling_study_small_tree(monkeypatch, tmp_path):
     table = scaling_study(CircuitConfig(), 16, [25e-12], [0.0, 1.0], spec=_FAST)
     assert table.n == 16
     assert len(table.rows) == 2
@@ -248,14 +263,19 @@ def test_scaling_study_small_tree(tmp_path):
     assert r1.f_opt < r0.f_opt
     assert r1.s_e > r0.s_e
     assert r0.n_e == pytest.approx(4.49e-12)
-    path = tmp_path / "scaling.csv"
-    table.to_csv(str(path))
-    lines = path.read_text().splitlines()
+    out, summary = _artifacts(monkeypatch, tmp_path, "scaling_study", table,
+                              ["sweep-scaling", "--n", "16"])
+    lines = (out / "scaling.csv").read_text().splitlines()
     assert lines[0] == "C_E_pF,alpha,f_opt_Hz,S_E_pJ,N_E_pJ"
     assert len(lines) == 3
     for line in lines[1:]:
         for text in line.split(","):
             float(text)   # every cell is a plain number, f_opt_Hz included
+    # the summary's rows are the CSV's, each with its unimodal flag
+    header = lines[0].split(",")
+    assert [{k: r[k] for k in header} for r in summary["rows"]] == [
+        dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    assert [r["unimodal"] for r in summary["rows"]] == [r.unimodal for r in table.rows]
 
 
 def test_scaling_study_validates_grids():
@@ -265,7 +285,7 @@ def test_scaling_study_validates_grids():
         scaling_study(CircuitConfig(), 16, [25e-12], [])
 
 
-def test_corner_study_slow_corner_costs_most(tmp_path):
+def test_corner_study_slow_corner_costs_most(monkeypatch, tmp_path):
     spec = SweepSpec(cycles=32, skip=8, window=16, repeats=2)
     table = corner_study(CircuitConfig(), corners=[Corner.FF, Corner.TT, Corner.SS],
                          temps=(25.0,), spec=spec)
@@ -276,9 +296,12 @@ def test_corner_study_slow_corner_costs_most(tmp_path):
     assert len(outputs) == 1
     spread = table.spread_by_temperature()[25.0]
     assert 0.0 < spread < 0.4
-    path = tmp_path / "corners.csv"
-    table.to_csv(str(path))
-    assert path.read_text().splitlines()[0] == "corner,temp_C,E_tree_J,E_soma_J,outputs_ok"
+    out, summary = _artifacts(monkeypatch, tmp_path, "corner_study", table, ["corners"])
+    lines = (out / "corners.csv").read_text().splitlines()
+    assert lines[0] == "corner,temp_C,E_tree_J,E_soma_J,outputs_ok"
+    assert [line.split(",")[0] for line in lines[1:]] == ["FF", "TT", "SS"]
+    assert summary["spread_by_temperature"] == {"25.0": spread}
+    assert summary["functionality_consistent"] is True
 
 
 def test_constant_streams_are_one_boolean_array():
@@ -328,7 +351,7 @@ def test_a_study_reads_each_stream_once(monkeypatch, grid):
     assert reads(lambda cfg: run_neuron(cfg, [(1, 0, 0, 0)] * 3)) == once
 
 
-def test_compare_designs_sweep_mode():
+def test_compare_designs_sweep_mode(monkeypatch, tmp_path):
     report = compare_designs(CircuitConfig(), mode="sweep")
     assert report.mode == "sweep"
     # the adiabatic side runs at the stream's lock point, a few percent
@@ -338,12 +361,14 @@ def test_compare_designs_sweep_mode():
     assert report.savings > 0.8
     assert 1.3e-12 < report.baseline["tree"] < 5.3e-12
     assert report.adiabatic["tree"] < 0.2 * report.baseline["tree"]
-    d = report.as_dict()
+    out, d = _artifacts(monkeypatch, tmp_path, "compare_designs", report, ["compare"])
+    savings = json.loads((out / "savings.json").read_text())
+    assert {k: d[k] for k in savings} == savings   # summary.json repeats it
     assert set(d["adiabatic_J"]) == {"tree", "clock_generator", "gates",
                                      "reset", "drive", "soma"}
 
 
-def test_compare_designs_loading_mode():
+def test_compare_designs_loading_mode(monkeypatch, tmp_path):
     report = compare_designs(scaled_tree(CircuitConfig(), 8), mode="loading",
                              spec=_FAST)
     assert report.mode == "loading"
@@ -356,6 +381,11 @@ def test_compare_designs_loading_mode():
     # an idle level-driven tree books only round-off, which counts as
     # zero, so its ratio is not defined
     assert report.loading[0]["baseline_tree_J"] == 0.0
-    assert report.as_dict()["baseline_ratio"] is None
+    # and the artifacts write it as null
+    assert math.isinf(report.baseline_ratio)
+    out, d = _artifacts(monkeypatch, tmp_path, "compare_designs", report,
+                        ["compare", "--mode", "loading"])
+    assert d["baseline_ratio"] is None
+    assert json.loads((out / "savings.json").read_text())["baseline_ratio"] is None
     with pytest.raises(ValueError):
         compare_designs(CircuitConfig(), mode="other")

@@ -1,12 +1,25 @@
-"""Command-line front-end: quantity parsing, config loading, artifacts."""
+"""Command-line front-end: quantity parsing, config loading, the CSV
+writer and the artifacts."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from acansim import CircuitConfig
+from acansim import CircuitConfig, simulate, tune_inductor
+from acansim.cli import (
+    CSV_CHUNK,
+    ConfigError,
+    _build_circuit,
+    _read_doc,
+    _trace_columns,
+    dispatch,
+    parse_quantity,
+    write_csv,
+)
 from artifact_golden import GOLDEN, check, load_json, slug
-from acansim.cli import ConfigError, _build_circuit, _read_doc, dispatch, parse_quantity
+from scalar_oracles import make_schedule
 
 
 def load_config(path: str | None) -> CircuitConfig:
@@ -120,6 +133,77 @@ def test_run_trace_artifact(tmp_path):
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0].startswith("t,I_L,V_PC")
     assert len(lines) > 100
+
+
+def test_trace_csv_schema(tmp_path):
+    cfg = tune_inductor(CircuitConfig())
+    plans = [make_schedule(cfg, (1, 0, 0, 0), cycle=0)]
+    trace, _ = simulate(cfg, plans)
+    path = tmp_path / "trace.csv"
+    write_csv(path, _trace_columns(trace))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,I_L,V_PC,V_s,V_m"
+    assert len(lines) == trace.t.size + 1
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), {"a": np.array([0.1]), "b": [1e-12 / 3], "c": [7], "d": ["0110"]})
+    assert path.read_text() == f"a,b,c,d\n0.1,{1e-12 / 3!r},7,0110\n"
+    write_csv(str(path), {"a": np.zeros(0), "b": []})
+    assert path.read_text() == "a,b\n"
+    # the edge battery's float cells as an array column and as a list
+    floats = [c for c in _EDGE_CELLS if type(c) is float]
+    write_csv(str(path), {"a": np.array(floats), "b": floats})
+    assert path.read_text() == "a,b\n" + "".join(f"{v!r},{v!r}\n" for v in floats)
+
+
+def _per_cell_csv(path, header, rows):
+    # reference formatter, one cell at a time: repr of a float, str of anything else
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row]) + "\n")
+
+
+_EDGE_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-05, 1e22, 5e-324, 0.1, 1 / 3,
+               123456789012345680.0, 7, -3, 0, True, False, "0110", "", "nan"]
+_NUMPY_CELLS = [np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(1e16),
+                np.float32(0.1), np.int64(5), np.bool_(True), np.str_("x")]
+
+
+@pytest.mark.parametrize("numpy_chunk", [None, 0, 1, 2])
+def test_write_csv_matches_the_per_cell_formatter(tmp_path, numpy_chunk):
+    # three chunks, the last one partial: Python cells only, or numpy
+    # scalars in one chunk, given as list columns; every byte as the
+    # per-cell formatter writes it
+    header = ("a", "b", "c", "d", "e")
+    cells = _EDGE_CELLS * (-(-(2 * CSV_CHUNK + 3) * 5 // len(_EDGE_CELLS)))
+    rows = [tuple(cells[5 * k:5 * k + 5]) for k in range(2 * CSV_CHUNK + 3)]
+    if numpy_chunk is not None:
+        k = numpy_chunk * CSV_CHUNK + 1
+        rows[k] = tuple(_NUMPY_CELLS[:5])
+        rows[k + 1] = tuple(_NUMPY_CELLS[3:])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(str(got), dict(zip(header, map(list, zip(*rows)))))
+    _per_cell_csv(str(want), header, rows)
+    assert got.read_bytes() == want.read_bytes()
+    with pytest.raises(ValueError, match=r"^write_csv: columns have different lengths \[3, 4\]$"):
+        write_csv(str(got), {"a": [1, 2, 3], "b": np.arange(4), "c": [1, 2, 3]})
+
+
+def test_trace_csv_matches_the_per_cell_formatter(tmp_path):
+    # a trace longer than one chunk, written from per-chunk Python floats
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 0, 0, 0), (0, 1, 1, 1)] * 5
+    trace, _ = simulate(cfg, [make_schedule(cfg, c, cycle=k) for k, c in enumerate(codes)])
+    assert trace.t.size > CSV_CHUNK
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, _trace_columns(trace))
+    _per_cell_csv(str(want), ("t", "I_L", "V_PC", "V_s", "V_m"),
+                  zip(trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m))
+    assert got.read_bytes() == want.read_bytes()
 
 
 # a tiny protocol and grid for every study, so each subcommand runs in well

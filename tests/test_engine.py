@@ -36,6 +36,7 @@ from acansim import baseline as baseline_mod
 from acansim import engine
 from acansim import neuron as neuron_mod
 from acansim.baseline import build_baseline_system
+from acansim.cli import _run_columns, write_csv
 from acansim.engine import (
     PhaseOperator,
     Source,
@@ -43,7 +44,6 @@ from acansim.engine import (
     compile_chords,
     compile_operators,
     step_maps,
-    write_csv,
 )
 from acansim.neuron import input_sweeps
 from decay_fit import fit_decay
@@ -285,77 +285,6 @@ def test_simulate_rejects_bad_plans():
     # a switch state of another bit count than the tree's
     with pytest.raises(ValueError, match=r"^switch state has 3 synapse bits, tree has 4$"):
         simulate(cfg, [((0.0, 1.0, SwitchState(False, False, (False,) * 3)),)])
-
-
-def test_trace_csv_schema(tmp_path):
-    cfg = tune_inductor(CircuitConfig())
-    plans = [make_schedule(cfg, (1, 0, 0, 0), cycle=0)]
-    trace, _ = simulate(cfg, plans)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,I_L,V_PC,V_s,V_m"
-    assert len(lines) == trace.t.size + 1
-
-
-def test_write_csv_cells(tmp_path):
-    path = tmp_path / "cells.csv"
-    write_csv(str(path), {"a": np.array([0.1]), "b": [1e-12 / 3], "c": [7], "d": ["0110"]})
-    assert path.read_text() == f"a,b,c,d\n0.1,{1e-12 / 3!r},7,0110\n"
-    write_csv(str(path), {"a": np.zeros(0), "b": []})
-    assert path.read_text() == "a,b\n"
-    # the edge battery's float cells as an array column and as a list
-    floats = [c for c in _EDGE_CELLS if type(c) is float]
-    write_csv(str(path), {"a": np.array(floats), "b": floats})
-    assert path.read_text() == "a,b\n" + "".join(f"{v!r},{v!r}\n" for v in floats)
-
-
-def _per_cell_csv(path, header, rows):
-    # reference formatter, one cell at a time: repr of a float, str of anything else
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
-                               for v in row]) + "\n")
-
-
-_EDGE_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-05, 1e22, 5e-324, 0.1, 1 / 3,
-               123456789012345680.0, 7, -3, 0, True, False, "0110", "", "nan"]
-_NUMPY_CELLS = [np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(1e16),
-                np.float32(0.1), np.int64(5), np.bool_(True), np.str_("x")]
-
-
-@pytest.mark.parametrize("numpy_chunk", [None, 0, 1, 2])
-def test_write_csv_matches_the_per_cell_formatter(tmp_path, numpy_chunk):
-    # three chunks, the last one partial: Python cells only, or numpy
-    # scalars in one chunk, given as list columns; every byte as the
-    # per-cell formatter writes it
-    header = ("a", "b", "c", "d", "e")
-    cells = _EDGE_CELLS * (-(-(2 * engine.CSV_CHUNK + 3) * 5 // len(_EDGE_CELLS)))
-    rows = [tuple(cells[5 * k:5 * k + 5]) for k in range(2 * engine.CSV_CHUNK + 3)]
-    if numpy_chunk is not None:
-        k = numpy_chunk * engine.CSV_CHUNK + 1
-        rows[k] = tuple(_NUMPY_CELLS[:5])
-        rows[k + 1] = tuple(_NUMPY_CELLS[3:])
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(str(got), dict(zip(header, map(list, zip(*rows)))))
-    _per_cell_csv(str(want), header, rows)
-    assert got.read_bytes() == want.read_bytes()
-    with pytest.raises(ValueError, match=r"^write_csv: columns have different lengths \[3, 4\]$"):
-        write_csv(str(got), {"a": [1, 2, 3], "b": np.arange(4), "c": [1, 2, 3]})
-
-
-def test_trace_csv_matches_the_per_cell_formatter(tmp_path):
-    # a trace longer than one chunk, written from per-chunk Python floats
-    cfg = tune_inductor(CircuitConfig())
-    codes = [(1, 0, 0, 0), (0, 1, 1, 1)] * 5
-    trace, _ = simulate(cfg, [make_schedule(cfg, c, cycle=k) for k, c in enumerate(codes)])
-    assert trace.t.size > engine.CSV_CHUNK
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    trace.to_csv(str(got))
-    _per_cell_csv(str(want), ("t", "I_L", "V_PC", "V_s", "V_m"),
-                  zip(trace.t, trace.i_l, trace.v_pc, trace.v_s, trace.v_m))
-    assert got.read_bytes() == want.read_bytes()
 
 
 def test_lossless_ring_fit_recovers_resonance():
@@ -646,7 +575,7 @@ def test_runs_leave_no_reference_cycles():
 
 def _read_all(run, path):
     # every peak-derived value of a run, its CSV file's bytes among them
-    run.to_csv(str(path))
+    write_csv(path, _run_columns(run))
     values = [*run.stats, run.oracle_bits, run.v_pk_reference, path.read_bytes()]
     return values + ([*run.trace.stats] if run.trace is not None else [])
 
@@ -658,7 +587,7 @@ READS = {
     "oracle_bits": (False, lambda run, path: run.oracle_bits),
     "v_pk_reference": (True, lambda run, path: run.v_pk_reference),
     "trace.stats": (None, lambda run, path: run.trace.stats),
-    "to_csv": (True, lambda run, path: run.to_csv(str(path))),
+    "csv_columns": (True, lambda run, path: _run_columns(run)),
 }
 
 

@@ -29,6 +29,7 @@ from acansim import (
 from acansim import baseline as baseline_mod
 from acansim import engine
 from acansim import neuron as neuron_mod
+from acansim.cli import _run_columns, write_csv
 from acansim.neuron import base_delay
 from reference_kernel import assert_same_run, reference_kernel
 from scalar_oracles import make_schedule, v_s
@@ -301,7 +302,7 @@ def test_run_neuron_csv_schema(tmp_path):
     cfg = tune_inductor(CircuitConfig())
     run = run_neuron(cfg, [(1, 1, 0, 0), (0, 0, 0, 0)])
     path = tmp_path / "run.csv"
-    run.to_csv(str(path))
+    write_csv(path, _run_columns(run))
     lines = path.read_text().splitlines()
     assert lines[0] == "cycle,code,V_m_peak,OutP,delay_ns,E_tree_pJ,E_soma_pJ"
     assert len(lines) == 3
@@ -320,7 +321,7 @@ def test_csv_code_names_are_the_bits_as_digits(tmp_path):
     codes = [*map(tuple, rng.integers(0, 2, size=(4, 512)).tolist()), (0,) * 512, (1,) * 512]
     run = run_neuron(cfg, codes * 2)
     path = tmp_path / "run.csv"
-    run.to_csv(str(path))
+    write_csv(path, _run_columns(run))
     names = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
     assert names == ["".join(map(str, code)) for code in codes * 2]
 
