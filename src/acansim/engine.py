@@ -16,19 +16,19 @@ one batch, from powers of its period map.  Then each slot gets one
 operator, built at its first start, and the operators are compiled,
 stacked: their block powers, guard bounds, and their accounts from
 their systems' storage, loss and source terms (a source account is
-linear in the start state, a loss account a sum of squares: trapezoidal
-quadrature on the step grid, summed in closed form by doubling).  Each
-slot guards the starts it recorded against divergence with one product,
-a bound on every state of the phase at once.  Pass 2, per slot and for
-all the cycles that ran it, books the accounts and the stored energy at
-the cycles' ends and takes the decision sample and the trace samples.
-The stored-energy jumps caused by switch reconfiguration (node
-capacitances change when gates open or close) are booked as well, and
-the conservation residual is exposed as an audit.  The exact peaks are
-left pending (``PeakSearch``): their search (per chunk of cycles and
-peak row, one product over the blocks whose chord bound admits them for
-some cycle) and its chord bounds run at the first read, so a run whose
-peaks nobody reads never pays for them.
+linear in the start state, a loss account a quadratic form clipped at 0:
+trapezoidal quadrature on the step grid, summed in closed form by
+doubling).  Each slot guards the starts it recorded against divergence
+with one product, a bound on every state of the phase at once.  Pass 2,
+per slot and for all the cycles that ran it, books the accounts and the
+stored energy at the cycles' ends and takes the decision sample and the
+trace samples.  The stored-energy jumps caused by switch
+reconfiguration (node capacitances change when gates open or close) are
+booked as well, and the conservation residual is exposed as an audit.
+The exact peaks are left pending (``PeakSearch``): their search (per
+chunk of cycles and peak row, one product over the blocks whose chord
+bound admits them for some cycle) and its chord bounds run at the first
+read, so a run whose peaks nobody reads never pays for them.
 
 The kernel knows no circuit: each design (``neuron``, ``baseline``)
 builds its phase systems and cycle kinds and hands them to ``run_cycles``.
@@ -191,16 +191,22 @@ def _stein_sums(g: np.ndarray, forms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     counts n, by doubling over the bits of the largest n: O(log n) stacked
     products and no n-sized arrays (the trapezoid analogue of Van Loan's
     block-exponential integrals, in the manner of squared Smith iteration).
-    A zero bit of n steps by I and adds no form, so a bit that no n sets
-    takes no step at all: sum and power stay exact."""
+    A zero bit of n steps by I and adds no form, and doubling an empty sum
+    by I leaves it empty: so the doubling starts at the top bit, a bit that
+    no n sets takes no step, and one that every n sets steps by G itself,
+    while sum and power stay exact."""
     eye = np.eye(g.shape[-1])
-    w = np.zeros_like(forms)
-    p = np.broadcast_to(eye, g.shape)   # G^(terms summed so far)
-    for bit in range(int(ns.max()).bit_length() - 1, -1, -1):
+    top = int(ns.max()).bit_length() - 1
+    bits = (ns >> np.arange(top, -1, -1)[:, None]) & 1 == 1   # per bit, from the top: n has it
+    w = np.where(bits[0][:, None, None], forms, 0.0)
+    p = np.where(bits[0][:, None, None], g, eye)   # G^(terms summed so far)
+    for on in bits[1:]:
         w = w + np.swapaxes(p, 1, 2) @ w @ p
         p = p @ p
-        on = (ns >> bit) & 1 == 1
-        if on.any():
+        if on.all():
+            w = forms + np.swapaxes(g, 1, 2) @ w @ g
+            p = p @ g
+        elif on.any():
             step = np.where(on[:, None, None], g, eye)   # G, or I where the bit is zero
             w = np.where(on[:, None, None], forms, 0.0) + np.swapaxes(step, 1, 2) @ w @ step
             p = p @ step
@@ -215,7 +221,7 @@ class PhaseOperator:
     coordinates shifted to a reference start state x_ref, z = [x0 - x_ref; 1]
     and step k is x_k = x_ref + (G^k z)[:d], with G the shifted augmented
     step map.  Every source account of the phase is then linear in z and
-    every loss account a quadratic form, a sum of squares of a factor.  G^k
+    every loss account a quadratic form z^T W z, booked clipped at 0.  G^k
     is evaluated as G^m G^(bB) for k = bB + m, from the block table G^m
     (m < B) and the block-start powers G^(bB); the n states are never
     stored.
@@ -302,9 +308,11 @@ class PhaseOperator:
 
     def book(self, ledger: EnergyLedger, ks: np.ndarray, zs: np.ndarray) -> None:
         """Add the phase's accounts from shifted start states zs to cycles ks
-        (each cycle at most once)."""
+        (each cycle at most once): a source's row times z, a loss's form as
+        z^T W z, clipped at 0 (a negative value is round-off of a zero loss)."""
         for account, a, loss in self.accounts:
-            getattr(ledger, account)[ks] += np.square(zs @ a.T).sum(1) if loss else zs @ a
+            getattr(ledger, account)[ks] += (np.maximum(((zs @ a) * zs).sum(1), 0.0) if loss
+                                             else zs @ a)
 
     def keep_search_only(self) -> None:
         """Drop what only a run reads, the block table, guard bound,
@@ -317,8 +325,8 @@ def compile_operators(ops: Iterable[PhaseOperator]) -> None:
     """Complete phase operators of one state size and peak rows for a run:
     the guard and pass 2.  Per step count one ``_compile_powers`` call
     (one ``_powers`` call for the block tables, one for the block starts);
-    for all of them the accounts, one Stein doubling and one ``eigh`` call
-    (``_compile_accounts``).  A lone operator is a stack of one."""
+    for all of them the accounts, one Stein doubling (``_compile_accounts``).
+    A lone operator is a stack of one."""
     ops = list(ops)
     for group in _by_steps(ops).values():
         _compile_powers(group)
@@ -391,8 +399,9 @@ def _compile_chords(group: list[PhaseOperator]) -> None:
 
 def _compile_accounts(group: list[PhaseOperator]) -> None:
     """Each operator's accounts, (account, array, is a loss), each a
-    trapezoid sum over the phase: a loss as factors F (loss = |F z|^2), a
-    source as a row s (energy = s @ z); for operators of one state size."""
+    dt-scaled trapezoid sum over the phase, the Stein sum itself: a loss as
+    its form W (loss = z^T W z, which ``book`` clips at 0), a source as a
+    row s (energy = s @ z); for operators of one state size."""
     d = group[0].dim
     # one form per (account, operator), the losses first; per term its form,
     # indices and operator, and its gain (or power) and offset
@@ -428,21 +437,10 @@ def _compile_accounts(group: list[PhaseOperator]) -> None:
                     np.array([op.n for op in group])[owner])
     dt = np.array([op.dt for op in group])[owner]
     rows = dt[n_loss:, None] * w[n_loss:, d]
-    # sum-of-squares factors, so every loss is non-negative: eigenvectors
-    # of each form's correlation matrix (diagonal scaled to one, which
-    # keeps the eigensolver's error relative to each coordinate's own
-    # scale); correlations past +-1 and negative diagonals are round-off
-    # of a zero and are clipped
-    w = w[:n_loss]
-    scale = np.sqrt(np.clip(np.einsum("aii->ai", w), 0.0, None))
-    outer = scale[:, :, None] * scale[:, None, :]
-    corr = np.clip(np.divide(w, outer, out=np.zeros_like(w), where=outer > 0.0), -1.0, 1.0)
-    lam, vec = np.linalg.eigh(corr)
-    factors = (np.sqrt(dt[:n_loss, None] * np.clip(lam, 0.0, None))[:, :, None]
-               * np.swapaxes(vec, 1, 2) * scale[:, None, :])
+    w = dt[:n_loss, None, None] * w[:n_loss]
     for op in group:
         op.accounts = []
-    for f, ((name, o), a) in enumerate(zip(accounts, [*factors, *rows])):
+    for f, ((name, o), a) in enumerate(zip(accounts, [*w, *rows])):
         group[o].accounts.append((name, a, f < n_loss))
 
 

@@ -6,9 +6,10 @@ the engine did before its closed-form phase operators.  The parity tests
 run both designs through this kernel and through the engine's and
 compare the results.  ``Gathers`` shows which blocks the peak search
 evaluates step by step, for tests that compare it with an exhaustive one.
-``stein_sums`` is the engine's Stein doubling with a step at every bit,
-for the test that pins the engine's, which skips the bits no step count
-sets, to it.
+``stein_sums`` is the engine's Stein doubling from an empty sum with a
+step at every bit, for the test that pins the engine's to it: the engine
+starts at the top bit, skips the bits no step count sets and steps by G
+itself at a bit that every count sets.
 """
 
 from contextlib import contextmanager

@@ -264,6 +264,12 @@ def test_run_rejects_bad_codes(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     _error_exit(["run", "--codes", "1100", "--out", str(blocker)], capsys)
+    # no full sweep past 10 synapses: an 11-synapse tree needs its codes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tree": {"C_s": ["1pF"] * 11}}))
+    err = _error_exit(["run", "--config", str(path), "--out", out], capsys)
+    assert err == "error: run: 11-synapse full sweep is too large; pass --codes\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_negative_seed_is_refused_by_name(tmp_path, capsys):
@@ -296,15 +302,6 @@ def test_run_takes_a_recalibration_period_past_int64(tmp_path):
     path.write_text(json.dumps({"sim": {"recal_every": 10**30}}))
     argv = ["run", "--codes", "1100,0011", "--config", str(path), "--out", str(tmp_path / "x")]
     assert dispatch(argv) == 0
-
-
-def test_run_refuses_giant_full_sweep(tmp_path, capsys):
-    doc = {"tree": {"C_s": ["1pF"] * 11}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    rc = dispatch(["run", "--config", str(path), "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert "--codes" in capsys.readouterr().err
 
 
 def test_run_with_infinite_inductor_is_an_error_exit(tmp_path, capsys):

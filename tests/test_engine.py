@@ -705,13 +705,16 @@ def test_sweep_run_compiles_operators_per_step_count(monkeypatch):
     # call (one pair of _powers calls: block table, block starts) per step
     # count, where one build per operator made 11 step_maps calls and 11
     # doublings (adiabatic) and 22 and 22 (baseline), and one pair of
-    # _powers calls per operator.  Operators are built without _powers
+    # _powers calls per operator.  Operators are built without _powers.
+    # A loss books as its clipped quadratic form, so no run factors its
+    # forms: no eigh call (one per run when losses were sums of squares)
     cfg = tune_inductor(CircuitConfig())
     codes = input_sweeps(4, n_scrambles=0, seed=0)[0] * 4
     calls = []   # (function, its argument's state size and more)
     compile_operators, compile_accounts, compile_powers, stein_sums, step_maps, powers = (
         engine.compile_operators, engine._compile_accounts, engine._compile_powers,
         engine._stein_sums, engine.step_maps, engine._powers)
+    eigh = np.linalg.eigh
     ops = []   # the operators of each compile
 
     def counted_compile(group):
@@ -740,12 +743,17 @@ def test_sweep_run_compiles_operators_per_step_count(monkeypatch):
         calls.append(("maps", a.shape[-1]))
         return step_maps(a, *args)
 
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(("eigh", a.shape))
+        return eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(engine, "compile_operators", counted_compile)
     monkeypatch.setattr(engine, "_compile_accounts", counted_accounts)
     monkeypatch.setattr(engine, "_compile_powers", counted_stack)
     monkeypatch.setattr(engine, "_stein_sums", counted_stein)
     monkeypatch.setattr(engine, "step_maps", counted_maps)
     monkeypatch.setattr(engine, "_powers", counted_powers)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     for run in (partial(run_neuron, cfg, codes),
                 partial(run_baseline, BaselineConfig.from_circuit(cfg), codes)):
         calls.clear()
@@ -759,6 +767,7 @@ def test_sweep_run_compiles_operators_per_step_count(monkeypatch):
         for name in ("compile", "maps", "stein"):
             assert [f for f, _ in calls].count(name) == 1, name
         assert ("maps", d) in calls and ("stein", d) in calls
+        assert "eigh" not in [f for f, _ in calls]
         assert [arg for f, arg in calls if f == "accounts"] == [len(run_ops)]
         # one stack per step count, every operator in it
         assert [arg for f, arg in calls if f == "stack"] == [
