@@ -304,6 +304,15 @@ def test_run_takes_a_recalibration_period_past_int64(tmp_path):
     assert dispatch(argv) == 0
 
 
+def test_run_refuses_giant_full_sweep(tmp_path, capsys):
+    doc = {"tree": {"C_s": ["1pF"] * 11}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    rc = dispatch(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "--codes" in capsys.readouterr().err
+
+
 def test_run_with_infinite_inductor_is_an_error_exit(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"pc": {"L_PC": "1e999H"}}))
