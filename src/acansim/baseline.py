@@ -46,7 +46,8 @@ from .model import (
     reset_resistance,
     within,
 )
-from .neuron import CodeStream, NeuronRun, RunStats, _weight_counts, decided_run, dlcc_offset
+from .neuron import (CodeStream, NeuronRun, RunStats, _weight_classes, _weight_counts, decided_run,
+                     dlcc_offset)
 
 
 @dataclass(frozen=True)
@@ -304,8 +305,8 @@ def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]
     ledger = EnergyLedger.zeros(n_cycles)
     pair_legs = _legs(cfg, pairs.counts, pairs.reset)   # per distinct pair
     dim = max(len(starts) for _, starts in pair_legs) + 1   # the run's state size
-    values, totals = _weight_counts(tree.c_s, np.ones((1, tree.n), dtype=bool))
-    weights = list(zip(values, totals[0].tolist()))   # per weight value: (value, synapses)
+    values, _, _, totals = _weight_classes(tree.c_s)
+    weights = list(zip(values, totals.tolist()))   # per weight value: (value, synapses)
     systems: dict[tuple, PhaseSystem] = {}
     for key, _ in pair_legs:
         if key not in systems:
@@ -314,13 +315,13 @@ def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]
 
     # each system's phases, from one stacked eigenvalue call; a held
     # state's zero rate is dropped there as the floating membrane's is
-    rates = np.linalg.eigvals(np.stack([system.a for system in systems.values()])).real
+    rates = np.linalg.eigvals(np.array([system.a for system in systems.values()])).real
     plans = {system: _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle)
              for system, r in zip(systems.values(), rates)}
     kinds = [(_entry_map(starts, dim), plans[systems[key]]) for key, starts in pair_legs]
 
     # the membrane at V_REF, every other state at 0
-    x0 = np.append(np.zeros(dim - 1), tree.v_ref)
+    x0 = np.concatenate((np.zeros(dim - 1), [tree.v_ref]))
     search, samples, _ = run_cycles(ledger, kinds, pairs.order, x0, t_cycle, v_limit, (-1,))
     v_os = dlcc_offset(cfg.dlcc.m_l, cfg.dlcc.m_r)
     return decided_run(stream, RunStats(search, samples, rail=cfg.v_dd), ledger, 0,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -115,12 +115,20 @@ def reset_terms(g_reset: float, v_ref: float, i: int) -> tuple[Loss, Source]:
             Source("source_ref", -g_reset * v_ref, i, -v_ref))
 
 
+@lru_cache(maxsize=16)
+def _eye(d: int) -> np.ndarray:
+    """The d x d identity, read-only: every caller of one size shares it."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def step_maps(a: np.ndarray, b: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Affine map (E, f) of one implicit trapezoidal step of size dt:
     (I - dt/2 A) x' = (I + dt/2 A) x + dt b.  Broadcasts over a stack of
     systems, a (P, d, d) and b (P, d), with one dt each."""
     dt = np.asarray(dt)
-    eye = np.eye(a.shape[-1])
+    eye = _eye(a.shape[-1])
     lhs = eye - 0.5 * dt[..., None, None] * a
     e = np.linalg.solve(lhs, eye + 0.5 * dt[..., None, None] * a)
     f = np.linalg.solve(lhs, (dt[..., None] * b)[..., None])[..., 0]
@@ -139,7 +147,7 @@ def _build_maps(phases: Iterable[tuple[PhaseSystem, float, int]]) -> tuple[
     for system, dt, n in dict.fromkeys(phases):
         pairs.setdefault((system, dt), []).append(n)
     keys = list(pairs)
-    e, f = step_maps(np.stack([s.a for s, _ in keys]), np.stack([s.b for s, _ in keys]),
+    e, f = step_maps(np.array([s.a for s, _ in keys]), np.array([s.b for s, _ in keys]),
                      np.array([dt for _, dt in keys]))
     d = e.shape[-1]
     g = np.zeros((len(keys), d + 1, d + 1))
@@ -175,7 +183,7 @@ def _powers(base: np.ndarray, count: int) -> np.ndarray:
     known so far, stacked as the rows of one operand, times base^s."""
     d = base.shape[-1]
     out = np.empty((*base.shape[:-2], count * d, d))
-    out[..., :d, :] = np.eye(d)
+    out[..., :d, :] = _eye(d)
     s = 1
     while s < count:
         take = min(s, count - s)
@@ -195,20 +203,20 @@ def _stein_sums(g: np.ndarray, forms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     by I leaves it empty: so the doubling starts at the top bit, a bit that
     no n sets takes no step, and one that every n sets steps by G itself,
     while sum and power stay exact."""
-    eye = np.eye(g.shape[-1])
+    eye = _eye(g.shape[-1])
     top = int(ns.max()).bit_length() - 1
     bits = (ns >> np.arange(top, -1, -1)[:, None]) & 1 == 1   # per bit, from the top: n has it
     w = np.where(bits[0][:, None, None], forms, 0.0)
     p = np.where(bits[0][:, None, None], g, eye)   # G^(terms summed so far)
     for on in bits[1:]:
-        w = w + np.swapaxes(p, 1, 2) @ w @ p
+        w = w + p.swapaxes(1, 2) @ w @ p
         p = p @ p
         if on.all():
-            w = forms + np.swapaxes(g, 1, 2) @ w @ g
+            w = forms + g.swapaxes(1, 2) @ w @ g
             p = p @ g
         elif on.any():
             step = np.where(on[:, None, None], g, eye)   # G, or I where the bit is zero
-            w = np.where(on[:, None, None], forms, 0.0) + np.swapaxes(step, 1, 2) @ w @ step
+            w = np.where(on[:, None, None], forms, 0.0) + step.swapaxes(1, 2) @ w @ step
             p = p @ step
     return w
 
@@ -248,12 +256,12 @@ class PhaseOperator:
         g[:d, :d] = e
         # one step's drift from x_ref; E - I is exact where E is near I, so
         # the drift carries no rounding of |x_ref| into every step
-        g[:d, d] = (e - np.eye(d)) @ x_ref + f
+        g[:d, d] = (e - _eye(d)) @ x_ref + f
         g[d, d] = 1.0
         self.system, self.dt, self.n, self.dim = system, dt, n, d
         self.peak_rows = tuple(r % d for r in peak_rows)
         self.v_limit = v_limit
-        self.ref = np.append(x_ref, 0.0)   # z = [x; 1] - ref
+        self.ref = np.concatenate((x_ref, [0.0]))   # z = [x; 1] - ref
         self._g = g
 
     def guard(self, zs: np.ndarray) -> np.ndarray:
@@ -279,9 +287,9 @@ class PhaseOperator:
         """States at the given steps from each shifted start state in zs,
         shape (len(zs), len(steps), d)."""
         blk, m = np.divmod(steps, _BLOCK)
-        at_blocks = zs @ np.swapaxes(self.blocks[:-1], 1, 2)   # (blocks, starts, d + 1)
-        xs = at_blocks[blk] @ np.swapaxes(self.table[m, :self.dim], 1, 2)
-        return np.swapaxes(xs, 0, 1) + self.ref[:self.dim]
+        at_blocks = zs @ self.blocks[:-1].swapaxes(1, 2)   # (blocks, starts, d + 1)
+        xs = at_blocks[blk] @ self.table[m, :self.dim].swapaxes(1, 2)
+        return xs.swapaxes(0, 1) + self.ref[:self.dim]
 
     def peaks(self, zs: np.ndarray) -> np.ndarray:
         """Maximum of each state of ``peak_rows`` over every step of the
@@ -358,7 +366,7 @@ def _compile_powers(group: list[PhaseOperator]) -> None:
     """The block table, its peak rows, the block starts and the guard bound
     of operators of one state size, step count and peak rows."""
     d, n, rows = group[0].dim, group[0].n, list(group[0].peak_rows)
-    powers = _powers(np.stack([op._g for op in group]), _BLOCK + 1)   # (operators, B + 1, d + 1, d + 1)
+    powers = _powers(np.array([op._g for op in group]), _BLOCK + 1)   # (operators, B + 1, d + 1, d + 1)
     # block starts G^(bB) for b <= n // B, and the last block's chord end
     blocks = _powers(powers[:, _BLOCK], n // _BLOCK + 2)
     # |x_k - x_ref| <= bound @ |z| for every step k <= n; scaled by the
@@ -376,12 +384,12 @@ def _compile_chords(group: list[PhaseOperator]) -> None:
     """The peak rows' block starts and chord deviation bounds of compiled
     operators of one state size, step count and peak rows."""
     d, n, rows = group[0].dim, group[0].n, np.array(group[0].peak_rows)
-    blocks = np.stack([op.blocks for op in group])
+    blocks = np.array([op.blocks for op in group])
     # per peak row, (blocks, d + 1): max over the block's steps m of
     # |D_m G^(bB)|, D_m = (G^m - I - m/B (G^B - I))[r], so the row rises
     # at most that @ |z| above the chord between its block's two end
     # values (steps past the end of the last block left out)
-    step = np.stack([op.peak_table for op in group])   # (operators, B + 1, rows, d + 1)
+    step = np.array([op.peak_table for op in group])   # (operators, B + 1, rows, d + 1)
     step[:, :, np.arange(rows.size), rows] -= 1.0
     step -= _CHORD * step[:, _BLOCK, None]
     by_column = blocks[:, :-1].transpose(0, 2, 1, 3).reshape(len(group), d + 1, -1)
@@ -418,12 +426,12 @@ def _compile_accounts(group: list[PhaseOperator]) -> None:
             n_loss = len(accounts)
     form, i, j, o = np.array(at, dtype=int).reshape(-1, 4).T
     k, u = np.array(val).reshape(-1, 2).T
-    x = np.stack([op.ref for op in group])
+    x = np.array([op.ref for op in group])
     # a term's c, with c @ z = x_i - x_j + u (j = d, the affine entry, for a
     # term to ground: its -1 is overwritten); a loss term's form is g c^T c,
     # a source term's p e^T c for e the affine unit row: G keeps the affine
     # entry, so that form sums to e^T S, S the sum of the source's row
-    eye = np.eye(d + 1)
+    eye = _eye(d + 1)
     c = eye[i] - eye[j]
     c[:, d] = x[o, i] - x[o, j] + u
     left = np.where((form < n_loss)[:, None], c, eye[d])
@@ -432,8 +440,8 @@ def _compile_accounts(group: list[PhaseOperator]) -> None:
 
     # trapezoid rule: step k contributes the mean of its two end points
     owner = np.array([o for _, o in accounts], dtype=int)
-    g = np.stack([op._g for op in group])[owner]
-    w = _stein_sums(g, 0.5 * (forms + np.swapaxes(g, 1, 2) @ forms @ g),
+    g = np.array([op._g for op in group])[owner]
+    w = _stein_sums(g, 0.5 * (forms + g.swapaxes(1, 2) @ forms @ g),
                     np.array([op.n for op in group])[owner])
     dt = np.array([op.dt for op in group])[owner]
     rows = dt[n_loss:, None] * w[n_loss:, d]
@@ -652,7 +660,7 @@ def run_cycles(
 
     # per slot key: cycles, stacks of starts [x; 1]
     starts: dict[SlotKey, tuple[list[int], list[np.ndarray]]] = {}
-    x = np.append(x0, 1.0)
+    x = np.concatenate((x0, [1.0]))
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
         for k, period, count in order.batches:
@@ -757,11 +765,12 @@ def _agreeing(ids: list, a: int, b: int, length: int) -> int:
 
 
 def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of an integer array in order of first appearance:
-    where each first appears, and each entry's index into them."""
+    """The distinct values of a 1-D array (integers, or rows viewed as
+    bytes) in order of first appearance: where each first appears, and
+    each entry's index into them; one ``np.unique`` call."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
+    order = first.argsort()
+    return first[order], order.argsort()[inverse]
 
 
 def _run_batch(period: list[tuple[np.ndarray | None, list[tuple[SlotKey, np.ndarray]]]],
@@ -785,7 +794,7 @@ def _run_batch(period: list[tuple[np.ndarray | None, list[tuple[SlotKey, np.ndar
     n_starts = m + (q > 0)
     x = x[None]   # the period starts
     if n_starts > 1:   # the period map
-        c = np.eye(x.shape[1])
+        c = _eye(x.shape[1])
         for entry, phases in period:
             c = c if entry is None else entry @ c
             for _, end in phases:

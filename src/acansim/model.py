@@ -267,15 +267,13 @@ def effective_pc_capacitance(tree: SynapseTreeConfig, pc: PowerClockConfig, alph
     return _clock_load(tree, pc, n_on, sum(tree.c_s[:n_on]))
 
 
-def _clock_load(tree: SynapseTreeConfig, pc: PowerClockConfig, n_on: int, c_active: float) -> float:
+def _clock_load(tree: SynapseTreeConfig, pc: PowerClockConfig, n_on: int | np.ndarray,
+                c_active: float | np.ndarray) -> float | np.ndarray:
     """Capacitance seen by the clock inductor with n_on gates enabled,
-    whose weights sum to c_active."""
-    c = pc.c_e
-    c += (tree.n - n_on) * (tree.c_pl_off + tree.c_sh)
-    c += n_on * (tree.c_pl_on + tree.c_pr)
-    if n_on > 0:
-        c += series_capacitance(c_active, tree.c_d)
-    return c
+    whose weights sum to c_active, or elementwise for arrays of both: the
+    enabled weights in series with C_D, which adds exactly 0 for none."""
+    return (pc.c_e + (tree.n - n_on) * (tree.c_pl_off + tree.c_sh)
+            + n_on * (tree.c_pl_on + tree.c_pr) + c_active * tree.c_d / (c_active + tree.c_d))
 
 
 def lc_series_resistance(cfg: CircuitConfig) -> float:
@@ -327,9 +325,8 @@ def sweep_lock_frequency(cfg: CircuitConfig, codes: CodeStream | Iterable[Sequen
     tree = cfg.tree
     stream = CodeStream.of(codes, tree.n)
     c_active = np.cumsum(np.where(stream.bits, np.asarray(tree.c_s), 0.0), axis=1)[:, -1]
-    loads = [_clock_load(tree, cfg.pc, n_on, c)
-             for n_on, c in zip(stream.bits.sum(1).tolist(), c_active.tolist())]
-    total = float(np.cumsum(np.take(loads, stream.index))[-1])
+    loads = _clock_load(tree, cfg.pc, stream.bits.sum(1), c_active)
+    total = float(np.cumsum(loads[stream.index])[-1])
     c0 = effective_pc_capacitance(tree, cfg.pc, 0.0)
     return cfg.pc.f_nominal * math.sqrt(c0 * stream.index.size / total)
 

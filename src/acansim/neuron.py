@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -222,14 +222,28 @@ def _schedule(cfg: CircuitConfig, on: Sequence, all_zero: bool, forced: bool) ->
     )
 
 
-def _weight_counts(c_s: Sequence[float], on: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The distinct weight values of a tree, ascending, and for each row of
-    the boolean (rows, n) gate matrix ``on`` the number of enabled
-    synapses of each value: one sum per value for every row at once."""
+@lru_cache(maxsize=16)
+def _weight_classes(c_s: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+    """A tree's synapses grouped by weight value, worked out once per weight
+    tuple: the distinct values, ascending, the synapses grouped by value in
+    that order, where each value's group starts and each value's synapse
+    count.  The arrays are read-only: every run on the tree shares them."""
     values, cls = np.unique(np.asarray(c_s), return_inverse=True)
     order = np.argsort(cls, kind="stable")
     starts = np.flatnonzero(np.diff(cls[order], prepend=-1))
-    return values.tolist(), np.add.reduceat(on[:, order], starts, axis=1, dtype=np.intp)
+    totals = np.diff(starts, append=len(c_s))
+    for a in (order, starts, totals):
+        a.flags.writeable = False
+    return tuple(values.tolist()), order, starts, totals
+
+
+def _weight_counts(c_s: tuple[float, ...], on: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
+    """The distinct weight values of a tree, ascending, and for each row of
+    the boolean (rows, n) gate matrix ``on`` the number of enabled
+    synapses of each value: one sum per value for every row at once."""
+    values, order, starts, _ = _weight_classes(c_s)
+    return values, np.add.reduceat(on[:, order], starts, axis=1, dtype=np.intp)
 
 
 def _phase_system(cfg: CircuitConfig, sw: SwitchState, values: Sequence[float],
@@ -682,9 +696,7 @@ def _code_table(codes: Iterable[Sequence[int]], n: int) -> tuple[list[Code], np.
         raise ValueError("code stream is empty: need at least one code")
     on = np.concatenate((np.zeros((1, n), dtype=bool), on))   # the all-zero code first
     packed = np.packbits(on, axis=1)
-    _, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                           return_inverse=True)
-    first, code_of = first_seen(inverse)
+    first, code_of = first_seen(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
     bits = on[first]
     index = code_of[1:] if raw_of is None else code_of[1:][np.asarray(raw_of)]
     return list(map(tuple, bits.view(np.int8).tolist())), bits, index

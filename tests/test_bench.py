@@ -327,26 +327,39 @@ def test_constant_streams_are_one_boolean_array():
 @pytest.mark.parametrize("grid", [1, 2])
 def test_a_study_reads_each_stream_once(monkeypatch, grid):
     # every point of a study runs its stream, read once per study (or per
-    # order), whatever the grid: one code table and one pass-1 order each
+    # order), whatever the grid: one code table, which makes one np.unique
+    # call, and one pass-1 order each; and the study works out its tree's
+    # weight classes once
     from acansim import engine, neuron
 
-    calls = []
-    for owner, name in ((neuron, "_code_table"), (engine, "_periods")):
-        monkeypatch.setattr(owner, name, lambda *a, f=getattr(owner, name), n=name:
-                            calls.append(n) or f(*a))
+    calls, uniques = [], []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
+
+    def code_table(*a, f=neuron._code_table):
+        before = len(uniques)
+        table = f(*a)
+        calls.append(f"_code_table: {len(uniques) - before} np.unique")
+        return table
+
+    monkeypatch.setattr(neuron, "_code_table", code_table)
+    monkeypatch.setattr(engine, "_periods", lambda *a, f=engine._periods:
+                        calls.append("_periods") or f(*a))
 
     def reads(study, *args, **kwargs):
         calls.clear()
+        neuron._weight_classes.cache_clear()
         study(CircuitConfig(), *args, **kwargs)
-        return sorted(calls)
+        return sorted(calls), neuron._weight_classes.cache_info().misses
 
-    once = ["_code_table", "_periods"]
+    once = (["_code_table: 1 np.unique", "_periods"], 1)
     spec = SweepSpec(cycles=32, skip=8, window=16, repeats=2)
     assert reads(optimize_frequency, 1.0, spec=_FAST) == once
     assert reads(sweep_freq_duty, [0.96e6, 1.0e6][:grid], [0.04, 0.05], spec=_FAST) == once
     assert reads(corner_study, corners=[Corner.TT, Corner.SS][:grid], temps=(25.0, 50.0),
                  spec=spec) == once
-    assert reads(sweep_width_duty, [30e-6, 60e-6][:grid], [0.05], spec=spec) == sorted(once * 5)
+    assert reads(sweep_width_duty, [30e-6, 60e-6][:grid], [0.05], spec=spec) == (
+        sorted(once[0] * 5), 1)
     # a run given raw codes reads them once, as ever
     assert reads(lambda cfg: run_neuron(cfg, [(1, 0, 0, 0)] * 3)) == once
 

@@ -759,6 +759,26 @@ def test_one_stream_serves_every_operating_point(monkeypatch):
     assert laid_out == []
 
 
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+def test_arrays_shared_across_runs_are_read_only(design):
+    # a tree's weight classes and the kernel's identities are made once and
+    # shared by every later run: none of them takes a write, and a run after
+    # the attempts equals one from fresh caches
+    cfg = tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(1e-12, 2e-12, 1e-12, 4e-12))))
+    first = _run(design, cfg, _CODES)
+    shared = [*neuron_mod._weight_classes(cfg.tree.c_s)[1:], *map(engine._eye, range(1, 13))]
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
+    later = _run(design, cfg, _CODES)
+    neuron_mod._weight_classes.cache_clear()
+    engine._eye.cache_clear()
+    _assert_identical(later, _run(design, cfg, _CODES))
+    _assert_identical(later, first)
+
+
 def test_a_recalibration_period_past_int64_runs_as_a_long_one():
     # any period past the run forces cycle 0 only; one of 2**63 or more
     # must not overflow the modulus of the cycle index
