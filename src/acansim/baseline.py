@@ -19,6 +19,7 @@ whose driver sits high.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -270,6 +271,19 @@ def _entry_map(starts: Sequence[float], dim: int) -> np.ndarray:
     return entry
 
 
+class _SetUp(NamedTuple):
+    """What the level-driven design keeps of its runs on one circuit for
+    the next run on it (``run_baseline``)."""
+
+    circuit: tuple                         # the builder (unwrapped), the config and the state size
+    systems: dict[tuple, PhaseSystem]      # per ``_legs`` key, each with its last run's maps
+    plans: dict[PhaseSystem, list[Phase]]  # per system, its ``_cycle_plan``
+
+
+# the set-up of the runs on the last run's circuit
+_kept = _SetUp((), {}, {})
+
+
 def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]]) -> NeuronRun:
     """Level-driven transient: one code per cycle, switching only the bits
     that change between consecutive codes.  The membrane resets to V_REF
@@ -292,6 +306,12 @@ def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]
     from the distinct codes' bit matrix, each in one array pass, once per
     stream and tree (``_pairs``), as do the oracle bits once per run;
     each pair's starts go into its entry map's affine column.
+
+    The design keeps its phase systems, each with its cycle plan and the
+    maps of its last run (``engine._build_maps``), for the next run with
+    an equal config and state size, which reuses the ones it shares.  A
+    run with another config or size replaces them all, so the design
+    holds one circuit's: a system per leg key that its runs used.
     """
     tree = cfg.tree
     stream = CodeStream.of(codes, tree.n)
@@ -307,17 +327,24 @@ def run_baseline(cfg: BaselineConfig, codes: CodeStream | Iterable[Sequence[int]
     dim = max(len(starts) for _, starts in pair_legs) + 1   # the run's state size
     values, _, _, totals = _weight_classes(tree.c_s)
     weights = list(zip(values, totals.tolist()))   # per weight value: (value, synapses)
-    systems: dict[tuple, PhaseSystem] = {}
+    global _kept
+    circuit = (inspect.unwrap(build_baseline_system), cfg, dim)
+    if _kept.circuit != circuit:
+        _kept = _SetUp(circuit, {}, {})
+    systems, plans = _kept.systems, _kept.plans
+    new = []
     for key, _ in pair_legs:
         if key not in systems:
             systems[key] = build_baseline_system(cfg, weights, *key, dim)
+            new.append(systems[key])
     ledger.drive += e_toggle * pairs.toggles[pairs.order.kind_of]
 
-    # each system's phases, from one stacked eigenvalue call; a held
+    # each new system's phases, from one stacked eigenvalue call; a held
     # state's zero rate is dropped there as the floating membrane's is
-    rates = np.linalg.eigvals(np.array([system.a for system in systems.values()])).real
-    plans = {system: _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle)
-             for system, r in zip(systems.values(), rates)}
+    if new:
+        rates = np.linalg.eigvals(np.array([system.a for system in new])).real
+        plans.update((system, _cycle_plan(system, r, t_cycle, cfg.steps_per_cycle))
+                     for system, r in zip(new, rates))
     kinds = [(_entry_map(starts, dim), plans[systems[key]]) for key, starts in pair_legs]
 
     # the membrane at V_REF, every other state at 0

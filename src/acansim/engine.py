@@ -6,13 +6,14 @@ implicit trapezoidal rule.  The step map is affine, so every state of a
 phase is affine in the phase's start state, and every quantity a run
 keeps is a closed form in it: a *phase operator* holds those forms.
 
-A run (``run_cycles``) builds the step maps of its distinct (phase
-system, step size) pairs and the end maps of its distinct phases,
-stacked, and takes two passes over phase slots (a phase at its place in
-a cycle).  Pass 1 carries each cycle's start state through the entry
-maps and the phases' end maps and records the state in each slot it
-passes: a repeated block of cycles, its first period included, goes as
-one batch, from powers of its period map.  Then each slot gets one
+A run (``run_cycles``) has the step maps of its distinct (phase system,
+step size) pairs and the end maps of its distinct phases: each system
+keeps those of its last run, and only the missing ones are built,
+stacked.  It then takes two passes over phase slots (a phase at its
+place in a cycle).  Pass 1 carries each cycle's start state through the
+entry maps and the phases' end maps and records the state in each slot
+it passes: a repeated block of cycles, its first period included, goes
+as one batch, from powers of its period map.  Then each slot gets one
 operator, built at its first start, and the operators are compiled,
 stacked: their block powers, guard bounds, and their accounts from
 their systems' storage, loss and source terms (a source account is
@@ -32,12 +33,16 @@ read, so a run whose peaks nobody reads never pays for them.
 
 The kernel knows no circuit: each design (``neuron``, ``baseline``)
 builds its phase systems and cycle kinds and hands them to ``run_cycles``.
+A design keeps the phase systems of its runs on one circuit, each with
+the maps of its last run, for its next run on that circuit; a run on
+another circuit replaces them.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -87,6 +92,11 @@ class PhaseSystem:
     column in A, a zero entry in b, and no store, loss or source term.
     Systems compare and hash by identity, so a run's phases can key its
     operators.
+
+    A system keeps the step maps (E, f) and end maps of its last run,
+    read-only, for the next run that uses it (``_build_maps``): ``maps``
+    per (``step_maps``, dt) and ``ends`` per (``step_maps``, dt, n), keyed
+    by the function that made them.  So A and b are read-only too.
     """
 
     a: np.ndarray
@@ -94,6 +104,11 @@ class PhaseSystem:
     stores: tuple[Store, ...]
     losses: tuple[Loss, ...]
     sources: tuple[Source, ...]
+    maps: dict = field(default_factory=dict, init=False, repr=False)
+    ends: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.a.flags.writeable = self.b.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -139,27 +154,46 @@ def _build_maps(phases: Iterable[tuple[PhaseSystem, float, int]]) -> tuple[
         dict[tuple[PhaseSystem, float], tuple[np.ndarray, np.ndarray]],
         dict[tuple[PhaseSystem, float, int], np.ndarray]]:
     """Step maps (E, f) of the distinct (system, dt) pairs of phases
-    (system, dt, n) of one state size, in one stacked ``step_maps`` call,
-    and the end map of each distinct phase: M = G^n for G = [E f; 0 1] the
-    augmented step map, so [x_end; 1] = M [x0; 1], one stacked power per
-    step count."""
-    pairs: dict[tuple[PhaseSystem, float], list[int]] = {}
-    for system, dt, n in dict.fromkeys(phases):
-        pairs.setdefault((system, dt), []).append(n)
-    keys = list(pairs)
-    e, f = step_maps(np.array([s.a for s, _ in keys]), np.array([s.b for s, _ in keys]),
-                     np.array([dt for _, dt in keys]))
-    d = e.shape[-1]
-    g = np.zeros((len(keys), d + 1, d + 1))
-    g[:, :d, :d], g[:, :d, d], g[:, d, d] = e, f, 1.0
-    by_n: dict[int, list[int]] = {}
-    for i, ns in enumerate(pairs.values()):
-        for n in ns:
-            by_n.setdefault(n, []).append(i)
-    ends = {}
+    (system, dt, n) of one state size, and the end map of each distinct
+    phase: M = G^n for G = [E f; 0 1] the augmented step map, so
+    [x_end; 1] = M [x0; 1].
+
+    A system keeps the maps of its last run (``PhaseSystem.maps`` and
+    ``ends``), keyed by the ``step_maps`` that made them, so only the maps
+    missing there are built: the step maps in one stacked ``step_maps``
+    call, the end maps in one stacked power per step count.  Then each
+    system keeps just the maps of these phases.  A wrapper that names the
+    function it wraps by ``__wrapped__`` (``functools.wraps``, a tracer)
+    makes the maps of that function; any other replacement makes its own."""
+    made_by = inspect.unwrap(step_maps)
+    phases = list(dict.fromkeys(phases))
+    maps = {(s, dt): s.maps.get((made_by, dt)) for s, dt, _ in phases}
+    new = [key for key, m in maps.items() if m is None]
+    if new:
+        e, f = step_maps(np.array([s.a for s, _ in new]), np.array([s.b for s, _ in new]),
+                         np.array([dt for _, dt in new]))
+        e.flags.writeable = f.flags.writeable = False
+        maps.update(zip(new, zip(e, f)))
+    ends = {(s, dt, n): s.ends.get((made_by, dt, n)) for s, dt, n in phases}
+    by_n: dict[int, list[tuple[PhaseSystem, float]]] = {}
+    for s, dt, n in [key for key, m in ends.items() if m is None]:
+        by_n.setdefault(n, []).append((s, dt))
     for n, at in by_n.items():
-        ends.update(zip([(*keys[i], n) for i in at], np.linalg.matrix_power(g[at], n)))
-    return dict(zip(keys, zip(e, f))), ends
+        d = at[0][0].dim
+        g = np.zeros((len(at), d + 1, d + 1))
+        g[:, :d, :d] = [maps[k][0] for k in at]
+        g[:, :d, d] = [maps[k][1] for k in at]
+        g[:, d, d] = 1.0
+        power = np.linalg.matrix_power(g, n)
+        power.flags.writeable = False
+        ends.update(((*k, n), m) for k, m in zip(at, power))
+    for s, _ in maps:
+        s.maps, s.ends = {}, {}
+    for (s, dt), m in maps.items():
+        s.maps[made_by, dt] = m
+    for (s, dt, n), m in ends.items():
+        s.ends[made_by, dt, n] = m
+    return maps, ends
 
 
 # Steps per block of a phase operator: step k = bB + m of a phase is
@@ -601,7 +635,9 @@ def run_cycles(
     cycle's augmented start state (None keeps the state), then the phases
     run in order.  The step
     maps of the kinds' distinct (system, dt) pairs and the end maps of
-    their distinct phases are built first, stacked (``_build_maps``).
+    their distinct phases come first (``_build_maps``): each system keeps
+    those of its last run, and only the ones missing there are built,
+    stacked.
 
     Pass 1 carries each cycle's start state ``[x; 1]`` through the entry
     maps and the phases' end maps, and records each phase's start in its

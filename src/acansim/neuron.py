@@ -14,9 +14,10 @@ a logarithmic metastability term at small overdrive.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -384,8 +385,8 @@ def _plan_phases(cfg: CircuitConfig, plan: CyclePlan, systems: dict[tuple, Phase
                  counts: tuple[int, ...]) -> tuple[Phase, ...]:
     """Phases of one valid cycle plan whose gates enable ``counts`` synapses
     of each weight value in ``values`` (``_weight_counts``).  Phase systems
-    are shared through ``systems`` across the plans of a run, keyed by
-    their content: the bypass and reset switches and those counts; step
+    are shared through ``systems``, keyed by their content on one circuit
+    (``_circuit``): the bypass and reset switches and those counts; step
     allocations through ``steps``, keyed by all that ``_allocate_steps``
     reads: the segments' fractions and bypass switches."""
     layout = (tuple(end - start for start, end, _ in plan), tuple(sw.bypass_on for _, _, sw in plan))
@@ -491,6 +492,31 @@ def _layout(c_s: Sequence[float], gates: np.ndarray, gate_of: np.ndarray,
     return layout
 
 
+class _SetUp(NamedTuple):
+    """What the adiabatic design keeps of its runs on one circuit for the
+    next run on it (``_simulate_plans``)."""
+
+    circuit: tuple                     # ``_circuit``
+    systems: dict[tuple, PhaseSystem]  # per ``_plan_phases`` key, each with its last run's maps
+    steps: dict[tuple, list[int]]      # step allocations, as ``_plan_phases`` keys them
+
+
+# the set-up of the runs on the last run's circuit
+_kept = _SetUp((), {}, {})
+
+
+def _circuit(cfg: CircuitConfig, values: Sequence[float]) -> tuple:
+    """All that a run's phase systems and step allocations read but their
+    own keys: the builder (through a wrapper that names it, as
+    ``engine._build_maps`` keys its maps), the tree, the environment,
+    every power-clock field but the timing (``f_nominal``, ``duty_d``),
+    the run's plate values and the step budget."""
+    pc = cfg.pc
+    clock = tuple(getattr(pc, f.name) for f in fields(pc) if f.name not in ("f_nominal", "duty_d"))
+    return (inspect.unwrap(_phase_system), cfg.tree, cfg.env, clock, tuple(values),
+            cfg.sim.steps_per_cycle)
+
+
 def _simulate_plans(
     cfg: CircuitConfig,
     plans: Sequence[CyclePlan],
@@ -506,7 +532,14 @@ def _simulate_plans(
     run leaves off has none), so the kernel gets the run's kinds, one per
     distinct (plan, whether the gates change), the change's kind entering
     through the one square ``_rejoin`` map, and the layout's order of
-    them.  Returns its observables, its ledger and its ``Trace`` or None."""
+    them.  Returns its observables, its ledger and its ``Trace`` or None.
+
+    The design keeps its phase systems, each with the maps of its last
+    run (``engine._build_maps``), and its step allocations for the next
+    run on the same ``_circuit``, which reuses the ones it shares.  A run
+    on another circuit replaces them all, so the design holds one
+    circuit's: a system per switch key and an allocation per segment
+    layout that its runs used."""
     n_cycles = layout.plan_of.size
     t_pc = cfg.pc.t_pc
     v_dd = cfg.dlcc.v_dd
@@ -515,13 +548,15 @@ def _simulate_plans(
     v_limit = 50.0 * v_dd
     e_toggle = 0.5 * cfg.tree.c_inv * v_dd ** 2
     ledger = EnergyLedger.zeros(n_cycles)
-    systems: dict[tuple, PhaseSystem] = {}
-    steps: dict[tuple, list[int]] = {}
     values = layout.values
     # persistent state between cycles: [I_L, V_PC, V_s per used weight value..., V_m]
     x0 = np.array([0.0, 0.0, *[0.0] * len(values), cfg.tree.v_ref])
     keys = list(map(tuple, layout.counts.tolist()))
-    plan_phases = [_plan_phases(cfg, plan, systems, steps, values, keys[g])
+    global _kept
+    circuit = _circuit(cfg, values)
+    if _kept.circuit != circuit:
+        _kept = _SetUp(circuit, {}, {})
+    plan_phases = [_plan_phases(cfg, plan, _kept.systems, _kept.steps, values, keys[g])
                    for plan, g in zip(plans, layout.gate_of.tolist())]
     # gate-driver overhead: half a full charge per toggled control line
     ledger.drive[layout.changes] += layout.toggles * e_toggle

@@ -494,17 +494,56 @@ def test_run_neuron_builds_each_step_map_once(monkeypatch):
     assert _maps_built(calls) == len(pairs)
 
 
+def _after_another_circuit(design, cfg, codes):
+    # a run from nothing kept: a run on another circuit first replaces what
+    # the design keeps
+    _run(design, tune_inductor(CircuitConfig(tree=SynapseTreeConfig(c_s=(2e-12,) * 3))),
+         [(1, 0, 1)] * 2)
+    return _run(design, cfg, codes)
+
+
 def test_run_baseline_builds_each_step_map_once(monkeypatch):
+    # the design keeps what its runs on one circuit built: a third pass
+    # repeats the level transitions of the second one, so its run builds no
+    # step map, and it gives what the run from nothing kept gives
     cfg = BaselineConfig.from_circuit(CircuitConfig())
     codes = input_sweeps(4, n_scrambles=0, seed=0)[0]
     calls = _count_step_maps(monkeypatch)
     run_baseline(cfg, codes * 2)
-    n_two = _maps_built(calls)
-    assert n_two > 0
+    assert _maps_built(calls) > 0
     calls.clear()
-    # a third pass repeats the level transitions of the second one
-    run_baseline(cfg, codes * 3)
-    assert _maps_built(calls) == n_two
+    warm = run_baseline(cfg, codes * 3)
+    assert calls == []
+    _assert_identical(warm, _after_another_circuit("baseline", CircuitConfig(), codes * 3))
+
+
+def test_run_neuron_builds_each_step_map_once_across_runs(monkeypatch):
+    # the adiabatic twin: a second run of the same circuit and code stream
+    # builds no step map and gives what the run from nothing kept gives
+    cfg = tune_inductor(CircuitConfig())
+    codes = input_sweeps(4, n_scrambles=0, seed=0)[0] * 2
+    calls = _count_step_maps(monkeypatch)
+    run_neuron(cfg, codes)
+    assert _maps_built(calls) > 0
+    calls.clear()
+    warm = run_neuron(cfg, codes)
+    assert calls == []
+    _assert_identical(warm, _after_another_circuit("adiabatic", cfg, codes))
+
+
+@pytest.mark.parametrize("design", ["adiabatic", "baseline"])
+def test_maps_of_a_replaced_step_maps_are_never_reused(monkeypatch, design):
+    # a run on step maps that grow the state diverges and leaves their maps
+    # on the systems the design keeps; a run on the same circuit once the
+    # real step maps are back builds its own, and gives what a run from
+    # nothing kept gives
+    cfg = tune_inductor(CircuitConfig())
+    codes = [(1, 1, 0, 0)] * 6
+    with monkeypatch.context() as patch:
+        _growing_step_maps(patch)
+        with pytest.raises(SimulationError):
+            _run(design, cfg, codes)
+    _assert_identical(_run(design, cfg, codes), _after_another_circuit(design, cfg, codes))
 
 
 @pytest.mark.parametrize("design, c_s, codes, size", [
